@@ -34,18 +34,26 @@ class AnalysisError(ValueError):
 # RKHS reconstruction error
 # ---------------------------------------------------------------------------
 
+def _distance_sq(f: RkhsFunction, g: RkhsFunction) -> float:
+    """|f - g|^2 as <f, f> - 2 <f, g> + <g, g>, clamped at 0.
+
+    Equal arguments give exactly 0, since <f, g> then rounds to the same
+    number as <f, f>; otherwise the sum cancels to within about
+    eps (|f|^2 + |g|^2) and may round below 0.
+    """
+    return max(rkhs_inner(f, f) - 2.0 * rkhs_inner(f, g) + rkhs_inner(g, g), 0.0)
+
+
 def rkhs_error(estimate: tuple[RkhsFunction, RkhsFunction],
                truth: tuple[RkhsFunction, RkhsFunction]) -> float:
     """Product-space error sqrt(|Vhat - V|^2 + |What - W|^2)."""
-    v_hat, w_hat = estimate
-    v_true, w_true = truth
-    dv = v_hat.combine(v_true, alpha=-1.0)
-    dw = w_hat.combine(w_true, alpha=-1.0)
-    return float(np.sqrt(rkhs_inner(dv, dv) + rkhs_inner(dw, dw)))
+    return float(np.sqrt(_distance_sq(estimate[0], truth[0])
+                         + _distance_sq(estimate[1], truth[1])))
 
 
 def pair_norm(pair: tuple[RkhsFunction, RkhsFunction]) -> float:
-    return float(np.sqrt(rkhs_inner(pair[0], pair[0]) + rkhs_inner(pair[1], pair[1])))
+    return float(np.sqrt(max(
+        rkhs_inner(pair[0], pair[0]) + rkhs_inner(pair[1], pair[1]), 0.0)))
 
 
 def wrap_periodic(f: RkhsFunction, period: float, copies: int | None = None) -> RkhsFunction:
@@ -324,12 +332,11 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
                         n_quantiles=n_quantiles, periodic=True)
         for l in range(mesh.L)
     ]
-    dv = truth[0].combine(estimate[0], alpha=-1.0)
-    dw = truth[1].combine(estimate[1], alpha=-1.0)
     kappa1 = np.sqrt(2.0 * truth[0].kernel.sup_norm_c4(mesh.a, mesh.b))
     kappa2 = np.sqrt(2.0 * truth[1].kernel.sup_norm_c4(mesh.a, mesh.b))
     discrepancy = float(np.sqrt(
-        kappa1**2 * rkhs_inner(dv, dv) + kappa2**2 * rkhs_inner(dw, dw)
+        kappa1**2 * _distance_sq(truth[0], estimate[0])
+        + kappa2**2 * _distance_sq(truth[1], estimate[1])
     ))
     return {
         "sup_w2": float(max(w2)),

@@ -32,7 +32,7 @@ from .analysis import (
     wasserstein2_1d,
     wrap_periodic,
 )
-from .estimator import EstimationProblem, solve, stationarity_residual
+from .estimator import EstimationProblem, EstimatorError, solve, stationarity_residual
 from .flows import (
     EnergySpec,
     SmoothFunction,
@@ -40,7 +40,7 @@ from .flows import (
     hamiltonian_flow_simulate,
     internal_energy_from_label,
 )
-from .kernels import SmoothKernel
+from .kernels import KernelError, SmoothKernel
 from .mesh import (
     SpaceTimeMesh,
     TrajectoryFormatError,
@@ -115,13 +115,26 @@ def function_from_spec(spec: dict | None, what: str):
             spec.get("phases"),
         )
     if kind == "kernel_sum":
-        kernel = SmoothKernel.from_config(spec["kernel"])
+        try:
+            kernel = SmoothKernel.from_config(spec["kernel"])
+        except KernelError as exc:
+            raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
         fn = RkhsFunction.from_points(kernel, spec["centers"], spec["weights"])
         if spec.get("wrap_period"):
             fn = wrap_periodic(fn, float(spec["wrap_period"]),
                                spec.get("wrap_copies"))
         return fn
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
+
+
+def mesh_from_spec(spec: dict) -> SpaceTimeMesh:
+    try:
+        return SpaceTimeMesh(float(spec["a"]), float(spec["b"]), float(spec["T"]),
+                             int(spec["N"]), int(spec["L"]))
+    except KeyError as exc:
+        raise ConfigError("config_invalid", f"mesh config needs key {exc}") from None
+    except (TypeError, ValueError) as exc:  # MeshError is a ValueError
+        raise ConfigError("config_invalid", f"invalid mesh config: {exc}") from None
 
 
 def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
@@ -228,11 +241,7 @@ def require(cfg: dict, key: str):
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     seed = int(cfg.get("seed", 0))
-    mesh_cfg = require(cfg, "mesh")
-    mesh = SpaceTimeMesh(
-        float(mesh_cfg["a"]), float(mesh_cfg["b"]), float(mesh_cfg["T"]),
-        int(mesh_cfg["N"]), int(mesh_cfg["L"]),
-    )
+    mesh = mesh_from_spec(require(cfg, "mesh"))
     kind = cfg.get("kind", "gradient")
     energy = cfg.get("energy", {})
     spec = EnergySpec(
@@ -271,13 +280,16 @@ def cmd_simulate(args) -> int:
 
 def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None:
     """Kernel from a CLI argument (JSON file path or inline JSON) or config."""
-    if arg:
-        text = arg.strip()
-        if text.startswith("{"):
-            return SmoothKernel.from_config(json.loads(text))
-        return SmoothKernel.from_json(text)
-    if key in cfg:
-        return SmoothKernel.from_config(cfg[key])
+    try:
+        if arg:
+            text = arg.strip()
+            if text.startswith("{"):
+                return SmoothKernel.from_config(json.loads(text))
+            return SmoothKernel.from_json(text)
+        if key in cfg:
+            return SmoothKernel.from_config(cfg[key])
+    except (OSError, json.JSONDecodeError, KernelError) as exc:
+        raise ConfigError("bad_kernel", f"{key}: {exc}") from None
     return None
 
 
@@ -301,15 +313,18 @@ def cmd_estimate(args) -> int:
     lam3 = args.lambda3 if args.lambda3 is not None else cfg.get("lambda3")
     if lam1 is None or lam2 is None:
         raise ConfigError("config_invalid", "estimate needs --lambda1 and --lambda2")
-    problem = EstimationProblem(
-        traj, k1, k2,
-        lambda1=float(lam1), lambda2=float(lam2),
-        flow_kind=args.flow or cfg.get("flow", "gradient"),
-        known_u=internal_energy_from_label(args.u or cfg.get("u", "none")),
-        kernel3=k3,
-        lambda3=float(lam3) if lam3 is not None else None,
-        drop_last_time_rows=int(cfg.get("drop_last_time_rows", 0)),
-    )
+    try:
+        problem = EstimationProblem(
+            traj, k1, k2,
+            lambda1=float(lam1), lambda2=float(lam2),
+            flow_kind=args.flow or cfg.get("flow", "gradient"),
+            known_u=internal_energy_from_label(args.u or cfg.get("u", "none")),
+            kernel3=k3,
+            lambda3=float(lam3) if lam3 is not None else None,
+            drop_last_time_rows=int(cfg.get("drop_last_time_rows", 0)),
+        )
+    except EstimatorError as exc:
+        raise ConfigError("config_invalid", str(exc)) from None
     run = RunDirectory(Path(args.out or require(cfg, "out")))
     try:
         result = solve(problem)
@@ -423,11 +438,7 @@ def cmd_sweep(args) -> int:
 def cmd_stability(args) -> int:
     cfg = load_config(args)
     seed = int(cfg.get("seed", 0))
-    mesh_cfg = require(cfg, "mesh")
-    mesh = SpaceTimeMesh(
-        float(mesh_cfg["a"]), float(mesh_cfg["b"]), float(mesh_cfg["T"]),
-        int(mesh_cfg["N"]), int(mesh_cfg["L"]),
-    )
+    mesh = mesh_from_spec(require(cfg, "mesh"))
     truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
     estimates = require(cfg, "estimates")
@@ -508,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="seed recorded in artifacts")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for interface compatibility; "
-                            "computation is single-process")
 
     p = sub.add_parser("simulate", help="integrate a gradient or Hamiltonian flow")
     common(p)

@@ -17,9 +17,10 @@ squares over the product RKHS has the closed-form solution
 with G the density-weighted Gram of the two section families.  Both section
 families are spanned by few generators (2N for plain sections, 2(2N-1) for
 convolved ones), so G factors exactly as C (l2 F1 Kt1 F1' + l1 F2 Kt2 F2') C
-with tall-skinny F factors.  Large problems are solved through that
-factorization (Woodbury identity) without materializing G; small ones can
-also go through the dense Cholesky path, and the two agree to roundoff.
+with tall-skinny F factors.  Every problem is solved through that
+factorization (Woodbury identity plus two steps of iterative refinement)
+without materializing G; a dense Cholesky solve of the same system is kept
+in the tests as the reference it is checked against.
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -37,8 +38,6 @@ from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
 from .mesh import PERIODIC, DensityTrajectory, diff_space
 from .rkhs import CONVOLVED, PLAIN, RkhsFunction, difference_grid, rkhs_inner
-
-DENSE_CEILING = 4096  # largest node count for materialized Gram matrices
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
@@ -121,7 +120,11 @@ class EstimationProblem:
 
 @dataclass
 class EstimatorResult:
-    """Coefficients, reconstructed functions, and diagnostics of one solve."""
+    """Coefficients, reconstructed functions, and diagnostics of one solve.
+
+    ``method`` names the solve route ("lowrank", the only one) and
+    ``gram_condition`` is an upper bound on the system's condition number.
+    """
 
     C1: np.ndarray
     C2: np.ndarray
@@ -281,35 +284,6 @@ def build_factors(problem: EstimationProblem) -> SectionFactors:
     return factors
 
 
-def section_grams(problem: EstimationProblem,
-                  factors: SectionFactors | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Dense unweighted section Grams (plain, convolved); small problems only."""
-    if problem.node_count > DENSE_CEILING:
-        raise EstimatorError(
-            f"dense section Grams limited to {DENSE_CEILING} nodes, "
-            f"got {problem.node_count}"
-        )
-    fac = factors or build_factors(problem)
-    G1 = fac.F1 @ fac.K1t @ fac.F1.T
-    G2 = fac.F2 @ fac.K2t @ fac.F2.T
-    return G1, G2
-
-
-def assemble_gram(problem: EstimationProblem,
-                  factors: SectionFactors | None = None) -> np.ndarray:
-    """Density-weighted Gram C (l2 G_plain + l1 G_conv [+ ...]) C, dense."""
-    fac = factors or build_factors(problem)
-    G1, G2 = section_grams(problem, fac)
-    C = fac.rho_flat
-    if problem.learn_internal:
-        l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        G3 = fac.F3 @ fac.K3t @ fac.F3.T
-        core = l2 * l3 * G1 + l1 * l3 * G2 + l1 * l2 * G3
-    else:
-        core = problem.lambda2 * G1 + problem.lambda1 * G2
-    return C[:, None] * core * C[None, :]
-
-
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
@@ -363,42 +337,41 @@ def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
 
 def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
                    f_flat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve (P P' + c diag(rho)) z = rho f through the k x k Woodbury core.
+
+    The Woodbury formula cancels two O(1/c) terms, so on its own it loses
+    accuracy as the regularization shrinks.  Two steps of iterative
+    refinement on the same factored core, O(M k) each, bring the solution
+    back to the roundoff level of a dense Cholesky solve.
+    """
     c = _regularizer_coefficient(problem)
     P = _stacked_factor(problem, fac)
-    dinv = 1.0 / (c * fac.rho_flat)
-    b = fac.rho_flat * f_flat
-    db = dinv * b
+    rho = fac.rho_flat
+    dinv = 1.0 / (c * rho)
     core = P.T @ (dinv[:, None] * P)
     gram_top = float(np.linalg.eigvalsh(P.T @ P)[-1]) if P.shape[1] else 0.0
     core[np.diag_indices_from(core)] += 1.0
     cho = _cholesky_with_jitter(core)
-    z = db - dinv * (P @ sla.cho_solve(cho, P.T @ db))
-    rho = fac.rho_flat
+
+    def woodbury(r: np.ndarray) -> np.ndarray:
+        dr = dinv * r
+        return dr - dinv * (P @ sla.cho_solve(cho, P.T @ dr))
+
+    b = rho * f_flat
+    z = woodbury(b)
+    for _ in range(2):
+        z += woodbury(b - P @ (P.T @ z) - c * rho * z)
     cond = (gram_top + c * float(rho.max())) / (c * float(rho.min()))
     return z, cond
 
 
-def _solve_dense(problem: EstimationProblem, fac: SectionFactors,
-                 f_flat: np.ndarray) -> tuple[np.ndarray, float]:
-    G = assemble_gram(problem, fac)
-    c = _regularizer_coefficient(problem)
-    system = G + c * np.diag(fac.rho_flat)
-    cho = _cholesky_with_jitter(system)
-    z = sla.cho_solve(cho, fac.rho_flat * f_flat)
-    if system.shape[0] <= 2048:
-        eig = np.linalg.eigvalsh(system)
-        cond = float(eig[-1] / eig[0])
-    else:
-        cond = float(np.linalg.cond(system))
-    return z, cond
-
-
-def solve(problem: EstimationProblem, method: str = "auto") -> EstimatorResult:
+def solve(problem: EstimationProblem) -> EstimatorResult:
     """Solve the regularized regression in closed form.
 
-    ``method`` is "auto" (dense Cholesky up to DENSE_CEILING nodes, exact
-    low-rank factorization beyond), "dense", or "lowrank"; both routes solve
-    the same normal equations and agree to roundoff.
+    The representer system is solved through the exact low-rank
+    factorization of the section Gram (see ``_solve_lowrank``), so no
+    ``M x M`` matrix is formed; ``gram_condition`` is an upper bound on the
+    condition number of the system matrix.
     """
     fac = build_factors(problem)
     if problem.f_override is not None:
@@ -411,15 +384,7 @@ def solve(problem: EstimationProblem, method: str = "auto") -> EstimatorResult:
             include_internal=not problem.learn_internal,
         )
     f_flat = f_full[:problem.fit_rows].ravel()
-
-    if method == "auto":
-        method = "dense" if problem.node_count <= DENSE_CEILING else "lowrank"
-    if method == "dense":
-        z, cond = _solve_dense(problem, fac, f_flat)
-    elif method == "lowrank":
-        z, cond = _solve_lowrank(problem, fac, f_flat)
-    else:
-        raise EstimatorError(f"unknown solve method {method!r}")
+    z, cond = _solve_lowrank(problem, fac, f_flat)
 
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
@@ -464,7 +429,7 @@ def solve(problem: EstimationProblem, method: str = "auto") -> EstimatorResult:
         residual_vector=residual,
         gram_condition=cond,
         lambdas=(problem.lambda1, problem.lambda2, problem.lambda3),
-        method=method,
+        method="lowrank",
         operator_image=image,
         data_vector=f_flat,
     )

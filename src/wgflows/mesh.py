@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +79,6 @@ class SpaceTimeMesh:
     def t(self) -> np.ndarray:
         """Temporal grid points t_l = l*dt, l = 1..L."""
         return self.dt * np.arange(1, self.L + 1)
-
-    def with_time(self, T: float, L: int) -> "SpaceTimeMesh":
-        return SpaceTimeMesh(self.a, self.b, T, self.N, L)
 
 
 def diff_space(values: np.ndarray, dx: float, mode: str) -> np.ndarray:
@@ -159,7 +156,6 @@ class DensityTrajectory:
     mesh: SpaceTimeMesh
     values: np.ndarray
     boundary_mode: str = TRUNCATED
-    _dx_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -182,10 +178,8 @@ class DensityTrajectory:
             )
 
     def dx_plus(self) -> np.ndarray:
-        """Spatial forward differences of every slice, cached."""
-        if self._dx_cache is None:
-            self._dx_cache = diff_space(self.values, self.mesh.dx, self.boundary_mode)
-        return self._dx_cache
+        """Spatial forward differences of every slice."""
+        return diff_space(self.values, self.mesh.dx, self.boundary_mode)
 
     def dt_plus(self) -> np.ndarray:
         return diff_time(self.values, self.mesh.dt)

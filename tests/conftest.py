@@ -1,8 +1,17 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from wgflows.estimator import (
+    EstimationProblem,
+    EstimatorError,
+    SectionFactors,
+    assemble_data_functional,
+    build_factors,
+)
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 
 
@@ -29,3 +38,86 @@ def traj_truncated():
 @pytest.fixture
 def traj_periodic():
     return random_trajectory(mode=PERIODIC, seed=4)
+
+
+# ---------------------------------------------------------------------------
+# Dense reference of the representer solve
+# ---------------------------------------------------------------------------
+
+DENSE_CEILING = 4096  # largest node count for materialized Gram matrices
+
+
+def section_grams(problem: EstimationProblem,
+                  factors: SectionFactors | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense unweighted section Grams (plain, convolved); small problems only."""
+    if problem.node_count > DENSE_CEILING:
+        raise EstimatorError(
+            f"dense section Grams limited to {DENSE_CEILING} nodes, "
+            f"got {problem.node_count}"
+        )
+    fac = factors or build_factors(problem)
+    G1 = fac.F1 @ fac.K1t @ fac.F1.T
+    G2 = fac.F2 @ fac.K2t @ fac.F2.T
+    return G1, G2
+
+
+def assemble_gram(problem: EstimationProblem,
+                  factors: SectionFactors | None = None) -> np.ndarray:
+    """Density-weighted Gram C (l2 G_plain + l1 G_conv [+ ...]) C, dense."""
+    fac = factors or build_factors(problem)
+    G1, G2 = section_grams(problem, fac)
+    C = fac.rho_flat
+    if problem.learn_internal:
+        l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
+        G3 = fac.F3 @ fac.K3t @ fac.F3.T
+        core = l2 * l3 * G1 + l1 * l3 * G2 + l1 * l2 * G3
+    else:
+        core = problem.lambda2 * G1 + problem.lambda1 * G2
+    return C[:, None] * core * C[None, :]
+
+
+def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
+    """Representer solve by dense Cholesky of the M x M system matrix.
+
+    Solves (assemble_gram + c diag(rho)) z = rho f, the system ``solve``
+    handles in factored form, and derives the coefficients, RKHS norms and
+    loss from the dense section Grams alone.  Returns them under the
+    attribute names of ``EstimatorResult``.
+    """
+    fac = build_factors(problem)
+    G1, G2 = section_grams(problem, fac)
+    rho = fac.rho_flat
+    if problem.f_override is not None:
+        f_full = np.asarray(problem.f_override, dtype=float)
+    else:
+        f_full = assemble_data_functional(
+            problem.traj, problem.flow_kind, problem.known_u,
+            include_internal=not problem.learn_internal,
+        )
+    f = f_full[:problem.fit_rows].ravel()
+    l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
+    if problem.learn_internal:
+        c = l1 * l2 * l3 / problem.node_weight
+    else:
+        c = l1 * l2 / problem.node_weight
+    system = assemble_gram(problem, fac) + c * np.diag(rho)
+    z = sla.cho_solve(sla.cho_factor(system, lower=True), rho * f)
+    # name: (section Gram, coefficients, regularizer)
+    if problem.learn_internal:
+        G3 = fac.F3 @ fac.K3t @ fac.F3.T
+        blocks = {"V": (G1, l2 * l3 * z, l1), "W": (G2, l1 * l3 * z, l2),
+                  "U": (G3, l1 * l2 * z, l3)}
+    else:
+        blocks = {"V": (G1, l2 * z, l1), "W": (G2, l1 * z, l2)}
+    # the section combination with weights rho * C has operator image
+    # G (rho C) and squared RKHS norm (rho C)' G (rho C)
+    norms = {name: float(np.sqrt(max((rho * C) @ G @ (rho * C), 0.0)))
+             for name, (G, C, _) in blocks.items()}
+    image = sum(G @ (rho * C) for G, C, _ in blocks.values())
+    loss = problem.node_weight * float((image - f) ** 2 @ rho)
+    loss += sum(lam * norms[name] ** 2 for name, (_, _, lam) in blocks.items())
+    return SimpleNamespace(
+        C1=blocks["V"][1], C2=blocks["W"][1],
+        C3=blocks["U"][1] if problem.learn_internal else None,
+        rkhs_norms=norms, loss_value=loss,
+    )

@@ -26,7 +26,6 @@ from wgflows.estimator import (
     assemble_data_functional,
     loss_at,
     operator_image,
-    section_grams,
     solve,
     stationarity_residual,
 )
@@ -35,7 +34,7 @@ from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section, rkhs_inner
 
-from conftest import random_trajectory
+from conftest import random_trajectory, section_grams
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -170,7 +169,7 @@ def test_criterion_01_representer_oracle():
             lambda1=float(10 ** rng.uniform(-2, 0)),
             lambda2=float(10 ** rng.uniform(-2, 0)),
         )
-        result = solve(problem, method="dense")
+        result = solve(problem)
         u, v = _oracle_normal_equations(problem)
         rho_flat = traj.values.ravel()
         mine = np.concatenate([rho_flat * result.C1, rho_flat * result.C2])
@@ -385,7 +384,7 @@ def test_criterion_09_uniqueness_orthogonality():
         problem = EstimationProblem(traj, gaussian_kernel(0.25),
                                     imq_kernel(0.3, beta=1.5),
                                     lambda1=0.2, lambda2=0.07)
-        result = solve(problem, method="dense")
+        result = solve(problem)
         G1, G2 = section_grams(problem)
         design = np.hstack([G1, G2])
         _, svals, vt = np.linalg.svd(design)

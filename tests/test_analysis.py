@@ -36,6 +36,23 @@ class TestRkhsError:
         W = RkhsFunction.from_points(K2, [0.1], [0.5])
         assert rkhs_error((V, W), (V, W)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_identical_periodized_pairs_are_exactly_zero(self):
+        # the squared error of equal pairs cancels to roundoff of either sign;
+        # a negative one must not turn into nan
+        def periodized_pair(seed):
+            rng = np.random.default_rng(seed)
+            K1 = gaussian_kernel(float(rng.uniform(0.1, 0.4)))
+            K2 = gaussian_kernel(float(rng.uniform(0.1, 0.4)))
+            V = RkhsFunction.from_points(K1, rng.random(3), rng.standard_normal(3))
+            W = RkhsFunction.from_points(K2, rng.random(3) - 0.5,
+                                         rng.standard_normal(3))
+            return wrap_periodic(V, 1.0), wrap_periodic(W, 1.0)
+
+        for seed in range(100):
+            pair = periodized_pair(seed)
+            assert rkhs_error(pair, pair) == 0.0
+            assert rkhs_error(pair, periodized_pair(seed)) == 0.0
+
     def test_pythagorean_stacking(self):
         K1, K2 = gaussian_kernel(0.2), gaussian_kernel(0.25)
         V = RkhsFunction.from_points(K1, [0.3], [3.0 / np.sqrt(K1.eval(0, 0, 0, 0))])
@@ -239,6 +256,7 @@ class TestStability:
         out = stability_experiment(truth, truth, mu0, phi0, mesh)
         assert out["sup_w2"] <= 2 * mesh.dx
         assert out["rkhs_error"] == pytest.approx(0.0, abs=1e-9)
+        assert out["weighted_rkhs_discrepancy"] == 0.0
 
     def test_perturbation_response_roughly_linear(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.5, 48, 5)

@@ -77,6 +77,33 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg_path]) == 2
 
 
+ESTIMATE_ARGS = {"--kernel1": KERNEL1, "--kernel2": KERNEL2,
+                 "--lambda1": "0.05", "--lambda2": "0.05"}
+BAD_ESTIMATE_ARGS = {
+    "malformed_kernel_json": {"--kernel1": '{"family": "gaussian",'},
+    "unknown_kernel_family": {"--kernel1": '{"family":"matern","lengthscale":0.2}'},
+    "negative_lambda": {"--lambda1": "-1"},
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, "mesh_without_N"])
+def test_config_errors_exit_2(tmp_path, capsys, case):
+    cfg = simulate_config(tmp_path / "run")
+    if case == "mesh_without_N":
+        del cfg["mesh"]["N"]
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = run(["simulate", "--config", cfg_path])
+    if case in BAD_ESTIMATE_ARGS:
+        assert rc == 0
+        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS[case]}
+        rc = run(["estimate", "--data", tmp_path / "run" / "trajectory.csv",
+                  "--out", tmp_path / "est", *[v for kv in args.items() for v in kv]])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] != "runtime_error"
+
+
 class TestEstimate:
     @pytest.fixture
     def data_dir(self, tmp_path):

@@ -6,11 +6,9 @@ from wgflows.estimator import (
     EstimatorError,
     apply_flow_operator,
     assemble_data_functional,
-    assemble_gram,
     build_factors,
     loss_at,
     operator_image,
-    section_grams,
     solve,
     stationarity_residual,
 )
@@ -19,7 +17,12 @@ from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section, rkhs_inner
 
-from conftest import random_trajectory
+from conftest import (
+    assemble_gram,
+    dense_reference_solve,
+    random_trajectory,
+    section_grams,
+)
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -216,15 +219,16 @@ class TestSolve:
         assert res.rkhs_norms["V"] == 0.0 and res.rkhs_norms["W"] == 0.0
         assert res.loss_value == pytest.approx(0.0, abs=1e-14)
 
-    def test_dense_and_lowrank_agree(self):
+    def test_solve_matches_dense_reference(self):
         for seed in (1, 5):
-            p = make_problem(N=10, L=4, seed=seed)
-            rd = solve(p, method="dense")
-            rl = solve(p, method="lowrank")
-            scale = np.max(np.abs(rd.C1))
-            assert np.max(np.abs(rd.C1 - rl.C1)) < 1e-8 * scale
-            assert rd.rkhs_norms["V"] == pytest.approx(rl.rkhs_norms["V"], rel=1e-8)
-            assert rd.loss_value == pytest.approx(rl.loss_value, rel=1e-8)
+            for lam1, lam2 in ((0.05, 0.08), (1e-6, 1e-6), (1e-8, 1e-8)):
+                p = make_problem(N=10, L=4, seed=seed, lam1=lam1, lam2=lam2)
+                rd = dense_reference_solve(p)
+                rl = solve(p)
+                scale = np.max(np.abs(rd.C1))
+                assert np.max(np.abs(rd.C1 - rl.C1)) < 1e-8 * scale
+                assert rd.rkhs_norms["V"] == pytest.approx(rl.rkhs_norms["V"], rel=1e-8)
+                assert rd.loss_value == pytest.approx(rl.loss_value, rel=1e-8)
 
     def test_coefficient_identity(self):
         p = make_problem(lam1=0.03, lam2=0.4, seed=2)
@@ -258,7 +262,7 @@ class TestSolve:
         # the returned coefficients satisfy the coupled linear equations the
         # weighted Gram blocks define, restated from the closed-form solve
         p = make_problem(N=6, L=2, seed=6)
-        res = solve(p, method="dense")
+        res = solve(p)
         G1, G2 = section_grams(p)
         rho = p.traj.values.ravel()
         f = assemble_data_functional(p.traj, "gradient").ravel()
@@ -324,7 +328,7 @@ class TestStationarity:
             Vhat=RkhsFunction.zero(p.kernel1), What=RkhsFunction.zero(p.kernel2),
             rkhs_norms={"V": 0.0, "W": 0.0}, loss_value=0.0,
             residual_vector=-assemble_data_functional(p.traj, "gradient").ravel(),
-            gram_condition=1.0, lambdas=res.lambdas, method="dense",
+            gram_condition=1.0, lambdas=res.lambdas, method="lowrank",
         )
         worst = stationarity_residual(zeroed, p, self.directions(p, 8))
         assert worst > 1e-4
@@ -367,7 +371,7 @@ class TestStationarity:
 class TestUniquenessOrthogonality:
     def test_estimate_orthogonal_to_null_pairs(self):
         p = make_problem(N=6, L=2, seed=14, lam1=0.2, lam2=0.07)
-        res = solve(p, method="dense")
+        res = solve(p)
         G1, G2 = section_grams(p)
         design = np.hstack([G1, G2])  # operator values of every section
         _, svals, vt = np.linalg.svd(design)
@@ -434,12 +438,12 @@ class TestThreeFunction:
         xs = np.linspace(0, 1, 7)
         assert np.allclose(r2.Vhat.value(xs), r3.Vhat.value(xs), atol=1e-6)
 
-    def test_dense_and_lowrank_agree_three_function(self):
+    def test_solve_matches_dense_reference_three_function(self):
         traj = random_trajectory(N=5, L=2, seed=17)
         p = EstimationProblem(traj, gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5),
                               lambda1=0.2, lambda2=0.3,
                               kernel3=gaussian_kernel(0.4), lambda3=0.25)
-        rd, rl = solve(p, method="dense"), solve(p, method="lowrank")
+        rd, rl = dense_reference_solve(p), solve(p)
         assert np.max(np.abs(rd.C3 - rl.C3)) < 1e-8 * max(np.max(np.abs(rd.C3)), 1e-30)
 
 

@@ -79,6 +79,13 @@ class TestForwardDifferences:
         for n in range(1, 5):
             assert forward_diff_x(traj, 1, n) == 0.0
 
+    def test_space_difference_follows_in_place_edit(self):
+        traj = make_traj([[1.0, 2.0, 4.0]], mode=PERIODIC)
+        assert traj.dx_plus()[0, 0] == pytest.approx(2.0)
+        traj.values[0, 1] = 3.0
+        assert np.array_equal(traj.dx_plus(),
+                              diff_space(traj.values, traj.mesh.dx, PERIODIC))
+
     def test_time_difference_linear(self):
         # rho(t, x) = t sampled at t in {0.5, 1.0}
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 2, 2)
