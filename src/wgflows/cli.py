@@ -119,12 +119,23 @@ def function_from_spec(spec: dict | None, what: str):
             kernel = SmoothKernel.from_config(spec["kernel"])
         except KernelError as exc:
             raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
-        fn = RkhsFunction.from_points(kernel, spec["centers"], spec["weights"])
+        try:
+            fn = RkhsFunction.from_points(kernel, spec["centers"], spec["weights"])
+        except KeyError as exc:
+            raise ConfigError("config_invalid",
+                              f"{what} kernel_sum spec needs key {exc}") from None
         if spec.get("wrap_period"):
             fn = wrap_periodic(fn, float(spec["wrap_period"]),
                                spec.get("wrap_copies"))
         return fn
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
+
+
+def energy_from_label(label, what: str):
+    try:
+        return internal_energy_from_label(str(label))
+    except ValueError as exc:
+        raise ConfigError("config_invalid", f"{what}: {exc}") from None
 
 
 def mesh_from_spec(spec: dict) -> SpaceTimeMesh:
@@ -247,7 +258,7 @@ def cmd_simulate(args) -> int:
     spec = EnergySpec(
         V=function_from_spec(energy.get("V"), "V"),
         W=function_from_spec(energy.get("W"), "W"),
-        U=internal_energy_from_label(energy.get("U", "none")),
+        U=energy_from_label(energy.get("U", "none"), "energy.U"),
     )
     rho0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
     run = RunDirectory(Path(require(cfg, "out")))
@@ -318,7 +329,7 @@ def cmd_estimate(args) -> int:
             traj, k1, k2,
             lambda1=float(lam1), lambda2=float(lam2),
             flow_kind=args.flow or cfg.get("flow", "gradient"),
-            known_u=internal_energy_from_label(args.u or cfg.get("u", "none")),
+            known_u=energy_from_label(args.u or cfg.get("u", "none"), "u"),
             kernel3=k3,
             lambda3=float(lam3) if lam3 is not None else None,
             drop_last_time_rows=int(cfg.get("drop_last_time_rows", 0)),
@@ -375,6 +386,8 @@ def cmd_estimate(args) -> int:
             "stationarity_residual": stationarity_residual(result, problem,
                                                            directions),
             "method": result.method,
+            "kept_rank": result.kept_rank,
+            "jitter": result.jitter,
             "seed": seed,
         }
         write_json(run.path("diagnostics.json"), diagnostics)
@@ -402,7 +415,7 @@ def cmd_sweep(args) -> int:
         c_lambda=float(cfg.get("c_lambda", 1.0)),
         c_L=float(cfg.get("c_L", 1.0)),
         fine_factor=int(cfg.get("fine_factor", 4)),
-        internal=internal_energy_from_label(cfg.get("u", "none")),
+        internal=energy_from_label(cfg.get("u", "none"), "u"),
         scheme=cfg.get("scheme", "divergence"),
         initial_center=cfg.get("initial_center", 0.5),
         initial_sigma=cfg.get("initial_sigma", 0.14),

@@ -20,7 +20,11 @@ convolved ones), so G factors exactly as C (l2 F1 Kt1 F1' + l1 F2 Kt2 F2') C
 with tall-skinny F factors.  Every problem is solved through that
 factorization (Woodbury identity plus two steps of iterative refinement)
 without materializing G; a dense Cholesky solve of the same system is kept
-in the tests as the reference it is checked against.
+in the tests as the reference it is checked against.  The F factors are not
+materialized either: F1 is applied as a broadcast over its two nonzeros per
+row and F2 as one sliding-window matmul of the reversed densities per grid
+node (see ``SectionFactors``), so beyond the K~ blocks the solve holds only
+O(M k) arrays for generator rank k.
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -124,6 +128,10 @@ class EstimatorResult:
 
     ``method`` names the solve route ("lowrank", the only one) and
     ``gram_condition`` is an upper bound on the system's condition number.
+    ``kept_rank`` maps each learned function ("V", "W", "U") to
+    [generator directions kept by the eigenvalue cut, generator count], and
+    ``jitter`` is the diagonal jitter, relative to the largest diagonal
+    entry, that the Woodbury core needed to factor (0.0 when none).
     """
 
     C1: np.ndarray
@@ -138,6 +146,8 @@ class EstimatorResult:
     method: str
     C3: np.ndarray | None = None
     Uhat: RkhsFunction | None = None
+    kept_rank: dict = field(default_factory=dict)
+    jitter: float = 0.0
     operator_image: np.ndarray = field(default=None, repr=False)
     data_vector: np.ndarray = field(default=None, repr=False)
 
@@ -198,33 +208,71 @@ class SectionFactors:
 
     Plain sections of a kernel K over nodes (l, n) satisfy
     section_{ln} = a d1K(x_n, .) + r d11K(x_n, .), so their Gram is
-    F K~ F' with F the (nodes x 2N) coefficient matrix onto the generators
-    d1^i K(x_n, .) and K~ the generator Gram of mixed partials.  Convolved
-    sections reduce the same way over the 2N-1 difference-grid centers.
+    F1 K~1 F1' with F1 the (nodes x 2N) coefficient matrix onto the
+    generators d1^i K(x_n, .) and K~1 the generator Gram of mixed partials.
+    Convolved sections reduce the same way over the 2N-1 difference-grid
+    centers, with F2 of shape (nodes x (4N-2)).
+
+    Neither factor is stored: both are applied from ``a``, ``r`` and ``dx``.
+    Row (l, n) of F1 holds a[l, n] and r[l, n] in columns n and N + n, so
+    ``_plain_apply`` is a broadcast and its transpose two column sums.  Row
+    (l, n) of F2 is dx (a[l, n], r[l, n]) times the density row rho_l read
+    backwards from difference-grid offset n, so ``_convolved_apply`` takes
+    one matmul of the reversed densities per grid node against a window of
+    N generator rows, and its transpose accumulates the same windows.
     """
 
     a: np.ndarray          # (Lf, N) density slopes entering the operator
     r: np.ndarray          # (Lf, N) density values
     rho_flat: np.ndarray   # (M,)
-    F1: np.ndarray         # (M, 2N)
+    dx: float
     K1t: np.ndarray        # (2N, 2N)
-    F2: np.ndarray         # (M, 4N-2)
     K2t: np.ndarray        # (4N-2, 4N-2)
     centers1: np.ndarray   # grid points
     centers2: np.ndarray   # difference grid
-    F3: np.ndarray | None = None
     K3t: np.ndarray | None = None
 
 
-def _plain_factor(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    Lf, N = a.shape
-    M = Lf * N
-    F = np.zeros((M, 2 * N))
-    rows = np.arange(M)
-    ncol = np.tile(np.arange(N), Lf)
-    F[rows, ncol] = a.ravel()
-    F[rows, N + ncol] = r.ravel()
-    return F
+def _plain_apply(fac: SectionFactors, Y: np.ndarray) -> np.ndarray:
+    """F1 @ Y for Y of shape (2N,) or (2N, k)."""
+    Lf, N = fac.a.shape
+    Yh = Y.reshape(2, N, -1)
+    out = fac.a[:, :, None] * Yh[0] + fac.r[:, :, None] * Yh[1]
+    return out.reshape((Lf * N,) + Y.shape[1:])
+
+
+def _plain_apply_t(fac: SectionFactors, u: np.ndarray) -> np.ndarray:
+    """F1' @ u for u of shape (M,)."""
+    u2 = u.reshape(fac.a.shape)
+    return np.concatenate([(fac.a * u2).sum(axis=0), (fac.r * u2).sum(axis=0)])
+
+
+def _convolved_apply(fac: SectionFactors, Y: np.ndarray) -> np.ndarray:
+    """F2 @ Y for Y of shape (4N-2,) or (4N-2, k)."""
+    Lf, N = fac.a.shape
+    Yh = Y.reshape(2, 2 * N - 1, -1)
+    k = Yh.shape[2]
+    Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
+    rho_rev = np.ascontiguousarray(fac.r[:, ::-1])
+    wa, wr = fac.dx * fac.a, fac.dx * fac.r
+    out = np.empty((Lf, N, k))
+    for n in range(N):
+        win = rho_rev @ Y_ab[n:n + N]
+        out[:, n] = wa[:, n, None] * win[:, :k] + wr[:, n, None] * win[:, k:]
+    return out.reshape((Lf * N,) + Y.shape[1:])
+
+
+def _convolved_apply_t(fac: SectionFactors, u: np.ndarray) -> np.ndarray:
+    """F2' @ u for u of shape (M,)."""
+    Lf, N = fac.a.shape
+    u2 = fac.dx * u.reshape(Lf, N)
+    u_ab = np.stack([fac.a * u2, fac.r * u2], axis=2)
+    rho_rev_t = np.ascontiguousarray(fac.r[:, ::-1].T)
+    out = np.zeros((2 * N - 1, 2))
+    for n in range(N):
+        out[n:n + N] += rho_rev_t @ u_ab[:, n]
+    return out.T.ravel()
+
 
 def _generator_gram(kernel: SmoothKernel, centers: np.ndarray) -> np.ndarray:
     m = centers.size
@@ -235,23 +283,6 @@ def _generator_gram(kernel: SmoothKernel, centers: np.ndarray) -> np.ndarray:
                 centers, centers, i=oi + 1, j=oj + 1
             )
     return out
-
-
-def _convolved_factor(a: np.ndarray, r: np.ndarray, rho: np.ndarray, dx: float) -> np.ndarray:
-    Lf, N = a.shape
-    M = Lf * N
-    ncols = 2 * N - 1
-    F = np.zeros((M, 2 * ncols))
-    for s in range(-(N - 1), N):
-        col = s + N - 1
-        lo, hi = max(0, s), N + min(0, s)   # nodes n with 0 <= n - s < N
-        block_a = np.zeros((Lf, N))
-        block_r = np.zeros((Lf, N))
-        block_a[:, lo:hi] = dx * a[:, lo:hi] * rho[:, lo - s:hi - s]
-        block_r[:, lo:hi] = dx * r[:, lo:hi] * rho[:, lo - s:hi - s]
-        F[:, col] = block_a.ravel()
-        F[:, ncols + col] = block_r.ravel()
-    return F
 
 
 def build_factors(problem: EstimationProblem) -> SectionFactors:
@@ -271,15 +302,13 @@ def build_factors(problem: EstimationProblem) -> SectionFactors:
         a=a,
         r=r,
         rho_flat=r.ravel(),
-        F1=_plain_factor(a, r),
+        dx=mesh.dx,
         K1t=_generator_gram(problem.kernel1, x),
-        F2=_convolved_factor(a, r, r, mesh.dx),
         K2t=_generator_gram(problem.kernel2, dgrid),
         centers1=x,
         centers2=dgrid,
     )
     if problem.learn_internal:
-        factors.F3 = factors.F1
         factors.K3t = _generator_gram(problem.kernel3, x)
     return factors
 
@@ -297,14 +326,18 @@ def _regularizer_coefficient(problem: EstimationProblem) -> float:
 
 
 def _cholesky_with_jitter(mat: np.ndarray):
-    """Cholesky factor with escalating relative diagonal jitter."""
+    """Cholesky factor with escalating relative diagonal jitter.
+
+    Returns the factor and the jitter applied, relative to the largest
+    diagonal entry (0.0 when the matrix factors as given).
+    """
     scale = float(np.max(np.diag(mat)))
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
             return sla.cho_factor(
                 mat + jitter * scale * np.eye(mat.shape[0]) if jitter else mat,
                 lower=True,
-            )
+            ), jitter
         except np.linalg.LinAlgError:
             continue
     raise EstimatorError(
@@ -314,44 +347,52 @@ def _cholesky_with_jitter(mat: np.ndarray):
 
 
 def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
-    """Weighted generator factor P with G = P P' and the K~ blocks, stacked."""
+    """Weighted generator factor P with G = P P' and the K~ blocks, stacked.
+
+    Returns P and, per block, the generator directions kept above the
+    1e-14 relative eigenvalue cut and the block's generator count.
+    """
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
         blocks = [
-            (np.sqrt(l2 * l3) * fac.F1, fac.K1t),
-            (np.sqrt(l1 * l3) * fac.F2, fac.K2t),
-            (np.sqrt(l1 * l2) * fac.F3, fac.K3t),
+            ("V", np.sqrt(l2 * l3), _plain_apply, fac.K1t),
+            ("W", np.sqrt(l1 * l3), _convolved_apply, fac.K2t),
+            ("U", np.sqrt(l1 * l2), _plain_apply, fac.K3t),
         ]
     else:
         blocks = [
-            (np.sqrt(problem.lambda2) * fac.F1, fac.K1t),
-            (np.sqrt(problem.lambda1) * fac.F2, fac.K2t),
+            ("V", np.sqrt(problem.lambda2), _plain_apply, fac.K1t),
+            ("W", np.sqrt(problem.lambda1), _convolved_apply, fac.K2t),
         ]
-    cols = []
-    for F, Kt in blocks:
+    cols, kept = [], {}
+    for name, weight, apply, Kt in blocks:
         w, V = np.linalg.eigh(Kt)
         keep = w > max(w[-1], 0.0) * 1e-14
-        cols.append((fac.rho_flat[:, None] * F) @ (V[:, keep] * np.sqrt(w[keep])))
-    return np.hstack(cols)
+        block = apply(fac, V[:, keep] * np.sqrt(w[keep]))
+        block *= (weight * fac.rho_flat)[:, None]
+        cols.append(block)
+        kept[name] = [int(keep.sum()), Kt.shape[0]]
+    return np.hstack(cols), kept
 
 
 def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
-                   f_flat: np.ndarray) -> tuple[np.ndarray, float]:
+                   f_flat: np.ndarray) -> tuple[np.ndarray, float, dict, float]:
     """Solve (P P' + c diag(rho)) z = rho f through the k x k Woodbury core.
 
     The Woodbury formula cancels two O(1/c) terms, so on its own it loses
     accuracy as the regularization shrinks.  Two steps of iterative
     refinement on the same factored core, O(M k) each, bring the solution
-    back to the roundoff level of a dense Cholesky solve.
+    back to the roundoff level of a dense Cholesky solve.  Returns z, the
+    condition bound, the kept rank per block and the Cholesky jitter.
     """
     c = _regularizer_coefficient(problem)
-    P = _stacked_factor(problem, fac)
+    P, kept = _stacked_factor(problem, fac)
     rho = fac.rho_flat
     dinv = 1.0 / (c * rho)
     core = P.T @ (dinv[:, None] * P)
     gram_top = float(np.linalg.eigvalsh(P.T @ P)[-1]) if P.shape[1] else 0.0
     core[np.diag_indices_from(core)] += 1.0
-    cho = _cholesky_with_jitter(core)
+    cho, jitter = _cholesky_with_jitter(core)
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
@@ -362,7 +403,7 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     for _ in range(2):
         z += woodbury(b - P @ (P.T @ z) - c * rho * z)
     cond = (gram_top + c * float(rho.max())) / (c * float(rho.min()))
-    return z, cond
+    return z, cond, kept, jitter
 
 
 def solve(problem: EstimationProblem) -> EstimatorResult:
@@ -384,7 +425,7 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
             include_internal=not problem.learn_internal,
         )
     f_flat = f_full[:problem.fit_rows].ravel()
-    z, cond = _solve_lowrank(problem, fac, f_flat)
+    z, cond, kept, jitter = _solve_lowrank(problem, fac, f_flat)
 
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
@@ -393,8 +434,8 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         C1, C2 = problem.lambda2 * z, problem.lambda1 * z
         C3 = None
 
-    beta_v = fac.F1.T @ (fac.rho_flat * C1)
-    beta_w = fac.F2.T @ (fac.rho_flat * C2)
+    beta_v = _plain_apply_t(fac, fac.rho_flat * C1)
+    beta_w = _convolved_apply_t(fac, fac.rho_flat * C2)
     N = problem.traj.mesh.N
     orders1 = np.repeat([1, 2], N)
     orders2 = np.repeat([1, 2], 2 * N - 1)
@@ -406,14 +447,15 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         "V": float(np.sqrt(max(beta_v @ fac.K1t @ beta_v, 0.0))),
         "W": float(np.sqrt(max(beta_w @ fac.K2t @ beta_w, 0.0))),
     }
-    image = fac.F1 @ (fac.K1t @ beta_v) + fac.F2 @ (fac.K2t @ beta_w)
+    image = (_plain_apply(fac, fac.K1t @ beta_v)
+             + _convolved_apply(fac, fac.K2t @ beta_w))
     Uhat = None
     if problem.learn_internal:
-        beta_u = fac.F3.T @ (fac.rho_flat * C3)
+        beta_u = _plain_apply_t(fac, fac.rho_flat * C3)
         Uhat = RkhsFunction.from_generators(
             problem.kernel3, orders1, np.tile(fac.centers1, 2), beta_u, PLAIN)
         norms["U"] = float(np.sqrt(max(beta_u @ fac.K3t @ beta_u, 0.0)))
-        image = image + fac.F3 @ (fac.K3t @ beta_u)
+        image = image + _plain_apply(fac, fac.K3t @ beta_u)
 
     residual = image - f_flat
     loss = problem.node_weight * float(residual**2 @ fac.rho_flat)
@@ -430,6 +472,8 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         gram_condition=cond,
         lambdas=(problem.lambda1, problem.lambda2, problem.lambda3),
         method="lowrank",
+        kept_rank=kept,
+        jitter=jitter,
         operator_image=image,
         data_vector=f_flat,
     )
@@ -438,25 +482,6 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 # ---------------------------------------------------------------------------
 # Forward operator on arbitrary candidate pairs
 # ---------------------------------------------------------------------------
-
-def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
-                        spatial_slope: float | None = None) -> float:
-    """Pointwise forward operator at node (l, n) for evaluable (phi, psi)."""
-    mesh = traj.mesh
-    a = traj.dx_plus()[l, n] if spatial_slope is None else spatial_slope
-    r = traj.values[l, n]
-    x = mesh.x[n]
-    d1 = d2 = 0.0
-    if phi is not None:
-        d1 += float(phi.value(x, order=1))
-        d2 += float(phi.value(x, order=2))
-    if psi is not None:
-        rho = traj.values[l]
-        diffs = x - mesh.x
-        d1 += mesh.dx * float(np.asarray(psi.value(diffs, order=1)) @ rho)
-        d2 += mesh.dx * float(np.asarray(psi.value(diffs, order=2)) @ rho)
-    return a * d1 + r * d2
-
 
 def operator_image(problem: EstimationProblem, phi, psi,
                    upsilon=None) -> np.ndarray:

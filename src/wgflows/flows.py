@@ -424,21 +424,29 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
     return diff - length * np.round(diff / length)
 
 
+_PAIR_BLOCK = 4096  # pair differences per block of the particle interaction
+
+
 def _particle_force(q: np.ndarray, masses: np.ndarray, spec: EnergySpec,
                     a: float, length: float) -> np.ndarray:
     """Acceleration -(V + W conv rho)'(q) with mean-field particle masses.
 
     Positions are wrapped and pair differences use the minimal image, which
-    is exact for periodic V and W.
+    is exact for periodic V and W.  The interaction is evaluated over row
+    blocks of about _PAIR_BLOCK pairs, which bounds the (pairs x generators)
+    temporaries of a kernel-sum W; at n x n they are large enough to be
+    mapped afresh from the operating system at every step.
     """
     qw = _wrap(q, a, length)
     force = np.zeros_like(q)
     if spec.V is not None:
         force -= np.asarray(spec.V.value(qw, order=1), dtype=float)
     if spec.W is not None:
-        diff = _minimal_image(qw[:, None] - qw[None, :], length)
-        wprime = np.asarray(spec.W.value(diff, order=1), dtype=float)
-        force -= wprime @ masses
+        rows = max(1, _PAIR_BLOCK // q.size)
+        for lo in range(0, q.size, rows):
+            diff = _minimal_image(qw[lo:lo + rows, None] - qw[None, :], length)
+            wprime = np.asarray(spec.W.value(diff, order=1), dtype=float)
+            force[lo:lo + rows] -= wprime @ masses
     return force
 
 

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from wgflows.cli import main
+from wgflows.estimator import EstimationProblem, _stacked_factor, build_factors
+from wgflows.flows import InternalEnergy
+from wgflows.kernels import SmoothKernel
 from wgflows.mesh import read_trajectory
 
 KERNEL1 = '{"family":"gaussian","lengthscale":0.2}'
@@ -77,20 +80,53 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg_path]) == 2
 
 
+def sweep_config(out):
+    return {
+        "N_list": [12, 16],
+        "alpha": 0.2,
+        "beta": 1.2,
+        "T": 12.5,
+        "window": [0.0, 1.6],
+        "scheme": "upwind",
+        "initial_center": [0.55, 1.0],
+        "initial_sigma": [0.16, 0.2],
+        "initial_uniform_weight": 0.2,
+        "truth_v": {"type": "kernel_sum",
+                    "kernel": {"family": "gaussian", "lengthscale": 0.2},
+                    "centers": [0.4, 0.8, 1.2],
+                    "weights": [0.018, -0.032, 0.016]},
+        "truth_w": {"type": "kernel_sum",
+                    "kernel": {"family": "gaussian", "lengthscale": 0.15},
+                    "centers": [-0.3, 0.0, 0.3],
+                    "weights": [-0.043, 0.077, -0.038]},
+        "seed": 3,
+        "out": str(out),
+    }
+
+
 ESTIMATE_ARGS = {"--kernel1": KERNEL1, "--kernel2": KERNEL2,
                  "--lambda1": "0.05", "--lambda2": "0.05"}
 BAD_ESTIMATE_ARGS = {
     "malformed_kernel_json": {"--kernel1": '{"family": "gaussian",'},
     "unknown_kernel_family": {"--kernel1": '{"family":"matern","lengthscale":0.2}'},
     "negative_lambda": {"--lambda1": "-1"},
+    "unknown_internal_energy": {"--u": "bogus"},
+}
+BAD_SIMULATE_EDITS = {
+    "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
+    "unknown_energy_U": lambda cfg: cfg["energy"].update(U="bogus"),
+    "energy_U_not_a_label": lambda cfg: cfg["energy"].update(U=None),
+    "kernel_sum_without_centers": lambda cfg: cfg["energy"]["V"].pop("centers"),
+    "kernel_sum_without_weights": lambda cfg: cfg["energy"]["V"].pop("weights"),
 }
 
 
-@pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, "mesh_without_N"])
+@pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, *BAD_SIMULATE_EDITS,
+                                  "sweep_unknown_u"])
 def test_config_errors_exit_2(tmp_path, capsys, case):
     cfg = simulate_config(tmp_path / "run")
-    if case == "mesh_without_N":
-        del cfg["mesh"]["N"]
+    if case in BAD_SIMULATE_EDITS:
+        BAD_SIMULATE_EDITS[case](cfg)
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = run(["simulate", "--config", cfg_path])
@@ -99,6 +135,12 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
         args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS[case]}
         rc = run(["estimate", "--data", tmp_path / "run" / "trajectory.csv",
                   "--out", tmp_path / "est", *[v for kv in args.items() for v in kv]])
+    if case == "sweep_unknown_u":
+        assert rc == 0
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps({**sweep_config(tmp_path / "sweep"),
+                                          "u": "bogus"}))
+        rc = run(["sweep", "--config", sweep_path])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
@@ -164,6 +206,27 @@ class TestEstimate:
         assert (out / "coeff_c3.bin").exists()
         recon = (out / "reconstruction.csv").read_text().splitlines()
         assert recon[0] == "x,vhat,what,uhat"
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["kept_rank"]["U"][1] == 2 * 24
+
+    def test_readme_quick_start_reports_rank_and_jitter(self, tmp_path):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(simulate_config(tmp_path / "run", N=64, L=12)))
+        assert run(["simulate", "--config", cfg_path]) == 0
+        data, out = tmp_path / "run" / "trajectory.csv", tmp_path / "est"
+        assert run(["estimate", "--data", data, "--kernel1", KERNEL1,
+                    "--kernel2", KERNEL2, "--lambda1", "0.05", "--lambda2", "0.05",
+                    "--u", "entropy", "--out", out]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["jitter"] == 0.0
+        assert {name: total for name, (_, total) in diag["kept_rank"].items()} \
+            == {"V": 2 * 64, "W": 2 * (2 * 64 - 1)}
+        problem = EstimationProblem(
+            read_trajectory(data), SmoothKernel.from_config(json.loads(KERNEL1)),
+            SmoothKernel.from_config(json.loads(KERNEL2)), lambda1=0.05,
+            lambda2=0.05, known_u=InternalEnergy("entropy"))
+        P, _ = _stacked_factor(problem, build_factors(problem))
+        assert sum(kept for kept, _ in diag["kept_rank"].values()) == P.shape[1]
 
 
 class TestDeterminism:
@@ -203,27 +266,7 @@ class TestDeterminism:
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path):
-        cfg = {
-            "N_list": [12, 16],
-            "alpha": 0.2,
-            "beta": 1.2,
-            "T": 12.5,
-            "window": [0.0, 1.6],
-            "scheme": "upwind",
-            "initial_center": [0.55, 1.0],
-            "initial_sigma": [0.16, 0.2],
-            "initial_uniform_weight": 0.2,
-            "truth_v": {"type": "kernel_sum",
-                        "kernel": {"family": "gaussian", "lengthscale": 0.2},
-                        "centers": [0.4, 0.8, 1.2],
-                        "weights": [0.018, -0.032, 0.016]},
-            "truth_w": {"type": "kernel_sum",
-                        "kernel": {"family": "gaussian", "lengthscale": 0.15},
-                        "centers": [-0.3, 0.0, 0.3],
-                        "weights": [-0.043, 0.077, -0.038]},
-            "seed": 3,
-            "out": str(tmp_path / "sweep"),
-        }
+        cfg = sweep_config(tmp_path / "sweep")
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(["sweep", "--config", cfg_path]) == 0

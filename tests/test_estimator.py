@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
-    apply_flow_operator,
+    _convolved_apply,
+    _convolved_apply_t,
+    _plain_apply,
+    _plain_apply_t,
     assemble_data_functional,
     build_factors,
     loss_at,
@@ -18,7 +25,9 @@ from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section, rkhs_inner
 
 from conftest import (
+    apply_flow_operator,
     assemble_gram,
+    dense_factors,
     dense_reference_solve,
     random_trajectory,
     section_grams,
@@ -207,6 +216,47 @@ class TestGram:
         assert np.max(np.abs(G - G.T)) < 1e-10 * max(np.max(np.abs(G)), 1.0)
         eig = np.linalg.eigvalsh(G)
         assert eig[0] >= -1e-8 * max(eig[-1], 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 40), L=st.integers(1, 6),
+       mode=st.sampled_from([PERIODIC, TRUNCATED]),
+       k=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
+    """The matrix-free F1/F2 applies equal the dense factors and are adjoint."""
+    fac = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    M = L * N
+    cols = () if k is None else (k,)
+    for F, apply, apply_t in zip(dense_factors(fac),
+                                 (_plain_apply, _convolved_apply),
+                                 (_plain_apply_t, _convolved_apply_t)):
+        Y = rng.standard_normal((F.shape[1],) + cols)
+        u = rng.standard_normal(M)
+        FY, Ftu = apply(fac, Y), apply_t(fac, u)
+        assert FY.shape == (M,) + cols and Ftu.shape == (F.shape[1],)
+        # roundoff of a reordered dot product is bounded by |F| |Y|
+        assert np.all(np.abs(FY - F @ Y) <= 1e-13 * (np.abs(F) @ np.abs(Y)))
+        assert np.all(np.abs(Ftu - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
+        pairing = np.abs(u) @ (np.abs(F) @ np.abs(Y))
+        assert np.all(np.abs(u @ FY - Ftu @ Y) <= 1e-13 * pairing)
+
+
+def test_solve_peak_memory_below_one_dense_convolved_factor():
+    """At N=512, L=32 the solve never holds an M x (4N-2) array."""
+    N, L = 512, 32
+    rng = np.random.default_rng(0)
+    traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
+    p = EstimationProblem(traj, gaussian_kernel(0.2), imq_kernel(0.25, beta=1.5),
+                          lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
+    dense_f2_bytes = p.node_count * (4 * N - 2) * 8
+    tracemalloc.start()
+    try:
+        solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_f2_bytes
 
 
 class TestSolve:
