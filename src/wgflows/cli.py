@@ -383,6 +383,8 @@ def cmd_estimate(args) -> int:
             "rkhs_norms": result.rkhs_norms,
             "gram_condition": result.gram_condition,
             "residual_max": float(np.max(np.abs(result.residual_vector))),
+            "residual_row_max": np.abs(result.residual_vector).reshape(
+                problem.fit_rows, -1).max(axis=1).tolist(),
             "stationarity_residual": stationarity_residual(result, problem,
                                                            directions),
             "method": result.method,

@@ -24,7 +24,10 @@ in the tests as the reference it is checked against.  The F factors are not
 materialized either: F1 is applied as a broadcast over its two nonzeros per
 row and F2 as one sliding-window matmul of the reversed densities per grid
 node (see ``SectionFactors``), so beyond the K~ blocks the solve holds only
-O(M k) arrays for generator rank k.
+O(M k) arrays for generator rank k.  Nor is any K~ eigendecomposed in full:
+a pivoted Cholesky, stopped at pivots below 1e-15 of its largest diagonal
+entry, reveals its numerical rank in O(n^2 r), and an r x r eigensolve keeps
+the directions above the 1e-14 relative eigenvalue cut (``_generator_factor``).
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -45,6 +48,12 @@ from .rkhs import CONVOLVED, PLAIN, RkhsFunction, difference_grid, rkhs_inner
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
+
+# pivoted Cholesky of a generator Gram stops at pivots below this fraction
+# of its largest diagonal entry, a decade under the 1e-14 eigenvalue cut
+_PIVOT_TOL = 1e-15
+# rows of the stacked factor per block when forming the k x k Grams
+_ROW_BLOCK = 2048
 
 
 class EstimatorError(RuntimeError):
@@ -129,9 +138,12 @@ class EstimatorResult:
     ``method`` names the solve route ("lowrank", the only one) and
     ``gram_condition`` is an upper bound on the system's condition number.
     ``kept_rank`` maps each learned function ("V", "W", "U") to
-    [generator directions kept by the eigenvalue cut, generator count], and
-    ``jitter`` is the diagonal jitter, relative to the largest diagonal
-    entry, that the Woodbury core needed to factor (0.0 when none).
+    [generator directions kept, generator count]: the pivoted Cholesky of
+    the generator Gram stops at pivots below 1e-15 of its largest diagonal
+    entry, and of its compressed directions those with eigenvalue above
+    1e-14 of the largest are kept.  ``jitter`` is the diagonal jitter,
+    relative to the largest diagonal entry, that the Woodbury core needed
+    to factor (0.0 when none).
     """
 
     C1: np.ndarray
@@ -346,11 +358,32 @@ def _cholesky_with_jitter(mat: np.ndarray):
     )
 
 
+def _generator_factor(Kt: np.ndarray) -> np.ndarray:
+    """Factor Y with orthogonal columns and Y Y' = K~ up to two cuts.
+
+    K~ is factored in O(n^2 r) rather than eigendecomposed in O(n^3): a
+    pivoted Cholesky K~ = R R' stops once every remaining pivot is below
+    ``_PIVOT_TOL`` times the largest diagonal entry, then the small r x r
+    eigenproblem R'R = V diag(w) V' compresses R to R V, whose columns are
+    the eigenvectors of R R' scaled by sqrt(w).  Directions with w at or
+    below 1e-14 times the largest are cut.
+    """
+    c, piv, rank, info = sla.lapack.dpstrf(
+        Kt, lower=1, tol=_PIVOT_TOL * float(np.max(np.diag(Kt))))
+    if info < 0:
+        raise EstimatorError(f"dpstrf rejected its argument {-info}")
+    R = np.empty((Kt.shape[0], rank))
+    R[piv - 1] = np.tril(c[:, :rank])
+    w, V = np.linalg.eigh(R.T @ R)
+    return R @ V[:, w > max(w[-1], 0.0) * 1e-14]
+
+
 def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
     """Weighted generator factor P with G = P P' and the K~ blocks, stacked.
 
-    Returns P and, per block, the generator directions kept above the
-    1e-14 relative eigenvalue cut and the block's generator count.
+    Each block applies its section factor to ``_generator_factor`` of its
+    K~.  Returns P and, per block, the generator directions kept and the
+    block's generator count.
     """
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
@@ -366,12 +399,11 @@ def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
         ]
     cols, kept = [], {}
     for name, weight, apply, Kt in blocks:
-        w, V = np.linalg.eigh(Kt)
-        keep = w > max(w[-1], 0.0) * 1e-14
-        block = apply(fac, V[:, keep] * np.sqrt(w[keep]))
+        Y = _generator_factor(Kt)
+        block = apply(fac, Y)
         block *= (weight * fac.rho_flat)[:, None]
         cols.append(block)
-        kept[name] = [int(keep.sum()), Kt.shape[0]]
+        kept[name] = [Y.shape[1], Kt.shape[0]]
     return np.hstack(cols), kept
 
 
@@ -382,15 +414,26 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     The Woodbury formula cancels two O(1/c) terms, so on its own it loses
     accuracy as the regularization shrinks.  Two steps of iterative
     refinement on the same factored core, O(M k) each, bring the solution
-    back to the roundoff level of a dense Cholesky solve.  Returns z, the
-    condition bound, the kept rank per block and the Cholesky jitter.
+    back to the roundoff level of a dense Cholesky solve.  The core
+    P' D^-1 P and P'P (for the exact top eigenvalue in the condition bound)
+    accumulate over row blocks of P, so no M x k copy of P is formed.
+    Returns z, the condition bound, the kept rank per block and the
+    Cholesky jitter.
     """
     c = _regularizer_coefficient(problem)
     P, kept = _stacked_factor(problem, fac)
     rho = fac.rho_flat
     dinv = 1.0 / (c * rho)
-    core = P.T @ (dinv[:, None] * P)
-    gram_top = float(np.linalg.eigvalsh(P.T @ P)[-1]) if P.shape[1] else 0.0
+    k = P.shape[1]
+    # core = S'S with S = D^-1/2 P, so both sums are symmetric rank-k updates
+    sqrt_dinv = np.sqrt(dinv)
+    core, gram = np.zeros((k, k)), np.zeros((k, k))
+    for s in range(0, P.shape[0], _ROW_BLOCK):
+        Pb = P[s:s + _ROW_BLOCK]
+        Sb = sqrt_dinv[s:s + _ROW_BLOCK, None] * Pb
+        core += Sb.T @ Sb
+        gram += Pb.T @ Pb
+    gram_top = float(np.linalg.eigvalsh(gram)[-1]) if k else 0.0
     core[np.diag_indices_from(core)] += 1.0
     cho, jitter = _cholesky_with_jitter(core)
 

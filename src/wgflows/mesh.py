@@ -136,14 +136,6 @@ def space_integral(values: np.ndarray, mesh: SpaceTimeMesh) -> float | np.ndarra
     return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
-def spacetime_integral(values: np.ndarray, mesh: SpaceTimeMesh) -> float:
-    """Riemann sum dx * dt * sum(values) over an (L, N) array."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (mesh.L, mesh.N):
-        raise MeshError(f"expected shape {(mesh.L, mesh.N)}, got {v.shape}")
-    return float(mesh.dx * mesh.dt * v.sum())
-
-
 @dataclass
 class DensityTrajectory:
     """Positive density samples rho(t_l, x_n) on a SpaceTimeMesh.
@@ -186,42 +178,6 @@ class DensityTrajectory:
 
     def dtt_plus(self) -> np.ndarray:
         return diff_time2(self.values, self.mesh.dt)
-
-
-def _check_index(name: str, value: int, upper: int) -> None:
-    if not 1 <= value <= upper:
-        raise IndexError(f"{name} index {value} outside 1..{upper}")
-
-
-def forward_diff_x(traj: DensityTrajectory, l: int, n: int) -> float:
-    """Spatial forward difference at sample (t_l, x_n); l, n are 1-based."""
-    _check_index("time", l, traj.mesh.L)
-    _check_index("space", n, traj.mesh.N)
-    return float(traj.dx_plus()[l - 1, n - 1])
-
-
-def forward_diff_t(traj: DensityTrajectory, l: int, n: int) -> float:
-    """Temporal forward difference at sample (t_l, x_n); l, n are 1-based."""
-    _check_index("time", l, traj.mesh.L)
-    _check_index("space", n, traj.mesh.N)
-    return float(traj.dt_plus()[l - 1, n - 1])
-
-
-def forward_diff_tt(traj: DensityTrajectory, l: int, n: int) -> float:
-    """Double temporal forward difference at (t_l, x_n); l, n are 1-based."""
-    _check_index("time", l, traj.mesh.L)
-    _check_index("space", n, traj.mesh.N)
-    return float(traj.dtt_plus()[l - 1, n - 1])
-
-
-def quadrature(values: np.ndarray, mesh: SpaceTimeMesh) -> float:
-    """Riemann quadrature of a length-N vector or an (L, N) space-time array."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        return float(space_integral(v, mesh))
-    if v.ndim == 2:
-        return spacetime_integral(v, mesh)
-    raise MeshError(f"expected 1-D or 2-D values, got ndim={v.ndim}")
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,8 @@ class TestEstimate:
                     "--u", "entropy", "--out", out]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["jitter"] == 0.0
+        assert len(diag["residual_row_max"]) == 12
+        assert max(diag["residual_row_max"]) == diag["residual_max"]
         assert {name: total for name, (_, total) in diag["kept_rank"].items()} \
             == {"V": 2 * 64, "W": 2 * (2 * 64 - 1)}
         problem = EstimationProblem(

@@ -12,6 +12,7 @@ from wgflows.estimator import (
     _convolved_apply_t,
     _plain_apply,
     _plain_apply_t,
+    _stacked_factor,
     assemble_data_functional,
     build_factors,
     loss_at,
@@ -240,6 +241,67 @@ def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
         assert np.all(np.abs(Ftu - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
         pairing = np.abs(u) @ (np.abs(F) @ np.abs(Y))
         assert np.all(np.abs(u @ FY - Ftu @ Y) <= 1e-13 * pairing)
+
+
+smooth_kernels = st.builds(
+    lambda gaussian, ls: gaussian_kernel(ls) if gaussian else imq_kernel(ls, beta=1.5),
+    st.booleans(), st.sampled_from([0.03, 0.05, 0.2]) | st.floats(0.03, 0.6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 24), L=st.integers(1, 4),
+       mode=st.sampled_from([PERIODIC, TRUNCATED]),
+       k1=smooth_kernels, k2=smooth_kernels, k3=st.none() | smooth_kernels,
+       seed=st.integers(0, 999))
+def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
+    """P P' is the weighted Gram and each block keeps the eigh-rule rank."""
+    traj = random_trajectory(N=N, L=L, mode=mode, seed=seed)
+    p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
+                          lambda3=None if k3 is None else 0.3)
+    fac = build_factors(p)
+    P, kept = _stacked_factor(p, fac)
+    F1, F2 = dense_factors(fac)
+    l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
+    blocks = {"V": (fac.K1t, F1, l2 * l3), "W": (fac.K2t, F2, l1 * l3)}
+    if k3 is not None:
+        blocks["U"] = (fac.K3t, F1, l1 * l2)
+    # each block drops eigenvalues up to 1e-14 lambda_max of its K~, so entry
+    # (i, j) of P P' - G is bounded on the scale lambda_max |F_i| |F_j| rho_i rho_j
+    scale = np.zeros((P.shape[0],) * 2)
+    assert set(kept) == set(blocks)
+    for name, (Kt, F, weight) in blocks.items():
+        w = np.linalg.eigh(Kt)[0]
+        row = fac.rho_flat * np.linalg.norm(F, axis=1)
+        scale += weight * max(w[-1], 0.0) * np.outer(row, row)
+        # reference rule: eigh eigenvalues above 1e-14 lambda_max; those within
+        # the pivot tolerance 1e-15 lambda_max of that cut are resolved by
+        # neither factorization, so they may fall on either side
+        cut, band = 1e-14 * max(w[-1], 0.0), 1e-15 * max(w[-1], 0.0)
+        assert np.sum(w > cut + band) <= kept[name][0] <= np.sum(w > cut - band)
+        assert kept[name][1] == Kt.shape[0]
+    G = assemble_gram(p, fac)
+    assert np.all(np.abs(P @ P.T - G) <= 1e-13 * scale)
+
+
+def test_solve_eigensolves_only_compressed_factors(monkeypatch):
+    """At N=128 no eigensolve sees a full generator Gram (O(n^3) per block)."""
+    N, L = 128, 8
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kw):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    rng = np.random.default_rng(0)
+    traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
+    p = EstimationProblem(traj, gaussian_kernel(0.2), imq_kernel(0.25, beta=1.5),
+                          lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
+    res = solve(p)
+    generators = [total for _, total in res.kept_rank.values()]
+    assert generators == [2 * N, 4 * N - 2] and len(sizes) == 2
+    assert all(size < total / 2 for size, total in zip(sizes, generators))
 
 
 def test_solve_peak_memory_below_one_dense_convolved_factor():

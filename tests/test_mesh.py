@@ -15,11 +15,8 @@ from wgflows.mesh import (
     diff_space,
     diff_time,
     diff_time2,
-    forward_diff_t,
-    forward_diff_tt,
-    forward_diff_x,
-    quadrature,
     read_trajectory,
+    space_integral,
     write_trajectory,
 )
 
@@ -64,20 +61,19 @@ class TestMesh:
 class TestForwardDifferences:
     def test_interior_value(self):
         traj = make_traj([[1.0, 2.0, 4.0]])
-        assert forward_diff_x(traj, 1, 1) == pytest.approx(2.0)
+        assert traj.dx_plus()[0, 0] == pytest.approx(2.0)
 
     def test_truncation_branch(self):
         traj = make_traj([[1.0, 2.0, 4.0]], mode=TRUNCATED)
-        assert forward_diff_x(traj, 1, 3) == pytest.approx(-8.0)
+        assert traj.dx_plus()[0, 2] == pytest.approx(-8.0)
 
     def test_periodic_branch(self):
         traj = make_traj([[1.0, 2.0, 4.0]], mode=PERIODIC)
-        assert forward_diff_x(traj, 1, 3) == pytest.approx((1.0 - 4.0) / 0.5)
+        assert traj.dx_plus()[0, 2] == pytest.approx((1.0 - 4.0) / 0.5)
 
     def test_constant_row_periodic(self):
         traj = make_traj([[3.0, 3.0, 3.0, 3.0]], mode=PERIODIC)
-        for n in range(1, 5):
-            assert forward_diff_x(traj, 1, n) == 0.0
+        assert np.all(traj.dx_plus() == 0.0)
 
     def test_space_difference_follows_in_place_edit(self):
         traj = make_traj([[1.0, 2.0, 4.0]], mode=PERIODIC)
@@ -90,18 +86,18 @@ class TestForwardDifferences:
         # rho(t, x) = t sampled at t in {0.5, 1.0}
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 2, 2)
         traj = DensityTrajectory(mesh, np.array([[0.5, 0.5], [1.0, 1.0]]))
-        assert forward_diff_t(traj, 1, 1) == pytest.approx(1.0)
+        assert traj.dt_plus()[0, 0] == pytest.approx(1.0)
 
     def test_time_truncation_branch(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 2, 2)
         traj = DensityTrajectory(mesh, np.array([[0.5, 0.5], [1.0, 1.0]]))
-        assert forward_diff_t(traj, 2, 1) == pytest.approx(-1.0 / 0.5)
+        assert traj.dt_plus()[1, 0] == pytest.approx(-1.0 / 0.5)
 
     def test_constant_in_time(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 2, 3)
         traj = DensityTrajectory(mesh, np.ones((3, 2)))
-        assert forward_diff_t(traj, 1, 1) == 0.0
-        assert forward_diff_tt(traj, 1, 1) == 0.0
+        assert traj.dt_plus()[0, 0] == 0.0
+        assert traj.dtt_plus()[0, 0] == 0.0
 
     def test_double_difference_quadratic(self):
         # rho(t) = t^2 at t = dt, 2dt, 3dt: double forward difference of a
@@ -110,16 +106,7 @@ class TestForwardDifferences:
         mesh = SpaceTimeMesh(0.0, 1.0, 3 * dt, 2, 3)
         ts = mesh.t
         traj = DensityTrajectory(mesh, np.tile((ts**2)[:, None], (1, 2)))
-        assert forward_diff_tt(traj, 1, 1) == pytest.approx(2.0, abs=1e-12)
-
-    def test_bounds_errors(self):
-        traj = make_traj([[1.0, 2.0, 4.0]])
-        with pytest.raises(IndexError):
-            forward_diff_x(traj, 1, 0)
-        with pytest.raises(IndexError):
-            forward_diff_x(traj, 2, 1)
-        with pytest.raises(IndexError):
-            forward_diff_t(traj, 0, 1)
+        assert traj.dtt_plus()[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_convergence_first_order(self):
         # halving dx roughly halves the max interior error of d/dx
@@ -137,30 +124,30 @@ class TestForwardDifferences:
 class TestQuadrature:
     def test_constant_exact(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 10, 1)
-        assert quadrature(np.ones(10), mesh) == pytest.approx(1.0)
+        assert space_integral(np.ones(10), mesh) == pytest.approx(1.0)
 
     def test_linear_closed_form(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 100, 1)
-        assert quadrature(mesh.x, mesh) == pytest.approx(0.505)
+        assert space_integral(mesh.x, mesh) == pytest.approx(0.505)
 
     def test_sine_symmetry(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 64, 1)
-        assert abs(quadrature(np.sin(2 * np.pi * mesh.x), mesh)) < 1e-12
+        assert abs(space_integral(np.sin(2 * np.pi * mesh.x), mesh)) < 1e-12
 
     def test_spacetime_sum(self):
         mesh = SpaceTimeMesh(0.0, 2.0, 0.5, 4, 5)
         vals = np.ones((5, 4))
-        assert quadrature(vals, mesh) == pytest.approx(0.5 * 2.0)
+        assert mesh.dt * space_integral(vals, mesh).sum() == pytest.approx(0.5 * 2.0)
 
     def test_length_mismatch(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 10, 1)
         with pytest.raises(MeshError):
-            quadrature(np.ones(9), mesh)
+            space_integral(np.ones(9), mesh)
 
     def test_first_order_convergence(self):
         def err(N):
             mesh = SpaceTimeMesh(0.0, 1.0, 1.0, N, 1)
-            return abs(quadrature(np.exp(mesh.x), mesh) - (np.e - 1.0))
+            return abs(space_integral(np.exp(mesh.x), mesh) - (np.e - 1.0))
 
         assert 1.7 < err(50) / err(100) < 2.3
 
@@ -179,8 +166,8 @@ def test_difference_and_quadrature_linearity(alpha, beta, seed):
         lhs = diff_space(alpha * u + beta * v, mesh.dx, mode)
         rhs = alpha * diff_space(u, mesh.dx, mode) + beta * diff_space(v, mesh.dx, mode)
         assert np.allclose(lhs, rhs, atol=1e-10)
-    assert quadrature(alpha * u + beta * v, mesh) == pytest.approx(
-        alpha * quadrature(u, mesh) + beta * quadrature(v, mesh))
+    assert space_integral(alpha * u + beta * v, mesh) == pytest.approx(
+        alpha * space_integral(u, mesh) + beta * space_integral(v, mesh))
     lhs_t = diff_time(np.outer([1.0, 2.0], u), 0.5)
     assert np.allclose(lhs_t[0], (2 * u - u) / 0.5)
 
