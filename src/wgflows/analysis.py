@@ -73,8 +73,7 @@ def wrap_periodic(f: RkhsFunction, period: float, copies: int | None = None) -> 
     centers = (f.centers[:, None] + shifts[None, :]).ravel()
     orders = np.repeat(f.orders, shifts.size)
     coeffs = np.repeat(f.coeffs, shifts.size)
-    return RkhsFunction.from_generators(f.kernel, orders, centers, coeffs,
-                                        f.section_kind)
+    return RkhsFunction(f.kernel, orders, centers, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ class SweepReport:
     slope: float | None
     predicted_bands: dict
     truth_norm: float
-    wall_ms: list
+    wall_s: list                      # seconds per N, for timings.json
     seed: int
     sup_w2: list = field(default_factory=list)
 
@@ -273,7 +272,7 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         N_list=[], lambdas=[], L_list=[], errors=[], relative_errors=[],
         sup_errors=[], slope=None,
         predicted_bands=predicted_exponents(plan.alpha, plan.beta),
-        truth_norm=truth_norm, wall_ms=[], seed=plan.seed,
+        truth_norm=truth_norm, wall_s=[], seed=plan.seed,
     )
     a, b = plan.window
     sample_x = np.linspace(a, b, 201)
@@ -300,7 +299,7 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         report.errors.append(err)
         report.relative_errors.append(err / truth_norm if truth_norm > 0 else err)
         report.sup_errors.append(sup_err)
-        report.wall_ms.append(1000.0 * (time.perf_counter() - t0))
+        report.wall_s.append(time.perf_counter() - t0)
     if truth_norm > 0 and all(e > 1e-10 for e in report.errors):
         report.slope = fit_loglog_slope(report.N_list, report.errors)
     return report

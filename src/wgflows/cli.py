@@ -168,7 +168,12 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class RunDirectory:
-    """Locked output directory collecting artifacts and their checksums."""
+    """Locked output directory collecting artifacts and their checksums.
+
+    Wall-clock seconds go only to ``timings`` (written to timings.json):
+    ``mark`` records the time since the run started, and commands add the
+    duration of each item they time, so data artifacts stay deterministic.
+    """
 
     def __init__(self, out: Path):
         self.out = out
@@ -430,14 +435,16 @@ def cmd_sweep(args) -> int:
         report = run_sweep(plan)
         run.mark("sweep")
         rows = [
-            [N, lam, L, err, rel, sup, wall]
-            for N, lam, L, err, rel, sup, wall in zip(
+            [N, lam, L, err, rel, sup]
+            for N, lam, L, err, rel, sup in zip(
                 report.N_list, report.lambdas, report.L_list, report.errors,
-                report.relative_errors, report.sup_errors, report.wall_ms)
+                report.relative_errors, report.sup_errors)
         ]
+        for i, (N, seconds) in enumerate(zip(report.N_list, report.wall_s)):
+            run.timings[f"sweep[{i}] N={N}"] = seconds
         write_csv(run.path("sweep.csv"), rows,
                   ["N", "lambda", "L", "rkhs_error", "relative_error",
-                   "sup_error", "wall_ms"])
+                   "sup_error"])
         write_json(run.path("summary.json"), {
             "slope": report.slope,
             "predicted_exponent_bands": report.predicted_bands,
@@ -469,12 +476,12 @@ def cmd_stability(args) -> int:
             out = stability_experiment((truth_v, truth_w), (ev, ew), mu0, phi0,
                                        mesh, n_quantiles=int(cfg.get("n_quantiles", 512)),
                                        dt_solver=cfg.get("dt_solver"))
+            run.timings[f"estimate {i}"] = time.perf_counter() - t0
             rows.append([i, out["rkhs_error"], out["sup_w2"],
-                         out["weighted_rkhs_discrepancy"],
-                         1000.0 * (time.perf_counter() - t0)])
+                         out["weighted_rkhs_discrepancy"]])
         write_csv(run.path("stability.csv"), rows,
                   ["estimate", "rkhs_error", "sup_w2",
-                   "weighted_rkhs_discrepancy", "wall_ms"])
+                   "weighted_rkhs_discrepancy"])
         write_json(run.path("summary.json"), {
             "non_increasing_w2": all(rows[i][2] >= rows[i+1][2] - 1e-12
                                      for i in range(len(rows)-1)),

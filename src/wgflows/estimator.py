@@ -21,10 +21,11 @@ with tall-skinny F factors.  Every problem is solved through that
 factorization (Woodbury identity plus two steps of iterative refinement)
 without materializing G; a dense Cholesky solve of the same system is kept
 in the tests as the reference it is checked against.  The F factors are not
-materialized either: F1 is applied as a broadcast over its two nonzeros per
-row and F2 as one sliding-window matmul of the reversed densities per grid
-node (see ``SectionFactors``), so beyond the K~ blocks the solve holds only
-O(M k) arrays for generator rank k.  Nor is any K~ eigendecomposed in full:
+materialized either: they are ``rkhs.SectionMap``, the same map that reduces
+sections to generator form, applied from its structure (F1 as a broadcast
+over its two nonzeros per row, F2 as one sliding-window matmul of the
+reversed densities per grid node), so beyond the K~ blocks the solve holds
+only O(M k) arrays for generator rank k.  Nor is any K~ eigendecomposed in full:
 a pivoted Cholesky, stopped at pivots below 1e-15 of its largest diagonal
 entry, reveals its numerical rank in O(n^2 r), and an r x r eigensolve keeps
 the directions above the 1e-14 relative eigenvalue cut (``_generator_factor``).
@@ -44,7 +45,7 @@ import scipy.linalg as sla
 from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
 from .mesh import PERIODIC, DensityTrajectory, diff_space
-from .rkhs import CONVOLVED, PLAIN, RkhsFunction, difference_grid, rkhs_inner
+from .rkhs import RkhsFunction, SectionMap, difference_grid, rkhs_inner
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
@@ -215,7 +216,7 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SectionFactors:
+class SectionFactors(SectionMap):
     """Exact low-rank factorization of the section Gram matrices.
 
     Plain sections of a kernel K over nodes (l, n) satisfy
@@ -223,77 +224,25 @@ class SectionFactors:
     F1 K~1 F1' with F1 the (nodes x 2N) coefficient matrix onto the
     generators d1^i K(x_n, .) and K~1 the generator Gram of mixed partials.
     Convolved sections reduce the same way over the 2N-1 difference-grid
-    centers, with F2 of shape (nodes x (4N-2)).
-
-    Neither factor is stored: both are applied from ``a``, ``r`` and ``dx``.
-    Row (l, n) of F1 holds a[l, n] and r[l, n] in columns n and N + n, so
-    ``_plain_apply`` is a broadcast and its transpose two column sums.  Row
-    (l, n) of F2 is dx (a[l, n], r[l, n]) times the density row rho_l read
-    backwards from difference-grid offset n, so ``_convolved_apply`` takes
-    one matmul of the reversed densities per grid node against a window of
-    N generator rows, and its transpose accumulates the same windows.
+    centers, with F2 of shape (nodes x (4N-2)).  F1 and F2 are the inherited
+    ``rkhs.SectionMap`` over the fitted rows, applied without being formed.
     """
 
-    a: np.ndarray          # (Lf, N) density slopes entering the operator
-    r: np.ndarray          # (Lf, N) density values
-    rho_flat: np.ndarray   # (M,)
-    dx: float
-    K1t: np.ndarray        # (2N, 2N)
-    K2t: np.ndarray        # (4N-2, 4N-2)
-    centers1: np.ndarray   # grid points
-    centers2: np.ndarray   # difference grid
+    rho_flat: np.ndarray                # (M,)
+    K1t: np.ndarray = None              # (2N, 2N), set by build_factors
+    K2t: np.ndarray = None              # (4N-2, 4N-2), set by build_factors
     K3t: np.ndarray | None = None
 
 
-def _plain_apply(fac: SectionFactors, Y: np.ndarray) -> np.ndarray:
-    """F1 @ Y for Y of shape (2N,) or (2N, k)."""
-    Lf, N = fac.a.shape
-    Yh = Y.reshape(2, N, -1)
-    out = fac.a[:, :, None] * Yh[0] + fac.r[:, :, None] * Yh[1]
-    return out.reshape((Lf * N,) + Y.shape[1:])
-
-
-def _plain_apply_t(fac: SectionFactors, u: np.ndarray) -> np.ndarray:
-    """F1' @ u for u of shape (M,)."""
-    u2 = u.reshape(fac.a.shape)
-    return np.concatenate([(fac.a * u2).sum(axis=0), (fac.r * u2).sum(axis=0)])
-
-
-def _convolved_apply(fac: SectionFactors, Y: np.ndarray) -> np.ndarray:
-    """F2 @ Y for Y of shape (4N-2,) or (4N-2, k)."""
-    Lf, N = fac.a.shape
-    Yh = Y.reshape(2, 2 * N - 1, -1)
-    k = Yh.shape[2]
-    Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
-    rho_rev = np.ascontiguousarray(fac.r[:, ::-1])
-    wa, wr = fac.dx * fac.a, fac.dx * fac.r
-    out = np.empty((Lf, N, k))
-    for n in range(N):
-        win = rho_rev @ Y_ab[n:n + N]
-        out[:, n] = wa[:, n, None] * win[:, :k] + wr[:, n, None] * win[:, k:]
-    return out.reshape((Lf * N,) + Y.shape[1:])
-
-
-def _convolved_apply_t(fac: SectionFactors, u: np.ndarray) -> np.ndarray:
-    """F2' @ u for u of shape (M,)."""
-    Lf, N = fac.a.shape
-    u2 = fac.dx * u.reshape(Lf, N)
-    u_ab = np.stack([fac.a * u2, fac.r * u2], axis=2)
-    rho_rev_t = np.ascontiguousarray(fac.r[:, ::-1].T)
-    out = np.zeros((2 * N - 1, 2))
-    for n in range(N):
-        out[n:n + N] += rho_rev_t @ u_ab[:, n]
-    return out.T.ravel()
-
-
-def _generator_gram(kernel: SmoothKernel, centers: np.ndarray) -> np.ndarray:
-    m = centers.size
-    out = np.empty((2 * m, 2 * m))
-    for oi in (0, 1):
-        for oj in (0, 1):
-            out[oi * m:(oi + 1) * m, oj * m:(oj + 1) * m] = kernel.gram(
-                centers, centers, i=oi + 1, j=oj + 1
-            )
+def _generator_gram(kernel: SmoothKernel, orders: np.ndarray,
+                    centers: np.ndarray) -> np.ndarray:
+    """Mixed partials d1^i d2^j K(c_p, c_q) between generators (i, c)."""
+    out = np.empty((orders.size,) * 2)
+    for oi in np.unique(orders):
+        for oj in np.unique(orders):
+            mi, mj = orders == oi, orders == oj
+            out[np.ix_(mi, mj)] = kernel.gram(centers[mi], centers[mj],
+                                              i=int(oi), j=int(oj))
     return out
 
 
@@ -306,22 +255,13 @@ def build_factors(problem: EstimationProblem) -> SectionFactors:
         a_full = np.asarray(problem.spatial_slope_override, dtype=float)
         if a_full.shape != traj.values.shape:
             raise EstimatorError("spatial_slope_override shape mismatch")
-    a = a_full[:Lf]
     r = traj.values[:Lf]
-    x = mesh.x
-    dgrid = difference_grid(traj)
-    factors = SectionFactors(
-        a=a,
-        r=r,
-        rho_flat=r.ravel(),
-        dx=mesh.dx,
-        K1t=_generator_gram(problem.kernel1, x),
-        K2t=_generator_gram(problem.kernel2, dgrid),
-        centers1=x,
-        centers2=dgrid,
-    )
+    factors = SectionFactors(a=a_full[:Lf], r=r, x=mesh.x, dx=mesh.dx,
+                             rho_flat=r.ravel())
+    factors.K1t = _generator_gram(problem.kernel1, *factors.plain_generators())
+    factors.K2t = _generator_gram(problem.kernel2, *factors.convolved_generators())
     if problem.learn_internal:
-        factors.K3t = _generator_gram(problem.kernel3, x)
+        factors.K3t = _generator_gram(problem.kernel3, *factors.plain_generators())
     return factors
 
 
@@ -388,19 +328,19 @@ def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
         blocks = [
-            ("V", np.sqrt(l2 * l3), _plain_apply, fac.K1t),
-            ("W", np.sqrt(l1 * l3), _convolved_apply, fac.K2t),
-            ("U", np.sqrt(l1 * l2), _plain_apply, fac.K3t),
+            ("V", np.sqrt(l2 * l3), fac.plain, fac.K1t),
+            ("W", np.sqrt(l1 * l3), fac.convolved, fac.K2t),
+            ("U", np.sqrt(l1 * l2), fac.plain, fac.K3t),
         ]
     else:
         blocks = [
-            ("V", np.sqrt(problem.lambda2), _plain_apply, fac.K1t),
-            ("W", np.sqrt(problem.lambda1), _convolved_apply, fac.K2t),
+            ("V", np.sqrt(problem.lambda2), fac.plain, fac.K1t),
+            ("W", np.sqrt(problem.lambda1), fac.convolved, fac.K2t),
         ]
     cols, kept = [], {}
     for name, weight, apply, Kt in blocks:
         Y = _generator_factor(Kt)
-        block = apply(fac, Y)
+        block = apply(Y)
         block *= (weight * fac.rho_flat)[:, None]
         cols.append(block)
         kept[name] = [Y.shape[1], Kt.shape[0]]
@@ -477,28 +417,21 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         C1, C2 = problem.lambda2 * z, problem.lambda1 * z
         C3 = None
 
-    beta_v = _plain_apply_t(fac, fac.rho_flat * C1)
-    beta_w = _convolved_apply_t(fac, fac.rho_flat * C2)
-    N = problem.traj.mesh.N
-    orders1 = np.repeat([1, 2], N)
-    orders2 = np.repeat([1, 2], 2 * N - 1)
-    Vhat = RkhsFunction.from_generators(
-        problem.kernel1, orders1, np.tile(fac.centers1, 2), beta_v, PLAIN)
-    What = RkhsFunction.from_generators(
-        problem.kernel2, orders2, np.tile(fac.centers2, 2), beta_w, CONVOLVED)
+    beta_v = fac.plain_t(fac.rho_flat * C1)
+    beta_w = fac.convolved_t(fac.rho_flat * C2)
+    Vhat = RkhsFunction(problem.kernel1, *fac.plain_generators(), beta_v)
+    What = RkhsFunction(problem.kernel2, *fac.convolved_generators(), beta_w)
     norms = {
         "V": float(np.sqrt(max(beta_v @ fac.K1t @ beta_v, 0.0))),
         "W": float(np.sqrt(max(beta_w @ fac.K2t @ beta_w, 0.0))),
     }
-    image = (_plain_apply(fac, fac.K1t @ beta_v)
-             + _convolved_apply(fac, fac.K2t @ beta_w))
+    image = fac.plain(fac.K1t @ beta_v) + fac.convolved(fac.K2t @ beta_w)
     Uhat = None
     if problem.learn_internal:
-        beta_u = _plain_apply_t(fac, fac.rho_flat * C3)
-        Uhat = RkhsFunction.from_generators(
-            problem.kernel3, orders1, np.tile(fac.centers1, 2), beta_u, PLAIN)
+        beta_u = fac.plain_t(fac.rho_flat * C3)
+        Uhat = RkhsFunction(problem.kernel3, *fac.plain_generators(), beta_u)
         norms["U"] = float(np.sqrt(max(beta_u @ fac.K3t @ beta_u, 0.0)))
-        image = image + _plain_apply(fac, fac.K3t @ beta_u)
+        image = image + fac.plain(fac.K3t @ beta_u)
 
     residual = image - f_flat
     loss = problem.node_weight * float(residual**2 @ fac.rho_flat)
@@ -544,8 +477,8 @@ def operator_image(problem: EstimationProblem, phi, psi,
             d1 += np.asarray(fn.value(x, order=1), dtype=float)
             d2 += np.asarray(fn.value(x, order=2), dtype=float)
     if psi is not None:
-        dgrid = difference_grid(traj)
         N = mesh.N
+        dgrid = difference_grid(N, mesh.dx)
         idx = np.arange(N)[:, None] - np.arange(N)[None, :] + (N - 1)
         t1 = np.asarray(psi.value(dgrid, order=1), dtype=float)[idx]
         t2 = np.asarray(psi.value(dgrid, order=2), dtype=float)[idx]

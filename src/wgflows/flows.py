@@ -18,6 +18,8 @@ backward difference of the forward-difference flux,
 
 which telescopes (exact mass conservation on the torus) and is symmetric
 negative semidefinite, so the pseudo-inverse is a well-posed zero-mean solve.
+In 1-D it integrates in closed form: the flux J = rho d+ phi is a running
+sum of sigma up to a constant, which periodicity of phi fixes.
 
 The Hamiltonian flow is integrated on characteristics: particles obey
 q'' = -(V + W conv rho)'(q) with the mean-field convolution carried by fixed
@@ -32,8 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 from scipy.interpolate import PchipInterpolator
 
 from .mesh import (
@@ -46,6 +46,9 @@ from .mesh import (
 )
 
 DENSITY_FLOOR = 1e-10
+# pseudo-inverse inputs whose Riemann mean exceeds this fraction of their
+# scale are rejected; smaller means are projected out
+_MEAN_TOL = 1e-8
 
 
 class FlowError(RuntimeError):
@@ -228,28 +231,16 @@ def weighted_laplacian_apply(rho: np.ndarray, phi: np.ndarray, mesh: SpaceTimeMe
     return diff_space_backward(flux, mesh.dx, mode)
 
 
-def _laplacian_matrix(rho: np.ndarray, mesh: SpaceTimeMesh) -> sparse.csr_matrix:
-    """Sparse matrix of the periodic divergence-form weighted Laplacian."""
-    N = rho.size
-    inv = 1.0 / mesh.dx**2
-    rho_prev = np.roll(rho, 1)
-    diag = -(rho + rho_prev) * inv
-    upper = rho * inv            # couples phi_{n+1}
-    lower = rho_prev * inv       # couples phi_{n-1}
-    A = sparse.diags([diag], [0], shape=(N, N), format="lil")
-    idx = np.arange(N)
-    A[idx, (idx + 1) % N] = upper
-    A[idx, (idx - 1) % N] = lower
-    return A.tocsr()
-
-
-def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeMesh,
-                            mean_tol: float = 1e-8) -> np.ndarray:
+def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray,
+                            mesh: SpaceTimeMesh) -> np.ndarray:
     """Zero-mean phi with div(rho grad phi) = sigma on the periodic grid.
 
-    sigma must have (near-)zero Riemann mean: deviations within ``mean_tol``
-    of zero (relative to the sigma scale) are projected out, larger ones are
-    rejected.
+    sigma must have (near-)zero Riemann mean: deviations within
+    ``_MEAN_TOL`` of zero (relative to the sigma scale) are projected
+    out, larger ones are rejected.  The backward difference of the flux
+    J = rho d+ phi is sigma, so J = dx cumsum(sigma) + J0; phi is periodic
+    exactly when sum(J / rho) = 0, which fixes J0, and phi is the running
+    sum of its forward differences dx J / rho.
     """
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -259,22 +250,20 @@ def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeM
     if scale == 0.0:
         return np.zeros_like(sigma)
     mean = float(sigma.mean())
-    if abs(mean) * mesh.dx * rho.size > mean_tol * max(scale, 1.0) * mesh.domain_length:
+    if abs(mean) * mesh.dx * rho.size > _MEAN_TOL * max(scale, 1.0) * mesh.domain_length:
         raise FlowError(
             f"pseudo-inverse input has non-zero mean {mean * mesh.domain_length:.3g}"
         )
     sigma = sigma - mean
-    N = rho.size
-    A = _laplacian_matrix(rho, mesh)
-    # bordered system pins the zero-mean gauge
-    ones = np.ones((N, 1))
-    big = sparse.bmat([[A, ones], [ones.T, None]], format="csc")
-    sol = spla.spsolve(big, np.append(sigma, 0.0))
-    phi = sol[:N]
-    residual = float(np.max(np.abs(A @ phi - sigma)))
+    flux = mesh.dx * np.cumsum(sigma)
+    flux -= np.sum(flux / rho) / np.sum(1.0 / rho)
+    phi = np.zeros_like(sigma)
+    phi[1:] = np.cumsum(mesh.dx * flux[:-1] / rho[:-1])
+    phi -= phi.mean()
+    residual = float(np.max(np.abs(weighted_laplacian_apply(rho, phi, mesh) - sigma)))
     if residual > 1e-8 * scale:
         raise FlowError(f"pseudo-inverse residual {residual:.3g} exceeds tolerance")
-    return phi - phi.mean()
+    return phi
 
 
 def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) -> np.ndarray:

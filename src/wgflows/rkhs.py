@@ -1,8 +1,8 @@
-"""Kernel sections, density convolutions, and RKHS inner products.
+"""Kernel sections, the section map onto generators, and RKHS inner products.
 
-The estimator works with three kinds of kernel sections:
+The estimator works with two kinds of weighted-Laplacian kernel sections
+anchored at a space-time node (l, n):
 
-    point:      K(z, .)
     plain:      a * d1K(x_n, .) + r * d11K(x_n, .)
     convolved:  a * d1(K conv rho_l)(x_n, .) + r * d11(K conv rho_l)(x_n, .)
 
@@ -16,13 +16,17 @@ with the same left Riemann rule as the loss functional.
 
 Every finite combination of such sections collapses onto a small set of
 *generators* d1^i K(c, .): plain sections use the N grid points as centers,
-convolved sections the 2N-1 difference-grid points x_n - x_m.  RkhsFunction
-stores that reduced form, which makes evaluation and inner products cheap
-(pairwise mixed partials between generators) even when thousands of sections
-are combined.
+convolved sections the 2N-1 difference-grid points x_n - x_m.  The linear
+map from node weights to generator coefficients, and its transpose, is
+``SectionMap``; the estimator factors its Gram matrices through the same
+map.  RkhsFunction stores that reduced form, which makes evaluation and
+inner products cheap (pairwise mixed partials between generators) even when
+thousands of sections are combined.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,76 +35,90 @@ from .mesh import DensityTrajectory
 
 PLAIN = "plain"
 CONVOLVED = "convolved"
-POINT = "point"
 
 _ORDER_AXIS = (1, 2)  # slot orders carried by a weighted-Laplacian section
 
 
-def difference_grid(traj: DensityTrajectory) -> np.ndarray:
+def difference_grid(N: int, dx: float) -> np.ndarray:
     """Centers x_n - x_m of convolved sections: d*dx for d = -(N-1)..N-1."""
-    N = traj.mesh.N
-    return traj.mesh.dx * np.arange(-(N - 1), N)
+    return dx * np.arange(-(N - 1), N)
 
 
-class ConvolvedKernel:
-    """(K conv rho_l)(x, y) with mixed partials, via grid quadrature."""
+@dataclass
+class SectionMap:
+    """Linear map from node weights to the generator coefficients of sections.
 
-    def __init__(self, kernel: SmoothKernel, traj: DensityTrajectory, l: int):
-        if not 0 <= l < traj.mesh.L:
-            raise IndexError(f"time index {l} outside 0..{traj.mesh.L - 1}")
-        self.kernel = kernel
-        self.traj = traj
-        self.l = l
+    Node (l, n) carries the density slope a[l, n] and density r[l, n].  Its
+    plain section has coefficients a and r on the generators d1K(x_n, .) and
+    d11K(x_n, .), so row (l, n) of the plain factor F1 (nodes x 2N) holds a
+    and r in columns n and N + n: ``plain`` is a broadcast and ``plain_t``
+    two column sums.  Its convolved section reduces over the difference grid:
+    row (l, n) of F2 (nodes x (4N-2)) is dx (a, r) times the density row r_l
+    read backwards from difference-grid offset n, so ``convolved`` takes one
+    matmul of the reversed densities per grid node against a window of N
+    generator rows, and ``convolved_t`` accumulates the same windows over the
+    grid nodes that carry weight.  Neither factor is formed.
+    """
 
-    def eval(self, i: int, j: int, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xm = self.traj.mesh.x
-        rho = self.traj.values[self.l]
-        # quadrature over the first slot; broadcast x, y against the grid
-        diff = x[..., None] - xm
-        vals = self.kernel.eval(i, j, diff, y[..., None])
-        out = self.traj.mesh.dx * (vals * rho).sum(axis=-1)
-        return float(out) if np.ndim(out) == 0 else out
+    a: np.ndarray   # (L, N) density slopes
+    r: np.ndarray   # (L, N) densities; row l is also the convolution weight
+    x: np.ndarray   # (N,) grid points
+    dx: float
 
-    def __call__(self, x, y):
-        return self.eval(0, 0, x, y)
+    @classmethod
+    def of(cls, traj: DensityTrajectory) -> "SectionMap":
+        """The map over every node of a trajectory."""
+        return cls(traj.dx_plus(), traj.values, traj.mesh.x, traj.mesh.dx)
 
+    def plain_generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and centers of F1's columns."""
+        return np.repeat(_ORDER_AXIS, self.x.size), np.tile(self.x, 2)
 
-class DoubleConvolvedKernel:
-    """(K conv conv (rho_l, rho_k))(x, y) with mixed partials."""
+    def convolved_generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and centers of F2's columns."""
+        N = self.x.size
+        return np.repeat(_ORDER_AXIS, 2 * N - 1), np.tile(difference_grid(N, self.dx), 2)
 
-    def __init__(self, kernel: SmoothKernel, traj: DensityTrajectory, l: int, k: int):
-        for idx in (l, k):
-            if not 0 <= idx < traj.mesh.L:
-                raise IndexError(f"time index {idx} outside 0..{traj.mesh.L - 1}")
-        self.kernel = kernel
-        self.traj = traj
-        self.l = l
-        self.k = k
+    def plain(self, Y: np.ndarray) -> np.ndarray:
+        """F1 @ Y for Y of shape (2N,) or (2N, k); flattened time-major."""
+        L, N = self.a.shape
+        Yh = Y.reshape(2, N, -1)
+        out = self.a[:, :, None] * Yh[0] + self.r[:, :, None] * Yh[1]
+        return out.reshape((L * N,) + Y.shape[1:])
 
-    def eval(self, i: int, j: int, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xm = self.traj.mesh.x
-        rho_l = self.traj.values[self.l]
-        rho_k = self.traj.values[self.k]
-        diff_x = x[..., None, None] - xm[:, None]
-        diff_y = y[..., None, None] - xm[None, :]
-        vals = self.kernel.eval(i, j, diff_x, diff_y)
-        out = self.traj.mesh.dx**2 * np.einsum("...pq,p,q->...", vals, rho_l, rho_k)
-        return float(out) if np.ndim(out) == 0 else out
+    def plain_t(self, u: np.ndarray) -> np.ndarray:
+        """F1' @ u for node weights u of shape (L*N,) or (L, N)."""
+        u2 = u.reshape(self.a.shape)
+        return np.concatenate([np.einsum("ln,ln->n", self.a, u2),
+                               np.einsum("ln,ln->n", self.r, u2)])
 
-    def __call__(self, x, y):
-        return self.eval(0, 0, x, y)
+    def convolved(self, Y: np.ndarray) -> np.ndarray:
+        """F2 @ Y for Y of shape (4N-2,) or (4N-2, k); flattened time-major."""
+        L, N = self.a.shape
+        Yh = Y.reshape(2, 2 * N - 1, -1)
+        k = Yh.shape[2]
+        Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
+        rho_rev = np.ascontiguousarray(self.r[:, ::-1])
+        wa, wr = self.dx * self.a, self.dx * self.r
+        out = np.empty((L, N, k))
+        for n in range(N):
+            win = rho_rev @ Y_ab[n:n + N]
+            out[:, n] = wa[:, n, None] * win[:, :k] + wr[:, n, None] * win[:, k:]
+        return out.reshape((L * N,) + Y.shape[1:])
 
+    def convolved_t(self, u: np.ndarray) -> np.ndarray:
+        """F2' @ u for node weights u of shape (L*N,) or (L, N).
 
-def convolve_with_density(kernel: SmoothKernel, traj: DensityTrajectory, l: int) -> ConvolvedKernel:
-    return ConvolvedKernel(kernel, traj, l)
-
-
-def double_convolve(kernel: SmoothKernel, traj: DensityTrajectory, l: int, k: int) -> DoubleConvolvedKernel:
-    return DoubleConvolvedKernel(kernel, traj, l, k)
+        Grid nodes whose weights are all zero are skipped, so a single
+        section costs O(L N), not O(L N^2).
+        """
+        L, N = self.a.shape
+        u2 = u.reshape(L, N)
+        out = np.zeros((2, 2 * N - 1))
+        for n in np.flatnonzero(np.any(u2, axis=0)):
+            weighted = np.stack([self.a[:, n], self.r[:, n]]) * (self.dx * u2[:, n])
+            out[:, n:n + N] += (weighted @ self.r)[:, ::-1]
+        return out.ravel()
 
 
 class RkhsFunction:
@@ -108,13 +126,12 @@ class RkhsFunction:
 
     Generators are the functions d1^order K(center, .); ``orders``,
     ``centers`` and ``coeffs`` are parallel arrays describing the
-    combination.  Use the classmethod constructors; the raw constructor is
-    the reduction target they all share.
+    combination.  The raw constructor takes that generator form; the
+    classmethod constructors reduce points and sections onto it.
     """
 
     def __init__(self, kernel: SmoothKernel, orders: np.ndarray,
-                 centers: np.ndarray, coeffs: np.ndarray,
-                 section_kind: str = POINT):
+                 centers: np.ndarray, coeffs: np.ndarray):
         orders = np.asarray(orders, dtype=int)
         centers = np.asarray(centers, dtype=float)
         coeffs = np.asarray(coeffs, dtype=float)
@@ -124,7 +141,6 @@ class RkhsFunction:
         self.orders = orders
         self.centers = centers
         self.coeffs = coeffs
-        self.section_kind = section_kind
 
     # -- constructors --------------------------------------------------------
 
@@ -140,7 +156,7 @@ class RkhsFunction:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if centers.shape != weights.shape:
             raise ValueError("centers and weights must have equal length")
-        return cls(kernel, np.zeros_like(centers, dtype=int), centers, weights, POINT)
+        return cls(kernel, np.zeros_like(centers, dtype=int), centers, weights)
 
     @classmethod
     def from_plain_sections(cls, kernel: SmoothKernel, traj: DensityTrajectory,
@@ -149,51 +165,17 @@ class RkhsFunction:
 
         ``nodes`` is a sequence of 0-based (l, n) pairs.
         """
-        ls, ns, weights = _as_nodes(nodes, weights, traj)
-        a = traj.dx_plus()[ls, ns]
-        r = traj.values[ls, ns]
-        x = traj.mesh.x
-        N = traj.mesh.N
-        beta = np.zeros((2, N))
-        np.add.at(beta[0], ns, weights * a)
-        np.add.at(beta[1], ns, weights * r)
-        return cls(
-            kernel,
-            np.repeat(np.array(_ORDER_AXIS), N),
-            np.tile(x, 2),
-            beta.reshape(-1),
-            PLAIN,
-        )
+        sections = SectionMap.of(traj)
+        u = _node_weights(nodes, weights, traj)
+        return cls(kernel, *sections.plain_generators(), sections.plain_t(u))
 
     @classmethod
     def from_convolved_sections(cls, kernel: SmoothKernel, traj: DensityTrajectory,
                                 nodes, weights) -> "RkhsFunction":
         """Convolved analogue; centers live on the difference grid."""
-        ls, ns, weights = _as_nodes(nodes, weights, traj)
-        a = traj.dx_plus()[ls, ns]
-        r = traj.values[ls, ns]
-        N = traj.mesh.N
-        dgrid = difference_grid(traj)
-        beta = np.zeros((2, 2 * N - 1))
-        # section (l, n) contributes dx * rho_l[m] at difference index n - m
-        for li, ni, wi, ai, ri in zip(ls, ns, weights, a, r):
-            rho = traj.values[li]
-            didx = (N - 1) + ni - np.arange(N)
-            np.add.at(beta[0], didx, wi * ai * traj.mesh.dx * rho)
-            np.add.at(beta[1], didx, wi * ri * traj.mesh.dx * rho)
-        return cls(
-            kernel,
-            np.repeat(np.array(_ORDER_AXIS), 2 * N - 1),
-            np.tile(dgrid, 2),
-            beta.reshape(-1),
-            CONVOLVED,
-        )
-
-    @classmethod
-    def from_generators(cls, kernel: SmoothKernel, orders, centers, coeffs,
-                        section_kind: str = POINT) -> "RkhsFunction":
-        return cls(kernel, np.asarray(orders), np.asarray(centers),
-                   np.asarray(coeffs), section_kind)
+        sections = SectionMap.of(traj)
+        u = _node_weights(nodes, weights, traj)
+        return cls(kernel, *sections.convolved_generators(), sections.convolved_t(u))
 
     # -- evaluation and algebra ----------------------------------------------
 
@@ -219,12 +201,11 @@ class RkhsFunction:
             np.concatenate([self.orders, other.orders]),
             np.concatenate([self.centers, other.centers]),
             np.concatenate([self.coeffs, alpha * other.coeffs]),
-            self.section_kind if self.section_kind == other.section_kind else POINT,
         )
 
     def scaled(self, alpha: float) -> "RkhsFunction":
         return RkhsFunction(self.kernel, self.orders, self.centers,
-                            alpha * self.coeffs, self.section_kind)
+                            alpha * self.coeffs)
 
     def __add__(self, other):
         return self.combine(other)
@@ -238,7 +219,8 @@ class RkhsFunction:
     __rmul__ = __mul__
 
 
-def _as_nodes(nodes, weights, traj):
+def _node_weights(nodes, weights, traj: DensityTrajectory) -> np.ndarray:
+    """Weights of 0-based (l, n) nodes summed onto the (L, N) grid."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     if nodes.shape[1] != 2 or nodes.shape[0] != weights.shape[0]:
@@ -248,7 +230,9 @@ def _as_nodes(nodes, weights, traj):
         raise IndexError("time index outside trajectory")
     if np.any(ns < 0) or np.any(ns >= traj.mesh.N):
         raise IndexError("space index outside trajectory")
-    return ls, ns, weights
+    u = np.zeros(traj.values.shape)
+    np.add.at(u, (ls, ns), weights)
+    return u
 
 
 def _require_same_kernel(k1: SmoothKernel, k2: SmoothKernel) -> None:
@@ -289,33 +273,3 @@ def rkhs_norm_sq(f: RkhsFunction, g: RkhsFunction | None = None) -> float:
 
 def rkhs_norm(f: RkhsFunction) -> float:
     return float(np.sqrt(max(rkhs_norm_sq(f), 0.0)))
-
-
-def weighted_laplacian_section_apply(f: RkhsFunction, traj: DensityTrajectory,
-                                     l: int, n: int) -> float:
-    """Discrete weighted Laplacian of f at node (l, n): a f' + r f''."""
-    a = traj.dx_plus()[l, n]
-    r = traj.values[l, n]
-    x = traj.mesh.x[n]
-    return a * f.value(x, order=1) + r * f.value(x, order=2)
-
-
-def convolved_values(f: RkhsFunction, traj: DensityTrajectory, l: int,
-                     x, order: int = 0):
-    """Grid-quadrature convolution (f conv rho_l) and its x-derivatives."""
-    x = np.asarray(x, dtype=float)
-    xm = traj.mesh.x
-    rho = traj.values[l]
-    vals = f.value(x[..., None] - xm, order=order)
-    out = traj.mesh.dx * (vals * rho).sum(axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def weighted_laplacian_convolved_apply(f: RkhsFunction, traj: DensityTrajectory,
-                                       l: int, n: int) -> float:
-    """Discrete weighted Laplacian of (f conv rho_l) at node (l, n)."""
-    a = traj.dx_plus()[l, n]
-    r = traj.values[l, n]
-    x = traj.mesh.x[n]
-    return a * convolved_values(f, traj, l, x, order=1) + \
-        r * convolved_values(f, traj, l, x, order=2)

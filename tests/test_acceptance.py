@@ -34,7 +34,7 @@ from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section, rkhs_inner
 
-from conftest import random_trajectory, section_grams
+from conftest import apply_flow_operator, random_trajectory, section_grams
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -235,11 +235,6 @@ def test_criterion_03_stationarity():
 
 
 def test_criterion_04_discrete_reproducing_properties():
-    from wgflows.rkhs import (
-        weighted_laplacian_convolved_apply,
-        weighted_laplacian_section_apply,
-    )
-
     rng = np.random.default_rng(4)
     worst = 0.0
     for trial in range(100):
@@ -257,10 +252,10 @@ def test_criterion_04_discrete_reproducing_properties():
         n = int(rng.integers(0, traj.mesh.N))
         s_plain = diff_section(kernel, traj, l, n, PLAIN)
         gap1 = abs(rkhs_inner(f, s_plain)
-                   - weighted_laplacian_section_apply(f, traj, l, n))
+                   - apply_flow_operator(traj, f, None, l, n))
         s_conv = diff_section(kernel, traj, l, n, CONVOLVED)
         gap2 = abs(rkhs_inner(f, s_conv)
-                   - weighted_laplacian_convolved_apply(f, traj, l, n))
+                   - apply_flow_operator(traj, None, f, l, n))
         scale = max(1.0, abs(rkhs_inner(f, s_plain)))
         worst = max(worst, gap1 / scale, gap2 / scale)
     report(4, "discrete reproducing properties", worst <= 1e-8,

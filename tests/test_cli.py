@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,40 @@ class TestSimulate:
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text("{not json")
         assert run(["simulate", "--config", cfg_path]) == 2
+
+
+def stability_config(out):
+    truth_v = {"type": "kernel_sum",
+               "kernel": {"family": "gaussian", "lengthscale": 0.25},
+               "centers": [0.3, 0.7], "weights": [0.04, -0.04],
+               "wrap_period": 1.0}
+    truth_w = {"type": "kernel_sum",
+               "kernel": {"family": "gaussian", "lengthscale": 0.25},
+               "centers": [-0.2, 0.2], "weights": [0.02, -0.02],
+               "wrap_period": 1.0}
+
+    def perturbed(eps):
+        out = json.loads(json.dumps(truth_v))
+        out["centers"] = out["centers"] + [0.5]
+        out["weights"] = out["weights"] + [eps]
+        return out
+
+    return {
+        "mesh": {"a": 0.0, "b": 1.0, "T": 0.5, "N": 32, "L": 4},
+        "truth_v": truth_v,
+        "truth_w": truth_w,
+        "initial_density": {"type": "bump", "center": 0.5, "sigma": 0.12,
+                            "uniform_weight": 0.2},
+        "initial_phase": {"type": "cosine_sum", "period": 1.0,
+                          "amplitudes": [0.03], "modes": [1]},
+        "estimates": [
+            {"V": perturbed(2e-3), "W": truth_w},
+            {"V": perturbed(5e-4), "W": truth_w},
+            {"V": truth_v, "W": truth_w},
+        ],
+        "seed": 5,
+        "out": str(out),
+    }
 
 
 def sweep_config(out):
@@ -233,8 +268,6 @@ class TestEstimate:
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
-        import shutil
-
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(simulate_config(tmp_path / "run")))
         est = tmp_path / "est"
@@ -281,42 +314,33 @@ class TestSweepCommand:
 
 class TestStabilityCommand:
     def test_three_estimates(self, tmp_path):
-        truth_v = {"type": "kernel_sum",
-                   "kernel": {"family": "gaussian", "lengthscale": 0.25},
-                   "centers": [0.3, 0.7], "weights": [0.04, -0.04],
-                   "wrap_period": 1.0}
-        truth_w = {"type": "kernel_sum",
-                   "kernel": {"family": "gaussian", "lengthscale": 0.25},
-                   "centers": [-0.2, 0.2], "weights": [0.02, -0.02],
-                   "wrap_period": 1.0}
-
-        def perturbed(eps):
-            out = json.loads(json.dumps(truth_v))
-            out["centers"] = out["centers"] + [0.5]
-            out["weights"] = out["weights"] + [eps]
-            return out
-
-        cfg = {
-            "mesh": {"a": 0.0, "b": 1.0, "T": 0.5, "N": 32, "L": 4},
-            "truth_v": truth_v,
-            "truth_w": truth_w,
-            "initial_density": {"type": "bump", "center": 0.5, "sigma": 0.12,
-                                "uniform_weight": 0.2},
-            "initial_phase": {"type": "cosine_sum", "period": 1.0,
-                              "amplitudes": [0.03], "modes": [1]},
-            "estimates": [
-                {"V": perturbed(2e-3), "W": truth_w},
-                {"V": perturbed(5e-4), "W": truth_w},
-                {"V": truth_v, "W": truth_w},
-            ],
-            "seed": 5,
-            "out": str(tmp_path / "stab"),
-        }
         cfg_path = tmp_path / "stab.json"
-        cfg_path.write_text(json.dumps(cfg))
+        cfg_path.write_text(json.dumps(stability_config(tmp_path / "stab")))
         assert run(["stability", "--config", cfg_path]) == 0
         summary = json.loads((tmp_path / "stab" / "summary.json").read_text())
         assert summary["non_increasing_w2"] is True
+
+
+@pytest.mark.parametrize("command, make_config",
+                         [("stability", stability_config), ("sweep", sweep_config)])
+def test_rerun_artifacts_byte_identical_apart_from_timings(tmp_path, command, make_config):
+    """Wall-clock data goes to timings.json only, so reruns match byte for byte."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(make_config(out)))
+
+    def artifacts():
+        assert run([command, "--config", cfg_path]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+        timings = json.loads((out / "timings.json").read_text())["seconds"]
+        shutil.rmtree(out)
+        return files, timings
+
+    (first, timings), (second, _) = artifacts(), artifacts()
+    assert "manifest.json" in first and sorted(first) == sorted(second)
+    for name in first:
+        assert first[name] == second[name], f"{name} differs between reruns"
+    assert len(timings) > 2   # the command's stage, total, and one entry per item
 
 
 class TestW2Command:

@@ -8,10 +8,6 @@ from hypothesis import strategies as st
 from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
-    _convolved_apply,
-    _convolved_apply_t,
-    _plain_apply,
-    _plain_apply_t,
     _stacked_factor,
     assemble_data_functional,
     build_factors,
@@ -230,11 +226,11 @@ def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
     M = L * N
     cols = () if k is None else (k,)
     for F, apply, apply_t in zip(dense_factors(fac),
-                                 (_plain_apply, _convolved_apply),
-                                 (_plain_apply_t, _convolved_apply_t)):
+                                 (fac.plain, fac.convolved),
+                                 (fac.plain_t, fac.convolved_t)):
         Y = rng.standard_normal((F.shape[1],) + cols)
         u = rng.standard_normal(M)
-        FY, Ftu = apply(fac, Y), apply_t(fac, u)
+        FY, Ftu = apply(Y), apply_t(u)
         assert FY.shape == (M,) + cols and Ftu.shape == (F.shape[1],)
         # roundoff of a reordered dot product is bounded by |F| |Y|
         assert np.all(np.abs(FY - F @ Y) <= 1e-13 * (np.abs(F) @ np.abs(Y)))

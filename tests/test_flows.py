@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgflows.flows import (
     EnergySpec,
@@ -133,6 +135,38 @@ class TestPseudoInverse:
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 16, 1)
         with pytest.raises(FlowError):
             weighted_laplacian_pinv(np.ones(16), np.ones(16), mesh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 2048), contrast=st.floats(1.0, 1e3),
+       shape=st.sampled_from(["random", "smooth", "step"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pseudo_inverse_is_exact_inverse_on_zero_mean(N, contrast, shape, seed):
+    """apply(pinv(sigma)) = sigma and pinv(apply(phi)) = phi - mean(phi).
+
+    A first-order rounding analysis of the closed form (running sums of
+    sigma and of dx J / rho, then the two differences of ``apply``) bounds
+    both errors by a small multiple of N eps (max rho / min rho) times the
+    1-norm of the input.
+    """
+    rng = np.random.default_rng(seed)
+    mesh = SpaceTimeMesh(0.0, 1.0, 1.0, N, 1)
+    if shape == "random":
+        rho = contrast ** rng.random(N)
+    elif shape == "smooth":
+        rho = 1.0 + 0.5 * (contrast - 1.0) * (1.0 + np.sin(2 * np.pi * mesh.x))
+    else:
+        rho = np.where(mesh.x < 0.5, 1.0, contrast)
+    tol = 4.0 * N * np.finfo(float).eps * rho.max() / rho.min()
+    sigma = rng.standard_normal(N)
+    sigma -= sigma.mean()
+    phi = weighted_laplacian_pinv(rho, sigma, mesh)
+    # the rounding-level mean left in sigma is projected out, not inverted
+    residual = weighted_laplacian_apply(rho, phi, mesh, PERIODIC) - (sigma - sigma.mean())
+    assert np.max(np.abs(residual)) <= tol * np.abs(sigma).sum()
+    psi = rng.standard_normal(N)
+    back = weighted_laplacian_pinv(rho, weighted_laplacian_apply(rho, psi, mesh, PERIODIC), mesh)
+    assert np.max(np.abs(back - (psi - psi.mean()))) <= tol * np.abs(psi).sum()
 
 
 class TestChristoffel:

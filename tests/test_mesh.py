@@ -13,6 +13,7 @@ from wgflows.mesh import (
     SpaceTimeMesh,
     TrajectoryFormatError,
     diff_space,
+    diff_space_backward,
     diff_time,
     diff_time2,
     read_trajectory,
@@ -170,6 +171,18 @@ def test_difference_and_quadrature_linearity(alpha, beta, seed):
         alpha * space_integral(u, mesh) + beta * space_integral(v, mesh))
     lhs_t = diff_time(np.outer([1.0, 2.0], u), 0.5)
     assert np.allclose(lhs_t[0], (2 * u - u) / 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 64), mode=st.sampled_from([PERIODIC, TRUNCATED]),
+       dx=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_backward_difference_is_negative_adjoint(N, mode, dx, seed):
+    """<d+ u, v> = -<u, d- v> in both boundary modes (summation by parts)."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.standard_normal(N), rng.standard_normal(N)
+    du, dv = diff_space(u, dx, mode), diff_space_backward(v, dx, mode)
+    pairing = np.abs(du) @ np.abs(v) + np.abs(u) @ np.abs(dv)
+    assert abs(du @ v + u @ dv) <= 1e-13 * pairing
 
 
 def test_diff_time2_matches_composition():

@@ -7,18 +7,13 @@ from wgflows.rkhs import (
     CONVOLVED,
     PLAIN,
     RkhsFunction,
-    convolve_with_density,
-    convolved_values,
     diff_section,
-    double_convolve,
     rkhs_inner,
     rkhs_norm,
     rkhs_norm_sq,
-    weighted_laplacian_convolved_apply,
-    weighted_laplacian_section_apply,
 )
 
-from conftest import random_trajectory
+from conftest import apply_flow_operator
 
 
 @pytest.fixture
@@ -27,17 +22,6 @@ def kernel():
 
 
 class TestConvolution:
-    def test_point_mass_reduces_to_shift(self, kernel):
-        mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 8, 1)
-        m0 = 3
-        vals = np.full((1, 8), 1e-12)
-        vals[0, m0] = 1.0 / mesh.dx
-        traj = DensityTrajectory(mesh, vals, boundary_mode=PERIODIC)
-        ck = convolve_with_density(kernel, traj, 0)
-        x, y = 0.4, 0.7
-        expected = kernel.eval(0, 0, x - mesh.x[m0], y)
-        assert ck.eval(0, 0, x, y) == pytest.approx(expected, rel=1e-9)
-
     def test_uniform_density_constant_in_x(self):
         # periodized kernel: convolving over a full period kills x-dependence
         kernel = gaussian_kernel(0.2)
@@ -50,64 +34,6 @@ class TestConvolution:
         vals = [mesh.dx * sum(wrapped(x - xm, 0.5) for xm in mesh.x)
                 for x in np.linspace(0.0, 1.0, 20)]
         assert np.max(np.abs(np.diff(vals))) < 1e-10
-
-    def test_brute_force_agreement(self, kernel, traj_periodic):
-        ck = convolve_with_density(kernel, traj_periodic, 1)
-        mesh = traj_periodic.mesh
-        x, y = 0.37, 0.81
-        brute = mesh.dx * sum(
-            kernel.eval(1, 2, x - xm, y) * traj_periodic.values[1, m]
-            for m, xm in enumerate(mesh.x))
-        assert ck.eval(1, 2, x, y) == pytest.approx(brute, rel=1e-12)
-
-    def test_linearity_in_density(self, kernel):
-        mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 10, 3)
-        rng = np.random.default_rng(0)
-        r1 = 0.5 + rng.random(10)
-        r2 = 0.5 + rng.random(10)
-        alpha, beta = 0.3, 1.1
-        mixed = np.vstack([r1, r2, alpha * r1 + beta * r2])
-        traj = DensityTrajectory(mesh, mixed, boundary_mode=PERIODIC)
-        x, y = 0.2, 0.6
-        c1 = convolve_with_density(kernel, traj, 0).eval(0, 0, x, y)
-        c2 = convolve_with_density(kernel, traj, 1).eval(0, 0, x, y)
-        c3 = convolve_with_density(kernel, traj, 2).eval(0, 0, x, y)
-        assert c3 == pytest.approx(alpha * c1 + beta * c2, rel=1e-12)
-
-    def test_index_bounds(self, kernel, traj_periodic):
-        with pytest.raises(IndexError):
-            convolve_with_density(kernel, traj_periodic, 99)
-
-
-class TestDoubleConvolution:
-    def test_two_point_masses(self, kernel):
-        mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 8, 2)
-        vals = np.full((2, 8), 1e-12)
-        p, q = 2, 5
-        vals[0, p] = 1.0 / mesh.dx
-        vals[1, q] = 1.0 / mesh.dx
-        traj = DensityTrajectory(mesh, vals, boundary_mode=PERIODIC)
-        dk = double_convolve(kernel, traj, 0, 1)
-        x, y = 0.3, 0.9
-        assert dk.eval(0, 0, x, y) == pytest.approx(
-            kernel.eval(0, 0, x - mesh.x[p], y - mesh.x[q]), rel=1e-8)
-
-    def test_symmetry_same_slice(self, kernel, traj_periodic):
-        dk = double_convolve(kernel, traj_periodic, 1, 1)
-        assert dk.eval(0, 0, 0.3, 0.8) == pytest.approx(
-            dk.eval(0, 0, 0.8, 0.3), abs=1e-12)
-
-    def test_composition_of_single_convolutions(self, kernel, traj_periodic):
-        # convolve the first slot, then quadrature the second slot directly
-        mesh = traj_periodic.mesh
-        l, k = 0, 2
-        ck = convolve_with_density(kernel, traj_periodic, l)
-        x, y = 0.45, 0.15
-        composed = mesh.dx * sum(
-            ck.eval(0, 0, x, y - xm) * traj_periodic.values[k, m]
-            for m, xm in enumerate(mesh.x))
-        dk = double_convolve(kernel, traj_periodic, l, k)
-        assert dk.eval(0, 0, x, y) == pytest.approx(composed, rel=1e-12)
 
 
 class TestSections:
@@ -208,7 +134,7 @@ class TestReproducingProperty:
         for l, n in [(2, 5), (0, 0), (2, 11)]:
             s = diff_section(kernel, traj_periodic, l, n, PLAIN)
             lhs = rkhs_inner(f, s)
-            rhs = weighted_laplacian_section_apply(f, traj_periodic, l, n)
+            rhs = apply_flow_operator(traj_periodic, f, None, l, n)
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_convolved_identity(self, kernel, traj_periodic):
@@ -218,16 +144,8 @@ class TestReproducingProperty:
         for l, n in [(1, 3), (2, 9), (0, 6)]:
             s = diff_section(kernel, traj_periodic, l, n, CONVOLVED)
             lhs = rkhs_inner(f, s)
-            rhs = weighted_laplacian_convolved_apply(f, traj_periodic, l, n)
+            rhs = apply_flow_operator(traj_periodic, None, f, l, n)
             assert lhs == pytest.approx(rhs, abs=1e-8)
-
-    def test_convolved_values_match_brute_force(self, kernel, traj_periodic):
-        f = RkhsFunction.from_points(kernel, [0.3, 0.7], [1.0, -0.5])
-        mesh = traj_periodic.mesh
-        x = 0.4
-        brute = mesh.dx * sum(f.value(x - xm) * traj_periodic.values[0, m]
-                              for m, xm in enumerate(mesh.x))
-        assert convolved_values(f, traj_periodic, 0, x) == pytest.approx(brute)
 
 
 class TestEvaluationAndAlgebra:
