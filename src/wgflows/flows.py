@@ -250,7 +250,7 @@ def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray,
     if scale == 0.0:
         return np.zeros_like(sigma)
     mean = float(sigma.mean())
-    if abs(mean) * mesh.dx * rho.size > _MEAN_TOL * max(scale, 1.0) * mesh.domain_length:
+    if abs(mean) * mesh.dx * rho.size > _MEAN_TOL * scale * mesh.domain_length:
         raise FlowError(
             f"pseudo-inverse input has non-zero mean {mean * mesh.domain_length:.3g}"
         )
@@ -416,35 +416,47 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
 _PAIR_BLOCK = 4096  # pair differences per block of the particle interaction
 
 
+def _pair_sums(qw: np.ndarray, masses: np.ndarray, W, order: int,
+               length: float) -> np.ndarray:
+    """sum_j m_j W^(order)(q_i - q_j) for every particle i.
+
+    Pair differences use the minimal image, which is exact for periodic W.
+    The pairs are evaluated over row blocks of about _PAIR_BLOCK pairs,
+    which bounds the (pairs x generators) temporaries of a kernel-sum W; at
+    n x n they are large enough to be mapped afresh from the operating
+    system at every step.
+    """
+    sums = np.empty_like(qw)
+    rows = max(1, _PAIR_BLOCK // qw.size)
+    for lo in range(0, qw.size, rows):
+        diff = _minimal_image(qw[lo:lo + rows, None] - qw[None, :], length)
+        sums[lo:lo + rows] = np.asarray(W.value(diff, order=order), dtype=float) @ masses
+    return sums
+
+
 def _particle_force(q: np.ndarray, masses: np.ndarray, spec: EnergySpec,
                     a: float, length: float) -> np.ndarray:
     """Acceleration -(V + W conv rho)'(q) with mean-field particle masses.
 
-    Positions are wrapped and pair differences use the minimal image, which
-    is exact for periodic V and W.  The interaction is evaluated over row
-    blocks of about _PAIR_BLOCK pairs, which bounds the (pairs x generators)
-    temporaries of a kernel-sum W; at n x n they are large enough to be
-    mapped afresh from the operating system at every step.
+    Positions are wrapped, which is exact for periodic V and W.
     """
     qw = _wrap(q, a, length)
     force = np.zeros_like(q)
     if spec.V is not None:
         force -= np.asarray(spec.V.value(qw, order=1), dtype=float)
     if spec.W is not None:
-        rows = max(1, _PAIR_BLOCK // q.size)
-        for lo in range(0, q.size, rows):
-            diff = _minimal_image(qw[lo:lo + rows, None] - qw[None, :], length)
-            wprime = np.asarray(spec.W.value(diff, order=1), dtype=float)
-            force[lo:lo + rows] -= wprime @ masses
+        force -= _pair_sums(qw, masses, spec.W, 1, length)
     return force
 
 
-def _push_forward_density(q: np.ndarray, mu0: np.ndarray, mesh: SpaceTimeMesh) -> np.ndarray:
+def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
+                          mesh: SpaceTimeMesh) -> tuple[np.ndarray, int]:
     """Resample the transported density onto the grid.
 
     Uses the monotone (PCHIP) interpolant of the inverse transport map s with
     rho(x) = mu0(s(x)) s'(x), evaluated from one periodic unrolling of the
-    particle positions.
+    particle positions.  Values below DENSITY_FLOOR are raised to it; the
+    number of such grid nodes is returned with the density.
     """
     length = mesh.domain_length
     N = mesh.N
@@ -467,7 +479,10 @@ def _push_forward_density(q: np.ndarray, mu0: np.ndarray, mesh: SpaceTimeMesh) -
     mu_ext = np.concatenate([[mu0[-1]], mu0])
     s_wrapped = _wrap(s, x_grid_ext[0], length)
     mu_at_s = np.interp(s_wrapped, x_grid_ext, mu_ext)
-    return np.maximum(mu_at_s * np.maximum(ds, 0.0), DENSITY_FLOOR)
+    rho = mu_at_s * np.maximum(ds, 0.0)
+    floored = rho < DENSITY_FLOOR
+    rho[floored] = DENSITY_FLOOR
+    return rho, int(floored.sum())
 
 
 def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
@@ -477,7 +492,9 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
 
     Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
     fixed quadrature masses mu0(x_i) dx.  The density samples at the data
-    times come from the 1-D push-forward rule.  Requires U = none.
+    times come from the 1-D push-forward rule; the diagnostics count, per
+    data time, the grid nodes where that density was raised to
+    DENSITY_FLOOR.  Requires U = none.
     """
     if spec.U.kind != NONE:
         raise FlowError("Hamiltonian characteristics require U = none")
@@ -492,6 +509,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
         vmax = max(float(np.max(np.abs(v))), 1e-12)
         dt_solver = min(mesh.dt, 0.2 * mesh.dx / vmax, 5e-3)
     samples = np.empty((mesh.L, mesh.N))
+    floor_hits = []
     time = 0.0
     force = _particle_force(q, masses, spec, mesh.a, length)
     kinetic0 = 0.5 * float(masses @ v**2)
@@ -511,13 +529,15 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
                 f"particle crossing at t={time:.6g} between particles "
                 f"{first} and {first + 1}"
             )
-        samples[l] = _push_forward_density(q, mu0, mesh)
+        samples[l], hits = _push_forward_density(q, mu0, mesh)
+        floor_hits.append(hits)
     traj = DensityTrajectory(mesh, samples, boundary_mode=PERIODIC)
     diagnostics = {
         "dt_solver": dt_solver,
         "kinetic_initial": kinetic0,
         "kinetic_final": 0.5 * float(masses @ v**2),
         "energy_final": particle_energy(q, v, masses, spec, mesh),
+        "floor_hits": floor_hits,
     }
     return traj, diagnostics
 
@@ -531,7 +551,5 @@ def particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray,
     if spec.V is not None:
         total += float(masses @ np.asarray(spec.V.value(qw), dtype=float))
     if spec.W is not None:
-        diff = _minimal_image(qw[:, None] - qw[None, :], length)
-        wvals = np.asarray(spec.W.value(diff), dtype=float)
-        total += 0.5 * float(masses @ wvals @ masses)
+        total += 0.5 * float(masses @ _pair_sums(qw, masses, spec.W, 0, length))
     return total

@@ -18,6 +18,13 @@ once at construction:
 
 Both families are C-infinity, comfortably above the C^6 regularity the
 derivative-based Gram assembly requires.
+
+A profile is evaluated in place: Horner's rule for the polynomial runs in
+one output array, the base factor exp(-u^2 / (2 l^2)) or s(u)^(-beta-n)
+in one scratch array, and the sign of an odd y-order is a negation of the
+output.  ``eval`` reuses its difference array as the scratch, so a kernel
+sum over a (pairs x generators) block, as in the particle simulator,
+allocates two block-sized arrays per call.
 """
 
 from __future__ import annotations
@@ -78,21 +85,51 @@ class SmoothKernel:
         if not 0 <= order <= 2 * MAX_SLOT_ORDER:
             raise KernelError(f"profile derivative order {order} unsupported")
         u = np.asarray(u, dtype=float)
-        poly_val = npoly.polyval(u, self._polys[order])
-        if self.family == GAUSSIAN:
-            base = np.exp(-0.5 * u**2 / self.lengthscale**2)
-        else:
-            base = (1.0 + u**2 / self.lengthscale**2) ** (-(self.beta + order))
-        out = poly_val * base
+        out = self._profile(order, u, np.empty_like(u))
         return float(out) if out.ndim == 0 else out
+
+    def _profile(self, order: int, u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """g^(order)(u) computed in place; ``scratch`` may be ``u`` itself.
+
+        The operations and their order are those of
+        ``polyval(u, P_order) * base``, so the values are the same bits.
+        The result is a fresh array, or ``scratch`` for order 0.
+        """
+        coeffs = self._polys[order]
+        out = None
+        if coeffs.size > 1:
+            out = np.multiply(u, coeffs[-1], out=np.empty_like(u))
+            out += coeffs[-2]
+            for c in coeffs[-3::-1]:
+                out *= u
+                out += c
+        base = np.multiply(u, u, out=scratch)
+        if self.family == GAUSSIAN:
+            base *= -0.5
+            base /= self.lengthscale**2
+            np.exp(base, out=base)
+        else:
+            base /= self.lengthscale**2
+            base += 1.0
+            if base.ndim:
+                base **= -(self.beta + order)
+            else:  # a numpy scalar's power is libm's pow, not the array loop's
+                base = np.asarray(base[()] ** -(self.beta + order))
+        if out is None:
+            base *= coeffs[-1]
+            return base
+        out *= base
+        return out
 
     def eval(self, i: int, j: int, x, y):
         """Mixed partial d_x^i d_y^j K at (x, y); broadcasts over arrays."""
         if not (0 <= i <= MAX_SLOT_ORDER and 0 <= j <= MAX_SLOT_ORDER):
             raise KernelError(f"derivative orders ({i},{j}) outside 0..{MAX_SLOT_ORDER}")
-        u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        sign = -1.0 if j % 2 else 1.0
-        return sign * self.profile(i + j, u)
+        u = np.asarray(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+        out = self._profile(i + j, u, u)
+        if j % 2:
+            np.negative(out, out=out)
+        return float(out) if out.ndim == 0 else out
 
     def __call__(self, x, y):
         return self.eval(0, 0, x, y)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from numpy.polynomial import polynomial as npoly
 
 from wgflows.estimator import (
     EstimationProblem,
@@ -12,6 +13,7 @@ from wgflows.estimator import (
     assemble_data_functional,
     build_factors,
 )
+from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 
 
@@ -184,3 +186,26 @@ def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
         d1 += mesh.dx * float(np.asarray(psi.value(diffs, order=1)) @ rho)
         d2 += mesh.dx * float(np.asarray(psi.value(diffs, order=2)) @ rho)
     return a * d1 + r * d2
+
+
+# ---------------------------------------------------------------------------
+# Out-of-place profile formula, the reference for ``SmoothKernel.profile``
+# ---------------------------------------------------------------------------
+
+def reference_profile(kernel: SmoothKernel, order: int, u) -> np.ndarray | float:
+    """g^(order)(u) as polyval(u, P_order) * base, one temporary per step."""
+    u = np.asarray(u, dtype=float)
+    poly_val = npoly.polyval(u, kernel._polys[order])
+    if kernel.family == GAUSSIAN:
+        base = np.exp(-0.5 * u**2 / kernel.lengthscale**2)
+    else:
+        base = (1.0 + u**2 / kernel.lengthscale**2) ** (-(kernel.beta + order))
+    out = poly_val * base
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_eval(kernel: SmoothKernel, i: int, j: int, x, y) -> np.ndarray | float:
+    """d_x^i d_y^j K(x, y) = (-1)^j g^(i+j)(x - y) from the reference profile."""
+    u = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    sign = -1.0 if j % 2 else 1.0
+    return sign * reference_profile(kernel, i + j, u)

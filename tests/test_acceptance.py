@@ -358,12 +358,12 @@ def test_criterion_08_stability_ordering():
         bump = wrap_periodic(RkhsFunction.from_points(k, [0.5], [eps]), 1.0)
         return (truth_v + bump, truth_w)
 
-    sups, errors = [], []
-    for eps in (4e-3, 1e-3, 2.5e-4):
-        out = stability_experiment(truth, estimator_with(eps), mu0, phi0, mesh)
-        sups.append(out["sup_w2"])
-        errors.append(out["rkhs_error"])
-    identical = stability_experiment(truth, truth, mu0, phi0, mesh)["sup_w2"]
+    *records, same = stability_experiment(
+        truth, [estimator_with(eps) for eps in (4e-3, 1e-3, 2.5e-4)] + [truth],
+        mu0, phi0, mesh)
+    sups = [out["sup_w2"] for out in records]
+    errors = [out["rkhs_error"] for out in records]
+    identical = same["sup_w2"]
     decreasing_err = all(a > b for a, b in zip(errors, errors[1:]))
     ordered = all(a >= b - 1e-12 for a, b in zip(sups, sups[1:]))
     report(8, "flow stability ordering",

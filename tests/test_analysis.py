@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgflows.analysis import (
     AnalysisError,
@@ -106,6 +108,38 @@ class TestWasserstein:
         d02 = wasserstein2_1d(dens[0], dens[2], mesh)
         d12 = wasserstein2_1d(dens[1], dens[2], mesh)
         assert d02 <= d01 + d12 + 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(4, 96), per_cell=st.integers(1, 8),
+           contrast=st.floats(1.0, 100.0), seed=st.integers(0, 2**32 - 1),
+           periodic=st.booleans())
+    def test_symmetry_property(self, N, per_cell, contrast, seed, periodic):
+        # with N | n_quantiles every level offset maps the level grid onto
+        # itself, so swapping the arguments permutes the same squared gaps
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
+        rng = np.random.default_rng(seed)
+        rho, sigma = (d / (mesh.dx * d.sum()) for d in contrast ** rng.random((2, N)))
+        kw = dict(n_quantiles=N * per_cell, periodic=periodic)
+        assert wasserstein2_1d(rho, sigma, mesh, **kw) == pytest.approx(
+            wasserstein2_1d(sigma, rho, mesh, **kw), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(4, 96), contrast=st.floats(1.0, 100.0),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_torus_shift_invariance_property(self, N, contrast, seed, data):
+        # a shift by whole cells moves both piecewise-linear CDFs rigidly,
+        # so only the level-offset grid (spacing 1/N) separates the two
+        # values: each is within dx / (2 sqrt(min density)) of the exact
+        # distance, since |Q(t) - Q(t - d)| <= d / min density
+        shift = data.draw(st.integers(1, N - 1))
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
+        rng = np.random.default_rng(seed)
+        rho, sigma = (d / (mesh.dx * d.sum()) for d in contrast ** rng.random((2, N)))
+        before = wasserstein2_1d(rho, sigma, mesh, periodic=True)
+        after = wasserstein2_1d(np.roll(rho, shift), np.roll(sigma, shift), mesh,
+                                periodic=True)
+        tol = mesh.dx / np.sqrt(min(rho.min(), sigma.min()))
+        assert abs(before - after) <= tol
 
     def test_discrete_sorting_oracle(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 8, 1)
@@ -253,7 +287,7 @@ class TestStability:
         truth = self.periodic_pair()
         mu0 = bump_density(mesh.x, 1.0, 0.5, 0.12, 0.2)
         phi0 = SmoothFunction.cosine_sum(1.0, [0.03], [1])
-        out = stability_experiment(truth, truth, mu0, phi0, mesh)
+        out, = stability_experiment(truth, [truth], mu0, phi0, mesh)
         assert out["sup_w2"] <= 2 * mesh.dx
         assert out["rkhs_error"] == pytest.approx(0.0, abs=1e-9)
         assert out["weighted_rkhs_discrepancy"] == 0.0
@@ -263,9 +297,9 @@ class TestStability:
         truth = self.periodic_pair()
         mu0 = bump_density(mesh.x, 1.0, 0.5, 0.12, 0.2)
         phi0 = SmoothFunction.cosine_sum(1.0, [0.03], [1])
-        small = stability_experiment(truth, self.periodic_pair(1e-6), mu0, phi0, mesh)
+        small, large = stability_experiment(
+            truth, [self.periodic_pair(1e-6), self.periodic_pair(1e-3)], mu0, phi0, mesh)
         assert small["sup_w2"] <= 1e-3
-        large = stability_experiment(truth, self.periodic_pair(1e-3), mu0, phi0, mesh)
         ratio = large["sup_w2"] / max(small["sup_w2"], 1e-15)
         assert 50 < ratio < 20000  # roughly linear in the perturbation size
 
@@ -274,10 +308,10 @@ class TestStability:
         truth = self.periodic_pair()
         mu0 = bump_density(mesh.x, 1.0, 0.5, 0.12, 0.2)
         phi0 = SmoothFunction.cosine_sum(1.0, [0.03], [1])
-        sups, errs = [], []
-        for eps in (4e-3, 1e-3, 2.5e-4):
-            out = stability_experiment(truth, self.periodic_pair(eps), mu0, phi0, mesh)
-            sups.append(out["sup_w2"])
-            errs.append(out["rkhs_error"])
+        records = stability_experiment(
+            truth, [self.periodic_pair(eps) for eps in (4e-3, 1e-3, 2.5e-4)],
+            mu0, phi0, mesh)
+        sups = [out["sup_w2"] for out in records]
+        errs = [out["rkhs_error"] for out in records]
         assert errs[0] > errs[1] > errs[2]
         assert sups[0] >= sups[1] >= sups[2]

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wgflows import analysis
 from wgflows.cli import main
 from wgflows.estimator import EstimationProblem, _stacked_factor, build_factors
-from wgflows.flows import InternalEnergy
+from wgflows.flows import DENSITY_FLOOR, InternalEnergy
 from wgflows.kernels import SmoothKernel
 from wgflows.mesh import read_trajectory
 
@@ -66,6 +67,22 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg_path]) == 0
         traj = read_trajectory(tmp_path / "ham" / "trajectory.csv")
         assert np.all(traj.values > 0)
+        info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
+        assert info["diagnostics"]["floor_hits"] == [0] * 5
+
+    def test_hamiltonian_floor_hits_per_output_time(self, tmp_path):
+        # a bump without a uniform part has tails far below DENSITY_FLOOR
+        cfg = simulate_config(tmp_path / "ham", kind="hamiltonian")
+        cfg["initial_density"] = {"type": "bump", "center": 0.5, "sigma": 0.05,
+                                  "uniform_weight": 0.0}
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 0
+        traj = read_trajectory(tmp_path / "ham" / "trajectory.csv")
+        info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
+        hits = info["diagnostics"]["floor_hits"]
+        assert len(hits) == 5 and all(h > 0 for h in hits)
+        assert hits == [int(np.sum(row == DENSITY_FLOOR)) for row in traj.values]
 
     def test_locked_directory_rejected(self, tmp_path):
         out = tmp_path / "run"
@@ -319,6 +336,30 @@ class TestStabilityCommand:
         assert run(["stability", "--config", cfg_path]) == 0
         summary = json.loads((tmp_path / "stab" / "summary.json").read_text())
         assert summary["non_increasing_w2"] is True
+
+    def test_estimate_without_v_exits_2(self, tmp_path):
+        cfg = stability_config(tmp_path / "stab")
+        del cfg["estimates"][1]["V"]
+        cfg_path = tmp_path / "stab.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["stability", "--config", cfg_path]) == 2
+
+    def test_true_flow_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = analysis.hamiltonian_flow_simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
+        cfg_path = tmp_path / "stab.json"
+        cfg_path.write_text(json.dumps(stability_config(tmp_path / "stab")))
+        assert run(["stability", "--config", cfg_path]) == 0
+        assert len(calls) == 4  # the true flow once, then one per estimate
+        timings = json.loads((tmp_path / "stab" / "timings.json").read_text())["seconds"]
+        assert {"true flow", "estimate 0", "estimate 1", "estimate 2"} <= set(timings)
+        assert all(timings[key] >= 0 for key in timings)
 
 
 @pytest.mark.parametrize("command, make_config",

@@ -136,6 +136,13 @@ class TestPseudoInverse:
         with pytest.raises(FlowError):
             weighted_laplacian_pinv(np.ones(16), np.ones(16), mesh)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e6])
+    def test_rejects_pure_mean_at_any_scale(self, scale):
+        # the mean check is relative to the input's size, not absolute
+        mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 16, 1)
+        with pytest.raises(FlowError, match="non-zero mean"):
+            weighted_laplacian_pinv(np.ones(16), np.full(16, scale), mesh)
+
 
 @settings(max_examples=200, deadline=None)
 @given(N=st.integers(2, 2048), contrast=st.floats(1.0, 1e3),
@@ -238,6 +245,29 @@ class TestGradientFlow:
             assert space_integral(out.density, mesh) == pytest.approx(
                 space_integral(rho, mesh), abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(4, 256), seed=st.integers(0, 2**32 - 1),
+           scheme=st.sampled_from(["divergence", "upwind"]),
+           contrast=st.floats(1.0, 100.0), amplitude=st.floats(0.0, 2.0))
+    def test_mass_conservation_property(self, N, seed, scheme, contrast, amplitude):
+        # both fluxes are differences of a periodic face flux, so one step
+        # keeps the Riemann mass up to rounding; the step moves each node by
+        # at most about 2e-3 ln(contrast) of the smallest density, so none
+        # is floored
+        rng = np.random.default_rng(seed)
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 2)
+        rho = contrast ** rng.random(N)
+        rho /= space_integral(rho, mesh)
+        centers = rng.random(3)
+        V = RkhsFunction.from_points(gaussian_kernel(0.2), centers,
+                                     amplitude * rng.standard_normal(3))
+        state = FlowState(time=0.0, density=rho.copy())
+        out = gradient_flow_step(state, EnergySpec(V=V, U=ENTROPY), mesh,
+                                 1e-3 * mesh.dx**2 / contrast, scheme=scheme)
+        assert out.floor_hits == 0
+        assert space_integral(out.density, mesh) == pytest.approx(
+            space_integral(rho, mesh), abs=1e-10)
+
     def test_gibbs_state_is_stationary(self):
         # with U = entropy the discrete update nearly vanishes at rho ~ exp(-V)
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 128, 2)
@@ -318,6 +348,20 @@ class TestHamiltonianFlow:
 
         d1, d2 = drift(2e-3), drift(1e-3)
         assert d2 < 0.4 * d1
+
+    def test_particle_energy_matches_dense_pairs(self):
+        # n = 100 spans several row blocks of the pair evaluation
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 100, 2)
+        rng = np.random.default_rng(2)
+        W = ana_wrapped_potential()
+        q = mesh.x + 0.3 * mesh.dx * rng.random(100)
+        v = rng.standard_normal(100)
+        masses = (0.5 + rng.random(100)) * mesh.dx
+        diff = q[:, None] - q[None, :]
+        diff -= np.round(diff)
+        dense = 0.5 * masses @ v**2 + 0.5 * masses @ W.value(diff) @ masses
+        got = particle_energy(q, v, masses, EnergySpec(W=W), mesh)
+        assert got == pytest.approx(dense, rel=1e-13)
 
     def test_internal_energy_rejected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)

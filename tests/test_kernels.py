@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_eval, reference_profile
 from wgflows.kernels import KernelError, SmoothKernel, gaussian_kernel, imq_kernel
 
 KERNELS = [
@@ -127,3 +128,45 @@ def test_sup_norm_c4_bounds_samples():
         for i in range(3):
             for j in range(3 - i):
                 assert abs(k.eval(i, j, x, y)) <= bound * (1 + 1e-12)
+
+
+finite = st.floats(-8.0, 8.0, allow_nan=False)
+kernels = st.one_of(
+    st.builds(gaussian_kernel, st.floats(0.05, 3.0)),
+    st.builds(imq_kernel, st.floats(0.05, 3.0), st.floats(0.51, 4.0)),
+)
+shapes = st.lists(st.integers(1, 5), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=kernels, order=st.integers(0, 6), shape=shapes,
+       seed=st.integers(0, 2**32 - 1), scalar=finite)
+def test_profile_matches_reference_bit_for_bit(kernel, order, shape, seed, scalar):
+    """The in-place profile repeats the reference's operations in order."""
+    u = 3.0 * np.random.default_rng(seed).standard_normal(shape)
+    before = u.copy()
+    out = kernel.profile(order, u)
+    assert np.array_equal(u, before)           # the caller's u is not written
+    assert out.shape == u.shape
+    assert np.all(out == reference_profile(kernel, order, u))
+    for value in (scalar, np.float64(scalar), np.asarray(scalar)):
+        got = kernel.profile(order, value)
+        assert type(got) is float
+        assert got == reference_profile(kernel, order, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=kernels, i=st.integers(0, 3), j=st.integers(0, 3), shape=shapes,
+       seed=st.integers(0, 2**32 - 1), x=finite, y=finite)
+def test_eval_matches_reference_bit_for_bit(kernel, i, j, shape, seed, x, y):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-3, 3, shape)
+    ys = rng.uniform(-3, 3, shape[-1:])
+    before = (xs.copy(), ys.copy())
+    out = kernel.eval(i, j, xs[..., None], ys)
+    assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
+    assert np.all(out == reference_eval(kernel, i, j, xs[..., None], ys))
+    for args in ((x, y), (np.float64(x), y), (np.asarray(x), np.asarray(y))):
+        got = kernel.eval(i, j, *args)
+        assert type(got) is float
+        assert got == reference_eval(kernel, i, j, *args)
