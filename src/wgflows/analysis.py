@@ -153,6 +153,12 @@ def wasserstein2_1d(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeMesh,
 # Convergence sweep
 # ---------------------------------------------------------------------------
 
+# trailing time rows a sweep or ``cli estimate`` leaves out of the fit unless
+# told otherwise: the last row's forward time difference has no successor
+# sample and carries O(1/dt) truncation error
+DROP_LAST_TIME_ROWS = 1
+
+
 @dataclass
 class SweepPlan:
     """Configuration of one convergence-rate experiment.
@@ -179,7 +185,7 @@ class SweepPlan:
     initial_center: float = 0.5
     initial_sigma: float = 0.14
     initial_uniform_weight: float = 0.35
-    drop_last_time_rows: int = 1
+    drop_last_time_rows: int = DROP_LAST_TIME_ROWS
     seed: int = 0
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DROP_LAST_TIME_ROWS,
     SweepPlan,
     bump_density,
     rkhs_error,
@@ -47,7 +48,7 @@ from .mesh import (
     read_trajectory,
     write_trajectory,
 )
-from .rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section
+from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, diff_section
 
 FLOAT_FMT = "{:.17g}"
 
@@ -337,7 +338,7 @@ def cmd_estimate(args) -> int:
             known_u=energy_from_label(args.u or cfg.get("u", "none"), "u"),
             kernel3=k3,
             lambda3=float(lam3) if lam3 is not None else None,
-            drop_last_time_rows=int(cfg.get("drop_last_time_rows", 0)),
+            drop_last_time_rows=int(cfg.get("drop_last_time_rows", DROP_LAST_TIME_ROWS)),
         )
     except EstimatorError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
@@ -375,13 +376,14 @@ def cmd_estimate(args) -> int:
             header.append("uhat")
         write_csv(run.path("reconstruction.csv"), rows, header)
         rng = np.random.default_rng(seed)
+        sections = SectionMap.of(traj)
         directions = []
         for _ in range(int(cfg.get("stationarity_directions", 8))):
             l = int(rng.integers(0, traj.mesh.L))
             n = int(rng.integers(0, traj.mesh.N))
             directions.append((
-                diff_section(problem.kernel1, traj, l, n, PLAIN),
-                diff_section(problem.kernel2, traj, l, n, CONVOLVED),
+                diff_section(problem.kernel1, sections, l, n, PLAIN),
+                diff_section(problem.kernel2, sections, l, n, CONVOLVED),
             ))
         diagnostics = {
             "loss": result.loss_value,
@@ -427,7 +429,7 @@ def cmd_sweep(args) -> int:
         initial_center=cfg.get("initial_center", 0.5),
         initial_sigma=cfg.get("initial_sigma", 0.14),
         initial_uniform_weight=float(cfg.get("initial_uniform_weight", 0.35)),
-        drop_last_time_rows=int(cfg.get("drop_last_time_rows", 1)),
+        drop_last_time_rows=int(cfg.get("drop_last_time_rows", DROP_LAST_TIME_ROWS)),
         seed=seed,
     )
     run = RunDirectory(Path(require(cfg, "out")))

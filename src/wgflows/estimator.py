@@ -24,11 +24,16 @@ in the tests as the reference it is checked against.  The F factors are not
 materialized either: they are ``rkhs.SectionMap``, the same map that reduces
 sections to generator form, applied from its structure (F1 as a broadcast
 over its two nonzeros per row, F2 as one sliding-window matmul of the
-reversed densities per grid node), so beyond the K~ blocks the solve holds
-only O(M k) arrays for generator rank k.  Nor is any K~ eigendecomposed in full:
-a pivoted Cholesky, stopped at pivots below 1e-15 of its largest diagonal
-entry, reveals its numerical rank in O(n^2 r), and an r x r eigensolve keeps
-the directions above the 1e-14 relative eigenvalue cut (``_generator_factor``).
+reversed densities per grid node, or one Hankel matmul for a vector).  Nor
+is the stacked generator factor P (M x k for generator rank k): the Woodbury
+Grams accumulate from row groups of P streamed through one reused buffer of
+about ``_ROW_BLOCK`` rows, and the Woodbury and refinement steps apply P and
+P' through the section maps, so beyond the K~ blocks the solve holds O(M)
+vectors and O((_ROW_BLOCK + k) k) arrays.  Nor is any K~ eigendecomposed in
+full: a pivoted Cholesky, stopped at pivots below 1e-15 of its largest
+diagonal entry, reveals its numerical rank in O(n^2 r), and an r x r
+eigensolve keeps the directions above the 1e-14 relative eigenvalue cut
+(``_generator_factor``).
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -38,6 +43,7 @@ the operator, with coefficient products of the complementary regularizers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -53,7 +59,7 @@ HAMILTONIAN = "hamiltonian"
 # pivoted Cholesky of a generator Gram stops at pivots below this fraction
 # of its largest diagonal entry, a decade under the 1e-14 eigenvalue cut
 _PIVOT_TOL = 1e-15
-# rows of the stacked factor per block when forming the k x k Grams
+# rows of the stacked factor per streamed group when forming the k x k Grams
 _ROW_BLOCK = 2048
 
 
@@ -68,7 +74,8 @@ class EstimationProblem:
     ``drop_last_time_rows`` removes trailing time rows from the fitted node
     set (their forward time differences have no successor sample and carry
     O(1/dt) truncation error); the dropped rows still feed the time
-    differences of the remaining rows.  Default 0 keeps every row.
+    differences of the remaining rows.  Default 0 keeps every row; sweeps
+    and ``cli estimate`` default to ``analysis.DROP_LAST_TIME_ROWS``.
 
     ``spatial_slope_override`` replaces the forward-differenced density
     slopes by caller-supplied values (e.g. spectral derivatives) and
@@ -246,17 +253,20 @@ def _generator_gram(kernel: SmoothKernel, orders: np.ndarray,
     return out
 
 
+def _fit_slopes(problem: EstimationProblem) -> np.ndarray:
+    """Density slopes a at the fit nodes, shape (fit_rows, N)."""
+    if problem.spatial_slope_override is None:
+        return problem.traj.dx_plus()[:problem.fit_rows]
+    a_full = np.asarray(problem.spatial_slope_override, dtype=float)
+    if a_full.shape != problem.traj.values.shape:
+        raise EstimatorError("spatial_slope_override shape mismatch")
+    return a_full[:problem.fit_rows]
+
+
 def build_factors(problem: EstimationProblem) -> SectionFactors:
-    traj = problem.traj
-    mesh = traj.mesh
-    Lf = problem.fit_rows
-    a_full = traj.dx_plus()
-    if problem.spatial_slope_override is not None:
-        a_full = np.asarray(problem.spatial_slope_override, dtype=float)
-        if a_full.shape != traj.values.shape:
-            raise EstimatorError("spatial_slope_override shape mismatch")
-    r = traj.values[:Lf]
-    factors = SectionFactors(a=a_full[:Lf], r=r, x=mesh.x, dx=mesh.dx,
+    mesh = problem.traj.mesh
+    r = problem.traj.values[:problem.fit_rows]
+    factors = SectionFactors(a=_fit_slopes(problem), r=r, x=mesh.x, dx=mesh.dx,
                              rho_flat=r.ravel())
     factors.K1t = _generator_gram(problem.kernel1, *factors.plain_generators())
     factors.K2t = _generator_gram(problem.kernel2, *factors.convolved_generators())
@@ -318,33 +328,78 @@ def _generator_factor(Kt: np.ndarray) -> np.ndarray:
     return R @ V[:, w > max(w[-1], 0.0) * 1e-14]
 
 
-def _stacked_factor(problem: EstimationProblem, fac: SectionFactors):
-    """Weighted generator factor P with G = P P' and the K~ blocks, stacked.
+class _FactorBlock(NamedTuple):
+    """One learned function's columns of the stacked factor P.
 
-    Each block applies its section factor to ``_generator_factor`` of its
-    K~.  Returns P and, per block, the generator directions kept and the
-    block's generator count.
+    P's columns for this block are rho F Y, with F the block's section map
+    (``apply``/``apply_t``/``rows`` are F, F' and F's node-group rows) and
+    Y its ``_generator_factor`` scaled by the block's regularizer weight.
     """
+
+    name: str
+    Y: np.ndarray
+    generators: int
+    apply: Callable
+    apply_t: Callable
+    rows: Callable
+
+
+def _factor_blocks(problem: EstimationProblem,
+                   fac: SectionFactors) -> list[_FactorBlock]:
+    """The blocks of P with G = P P': plain V, convolved W (and plain U)."""
+    plain = (fac.plain, fac.plain_t, fac.plain_rows)
+    convolved = (fac.convolved, fac.convolved_t, fac.convolved_rows)
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        blocks = [
-            ("V", np.sqrt(l2 * l3), fac.plain, fac.K1t),
-            ("W", np.sqrt(l1 * l3), fac.convolved, fac.K2t),
-            ("U", np.sqrt(l1 * l2), fac.plain, fac.K3t),
-        ]
+        spec = [("V", l2 * l3, fac.K1t, plain), ("W", l1 * l3, fac.K2t, convolved),
+                ("U", l1 * l2, fac.K3t, plain)]
     else:
-        blocks = [
-            ("V", np.sqrt(problem.lambda2), fac.plain, fac.K1t),
-            ("W", np.sqrt(problem.lambda1), fac.convolved, fac.K2t),
-        ]
-    cols, kept = [], {}
-    for name, weight, apply, Kt in blocks:
-        Y = _generator_factor(Kt)
-        block = apply(Y)
-        block *= (weight * fac.rho_flat)[:, None]
-        cols.append(block)
-        kept[name] = [Y.shape[1], Kt.shape[0]]
-    return np.hstack(cols), kept
+        spec = [("V", problem.lambda2, fac.K1t, plain),
+                ("W", problem.lambda1, fac.K2t, convolved)]
+    return [_FactorBlock(name, np.sqrt(weight) * _generator_factor(Kt), Kt.shape[0],
+                         *applies)
+            for name, weight, Kt, applies in spec]
+
+
+def _row_groups(fac: SectionFactors, blocks: list[_FactorBlock]):
+    """Stream P in groups of grid nodes, every time row of each node.
+
+    Yields (nodes, group) with ``nodes`` a slice of grid nodes and ``group``
+    the rows of P at those nodes, shaped (L, nodes, k).  Every group is
+    written into the same buffer of about ``_ROW_BLOCK`` rows, so P is never
+    held whole; a consumer may overwrite the group before the next one.
+    """
+    L, N = fac.r.shape
+    k = sum(block.Y.shape[1] for block in blocks)
+    width = min(N, max(1, _ROW_BLOCK // L))
+    buffer = np.empty(L * width * k)
+    for n0 in range(0, N, width):
+        nodes = slice(n0, min(n0 + width, N))
+        group = buffer[:L * (nodes.stop - n0) * k].reshape(L, -1, k)
+        c0 = 0
+        for block in blocks:
+            c1 = c0 + block.Y.shape[1]
+            block.rows(block.Y, nodes, group[:, :, c0:c1])
+            c0 = c1
+        group *= fac.r[:, nodes, None]
+        yield nodes, group
+
+
+def _woodbury_grams(fac: SectionFactors, blocks: list[_FactorBlock],
+                    c: float) -> tuple[np.ndarray, np.ndarray]:
+    """P' D^-1 P and P'P for D = c diag(rho), accumulated over row groups.
+
+    Both are symmetric rank updates of one group: P_g'P_g, then, after the
+    group is scaled in place to S_g = D^-1/2 P_g, S_g'S_g.
+    """
+    k = sum(block.Y.shape[1] for block in blocks)
+    core, gram = np.zeros((k, k)), np.zeros((k, k))
+    for nodes, group in _row_groups(fac, blocks):
+        Pg = group.reshape(-1, k)
+        gram += Pg.T @ Pg
+        Pg *= np.sqrt(1.0 / (c * fac.r[:, nodes])).reshape(-1, 1)
+        core += Pg.T @ Pg
+    return core, gram
 
 
 def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
@@ -353,39 +408,42 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
 
     The Woodbury formula cancels two O(1/c) terms, so on its own it loses
     accuracy as the regularization shrinks.  Two steps of iterative
-    refinement on the same factored core, O(M k) each, bring the solution
-    back to the roundoff level of a dense Cholesky solve.  The core
-    P' D^-1 P and P'P (for the exact top eigenvalue in the condition bound)
-    accumulate over row blocks of P, so no M x k copy of P is formed.
-    Returns z, the condition bound, the kept rank per block and the
-    Cholesky jitter.
+    refinement on the same factored core bring the solution back to the
+    roundoff level of a dense Cholesky solve.  P = rho [F_b Y_b]_b is never
+    formed: the core P' D^-1 P and P'P (for the exact top eigenvalue in the
+    condition bound) accumulate over streamed row groups of P, and the
+    Woodbury and refinement steps apply P v = rho sum_b F_b (Y_b v_b) and
+    P'u = [Y_b' F_b' (rho u)]_b through the section maps, O(L N^2 + N k)
+    per product.  Returns z, the condition bound, the kept rank per block
+    and the Cholesky jitter.
     """
     c = _regularizer_coefficient(problem)
-    P, kept = _stacked_factor(problem, fac)
+    blocks = _factor_blocks(problem, fac)
     rho = fac.rho_flat
     dinv = 1.0 / (c * rho)
-    k = P.shape[1]
-    # core = S'S with S = D^-1/2 P, so both sums are symmetric rank-k updates
-    sqrt_dinv = np.sqrt(dinv)
-    core, gram = np.zeros((k, k)), np.zeros((k, k))
-    for s in range(0, P.shape[0], _ROW_BLOCK):
-        Pb = P[s:s + _ROW_BLOCK]
-        Sb = sqrt_dinv[s:s + _ROW_BLOCK, None] * Pb
-        core += Sb.T @ Sb
-        gram += Pb.T @ Pb
-    gram_top = float(np.linalg.eigvalsh(gram)[-1]) if k else 0.0
+    core, gram = _woodbury_grams(fac, blocks, c)
+    gram_top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
     core[np.diag_indices_from(core)] += 1.0
     cho, jitter = _cholesky_with_jitter(core)
+    splits = np.cumsum([block.Y.shape[1] for block in blocks])[:-1]
+
+    def P_apply(v: np.ndarray) -> np.ndarray:
+        return rho * sum(block.apply(block.Y @ part)
+                         for block, part in zip(blocks, np.split(v, splits)))
+
+    def Pt_apply(u: np.ndarray) -> np.ndarray:
+        return np.concatenate([block.Y.T @ block.apply_t(rho * u) for block in blocks])
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
-        return dr - dinv * (P @ sla.cho_solve(cho, P.T @ dr))
+        return dr - dinv * P_apply(sla.cho_solve(cho, Pt_apply(dr)))
 
     b = rho * f_flat
     z = woodbury(b)
     for _ in range(2):
-        z += woodbury(b - P @ (P.T @ z) - c * rho * z)
+        z += woodbury(b - P_apply(Pt_apply(z)) - c * rho * z)
     cond = (gram_top + c * float(rho.max())) / (c * float(rho.min()))
+    kept = {block.name: [block.Y.shape[1], block.generators] for block in blocks}
     return z, cond, kept, jitter
 
 
@@ -462,16 +520,17 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 def operator_image(problem: EstimationProblem, phi, psi,
                    upsilon=None) -> np.ndarray:
     """Forward operator applied at every fit node, flattened (time-major)."""
-    traj = problem.traj
-    mesh = traj.mesh
-    Lf = problem.fit_rows
-    a = traj.dx_plus()[:Lf]
-    if problem.spatial_slope_override is not None:
-        a = np.asarray(problem.spatial_slope_override, dtype=float)[:Lf]
-    r = traj.values[:Lf]
+    return _operator_image(problem, _fit_slopes(problem), phi, psi, upsilon)
+
+
+def _operator_image(problem: EstimationProblem, a: np.ndarray, phi, psi,
+                    upsilon=None) -> np.ndarray:
+    """``operator_image`` for precomputed fit-node slopes ``a``."""
+    mesh = problem.traj.mesh
+    r = problem.traj.values[:problem.fit_rows]
     x = mesh.x
-    d1 = np.zeros((Lf, mesh.N))
-    d2 = np.zeros((Lf, mesh.N))
+    d1 = np.zeros(r.shape)
+    d2 = np.zeros(r.shape)
     for fn in (phi, upsilon):
         if fn is not None:
             d1 += np.asarray(fn.value(x, order=1), dtype=float)
@@ -516,9 +575,10 @@ def stationarity_residual(result: EstimatorResult, problem: EstimationProblem,
     derivative vanishes.
     """
     rho_flat = problem.traj.values[:problem.fit_rows].ravel()
+    slopes = _fit_slopes(problem)
     worst = 0.0
     for fdir, gdir in directions:
-        image = operator_image(problem, fdir, gdir)
+        image = _operator_image(problem, slopes, fdir, gdir)
         deriv = 2.0 * problem.node_weight * float(
             (result.residual_vector * image) @ rho_flat
         )

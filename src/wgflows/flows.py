@@ -353,7 +353,9 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
     """Integrate the gradient flow and sample at the data times t_1..t_L.
 
     Returns the trajectory (periodic boundary mode) and a diagnostics dict
-    with floor hits and the discrete free energy at every output time.
+    with, per output time, the floor hits (nodes raised to DENSITY_FLOOR,
+    summed over the solver steps since the previous output time) and the
+    discrete free energy.
     """
     rho0 = np.asarray(rho0, dtype=float)
     if rho0.shape != (mesh.N,):
@@ -368,19 +370,22 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
     state = FlowState(time=0.0, density=rho0.copy())
     samples = np.empty((mesh.L, mesh.N))
     energies = []
+    floor_hits = []
     for l in range(mesh.L):
         target = mesh.t[l]
         n_sub = max(1, math.ceil((target - state.time) / dt_solver - 1e-12))
         dt = (target - state.time) / n_sub
+        hits_before = state.floor_hits
         for _ in range(n_sub):
             state = gradient_flow_step(state, spec, mesh, dt, wmat=wmat,
                                        v_grid=v_grid, scheme=scheme)
         samples[l] = state.density
+        floor_hits.append(state.floor_hits - hits_before)
         energies.append(free_energy(state.density, spec, mesh, wmat=wmat, v_grid=v_grid))
     traj = DensityTrajectory(mesh, samples, boundary_mode=PERIODIC)
     diagnostics = {
         "dt_solver": dt_solver,
-        "floor_hits": state.floor_hits,
+        "floor_hits": floor_hits,
         "free_energy": energies,
     }
     return traj, diagnostics

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import KernelError, SmoothKernel
 from .mesh import DensityTrajectory
@@ -54,10 +55,13 @@ class SectionMap:
     and r in columns n and N + n: ``plain`` is a broadcast and ``plain_t``
     two column sums.  Its convolved section reduces over the difference grid:
     row (l, n) of F2 (nodes x (4N-2)) is dx (a, r) times the density row r_l
-    read backwards from difference-grid offset n, so ``convolved`` takes one
-    matmul of the reversed densities per grid node against a window of N
-    generator rows, and ``convolved_t`` accumulates the same windows over the
-    grid nodes that carry weight.  Neither factor is formed.
+    read backwards from difference-grid offset n, so ``convolved`` of a
+    matrix takes one matmul of the reversed densities per grid node against
+    a window of N generator rows, of a vector one matmul against the Hankel
+    matrix of its coefficients, and ``convolved_t`` one matmul over the grid
+    nodes that carry weight.  Neither factor is formed.  The ``*_rows``
+    applies form the rows of a range of grid nodes only, so a caller can
+    stream F @ Y through one buffer.
     """
 
     a: np.ndarray   # (L, N) density slopes
@@ -82,9 +86,16 @@ class SectionMap:
     def plain(self, Y: np.ndarray) -> np.ndarray:
         """F1 @ Y for Y of shape (2N,) or (2N, k); flattened time-major."""
         L, N = self.a.shape
-        Yh = Y.reshape(2, N, -1)
-        out = self.a[:, :, None] * Yh[0] + self.r[:, :, None] * Yh[1]
+        out = np.empty((L, N, Y.size // (2 * N)))
+        self.plain_rows(Y, slice(None), out)
         return out.reshape((L * N,) + Y.shape[1:])
+
+    def plain_rows(self, Y: np.ndarray, nodes: slice, out: np.ndarray) -> None:
+        """Rows of F1 @ Y at the grid nodes ``nodes``, every time row, into
+        ``out`` of shape (L, nodes, k)."""
+        Yh = Y.reshape(2, self.x.size, -1)
+        np.multiply(self.a[:, nodes, None], Yh[0, nodes], out=out)
+        out += self.r[:, nodes, None] * Yh[1, nodes]
 
     def plain_t(self, u: np.ndarray) -> np.ndarray:
         """F1' @ u for node weights u of shape (L*N,) or (L, N)."""
@@ -93,32 +104,53 @@ class SectionMap:
                                np.einsum("ln,ln->n", self.r, u2)])
 
     def convolved(self, Y: np.ndarray) -> np.ndarray:
-        """F2 @ Y for Y of shape (4N-2,) or (4N-2, k); flattened time-major."""
+        """F2 @ Y for Y of shape (4N-2,) or (4N-2, k); flattened time-major.
+
+        A vector Y takes one matmul of the reversed densities against the
+        N x N Hankel matrices H[m, n] = Y[n + m] of its two halves.
+        """
+        L, N = self.a.shape
+        if Y.ndim == 2:
+            out = np.empty((L, N, Y.shape[1]))
+            self.convolved_rows(Y, slice(None), out)
+            return out.reshape(L * N, -1)
+        Yh = Y.reshape(2, 2 * N - 1)
+        hankel = np.concatenate([sliding_window_view(Yh[0], N),
+                                 sliding_window_view(Yh[1], N)], axis=1)
+        win = np.ascontiguousarray(self.r[:, ::-1]) @ hankel
+        return (self.dx * (self.a * win[:, :N] + self.r * win[:, N:])).ravel()
+
+    def convolved_rows(self, Y: np.ndarray, nodes: slice, out: np.ndarray) -> None:
+        """Rows of F2 @ Y at the grid nodes ``nodes``, every time row, into
+        ``out`` of shape (L, nodes, k): one window matmul per grid node."""
         L, N = self.a.shape
         Yh = Y.reshape(2, 2 * N - 1, -1)
         k = Yh.shape[2]
         Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
         rho_rev = np.ascontiguousarray(self.r[:, ::-1])
         wa, wr = self.dx * self.a, self.dx * self.r
-        out = np.empty((L, N, k))
-        for n in range(N):
+        for j, n in enumerate(range(N)[nodes]):
             win = rho_rev @ Y_ab[n:n + N]
-            out[:, n] = wa[:, n, None] * win[:, :k] + wr[:, n, None] * win[:, k:]
-        return out.reshape((L * N,) + Y.shape[1:])
+            np.multiply(wa[:, n, None], win[:, :k], out=out[:, j])
+            out[:, j] += wr[:, n, None] * win[:, k:]
 
     def convolved_t(self, u: np.ndarray) -> np.ndarray:
         """F2' @ u for node weights u of shape (L*N,) or (L, N).
 
-        Grid nodes whose weights are all zero are skipped, so a single
-        section costs O(L N), not O(L N^2).
+        One matmul over the grid nodes that carry weight, then a sum along
+        the anti-diagonals: node n's window lands reversed on difference-grid
+        offsets n .. n + N - 1.  A single section costs O(L N), not O(L N^2).
         """
         L, N = self.a.shape
         u2 = u.reshape(L, N)
-        out = np.zeros((2, 2 * N - 1))
-        for n in np.flatnonzero(np.any(u2, axis=0)):
-            weighted = np.stack([self.a[:, n], self.r[:, n]]) * (self.dx * u2[:, n])
-            out[:, n:n + N] += (weighted @ self.r)[:, ::-1]
-        return out.ravel()
+        cols = np.flatnonzero(np.any(u2, axis=0))
+        du = self.dx * u2[:, cols]
+        windows = np.concatenate([self.a[:, cols] * du, self.r[:, cols] * du],
+                                 axis=1).T @ self.r
+        offsets = (cols[:, None] + np.arange(N - 1, -1, -1)).ravel()
+        return np.concatenate([
+            np.bincount(offsets, weights=half.ravel(), minlength=2 * N - 1)
+            for half in np.split(windows, 2)])
 
 
 class RkhsFunction:
@@ -159,22 +191,26 @@ class RkhsFunction:
         return cls(kernel, np.zeros_like(centers, dtype=int), centers, weights)
 
     @classmethod
-    def from_plain_sections(cls, kernel: SmoothKernel, traj: DensityTrajectory,
+    def from_plain_sections(cls, kernel: SmoothKernel,
+                            traj: DensityTrajectory | SectionMap,
                             nodes, weights) -> "RkhsFunction":
         """sum over nodes (l, n) of w * [a d1K(x_n,.) + r d11K(x_n,.)].
 
-        ``nodes`` is a sequence of 0-based (l, n) pairs.
+        ``nodes`` is a sequence of 0-based (l, n) pairs.  ``traj`` may be the
+        trajectory's ``SectionMap``, which callers building many sections
+        construct once.
         """
-        sections = SectionMap.of(traj)
-        u = _node_weights(nodes, weights, traj)
+        sections = _section_map(traj)
+        u = _node_weights(nodes, weights, sections.a.shape)
         return cls(kernel, *sections.plain_generators(), sections.plain_t(u))
 
     @classmethod
-    def from_convolved_sections(cls, kernel: SmoothKernel, traj: DensityTrajectory,
+    def from_convolved_sections(cls, kernel: SmoothKernel,
+                                traj: DensityTrajectory | SectionMap,
                                 nodes, weights) -> "RkhsFunction":
         """Convolved analogue; centers live on the difference grid."""
-        sections = SectionMap.of(traj)
-        u = _node_weights(nodes, weights, traj)
+        sections = _section_map(traj)
+        u = _node_weights(nodes, weights, sections.a.shape)
         return cls(kernel, *sections.convolved_generators(), sections.convolved_t(u))
 
     # -- evaluation and algebra ----------------------------------------------
@@ -219,18 +255,22 @@ class RkhsFunction:
     __rmul__ = __mul__
 
 
-def _node_weights(nodes, weights, traj: DensityTrajectory) -> np.ndarray:
+def _section_map(traj: DensityTrajectory | SectionMap) -> SectionMap:
+    return traj if isinstance(traj, SectionMap) else SectionMap.of(traj)
+
+
+def _node_weights(nodes, weights, shape: tuple[int, int]) -> np.ndarray:
     """Weights of 0-based (l, n) nodes summed onto the (L, N) grid."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     if nodes.shape[1] != 2 or nodes.shape[0] != weights.shape[0]:
         raise ValueError("nodes must be (m, 2) index pairs matching weights")
     ls, ns = nodes[:, 0], nodes[:, 1]
-    if np.any(ls < 0) or np.any(ls >= traj.mesh.L):
+    if np.any(ls < 0) or np.any(ls >= shape[0]):
         raise IndexError("time index outside trajectory")
-    if np.any(ns < 0) or np.any(ns >= traj.mesh.N):
+    if np.any(ns < 0) or np.any(ns >= shape[1]):
         raise IndexError("space index outside trajectory")
-    u = np.zeros(traj.values.shape)
+    u = np.zeros(shape)
     np.add.at(u, (ls, ns), weights)
     return u
 
@@ -240,8 +280,8 @@ def _require_same_kernel(k1: SmoothKernel, k2: SmoothKernel) -> None:
         raise KernelError(f"kernel mismatch: {k1} vs {k2}")
 
 
-def diff_section(kernel: SmoothKernel, traj: DensityTrajectory, l: int, n: int,
-                 kind: str = PLAIN) -> RkhsFunction:
+def diff_section(kernel: SmoothKernel, traj: DensityTrajectory | SectionMap,
+                 l: int, n: int, kind: str = PLAIN) -> RkhsFunction:
     """Single weighted-Laplacian kernel section anchored at node (l, n)."""
     if kind == PLAIN:
         return RkhsFunction.from_plain_sections(kernel, traj, [(l, n)], [1.0])

@@ -10,6 +10,8 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     SectionFactors,
+    _factor_blocks,
+    _row_groups,
     assemble_data_functional,
     build_factors,
 )
@@ -116,6 +118,20 @@ def assemble_gram(problem: EstimationProblem,
     else:
         core = problem.lambda2 * G1 + problem.lambda1 * G2
     return C[:, None] * core * C[None, :]
+
+
+def stacked_factor(problem: EstimationProblem,
+                   factors: SectionFactors | None = None) -> tuple[np.ndarray, dict]:
+    """The stacked factor P (M x k) with G = P P', assembled from the row
+    groups ``solve`` streams, and the kept rank per block."""
+    fac = factors or build_factors(problem)
+    blocks = _factor_blocks(problem, fac)
+    L, N = fac.r.shape
+    P = np.empty((L, N, sum(block.Y.shape[1] for block in blocks)))
+    for nodes, group in _row_groups(fac, blocks):
+        P[:, nodes] = group
+    kept = {block.name: [block.Y.shape[1], block.generators] for block in blocks}
+    return P.reshape(L * N, -1), kept
 
 
 def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:

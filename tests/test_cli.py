@@ -5,12 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgflows import analysis
+from wgflows import analysis, estimator, mesh
+from wgflows.analysis import DROP_LAST_TIME_ROWS
 from wgflows.cli import main
-from wgflows.estimator import EstimationProblem, _stacked_factor, build_factors
+from wgflows.estimator import EstimationProblem
 from wgflows.flows import DENSITY_FLOOR, InternalEnergy
 from wgflows.kernels import SmoothKernel
 from wgflows.mesh import read_trajectory
+
+from conftest import stacked_factor
 
 KERNEL1 = '{"family":"gaussian","lengthscale":0.2}'
 KERNEL2 = '{"family":"imq","lengthscale":0.25,"beta":1.5}'
@@ -208,7 +211,9 @@ class TestEstimate:
 
     def test_end_to_end(self, tmp_path, data_dir):
         out = tmp_path / "est"
-        rc = run(["estimate", "--data", data_dir / "trajectory.csv",
+        cfg_path = tmp_path / "est.json"
+        cfg_path.write_text(json.dumps({"drop_last_time_rows": 0}))
+        rc = run(["estimate", "--config", cfg_path, "--data", data_dir / "trajectory.csv",
                   "--kernel1", KERNEL1, "--kernel2", KERNEL2,
                   "--lambda1", "0.05", "--lambda2", "0.05",
                   "--u", "entropy", "--out", out, "--seed", "7"])
@@ -221,6 +226,33 @@ class TestEstimate:
         recon = (out / "reconstruction.csv").read_text().splitlines()
         assert recon[0] == "x,vhat,what"
         assert len(recon) == 202
+
+    def test_section_map_built_once_per_command(self, tmp_path, data_dir, monkeypatch):
+        """Spatial differences do not grow with the stationarity directions:
+        the fit slopes (solve, stationarity), the data functional's two and
+        the section map of the directions are one call each."""
+        calls = []
+
+        def counted(diff_space):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return diff_space(*args, **kwargs)
+            return wrapper
+
+        for module in (mesh, estimator):
+            monkeypatch.setattr(module, "diff_space", counted(module.diff_space))
+        counts = []
+        for directions in (2, 16):
+            cfg_path = tmp_path / f"est{directions}.json"
+            cfg_path.write_text(json.dumps({"stationarity_directions": directions}))
+            calls.clear()
+            assert run(["estimate", "--config", cfg_path,
+                        "--data", data_dir / "trajectory.csv",
+                        "--kernel1", KERNEL1, "--kernel2", KERNEL2,
+                        "--lambda1", "0.05", "--lambda2", "0.05", "--u", "entropy",
+                        "--out", tmp_path / f"est{directions}"]) == 0
+            counts.append(len(calls))
+        assert counts == [5, 5]
 
     def test_missing_sidecar_exit_2(self, tmp_path, data_dir, capsys):
         bogus = tmp_path / "lonely.csv"
@@ -271,15 +303,18 @@ class TestEstimate:
                     "--u", "entropy", "--out", out]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["jitter"] == 0.0
-        assert len(diag["residual_row_max"]) == 12
+        # the default fit leaves out the last of the 12 time rows, as sweeps do
+        assert DROP_LAST_TIME_ROWS == analysis.SweepPlan.drop_last_time_rows == 1
+        assert len(diag["residual_row_max"]) == 12 - DROP_LAST_TIME_ROWS
         assert max(diag["residual_row_max"]) == diag["residual_max"]
         assert {name: total for name, (_, total) in diag["kept_rank"].items()} \
             == {"V": 2 * 64, "W": 2 * (2 * 64 - 1)}
         problem = EstimationProblem(
             read_trajectory(data), SmoothKernel.from_config(json.loads(KERNEL1)),
             SmoothKernel.from_config(json.loads(KERNEL2)), lambda1=0.05,
-            lambda2=0.05, known_u=InternalEnergy("entropy"))
-        P, _ = _stacked_factor(problem, build_factors(problem))
+            lambda2=0.05, known_u=InternalEnergy("entropy"),
+            drop_last_time_rows=DROP_LAST_TIME_ROWS)
+        P, _ = stacked_factor(problem)
         assert sum(kept for kept, _ in diag["kept_rank"].values()) == P.shape[1]
 
 

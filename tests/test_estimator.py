@@ -1,14 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgflows import estimator
 from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
-    _stacked_factor,
+    _factor_blocks,
+    _regularizer_coefficient,
+    _woodbury_grams,
     assemble_data_functional,
     build_factors,
     loss_at,
@@ -28,6 +32,7 @@ from conftest import (
     dense_reference_solve,
     random_trajectory,
     section_grams,
+    stacked_factor,
 )
 
 ENTROPY = InternalEnergy("entropy")
@@ -239,6 +244,47 @@ def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
         assert np.all(np.abs(u @ FY - Ftu @ Y) <= 1e-13 * pairing)
 
 
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 40), L=st.integers(1, 6),
+       mode=st.sampled_from([PERIODIC, TRUNCATED]),
+       single=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
+    """The one-matmul vector F2 and F2' equal the per-node window product."""
+    fac = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    F = fac.convolved(np.eye(4 * N - 2))
+    y = rng.standard_normal(4 * N - 2)
+    u = rng.standard_normal((L, N))
+    if single:
+        u[:, np.arange(N) != rng.integers(N)] = 0.0
+    u = u.ravel()
+    assert np.all(np.abs(fac.convolved(y) - fac.convolved(y[:, None])[:, 0])
+                  <= 1e-13 * (np.abs(F) @ np.abs(y)))
+    assert np.all(np.abs(fac.convolved_t(u) - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(1, 20), L=st.integers(1, 5), row_block=st.sampled_from([1, 7, 2048]),
+       internal=st.booleans(), seed=st.integers(0, 999))
+def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
+    """The row-group Grams are P' D^-1 P and P'P of the assembled P."""
+    traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
+    p = EstimationProblem(traj, gaussian_kernel(0.1), imq_kernel(0.2, beta=1.5),
+                          lambda1=0.05, lambda2=0.08,
+                          kernel3=gaussian_kernel(0.3) if internal else None,
+                          lambda3=0.3 if internal else None)
+    fac = build_factors(p)
+    c = _regularizer_coefficient(p)
+    with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
+        P, _ = stacked_factor(p, fac)
+        core, gram = _woodbury_grams(fac, _factor_blocks(p, fac), c)
+    absP, dinv = np.abs(P), 1.0 / (c * fac.rho_flat)
+    # both sides sum the same M products per entry in different orders
+    assert np.all(np.abs(gram - P.T @ P) <= 1e-13 * (absP.T @ absP))
+    assert np.all(np.abs(core - P.T @ (dinv[:, None] * P))
+                  <= 1e-13 * (absP.T @ (dinv[:, None] * absP)))
+
+
 smooth_kernels = st.builds(
     lambda gaussian, ls: gaussian_kernel(ls) if gaussian else imq_kernel(ls, beta=1.5),
     st.booleans(), st.sampled_from([0.03, 0.05, 0.2]) | st.floats(0.03, 0.6))
@@ -255,7 +301,7 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
                           lambda3=None if k3 is None else 0.3)
     fac = build_factors(p)
-    P, kept = _stacked_factor(p, fac)
+    P, kept = stacked_factor(p, fac)
     F1, F2 = dense_factors(fac)
     l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
     blocks = {"V": (fac.K1t, F1, l2 * l3), "W": (fac.K2t, F2, l1 * l3)}
@@ -315,6 +361,25 @@ def test_solve_peak_memory_below_one_dense_convolved_factor():
     finally:
         tracemalloc.stop()
     assert peak < dense_f2_bytes
+
+
+def test_solve_peak_memory_below_one_stacked_factor():
+    """At M = 16384, k = 342 the solve never holds an M x k array: the
+    stacked factor P is streamed in row groups and applied matrix-free."""
+    N, L = 64, 257
+    rng = np.random.default_rng(0)
+    traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
+    p = EstimationProblem(traj, gaussian_kernel(0.03), imq_kernel(0.03, beta=1.5),
+                          lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
+    tracemalloc.start()
+    try:
+        res = solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = sum(kept for kept, _ in res.kept_rank.values())
+    assert (p.node_count, k) == (16384, 342)
+    assert peak < p.node_count * k * 8
 
 
 class TestSolve:

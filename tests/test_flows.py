@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgflows.flows import (
+    DENSITY_FLOOR,
     EnergySpec,
     FlowError,
     FlowState,
@@ -288,6 +289,21 @@ class TestGradientFlow:
         traj, diag = gradient_flow_simulate(rho0, spec, mesh)
         energies = [free_energy(rho0, spec, mesh)] + diag["free_energy"]
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
+
+    def test_floor_hits_per_output_time(self):
+        # the tails of a narrow bump start on DENSITY_FLOOR, and a drift
+        # without diffusion pushes some of them below it step after step
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.02, 64, 4)
+        rho0 = np.maximum(wrapped_gaussian(mesh.x, 0.5, 0.05**2), DENSITY_FLOOR)
+        assert np.sum(rho0 == DENSITY_FLOOR) > 0
+        V = RkhsFunction.from_points(gaussian_kernel(0.2), [0.5], [1.0])
+        traj, diag = gradient_flow_simulate(rho0, EnergySpec(V=V), mesh)
+        hits = diag["floor_hits"]
+        assert len(hits) == mesh.L and sum(hits) > 0
+        # a node on the floor at an output time was raised in the last step
+        floored = [int(np.sum(row == DENSITY_FLOOR)) for row in traj.values]
+        assert any(floored)
+        assert all(h >= f for h, f in zip(hits, floored))
 
     def test_cfl_violation_reports_step(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.5, 64, 2)
