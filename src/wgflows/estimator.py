@@ -28,12 +28,18 @@ reversed densities per grid node, or one Hankel matmul for a vector).  Nor
 is the stacked generator factor P (M x k for generator rank k): the Woodbury
 Grams accumulate from row groups of P streamed through one reused buffer of
 about ``_ROW_BLOCK`` rows, and the Woodbury and refinement steps apply P and
-P' through the section maps, so beyond the K~ blocks the solve holds O(M)
-vectors and O((_ROW_BLOCK + k) k) arrays.  Nor is any K~ eigendecomposed in
-full: a pivoted Cholesky, stopped at pivots below 1e-15 of its largest
-diagonal entry, reveals its numerical rank in O(n^2 r), and an r x r
-eigensolve keeps the directions above the 1e-14 relative eigenvalue cut
-(``_generator_factor``).
+P' through the section maps.  Nor is any generator Gram K~ formed: the
+generators sit on a uniform grid and the kernels are radial, so each K~ is
+block-Toeplitz and is held as three gap vectors (``GapGram``).  A pivoted
+Cholesky reads each pivot column from them, stops at pivots below 1e-15 of
+the largest diagonal entry, and reveals the numerical rank r in O(n r^2)
+time and O(n r) memory; an r x r eigensolve keeps the directions above the
+1e-14 relative eigenvalue cut (``_generator_factor``).  K~ beta, for the
+RKHS norms and the operator image, is one convolution per order block.  So
+the solve holds O(M) vectors, O(n r) factors and O((_ROW_BLOCK + k) k)
+arrays, and it runs every dense product and factorization through numpy
+alone: scipy's separately loaded BLAS would add a second thread pool that
+waits on the first at every switch.
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -46,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
@@ -80,7 +85,7 @@ class EstimationProblem:
     ``spatial_slope_override`` replaces the forward-differenced density
     slopes by caller-supplied values (e.g. spectral derivatives) and
     ``f_override`` replaces the assembled data functional; both exist for
-    error-decomposition diagnostics.
+    error-decomposition diagnostics and must be finite.
     """
 
     traj: DensityTrajectory
@@ -120,6 +125,10 @@ class EstimationProblem:
             )
         if not 0 <= self.drop_last_time_rows < self.traj.mesh.L:
             raise EstimatorError("drop_last_time_rows must leave at least one row")
+        for name in ("spatial_slope_override", "f_override"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise EstimatorError(f"{name} has non-finite entries")
 
     @property
     def learn_internal(self) -> bool:
@@ -147,11 +156,11 @@ class EstimatorResult:
     ``gram_condition`` is an upper bound on the system's condition number.
     ``kept_rank`` maps each learned function ("V", "W", "U") to
     [generator directions kept, generator count]: the pivoted Cholesky of
-    the generator Gram stops at pivots below 1e-15 of its largest diagonal
-    entry, and of its compressed directions those with eigenvalue above
-    1e-14 of the largest are kept.  ``jitter`` is the diagonal jitter,
-    relative to the largest diagonal entry, that the Woodbury core needed
-    to factor (0.0 when none).
+    the generator Gram, read column by column from its gap vectors, stops
+    at pivots below 1e-15 of its largest diagonal entry, and of its
+    compressed directions those with eigenvalue above 1e-14 of the largest
+    are kept.  ``jitter`` is the diagonal jitter, relative to the largest
+    diagonal entry, that the Woodbury core needed to factor (0.0 when none).
     """
 
     C1: np.ndarray
@@ -222,6 +231,52 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
 # Section factors
 # ---------------------------------------------------------------------------
 
+class GapGram(NamedTuple):
+    """Generator Gram of one section family, held as three Toeplitz gap vectors.
+
+    A section family's generators are d1^i K(c_q, .) for the orders i = 1, 2
+    over n centers c_q = c_0 + q dx on a uniform grid (the N grid points for
+    plain sections, the 2N-1 difference-grid points for convolved ones), and
+    the kernels are radial, so entry (i, q; j, p) of the Gram K~ is
+    (-1)^j g^(i+j)((q - p) dx): each of the four order blocks is Toeplitz.
+    ``gaps[s - 2]`` holds the profile derivative g^(s), s = 2, 3, 4, at the
+    2n-1 offsets d dx, d = -(n-1)..n-1.  Columns, the diagonal and K~ beta
+    are read from these vectors; the 2n x 2n matrix is never formed.
+    """
+
+    gaps: np.ndarray    # (3, 2n-1)
+
+    @classmethod
+    def of(cls, kernel: SmoothKernel, n: int, dx: float) -> "GapGram":
+        offsets = difference_grid(n, dx)
+        return cls(np.stack([kernel.profile(s, offsets) for s in (2, 3, 4)]))
+
+    @property
+    def size(self) -> int:
+        """Generator count 2n."""
+        return self.gaps.shape[1] + 1
+
+    def diagonal(self) -> np.ndarray:
+        n = self.size // 2
+        g2, _, g4 = self.gaps[:, n - 1]
+        return np.repeat([-g2, g4], n)
+
+    def column(self, p: int) -> np.ndarray:
+        """Column p of K~: generator p has order j = 1 + p // n."""
+        n = self.size // 2
+        j, q = divmod(p, n)
+        sign = -1.0 if j == 0 else 1.0
+        return sign * self.gaps[j:j + 2, n - 1 - q:2 * n - 1 - q].ravel()
+
+    def matvec(self, beta: np.ndarray) -> np.ndarray:
+        """K~ beta, one ``valid`` convolution per order block."""
+        g2, g3, g4 = self.gaps
+        b1, b2 = np.split(beta, 2)
+        return np.concatenate([
+            np.convolve(g3, b2, "valid") - np.convolve(g2, b1, "valid"),
+            np.convolve(g4, b2, "valid") - np.convolve(g3, b1, "valid")])
+
+
 @dataclass
 class SectionFactors(SectionMap):
     """Exact low-rank factorization of the section Gram matrices.
@@ -232,25 +287,14 @@ class SectionFactors(SectionMap):
     generators d1^i K(x_n, .) and K~1 the generator Gram of mixed partials.
     Convolved sections reduce the same way over the 2N-1 difference-grid
     centers, with F2 of shape (nodes x (4N-2)).  F1 and F2 are the inherited
-    ``rkhs.SectionMap`` over the fitted rows, applied without being formed.
+    ``rkhs.SectionMap`` over the fitted rows, applied without being formed;
+    each K~ is a ``GapGram``, three gap vectors of O(N) values.
     """
 
     rho_flat: np.ndarray                # (M,)
-    K1t: np.ndarray = None              # (2N, 2N), set by build_factors
-    K2t: np.ndarray = None              # (4N-2, 4N-2), set by build_factors
-    K3t: np.ndarray | None = None
-
-
-def _generator_gram(kernel: SmoothKernel, orders: np.ndarray,
-                    centers: np.ndarray) -> np.ndarray:
-    """Mixed partials d1^i d2^j K(c_p, c_q) between generators (i, c)."""
-    out = np.empty((orders.size,) * 2)
-    for oi in np.unique(orders):
-        for oj in np.unique(orders):
-            mi, mj = orders == oi, orders == oj
-            out[np.ix_(mi, mj)] = kernel.gram(centers[mi], centers[mj],
-                                              i=int(oi), j=int(oj))
-    return out
+    K1t: GapGram = None                 # 2N generators, set by build_factors
+    K2t: GapGram = None                 # 4N-2 generators, set by build_factors
+    K3t: GapGram | None = None
 
 
 def _fit_slopes(problem: EstimationProblem) -> np.ndarray:
@@ -268,10 +312,11 @@ def build_factors(problem: EstimationProblem) -> SectionFactors:
     r = problem.traj.values[:problem.fit_rows]
     factors = SectionFactors(a=_fit_slopes(problem), r=r, x=mesh.x, dx=mesh.dx,
                              rho_flat=r.ravel())
-    factors.K1t = _generator_gram(problem.kernel1, *factors.plain_generators())
-    factors.K2t = _generator_gram(problem.kernel2, *factors.convolved_generators())
+    N = mesh.N
+    factors.K1t = GapGram.of(problem.kernel1, N, mesh.dx)
+    factors.K2t = GapGram.of(problem.kernel2, 2 * N - 1, mesh.dx)
     if problem.learn_internal:
-        factors.K3t = _generator_gram(problem.kernel3, *factors.plain_generators())
+        factors.K3t = GapGram.of(problem.kernel3, N, mesh.dx)
     return factors
 
 
@@ -290,15 +335,17 @@ def _regularizer_coefficient(problem: EstimationProblem) -> float:
 def _cholesky_with_jitter(mat: np.ndarray):
     """Cholesky factor with escalating relative diagonal jitter.
 
-    Returns the factor and the jitter applied, relative to the largest
-    diagonal entry (0.0 when the matrix factors as given).
+    Returns the lower factor and the jitter applied, relative to the largest
+    diagonal entry (0.0 when the matrix factors as given).  A non-finite
+    matrix is rejected before any factorization is tried.
     """
+    if not np.all(np.isfinite(mat)):
+        raise EstimatorError("Woodbury core has non-finite entries")
     scale = float(np.max(np.diag(mat)))
     for jitter in (0.0, 1e-12, 1e-10, 1e-8):
         try:
-            return sla.cho_factor(
-                mat + jitter * scale * np.eye(mat.shape[0]) if jitter else mat,
-                lower=True,
+            return np.linalg.cholesky(
+                mat + jitter * scale * np.eye(mat.shape[0]) if jitter else mat
             ), jitter
         except np.linalg.LinAlgError:
             continue
@@ -308,24 +355,41 @@ def _cholesky_with_jitter(mat: np.ndarray):
     )
 
 
-def _generator_factor(Kt: np.ndarray) -> np.ndarray:
+def _generator_factor(gram: GapGram) -> np.ndarray:
     """Factor Y with orthogonal columns and Y Y' = K~ up to two cuts.
 
-    K~ is factored in O(n^2 r) rather than eigendecomposed in O(n^3): a
-    pivoted Cholesky K~ = R R' stops once every remaining pivot is below
-    ``_PIVOT_TOL`` times the largest diagonal entry, then the small r x r
-    eigenproblem R'R = V diag(w) V' compresses R to R V, whose columns are
-    the eigenvectors of R R' scaled by sqrt(w).  Directions with w at or
-    below 1e-14 times the largest are cut.
+    K~ is factored in O(n r^2) with O(n r) memory rather than eigendecomposed
+    in O(n^3): a pivoted Cholesky K~ = R R' (Harbrecht, Peters & Schneider,
+    Appl. Numer. Math. 2012, Alg. 1) takes each pivot column from the gap
+    vectors, downdates it by one matrix-vector product with the rows of R'
+    found so far, and stops once every remaining pivot is at or below
+    ``_PIVOT_TOL`` times the largest diagonal entry.  R' is held row by row
+    in a buffer that doubles as the rank grows.  The small r x r eigenproblem
+    R'R = V diag(w) V' then compresses R to R V, whose columns are the
+    eigenvectors of R R' scaled by sqrt(w).  Directions with w at or below
+    1e-14 times the largest are cut.
     """
-    c, piv, rank, info = sla.lapack.dpstrf(
-        Kt, lower=1, tol=_PIVOT_TOL * float(np.max(np.diag(Kt))))
-    if info < 0:
-        raise EstimatorError(f"dpstrf rejected its argument {-info}")
-    R = np.empty((Kt.shape[0], rank))
-    R[piv - 1] = np.tril(c[:, :rank])
-    w, V = np.linalg.eigh(R.T @ R)
-    return R @ V[:, w > max(w[-1], 0.0) * 1e-14]
+    d = gram.diagonal()
+    n = d.size
+    stop = _PIVOT_TOL * float(d.max())
+    Rt = np.empty((min(n, 64), n))
+    m = 0
+    while m < n:
+        p = int(np.argmax(d))
+        if d[p] <= stop:
+            break
+        if m == Rt.shape[0]:
+            Rt = np.concatenate([Rt, np.empty((min(m, n - m), n))])
+        row = gram.column(p)
+        row -= Rt[:m, p] @ Rt[:m]
+        row /= np.sqrt(d[p])
+        d -= row * row
+        d[p] = 0.0  # never pick a factored pivot again on roundoff
+        Rt[m] = row
+        m += 1
+    Rt = Rt[:m]
+    w, V = np.linalg.eigh(Rt @ Rt.T)
+    return Rt.T @ V[:, w > max(w[-1], 0.0) * 1e-14]
 
 
 class _FactorBlock(NamedTuple):
@@ -356,7 +420,7 @@ def _factor_blocks(problem: EstimationProblem,
     else:
         spec = [("V", problem.lambda2, fac.K1t, plain),
                 ("W", problem.lambda1, fac.K2t, convolved)]
-    return [_FactorBlock(name, np.sqrt(weight) * _generator_factor(Kt), Kt.shape[0],
+    return [_FactorBlock(name, np.sqrt(weight) * _generator_factor(Kt), Kt.size,
                          *applies)
             for name, weight, Kt, applies in spec]
 
@@ -409,7 +473,10 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     The Woodbury formula cancels two O(1/c) terms, so on its own it loses
     accuracy as the regularization shrinks.  Two steps of iterative
     refinement on the same factored core bring the solution back to the
-    roundoff level of a dense Cholesky solve.  P = rho [F_b Y_b]_b is never
+    roundoff level of a dense Cholesky solve; the core's Cholesky factor is
+    applied through its explicit inverse, whose extra roundoff the same
+    refinement absorbs (numpy has no triangular solve, and scipy's would
+    bring a second BLAS pool).  P = rho [F_b Y_b]_b is never
     formed: the core P' D^-1 P and P'P (for the exact top eigenvalue in the
     condition bound) accumulate over streamed row groups of P, and the
     Woodbury and refinement steps apply P v = rho sum_b F_b (Y_b v_b) and
@@ -424,7 +491,8 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     core, gram = _woodbury_grams(fac, blocks, c)
     gram_top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
     core[np.diag_indices_from(core)] += 1.0
-    cho, jitter = _cholesky_with_jitter(core)
+    chol, jitter = _cholesky_with_jitter(core)
+    chol_inv = np.linalg.inv(chol)
     splits = np.cumsum([block.Y.shape[1] for block in blocks])[:-1]
 
     def P_apply(v: np.ndarray) -> np.ndarray:
@@ -436,7 +504,7 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
-        return dr - dinv * P_apply(sla.cho_solve(cho, Pt_apply(dr)))
+        return dr - dinv * P_apply(chol_inv.T @ (chol_inv @ Pt_apply(dr)))
 
     b = rho * f_flat
     z = woodbury(b)
@@ -479,17 +547,20 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
     beta_w = fac.convolved_t(fac.rho_flat * C2)
     Vhat = RkhsFunction(problem.kernel1, *fac.plain_generators(), beta_v)
     What = RkhsFunction(problem.kernel2, *fac.convolved_generators(), beta_w)
+    # K~ beta gives both the squared norm beta'K~beta and the operator image
+    Kb_v, Kb_w = fac.K1t.matvec(beta_v), fac.K2t.matvec(beta_w)
     norms = {
-        "V": float(np.sqrt(max(beta_v @ fac.K1t @ beta_v, 0.0))),
-        "W": float(np.sqrt(max(beta_w @ fac.K2t @ beta_w, 0.0))),
+        "V": float(np.sqrt(max(beta_v @ Kb_v, 0.0))),
+        "W": float(np.sqrt(max(beta_w @ Kb_w, 0.0))),
     }
-    image = fac.plain(fac.K1t @ beta_v) + fac.convolved(fac.K2t @ beta_w)
+    image = fac.plain(Kb_v) + fac.convolved(Kb_w)
     Uhat = None
     if problem.learn_internal:
         beta_u = fac.plain_t(fac.rho_flat * C3)
         Uhat = RkhsFunction(problem.kernel3, *fac.plain_generators(), beta_u)
-        norms["U"] = float(np.sqrt(max(beta_u @ fac.K3t @ beta_u, 0.0)))
-        image = image + fac.plain(fac.K3t @ beta_u)
+        Kb_u = fac.K3t.matvec(beta_u)
+        norms["U"] = float(np.sqrt(max(beta_u @ Kb_u, 0.0)))
+        image = image + fac.plain(Kb_u)
 
     residual = image - f_flat
     loss = problem.node_weight * float(residual**2 @ fac.rho_flat)

@@ -140,7 +140,8 @@ def space_integral(values: np.ndarray, mesh: SpaceTimeMesh) -> float | np.ndarra
 class DensityTrajectory:
     """Positive density samples rho(t_l, x_n) on a SpaceTimeMesh.
 
-    ``values`` has shape (L, N).  Construction rejects non-positive samples;
+    ``values`` has shape (L, N).  Construction rejects non-positive and
+    non-finite samples;
     per-slice mass away from 1 beyond MASS_TOLERANCE only warns, since data
     restricted to a sub-window legitimately loses mass.
     """
@@ -158,8 +159,8 @@ class DensityTrajectory:
             )
         if self.boundary_mode not in BOUNDARY_MODES:
             raise MeshError(f"unknown boundary mode {self.boundary_mode!r}")
-        if not np.all(self.values > 0):
-            raise MeshError("density trajectory must be strictly positive")
+        if not np.all((self.values > 0) & np.isfinite(self.values)):
+            raise MeshError("density trajectory must be finite and strictly positive")
         masses = self.mesh.dx * self.values.sum(axis=1)
         worst = float(np.max(np.abs(masses - 1.0)))
         if worst > MASS_TOLERANCE:
@@ -221,7 +222,11 @@ def write_trajectory(traj: DensityTrajectory, csv_path: str | Path) -> None:
 
 
 def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
-    """Read a trajectory CSV; the sidecar is mandatory and must match."""
+    """Read a trajectory CSV; the sidecar is mandatory and must match.
+
+    Every fault of the files, including samples ``DensityTrajectory``
+    rejects (non-positive or non-finite), raises ``TrajectoryFormatError``.
+    """
     csv_path = Path(csv_path)
     meta_path = meta_path_for(csv_path)
     if not meta_path.exists():
@@ -246,4 +251,7 @@ def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
         float(meta["a"]), float(meta["b"]), float(meta["T"]),
         int(meta["N"]), int(meta["L"]),
     )
-    return DensityTrajectory(mesh, values, boundary_mode=meta["boundary_mode"])
+    try:
+        return DensityTrajectory(mesh, values, boundary_mode=meta["boundary_mode"])
+    except MeshError as exc:
+        raise TrajectoryFormatError("data_invalid", f"{csv_path}: {exc}") from None

@@ -84,6 +84,29 @@ def dense_factors(fac: SectionFactors) -> tuple[np.ndarray, np.ndarray]:
     return _plain_factor(fac.a, fac.r), _convolved_factor(fac.a, fac.r, fac.r, fac.dx)
 
 
+def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
+                         centers: np.ndarray) -> np.ndarray:
+    """Mixed partials d1^i d2^j K(c_p, c_q) between generators (i, c), the
+    dense reference for ``estimator.GapGram``."""
+    out = np.empty((orders.size,) * 2)
+    for oi in np.unique(orders):
+        for oj in np.unique(orders):
+            mi, mj = orders == oi, orders == oj
+            out[np.ix_(mi, mj)] = kernel.gram(centers[mi], centers[mj],
+                                              i=int(oi), j=int(oj))
+    return out
+
+
+def dense_generator_grams(problem: EstimationProblem,
+                          fac: SectionFactors) -> dict[str, np.ndarray]:
+    """Dense generator Grams K~ by learned function ("V", "W", and "U")."""
+    grams = {"V": dense_generator_gram(problem.kernel1, *fac.plain_generators()),
+             "W": dense_generator_gram(problem.kernel2, *fac.convolved_generators())}
+    if problem.learn_internal:
+        grams["U"] = dense_generator_gram(problem.kernel3, *fac.plain_generators())
+    return grams
+
+
 def section_grams(problem: EstimationProblem,
                   factors: SectionFactors | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Dense unweighted section Grams (plain, convolved); small problems only."""
@@ -94,15 +117,14 @@ def section_grams(problem: EstimationProblem,
         )
     fac = factors or build_factors(problem)
     F1, F2 = dense_factors(fac)
-    G1 = F1 @ fac.K1t @ F1.T
-    G2 = F2 @ fac.K2t @ F2.T
-    return G1, G2
+    grams = dense_generator_grams(problem, fac)
+    return F1 @ grams["V"] @ F1.T, F2 @ grams["W"] @ F2.T
 
 
-def internal_section_gram(fac: SectionFactors) -> np.ndarray:
+def internal_section_gram(problem: EstimationProblem, fac: SectionFactors) -> np.ndarray:
     """Dense section Gram of the three-function variant's internal term."""
     F3 = _plain_factor(fac.a, fac.r)
-    return F3 @ fac.K3t @ F3.T
+    return F3 @ dense_generator_gram(problem.kernel3, *fac.plain_generators()) @ F3.T
 
 
 def assemble_gram(problem: EstimationProblem,
@@ -113,7 +135,7 @@ def assemble_gram(problem: EstimationProblem,
     C = fac.rho_flat
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        G3 = internal_section_gram(fac)
+        G3 = internal_section_gram(problem, fac)
         core = l2 * l3 * G1 + l1 * l3 * G2 + l1 * l2 * G3
     else:
         core = problem.lambda2 * G1 + problem.lambda1 * G2
@@ -162,7 +184,7 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     z = sla.cho_solve(sla.cho_factor(system, lower=True), rho * f)
     # name: (section Gram, coefficients, regularizer)
     if problem.learn_internal:
-        G3 = internal_section_gram(fac)
+        G3 = internal_section_gram(problem, fac)
         blocks = {"V": (G1, l2 * l3 * z, l1), "W": (G2, l1 * l3 * z, l2),
                   "U": (G3, l1 * l2 * z, l3)}
     else:

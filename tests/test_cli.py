@@ -264,6 +264,20 @@ class TestEstimate:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "meta_missing"
 
+    @pytest.mark.parametrize("sample", ["0", "inf"])
+    def test_invalid_sample_exit_2(self, tmp_path, data_dir, capsys, sample):
+        """A zero or infinite density sample is a data error, not a crash."""
+        csv = data_dir / "trajectory.csv"
+        rows = csv.read_text().splitlines()
+        rows[1] = ",".join([sample] + rows[1].split(",")[1:])
+        csv.write_text("\n".join(rows) + "\n")
+        rc = run(["estimate", "--data", csv,
+                  "--kernel1", KERNEL1, "--kernel2", KERNEL2,
+                  "--lambda1", "0.05", "--lambda2", "0.05", "--out", tmp_path / "x"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "data_invalid"
+
     def test_missing_kernel_exit_2(self, tmp_path, data_dir):
         rc = run(["estimate", "--data", data_dir / "trajectory.csv",
                   "--lambda1", "1", "--lambda2", "1", "--out", tmp_path / "x"])

@@ -29,6 +29,7 @@ from conftest import (
     apply_flow_operator,
     assemble_gram,
     dense_factors,
+    dense_generator_grams,
     dense_reference_solve,
     random_trajectory,
     section_grams,
@@ -70,6 +71,21 @@ class TestProblemValidation:
             EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
                               lambda1=1.0, lambda2=1.0,
                               kernel3=gaussian_kernel(0.2))
+
+    @pytest.mark.parametrize("override", ["f_override", "spatial_slope_override"])
+    def test_non_finite_override_rejected(self, override):
+        traj = random_trajectory()
+        values = np.ones_like(traj.values)
+        values[1, 2] = np.nan
+        with pytest.raises(EstimatorError, match=override):
+            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
+                              lambda1=1.0, lambda2=1.0, **{override: values})
+
+    def test_non_finite_woodbury_core_rejected(self):
+        core = np.eye(3)
+        core[0, 1] = core[1, 0] = np.inf
+        with pytest.raises(EstimatorError, match="non-finite"):
+            estimator._cholesky_with_jitter(core)
 
     def test_fisher_rejected(self):
         traj = random_trajectory()
@@ -291,6 +307,31 @@ smooth_kernels = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 40), k1=smooth_kernels, k2=smooth_kernels,
+       a=st.sampled_from([0.0, -0.7]), seed=st.integers(0, 999))
+def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
+    """Columns, diagonal and K~ beta of the plain and convolved gap Grams
+    equal the dense generator Grams of mixed partials."""
+    traj = random_trajectory(N=N, L=1, seed=seed, a=a, b=a + 1.0)
+    p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08)
+    fac = build_factors(p)
+    rng = np.random.default_rng(seed)
+    for gram, K, kernel in zip((fac.K1t, fac.K2t), dense_generator_grams(p, fac).values(),
+                               (k1, k2)):
+        assert gram.size == K.shape[0]
+        # the dense Gram rounds each center difference c_q - c_p (|c| <= 1)
+        # where the gaps use (q - p) dx: at most 2 eps off, on a profile
+        # whose slope is O(max |K~| / lengthscale)
+        tol = 8 * np.finfo(float).eps * np.max(np.abs(K)) / kernel.lengthscale
+        assert np.all(np.abs(gram.diagonal() - np.diag(K)) <= tol)
+        columns = np.stack([gram.column(q) for q in range(gram.size)], axis=1)
+        assert np.all(np.abs(columns - K) <= tol)
+        beta = rng.standard_normal(gram.size)
+        assert np.all(np.abs(gram.matvec(beta) - K @ beta)
+                      <= tol * np.abs(beta).sum() + 1e-13 * (np.abs(K) @ np.abs(beta)))
+
+
+@settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 24), L=st.integers(1, 4),
        mode=st.sampled_from([PERIODIC, TRUNCATED]),
        k1=smooth_kernels, k2=smooth_kernels, k3=st.none() | smooth_kernels,
@@ -304,9 +345,10 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     P, kept = stacked_factor(p, fac)
     F1, F2 = dense_factors(fac)
     l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
-    blocks = {"V": (fac.K1t, F1, l2 * l3), "W": (fac.K2t, F2, l1 * l3)}
+    grams = dense_generator_grams(p, fac)
+    blocks = {"V": (grams["V"], F1, l2 * l3), "W": (grams["W"], F2, l1 * l3)}
     if k3 is not None:
-        blocks["U"] = (fac.K3t, F1, l1 * l2)
+        blocks["U"] = (grams["U"], F1, l1 * l2)
     # each block drops eigenvalues up to 1e-14 lambda_max of its K~, so entry
     # (i, j) of P P' - G is bounded on the scale lambda_max |F_i| |F_j| rho_i rho_j
     scale = np.zeros((P.shape[0],) * 2)
@@ -361,6 +403,23 @@ def test_solve_peak_memory_below_one_dense_convolved_factor():
     finally:
         tracemalloc.stop()
     assert peak < dense_f2_bytes
+
+
+def test_solve_peak_memory_below_half_a_dense_generator_gram():
+    """At N=1024, L=4 the solve never forms a (4N-2) x (4N-2) generator Gram:
+    K~2 is held as gap vectors and factored column by column."""
+    N, L = 1024, 4
+    rng = np.random.default_rng(0)
+    traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
+    p = EstimationProblem(traj, gaussian_kernel(0.2), imq_kernel(0.25, beta=1.5),
+                          lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
+    tracemalloc.start()
+    try:
+        solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * N - 2) ** 2 * 8 / 2
 
 
 def test_solve_peak_memory_below_one_stacked_factor():

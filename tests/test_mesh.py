@@ -50,8 +50,9 @@ class TestMesh:
 
     def test_positivity_required(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 3, 1)
-        with pytest.raises(MeshError):
-            DensityTrajectory(mesh, np.array([[1.0, 0.0, 1.0]]))
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(MeshError):
+                DensityTrajectory(mesh, np.array([[1.0, bad, 1.0]]))
 
     def test_mass_warning(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 4, 1)
