@@ -36,6 +36,7 @@ from .analysis import (
 from .estimator import EstimationProblem, EstimatorError, solve, stationarity_residual
 from .flows import (
     EnergySpec,
+    PeriodicityError,
     SmoothFunction,
     gradient_flow_simulate,
     hamiltonian_flow_simulate,
@@ -276,9 +277,12 @@ def cmd_simulate(args) -> int:
             )
         elif kind == "hamiltonian":
             phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
-            traj, diag = hamiltonian_flow_simulate(
-                rho0, phi0, spec, mesh, dt_solver=cfg.get("dt_solver"),
-            )
+            try:
+                traj, diag = hamiltonian_flow_simulate(
+                    rho0, phi0, spec, mesh, dt_solver=cfg.get("dt_solver"),
+                )
+            except PeriodicityError as exc:
+                raise ConfigError("w_not_periodic", f"energy.W: {exc}") from None
         else:
             raise ConfigError("config_invalid", f"unknown flow kind {kind!r}")
         run.mark("simulate")
@@ -474,9 +478,14 @@ def cmd_stability(args) -> int:
                   function_from_spec(require(est_cfg, "W"), "estimate W"))
                  for est_cfg in estimates]
         t0 = time.perf_counter()
-        records = stability_experiment((truth_v, truth_w), pairs, mu0, phi0, mesh,
-                                       n_quantiles=int(cfg.get("n_quantiles", 512)),
-                                       dt_solver=cfg.get("dt_solver"))
+        try:
+            records = stability_experiment(
+                (truth_v, truth_w), pairs, mu0, phi0, mesh,
+                n_quantiles=int(cfg.get("n_quantiles", 512)),
+                dt_solver=cfg.get("dt_solver"))
+        except PeriodicityError as exc:
+            raise ConfigError("w_not_periodic",
+                              f"truth_w or an estimate's W: {exc}") from None
         seconds = time.perf_counter() - t0
         run.timings["true flow"] = seconds - sum(r["wall_s"] for r in records)
         rows = []

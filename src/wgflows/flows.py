@@ -26,6 +26,24 @@ q'' = -(V + W conv rho)'(q) with the mean-field convolution carried by fixed
 particle masses, stepped by velocity Verlet; the density is recovered from
 the 1-D push-forward rule rho_t(q_i) * dq_i/dx = mu0(x_i) and resampled onto
 the grid through monotone interpolation of the transport map.
+
+On the torus of length L the interaction force goes through the Fourier
+series of W', W'(d) = Re sum_k w_k c_k exp(i omega_k d) with omega_k =
+2 pi k / L and weights w = (1, 2, 2, ...), so a Verlet step costs O(n K)
+for n particles and K modes instead of n^2 kernel sums:
+
+    sum_j m_j W'(q_i - q_j)
+        = Re sum_k w_k c_k exp(i omega_k q_i) sum_j m_j exp(-i omega_k q_j).
+
+The coefficients are built once per simulation from P samples of W' at the
+minimal images of p L / P, P = 32, 64, ..., until the modes k >= P/4 are
+within 4 eps of the largest; the modes k < P/4 are kept.  W' must therefore
+be periodic and smooth on the torus (a W wrapped with its domain length as
+period); a W' whose series has not converged at P = 2^16 is rejected with
+``PeriodicityError`` before the first step.  A smooth periodic W' has
+exponentially decaying coefficients (Trefethen & Weideman, SIAM Review
+2014), so a few modes reach roundoff: K = 8 for a wrapped Gaussian of
+lengthscale 0.25 on the unit torus.
 """
 
 from __future__ import annotations
@@ -53,6 +71,11 @@ _MEAN_TOL = 1e-8
 
 class FlowError(RuntimeError):
     """Solver failure: CFL violation, particle crossing, singular system."""
+
+
+class PeriodicityError(FlowError):
+    """The Fourier series of an interaction kernel's W' did not converge on
+    the torus: W' is not periodic and smooth there, or is lost in roundoff."""
 
 
 # ---------------------------------------------------------------------------
@@ -418,39 +441,80 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
     return diff - length * np.round(diff / length)
 
 
-_PAIR_BLOCK = 4096  # pair differences per block of the particle interaction
+_PAIR_BLOCK = 4096  # pair differences per block of the particle energy
 
 
-def _pair_sums(qw: np.ndarray, masses: np.ndarray, W, order: int,
-               length: float) -> np.ndarray:
-    """sum_j m_j W^(order)(q_i - q_j) for every particle i.
+def _pair_sums(qw: np.ndarray, masses: np.ndarray, W, length: float) -> np.ndarray:
+    """sum_j m_j W(q_i - q_j) for every particle i.
 
     Pair differences use the minimal image, which is exact for periodic W.
     The pairs are evaluated over row blocks of about _PAIR_BLOCK pairs,
-    which bounds the (pairs x generators) temporaries of a kernel-sum W; at
-    n x n they are large enough to be mapped afresh from the operating
-    system at every step.
+    which bounds the (pairs x generators) temporaries of a kernel-sum W.
     """
     sums = np.empty_like(qw)
     rows = max(1, _PAIR_BLOCK // qw.size)
     for lo in range(0, qw.size, rows):
         diff = _minimal_image(qw[lo:lo + rows, None] - qw[None, :], length)
-        sums[lo:lo + rows] = np.asarray(W.value(diff, order=order), dtype=float) @ masses
+        sums[lo:lo + rows] = np.asarray(W.value(diff), dtype=float) @ masses
     return sums
 
 
-def _particle_force(q: np.ndarray, masses: np.ndarray, spec: EnergySpec,
-                    a: float, length: float) -> np.ndarray:
+_SERIES_START = 32       # first sample count of the W' series
+_SERIES_LIMIT = 2**16    # last sample count tried before W' is rejected
+
+
+class InteractionSeries:
+    """Truncated Fourier series of W' on a torus of length ``length``.
+
+    Samples W' at the minimal images of p L / P for P = 32, 64, ..., and
+    stops at the first P whose modes k >= P/4 are at most 4 eps times the
+    largest mode; the modes k < P/4 are kept, already multiplied by their
+    weights (1, 2, 2, ...) of the real series.  ``PeriodicityError`` when
+    no P up to 2^16 qualifies.
+    """
+
+    def __init__(self, W, length: float):
+        P = _SERIES_START
+        while True:
+            d = _minimal_image(length * np.arange(P) / P, length)
+            c = np.fft.rfft(np.asarray(W.value(d, order=1), dtype=float)) / P
+            peak = float(np.max(np.abs(c)))
+            tail = float(np.max(np.abs(c[P // 4:])))
+            if tail <= 4.0 * np.finfo(float).eps * peak:
+                break
+            if P == _SERIES_LIMIT:
+                raise PeriodicityError(
+                    f"the Fourier series of W' on the torus of length "
+                    f"{length:g} has not converged at {P} samples: its modes "
+                    f"above {P // 4} still reach {tail / peak:.2g} of the "
+                    f"largest; W' is not periodic and smooth there (wrap W "
+                    f"with the domain length as its period), or is lost in "
+                    f"the roundoff of its own terms"
+                )
+            P *= 2
+        self.coeffs = c[:P // 4]
+        self.coeffs[1:] *= 2.0
+        self.omega = 2.0 * np.pi / length * np.arange(P // 4)
+
+    def pair_sums(self, q: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        """sum_j m_j W'(q_i - q_j) for every particle i; q need not be wrapped."""
+        phase = np.exp(1j * np.multiply.outer(q, self.omega))
+        return (phase @ (self.coeffs * np.conj(masses @ phase))).real
+
+
+def _particle_force(q: np.ndarray, masses: np.ndarray, V,
+                    series: InteractionSeries | None, a: float,
+                    length: float) -> np.ndarray:
     """Acceleration -(V + W conv rho)'(q) with mean-field particle masses.
 
-    Positions are wrapped, which is exact for periodic V and W.
+    V is evaluated at the wrapped positions, which is exact for periodic V;
+    the interaction comes from the Fourier series of W'.
     """
-    qw = _wrap(q, a, length)
     force = np.zeros_like(q)
-    if spec.V is not None:
-        force -= np.asarray(spec.V.value(qw, order=1), dtype=float)
-    if spec.W is not None:
-        force -= _pair_sums(qw, masses, spec.W, 1, length)
+    if V is not None:
+        force -= np.asarray(V.value(_wrap(q, a, length), order=1), dtype=float)
+    if series is not None:
+        force -= series.pair_sums(q, masses)
     return force
 
 
@@ -496,10 +560,14 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     """Integrate the Hamiltonian flow on the torus by velocity Verlet.
 
     Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
-    fixed quadrature masses mu0(x_i) dx.  The density samples at the data
-    times come from the 1-D push-forward rule; the diagnostics count, per
-    data time, the grid nodes where that density was raised to
-    DENSITY_FLOOR.  Requires U = none.
+    fixed quadrature masses mu0(x_i) dx.  The interaction force comes from
+    the Fourier series of W' (``InteractionSeries``), built once before the
+    first step, so each step costs O(n K) for n particles and K modes; W'
+    must be periodic on the torus, else ``PeriodicityError``.  The density
+    samples at the data times come from the 1-D push-forward rule; the
+    diagnostics count, per data time, the grid nodes where that density was
+    raised to DENSITY_FLOOR, and record the kept mode count of W' (0
+    without W).  Requires U = none.
     """
     if spec.U.kind != NONE:
         raise FlowError("Hamiltonian characteristics require U = none")
@@ -507,6 +575,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     if mu0.shape != (mesh.N,):
         raise FlowError(f"initial density must have {mesh.N} values")
     length = mesh.domain_length
+    series = None if spec.W is None else InteractionSeries(spec.W, length)
     q = mesh.x.astype(float).copy()
     v = field_on_grid(phi0, q, order=1)
     masses = mu0 * mesh.dx
@@ -516,7 +585,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     samples = np.empty((mesh.L, mesh.N))
     floor_hits = []
     time = 0.0
-    force = _particle_force(q, masses, spec, mesh.a, length)
+    force = _particle_force(q, masses, spec.V, series, mesh.a, length)
     kinetic0 = 0.5 * float(masses @ v**2)
     for l in range(mesh.L):
         target = mesh.t[l]
@@ -524,7 +593,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
         dt = (target - time) / n_sub
         for _ in range(n_sub):
             q = q + dt * v + 0.5 * dt**2 * force
-            new_force = _particle_force(q, masses, spec, mesh.a, length)
+            new_force = _particle_force(q, masses, spec.V, series, mesh.a, length)
             v = v + 0.5 * dt * (force + new_force)
             force = new_force
             time += dt
@@ -543,6 +612,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
         "kinetic_final": 0.5 * float(masses @ v**2),
         "energy_final": particle_energy(q, v, masses, spec, mesh),
         "floor_hits": floor_hits,
+        "interaction_modes": 0 if series is None else series.omega.size,
     }
     return traj, diagnostics
 
@@ -556,5 +626,5 @@ def particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray,
     if spec.V is not None:
         total += float(masses @ np.asarray(spec.V.value(qw), dtype=float))
     if spec.W is not None:
-        total += 0.5 * float(masses @ _pair_sums(qw, masses, spec.W, 0, length))
+        total += 0.5 * float(masses @ _pair_sums(qw, masses, spec.W, length))
     return total

@@ -42,6 +42,12 @@ def simulate_config(out, N=24, L=5, kind="gradient"):
     return cfg
 
 
+WRAPPED_W = {"type": "kernel_sum",
+             "kernel": {"family": "gaussian", "lengthscale": 0.25},
+             "centers": [-0.2, 0.2], "weights": [0.02, -0.02],
+             "wrap_period": 1.0}
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -72,6 +78,17 @@ class TestSimulate:
         assert np.all(traj.values > 0)
         info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
         assert info["diagnostics"]["floor_hits"] == [0] * 5
+        assert info["diagnostics"]["interaction_modes"] == 0
+
+    def test_hamiltonian_records_interaction_modes(self, tmp_path):
+        # a wrapped Gaussian W of lengthscale 0.25 converges at 32 samples
+        cfg = simulate_config(tmp_path / "ham", kind="hamiltonian")
+        cfg["energy"]["W"] = WRAPPED_W
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 0
+        info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
+        assert info["diagnostics"]["interaction_modes"] == 8
 
     def test_hamiltonian_floor_hits_per_output_time(self, tmp_path):
         # a bump without a uniform part has tails far below DENSITY_FLOOR
@@ -106,10 +123,7 @@ def stability_config(out):
                "kernel": {"family": "gaussian", "lengthscale": 0.25},
                "centers": [0.3, 0.7], "weights": [0.04, -0.04],
                "wrap_period": 1.0}
-    truth_w = {"type": "kernel_sum",
-               "kernel": {"family": "gaussian", "lengthscale": 0.25},
-               "centers": [-0.2, 0.2], "weights": [0.02, -0.02],
-               "wrap_period": 1.0}
+    truth_w = WRAPPED_W
 
     def perturbed(eps):
         out = json.loads(json.dumps(truth_v))
@@ -199,6 +213,32 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
+
+
+# W' must be periodic on the torus for the Hamiltonian force series
+NONPERIODIC_W = {
+    "kernel_sum_without_wrap_period": {k: v for k, v in WRAPPED_W.items()
+                                       if k != "wrap_period"},
+    "one_copy_of_wide_gaussian": {**WRAPPED_W, "wrap_copies": 1,
+                                  "kernel": {"family": "gaussian", "lengthscale": 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", NONPERIODIC_W)
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_nonperiodic_w_exits_2(tmp_path, capsys, command, case):
+    if command == "simulate":
+        cfg = simulate_config(tmp_path / "run", kind="hamiltonian")
+        cfg["energy"]["W"] = NONPERIODIC_W[case]
+    else:
+        cfg = stability_config(tmp_path / "run")
+        cfg["estimates"][1]["W"] = NONPERIODIC_W[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run([command, "--config", cfg_path]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "w_not_periodic"
+    assert "W" in err["message"]
 
 
 class TestEstimate:

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgflows.analysis import wrap_periodic
 from wgflows.flows import (
     DENSITY_FLOOR,
     EnergySpec,
     FlowError,
     FlowState,
+    InteractionSeries,
     InternalEnergy,
     NO_INTERNAL_ENERGY,
+    PeriodicityError,
     SmoothFunction,
     christoffel_term,
     free_energy,
@@ -21,9 +24,11 @@ from wgflows.flows import (
     weighted_laplacian_apply,
     weighted_laplacian_pinv,
 )
-from wgflows.kernels import gaussian_kernel
+from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh, space_integral
 from wgflows.rkhs import RkhsFunction
+
+from conftest import dense_pair_force
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -379,6 +384,39 @@ class TestHamiltonianFlow:
         got = particle_energy(q, v, masses, EnergySpec(W=W), mesh)
         assert got == pytest.approx(dense, rel=1e-13)
 
+    def test_kernel_evaluations_independent_of_step_count(self, monkeypatch):
+        # W' is evaluated once, for its Fourier series, not at every step
+        calls = []
+        evaluate = SmoothKernel.eval
+
+        def counting(kernel, *args, **kwargs):
+            calls.append(args)
+            return evaluate(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(SmoothKernel, "eval", counting)
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 32, 4)
+        mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
+        spec = EnergySpec(W=ana_wrapped_potential())
+
+        def count(dt):
+            calls.clear()
+            hamiltonian_flow_simulate(mu0, SmoothFunction.cosine_sum(1.0, [0.05], [1]),
+                                      spec, mesh, dt_solver=dt)
+            return len(calls)
+
+        assert count(2e-3) == count(1e-3) > 0
+
+    def test_unpaired_heavy_tailed_interaction_rejected(self):
+        # 64 wrapped copies of an IMQ with beta = 0.6 leave a jump of 3e-5
+        # of its peak in W' across the period boundary, so the series never
+        # reaches roundoff
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
+        W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]),
+                          1.0)
+        with pytest.raises(PeriodicityError, match="W' is not periodic"):
+            hamiltonian_flow_simulate(np.ones(16), SmoothFunction.zero(),
+                                      EnergySpec(W=W), mesh)
+
     def test_internal_energy_rejected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         with pytest.raises(FlowError):
@@ -393,8 +431,52 @@ class TestHamiltonianFlow:
             hamiltonian_flow_simulate(mu0, phase, EnergySpec(), mesh)
 
 
-def ana_wrapped_potential():
-    from wgflows.analysis import wrap_periodic
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "imq"]),
+       lengthscale=st.floats(0.03, 0.5), beta=st.floats(0.5, 3.0, exclude_min=True),
+       centers=st.integers(1, 3), n=st.integers(1, 256),
+       a=st.floats(-1.0, 1.0), length=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, n,
+                                            a, length, seed):
+    """The spectral interaction sum equals the direct minimal-image sum to
+    64 eps sum_j m_j S, on tori of any offset and length (the lengthscale
+    is drawn relative to the length) and for unwrapped positions anywhere
+    in one period.
 
+    S = max_d sum_g |w_g K'(c_g, d)| is the roundoff scale of evaluating
+    W' generator by generator, as both sums do; it is max|W'| unless the
+    generators cancel.  Where they cancel by more than 16x (S > 16
+    max|W'|), the roundoff of the samples can stay above the series'
+    stopping threshold, and the series may reject W.  An IMQ W is drawn
+    as mirrored pairs (c, w), (-c, -w): odd, so the 64 wrapped copies
+    leave W' continuous across the period boundary, which its heavy tail
+    otherwise does not (see the rejection test above).
+    """
+    rng = np.random.default_rng(seed)
+    kernel = (gaussian_kernel(lengthscale * length) if family == "gaussian"
+              else imq_kernel(lengthscale * length, beta))
+    c = length * (rng.random(centers) - 0.5)
+    w = rng.standard_normal(centers)
+    if family == "imq":
+        c, w = np.concatenate([c, -c]), np.concatenate([w, -w])
+    W = wrap_periodic(RkhsFunction.from_points(kernel, c, w), length)
+    grid = length * (np.arange(4096) / 4096 - 0.5)
+    w1_max = float(np.max(np.abs(W.value(grid, order=1))))
+    w1_terms = float(np.max(np.abs(kernel.eval(0, 1, W.centers, grid[:, None]))
+                            @ np.abs(W.coeffs)))
+    try:
+        series = InteractionSeries(W, length)
+    except PeriodicityError:
+        assert w1_terms > 16 * w1_max
+        return
+    q = a + length * rng.random(n)
+    masses = rng.random(n)
+    got = series.pair_sums(q, masses)
+    bound = 64 * np.finfo(float).eps * masses.sum() * w1_terms
+    assert np.max(np.abs(got - dense_pair_force(q, masses, W, length))) <= bound
+
+
+def ana_wrapped_potential():
     base = RkhsFunction.from_points(gaussian_kernel(0.2), [0.3, 0.7], [0.1, -0.1])
     return wrap_periodic(base, 1.0)
