@@ -22,8 +22,10 @@ import numpy as np
 from .estimator import EstimationProblem, EstimatorResult, solve
 from .flows import (
     EnergySpec,
+    InteractionSeries,
     InternalEnergy,
     NO_INTERNAL_ENERGY,
+    PeriodicityError,
     gradient_flow_simulate,
     hamiltonian_flow_simulate,
 )
@@ -340,16 +342,28 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
     discrepancy weighted by the C^2-embedding constants of the two kernels.
     The true flow is simulated once and shared by every comparison; each
     record's ``wall_s`` is the time of that estimate's flow and comparison.
+    The force series of every W is built before any flow starts, so a W
+    that is not periodic on the torus raises ``PeriodicityError`` naming
+    it ("truth W" or "estimate i W") without simulating anything.
     """
+    specs = [EnergySpec(V=v, W=w) for v, w in [truth, *estimates]]
+    names = ["truth"] + [f"estimate {i}" for i in range(len(estimates))]
+    series = []
+    for name, spec in zip(names, specs):
+        try:
+            series.append(None if spec.W is None
+                          else InteractionSeries(spec.W, mesh.domain_length))
+        except PeriodicityError as exc:
+            raise PeriodicityError(f"{name} W: {exc}") from None
     traj_true, _ = hamiltonian_flow_simulate(
-        mu0, phi0, EnergySpec(V=truth[0], W=truth[1]), mesh, dt_solver)
+        mu0, phi0, specs[0], mesh, dt_solver, series=series[0])
     kappa1 = np.sqrt(2.0 * truth[0].kernel.sup_norm_c4(mesh.a, mesh.b))
     kappa2 = np.sqrt(2.0 * truth[1].kernel.sup_norm_c4(mesh.a, mesh.b))
     records = []
-    for estimate in estimates:
+    for estimate, spec, est_series in zip(estimates, specs[1:], series[1:]):
         t0 = time.perf_counter()
         traj_est, _ = hamiltonian_flow_simulate(
-            mu0, phi0, EnergySpec(V=estimate[0], W=estimate[1]), mesh, dt_solver)
+            mu0, phi0, spec, mesh, dt_solver, series=est_series)
         w2 = [
             wasserstein2_1d(traj_true.values[l], traj_est.values[l], mesh,
                             n_quantiles=n_quantiles, periodic=True)

@@ -484,8 +484,7 @@ def cmd_stability(args) -> int:
                 n_quantiles=int(cfg.get("n_quantiles", 512)),
                 dt_solver=cfg.get("dt_solver"))
         except PeriodicityError as exc:
-            raise ConfigError("w_not_periodic",
-                              f"truth_w or an estimate's W: {exc}") from None
+            raise ConfigError("w_not_periodic", str(exc)) from None
         seconds = time.perf_counter() - t0
         run.timings["true flow"] = seconds - sum(r["wall_s"] for r in records)
         rows = []

@@ -28,22 +28,31 @@ the 1-D push-forward rule rho_t(q_i) * dq_i/dx = mu0(x_i) and resampled onto
 the grid through monotone interpolation of the transport map.
 
 On the torus of length L the interaction force goes through the Fourier
-series of W', W'(d) = Re sum_k w_k c_k exp(i omega_k d) with omega_k =
-2 pi k / L and weights w = (1, 2, 2, ...), so a Verlet step costs O(n K)
-for n particles and K modes instead of n^2 kernel sums:
+series of W'.  On [-L/2, L/2] write W'(d) = f(d) + J1 d/L + J2 d^2/(2L),
+with J1 and J2 the jumps of W' and W'' across the period boundary (a
+truncated wrap of a heavy-tailed kernel leaves small ones), so that f and
+f' are continuous on the torus.  f(d) = Re sum_k w_k c_k exp(i omega_k d)
+with omega_k = 2 pi k / L and weights w = (1, 2, 2, ...), so
 
-    sum_j m_j W'(q_i - q_j)
-        = Re sum_k w_k c_k exp(i omega_k q_i) sum_j m_j exp(-i omega_k q_j).
+    sum_j m_j f(q_i - q_j)
+        = Re sum_k w_k c_k exp(i omega_k q_i) sum_j m_j exp(-i omega_k q_j),
 
-The coefficients are built once per simulation from P samples of W' at the
-minimal images of p L / P, P = 32, 64, ..., until the modes k >= P/4 are
-within 4 eps of the largest; the modes k < P/4 are kept.  W' must therefore
-be periodic and smooth on the torus (a W wrapped with its domain length as
-period); a W' whose series has not converged at P = 2^16 is rejected with
-``PeriodicityError`` before the first step.  A smooth periodic W' has
-exponentially decaying coefficients (Trefethen & Weideman, SIAM Review
-2014), so a few modes reach roundoff: K = 8 for a wrapped Gaussian of
-lengthscale 0.25 on the unit torus.
+and the two polynomial terms are sums of the first two powers of the
+minimal-image differences, which one sort and prefix sums give.  A Verlet
+step then costs O(n K + n log n) for n particles and K modes instead of
+n^2 kernel sums.  This pays while K is small against n times the number
+of kernel terms of W (K = 8 against 96 x 18 on the benchmark's flow).
+
+The coefficients are built once per simulation from P samples of f at the
+minimal images of p L / P, P = 32, 64, ..., until the modes k < P/4
+reproduce the samples to 32 eps times the size of the terms of W' (the
+scale of the roundoff of the samples); those modes are kept.  A W' that is
+not smooth on the torus beyond those two jumps (a W not wrapped with its
+domain length as period, or with too few copies) has not converged at
+P = 2^16 and is rejected with ``PeriodicityError`` before the first step.
+A smooth periodic f has exponentially decaying coefficients (Trefethen &
+Weideman, SIAM Review 2014), so a few modes reach roundoff: K = 8 for a
+wrapped Gaussian of lengthscale 0.25 on the unit torus.
 """
 
 from __future__ import annotations
@@ -168,6 +177,10 @@ class SmoothFunction:
             raise ValueError(f"{self.description} has no order-{order} derivative")
         out = self._derivs[order](np.asarray(x, dtype=float))
         return float(out) if np.ndim(out) == 0 else out
+
+    def magnitude(self, x, order: int = 0):
+        """|value|: a closed form has no terms of its own to size its roundoff."""
+        return np.abs(self.value(x, order=order))
 
     def __call__(self, x, order: int = 0):
         return self.value(x, order=order)
@@ -461,45 +474,142 @@ def _pair_sums(qw: np.ndarray, masses: np.ndarray, W, length: float) -> np.ndarr
 
 _SERIES_START = 32       # first sample count of the W' series
 _SERIES_LIMIT = 2**16    # last sample count tried before W' is rejected
+_JUMP_TOL = 1e-2         # largest jump of W' or W'' across the period boundary,
+                         # relative to the size of its terms, taken for the
+                         # truncation of a periodic wrap
+_SERIES_TOL = 32.0       # allowed miss of the series at its samples, in eps
+                         # times the size of the terms of W'
+_PHASE_BLOCK = 2**19     # particle x mode entries per block of the phase matrix
+
+
+def _seam_sums(q: np.ndarray, masses: np.ndarray,
+               length: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j m_j mi(q_i - q_j) and sum_j m_j mi(q_i - q_j)^2 for every
+    particle i, mi the minimal image, in O(n log n).
+
+    With x the positions wrapped into [-L/2, L/2), mi(x_i - x_j) is
+    x_i - x_j, less L where x_j < x_i - L/2 and plus L where
+    x_j > x_i + L/2; the mass and first moment on either side come from
+    one sort and prefix sums.
+    """
+    x = np.mod(q, length) - 0.5 * length
+    order = np.argsort(x)
+    xs = x[order]
+    cum_m = np.concatenate([[0.0], np.cumsum(masses[order])])
+    cum_mx = np.concatenate([[0.0], np.cumsum(masses[order] * xs)])
+    lo = np.searchsorted(xs, x - 0.5 * length, side="left")
+    hi = np.searchsorted(xs, x + 0.5 * length, side="right")
+    m_below, mx_below = cum_m[lo], cum_mx[lo]
+    m_above, mx_above = cum_m[-1] - cum_m[hi], cum_mx[-1] - cum_mx[hi]
+    total, first, second = cum_m[-1], cum_mx[-1], float(masses @ x**2)
+    linear = total * x - first - length * (m_below - m_above)
+    quadratic = (total * x**2 - 2.0 * x * first + second
+                 + 2.0 * length * ((x * m_above - mx_above) - (x * m_below - mx_below))
+                 + length**2 * (m_above + m_below))
+    return linear, quadratic
 
 
 class InteractionSeries:
-    """Truncated Fourier series of W' on a torus of length ``length``.
+    """W' on a torus of length ``length``: a truncated Fourier series plus
+    the polynomials that carry its jumps across the period boundary.
 
-    Samples W' at the minimal images of p L / P for P = 32, 64, ..., and
-    stops at the first P whose modes k >= P/4 are at most 4 eps times the
-    largest mode; the modes k < P/4 are kept, already multiplied by their
+    On [-L/2, L/2], W'(d) = f(d) + J1 d / L + J2 d^2 / (2 L) with
+    J1 = W'(L/2) - W'(-L/2) and J2 = W''(L/2) - W''(-L/2), so f and f'
+    are continuous on the torus even where W' and W'' are not (the
+    truncated wrap of a heavy-tailed kernel leaves them jumps of up to
+    about 1e-4 of the size of their terms).  f is sampled at the minimal
+    images of p L / P for P = 32, 64, ..., and the first P whose modes
+    k < P/4 reproduce the samples to _SERIES_TOL eps times the size of
+    the terms of W' (``W.magnitude``, the scale of the samples' roundoff)
+    stops the search; those modes are kept, already multiplied by their
     weights (1, 2, 2, ...) of the real series.  ``PeriodicityError`` when
-    no P up to 2^16 qualifies.
+    no P up to 2^16 qualifies, or when a jump exceeds _JUMP_TOL of the
+    size of its terms: W is then not wrapped with the domain length as its
+    period, or with too few copies.
     """
 
     def __init__(self, W, length: float):
+        ends = np.array([0.5, -0.5]) * length
+        self.jumps = tuple(float(w[0] - w[1]) for w in
+                           (np.asarray(W.value(ends, order=k), dtype=float) for k in (1, 2)))
+        self.length = length
         P = _SERIES_START
         while True:
             d = _minimal_image(length * np.arange(P) / P, length)
-            c = np.fft.rfft(np.asarray(W.value(d, order=1), dtype=float)) / P
-            peak = float(np.max(np.abs(c)))
-            tail = float(np.max(np.abs(c[P // 4:])))
-            if tail <= 4.0 * np.finfo(float).eps * peak:
+            f = (np.asarray(W.value(d, order=1), dtype=float)
+                 - self.jumps[0] / length * d - self.jumps[1] / (2.0 * length) * d**2)
+            c = np.fft.rfft(f) / P
+            c[P // 4:] = 0.0
+            scale = float(np.max(W.magnitude(d, order=1)))
+            miss = float(np.max(np.abs(np.fft.irfft(c, n=P) * P - f)))
+            if miss <= _SERIES_TOL * np.finfo(float).eps * scale:
                 break
             if P == _SERIES_LIMIT:
                 raise PeriodicityError(
                     f"the Fourier series of W' on the torus of length "
-                    f"{length:g} has not converged at {P} samples: its modes "
-                    f"above {P // 4} still reach {tail / peak:.2g} of the "
-                    f"largest; W' is not periodic and smooth there (wrap W "
-                    f"with the domain length as its period), or is lost in "
-                    f"the roundoff of its own terms"
+                    f"{length:g} has not converged at {P} samples: its first "
+                    f"{P // 4} modes miss the samples by {miss / scale:.2g} "
+                    f"of the size of the terms of W'; W' is not smooth "
+                    f"across the period boundary (wrap W with the domain "
+                    f"length as its period)"
                 )
             P *= 2
+        sizes = (scale, float(np.max(W.magnitude(d, order=2))))
+        for name, jump, size in zip(("W'", "W''"), self.jumps, sizes):
+            if abs(jump) > _JUMP_TOL * size:
+                raise PeriodicityError(
+                    f"{name} jumps by {abs(jump) / size:.2g} of the size of "
+                    f"its terms across the period boundary of the torus of "
+                    f"length {length:g}, more than the {_JUMP_TOL:g} a "
+                    f"truncated periodic wrap leaves; W is not periodic there "
+                    f"(wrap W with the domain length as its period and enough "
+                    f"copies)"
+                )
+        # a jump within the roundoff of its terms is dropped with its seam
+        # sum, which moves W' by at most 2 eps times the size of its terms
+        self.jumps = tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size else j
+                           for j, size in zip(self.jumps, sizes))
         self.coeffs = c[:P // 4]
         self.coeffs[1:] *= 2.0
         self.omega = 2.0 * np.pi / length * np.arange(P // 4)
 
+    def _phase(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of omega_k q_i, (particles x modes)."""
+        angle = np.multiply.outer(q, self.omega)
+        return np.cos(angle), np.sin(angle)
+
     def pair_sums(self, q: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        """sum_j m_j W'(q_i - q_j) for every particle i; q need not be wrapped."""
-        phase = np.exp(1j * np.multiply.outer(q, self.omega))
-        return (phase @ (self.coeffs * np.conj(masses @ phase))).real
+        """sum_j m_j W'(mi(q_i - q_j)) for every particle i; q need not be
+        wrapped.
+
+        With M_k = sum_j m_j exp(i omega_k q_j) = Mc_k + i Ms_k, the series
+        part is Re sum_k c_k exp(i omega_k q_i) conj(M_k), done in real
+        arithmetic on the cos and sin matrices.  These are formed over row
+        blocks of about _PHASE_BLOCK entries, each block twice (once for
+        M, once for the sums) when there is more than one.
+        """
+        rows = max(1, _PHASE_BLOCK // self.omega.size)
+        blocks = [slice(lo, lo + rows) for lo in range(0, q.size, rows)]
+        first = self._phase(q[blocks[0]])
+        mass_cos = masses[blocks[0]] @ first[0]
+        mass_sin = masses[blocks[0]] @ first[1]
+        for blk in blocks[1:]:
+            cos, sin = self._phase(q[blk])
+            mass_cos += masses[blk] @ cos
+            mass_sin += masses[blk] @ sin
+        # c_k conj(M_k) = u_k + i v_k
+        u = self.coeffs.real * mass_cos + self.coeffs.imag * mass_sin
+        v = self.coeffs.imag * mass_cos - self.coeffs.real * mass_sin
+        sums = np.empty(q.size)
+        sums[blocks[0]] = first[0] @ u - first[1] @ v
+        for blk in blocks[1:]:
+            cos, sin = self._phase(q[blk])
+            sums[blk] = cos @ u - sin @ v
+        if any(self.jumps):
+            linear, quadratic = _seam_sums(q, masses, self.length)
+            sums += (self.jumps[0] / self.length * linear
+                     + self.jumps[1] / (2.0 * self.length) * quadratic)
+        return sums
 
 
 def _particle_force(q: np.ndarray, masses: np.ndarray, V,
@@ -556,14 +666,17 @@ def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
 
 def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
                               mesh: SpaceTimeMesh, dt_solver: float | None = None,
+                              series: InteractionSeries | None = None,
                               ) -> tuple[DensityTrajectory, dict]:
     """Integrate the Hamiltonian flow on the torus by velocity Verlet.
 
     Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
     fixed quadrature masses mu0(x_i) dx.  The interaction force comes from
     the Fourier series of W' (``InteractionSeries``), built once before the
-    first step, so each step costs O(n K) for n particles and K modes; W'
-    must be periodic on the torus, else ``PeriodicityError``.  The density
+    first step (or passed in as ``series``, built from ``spec.W`` on this
+    mesh's torus), so each step costs O(n K + n log n) for n particles and
+    K modes; W' must be smooth on the torus apart from jumps of W' and W''
+    across the period boundary, else ``PeriodicityError``.  The density
     samples at the data times come from the 1-D push-forward rule; the
     diagnostics count, per data time, the grid nodes where that density was
     raised to DENSITY_FLOOR, and record the kept mode count of W' (0
@@ -575,7 +688,8 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     if mu0.shape != (mesh.N,):
         raise FlowError(f"initial density must have {mesh.N} values")
     length = mesh.domain_length
-    series = None if spec.W is None else InteractionSeries(spec.W, length)
+    if series is None and spec.W is not None:
+        series = InteractionSeries(spec.W, length)
     q = mesh.x.astype(float).copy()
     v = field_on_grid(phi0, q, order=1)
     masses = mu0 * mesh.dx

@@ -217,13 +217,24 @@ class RkhsFunction:
 
     def value(self, x, order: int = 0):
         """Evaluate the function (or its order-th derivative) at x."""
+        return self._generator_sum(x, order, absolute=False)
+
+    def magnitude(self, x, order: int = 0):
+        """sum_g |c_g d^order g(x)| over the generators g: the size of the
+        terms ``value`` sums, which sets the scale of its roundoff."""
+        return self._generator_sum(x, order, absolute=True)
+
+    def _generator_sum(self, x, order: int, absolute: bool):
         x = np.asarray(x, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape, ()), dtype=float)
         for slot in np.unique(self.orders):
             mask = self.orders == slot
             vals = self.kernel.eval(int(slot), order,
                                     self.centers[mask], x[..., None])
-            out = out + vals @ self.coeffs[mask]
+            coeffs = self.coeffs[mask]
+            if absolute:
+                vals, coeffs = np.abs(vals), np.abs(coeffs)
+            out = out + vals @ coeffs
         return float(out) if np.ndim(out) == 0 else out
 
     def __call__(self, x, order: int = 0):

@@ -90,6 +90,19 @@ class TestSimulate:
         info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
         assert info["diagnostics"]["interaction_modes"] == 8
 
+    def test_hamiltonian_heavy_tailed_w(self, tmp_path):
+        # 64 wrapped IMQ copies leave W' a jump of 2e-9 of its peak across
+        # the period boundary; the force series carries it
+        cfg = simulate_config(tmp_path / "ham", kind="hamiltonian")
+        cfg["energy"]["W"] = {**WRAPPED_W, "centers": [0.1], "weights": [0.02],
+                              "kernel": {"family": "imq", "lengthscale": 0.25,
+                                         "beta": 1.5}}
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 0
+        info = json.loads((tmp_path / "ham" / "run_info.json").read_text())
+        assert info["diagnostics"]["interaction_modes"] > 0
+
     def test_hamiltonian_floor_hits_per_output_time(self, tmp_path):
         # a bump without a uniform part has tails far below DENSITY_FLOOR
         cfg = simulate_config(tmp_path / "ham", kind="hamiltonian")
@@ -226,7 +239,15 @@ NONPERIODIC_W = {
 
 @pytest.mark.parametrize("case", NONPERIODIC_W)
 @pytest.mark.parametrize("command", ["simulate", "stability"])
-def test_nonperiodic_w_exits_2(tmp_path, capsys, command, case):
+def test_nonperiodic_w_exits_2(tmp_path, capsys, monkeypatch, command, case):
+    simulated = []
+    simulate = analysis.hamiltonian_flow_simulate
+
+    def counting(*args, **kwargs):
+        simulated.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
     if command == "simulate":
         cfg = simulate_config(tmp_path / "run", kind="hamiltonian")
         cfg["energy"]["W"] = NONPERIODIC_W[case]
@@ -238,7 +259,9 @@ def test_nonperiodic_w_exits_2(tmp_path, capsys, command, case):
     assert run([command, "--config", cfg_path]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "w_not_periodic"
-    assert "W" in err["message"]
+    # stability names the failing W before it simulates any flow
+    assert err["message"].startswith("energy.W" if command == "simulate" else "estimate 1 W")
+    assert simulated == []
 
 
 class TestEstimate:

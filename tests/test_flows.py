@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgflows import flows
 from wgflows.analysis import wrap_periodic
 from wgflows.flows import (
     DENSITY_FLOOR,
@@ -406,16 +407,15 @@ class TestHamiltonianFlow:
 
         assert count(2e-3) == count(1e-3) > 0
 
-    def test_unpaired_heavy_tailed_interaction_rejected(self):
-        # 64 wrapped copies of an IMQ with beta = 0.6 leave a jump of 3e-5
-        # of its peak in W' across the period boundary, so the series never
-        # reaches roundoff
+    def test_heavy_tailed_interaction_simulated(self):
+        # 64 wrapped copies of an IMQ with beta = 0.6 leave W' a jump of
+        # 3e-5 of its peak across the period boundary; the series carries it
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]),
                           1.0)
-        with pytest.raises(PeriodicityError, match="W' is not periodic"):
-            hamiltonian_flow_simulate(np.ones(16), SmoothFunction.zero(),
-                                      EnergySpec(W=W), mesh)
+        _, diag = hamiltonian_flow_simulate(np.ones(16), SmoothFunction.zero(),
+                                            EnergySpec(W=W), mesh)
+        assert 0 < diag["interaction_modes"] <= 512
 
     def test_internal_energy_rejected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
@@ -431,50 +431,75 @@ class TestHamiltonianFlow:
             hamiltonian_flow_simulate(mu0, phase, EnergySpec(), mesh)
 
 
+def assert_series_matches_dense(W, q, masses, length):
+    """The spectral interaction sum equals the direct minimal-image sum to
+    64 eps sum_j m_j S, S = max_d sum_g |w_g K'(c_g, d)| the size of the
+    terms of W' (``magnitude``); S is max|W'| unless the terms cancel."""
+    grid = length * (np.arange(4096) / 4096 - 0.5)
+    scale = float(np.max(W.magnitude(grid, order=1)))
+    got = InteractionSeries(W, length).pair_sums(q, masses)
+    err = np.max(np.abs(got - dense_pair_force(q, masses, W, length)))
+    assert err <= 64 * np.finfo(float).eps * masses.sum() * scale
+
+
+@pytest.mark.parametrize("kernel, centers, weights", [
+    (imq_kernel(0.25, 0.6), [0.1], [1.0]),             # W' jump 3e-5 of its peak
+    (imq_kernel(0.25, 1.5), [0.35, 0.7], [0.05, -0.05]),
+    (imq_kernel(0.5, 0.51), [-0.3], [2.0]),            # W' jump 6e-4, W'' jump 1e-7
+    (gaussian_kernel(0.7), [0.1], [1.0]),              # terms 1600 x max|W'|
+    (gaussian_kernel(0.5), [0.25, -0.25], [1.0, 1.0]),  # terms 2.5e7 x max|W'|
+])
+def test_series_matches_dense_pairs_near_period_boundary(kernel, centers, weights):
+    W = wrap_periodic(RkhsFunction.from_points(kernel, centers, weights), 1.0)
+    rng = np.random.default_rng(5)
+    base = rng.random(64)
+    # pairs within 1e-9 .. 1e-2 of half a period apart, on both sides
+    near = 0.5 + np.outer([1.0, -1.0], np.logspace(-9, -2, 32)).ravel()
+    q = np.concatenate([base, base + near])
+    assert_series_matches_dense(W, q, rng.random(q.size), 1.0)
+
+
+def test_series_pair_sums_independent_of_phase_blocks(monkeypatch):
+    W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]), 1.0)
+    series = InteractionSeries(W, 1.0)
+    rng = np.random.default_rng(7)
+    q, masses = rng.random(100), rng.random(100)
+    whole = series.pair_sums(q, masses)
+    # three particle rows per block, the last block partial
+    monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * series.omega.size)
+    scale = float(np.max(W.magnitude(np.linspace(-0.5, 0.5, 4097), order=1)))
+    assert np.max(np.abs(series.pair_sums(q, masses) - whole)) <= (
+        4 * np.finfo(float).eps * masses.sum() * scale)
+
+
+def test_series_of_closed_form_interaction_matches_dense_pairs():
+    W = SmoothFunction.cosine_sum(2.0, [0.3, -0.1], [1, 3], [0.2, 0.0])
+    rng = np.random.default_rng(6)
+    assert_series_matches_dense(W, 4.0 * rng.random(50) - 1.0, rng.random(50), 2.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(["gaussian", "imq"]),
-       lengthscale=st.floats(0.03, 0.5), beta=st.floats(0.5, 3.0, exclude_min=True),
+       lengthscale=st.floats(0.03, 0.7), beta=st.floats(0.5, 3.0, exclude_min=True),
        centers=st.integers(1, 3), n=st.integers(1, 256),
        a=st.floats(-1.0, 1.0), length=st.floats(0.5, 2.0),
        seed=st.integers(0, 2**32 - 1))
 def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, n,
                                             a, length, seed):
-    """The spectral interaction sum equals the direct minimal-image sum to
-    64 eps sum_j m_j S, on tori of any offset and length (the lengthscale
-    is drawn relative to the length) and for unwrapped positions anywhere
-    in one period.
-
-    S = max_d sum_g |w_g K'(c_g, d)| is the roundoff scale of evaluating
-    W' generator by generator, as both sums do; it is max|W'| unless the
-    generators cancel.  Where they cancel by more than 16x (S > 16
-    max|W'|), the roundoff of the samples can stay above the series'
-    stopping threshold, and the series may reject W.  An IMQ W is drawn
-    as mirrored pairs (c, w), (-c, -w): odd, so the 64 wrapped copies
-    leave W' continuous across the period boundary, which its heavy tail
-    otherwise does not (see the rejection test above).
-    """
+    """On tori of any offset and length, for unwrapped positions anywhere
+    in one period, and for W wrapped from 1-3 centres with any weights:
+    Gaussian lengthscales up to 0.7 of the length (whose wrapped terms
+    cancel to 1e-3 of themselves), IMQ lengthscales up to 0.5 (whose 64
+    wrapped copies leave W' and W'' jumps across the period boundary)."""
+    if family == "imq":
+        lengthscale = min(lengthscale, 0.5)
     rng = np.random.default_rng(seed)
     kernel = (gaussian_kernel(lengthscale * length) if family == "gaussian"
               else imq_kernel(lengthscale * length, beta))
     c = length * (rng.random(centers) - 0.5)
-    w = rng.standard_normal(centers)
-    if family == "imq":
-        c, w = np.concatenate([c, -c]), np.concatenate([w, -w])
-    W = wrap_periodic(RkhsFunction.from_points(kernel, c, w), length)
-    grid = length * (np.arange(4096) / 4096 - 0.5)
-    w1_max = float(np.max(np.abs(W.value(grid, order=1))))
-    w1_terms = float(np.max(np.abs(kernel.eval(0, 1, W.centers, grid[:, None]))
-                            @ np.abs(W.coeffs)))
-    try:
-        series = InteractionSeries(W, length)
-    except PeriodicityError:
-        assert w1_terms > 16 * w1_max
-        return
-    q = a + length * rng.random(n)
-    masses = rng.random(n)
-    got = series.pair_sums(q, masses)
-    bound = 64 * np.finfo(float).eps * masses.sum() * w1_terms
-    assert np.max(np.abs(got - dense_pair_force(q, masses, W, length))) <= bound
+    W = wrap_periodic(RkhsFunction.from_points(kernel, c, rng.standard_normal(centers)),
+                      length)
+    assert_series_matches_dense(W, a + length * rng.random(n), rng.random(n), length)
 
 
 def ana_wrapped_potential():

@@ -157,6 +157,18 @@ class TestEvaluationAndAlgebra:
             fd = (f.value(x + h) - f.value(x - h)) / (2 * h)
             assert f.value(x, order=1) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    def test_magnitude_sums_term_sizes(self, kernel, traj_periodic):
+        # a section has generators of orders 1 and 2; f - f keeps both
+        # copies of them, which cancel
+        g = RkhsFunction.from_convolved_sections(kernel, traj_periodic, [(0, 3)], [1.0])
+        f = g - g
+        xs = np.linspace(0, 1, 7)
+        terms = np.array([abs(c) * np.abs(kernel.eval(int(o), 1, z, xs))
+                          for o, z, c in zip(f.orders, f.centers, f.coeffs)])
+        assert np.allclose(f.magnitude(xs, order=1), terms.sum(axis=0), rtol=1e-14)
+        assert np.all(f.magnitude(xs, order=1) > 0)
+        assert f.value(xs, order=1) == pytest.approx(np.zeros(7), abs=1e-12)
+
     def test_combine_and_scale(self, kernel):
         f = RkhsFunction.from_points(kernel, [0.2], [1.0])
         g = RkhsFunction.from_points(kernel, [0.8], [2.0])
