@@ -37,9 +37,8 @@ time and O(n r) memory; an r x r eigensolve keeps the directions above the
 1e-14 relative eigenvalue cut (``_generator_factor``).  K~ beta, for the
 RKHS norms and the operator image, is one convolution per order block.  So
 the solve holds O(M) vectors, O(n r) factors and O((_ROW_BLOCK + k) k)
-arrays, and it runs every dense product and factorization through numpy
-alone: scipy's separately loaded BLAS would add a second thread pool that
-waits on the first at every switch.
+arrays, and it runs every dense product and factorization through numpy,
+the package's only dependency, so one BLAS thread pool serves the solve.
 
 A third kernel turns the solver into the three-function variant that learns
 the internal-energy contribution as an additional x-dependent term inside
@@ -475,8 +474,8 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     refinement on the same factored core bring the solution back to the
     roundoff level of a dense Cholesky solve; the core's Cholesky factor is
     applied through its explicit inverse, whose extra roundoff the same
-    refinement absorbs (numpy has no triangular solve, and scipy's would
-    bring a second BLAS pool).  P = rho [F_b Y_b]_b is never
+    refinement absorbs (numpy, the package's only dependency, has no
+    triangular solve).  P = rho [F_b Y_b]_b is never
     formed: the core P' D^-1 P and P'P (for the exact top eigenvalue in the
     condition bound) accumulate over streamed row groups of P, and the
     Woodbury and refinement steps apply P v = rho sum_b F_b (Y_b v_b) and

@@ -61,7 +61,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .mesh import (
     PERIODIC,
@@ -332,8 +331,9 @@ def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray)
     x = mesh.x
     drift = field_on_grid(spec.V, x, order=1)
     if spec.W is not None:
-        wmat1 = np.asarray(spec.W.value(x[:, None] - x[None, :], order=1), dtype=float)
-        drift = drift + mesh.dx * wmat1 @ rho0
+        wconv1 = np.asarray(spec.W.value(x[:, None] - x[None, :], order=1), dtype=float)
+        wconv1 *= mesh.dx  # scaled in place, not copied
+        drift = drift + wconv1 @ rho0
     vmax = float(np.max(np.abs(drift)))
     if vmax == 0.0:
         return mesh.dt
@@ -341,7 +341,7 @@ def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray)
 
 
 def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
-                       dt_solver: float, wmat: np.ndarray | None = None,
+                       dt_solver: float, wconv: np.ndarray | None = None,
                        v_grid: np.ndarray | None = None,
                        scheme: str = "divergence") -> FlowState:
     """One explicit-Euler step of the gradient flow on the periodic grid.
@@ -350,6 +350,8 @@ def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
     stencil shared with the estimator (needs a diffusive internal energy for
     stability); "upwind" selects the donor cell by the face velocity, which
     keeps pure-drift flows positive under the advective CFL condition.
+    ``wconv`` is the convolution matrix dx W(x_n - x_m), built from spec.W
+    when not given; a simulation builds it once for all its steps.
     """
     if spec.U.kind == FISHER:
         raise FlowError("gradient solver does not integrate the fisher energy")
@@ -357,11 +359,11 @@ def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
     x = mesh.x
     if v_grid is None:
         v_grid = field_on_grid(spec.V, x)
-    if wmat is None:
-        wmat = interaction_matrix(spec.W, mesh)
+    if wconv is None and spec.W is not None:
+        wconv = mesh.dx * interaction_matrix(spec.W, mesh)
     drive = spec.U.du(rho) + v_grid
-    if wmat is not None:
-        drive = drive + mesh.dx * wmat @ rho
+    if wconv is not None:
+        drive = drive + wconv @ rho
     if scheme == "divergence":
         update = weighted_laplacian_apply(rho, drive, mesh, PERIODIC)
     elif scheme == "upwind":
@@ -403,6 +405,7 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
     x = mesh.x
     v_grid = field_on_grid(spec.V, x)
     wmat = interaction_matrix(spec.W, mesh)
+    wconv = None if wmat is None else mesh.dx * wmat
     state = FlowState(time=0.0, density=rho0.copy())
     samples = np.empty((mesh.L, mesh.N))
     energies = []
@@ -413,7 +416,7 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
         dt = (target - state.time) / n_sub
         hits_before = state.floor_hits
         for _ in range(n_sub):
-            state = gradient_flow_step(state, spec, mesh, dt, wmat=wmat,
+            state = gradient_flow_step(state, spec, mesh, dt, wconv=wconv,
                                        v_grid=v_grid, scheme=scheme)
         samples[l] = state.density
         floor_hits.append(state.floor_hits - hits_before)
@@ -628,14 +631,65 @@ def _particle_force(q: np.ndarray, masses: np.ndarray, V,
     return force
 
 
+def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end slope, reset to 0 where its sign differs
+    from the end secant m0 and clamped to 3 m0 where the first two secants
+    differ in sign (Moler, Numerical Computing with MATLAB, sec. 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(knots: np.ndarray, values: np.ndarray,
+           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and slope at x of the monotone piecewise-cubic Hermite (PCHIP)
+    interpolant through at least 3 strictly increasing knots.
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants with weights w1 = 2 h_k + h_{k-1}, w2 = h_k + 2 h_{k-1}, and 0
+    where those secants differ in sign or either is 0 (Fritsch & Butland,
+    SIAM J. Sci. Stat. Comput. 1984); end slopes come from
+    ``_pchip_edge_slope``.  Points outside the knots are extrapolated with
+    the end cubics.  The coefficients and the power-form evaluation follow
+    scipy's ``PchipInterpolator`` operation for operation.
+    """
+    h = np.diff(knots)
+    if not np.all(h > 0):
+        raise FlowError("push-forward knots are not strictly increasing")
+    m = np.diff(values) / h
+    d = np.zeros_like(values)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    inner = np.sign(m[1:]) * np.sign(m[:-1]) > 0
+    d[1:-1][inner] = 1.0 / ((w1[inner] / m[:-1][inner] + w2[inner] / m[1:][inner])
+                            / (w1[inner] + w2[inner]))
+    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c3 = t / h
+    c2 = (m - d[:-1]) / h - t
+    k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, h.size - 1)
+    u = x - knots[k]
+    u2 = u * u
+    value = values[k] + d[k] * u + c2[k] * u2 + c3[k] * (u2 * u)
+    slope = d[k] + (2.0 * c2[k]) * u + (3.0 * c3[k]) * u2
+    return value, slope
+
+
 def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
                           mesh: SpaceTimeMesh) -> tuple[np.ndarray, int]:
     """Resample the transported density onto the grid.
 
     Uses the monotone (PCHIP) interpolant of the inverse transport map s with
     rho(x) = mu0(s(x)) s'(x), evaluated from one periodic unrolling of the
-    particle positions.  Values below DENSITY_FLOOR are raised to it; the
-    number of such grid nodes is returned with the density.
+    particle positions (``_pchip``: harmonic-mean interior slopes and
+    three-point end slopes, Fritsch-Butland/Moler; grid points beyond the
+    outermost knots extrapolate with the end cubics).  Values below
+    DENSITY_FLOOR are raised to it; the number of such grid nodes is
+    returned with the density.
     """
     length = mesh.domain_length
     N = mesh.N
@@ -650,9 +704,7 @@ def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
     # extend by one particle on each side for full coverage of [a, b]
     q_ext = np.concatenate([[q_sorted[-1] - length], q_sorted, [q_sorted[0] + length]])
     x_ext = np.concatenate([[x_lift[-1] - length], x_lift, [x_lift[0] + length]])
-    inverse_map = PchipInterpolator(q_ext, x_ext)
-    s = inverse_map(x)
-    ds = inverse_map.derivative()(x)
+    s, ds = _pchip(q_ext, x_ext, x)
     # mu0 is a grid function; interpolate it periodically at the preimages
     x_grid_ext = np.concatenate([[x[0] - mesh.dx], x])
     mu_ext = np.concatenate([[mu0[-1]], mu0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from wgflows import flows
 from wgflows.analysis import wrap_periodic
@@ -429,6 +430,49 @@ class TestHamiltonianFlow:
         phase = SmoothFunction.cosine_sum(1.0, [0.8], [2])  # strong compression
         with pytest.raises(FlowError, match="crossing"):
             hamiltonian_flow_simulate(mu0, phase, EnergySpec(), mesh)
+
+
+@st.composite
+def pchip_cases(draw):
+    """3-128 strictly increasing knots with non-uniform spacing and values
+    monotone apart from flat runs (zero secants) and a reversed first or
+    last secant of any size, which reaches both end-slope branches (the
+    reset to 0 and the 3 m0 clamp); plus the evaluation points: the knots,
+    the midpoints and points up to 5% of the span outside the knots."""
+    n = draw(st.integers(3, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    knots = draw(st.floats(-2.0, 2.0)) + np.cumsum(
+        rng.lognormal(0.0, draw(st.floats(0.0, 2.0)), n))
+    steps = rng.lognormal(0.0, draw(st.floats(0.0, 2.0)), n - 1)
+    steps[rng.random(n - 1) < draw(st.floats(0.0, 0.5))] = 0.0
+    for end in (0, -1):
+        if draw(st.booleans()):
+            steps[end] *= -(10.0 ** draw(st.floats(-3.0, 3.0)))
+    values = draw(st.sampled_from([1.0, -1.0])) * np.concatenate([[0.0], np.cumsum(steps)])
+    span = knots[-1] - knots[0]
+    outside = span * rng.uniform(0.0, 0.05, 8)
+    x = np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1]),
+                        knots[0] - outside, knots[-1] + outside])
+    return knots, values, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pchip_cases())
+def test_pchip_matches_scipy_reference(case):
+    """The push-forward's interpolant equals scipy's PchipInterpolator and
+    its derivative to 16 eps of max|y| in value and of max|s'| in slope."""
+    knots, values, x = case
+    reference = PchipInterpolator(knots, values)
+    ref_value, ref_slope = reference(x), reference.derivative()(x)
+    value, slope = flows._pchip(knots, values, x)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(value - ref_value)) <= 16 * eps * np.max(np.abs(values))
+    assert np.max(np.abs(slope - ref_slope)) <= 16 * eps * np.max(np.abs(ref_slope))
+
+
+def test_pchip_rejects_repeated_knots():
+    with pytest.raises(FlowError, match="strictly increasing"):
+        flows._pchip(np.array([0.0, 1.0, 1.0, 2.0]), np.arange(4.0), np.array([0.5]))
 
 
 def assert_series_matches_dense(W, q, masses, length):

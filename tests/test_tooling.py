@@ -1,4 +1,8 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,30 +10,29 @@ import pytest
 import wgflows
 
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
+PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
 
 
-def scipy_linalg_uses(source: str) -> list[int]:
-    """Line numbers where ``source`` imports or reaches ``scipy.linalg``."""
+def scipy_uses(source: str) -> list[int]:
+    """Line numbers where ``source`` imports or reaches ``scipy`` or any of
+    its submodules."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            hit = any(alias.name.split(".")[:2] == ["scipy", "linalg"]
-                      for alias in node.names)
+            hit = any(alias.name.split(".")[0] == "scipy" for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            module = (node.module or "").split(".")
-            hit = module[:2] == ["scipy", "linalg"] or (
-                module == ["scipy"] and any(alias.name == "linalg" for alias in node.names))
+            hit = node.level == 0 and (node.module or "").split(".")[0] == "scipy"
         else:
-            hit = (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            hit = (isinstance(node, ast.Attribute)
                    and isinstance(node.value, ast.Name) and node.value.id == "scipy")
         if hit:
             lines.append(node.lineno)
     return lines
 
 
-def test_package_never_uses_scipy_linalg():
-    """No module of the package imports ``scipy.linalg``, so a solve runs on
-    one BLAS thread pool.
+def test_package_never_uses_scipy():
+    """No module of the package imports ``scipy``, so the package runs on
+    numpy alone: one BLAS thread pool and no second OpenBLAS mapped.
 
     numpy and scipy each load their own OpenBLAS (``scipy_openblas64`` and
     ``scipy_openblas32``), and each pool's threads keep spinning for a while
@@ -39,33 +42,58 @@ def test_package_never_uses_scipy_linalg():
     matmul; a repeat measurement read 0.25 ms alone against a median of
     3.3 ms and a worst case of 46 ms right after an 8000 x 400 numpy Gram,
     and that Gram took 23 ms alone against 42 ms right after a scipy call.
-    ``scipy.interpolate`` (the Hamiltonian flow's density reconstruction) is
-    outside the solve and stays.
+    Importing ``scipy.interpolate`` alone took about 0.5 s and 50 MB of RSS
+    on the same box.  scipy is a test extra, for reference solutions only.
     """
     modules = sorted(PACKAGE_DIR.glob("*.py"))
     assert modules
     found = {path.name: lines for path in modules
-             if (lines := scipy_linalg_uses(path.read_text(encoding="utf-8")))}
+             if (lines := scipy_uses(path.read_text(encoding="utf-8")))}
     assert found == {}
 
 
 @pytest.mark.parametrize("source", [
+    "import scipy",
     "import scipy.linalg",
     "import scipy.linalg as sla",
     "import scipy.linalg.lapack",
+    "import numpy, scipy.sparse",
     "from scipy.linalg import cho_factor",
     "from scipy.linalg.lapack import dpstrf",
     "from scipy import interpolate, linalg",
+    "from scipy.interpolate import PchipInterpolator",
     "import scipy\nscipy.linalg.eigh",
 ])
 def test_scanner_finds_every_import_form(source):
-    assert scipy_linalg_uses(source)
+    assert scipy_uses(source)
 
 
 @pytest.mark.parametrize("source", [
-    "import scipy",
-    "from scipy.interpolate import PchipInterpolator",
     "import numpy as np\nnp.linalg.cholesky",
+    "import scipyish",
+    "from .scipy import helper",
+    "spec.scipy",
 ])
 def test_scanner_ignores_other_modules(source):
-    assert not scipy_linalg_uses(source)
+    assert not scipy_uses(source)
+
+
+def test_cli_import_loads_no_scipy():
+    """Importing the CLI (and with it every module of the package) leaves no
+    ``scipy`` module in ``sys.modules``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, wgflows.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    """``[project] dependencies`` in pyproject.toml (its only key of that
+    name) lists numpy alone."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", text, re.MULTILINE | re.DOTALL)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)) == ["numpy"]
