@@ -342,7 +342,7 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
     discrepancy weighted by the C^2-embedding constants of the two kernels.
     The true flow is simulated once and shared by every comparison; each
     record's ``wall_s`` is the time of that estimate's flow and comparison.
-    The force series of every W is built before any flow starts, so a W
+    The pair-sum series of every W is built before any flow starts, so a W
     that is not periodic on the torus raises ``PeriodicityError`` naming
     it ("truth W" or "estimate i W") without simulating anything.
     """

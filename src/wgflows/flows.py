@@ -27,9 +27,10 @@ particle masses, stepped by velocity Verlet; the density is recovered from
 the 1-D push-forward rule rho_t(q_i) * dq_i/dx = mu0(x_i) and resampled onto
 the grid through monotone interpolation of the transport map.
 
-On the torus of length L the interaction force goes through the Fourier
-series of W'.  On [-L/2, L/2] write W'(d) = f(d) + J1 d/L + J2 d^2/(2L),
-with J1 and J2 the jumps of W' and W'' across the period boundary (a
+On the torus of length L every particle pair sum, the force's over W' and
+the energy's over W, goes through a Fourier series.  For G = W (order 0)
+or W' (order 1), write G(d) = f(d) + J1 d/L + J2 d^2/(2L) on [-L/2, L/2],
+with J1 and J2 the jumps of G and G' across the period boundary (a
 truncated wrap of a heavy-tailed kernel leaves small ones), so that f and
 f' are continuous on the torus.  f(d) = Re sum_k w_k c_k exp(i omega_k d)
 with omega_k = 2 pi k / L and weights w = (1, 2, 2, ...), so
@@ -39,20 +40,23 @@ with omega_k = 2 pi k / L and weights w = (1, 2, 2, ...), so
 
 and the two polynomial terms are sums of the first two powers of the
 minimal-image differences, which one sort and prefix sums give.  A Verlet
-step then costs O(n K + n log n) for n particles and K modes instead of
-n^2 kernel sums.  This pays while K is small against n times the number
-of kernel terms of W (K = 8 against 96 x 18 on the benchmark's flow).
+step or an energy then costs O(n K + n log n) for n particles and K modes
+instead of n^2 kernel sums, which pays while K is small against n times
+the kernel terms of W (K = 8 against 96 x 18 on the benchmark's flow).
 
-The coefficients are built once per simulation from P samples of f at the
-minimal images of p L / P, P = 32, 64, ..., until the modes k < P/4
-reproduce the samples to 32 eps times the size of the terms of W' (the
-scale of the roundoff of the samples); those modes are kept.  A W' that is
-not smooth on the torus beyond those two jumps (a W not wrapped with its
+Each order's coefficients are built once per simulation from P samples of
+f at the minimal images of p L / P, P = 32, 64, ..., until the modes
+k < P/4 reproduce the samples to 32 eps times the size of the terms of G
+(the scale of the roundoff of the samples); those modes are kept.  A W
+that is not smooth on the torus beyond those jumps (not wrapped with its
 domain length as period, or with too few copies) has not converged at
 P = 2^16 and is rejected with ``PeriodicityError`` before the first step.
 A smooth periodic f has exponentially decaying coefficients (Trefethen &
 Weideman, SIAM Review 2014), so a few modes reach roundoff: K = 8 for a
 wrapped Gaussian of lengthscale 0.25 on the unit torus.
+
+The energy 1/2 sum_ij m_i m_j W(q_i - q_j) sees only the even part of W,
+while the force uses all of W'; the flow conserves it only for an even W.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ class FlowError(RuntimeError):
 
 
 class PeriodicityError(FlowError):
-    """The Fourier series of an interaction kernel's W' did not converge on
-    the torus: W' is not periodic and smooth there, or is lost in roundoff."""
+    """The Fourier series of an interaction kernel W or its W' did not
+    converge on the torus: it is not periodic and smooth there, or is lost
+    in roundoff."""
 
 
 # ---------------------------------------------------------------------------
@@ -457,31 +462,13 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
     return diff - length * np.round(diff / length)
 
 
-_PAIR_BLOCK = 4096  # pair differences per block of the particle energy
-
-
-def _pair_sums(qw: np.ndarray, masses: np.ndarray, W, length: float) -> np.ndarray:
-    """sum_j m_j W(q_i - q_j) for every particle i.
-
-    Pair differences use the minimal image, which is exact for periodic W.
-    The pairs are evaluated over row blocks of about _PAIR_BLOCK pairs,
-    which bounds the (pairs x generators) temporaries of a kernel-sum W.
-    """
-    sums = np.empty_like(qw)
-    rows = max(1, _PAIR_BLOCK // qw.size)
-    for lo in range(0, qw.size, rows):
-        diff = _minimal_image(qw[lo:lo + rows, None] - qw[None, :], length)
-        sums[lo:lo + rows] = np.asarray(W.value(diff), dtype=float) @ masses
-    return sums
-
-
-_SERIES_START = 32       # first sample count of the W' series
-_SERIES_LIMIT = 2**16    # last sample count tried before W' is rejected
-_JUMP_TOL = 1e-2         # largest jump of W' or W'' across the period boundary,
+_SERIES_START = 32       # first sample count of a series
+_SERIES_LIMIT = 2**16    # last sample count tried before W is rejected
+_JUMP_TOL = 1e-2         # largest jump of G or G' across the period boundary,
                          # relative to the size of its terms, taken for the
                          # truncation of a periodic wrap
-_SERIES_TOL = 32.0       # allowed miss of the series at its samples, in eps
-                         # times the size of the terms of W'
+_SERIES_TOL = 32.0       # allowed miss of a series at its samples, in eps
+                         # times the size of the terms of G
 _PHASE_BLOCK = 2**19     # particle x mode entries per block of the phase matrix
 
 
@@ -512,78 +499,82 @@ def _seam_sums(q: np.ndarray, masses: np.ndarray,
     return linear, quadratic
 
 
-class InteractionSeries:
-    """W' on a torus of length ``length``: a truncated Fourier series plus
-    the polynomials that carry its jumps across the period boundary.
+def _phase(q: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of omega_k q_i, (particles x modes)."""
+    angle = np.multiply.outer(q, omega)
+    return np.cos(angle), np.sin(angle)
 
-    On [-L/2, L/2], W'(d) = f(d) + J1 d / L + J2 d^2 / (2 L) with
-    J1 = W'(L/2) - W'(-L/2) and J2 = W''(L/2) - W''(-L/2), so f and f'
-    are continuous on the torus even where W' and W'' are not (the
-    truncated wrap of a heavy-tailed kernel leaves them jumps of up to
-    about 1e-4 of the size of their terms).  f is sampled at the minimal
-    images of p L / P for P = 32, 64, ..., and the first P whose modes
-    k < P/4 reproduce the samples to _SERIES_TOL eps times the size of
-    the terms of W' (``W.magnitude``, the scale of the samples' roundoff)
-    stops the search; those modes are kept, already multiplied by their
-    weights (1, 2, 2, ...) of the real series.  ``PeriodicityError`` when
-    no P up to 2^16 qualifies, or when a jump exceeds _JUMP_TOL of the
-    size of its terms: W is then not wrapped with the domain length as its
-    period, or with too few copies.
+
+class InteractionSeries:
+    """W (order 0) and W' (order 1) on a torus of length ``length``: per
+    order, a truncated Fourier series plus the polynomials that carry its
+    jumps across the period boundary.
+
+    For G = W^(order), on [-L/2, L/2] G(d) = f(d) + J1 d / L + J2 d^2 / (2 L)
+    with J1 = G(L/2) - G(-L/2) and J2 = G'(L/2) - G'(-L/2), so f and f'
+    are continuous on the torus even where G and G' are not (the truncated
+    wrap of a heavy-tailed kernel leaves them jumps of up to about 1e-4 of
+    the size of their terms).  f is sampled at the minimal images of
+    p L / P for P = 32, 64, ..., and the first P whose modes k < P/4
+    reproduce the samples to _SERIES_TOL eps times the size of the terms of
+    G (``W.magnitude``, the scale of the samples' roundoff) stops the
+    search; those modes are kept, already multiplied by their weights
+    (1, 2, 2, ...) of the real series, in ``coeffs[order]``.
+    ``PeriodicityError`` when no P up to 2^16 qualifies, or when a jump
+    exceeds _JUMP_TOL of the size of its terms: W is then not wrapped with
+    the domain length as its period, or with too few copies.
     """
 
     def __init__(self, W, length: float):
         ends = np.array([0.5, -0.5]) * length
-        self.jumps = tuple(float(w[0] - w[1]) for w in
-                           (np.asarray(W.value(ends, order=k), dtype=float) for k in (1, 2)))
         self.length = length
-        P = _SERIES_START
-        while True:
-            d = _minimal_image(length * np.arange(P) / P, length)
-            f = (np.asarray(W.value(d, order=1), dtype=float)
-                 - self.jumps[0] / length * d - self.jumps[1] / (2.0 * length) * d**2)
-            c = np.fft.rfft(f) / P
-            c[P // 4:] = 0.0
-            scale = float(np.max(W.magnitude(d, order=1)))
-            miss = float(np.max(np.abs(np.fft.irfft(c, n=P) * P - f)))
-            if miss <= _SERIES_TOL * np.finfo(float).eps * scale:
-                break
-            if P == _SERIES_LIMIT:
-                raise PeriodicityError(
-                    f"the Fourier series of W' on the torus of length "
-                    f"{length:g} has not converged at {P} samples: its first "
-                    f"{P // 4} modes miss the samples by {miss / scale:.2g} "
-                    f"of the size of the terms of W'; W' is not smooth "
-                    f"across the period boundary (wrap W with the domain "
-                    f"length as its period)"
-                )
-            P *= 2
-        sizes = (scale, float(np.max(W.magnitude(d, order=2))))
-        for name, jump, size in zip(("W'", "W''"), self.jumps, sizes):
-            if abs(jump) > _JUMP_TOL * size:
-                raise PeriodicityError(
-                    f"{name} jumps by {abs(jump) / size:.2g} of the size of "
-                    f"its terms across the period boundary of the torus of "
-                    f"length {length:g}, more than the {_JUMP_TOL:g} a "
-                    f"truncated periodic wrap leaves; W is not periodic there "
-                    f"(wrap W with the domain length as its period and enough "
-                    f"copies)"
-                )
-        # a jump within the roundoff of its terms is dropped with its seam
-        # sum, which moves W' by at most 2 eps times the size of its terms
-        self.jumps = tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size else j
-                           for j, size in zip(self.jumps, sizes))
-        self.coeffs = c[:P // 4]
-        self.coeffs[1:] *= 2.0
-        self.omega = 2.0 * np.pi / length * np.arange(P // 4)
+        self.coeffs, self.omega, self.jumps = [], [], []
+        for order in (0, 1):
+            names = ("W", "W'", "W''")[order:order + 2]
+            jumps = tuple(float(w[0] - w[1]) for w in (np.asarray(
+                W.value(ends, order=k), dtype=float) for k in (order, order + 1)))
+            P = _SERIES_START
+            while True:
+                d = _minimal_image(length * np.arange(P) / P, length)
+                f = (np.asarray(W.value(d, order=order), dtype=float)
+                     - jumps[0] / length * d - jumps[1] / (2.0 * length) * d**2)
+                c = np.fft.rfft(f) / P
+                c[P // 4:] = 0.0
+                scale = float(np.max(W.magnitude(d, order=order)))
+                miss = float(np.max(np.abs(np.fft.irfft(c, n=P) * P - f)))
+                if miss <= _SERIES_TOL * np.finfo(float).eps * scale:
+                    break
+                if P == _SERIES_LIMIT:
+                    raise PeriodicityError(
+                        f"the Fourier series of {names[0]} on the torus of length "
+                        f"{length:g} has not converged at {P} samples: its first "
+                        f"{P // 4} modes miss the samples by {miss / scale:.2g} of the "
+                        f"size of its terms; it is not smooth across the period "
+                        f"boundary (wrap W with the domain length as its period)"
+                    )
+                P *= 2
+            sizes = (scale, float(np.max(W.magnitude(d, order=order + 1))))
+            for name, jump, size in zip(names, jumps, sizes):
+                if abs(jump) > _JUMP_TOL * size:
+                    raise PeriodicityError(
+                        f"{name} jumps by {abs(jump) / size:.2g} of the size of "
+                        f"its terms across the period boundary of the torus of "
+                        f"length {length:g}, more than the {_JUMP_TOL:g} a "
+                        f"truncated periodic wrap leaves; W is not periodic there "
+                        f"(wrap W with the domain length as its period and enough "
+                        f"copies)"
+                    )
+            # a jump within the roundoff of its terms is dropped with its seam
+            # sum, which moves G by at most 2 eps times the size of its terms
+            self.jumps.append(tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size
+                                    else j for j, size in zip(jumps, sizes)))
+            c[1:] *= 2.0
+            self.coeffs.append(c[:P // 4])
+            self.omega.append(2.0 * np.pi / length * np.arange(P // 4))
 
-    def _phase(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos and sin of omega_k q_i, (particles x modes)."""
-        angle = np.multiply.outer(q, self.omega)
-        return np.cos(angle), np.sin(angle)
-
-    def pair_sums(self, q: np.ndarray, masses: np.ndarray) -> np.ndarray:
-        """sum_j m_j W'(mi(q_i - q_j)) for every particle i; q need not be
-        wrapped.
+    def pair_sums(self, q: np.ndarray, masses: np.ndarray, order: int) -> np.ndarray:
+        """sum_j m_j W^(order)(mi(q_i - q_j)) for every particle i; q need
+        not be wrapped.
 
         With M_k = sum_j m_j exp(i omega_k q_j) = Mc_k + i Ms_k, the series
         part is Re sum_k c_k exp(i omega_k q_i) conj(M_k), done in real
@@ -591,27 +582,28 @@ class InteractionSeries:
         blocks of about _PHASE_BLOCK entries, each block twice (once for
         M, once for the sums) when there is more than one.
         """
-        rows = max(1, _PHASE_BLOCK // self.omega.size)
+        coeffs, omega, jumps = self.coeffs[order], self.omega[order], self.jumps[order]
+        rows = max(1, _PHASE_BLOCK // omega.size)
         blocks = [slice(lo, lo + rows) for lo in range(0, q.size, rows)]
-        first = self._phase(q[blocks[0]])
+        first = _phase(q[blocks[0]], omega)
         mass_cos = masses[blocks[0]] @ first[0]
         mass_sin = masses[blocks[0]] @ first[1]
         for blk in blocks[1:]:
-            cos, sin = self._phase(q[blk])
+            cos, sin = _phase(q[blk], omega)
             mass_cos += masses[blk] @ cos
             mass_sin += masses[blk] @ sin
         # c_k conj(M_k) = u_k + i v_k
-        u = self.coeffs.real * mass_cos + self.coeffs.imag * mass_sin
-        v = self.coeffs.imag * mass_cos - self.coeffs.real * mass_sin
+        u = coeffs.real * mass_cos + coeffs.imag * mass_sin
+        v = coeffs.imag * mass_cos - coeffs.real * mass_sin
         sums = np.empty(q.size)
         sums[blocks[0]] = first[0] @ u - first[1] @ v
         for blk in blocks[1:]:
-            cos, sin = self._phase(q[blk])
+            cos, sin = _phase(q[blk], omega)
             sums[blk] = cos @ u - sin @ v
-        if any(self.jumps):
+        if any(jumps):
             linear, quadratic = _seam_sums(q, masses, self.length)
-            sums += (self.jumps[0] / self.length * linear
-                     + self.jumps[1] / (2.0 * self.length) * quadratic)
+            sums += (jumps[0] / self.length * linear
+                     + jumps[1] / (2.0 * self.length) * quadratic)
         return sums
 
 
@@ -627,8 +619,21 @@ def _particle_force(q: np.ndarray, masses: np.ndarray, V,
     if V is not None:
         force -= np.asarray(V.value(_wrap(q, a, length), order=1), dtype=float)
     if series is not None:
-        force -= series.pair_sums(q, masses)
+        force -= series.pair_sums(q, masses, 1)
     return force
+
+
+def _particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray, V,
+                     series: InteractionSeries | None, a: float,
+                     length: float) -> float:
+    """Total discrete energy 1/2 sum m v^2 + sum m V(q) + 1/2 sum m m' W(q - q'),
+    V at the wrapped positions and W from its Fourier series."""
+    total = 0.5 * float(masses @ v**2)
+    if V is not None:
+        total += float(masses @ np.asarray(V.value(_wrap(q, a, length)), dtype=float))
+    if series is not None:
+        total += 0.5 * float(masses @ series.pair_sums(q, masses, 0))
+    return total
 
 
 def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -723,16 +728,18 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     """Integrate the Hamiltonian flow on the torus by velocity Verlet.
 
     Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
-    fixed quadrature masses mu0(x_i) dx.  The interaction force comes from
-    the Fourier series of W' (``InteractionSeries``), built once before the
-    first step (or passed in as ``series``, built from ``spec.W`` on this
-    mesh's torus), so each step costs O(n K + n log n) for n particles and
-    K modes; W' must be smooth on the torus apart from jumps of W' and W''
-    across the period boundary, else ``PeriodicityError``.  The density
-    samples at the data times come from the 1-D push-forward rule; the
-    diagnostics count, per data time, the grid nodes where that density was
-    raised to DENSITY_FLOOR, and record the kept mode count of W' (0
-    without W).  Requires U = none.
+    fixed quadrature masses mu0(x_i) dx.  The interaction force and energy
+    come from the Fourier series of W' and W (``InteractionSeries``), built
+    once before the first step (or passed in as ``series``, built from
+    ``spec.W`` on this mesh's torus), so each step costs O(n K + n log n)
+    for n particles and K modes; W must be smooth on the torus apart from
+    jumps of W, W' and W'' across the period boundary, else
+    ``PeriodicityError``.  Neighbours that meet by a data time, N - 1 and 0
+    across the period boundary included, raise ``FlowError``.  The density
+    at the data times comes from the 1-D push-forward rule; the diagnostics
+    count, per data time, the grid nodes raised to DENSITY_FLOOR, and record
+    the initial and final energies (conserved only for an even W) and the
+    kept mode count of W' (0 without W).  Requires U = none.
     """
     if spec.U.kind != NONE:
         raise FlowError("Hamiltonian characteristics require U = none")
@@ -753,6 +760,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
     time = 0.0
     force = _particle_force(q, masses, spec.V, series, mesh.a, length)
     kinetic0 = 0.5 * float(masses @ v**2)
+    energy0 = _particle_energy(q, v, masses, spec.V, series, mesh.a, length)
     for l in range(mesh.L):
         target = mesh.t[l]
         n_sub = max(1, math.ceil((target - time) / dt_solver - 1e-12))
@@ -763,11 +771,12 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
             v = v + 0.5 * dt * (force + new_force)
             force = new_force
             time += dt
-        if np.any(np.diff(q) <= 0):
-            first = int(np.argmax(np.diff(q) <= 0))
+        crossed = np.diff(q, append=q[0] + length) <= 0
+        if np.any(crossed):
+            first = int(np.argmax(crossed))
             raise FlowError(
                 f"particle crossing at t={time:.6g} between particles "
-                f"{first} and {first + 1}"
+                f"{first} and {(first + 1) % q.size}"
             )
         samples[l], hits = _push_forward_density(q, mu0, mesh)
         floor_hits.append(hits)
@@ -776,21 +785,9 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
         "dt_solver": dt_solver,
         "kinetic_initial": kinetic0,
         "kinetic_final": 0.5 * float(masses @ v**2),
-        "energy_final": particle_energy(q, v, masses, spec, mesh),
+        "energy_initial": energy0,
+        "energy_final": _particle_energy(q, v, masses, spec.V, series, mesh.a, length),
         "floor_hits": floor_hits,
-        "interaction_modes": 0 if series is None else series.omega.size,
+        "interaction_modes": 0 if series is None else series.omega[1].size,
     }
     return traj, diagnostics
-
-
-def particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray,
-                    spec: EnergySpec, mesh: SpaceTimeMesh) -> float:
-    """Total discrete energy 1/2 sum m v^2 + sum m V(q) + 1/2 sum m m' W(q - q')."""
-    length = mesh.domain_length
-    qw = _wrap(q, mesh.a, length)
-    total = 0.5 * float(masses @ v**2)
-    if spec.V is not None:
-        total += float(masses @ np.asarray(spec.V.value(qw), dtype=float))
-    if spec.W is not None:
-        total += 0.5 * float(masses @ _pair_sums(qw, masses, spec.W, length))
-    return total

@@ -253,12 +253,13 @@ def reference_eval(kernel: SmoothKernel, i: int, j: int, x, y) -> np.ndarray | f
 # Direct particle interaction sum, the reference for ``InteractionSeries``
 # ---------------------------------------------------------------------------
 
-def dense_pair_force(q: np.ndarray, masses: np.ndarray, W, length: float) -> np.ndarray:
-    """sum_j m_j W'(q_i - q_j) over minimal-image pair differences, O(n^2),
-    one particle row at a time."""
+def dense_pair_sums(q: np.ndarray, masses: np.ndarray, W, length: float,
+                    order: int) -> np.ndarray:
+    """sum_j m_j W^(order)(q_i - q_j) over minimal-image pair differences,
+    O(n^2), one particle row at a time."""
     sums = np.empty(q.size)
     for i in range(q.size):
         diff = q[i] - q
         diff -= length * np.round(diff / length)
-        sums[i] = np.asarray(W.value(diff, order=1), dtype=float) @ masses
+        sums[i] = np.asarray(W.value(diff, order=order), dtype=float) @ masses
     return sums

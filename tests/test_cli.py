@@ -228,7 +228,7 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert err["error"] != "runtime_error"
 
 
-# W' must be periodic on the torus for the Hamiltonian force series
+# W must be periodic on the torus for the Hamiltonian pair-sum series
 NONPERIODIC_W = {
     "kernel_sum_without_wrap_period": {k: v for k, v in WRAPPED_W.items()
                                        if k != "wrap_period"},

@@ -22,7 +22,6 @@ from wgflows.flows import (
     gradient_flow_step,
     hamiltonian_flow_simulate,
     internal_energy_from_label,
-    particle_energy,
     weighted_laplacian_apply,
     weighted_laplacian_pinv,
 )
@@ -30,7 +29,7 @@ from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh, space_integral
 from wgflows.rkhs import RkhsFunction
 
-from conftest import dense_pair_force
+from conftest import dense_pair_sums
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -353,41 +352,45 @@ class TestHamiltonianFlow:
         assert diag["kinetic_final"] == pytest.approx(diag["kinetic_initial"],
                                                       rel=1e-12)
 
-    def test_energy_drift_second_order(self):
-        # Verlet drift shrinks ~4x when the step is halved
+    @pytest.mark.parametrize("W", [
+        None,
+        wrap_periodic(RkhsFunction.from_points(gaussian_kernel(0.25), [0.0], [0.005]),
+                      1.0),
+        # 64 wrapped copies leave W and W' jumps across the period boundary
+        wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.0], [0.005]),
+                      1.0),
+    ], ids=["no-W", "even-gaussian", "even-imq"])
+    def test_energy_drift_second_order(self, W):
+        # Verlet drift shrinks ~4x when the step is halved; the energy is
+        # conserved only for an even W, whose pair sums see all of it
         mesh = SpaceTimeMesh(0.0, 1.0, 0.5, 48, 4)
         V = ana_wrapped_potential()
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
 
         def drift(dt):
-            traj, diag = hamiltonian_flow_simulate(
+            _, diag = hamiltonian_flow_simulate(
                 mu0, SmoothFunction.cosine_sum(1.0, [0.05], [1]),
-                EnergySpec(V=V), mesh, dt_solver=dt)
-            q = mesh.x
-            masses = mu0 * mesh.dx
-            v = SmoothFunction.cosine_sum(1.0, [0.05], [1]).value(q, order=1)
-            e0 = particle_energy(q, v, masses, EnergySpec(V=V), mesh)
-            return abs(diag["energy_final"] - e0)
+                EnergySpec(V=V, W=W), mesh, dt_solver=dt)
+            return abs(diag["energy_final"] - diag["energy_initial"])
 
         d1, d2 = drift(2e-3), drift(1e-3)
         assert d2 < 0.4 * d1
 
     def test_particle_energy_matches_dense_pairs(self):
-        # n = 100 spans several row blocks of the pair evaluation
-        mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 100, 2)
+        # an odd W has no pair energy; this one has W and W' seam jumps
         rng = np.random.default_rng(2)
-        W = ana_wrapped_potential()
-        q = mesh.x + 0.3 * mesh.dx * rng.random(100)
+        W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]), 1.0)
+        q = (np.arange(100) + 0.3 * rng.random(100)) / 100
         v = rng.standard_normal(100)
-        masses = (0.5 + rng.random(100)) * mesh.dx
-        diff = q[:, None] - q[None, :]
-        diff -= np.round(diff)
-        dense = 0.5 * masses @ v**2 + 0.5 * masses @ W.value(diff) @ masses
-        got = particle_energy(q, v, masses, EnergySpec(W=W), mesh)
+        masses = (0.5 + rng.random(100)) / 100
+        dense = 0.5 * masses @ v**2 + 0.5 * masses @ dense_pair_sums(q, masses, W, 1.0, 0)
+        got = flows._particle_energy(q, v, masses, None, InteractionSeries(W, 1.0),
+                                     0.0, 1.0)
         assert got == pytest.approx(dense, rel=1e-13)
 
     def test_kernel_evaluations_independent_of_step_count(self, monkeypatch):
-        # W' is evaluated once, for its Fourier series, not at every step
+        # W and W' are evaluated once, for their Fourier series, not at
+        # every step or for every particle pair
         calls = []
         evaluate = SmoothKernel.eval
 
@@ -396,17 +399,17 @@ class TestHamiltonianFlow:
             return evaluate(kernel, *args, **kwargs)
 
         monkeypatch.setattr(SmoothKernel, "eval", counting)
-        mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 32, 4)
-        mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
         spec = EnergySpec(W=ana_wrapped_potential())
 
-        def count(dt):
+        def count(dt, n):
+            mesh = SpaceTimeMesh(0.0, 1.0, 0.2, n, 4)
+            mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
             calls.clear()
             hamiltonian_flow_simulate(mu0, SmoothFunction.cosine_sum(1.0, [0.05], [1]),
                                       spec, mesh, dt_solver=dt)
             return len(calls)
 
-        assert count(2e-3) == count(1e-3) > 0
+        assert count(2e-3, 32) == count(1e-3, 32) == count(2e-3, 256) > 0
 
     def test_heavy_tailed_interaction_simulated(self):
         # 64 wrapped copies of an IMQ with beta = 0.6 leave W' a jump of
@@ -430,6 +433,19 @@ class TestHamiltonianFlow:
         phase = SmoothFunction.cosine_sum(1.0, [0.8], [2])  # strong compression
         with pytest.raises(FlowError, match="crossing"):
             hamiltonian_flow_simulate(mu0, phase, EnergySpec(), mesh)
+
+    def test_particle_crossing_detected_across_period_boundary(self):
+        # the same compression half a period on crosses particles N - 1 and
+        # 0 at the same output time as particles 15 and 16
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.515, 32, 515)
+        messages = []
+        for centre in (0.5, 1.0):
+            phase = SmoothFunction.cosine_sum(1.0, [0.05], [1], [centre + 0.5 * mesh.dx])
+            with pytest.raises(FlowError, match="crossing") as err:
+                hamiltonian_flow_simulate(np.ones(32), phase, EnergySpec(), mesh)
+            messages.append(str(err.value))
+        assert messages[0].endswith("between particles 15 and 16")
+        assert messages[1] == messages[0].replace("15 and 16", "31 and 0")
 
 
 @st.composite
@@ -475,14 +491,15 @@ def test_pchip_rejects_repeated_knots():
         flows._pchip(np.array([0.0, 1.0, 1.0, 2.0]), np.arange(4.0), np.array([0.5]))
 
 
-def assert_series_matches_dense(W, q, masses, length):
-    """The spectral interaction sum equals the direct minimal-image sum to
-    64 eps sum_j m_j S, S = max_d sum_g |w_g K'(c_g, d)| the size of the
-    terms of W' (``magnitude``); S is max|W'| unless the terms cancel."""
+def assert_series_matches_dense(W, q, masses, length, order):
+    """The spectral interaction sum of W^(order) equals the direct
+    minimal-image sum to 64 eps sum_j m_j S, S = max_d sum_g |w_g
+    d^order K(c_g, d)| the size of the terms of W^(order) (``magnitude``);
+    S is max|W^(order)| unless the terms cancel."""
     grid = length * (np.arange(4096) / 4096 - 0.5)
-    scale = float(np.max(W.magnitude(grid, order=1)))
-    got = InteractionSeries(W, length).pair_sums(q, masses)
-    err = np.max(np.abs(got - dense_pair_force(q, masses, W, length)))
+    scale = float(np.max(W.magnitude(grid, order=order)))
+    got = InteractionSeries(W, length).pair_sums(q, masses, order)
+    err = np.max(np.abs(got - dense_pair_sums(q, masses, W, length, order)))
     assert err <= 64 * np.finfo(float).eps * masses.sum() * scale
 
 
@@ -500,7 +517,9 @@ def test_series_matches_dense_pairs_near_period_boundary(kernel, centers, weight
     # pairs within 1e-9 .. 1e-2 of half a period apart, on both sides
     near = 0.5 + np.outer([1.0, -1.0], np.logspace(-9, -2, 32)).ravel()
     q = np.concatenate([base, base + near])
-    assert_series_matches_dense(W, q, rng.random(q.size), 1.0)
+    masses = rng.random(q.size)
+    for order in (0, 1):
+        assert_series_matches_dense(W, q, masses, 1.0, order)
 
 
 def test_series_pair_sums_independent_of_phase_blocks(monkeypatch):
@@ -508,18 +527,21 @@ def test_series_pair_sums_independent_of_phase_blocks(monkeypatch):
     series = InteractionSeries(W, 1.0)
     rng = np.random.default_rng(7)
     q, masses = rng.random(100), rng.random(100)
-    whole = series.pair_sums(q, masses)
-    # three particle rows per block, the last block partial
-    monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * series.omega.size)
-    scale = float(np.max(W.magnitude(np.linspace(-0.5, 0.5, 4097), order=1)))
-    assert np.max(np.abs(series.pair_sums(q, masses) - whole)) <= (
-        4 * np.finfo(float).eps * masses.sum() * scale)
+    wholes = [series.pair_sums(q, masses, order) for order in (0, 1)]
+    for order, whole in enumerate(wholes):
+        # three particle rows per block, the last block partial
+        monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * series.omega[order].size)
+        scale = float(np.max(W.magnitude(np.linspace(-0.5, 0.5, 4097), order=order)))
+        assert np.max(np.abs(series.pair_sums(q, masses, order) - whole)) <= (
+            4 * np.finfo(float).eps * masses.sum() * scale)
 
 
 def test_series_of_closed_form_interaction_matches_dense_pairs():
     W = SmoothFunction.cosine_sum(2.0, [0.3, -0.1], [1, 3], [0.2, 0.0])
     rng = np.random.default_rng(6)
-    assert_series_matches_dense(W, 4.0 * rng.random(50) - 1.0, rng.random(50), 2.0)
+    q, masses = 4.0 * rng.random(50) - 1.0, rng.random(50)
+    for order in (0, 1):
+        assert_series_matches_dense(W, q, masses, 2.0, order)
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,14 +549,15 @@ def test_series_of_closed_form_interaction_matches_dense_pairs():
        lengthscale=st.floats(0.03, 0.7), beta=st.floats(0.5, 3.0, exclude_min=True),
        centers=st.integers(1, 3), n=st.integers(1, 256),
        a=st.floats(-1.0, 1.0), length=st.floats(0.5, 2.0),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), order=st.integers(0, 1))
 def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, n,
-                                            a, length, seed):
-    """On tori of any offset and length, for unwrapped positions anywhere
-    in one period, and for W wrapped from 1-3 centres with any weights:
+                                            a, length, seed, order):
+    """For W and W', on tori of any offset and length, for unwrapped
+    positions anywhere in one period, and for W wrapped from 1-3 centres
+    with any weights:
     Gaussian lengthscales up to 0.7 of the length (whose wrapped terms
     cancel to 1e-3 of themselves), IMQ lengthscales up to 0.5 (whose 64
-    wrapped copies leave W' and W'' jumps across the period boundary)."""
+    wrapped copies leave W, W' and W'' jumps across the period boundary)."""
     if family == "imq":
         lengthscale = min(lengthscale, 0.5)
     rng = np.random.default_rng(seed)
@@ -543,7 +566,8 @@ def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, 
     c = length * (rng.random(centers) - 0.5)
     W = wrap_periodic(RkhsFunction.from_points(kernel, c, rng.standard_normal(centers)),
                       length)
-    assert_series_matches_dense(W, a + length * rng.random(n), rng.random(n), length)
+    assert_series_matches_dense(W, a + length * rng.random(n), rng.random(n), length,
+                                order)
 
 
 def ana_wrapped_potential():
