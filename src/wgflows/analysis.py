@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import EstimationProblem, EstimatorResult, solve
+from .estimator import EstimationProblem, solve
 from .flows import (
     EnergySpec,
     InteractionSeries,
@@ -29,9 +29,8 @@ from .flows import (
     gradient_flow_simulate,
     hamiltonian_flow_simulate,
 )
-from .kernels import SmoothKernel
 from .mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
-from .rkhs import RkhsFunction, rkhs_inner, rkhs_norm
+from .rkhs import RkhsFunction, rkhs_inner
 
 
 class AnalysisError(ValueError):

@@ -27,7 +27,6 @@ from .analysis import (
     DROP_LAST_TIME_ROWS,
     SweepPlan,
     bump_density,
-    rkhs_error,
     run_sweep,
     stability_experiment,
     wasserstein2_1d,
@@ -35,6 +34,7 @@ from .analysis import (
 )
 from .estimator import EstimationProblem, EstimatorError, solve, stationarity_residual
 from .flows import (
+    NONE,
     EnergySpec,
     PeriodicityError,
     SmoothFunction,
@@ -268,6 +268,12 @@ def cmd_simulate(args) -> int:
         U=energy_from_label(energy.get("U", "none"), "energy.U"),
     )
     rho0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
+    if kind not in ("gradient", "hamiltonian"):
+        raise ConfigError("config_invalid", f"unknown flow kind {kind!r}")
+    if kind == "hamiltonian" and spec.U.kind != NONE:
+        raise ConfigError("config_invalid",
+                          "energy.U: Hamiltonian flows run on characteristics, which "
+                          f"need U = none, not {spec.U.label()!r}")
     run = RunDirectory(Path(require(cfg, "out")))
     try:
         if kind == "gradient":
@@ -275,7 +281,7 @@ def cmd_simulate(args) -> int:
                 rho0, spec, mesh, dt_solver=cfg.get("dt_solver"),
                 scheme=cfg.get("scheme", "divergence"),
             )
-        elif kind == "hamiltonian":
+        else:
             phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
             try:
                 traj, diag = hamiltonian_flow_simulate(
@@ -283,8 +289,6 @@ def cmd_simulate(args) -> int:
                 )
             except PeriodicityError as exc:
                 raise ConfigError("w_not_periodic", f"energy.W: {exc}") from None
-        else:
-            raise ConfigError("config_invalid", f"unknown flow kind {kind!r}")
         run.mark("simulate")
         write_trajectory(traj, run.path("trajectory.csv"))
         write_json(run.path("run_info.json"), {

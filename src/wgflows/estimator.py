@@ -11,51 +11,60 @@ and the data side f collects the forward-differenced time derivatives plus,
 for Hamiltonian data, the geodesic correction term.  The regularized least
 squares over the product RKHS has the closed-form solution
 
-    (G + l1 l2 / (dt dx) C) z = C f,      C = diag(rho),
-    coef_V = l2 z,   coef_W = l1 z,
+    (G + prod_j l_j / (dt dx) C) z = C f,      C = diag(rho),
+    coef_i = w_i z,                            w_i = prod_{j != i} l_j,
 
-with G the density-weighted Gram of the two section families.  Both section
-families are spanned by few generators (2N for plain sections, 2(2N-1) for
-convolved ones), so G factors exactly as C (l2 F1 Kt1 F1' + l1 F2 Kt2 F2') C
-with tall-skinny F factors.  Every problem is solved through that
+the same rule for every learned function i: V (plain sections, l1), W
+(convolved sections, l2) and, when a third kernel is given, U (plain
+sections, l3), which learns the internal-energy term inside the operator.
+``build_factors`` declares them once, as a list of records holding each
+function's name, kernel, regularizer l_i, weight w_i, section side and
+generator Gram, and every later step iterates over that list: the
+regularizer c, one block of the stacked factor per function, and in
+``solve`` the coefficients, reconstruction, RKHS norm, operator image and
+penalty l_i |f_i|^2 of each.
+
+G is the density-weighted Gram of the section families.  Every family is
+spanned by few generators (2N for plain sections, 2(2N-1) for convolved
+ones), so G factors exactly as C (sum_i w_i F_i Kt_i F_i') C with
+tall-skinny F factors.  Every problem is solved through that
 factorization (Woodbury identity plus two steps of iterative refinement)
 without materializing G; a dense Cholesky solve of the same system is kept
 in the tests as the reference it is checked against.  The F factors are not
 materialized either: they are ``rkhs.SectionMap``, the same map that reduces
-sections to generator form, applied from its structure (F1 as a broadcast
-over its two nonzeros per row, F2 as one sliding-window matmul of the
-reversed densities per grid node, or one Hankel matmul for a vector).  Nor
-is the stacked generator factor P (M x k for generator rank k): the Woodbury
-Grams accumulate from row groups of P streamed through one reused buffer of
-about ``_ROW_BLOCK`` rows, and the Woodbury and refinement steps apply P and
-P' through the section maps.  Nor is any generator Gram K~ formed: the
-generators sit on a uniform grid and the kernels are radial, so each K~ is
-block-Toeplitz and is held as three gap vectors (``GapGram``).  A pivoted
-Cholesky reads each pivot column from them, stops at pivots below 1e-15 of
-the largest diagonal entry, and reveals the numerical rank r in O(n r^2)
-time and O(n r) memory; an r x r eigensolve keeps the directions above the
-1e-14 relative eigenvalue cut (``_generator_factor``).  K~ beta, for the
-RKHS norms and the operator image, is one convolution per order block.  So
-the solve holds O(M) vectors, O(n r) factors and O((_ROW_BLOCK + k) k)
-arrays, and it runs every dense product and factorization through numpy,
-the package's only dependency, so one BLAS thread pool serves the solve.
-
-A third kernel turns the solver into the three-function variant that learns
-the internal-energy contribution as an additional x-dependent term inside
-the operator, with coefficient products of the complementary regularizers.
+sections to generator form, applied from its structure (plain F as a
+broadcast over its two nonzeros per row, convolved F as one sliding-window
+matmul of the reversed densities per grid node, or one Hankel matmul for a
+vector).  Nor is the stacked generator factor P (M x k for generator rank
+k): the Woodbury Grams accumulate from row groups of P streamed through one
+reused buffer of about ``_ROW_BLOCK`` rows, and the Woodbury and refinement
+steps apply P and P' through the section maps.  Nor is any generator Gram
+K~ formed: the generators sit on a uniform grid and the kernels are radial,
+so each K~ is block-Toeplitz and is held as three gap vectors
+(``GapGram``).  A pivoted Cholesky reads each pivot column from them,
+stops at pivots below 1e-15 of the largest diagonal entry, and reveals the
+numerical rank r in O(n r^2) time and O(n r) memory; an r x r eigensolve
+keeps the directions above the 1e-14 relative eigenvalue cut
+(``_generator_factor``).  K~ beta, for the RKHS norms and the operator
+image, is one convolution per order block.  So the solve holds O(M)
+vectors, O(n r) factors and O((_ROW_BLOCK + k) k) arrays, and it runs every
+dense product and factorization through numpy, the package's only
+dependency, so one BLAS thread pool serves the solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
 from .mesh import PERIODIC, DensityTrajectory, diff_space
-from .rkhs import RkhsFunction, SectionMap, difference_grid, rkhs_inner
+from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, difference_grid, rkhs_inner
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
@@ -117,11 +126,6 @@ class EstimationProblem:
                     "Hamiltonian estimation needs periodic data (the geodesic "
                     "correction solves an elliptic problem on the torus)"
                 )
-        if not self.known_u.pointwise:
-            raise EstimatorError(
-                f"internal energy {self.known_u.kind!r} has no pointwise "
-                "derivatives; the data functional cannot be assembled"
-            )
         if not 0 <= self.drop_last_time_rows < self.traj.mesh.L:
             raise EstimatorError("drop_last_time_rows must leave at least one row")
         for name in ("spatial_slope_override", "f_override"):
@@ -151,6 +155,11 @@ class EstimationProblem:
 class EstimatorResult:
     """Coefficients, reconstructed functions, and diagnostics of one solve.
 
+    Each learned function has one entry per field: V fills ``C1``, ``Vhat``
+    and ``rkhs_norms["V"]``, W ``C2``, ``What`` and ``rkhs_norms["W"]``,
+    and U, learned only when the problem has a third kernel, ``C3``,
+    ``Uhat`` and ``rkhs_norms["U"]`` (``None`` and absent otherwise).  All
+    are filled by one loop over the problem's learned functions.
     ``method`` names the solve route ("lowrank", the only one) and
     ``gram_condition`` is an upper bound on the system's condition number.
     ``kept_rank`` maps each learned function ("V", "W", "U") to
@@ -217,8 +226,6 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
     else:
         raise EstimatorError(f"unknown flow kind {flow_kind!r}")
     if include_internal and known_u.kind != "none":
-        if not known_u.pointwise:
-            raise EstimatorError(f"{known_u.kind!r} energy not supported here")
         a = traj.dx_plus()
         g1 = known_u.d2u(traj.values) * a
         g2 = diff_space(g1, mesh.dx, traj.boundary_mode)
@@ -276,24 +283,26 @@ class GapGram(NamedTuple):
             np.convolve(g4, b2, "valid") - np.convolve(g3, b1, "valid")])
 
 
-@dataclass
-class SectionFactors(SectionMap):
-    """Exact low-rank factorization of the section Gram matrices.
+class _LearnedFunction(NamedTuple):
+    """One learned function of the representer: V, W or U.
 
-    Plain sections of a kernel K over nodes (l, n) satisfy
-    section_{ln} = a d1K(x_n, .) + r d11K(x_n, .), so their Gram is
-    F1 K~1 F1' with F1 the (nodes x 2N) coefficient matrix onto the
-    generators d1^i K(x_n, .) and K~1 the generator Gram of mixed partials.
-    Convolved sections reduce the same way over the 2N-1 difference-grid
-    centers, with F2 of shape (nodes x (4N-2)).  F1 and F2 are the inherited
-    ``rkhs.SectionMap`` over the fitted rows, applied without being formed;
-    each K~ is a ``GapGram``, three gap vectors of O(N) values.
+    Its coefficients are ``weight * z`` for the shared representer vector z,
+    ``weight`` the product of the other functions' regularizers, and its
+    norm is penalised by its own ``lam``.  ``side`` is ``rkhs.PLAIN`` or
+    ``rkhs.CONVOLVED``: the section family it spans, which also names that
+    family's methods of ``rkhs.SectionMap`` (``plain``, ``plain_t``,
+    ``plain_rows``, ``plain_generators`` and their convolved twins), i.e.
+    its factor F onto the generators d1^i K(c, .), F' and F's rows.  ``gram``
+    is the generator Gram K~ of mixed partials, so that the function's
+    section Gram is F K~ F'.
     """
 
-    rho_flat: np.ndarray                # (M,)
-    K1t: GapGram = None                 # 2N generators, set by build_factors
-    K2t: GapGram = None                 # 4N-2 generators, set by build_factors
-    K3t: GapGram | None = None
+    name: str
+    kernel: SmoothKernel
+    lam: float
+    weight: float
+    side: str
+    gram: GapGram
 
 
 def _fit_slopes(problem: EstimationProblem) -> np.ndarray:
@@ -306,30 +315,49 @@ def _fit_slopes(problem: EstimationProblem) -> np.ndarray:
     return a_full[:problem.fit_rows]
 
 
-def build_factors(problem: EstimationProblem) -> SectionFactors:
+def _fit_data(problem: EstimationProblem) -> np.ndarray:
+    """Data functional f at the fit nodes, flattened time-major: the
+    problem's ``f_override`` when given, else assembled from the trajectory."""
+    if problem.f_override is None:
+        f_full = assemble_data_functional(
+            problem.traj, problem.flow_kind, problem.known_u,
+            include_internal=not problem.learn_internal,
+        )
+    else:
+        f_full = np.asarray(problem.f_override, dtype=float)
+        if f_full.shape != problem.traj.values.shape:
+            raise EstimatorError("f_override shape mismatch")
+    return f_full[:problem.fit_rows].ravel()
+
+
+def build_factors(problem: EstimationProblem
+                  ) -> tuple[SectionMap, list[_LearnedFunction]]:
+    """The section map over the fit nodes and the learned functions.
+
+    V spans plain sections of ``kernel1``, W convolved sections of
+    ``kernel2`` and, when the problem has a third kernel, U plain sections
+    of ``kernel3``.  Plain generators sit on the N grid points, convolved
+    ones on the 2N-1 difference-grid centers; each K~ is a ``GapGram``,
+    three gap vectors of O(N) values.
+    """
     mesh = problem.traj.mesh
-    r = problem.traj.values[:problem.fit_rows]
-    factors = SectionFactors(a=_fit_slopes(problem), r=r, x=mesh.x, dx=mesh.dx,
-                             rho_flat=r.ravel())
-    N = mesh.N
-    factors.K1t = GapGram.of(problem.kernel1, N, mesh.dx)
-    factors.K2t = GapGram.of(problem.kernel2, 2 * N - 1, mesh.dx)
+    sections = SectionMap(_fit_slopes(problem), problem.traj.values[:problem.fit_rows],
+                          mesh.x, mesh.dx)
+    spec = [("V", problem.kernel1, problem.lambda1, PLAIN),
+            ("W", problem.kernel2, problem.lambda2, CONVOLVED)]
     if problem.learn_internal:
-        factors.K3t = GapGram.of(problem.kernel3, N, mesh.dx)
-    return factors
+        spec.append(("U", problem.kernel3, problem.lambda3, PLAIN))
+    lams = [lam for _, _, lam, _ in spec]
+    centers = {PLAIN: mesh.N, CONVOLVED: 2 * mesh.N - 1}
+    return sections, [
+        _LearnedFunction(name, kernel, lam, math.prod(lams[:i] + lams[i + 1:]), side,
+                         GapGram.of(kernel, centers[side], mesh.dx))
+        for i, (name, kernel, lam, side) in enumerate(spec)]
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 # ---------------------------------------------------------------------------
-
-def _regularizer_coefficient(problem: EstimationProblem) -> float:
-    if problem.learn_internal:
-        lam = problem.lambda1 * problem.lambda2 * problem.lambda3
-    else:
-        lam = problem.lambda1 * problem.lambda2
-    return lam / problem.node_weight
-
 
 def _cholesky_with_jitter(mat: np.ndarray):
     """Cholesky factor with escalating relative diagonal jitter.
@@ -391,40 +419,17 @@ def _generator_factor(gram: GapGram) -> np.ndarray:
     return Rt.T @ V[:, w > max(w[-1], 0.0) * 1e-14]
 
 
-class _FactorBlock(NamedTuple):
-    """One learned function's columns of the stacked factor P.
+def _factor_blocks(learned: list[_LearnedFunction]) -> list[np.ndarray]:
+    """The blocks Y of P with G = P P', one per learned function.
 
-    P's columns for this block are rho F Y, with F the block's section map
-    (``apply``/``apply_t``/``rows`` are F, F' and F's node-group rows) and
-    Y its ``_generator_factor`` scaled by the block's regularizer weight.
+    P's columns for a function are rho F Y, with F its section side's
+    factor and Y its ``_generator_factor`` scaled by sqrt of its weight.
     """
-
-    name: str
-    Y: np.ndarray
-    generators: int
-    apply: Callable
-    apply_t: Callable
-    rows: Callable
+    return [np.sqrt(fn.weight) * _generator_factor(fn.gram) for fn in learned]
 
 
-def _factor_blocks(problem: EstimationProblem,
-                   fac: SectionFactors) -> list[_FactorBlock]:
-    """The blocks of P with G = P P': plain V, convolved W (and plain U)."""
-    plain = (fac.plain, fac.plain_t, fac.plain_rows)
-    convolved = (fac.convolved, fac.convolved_t, fac.convolved_rows)
-    if problem.learn_internal:
-        l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        spec = [("V", l2 * l3, fac.K1t, plain), ("W", l1 * l3, fac.K2t, convolved),
-                ("U", l1 * l2, fac.K3t, plain)]
-    else:
-        spec = [("V", problem.lambda2, fac.K1t, plain),
-                ("W", problem.lambda1, fac.K2t, convolved)]
-    return [_FactorBlock(name, np.sqrt(weight) * _generator_factor(Kt), Kt.size,
-                         *applies)
-            for name, weight, Kt, applies in spec]
-
-
-def _row_groups(fac: SectionFactors, blocks: list[_FactorBlock]):
+def _row_groups(sections: SectionMap, learned: list[_LearnedFunction],
+                blocks: list[np.ndarray]):
     """Stream P in groups of grid nodes, every time row of each node.
 
     Yields (nodes, group) with ``nodes`` a slice of grid nodes and ``group``
@@ -432,44 +437,46 @@ def _row_groups(fac: SectionFactors, blocks: list[_FactorBlock]):
     written into the same buffer of about ``_ROW_BLOCK`` rows, so P is never
     held whole; a consumer may overwrite the group before the next one.
     """
-    L, N = fac.r.shape
-    k = sum(block.Y.shape[1] for block in blocks)
+    L, N = sections.r.shape
+    k = sum(Y.shape[1] for Y in blocks)
     width = min(N, max(1, _ROW_BLOCK // L))
     buffer = np.empty(L * width * k)
     for n0 in range(0, N, width):
         nodes = slice(n0, min(n0 + width, N))
         group = buffer[:L * (nodes.stop - n0) * k].reshape(L, -1, k)
         c0 = 0
-        for block in blocks:
-            c1 = c0 + block.Y.shape[1]
-            block.rows(block.Y, nodes, group[:, :, c0:c1])
+        for fn, Y in zip(learned, blocks):
+            c1 = c0 + Y.shape[1]
+            getattr(sections, fn.side + "_rows")(Y, nodes, group[:, :, c0:c1])
             c0 = c1
-        group *= fac.r[:, nodes, None]
+        group *= sections.r[:, nodes, None]
         yield nodes, group
 
 
-def _woodbury_grams(fac: SectionFactors, blocks: list[_FactorBlock],
-                    c: float) -> tuple[np.ndarray, np.ndarray]:
+def _woodbury_grams(sections: SectionMap, learned: list[_LearnedFunction],
+                    blocks: list[np.ndarray], c: float) -> tuple[np.ndarray, np.ndarray]:
     """P' D^-1 P and P'P for D = c diag(rho), accumulated over row groups.
 
     Both are symmetric rank updates of one group: P_g'P_g, then, after the
     group is scaled in place to S_g = D^-1/2 P_g, S_g'S_g.
     """
-    k = sum(block.Y.shape[1] for block in blocks)
+    k = sum(Y.shape[1] for Y in blocks)
     core, gram = np.zeros((k, k)), np.zeros((k, k))
-    for nodes, group in _row_groups(fac, blocks):
+    for nodes, group in _row_groups(sections, learned, blocks):
         Pg = group.reshape(-1, k)
         gram += Pg.T @ Pg
-        Pg *= np.sqrt(1.0 / (c * fac.r[:, nodes])).reshape(-1, 1)
+        Pg *= np.sqrt(1.0 / (c * sections.r[:, nodes])).reshape(-1, 1)
         core += Pg.T @ Pg
     return core, gram
 
 
-def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
+def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
+                   learned: list[_LearnedFunction],
                    f_flat: np.ndarray) -> tuple[np.ndarray, float, dict, float]:
     """Solve (P P' + c diag(rho)) z = rho f through the k x k Woodbury core.
 
-    The Woodbury formula cancels two O(1/c) terms, so on its own it loses
+    c is the product of every regularizer over the node weight dt dx.  The
+    Woodbury formula cancels two O(1/c) terms, so on its own it loses
     accuracy as the regularization shrinks.  Two steps of iterative
     refinement on the same factored core bring the solution back to the
     roundoff level of a dense Cholesky solve; the core's Cholesky factor is
@@ -483,23 +490,24 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     per product.  Returns z, the condition bound, the kept rank per block
     and the Cholesky jitter.
     """
-    c = _regularizer_coefficient(problem)
-    blocks = _factor_blocks(problem, fac)
-    rho = fac.rho_flat
+    c = math.prod(fn.lam for fn in learned) / problem.node_weight
+    blocks = _factor_blocks(learned)
+    rho = sections.r.ravel()
     dinv = 1.0 / (c * rho)
-    core, gram = _woodbury_grams(fac, blocks, c)
+    core, gram = _woodbury_grams(sections, learned, blocks, c)
     gram_top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
     core[np.diag_indices_from(core)] += 1.0
     chol, jitter = _cholesky_with_jitter(core)
     chol_inv = np.linalg.inv(chol)
-    splits = np.cumsum([block.Y.shape[1] for block in blocks])[:-1]
+    splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
 
     def P_apply(v: np.ndarray) -> np.ndarray:
-        return rho * sum(block.apply(block.Y @ part)
-                         for block, part in zip(blocks, np.split(v, splits)))
+        return rho * sum(getattr(sections, fn.side)(Y @ part)
+                         for fn, Y, part in zip(learned, blocks, np.split(v, splits)))
 
     def Pt_apply(u: np.ndarray) -> np.ndarray:
-        return np.concatenate([block.Y.T @ block.apply_t(rho * u) for block in blocks])
+        return np.concatenate([Y.T @ getattr(sections, fn.side + "_t")(rho * u)
+                               for fn, Y in zip(learned, blocks)])
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
@@ -510,7 +518,7 @@ def _solve_lowrank(problem: EstimationProblem, fac: SectionFactors,
     for _ in range(2):
         z += woodbury(b - P_apply(Pt_apply(z)) - c * rho * z)
     cond = (gram_top + c * float(rho.max())) / (c * float(rho.min()))
-    kept = {block.name: [block.Y.shape[1], block.generators] for block in blocks}
+    kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
     return z, cond, kept, jitter
 
 
@@ -520,56 +528,32 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
     The representer system is solved through the exact low-rank
     factorization of the section Gram (see ``_solve_lowrank``), so no
     ``M x M`` matrix is formed; ``gram_condition`` is an upper bound on the
-    condition number of the system matrix.
+    condition number of the system matrix.  Each learned function then
+    takes its coefficients weight * z, its reconstruction from the node
+    weights rho * coefficients reduced onto its generators (beta), and, from
+    K~ beta, its squared norm beta'K~beta and its operator image F K~ beta.
     """
-    fac = build_factors(problem)
-    if problem.f_override is not None:
-        f_full = np.asarray(problem.f_override, dtype=float)
-        if f_full.shape != problem.traj.values.shape:
-            raise EstimatorError("f_override shape mismatch")
-    else:
-        f_full = assemble_data_functional(
-            problem.traj, problem.flow_kind, problem.known_u,
-            include_internal=not problem.learn_internal,
-        )
-    f_flat = f_full[:problem.fit_rows].ravel()
-    z, cond, kept, jitter = _solve_lowrank(problem, fac, f_flat)
-
-    if problem.learn_internal:
-        l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        C1, C2, C3 = l2 * l3 * z, l1 * l3 * z, l1 * l2 * z
-    else:
-        C1, C2 = problem.lambda2 * z, problem.lambda1 * z
-        C3 = None
-
-    beta_v = fac.plain_t(fac.rho_flat * C1)
-    beta_w = fac.convolved_t(fac.rho_flat * C2)
-    Vhat = RkhsFunction(problem.kernel1, *fac.plain_generators(), beta_v)
-    What = RkhsFunction(problem.kernel2, *fac.convolved_generators(), beta_w)
-    # K~ beta gives both the squared norm beta'K~beta and the operator image
-    Kb_v, Kb_w = fac.K1t.matvec(beta_v), fac.K2t.matvec(beta_w)
-    norms = {
-        "V": float(np.sqrt(max(beta_v @ Kb_v, 0.0))),
-        "W": float(np.sqrt(max(beta_w @ Kb_w, 0.0))),
-    }
-    image = fac.plain(Kb_v) + fac.convolved(Kb_w)
-    Uhat = None
-    if problem.learn_internal:
-        beta_u = fac.plain_t(fac.rho_flat * C3)
-        Uhat = RkhsFunction(problem.kernel3, *fac.plain_generators(), beta_u)
-        Kb_u = fac.K3t.matvec(beta_u)
-        norms["U"] = float(np.sqrt(max(beta_u @ Kb_u, 0.0)))
-        image = image + fac.plain(Kb_u)
-
+    sections, learned = build_factors(problem)
+    f_flat = _fit_data(problem)
+    z, cond, kept, jitter = _solve_lowrank(problem, sections, learned, f_flat)
+    rho = sections.r.ravel()
+    coeffs, estimates, norms, images = {}, {}, {}, []
+    for fn in learned:
+        coeffs[fn.name] = fn.weight * z
+        beta = getattr(sections, fn.side + "_t")(rho * coeffs[fn.name])
+        estimates[fn.name] = RkhsFunction(
+            fn.kernel, *getattr(sections, fn.side + "_generators")(), beta)
+        Kb = fn.gram.matvec(beta)
+        norms[fn.name] = float(np.sqrt(max(beta @ Kb, 0.0)))
+        images.append(getattr(sections, fn.side)(Kb))
+    image = reduce(np.add, images)
     residual = image - f_flat
-    loss = problem.node_weight * float(residual**2 @ fac.rho_flat)
-    loss += problem.lambda1 * norms["V"]**2 + problem.lambda2 * norms["W"]**2
-    if problem.learn_internal:
-        loss += problem.lambda3 * norms["U"]**2
+    loss = problem.node_weight * float(residual**2 @ rho)
+    loss += sum(fn.lam * norms[fn.name]**2 for fn in learned)
 
     return EstimatorResult(
-        C1=C1, C2=C2, C3=C3,
-        Vhat=Vhat, What=What, Uhat=Uhat,
+        C1=coeffs["V"], C2=coeffs["W"], C3=coeffs.get("U"),
+        Vhat=estimates["V"], What=estimates["W"], Uhat=estimates.get("U"),
         rkhs_norms=norms,
         loss_value=loss,
         residual_vector=residual,
@@ -619,13 +603,13 @@ def _operator_image(problem: EstimationProblem, a: np.ndarray, phi, psi,
 def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
             upsilon: RkhsFunction | None = None,
             f_flat: np.ndarray | None = None) -> float:
-    """Regularized empirical loss at an explicit candidate tuple."""
+    """Regularized empirical loss at an explicit candidate tuple.
+
+    The data functional is the one ``solve`` fits (the problem's
+    ``f_override`` when given) unless ``f_flat`` is passed.
+    """
     if f_flat is None:
-        f_full = assemble_data_functional(
-            problem.traj, problem.flow_kind, problem.known_u,
-            include_internal=not problem.learn_internal,
-        )
-        f_flat = f_full[:problem.fit_rows].ravel()
+        f_flat = _fit_data(problem)
     rho_flat = problem.traj.values[:problem.fit_rows].ravel()
     resid = operator_image(problem, phi, psi, upsilon) - f_flat
     loss = problem.node_weight * float(resid**2 @ rho_flat)

@@ -62,13 +62,12 @@ while the force uses all of W'; the flow conserves it only for an even W.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import (
     PERIODIC,
-    TRUNCATED,
     DensityTrajectory,
     SpaceTimeMesh,
     diff_space,
@@ -97,31 +96,21 @@ class PeriodicityError(FlowError):
 
 ENTROPY = "entropy"
 POWER = "power"
-FISHER = "fisher"
 NONE = "none"
 
 
 @dataclass(frozen=True)
 class InternalEnergy:
-    """Internal-energy density U(rho) with the derivatives the schemes need.
-
-    ``fisher`` is accepted as a label for data provenance but supplies no
-    pointwise derivatives; neither the forward solver nor the estimator can
-    consume it.
-    """
+    """Internal-energy density U(rho) with the derivatives the schemes need."""
 
     kind: str
     exponent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (ENTROPY, POWER, FISHER, NONE):
+        if self.kind not in (ENTROPY, POWER, NONE):
             raise ValueError(f"unknown internal energy {self.kind!r}")
         if self.kind == POWER and (self.exponent is None or self.exponent <= 1):
             raise ValueError("power internal energy requires exponent m > 1")
-
-    @property
-    def pointwise(self) -> bool:
-        return self.kind in (ENTROPY, POWER, NONE)
 
     def u(self, rho: np.ndarray) -> np.ndarray:
         if self.kind == ENTROPY:
@@ -129,9 +118,7 @@ class InternalEnergy:
         if self.kind == POWER:
             m = self.exponent
             return rho**m / (m - 1.0)
-        if self.kind == NONE:
-            return np.zeros_like(rho)
-        raise ValueError("fisher energy has no pointwise density")
+        return np.zeros_like(rho)
 
     def du(self, rho: np.ndarray) -> np.ndarray:
         if self.kind == ENTROPY:
@@ -139,9 +126,7 @@ class InternalEnergy:
         if self.kind == POWER:
             m = self.exponent
             return m / (m - 1.0) * rho ** (m - 1.0)
-        if self.kind == NONE:
-            return np.zeros_like(rho)
-        raise ValueError("fisher energy has no pointwise U'")
+        return np.zeros_like(rho)
 
     def d2u(self, rho: np.ndarray) -> np.ndarray:
         if self.kind == ENTROPY:
@@ -149,9 +134,7 @@ class InternalEnergy:
         if self.kind == POWER:
             m = self.exponent
             return m * rho ** (m - 2.0)
-        if self.kind == NONE:
-            return np.zeros_like(rho)
-        raise ValueError("fisher energy has no pointwise U''")
+        return np.zeros_like(rho)
 
     def label(self) -> str:
         if self.kind == POWER:
@@ -246,13 +229,10 @@ class EnergySpec:
 
 @dataclass
 class FlowState:
-    """State of the grid solver (density) or particle solver (q, v, masses)."""
+    """State of the grid solver: time, density and nodes floored so far."""
 
     time: float
     density: np.ndarray | None = None
-    positions: np.ndarray | None = None
-    velocities: np.ndarray | None = None
-    masses: np.ndarray | None = None
     floor_hits: int = 0
 
 
@@ -320,12 +300,12 @@ def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) 
 # Gradient flow solver
 # ---------------------------------------------------------------------------
 
-def interaction_matrix(W, mesh: SpaceTimeMesh) -> np.ndarray | None:
-    """Precomputed W(x_n - x_m) for grid convolutions; None for W = 0."""
+def interaction_matrix(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarray | None:
+    """Precomputed W^(order)(x_n - x_m) for grid convolutions; None for W = 0."""
     if W is None:
         return None
     x = mesh.x
-    return np.asarray(W.value(x[:, None] - x[None, :]), dtype=float)
+    return np.asarray(W.value(x[:, None] - x[None, :], order=order), dtype=float)
 
 
 def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray) -> float:
@@ -333,10 +313,9 @@ def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray)
     diffusive term, otherwise an advective bound from the drift slope."""
     if spec.U.kind in (ENTROPY, POWER):
         return min(mesh.dt, 0.2 * mesh.dx**2 / float(np.max(rho0)))
-    x = mesh.x
-    drift = field_on_grid(spec.V, x, order=1)
+    drift = field_on_grid(spec.V, mesh.x, order=1)
     if spec.W is not None:
-        wconv1 = np.asarray(spec.W.value(x[:, None] - x[None, :], order=1), dtype=float)
+        wconv1 = interaction_matrix(spec.W, mesh, order=1)
         wconv1 *= mesh.dx  # scaled in place, not copied
         drift = drift + wconv1 @ rho0
     vmax = float(np.max(np.abs(drift)))
@@ -358,8 +337,6 @@ def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
     ``wconv`` is the convolution matrix dx W(x_n - x_m), built from spec.W
     when not given; a simulation builds it once for all its steps.
     """
-    if spec.U.kind == FISHER:
-        raise FlowError("gradient solver does not integrate the fisher energy")
     rho = state.density
     x = mesh.x
     if v_grid is None:
@@ -441,7 +418,7 @@ def free_energy(rho: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMesh,
     x = mesh.x
     if v_grid is None:
         v_grid = field_on_grid(spec.V, x)
-    total = mesh.dx * float(np.sum(spec.U.u(rho) if spec.U.pointwise else 0.0))
+    total = mesh.dx * float(np.sum(spec.U.u(rho)))
     total += mesh.dx * float(np.sum(v_grid * rho))
     if spec.W is not None:
         if wmat is None:

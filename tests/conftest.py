@@ -9,7 +9,6 @@ from numpy.polynomial import polynomial as npoly
 from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
-    SectionFactors,
     _factor_blocks,
     _row_groups,
     assemble_data_functional,
@@ -17,6 +16,7 @@ from wgflows.estimator import (
 )
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
+from wgflows.rkhs import SectionMap
 
 
 @pytest.fixture(autouse=True)
@@ -79,7 +79,7 @@ def _convolved_factor(a: np.ndarray, r: np.ndarray, rho: np.ndarray, dx: float) 
     return F
 
 
-def dense_factors(fac: SectionFactors) -> tuple[np.ndarray, np.ndarray]:
+def dense_factors(fac: SectionMap) -> tuple[np.ndarray, np.ndarray]:
     """The plain and convolved section factors F1, F2 as dense matrices."""
     return _plain_factor(fac.a, fac.r), _convolved_factor(fac.a, fac.r, fac.r, fac.dx)
 
@@ -98,7 +98,7 @@ def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
 
 
 def dense_generator_grams(problem: EstimationProblem,
-                          fac: SectionFactors) -> dict[str, np.ndarray]:
+                          fac: SectionMap) -> dict[str, np.ndarray]:
     """Dense generator Grams K~ by learned function ("V", "W", and "U")."""
     grams = {"V": dense_generator_gram(problem.kernel1, *fac.plain_generators()),
              "W": dense_generator_gram(problem.kernel2, *fac.convolved_generators())}
@@ -108,31 +108,31 @@ def dense_generator_grams(problem: EstimationProblem,
 
 
 def section_grams(problem: EstimationProblem,
-                  factors: SectionFactors | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  factors: SectionMap | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Dense unweighted section Grams (plain, convolved); small problems only."""
     if problem.node_count > DENSE_CEILING:
         raise EstimatorError(
             f"dense section Grams limited to {DENSE_CEILING} nodes, "
             f"got {problem.node_count}"
         )
-    fac = factors or build_factors(problem)
+    fac = factors or build_factors(problem)[0]
     F1, F2 = dense_factors(fac)
     grams = dense_generator_grams(problem, fac)
     return F1 @ grams["V"] @ F1.T, F2 @ grams["W"] @ F2.T
 
 
-def internal_section_gram(problem: EstimationProblem, fac: SectionFactors) -> np.ndarray:
+def internal_section_gram(problem: EstimationProblem, fac: SectionMap) -> np.ndarray:
     """Dense section Gram of the three-function variant's internal term."""
     F3 = _plain_factor(fac.a, fac.r)
     return F3 @ dense_generator_gram(problem.kernel3, *fac.plain_generators()) @ F3.T
 
 
 def assemble_gram(problem: EstimationProblem,
-                  factors: SectionFactors | None = None) -> np.ndarray:
+                  factors: SectionMap | None = None) -> np.ndarray:
     """Density-weighted Gram C (l2 G_plain + l1 G_conv [+ ...]) C, dense."""
-    fac = factors or build_factors(problem)
+    fac = factors or build_factors(problem)[0]
     G1, G2 = section_grams(problem, fac)
-    C = fac.rho_flat
+    C = fac.r.ravel()
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
         G3 = internal_section_gram(problem, fac)
@@ -142,17 +142,16 @@ def assemble_gram(problem: EstimationProblem,
     return C[:, None] * core * C[None, :]
 
 
-def stacked_factor(problem: EstimationProblem,
-                   factors: SectionFactors | None = None) -> tuple[np.ndarray, dict]:
+def stacked_factor(problem: EstimationProblem) -> tuple[np.ndarray, dict]:
     """The stacked factor P (M x k) with G = P P', assembled from the row
     groups ``solve`` streams, and the kept rank per block."""
-    fac = factors or build_factors(problem)
-    blocks = _factor_blocks(problem, fac)
-    L, N = fac.r.shape
-    P = np.empty((L, N, sum(block.Y.shape[1] for block in blocks)))
-    for nodes, group in _row_groups(fac, blocks):
+    sections, learned = build_factors(problem)
+    blocks = _factor_blocks(learned)
+    L, N = sections.r.shape
+    P = np.empty((L, N, sum(Y.shape[1] for Y in blocks)))
+    for nodes, group in _row_groups(sections, learned, blocks):
         P[:, nodes] = group
-    kept = {block.name: [block.Y.shape[1], block.generators] for block in blocks}
+    kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
     return P.reshape(L * N, -1), kept
 
 
@@ -164,9 +163,9 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     loss from the dense section Grams alone.  Returns them under the
     attribute names of ``EstimatorResult``.
     """
-    fac = build_factors(problem)
+    fac, _ = build_factors(problem)
     G1, G2 = section_grams(problem, fac)
-    rho = fac.rho_flat
+    rho = fac.r.ravel()
     if problem.f_override is not None:
         f_full = np.asarray(problem.f_override, dtype=float)
     else:

@@ -200,6 +200,12 @@ BAD_SIMULATE_EDITS = {
     "energy_U_not_a_label": lambda cfg: cfg["energy"].update(U=None),
     "kernel_sum_without_centers": lambda cfg: cfg["energy"]["V"].pop("centers"),
     "kernel_sum_without_weights": lambda cfg: cfg["energy"]["V"].pop("weights"),
+    # Hamiltonian characteristics carry no internal energy (the config's U is
+    # entropy), and no simulator integrates a fisher energy
+    "hamiltonian_with_entropy": lambda cfg: cfg.update(kind="hamiltonian"),
+    "hamiltonian_with_fisher": lambda cfg: cfg.update(
+        kind="hamiltonian", energy={**cfg["energy"], "U": "fisher"}),
+    "gradient_with_fisher": lambda cfg: cfg["energy"].update(U="fisher"),
 }
 
 
@@ -226,6 +232,21 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
+
+
+def test_fisher_label_refused(tmp_path, capsys):
+    """``fisher`` is no internal energy: it has no pointwise U', so no
+    simulator or estimator could use it.  It is refused when the energy is
+    built, and ``estimate --u fisher`` exits 2."""
+    with pytest.raises(ValueError, match="unknown internal energy"):
+        InternalEnergy("fisher")
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(simulate_config(tmp_path / "run")))
+    assert run(["simulate", "--config", cfg_path]) == 0
+    args = {**ESTIMATE_ARGS, "--u": "fisher"}
+    assert run(["estimate", "--data", tmp_path / "run" / "trajectory.csv",
+                "--out", tmp_path / "est", *[v for kv in args.items() for v in kv]]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config_invalid"
 
 
 # W must be periodic on the torus for the Hamiltonian pair-sum series

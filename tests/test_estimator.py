@@ -11,7 +11,6 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     _factor_blocks,
-    _regularizer_coefficient,
     _woodbury_grams,
     assemble_data_functional,
     build_factors,
@@ -86,13 +85,6 @@ class TestProblemValidation:
         core[0, 1] = core[1, 0] = np.inf
         with pytest.raises(EstimatorError, match="non-finite"):
             estimator._cholesky_with_jitter(core)
-
-    def test_fisher_rejected(self):
-        traj = random_trajectory()
-        with pytest.raises(EstimatorError):
-            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
-                              lambda1=1.0, lambda2=1.0,
-                              known_u=InternalEnergy("fisher"))
 
 
 class TestFlowOperator:
@@ -242,7 +234,7 @@ class TestGram:
        k=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
 def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
     """The matrix-free F1/F2 applies equal the dense factors and are adjoint."""
-    fac = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     M = L * N
     cols = () if k is None else (k,)
@@ -266,7 +258,7 @@ def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
        single=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
     """The one-matmul vector F2 and F2' equal the per-node window product."""
-    fac = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     F = fac.convolved(np.eye(4 * N - 2))
     y = rng.standard_normal(4 * N - 2)
@@ -289,12 +281,12 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
                           lambda1=0.05, lambda2=0.08,
                           kernel3=gaussian_kernel(0.3) if internal else None,
                           lambda3=0.3 if internal else None)
-    fac = build_factors(p)
-    c = _regularizer_coefficient(p)
+    fac, learned = build_factors(p)
+    c = 0.05 * 0.08 * (0.3 if internal else 1.0) / p.node_weight
     with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
-        P, _ = stacked_factor(p, fac)
-        core, gram = _woodbury_grams(fac, _factor_blocks(p, fac), c)
-    absP, dinv = np.abs(P), 1.0 / (c * fac.rho_flat)
+        P, _ = stacked_factor(p)
+        core, gram = _woodbury_grams(fac, learned, _factor_blocks(learned), c)
+    absP, dinv = np.abs(P), 1.0 / (c * fac.r.ravel())
     # both sides sum the same M products per entry in different orders
     assert np.all(np.abs(gram - P.T @ P) <= 1e-13 * (absP.T @ absP))
     assert np.all(np.abs(core - P.T @ (dinv[:, None] * P))
@@ -314,10 +306,10 @@ def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
     equal the dense generator Grams of mixed partials."""
     traj = random_trajectory(N=N, L=1, seed=seed, a=a, b=a + 1.0)
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08)
-    fac = build_factors(p)
+    fac, learned = build_factors(p)
     rng = np.random.default_rng(seed)
-    for gram, K, kernel in zip((fac.K1t, fac.K2t), dense_generator_grams(p, fac).values(),
-                               (k1, k2)):
+    for fn, K, kernel in zip(learned, dense_generator_grams(p, fac).values(), (k1, k2)):
+        gram = fn.gram
         assert gram.size == K.shape[0]
         # the dense Gram rounds each center difference c_q - c_p (|c| <= 1)
         # where the gaps use (q - p) dx: at most 2 eps off, on a profile
@@ -341,8 +333,8 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     traj = random_trajectory(N=N, L=L, mode=mode, seed=seed)
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
                           lambda3=None if k3 is None else 0.3)
-    fac = build_factors(p)
-    P, kept = stacked_factor(p, fac)
+    fac, _ = build_factors(p)
+    P, kept = stacked_factor(p)
     F1, F2 = dense_factors(fac)
     l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
     grams = dense_generator_grams(p, fac)
@@ -355,7 +347,7 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     assert set(kept) == set(blocks)
     for name, (Kt, F, weight) in blocks.items():
         w = np.linalg.eigh(Kt)[0]
-        row = fac.rho_flat * np.linalg.norm(F, axis=1)
+        row = fac.r.ravel() * np.linalg.norm(F, axis=1)
         scale += weight * max(w[-1], 0.0) * np.outer(row, row)
         # reference rule: eigh eigenvalues above 1e-14 lambda_max; those within
         # the pivot tolerance 1e-15 lambda_max of that cut are resolved by
@@ -450,6 +442,20 @@ class TestSolve:
         assert np.allclose(res.C1, 0.0) and np.allclose(res.C2, 0.0)
         assert res.rkhs_norms["V"] == 0.0 and res.rkhs_norms["W"] == 0.0
         assert res.loss_value == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("override", ["zero", "random"])
+    def test_loss_at_reads_the_fitted_override(self, traj_periodic, override):
+        """``loss_at`` scores the data functional ``solve`` fits, which is
+        ``f_override`` when the problem has one."""
+        f = np.zeros_like(traj_periodic.values)
+        if override == "random":
+            f = np.random.default_rng(8).standard_normal(f.shape)
+        p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
+                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.2,
+                              f_override=f)
+        res = solve(p)
+        assert loss_at(p, res.Vhat, res.What) == pytest.approx(res.loss_value,
+                                                               rel=1e-10, abs=0.0)
 
     def test_solve_matches_dense_reference(self):
         for seed in (1, 5):
@@ -676,7 +682,13 @@ class TestThreeFunction:
                               lambda1=0.2, lambda2=0.3,
                               kernel3=gaussian_kernel(0.4), lambda3=0.25)
         rd, rl = dense_reference_solve(p), solve(p)
-        assert np.max(np.abs(rd.C3 - rl.C3)) < 1e-8 * max(np.max(np.abs(rd.C3)), 1e-30)
+        for name in ("C1", "C2", "C3"):
+            ref, got = getattr(rd, name), getattr(rl, name)
+            assert np.max(np.abs(ref - got)) < 1e-8 * max(np.max(np.abs(ref)), 1e-30)
+        assert set(rl.rkhs_norms) == {"V", "W", "U"}
+        for name, norm in rd.rkhs_norms.items():
+            assert rl.rkhs_norms[name] == pytest.approx(norm, rel=1e-8)
+        assert rl.loss_value == pytest.approx(rd.loss_value, rel=1e-8)
 
 
 class TestExactDerivativeOverride:
@@ -685,7 +697,7 @@ class TestExactDerivativeOverride:
         p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
                               imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.1,
                               spatial_slope_override=override)
-        fac = build_factors(p)
+        fac, _ = build_factors(p)
         assert np.allclose(fac.a, 0.0)
         image = operator_image(p, RkhsFunction.from_points(p.kernel1, [0.5], [1.0]),
                                None)

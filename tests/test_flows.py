@@ -43,7 +43,7 @@ def wrapped_gaussian(x, mu, var, wraps=8, period=1.0):
 
 class TestInternalEnergy:
     def test_labels_round_trip(self):
-        for label in ("none", "entropy", "power:2", "power:1.5", "fisher"):
+        for label in ("none", "entropy", "power:2", "power:1.5"):
             assert internal_energy_from_label(label).label() == label
 
     def test_power_requires_m_above_one(self):
@@ -61,12 +61,6 @@ class TestInternalEnergy:
         assert np.allclose(u.u(rho), rho**3 / 2)
         assert np.allclose(u.du(rho), 1.5 * rho**2)
         assert np.allclose(u.d2u(rho), 3.0 * rho)
-
-    def test_fisher_is_label_only(self):
-        u = InternalEnergy("fisher")
-        assert not u.pointwise
-        with pytest.raises(ValueError):
-            u.du(np.ones(3))
 
 
 class TestWeightedLaplacian:
@@ -317,13 +311,6 @@ class TestGradientFlow:
         rho0 = wrapped_gaussian(mesh.x, 0.5, 0.02)
         with pytest.raises(FlowError, match="dt_solver"):
             gradient_flow_simulate(rho0, EnergySpec(V=V), mesh, dt_solver=0.05)
-
-    def test_fisher_rejected(self):
-        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
-        state = FlowState(time=0.0, density=np.ones(16))
-        with pytest.raises(FlowError):
-            gradient_flow_step(state, EnergySpec(U=InternalEnergy("fisher")),
-                               mesh, 1e-4)
 
 
 class TestHamiltonianFlow:

@@ -78,6 +78,49 @@ def test_scanner_ignores_other_modules(source):
     assert not scipy_uses(source)
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports but never reads or lists in ``__all__``
+    (``from __future__`` imports are directives, not names)."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(imported - used)
+
+
+def test_package_has_no_unused_imports():
+    """Every name a module of the package imports is used or re-exported."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    found = {path.name: names for path in modules
+             if (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os", ["os"]),
+    ("import os.path", ["os"]),
+    ("import numpy as np", ["np"]),
+    ("from .flows import FlowState, NONE\nNONE", ["FlowState"]),
+    ("from dataclasses import dataclass, field\n@dataclass\nclass A: pass", ["field"]),
+    ("import numpy as np\nnp.zeros(3)", []),
+    ("import os.path\nos.path.join", []),
+    ("from .rkhs import rkhs_norm\n__all__ = ['rkhs_norm']", []),
+    ("from __future__ import annotations", []),
+    ("from .mesh import PERIODIC\ndef f(mode=PERIODIC): pass", []),
+])
+def test_unused_import_scanner(source, unused):
+    assert unused_imports(source) == unused
+
+
 def test_cli_import_loads_no_scipy():
     """Importing the CLI (and with it every module of the package) leaves no
     ``scipy`` module in ``sys.modules``."""
