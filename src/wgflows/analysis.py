@@ -15,7 +15,7 @@ every error is an exact Gram computation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,6 +123,8 @@ def wasserstein2_1d(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeMesh,
     samples as a piecewise-linear CDF (continuous densities), "step" as
     atoms of mass rho_n dx at x_n (matches discrete optimal transport).
     """
+    if n_quantiles < 1:
+        raise AnalysisError(f"n_quantiles must be at least 1, got {n_quantiles}")
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if rho.shape != (mesh.N,) or sigma.shape != (mesh.N,):
@@ -221,7 +223,6 @@ class SweepReport:
     truth_norm: float
     wall_s: list                      # seconds per N, for timings.json
     seed: int
-    sup_w2: list = field(default_factory=list)
 
 
 def bump_density(x: np.ndarray, length: float, center, sigma,

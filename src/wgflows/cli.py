@@ -7,7 +7,7 @@ Timings go to a separate timings.json so that reruns of the same seeded
 config produce byte-identical data artifacts and manifests.
 
 Failures print a single-line JSON error object; exit code 2 flags config
-validation problems, 1 anything else.
+validation problems, 1 anything else, a non-finite JSON value included.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ def fmt(x: float) -> str:
 
 
 def write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
-        fh.write("\n")
+    """Strict JSON: a non-finite value raises before the file is opened."""
+    text = json.dumps(payload, sort_keys=True, indent=1, default=_json_default,
+                      allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _json_default(obj):
@@ -254,6 +255,13 @@ def require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError("config_invalid", f"config key {key!r} is required")
     return cfg[key]
+
+
+def quantile_count(cfg: dict) -> int:
+    count = int(cfg.get("n_quantiles", 512))
+    if count < 1:
+        raise ConfigError("config_invalid", f"n_quantiles must be at least 1, got {count}")
+    return count
 
 
 def cmd_simulate(args) -> int:
@@ -476,6 +484,7 @@ def cmd_stability(args) -> int:
     estimates = require(cfg, "estimates")
     mu0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
+    n_quantiles = quantile_count(cfg)
     run = RunDirectory(Path(require(cfg, "out")))
     try:
         pairs = [(function_from_spec(require(est_cfg, "V"), "estimate V"),
@@ -485,7 +494,7 @@ def cmd_stability(args) -> int:
         try:
             records = stability_experiment(
                 (truth_v, truth_w), pairs, mu0, phi0, mesh,
-                n_quantiles=int(cfg.get("n_quantiles", 512)),
+                n_quantiles=n_quantiles,
                 dt_solver=cfg.get("dt_solver"))
         except PeriodicityError as exc:
             raise ConfigError("w_not_periodic", str(exc)) from None
@@ -517,16 +526,21 @@ def cmd_w2(args) -> int:
     sigma_path = args.sigma or cfg.get("sigma")
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
+    n_quantiles = quantile_count(cfg)
     try:
         t_rho = read_trajectory(rho_path)
         t_sigma = read_trajectory(sigma_path)
     except TrajectoryFormatError as exc:
         raise ConfigError(exc.code, str(exc))
-    row = int(cfg.get("row", -1))
+    if t_rho.mesh != t_sigma.mesh:
+        raise ConfigError("config_invalid", "--rho and --sigma lie on different meshes")
+    row, L = int(cfg.get("row", -1)), t_rho.mesh.L
+    if not -L <= row < L:
+        raise ConfigError("config_invalid", f"row {row} outside [-{L}, {L})")
     periodic = bool(cfg.get("periodic", False))
     value = wasserstein2_1d(
         t_rho.values[row], t_sigma.values[row], t_rho.mesh,
-        n_quantiles=int(cfg.get("n_quantiles", 512)), periodic=periodic,
+        n_quantiles=n_quantiles, periodic=periodic,
     )
     payload = {"w2": value, "row": row, "periodic": periodic, "seed": seed}
     if args.out or "out" in cfg:
@@ -537,7 +551,7 @@ def cmd_w2(args) -> int:
         finally:
             run.release()
     else:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
 
 

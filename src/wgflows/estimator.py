@@ -63,8 +63,8 @@ import numpy as np
 
 from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
-from .mesh import PERIODIC, DensityTrajectory, diff_space
-from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, difference_grid, rkhs_inner
+from .mesh import PERIODIC, DensityTrajectory, diff_space, difference_grid
+from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, rkhs_inner
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
@@ -305,14 +305,16 @@ class _LearnedFunction(NamedTuple):
     gram: GapGram
 
 
-def _fit_slopes(problem: EstimationProblem) -> np.ndarray:
-    """Density slopes a at the fit nodes, shape (fit_rows, N)."""
+def _fit_sections(problem: EstimationProblem) -> SectionMap:
+    """The section map over the fit nodes, slopes from ``spatial_slope_override``."""
+    traj, rows = problem.traj, problem.fit_rows
     if problem.spatial_slope_override is None:
-        return problem.traj.dx_plus()[:problem.fit_rows]
-    a_full = np.asarray(problem.spatial_slope_override, dtype=float)
-    if a_full.shape != problem.traj.values.shape:
-        raise EstimatorError("spatial_slope_override shape mismatch")
-    return a_full[:problem.fit_rows]
+        a = traj.dx_plus()
+    else:
+        a = np.asarray(problem.spatial_slope_override, dtype=float)
+        if a.shape != traj.values.shape:
+            raise EstimatorError("spatial_slope_override shape mismatch")
+    return SectionMap(a[:rows], traj.values[:rows], traj.mesh.x, traj.mesh.dx)
 
 
 def _fit_data(problem: EstimationProblem) -> np.ndarray:
@@ -341,8 +343,7 @@ def build_factors(problem: EstimationProblem
     three gap vectors of O(N) values.
     """
     mesh = problem.traj.mesh
-    sections = SectionMap(_fit_slopes(problem), problem.traj.values[:problem.fit_rows],
-                          mesh.x, mesh.dx)
+    sections = _fit_sections(problem)
     spec = [("V", problem.kernel1, problem.lambda1, PLAIN),
             ("W", problem.kernel2, problem.lambda2, CONVOLVED)]
     if problem.learn_internal:
@@ -574,30 +575,19 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 def operator_image(problem: EstimationProblem, phi, psi,
                    upsilon=None) -> np.ndarray:
     """Forward operator applied at every fit node, flattened (time-major)."""
-    return _operator_image(problem, _fit_slopes(problem), phi, psi, upsilon)
+    return _operator_image(_fit_sections(problem), phi, psi, upsilon)
 
 
-def _operator_image(problem: EstimationProblem, a: np.ndarray, phi, psi,
-                    upsilon=None) -> np.ndarray:
-    """``operator_image`` for precomputed fit-node slopes ``a``."""
-    mesh = problem.traj.mesh
-    r = problem.traj.values[:problem.fit_rows]
-    x = mesh.x
-    d1 = np.zeros(r.shape)
-    d2 = np.zeros(r.shape)
-    for fn in (phi, upsilon):
+def _operator_image(sections: SectionMap, phi, psi, upsilon=None) -> np.ndarray:
+    """Each candidate's section factor F applied to its f' and f'' at its side's
+    generator centers: grid points for phi and upsilon, pair differences for psi."""
+    image = np.zeros(sections.r.size)
+    for fn, side in ((phi, PLAIN), (psi, CONVOLVED), (upsilon, PLAIN)):
         if fn is not None:
-            d1 += np.asarray(fn.value(x, order=1), dtype=float)
-            d2 += np.asarray(fn.value(x, order=2), dtype=float)
-    if psi is not None:
-        N = mesh.N
-        dgrid = difference_grid(N, mesh.dx)
-        idx = np.arange(N)[:, None] - np.arange(N)[None, :] + (N - 1)
-        t1 = np.asarray(psi.value(dgrid, order=1), dtype=float)[idx]
-        t2 = np.asarray(psi.value(dgrid, order=2), dtype=float)[idx]
-        d1 += mesh.dx * r @ t1.T
-        d2 += mesh.dx * r @ t2.T
-    return (a * d1 + r * d2).ravel()
+            orders, centers = getattr(sections, side + "_generators")()
+            image += getattr(sections, side)(np.concatenate(
+                [fn.value(centers[orders == k], order=k) for k in (1, 2)]))
+    return image
 
 
 def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
@@ -628,14 +618,11 @@ def stationarity_residual(result: EstimatorResult, problem: EstimationProblem,
     from the section span.  At a true minimizer every closed-form Gateaux
     derivative vanishes.
     """
-    rho_flat = problem.traj.values[:problem.fit_rows].ravel()
-    slopes = _fit_slopes(problem)
+    sections = _fit_sections(problem)
+    weights = 2.0 * problem.node_weight * result.residual_vector * sections.r.ravel()
     worst = 0.0
     for fdir, gdir in directions:
-        image = _operator_image(problem, slopes, fdir, gdir)
-        deriv = 2.0 * problem.node_weight * float(
-            (result.residual_vector * image) @ rho_flat
-        )
+        deriv = float(weights @ _operator_image(sections, fdir, gdir))
         deriv += 2.0 * problem.lambda1 * rkhs_inner(result.Vhat, fdir)
         deriv += 2.0 * problem.lambda2 * rkhs_inner(result.What, gdir)
         worst = max(worst, abs(deriv))

@@ -19,7 +19,9 @@ backward difference of the forward-difference flux,
 which telescopes (exact mass conservation on the torus) and is symmetric
 negative semidefinite, so the pseudo-inverse is a well-posed zero-mean solve.
 In 1-D it integrates in closed form: the flux J = rho d+ phi is a running
-sum of sigma up to a constant, which periodicity of phi fixes.
+sum of sigma up to a constant, which periodicity of phi fixes.  The grid
+convolution dx sum_m W(x_n - x_m) rho_m reads W once, on the 2N-1 pair
+differences of ``mesh.difference_grid``, as np.convolve(dx W, rho, "valid").
 
 The Hamiltonian flow is integrated on characteristics: particles obey
 q'' = -(V + W conv rho)'(q) with the mean-field convolution carried by fixed
@@ -72,6 +74,7 @@ from .mesh import (
     SpaceTimeMesh,
     diff_space,
     diff_space_backward,
+    difference_grid,
 )
 
 DENSITY_FLOOR = 1e-10
@@ -300,12 +303,11 @@ def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) 
 # Gradient flow solver
 # ---------------------------------------------------------------------------
 
-def interaction_matrix(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarray | None:
-    """Precomputed W^(order)(x_n - x_m) for grid convolutions; None for W = 0."""
-    if W is None:
-        return None
-    x = mesh.x
-    return np.asarray(W.value(x[:, None] - x[None, :], order=order), dtype=float)
+def _offset_kernel(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarray:
+    """dx W^(order) on the 2N-1 pair differences of ``difference_grid``, whose
+    valid convolution with rho is dx sum_m W^(order)(x_n - x_m) rho_m."""
+    offsets = difference_grid(mesh.N, mesh.dx)
+    return mesh.dx * np.asarray(W.value(offsets, order=order), dtype=float)
 
 
 def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray) -> float:
@@ -315,9 +317,7 @@ def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray)
         return min(mesh.dt, 0.2 * mesh.dx**2 / float(np.max(rho0)))
     drift = field_on_grid(spec.V, mesh.x, order=1)
     if spec.W is not None:
-        wconv1 = interaction_matrix(spec.W, mesh, order=1)
-        wconv1 *= mesh.dx  # scaled in place, not copied
-        drift = drift + wconv1 @ rho0
+        drift = drift + np.convolve(_offset_kernel(spec.W, mesh, order=1), rho0, "valid")
     vmax = float(np.max(np.abs(drift)))
     if vmax == 0.0:
         return mesh.dt
@@ -334,18 +334,17 @@ def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
     stencil shared with the estimator (needs a diffusive internal energy for
     stability); "upwind" selects the donor cell by the face velocity, which
     keeps pure-drift flows positive under the advective CFL condition.
-    ``wconv`` is the convolution matrix dx W(x_n - x_m), built from spec.W
-    when not given; a simulation builds it once for all its steps.
+    ``wconv`` is dx W on the 2N-1 pair differences (``_offset_kernel``),
+    built from spec.W when not given; a simulation builds it once.
     """
     rho = state.density
-    x = mesh.x
     if v_grid is None:
-        v_grid = field_on_grid(spec.V, x)
+        v_grid = field_on_grid(spec.V, mesh.x)
     if wconv is None and spec.W is not None:
-        wconv = mesh.dx * interaction_matrix(spec.W, mesh)
+        wconv = _offset_kernel(spec.W, mesh)
     drive = spec.U.du(rho) + v_grid
     if wconv is not None:
-        drive = drive + wconv @ rho
+        drive = drive + np.convolve(wconv, rho, "valid")
     if scheme == "divergence":
         update = weighted_laplacian_apply(rho, drive, mesh, PERIODIC)
     elif scheme == "upwind":
@@ -372,6 +371,7 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
                            scheme: str = "divergence") -> tuple[DensityTrajectory, dict]:
     """Integrate the gradient flow and sample at the data times t_1..t_L.
 
+    W is read on the 2N-1 pair differences once per derivative order.
     Returns the trajectory (periodic boundary mode) and a diagnostics dict
     with, per output time, the floor hits (nodes raised to DENSITY_FLOOR,
     summed over the solver steps since the previous output time) and the
@@ -384,10 +384,8 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
         dt_solver = default_gradient_dt(mesh, spec, rho0)
         if scheme == "upwind" and spec.U.kind == NONE:
             dt_solver = min(mesh.dt, 2.5 * dt_solver)  # advective bound suffices
-    x = mesh.x
-    v_grid = field_on_grid(spec.V, x)
-    wmat = interaction_matrix(spec.W, mesh)
-    wconv = None if wmat is None else mesh.dx * wmat
+    v_grid = field_on_grid(spec.V, mesh.x)
+    wconv = None if spec.W is None else _offset_kernel(spec.W, mesh)
     state = FlowState(time=0.0, density=rho0.copy())
     samples = np.empty((mesh.L, mesh.N))
     energies = []
@@ -402,7 +400,7 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
                                        v_grid=v_grid, scheme=scheme)
         samples[l] = state.density
         floor_hits.append(state.floor_hits - hits_before)
-        energies.append(free_energy(state.density, spec, mesh, wmat=wmat, v_grid=v_grid))
+        energies.append(free_energy(state.density, spec, mesh, wconv=wconv, v_grid=v_grid))
     traj = DensityTrajectory(mesh, samples, boundary_mode=PERIODIC)
     diagnostics = {
         "dt_solver": dt_solver,
@@ -413,17 +411,16 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
 
 
 def free_energy(rho: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMesh,
-                wmat: np.ndarray | None = None, v_grid: np.ndarray | None = None) -> float:
-    """Discrete energy: internal + potential + 1/2 interaction terms."""
-    x = mesh.x
+                wconv: np.ndarray | None = None, v_grid: np.ndarray | None = None) -> float:
+    """Discrete energy: internal + potential + 1/2 interaction (through ``wconv``) terms."""
     if v_grid is None:
-        v_grid = field_on_grid(spec.V, x)
+        v_grid = field_on_grid(spec.V, mesh.x)
     total = mesh.dx * float(np.sum(spec.U.u(rho)))
     total += mesh.dx * float(np.sum(v_grid * rho))
     if spec.W is not None:
-        if wmat is None:
-            wmat = interaction_matrix(spec.W, mesh)
-        total += 0.5 * mesh.dx**2 * float(rho @ wmat @ rho)
+        if wconv is None:
+            wconv = _offset_kernel(spec.W, mesh)
+        total += 0.5 * mesh.dx * float(rho @ np.convolve(wconv, rho, "valid"))
     return total
 
 

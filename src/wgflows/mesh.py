@@ -81,6 +81,11 @@ class SpaceTimeMesh:
         return self.dt * np.arange(1, self.L + 1)
 
 
+def difference_grid(N: int, dx: float) -> np.ndarray:
+    """Pair differences x_n - x_m = d*dx, d = -(N-1)..N-1, d at index d + N - 1."""
+    return dx * np.arange(-(N - 1), N)
+
+
 def diff_space(values: np.ndarray, dx: float, mode: str) -> np.ndarray:
     """Forward difference along the last axis with the chosen boundary branch."""
     if mode not in BOUNDARY_MODES:

@@ -32,17 +32,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import KernelError, SmoothKernel
-from .mesh import DensityTrajectory
+from .mesh import DensityTrajectory, difference_grid
 
 PLAIN = "plain"
 CONVOLVED = "convolved"
 
 _ORDER_AXIS = (1, 2)  # slot orders carried by a weighted-Laplacian section
-
-
-def difference_grid(N: int, dx: float) -> np.ndarray:
-    """Centers x_n - x_m of convolved sections: d*dx for d = -(N-1)..N-1."""
-    return dx * np.arange(-(N - 1), N)
 
 
 @dataclass

@@ -207,16 +207,18 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 
 def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
-                        spatial_slope: float | None = None) -> float:
-    """Pointwise forward operator at node (l, n) for evaluable (phi, psi)."""
+                        spatial_slope: float | None = None, upsilon=None) -> float:
+    """Pointwise forward operator at node (l, n) for evaluable (phi, psi)
+    and, when given, the plain internal-energy term upsilon."""
     mesh = traj.mesh
     a = traj.dx_plus()[l, n] if spatial_slope is None else spatial_slope
     r = traj.values[l, n]
     x = mesh.x[n]
     d1 = d2 = 0.0
-    if phi is not None:
-        d1 += float(phi.value(x, order=1))
-        d2 += float(phi.value(x, order=2))
+    for fn in (phi, upsilon):
+        if fn is not None:
+            d1 += float(fn.value(x, order=1))
+            d2 += float(fn.value(x, order=2))
     if psi is not None:
         rho = traj.values[l]
         diffs = x - mesh.x
@@ -262,3 +264,16 @@ def dense_pair_sums(q: np.ndarray, masses: np.ndarray, W, length: float,
         diff -= length * np.round(diff / length)
         sums[i] = np.asarray(W.value(diff, order=order), dtype=float) @ masses
     return sums
+
+
+# ---------------------------------------------------------------------------
+# Dense grid convolution matrix, the reference for the gradient flow's
+# offset-vector convolution
+# ---------------------------------------------------------------------------
+
+def dense_interaction_matrix(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarray | None:
+    """Precomputed W^(order)(x_n - x_m) for grid convolutions; None for W = 0."""
+    if W is None:
+        return None
+    x = mesh.x
+    return np.asarray(W.value(x[:, None] - x[None, :], order=order), dtype=float)

@@ -160,6 +160,12 @@ class TestWasserstein:
         with pytest.raises(AnalysisError):
             wasserstein2_1d(rho, 1.1 * rho, mesh200)
 
+    @pytest.mark.parametrize("n_quantiles", [0, -3])
+    def test_no_quantiles_rejected(self, mesh200, n_quantiles):
+        rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
+        with pytest.raises(AnalysisError, match="n_quantiles"):
+            wasserstein2_1d(rho, rho, mesh200, n_quantiles=n_quantiles)
+
     def test_nonpositive_rejected(self, mesh200):
         rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
         bad = rho.copy()

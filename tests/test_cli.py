@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgflows import analysis, estimator, mesh
+from wgflows import analysis, cli, estimator, mesh
 from wgflows.analysis import DROP_LAST_TIME_ROWS
 from wgflows.cli import main
 from wgflows.estimator import EstimationProblem
@@ -210,7 +210,7 @@ BAD_SIMULATE_EDITS = {
 
 
 @pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, *BAD_SIMULATE_EDITS,
-                                  "sweep_unknown_u"])
+                                  "sweep_unknown_u", "stability_no_quantiles"])
 def test_config_errors_exit_2(tmp_path, capsys, case):
     cfg = simulate_config(tmp_path / "run")
     if case in BAD_SIMULATE_EDITS:
@@ -229,6 +229,13 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
         sweep_path.write_text(json.dumps({**sweep_config(tmp_path / "sweep"),
                                           "u": "bogus"}))
         rc = run(["sweep", "--config", sweep_path])
+    if case == "stability_no_quantiles":
+        assert rc == 0
+        stab_path = tmp_path / "stab.json"
+        stab_path.write_text(json.dumps({**stability_config(tmp_path / "stab"),
+                                         "n_quantiles": 0}))
+        rc = run(["stability", "--config", stab_path])
+        assert not (tmp_path / "stab").exists()  # refused before any work
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
@@ -515,6 +522,62 @@ def test_rerun_artifacts_byte_identical_apart_from_timings(tmp_path, command, ma
     for name in first:
         assert first[name] == second[name], f"{name} differs between reruns"
     assert len(timings) > 2   # the command's stage, total, and one entry per item
+
+
+@pytest.fixture(scope="module")
+def w2_runs(tmp_path_factory):
+    """Gradient runs for ``w2``: "base", one on another grid, one on
+    another time axis."""
+    root = tmp_path_factory.mktemp("w2")
+    other_times = simulate_config(root / "other_times")
+    other_times["mesh"]["T"] = 0.04
+    for cfg in (simulate_config(root / "base"), simulate_config(root / "other_grid", N=20),
+                other_times):
+        cfg_path = root / (Path(cfg["out"]).name + ".json")
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 0
+    return root
+
+
+# w2 config edits and the run --sigma reads; the base run has L = 5
+BAD_W2_CONFIGS = {
+    "row_past_last": ({"row": 5}, "base"),
+    "row_before_first": ({"row": -6}, "base"),
+    "no_quantiles": ({"n_quantiles": 0}, "base"),
+    "sigma_on_other_grid": ({}, "other_grid"),
+    "sigma_on_other_times": ({}, "other_times"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_W2_CONFIGS)
+def test_w2_config_errors_exit_2(tmp_path, capsys, w2_runs, case):
+    edits, sigma = BAD_W2_CONFIGS[case]
+    cfg_path = tmp_path / "w2.json"
+    cfg_path.write_text(json.dumps({"rho": str(w2_runs / "base" / "trajectory.csv"),
+                                    "sigma": str(w2_runs / sigma / "trajectory.csv"),
+                                    **edits}))
+    for out in ([], ["--out", tmp_path / "w2"]):
+        assert run(["w2", "--config", cfg_path, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "config_invalid"
+    assert not (tmp_path / "w2").exists()  # refused before any work
+
+
+def test_non_finite_output_exits_1(tmp_path, capsys, monkeypatch, w2_runs):
+    """JSON artifacts and stdout are strict: a non-finite value is a
+    runtime error, never a NaN token, and leaves no partial file."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.write_json(tmp_path / "bad.json", {"value": float("nan")})
+    assert not (tmp_path / "bad.json").exists()
+    monkeypatch.setattr(cli, "wasserstein2_1d", lambda *args, **kwargs: float("inf"))
+    data = w2_runs / "base" / "trajectory.csv"
+    for out in ([], ["--out", tmp_path / "w2"]):
+        assert run(["w2", "--rho", data, "--sigma", data, *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "runtime_error"
+    assert not (tmp_path / "w2" / "w2.json").exists()
 
 
 class TestW2Command:

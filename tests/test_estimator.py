@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -104,16 +105,27 @@ class TestFlowOperator:
         # slope weights vanish, so only the second-derivative term survives
         assert apply_flow_operator(traj, quad, None, 0, 3) == pytest.approx(2 * c)
 
-    def test_operator_image_matches_pointwise(self, traj_periodic):
+    def test_operator_image_matches_pointwise(self):
+        """At every node, for both boundary modes, forward-differenced and
+        overridden slopes, and with and without a plain upsilon term."""
         K1 = gaussian_kernel(0.25)
         K2 = imq_kernel(0.3, beta=1.5)
         phi = RkhsFunction.from_points(K1, [0.2, 0.7], [1.0, -0.4])
         psi = RkhsFunction.from_points(K2, [-0.1, 0.3], [0.6, 0.2])
-        p = EstimationProblem(traj_periodic, K1, K2, lambda1=1.0, lambda2=1.0)
-        image = operator_image(p, phi, psi).reshape(traj_periodic.mesh.L, -1)
-        for l, n in [(0, 0), (1, 5), (2, 11)]:
-            direct = apply_flow_operator(traj_periodic, phi, psi, l, n)
-            assert image[l, n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        upsilon = RkhsFunction.from_points(gaussian_kernel(0.15), [0.45], [0.7])
+        for mode, override, ups in itertools.product((PERIODIC, TRUNCATED), (False, True),
+                                                     (None, upsilon)):
+            traj = random_trajectory(mode=mode, seed=4)
+            slopes = (np.random.default_rng(5).standard_normal(traj.values.shape)
+                      if override else None)
+            p = EstimationProblem(traj, K1, K2, lambda1=1.0, lambda2=1.0,
+                                  spatial_slope_override=slopes)
+            image = operator_image(p, phi, psi, ups).reshape(traj.mesh.L, -1)
+            for l, n in np.ndindex(image.shape):
+                direct = apply_flow_operator(
+                    traj, phi, psi, l, n, upsilon=ups,
+                    spatial_slope=None if slopes is None else slopes[l, n])
+                assert image[l, n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestDataFunctional:

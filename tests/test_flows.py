@@ -17,6 +17,7 @@ from wgflows.flows import (
     PeriodicityError,
     SmoothFunction,
     christoffel_term,
+    default_gradient_dt,
     free_energy,
     gradient_flow_simulate,
     gradient_flow_step,
@@ -29,7 +30,7 @@ from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh, space_integral
 from wgflows.rkhs import RkhsFunction
 
-from conftest import dense_pair_sums
+from conftest import dense_interaction_matrix, dense_pair_sums
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -311,6 +312,97 @@ class TestGradientFlow:
         rho0 = wrapped_gaussian(mesh.x, 0.5, 0.02)
         with pytest.raises(FlowError, match="dt_solver"):
             gradient_flow_simulate(rho0, EnergySpec(V=V), mesh, dt_solver=0.05)
+
+
+INTERACTIONS = ["wrapped_gaussian", "wrapped_imq", "cosine_sum", "linear"]
+
+
+def interaction(kind: str, length: float, rng: np.random.Generator):
+    """An interaction kernel W of the given kind with random parameters."""
+    if kind == "linear":
+        return SmoothFunction.linear(float(rng.standard_normal()))
+    if kind == "cosine_sum":
+        return SmoothFunction.cosine_sum(length, rng.standard_normal(3),
+                                         rng.integers(0, 6, 3), length * rng.random(3))
+    lengthscale = length * rng.uniform(0.05, 0.5)
+    kernel = (gaussian_kernel(lengthscale) if kind == "wrapped_gaussian"
+              else imq_kernel(lengthscale, beta=rng.uniform(0.5, 2.5)))
+    return wrap_periodic(RkhsFunction.from_points(
+        kernel, length * rng.uniform(-1.0, 1.0, 3), rng.standard_normal(3)), length)
+
+
+def convolution_roundoff(W, mesh: SpaceTimeMesh, rho: np.ndarray, order: int) -> np.ndarray:
+    """eps dx sum_m (|W^(order)| + max|x| |W^(order+1)|)(x_n - x_m) rho_m.
+
+    The first term is the size of the terms of the grid convolution; the
+    second is how far a term moves when its pair difference rounds, which
+    the dense reference's x_n - x_m does by up to about eps max|x|.
+    """
+    terms = (np.abs(dense_interaction_matrix(W, mesh, order))
+             + np.max(np.abs(mesh.x)) * np.abs(dense_interaction_matrix(W, mesh, order + 1)))
+    return np.finfo(float).eps * mesh.dx * terms @ rho
+
+
+class TestGridConvolution:
+    """The gradient flow reads W on the 2N-1 pair differences and applies it
+    as a Toeplitz product; the dense N x N matrix is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(INTERACTIONS), N=st.integers(1, 64),
+           a=st.floats(-2.0, 2.0), length=st.floats(0.5, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_interaction_matrix(self, kind, N, a, length, seed):
+        rng = np.random.default_rng(seed)
+        mesh = SpaceTimeMesh(a, a + length, 0.1, N, 2)
+        W = interaction(kind, length, rng)
+        spec = EnergySpec(W=W)
+        rho = 10.0 ** rng.uniform(-2.0, 2.0, N)
+        rho /= space_integral(rho, mesh)
+        dense = [mesh.dx * dense_interaction_matrix(W, mesh, order) for order in (0, 1)]
+        bound = [64.0 * convolution_roundoff(W, mesh, rho, order) for order in (0, 1)]
+
+        # the drive U'(rho) + V + W conv rho of one step, here W conv rho alone
+        drives = []
+
+        def recording(rho_w, phi, *args, **kwargs):
+            drives.append(phi)
+            return weighted_laplacian_apply(rho_w, phi, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flows, "weighted_laplacian_apply", recording)
+            gradient_flow_step(FlowState(time=0.0, density=rho.copy()), spec, mesh, 1e-12)
+        assert np.all(np.abs(drives[0] - dense[0] @ rho) <= bound[0])
+
+        energy = 0.5 * mesh.dx * float(rho @ dense[0] @ rho)
+        assert abs(free_energy(rho, spec, mesh) - energy) <= 0.5 * mesh.dx * rho @ bound[0]
+
+        # no diffusion: the step is 0.2 dx over the largest drift slope, which
+        # lies within the largest bound of the dense one
+        def step(vmax):
+            return mesh.dt if vmax == 0.0 else min(mesh.dt, 0.2 * mesh.dx / vmax)
+
+        vmax, slack = float(np.max(np.abs(dense[1] @ rho))), float(np.max(bound[1]))
+        lo, hi = step(vmax + slack), step(max(vmax - slack, 0.0))
+        assert lo * (1 - 1e-15) <= default_gradient_dt(mesh, spec, rho) <= hi * (1 + 1e-15)
+
+    def test_simulation_reads_w_on_the_pair_differences(self):
+        """A whole simulation evaluates W on at most 2N-1 points per
+        derivative order, not on the N^2 pair differences."""
+        inner = wrap_periodic(RkhsFunction.from_points(
+            gaussian_kernel(0.2), [-0.2, 0.2], [0.05, -0.05]), 1.0)
+        points = {}
+
+        class CountingW:
+            def value(self, x, order=0):
+                points[order] = points.get(order, 0) + np.size(x)
+                return inner.value(x, order=order)
+
+        N = 48
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.02, N, 3)
+        gradient_flow_simulate(wrapped_gaussian(mesh.x, 0.5, 0.01),
+                               EnergySpec(W=CountingW()), mesh, scheme="upwind")
+        assert set(points) == {0, 1}
+        assert max(points.values()) <= 2 * N - 1
 
 
 class TestHamiltonianFlow:
