@@ -35,6 +35,7 @@ from .analysis import (
 from .estimator import EstimationProblem, EstimatorError, solve, stationarity_residual
 from .flows import (
     NONE,
+    SCHEMES,
     EnergySpec,
     PeriodicityError,
     SmoothFunction,
@@ -44,12 +45,13 @@ from .flows import (
 )
 from .kernels import KernelError, SmoothKernel
 from .mesh import (
+    MeshError,
     SpaceTimeMesh,
     TrajectoryFormatError,
     read_trajectory,
     write_trajectory,
 )
-from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, diff_section
+from .rkhs import RkhsFunction
 
 FLOAT_FMT = "{:.17g}"
 
@@ -111,24 +113,21 @@ def function_from_spec(spec: dict | None, what: str):
         return None
     kind = spec.get("type")
     if kind == "linear":
-        return SmoothFunction.linear(float(spec["slope"]))
+        return SmoothFunction.linear(config_value(spec, "slope", float, prefix=f"{what}."))
     if kind == "cosine_sum":
         return SmoothFunction.cosine_sum(
-            float(spec["period"]), spec["amplitudes"], spec["modes"],
-            spec.get("phases"),
+            config_value(spec, "period", float, prefix=f"{what}."),
+            spec["amplitudes"], spec["modes"], spec.get("phases"),
         )
     if kind == "kernel_sum":
         try:
             kernel = SmoothKernel.from_config(spec["kernel"])
         except KernelError as exc:
             raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
-        try:
-            fn = RkhsFunction.from_points(kernel, spec["centers"], spec["weights"])
-        except KeyError as exc:
-            raise ConfigError("config_invalid",
-                              f"{what} kernel_sum spec needs key {exc}") from None
+        fn = RkhsFunction.from_points(kernel, require(spec, "centers", f"{what}."),
+                                      require(spec, "weights", f"{what}."))
         if spec.get("wrap_period"):
-            fn = wrap_periodic(fn, float(spec["wrap_period"]),
+            fn = wrap_periodic(fn, config_value(spec, "wrap_period", float, prefix=f"{what}."),
                                spec.get("wrap_copies"))
         return fn
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
@@ -142,12 +141,11 @@ def energy_from_label(label, what: str):
 
 
 def mesh_from_spec(spec: dict) -> SpaceTimeMesh:
+    values = [config_value(spec, key, int if key in "NL" else float, prefix="mesh.")
+              for key in "abTNL"]
     try:
-        return SpaceTimeMesh(float(spec["a"]), float(spec["b"]), float(spec["T"]),
-                             int(spec["N"]), int(spec["L"]))
-    except KeyError as exc:
-        raise ConfigError("config_invalid", f"mesh config needs key {exc}") from None
-    except (TypeError, ValueError) as exc:  # MeshError is a ValueError
+        return SpaceTimeMesh(*values)
+    except MeshError as exc:
         raise ConfigError("config_invalid", f"invalid mesh config: {exc}") from None
 
 
@@ -158,7 +156,7 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
             mesh.x, mesh.domain_length,
             spec.get("center", 0.5 * (mesh.a + mesh.b)),
             spec.get("sigma", 0.15 * mesh.domain_length),
-            float(spec.get("uniform_weight", 0.2)),
+            config_value(spec, "uniform_weight", float, 0.2, prefix="initial_density."),
             spec.get("bump_weights"),
         )
     if kind == "uniform":
@@ -204,12 +202,8 @@ class RunDirectory:
 
     def finish(self, command: str, config: dict, seed: int) -> None:
         # sidecars written through write_trajectory are artifacts too
-        extra = []
-        for p in self.artifacts:
-            meta = p.with_name(p.stem + ".meta.json")
-            if meta.exists() and meta not in self.artifacts and meta not in extra:
-                extra.append(meta)
-        self.artifacts.extend(extra)
+        sidecars = [p.with_name(p.stem + ".meta.json") for p in self.artifacts]
+        self.artifacts += [meta for meta in sidecars if meta.exists()]
         manifest = {
             "command": command,
             "config": config,
@@ -251,14 +245,44 @@ def load_config(args) -> dict:
     return cfg
 
 
-def require(cfg: dict, key: str):
+def require(cfg: dict, key: str, prefix: str = ""):
     if key not in cfg:
-        raise ConfigError("config_invalid", f"config key {key!r} is required")
+        raise ConfigError("config_invalid", f"config key {prefix + key!r} is required")
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""):
+    """``cfg[key]`` as ``kind``, the one check of every config bool, int and
+    float: only JSON true/false is a bool, an int or integral float an int,
+    any non-bool number a float.  An absent key gives ``default`` unchecked."""
+    if key not in cfg and default is not _REQUIRED:
+        return default
+    value = require(cfg, key, prefix)
+    if not (isinstance(value, bool) if kind is bool else not isinstance(value, bool)
+            and isinstance(value, (int, float)) and (kind is float or value % 1 == 0)):
+        raise ConfigError("config_invalid",
+                          f"{prefix + key} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def scheme_of(cfg: dict) -> str:
+    if (scheme := cfg.get("scheme", SCHEMES[0])) not in SCHEMES:
+        raise ConfigError("config_invalid", f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    return scheme
+
+
+def solver_step(cfg: dict) -> float | None:
+    """``dt_solver``: absent (the simulator picks the step) or positive and finite."""
+    if (dt := config_value(cfg, "dt_solver", float, None)) is not None and not 0 < dt < np.inf:
+        raise ConfigError("config_invalid", f"dt_solver must be positive and finite, got {dt!r}")
+    return dt
+
+
 def quantile_count(cfg: dict) -> int:
-    count = int(cfg.get("n_quantiles", 512))
+    count = config_value(cfg, "n_quantiles", int, 512)
     if count < 1:
         raise ConfigError("config_invalid", f"n_quantiles must be at least 1, got {count}")
     return count
@@ -266,7 +290,7 @@ def quantile_count(cfg: dict) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", int, 0)
     mesh = mesh_from_spec(require(cfg, "mesh"))
     kind = cfg.get("kind", "gradient")
     energy = cfg.get("energy", {})
@@ -282,18 +306,18 @@ def cmd_simulate(args) -> int:
         raise ConfigError("config_invalid",
                           "energy.U: Hamiltonian flows run on characteristics, which "
                           f"need U = none, not {spec.U.label()!r}")
+    scheme, dt_solver = scheme_of(cfg), solver_step(cfg)
     run = RunDirectory(Path(require(cfg, "out")))
     try:
         if kind == "gradient":
             traj, diag = gradient_flow_simulate(
-                rho0, spec, mesh, dt_solver=cfg.get("dt_solver"),
-                scheme=cfg.get("scheme", "divergence"),
+                rho0, spec, mesh, dt_solver=dt_solver, scheme=scheme,
             )
         else:
             phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
             try:
                 traj, diag = hamiltonian_flow_simulate(
-                    rho0, phi0, spec, mesh, dt_solver=cfg.get("dt_solver"),
+                    rho0, phi0, spec, mesh, dt_solver=dt_solver,
                 )
             except PeriodicityError as exc:
                 raise ConfigError("w_not_periodic", f"energy.W: {exc}") from None
@@ -328,7 +352,7 @@ def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None
 
 def cmd_estimate(args) -> int:
     cfg = load_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", int, 0)
     data = args.data or cfg.get("data")
     if not data:
         raise ConfigError("config_invalid", "estimate needs --data <csv>")
@@ -341,33 +365,37 @@ def cmd_estimate(args) -> int:
     if k1 is None or k2 is None:
         raise ConfigError("config_invalid", "estimate needs --kernel1 and --kernel2")
     k3 = kernel_from_arg(args.kernel3, cfg, "kernel3")
-    lam1 = args.lambda1 if args.lambda1 is not None else cfg.get("lambda1")
-    lam2 = args.lambda2 if args.lambda2 is not None else cfg.get("lambda2")
-    lam3 = args.lambda3 if args.lambda3 is not None else cfg.get("lambda3")
+    lam1, lam2, lam3 = (config_value(cfg, f"lambda{i}", float, None) if arg is None else arg
+                        for i, arg in enumerate((args.lambda1, args.lambda2, args.lambda3), 1))
     if lam1 is None or lam2 is None:
         raise ConfigError("config_invalid", "estimate needs --lambda1 and --lambda2")
     try:
         problem = EstimationProblem(
             traj, k1, k2,
-            lambda1=float(lam1), lambda2=float(lam2),
+            lambda1=lam1, lambda2=lam2,
             flow_kind=args.flow or cfg.get("flow", "gradient"),
             known_u=energy_from_label(args.u or cfg.get("u", "none"), "u"),
             kernel3=k3,
-            lambda3=float(lam3) if lam3 is not None else None,
-            drop_last_time_rows=int(cfg.get("drop_last_time_rows", DROP_LAST_TIME_ROWS)),
+            lambda3=lam3,
+            drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
+                                             DROP_LAST_TIME_ROWS),
         )
     except EstimatorError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
+    grid_cfg = cfg.get("eval_grid", {})
+    xs = np.linspace(config_value(grid_cfg, "min", float, traj.mesh.a, prefix="eval_grid."),
+                     config_value(grid_cfg, "max", float, traj.mesh.b, prefix="eval_grid."),
+                     config_value(grid_cfg, "count", int, 201, prefix="eval_grid."))
+    center = config_value(cfg, "center_interaction", bool, False)
     run = RunDirectory(Path(args.out or require(cfg, "out")))
     try:
         result = solve(problem)
         run.mark("solve")
-        coeff_files = {"C1": "coeff_c1.bin", "C2": "coeff_c2.bin"}
-        run.path("coeff_c1.bin").write_bytes(result.C1.astype("<f8").tobytes())
-        run.path("coeff_c2.bin").write_bytes(result.C2.astype("<f8").tobytes())
-        if result.C3 is not None:
-            coeff_files["C3"] = "coeff_c3.bin"
-            run.path("coeff_c3.bin").write_bytes(result.C3.astype("<f8").tobytes())
+        coeffs = {"C1": result.C1, "C2": result.C2, "C3": result.C3}
+        coeff_files = {key: f"coeff_{key.lower()}.bin"
+                       for key, c in coeffs.items() if c is not None}
+        for key, name in coeff_files.items():
+            run.path(name).write_bytes(coeffs[key].astype("<f8").tobytes())
         write_json(run.path("coeff_header.json"), {
             "length": int(result.C1.size),
             "dtype": "<f8",
@@ -375,32 +403,12 @@ def cmd_estimate(args) -> int:
             "files": coeff_files,
             "lambda": [problem.lambda1, problem.lambda2, problem.lambda3],
         })
-        grid_cfg = cfg.get("eval_grid", {})
-        lo = float(grid_cfg.get("min", traj.mesh.a))
-        hi = float(grid_cfg.get("max", traj.mesh.b))
-        count = int(grid_cfg.get("count", 201))
-        xs = np.linspace(lo, hi, count)
-        center = bool(cfg.get("center_interaction", False))
-        what_vals = result.What.value(xs)
-        if center:
-            what_vals = what_vals - result.What.value(0.0)
-        rows = [[x, v, w] for x, v, w in zip(xs, result.Vhat.value(xs), what_vals)]
+        columns = {"x": xs, "vhat": result.Vhat.value(xs),
+                   "what_centered" if center else "what":
+                   result.What.value(xs) - (result.What.value(0.0) if center else 0.0)}
         if result.Uhat is not None:
-            rows = [r + [u] for r, u in zip(rows, result.Uhat.value(xs))]
-        header = ["x", "vhat", "what_centered" if center else "what"]
-        if result.Uhat is not None:
-            header.append("uhat")
-        write_csv(run.path("reconstruction.csv"), rows, header)
-        rng = np.random.default_rng(seed)
-        sections = SectionMap.of(traj)
-        directions = []
-        for _ in range(int(cfg.get("stationarity_directions", 8))):
-            l = int(rng.integers(0, traj.mesh.L))
-            n = int(rng.integers(0, traj.mesh.N))
-            directions.append((
-                diff_section(problem.kernel1, sections, l, n, PLAIN),
-                diff_section(problem.kernel2, sections, l, n, CONVOLVED),
-            ))
+            columns["uhat"] = result.Uhat.value(xs)
+        write_csv(run.path("reconstruction.csv"), zip(*columns.values()), list(columns))
         diagnostics = {
             "loss": result.loss_value,
             "rkhs_norms": result.rkhs_norms,
@@ -408,8 +416,7 @@ def cmd_estimate(args) -> int:
             "residual_max": float(np.max(np.abs(result.residual_vector))),
             "residual_row_max": np.abs(result.residual_vector).reshape(
                 problem.fit_rows, -1).max(axis=1).tolist(),
-            "stationarity_residual": stationarity_residual(result, problem,
-                                                           directions),
+            "stationarity_residual": stationarity_residual(result, problem),
             "method": result.method,
             "kept_rank": result.kept_rank,
             "jitter": result.jitter,
@@ -424,40 +431,37 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", int, 0)
     truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
     if not isinstance(truth_v, RkhsFunction) or not isinstance(truth_w, RkhsFunction):
         raise ConfigError("config_invalid", "sweep truths must be kernel_sum specs")
     plan = SweepPlan(
         N_list=tuple(require(cfg, "N_list")),
-        alpha=float(require(cfg, "alpha")),
-        beta=float(require(cfg, "beta")),
+        alpha=config_value(cfg, "alpha", float),
+        beta=config_value(cfg, "beta", float),
         truth_v=truth_v,
         truth_w=truth_w,
-        T=float(require(cfg, "T")),
+        T=config_value(cfg, "T", float),
         window=tuple(cfg.get("window", (0.0, 1.0))),
-        c_lambda=float(cfg.get("c_lambda", 1.0)),
-        c_L=float(cfg.get("c_L", 1.0)),
-        fine_factor=int(cfg.get("fine_factor", 4)),
+        c_lambda=config_value(cfg, "c_lambda", float, 1.0),
+        c_L=config_value(cfg, "c_L", float, 1.0),
+        fine_factor=config_value(cfg, "fine_factor", int, 4),
         internal=energy_from_label(cfg.get("u", "none"), "u"),
-        scheme=cfg.get("scheme", "divergence"),
+        scheme=scheme_of(cfg),
         initial_center=cfg.get("initial_center", 0.5),
         initial_sigma=cfg.get("initial_sigma", 0.14),
-        initial_uniform_weight=float(cfg.get("initial_uniform_weight", 0.35)),
-        drop_last_time_rows=int(cfg.get("drop_last_time_rows", DROP_LAST_TIME_ROWS)),
+        initial_uniform_weight=config_value(cfg, "initial_uniform_weight", float, 0.35),
+        drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
+                                         DROP_LAST_TIME_ROWS),
         seed=seed,
     )
     run = RunDirectory(Path(require(cfg, "out")))
     try:
         report = run_sweep(plan)
         run.mark("sweep")
-        rows = [
-            [N, lam, L, err, rel, sup]
-            for N, lam, L, err, rel, sup in zip(
-                report.N_list, report.lambdas, report.L_list, report.errors,
-                report.relative_errors, report.sup_errors)
-        ]
+        rows = zip(report.N_list, report.lambdas, report.L_list, report.errors,
+                   report.relative_errors, report.sup_errors)
         for i, (N, seconds) in enumerate(zip(report.N_list, report.wall_s)):
             run.timings[f"sweep[{i}] N={N}"] = seconds
         write_csv(run.path("sweep.csv"), rows,
@@ -477,7 +481,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = load_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", int, 0)
     mesh = mesh_from_spec(require(cfg, "mesh"))
     truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
@@ -485,17 +489,18 @@ def cmd_stability(args) -> int:
     mu0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
     n_quantiles = quantile_count(cfg)
+    dt_solver = solver_step(cfg)
+    pairs = [(function_from_spec(require(est_cfg, "V"), "estimate V"),
+              function_from_spec(require(est_cfg, "W"), "estimate W"))
+             for est_cfg in estimates]
     run = RunDirectory(Path(require(cfg, "out")))
     try:
-        pairs = [(function_from_spec(require(est_cfg, "V"), "estimate V"),
-                  function_from_spec(require(est_cfg, "W"), "estimate W"))
-                 for est_cfg in estimates]
         t0 = time.perf_counter()
         try:
             records = stability_experiment(
                 (truth_v, truth_w), pairs, mu0, phi0, mesh,
                 n_quantiles=n_quantiles,
-                dt_solver=cfg.get("dt_solver"))
+                dt_solver=dt_solver)
         except PeriodicityError as exc:
             raise ConfigError("w_not_periodic", str(exc)) from None
         seconds = time.perf_counter() - t0
@@ -521,7 +526,7 @@ def cmd_stability(args) -> int:
 
 def cmd_w2(args) -> int:
     cfg = load_config(args)
-    seed = int(cfg.get("seed", 0))
+    seed = config_value(cfg, "seed", int, 0)
     rho_path = args.rho or cfg.get("rho")
     sigma_path = args.sigma or cfg.get("sigma")
     if not rho_path or not sigma_path:
@@ -534,10 +539,10 @@ def cmd_w2(args) -> int:
         raise ConfigError(exc.code, str(exc))
     if t_rho.mesh != t_sigma.mesh:
         raise ConfigError("config_invalid", "--rho and --sigma lie on different meshes")
-    row, L = int(cfg.get("row", -1)), t_rho.mesh.L
+    row, L = config_value(cfg, "row", int, -1), t_rho.mesh.L
     if not -L <= row < L:
         raise ConfigError("config_invalid", f"row {row} outside [-{L}, {L})")
-    periodic = bool(cfg.get("periodic", False))
+    periodic = config_value(cfg, "periodic", bool, False)
     value = wasserstein2_1d(
         t_rho.values[row], t_sigma.values[row], t_rho.mesh,
         n_quantiles=n_quantiles, periodic=periodic,

@@ -22,7 +22,8 @@ function's name, kernel, regularizer l_i, weight w_i, section side and
 generator Gram, and every later step iterates over that list: the
 regularizer c, one block of the stacked factor per function, and in
 ``solve`` the coefficients, reconstruction, RKHS norm, operator image and
-penalty l_i |f_i|^2 of each.
+penalty l_i |f_i|^2 of each, and in ``stationarity_residual`` each one's
+part of the RKHS norm of the loss gradient.
 
 G is the density-weighted Gram of the section families.  Every family is
 spanned by few generators (2N for plain sections, 2(2N-1) for convolved
@@ -574,13 +575,10 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 
 def operator_image(problem: EstimationProblem, phi, psi,
                    upsilon=None) -> np.ndarray:
-    """Forward operator applied at every fit node, flattened (time-major)."""
-    return _operator_image(_fit_sections(problem), phi, psi, upsilon)
-
-
-def _operator_image(sections: SectionMap, phi, psi, upsilon=None) -> np.ndarray:
-    """Each candidate's section factor F applied to its f' and f'' at its side's
-    generator centers: grid points for phi and upsilon, pair differences for psi."""
+    """Forward operator applied at every fit node, flattened (time-major): each
+    candidate's section factor F applied to its f' and f'' at its side's
+    generator centers, grid points for phi and upsilon, pair differences for psi."""
+    sections = _fit_sections(problem)
     image = np.zeros(sections.r.size)
     for fn, side in ((phi, PLAIN), (psi, CONVOLVED), (upsilon, PLAIN)):
         if fn is not None:
@@ -610,20 +608,22 @@ def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
     return loss
 
 
-def stationarity_residual(result: EstimatorResult, problem: EstimationProblem,
-                          directions) -> float:
-    """Largest directional derivative of the loss at the returned minimizer.
+def stationarity_residual(result: EstimatorResult, problem: EstimationProblem) -> float:
+    """RKHS norm of the loss gradient at the returned estimate: the largest
+    derivative of the loss along any unit direction of the product RKHS.
 
-    ``directions`` is an iterable of (phi, psi) RkhsFunction pairs drawn
-    from the section span.  At a true minimizer every closed-form Gateaux
-    derivative vanishes.
+    Function s's part of the gradient has the generator coefficients
+    g_s = F_s'(2 dt dx rho residual) + 2 l_s beta_s (beta_s the estimate's),
+    so the norm is sqrt(sum_s g_s' K~_s g_s); no kernel is evaluated on pairs.
     """
-    sections = _fit_sections(problem)
-    weights = 2.0 * problem.node_weight * result.residual_vector * sections.r.ravel()
-    worst = 0.0
-    for fdir, gdir in directions:
-        deriv = float(weights @ _operator_image(sections, fdir, gdir))
-        deriv += 2.0 * problem.lambda1 * rkhs_inner(result.Vhat, fdir)
-        deriv += 2.0 * problem.lambda2 * rkhs_inner(result.What, gdir)
-        worst = max(worst, abs(deriv))
-    return worst
+    sections, learned = build_factors(problem)
+    estimates = {"V": result.Vhat, "W": result.What, "U": result.Uhat}
+    weights = 2.0 * problem.node_weight * sections.r.ravel() * result.residual_vector
+    total = 0.0
+    for fn in learned:
+        beta = getattr(estimates[fn.name], "coeffs", None)
+        if beta is None or beta.shape != (fn.gram.size,):
+            raise EstimatorError(f"{fn.name} estimate is not on its {fn.gram.size} generators")
+        g = getattr(sections, fn.side + "_t")(weights) + 2.0 * fn.lam * beta
+        total += g @ fn.gram.matvec(g)
+    return float(np.sqrt(max(total, 0.0)))

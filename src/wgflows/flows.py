@@ -78,6 +78,7 @@ from .mesh import (
 )
 
 DENSITY_FLOOR = 1e-10
+SCHEMES = ("divergence", "upwind")  # spatial fluxes of ``gradient_flow_step``
 # pseudo-inverse inputs whose Riemann mean exceeds this fraction of their
 # scale are rejected; smaller means are projected out
 _MEAN_TOL = 1e-8

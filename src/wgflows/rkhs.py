@@ -286,16 +286,6 @@ def _require_same_kernel(k1: SmoothKernel, k2: SmoothKernel) -> None:
         raise KernelError(f"kernel mismatch: {k1} vs {k2}")
 
 
-def diff_section(kernel: SmoothKernel, traj: DensityTrajectory | SectionMap,
-                 l: int, n: int, kind: str = PLAIN) -> RkhsFunction:
-    """Single weighted-Laplacian kernel section anchored at node (l, n)."""
-    if kind == PLAIN:
-        return RkhsFunction.from_plain_sections(kernel, traj, [(l, n)], [1.0])
-    if kind == CONVOLVED:
-        return RkhsFunction.from_convolved_sections(kernel, traj, [(l, n)], [1.0])
-    raise ValueError(f"unknown section kind {kind!r}")
-
-
 def rkhs_inner(f: RkhsFunction, g: RkhsFunction) -> float:
     """RKHS inner product via pairwise mixed partials of the generators."""
     _require_same_kernel(f.kernel, g.kernel)

@@ -16,7 +16,7 @@ from wgflows.estimator import (
 )
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
-from wgflows.rkhs import SectionMap
+from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap
 
 
 @pytest.fixture(autouse=True)
@@ -225,6 +225,16 @@ def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
         d1 += mesh.dx * float(np.asarray(psi.value(diffs, order=1)) @ rho)
         d2 += mesh.dx * float(np.asarray(psi.value(diffs, order=2)) @ rho)
     return a * d1 + r * d2
+
+
+def diff_section(kernel: SmoothKernel, traj: DensityTrajectory | SectionMap,
+                 l: int, n: int, kind: str = PLAIN) -> RkhsFunction:
+    """Single weighted-Laplacian kernel section anchored at node (l, n)."""
+    if kind == PLAIN:
+        return RkhsFunction.from_plain_sections(kernel, traj, [(l, n)], [1.0])
+    if kind == CONVOLVED:
+        return RkhsFunction.from_convolved_sections(kernel, traj, [(l, n)], [1.0])
+    raise ValueError(f"unknown section kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from wgflows.estimator import (
 from wgflows.flows import EnergySpec, InternalEnergy, SmoothFunction, gradient_flow_simulate
 from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
-from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, diff_section, rkhs_inner
+from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, rkhs_inner
 
-from conftest import apply_flow_operator, random_trajectory, section_grams
+from conftest import apply_flow_operator, diff_section, random_trajectory, section_grams
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -204,12 +204,12 @@ def test_criterion_03_stationarity():
                                 lambda1=0.05, lambda2=0.08)
     result = solve(problem)
     directions = []
-    for _ in range(50):
+    for _ in range(5):
         l = int(rng.integers(0, traj.mesh.L))
         n = int(rng.integers(0, traj.mesh.N))
         directions.append((diff_section(problem.kernel1, traj, l, n, PLAIN),
                            diff_section(problem.kernel2, traj, l, n, CONVOLVED)))
-    worst = stationarity_residual(result, problem, directions)
+    worst = stationarity_residual(result, problem)
     ok_stationary = worst <= 1e-6 * max(result.loss_value, 1.0)
 
     # finite-difference agreement of the closed-form derivative, checked away
@@ -217,7 +217,7 @@ def test_criterion_03_stationarity():
     f_flat = assemble_data_functional(traj, "gradient").ravel()
     rho_flat = traj.values.ravel()
     worst_fd = 0.0
-    for fdir, gdir in directions[:5]:
+    for fdir, gdir in directions:
         phi = result.Vhat + 0.7 * fdir
         psi = result.What + 0.7 * gdir
         resid = operator_image(problem, phi, psi) - f_flat
@@ -231,7 +231,7 @@ def test_criterion_03_stationarity():
         worst_fd = max(worst_fd, abs(fd - closed) / max(abs(closed), 1e-12))
     report(3, "stationarity of the minimizer",
            ok_stationary and worst_fd <= 1e-4,
-           f"max |dR| {worst:.2e}, FD gap {worst_fd:.2e}")
+           f"|grad L| {worst:.2e}, FD gap {worst_fd:.2e}")
 
 
 def test_criterion_04_discrete_reproducing_properties():

@@ -206,11 +206,39 @@ BAD_SIMULATE_EDITS = {
     "hamiltonian_with_fisher": lambda cfg: cfg.update(
         kind="hamiltonian", energy={**cfg["energy"], "U": "fisher"}),
     "gradient_with_fisher": lambda cfg: cfg["energy"].update(U="fisher"),
+    # numbers and booleans pass one type check: no string, no truncation
+    "seed_not_an_integer": lambda cfg: cfg.update(seed="seven"),
+    "mesh_N_not_integral": lambda cfg: cfg["mesh"].update(N=32.5),
+    "mesh_T_a_string": lambda cfg: cfg["mesh"].update(T="0.05"),
+    "wrap_period_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_period="1"),
+    "uniform_weight_a_boolean": lambda cfg: cfg["initial_density"].update(uniform_weight=True),
+    "unknown_scheme": lambda cfg: cfg.update(scheme="bogus"),
+    "dt_solver_not_a_number": lambda cfg: cfg.update(dt_solver="fast"),
+    "zero_dt_solver": lambda cfg: cfg.update(dt_solver=0),
+}
+# estimate config keys, with the arguments of ESTIMATE_ARGS
+BAD_ESTIMATE_CONFIGS = {
+    "drop_rows_not_integral": {"drop_last_time_rows": 1.7},
+    "eval_count_not_integral": {"eval_grid": {"count": 20.5}},
+    "eval_min_a_string": {"eval_grid": {"min": "0"}},
+    "center_not_a_boolean": {"center_interaction": "false"},
+}
+BAD_SWEEP_EDITS = {
+    "sweep_unknown_u": {"u": "bogus"},
+    "sweep_unknown_scheme": {"scheme": "bogus"},
+    "sweep_alpha_a_string": {"alpha": "0.2"},
+    "sweep_fine_factor_not_integral": {"fine_factor": 4.5},
+}
+BAD_STABILITY_EDITS = {
+    "stability_no_quantiles": {"n_quantiles": 0},
+    "stability_dt_solver_not_a_number": {"dt_solver": "fast"},
+    "stability_negative_dt_solver": {"dt_solver": -0.01},
 }
 
 
-@pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, *BAD_SIMULATE_EDITS,
-                                  "sweep_unknown_u", "stability_no_quantiles"])
+@pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, *BAD_ESTIMATE_CONFIGS,
+                                  *BAD_SIMULATE_EDITS, *BAD_SWEEP_EDITS,
+                                  *BAD_STABILITY_EDITS])
 def test_config_errors_exit_2(tmp_path, capsys, case):
     cfg = simulate_config(tmp_path / "run")
     if case in BAD_SIMULATE_EDITS:
@@ -218,27 +246,48 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     cfg_path = tmp_path / "sim.json"
     cfg_path.write_text(json.dumps(cfg))
     rc = run(["simulate", "--config", cfg_path])
-    if case in BAD_ESTIMATE_ARGS:
+    out = tmp_path / "run"
+    if case in BAD_ESTIMATE_ARGS or case in BAD_ESTIMATE_CONFIGS:
         assert rc == 0
-        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS[case]}
-        rc = run(["estimate", "--data", tmp_path / "run" / "trajectory.csv",
-                  "--out", tmp_path / "est", *[v for kv in args.items() for v in kv]])
-    if case == "sweep_unknown_u":
-        assert rc == 0
-        sweep_path = tmp_path / "sweep.json"
-        sweep_path.write_text(json.dumps({**sweep_config(tmp_path / "sweep"),
-                                          "u": "bogus"}))
-        rc = run(["sweep", "--config", sweep_path])
-    if case == "stability_no_quantiles":
-        assert rc == 0
-        stab_path = tmp_path / "stab.json"
-        stab_path.write_text(json.dumps({**stability_config(tmp_path / "stab"),
-                                         "n_quantiles": 0}))
-        rc = run(["stability", "--config", stab_path])
-        assert not (tmp_path / "stab").exists()  # refused before any work
+        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS.get(case, {})}
+        est_path = tmp_path / "est.json"
+        est_path.write_text(json.dumps(BAD_ESTIMATE_CONFIGS.get(case, {})))
+        out = tmp_path / "est"
+        rc = run(["estimate", "--config", est_path,
+                  "--data", tmp_path / "run" / "trajectory.csv",
+                  "--out", out, *[v for kv in args.items() for v in kv]])
+    for command, edits, make_config in (("sweep", BAD_SWEEP_EDITS, sweep_config),
+                                        ("stability", BAD_STABILITY_EDITS,
+                                         stability_config)):
+        if case in edits:
+            assert rc == 0
+            out = tmp_path / command
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps({**make_config(out), **edits[case]}))
+            rc = run([command, "--config", path])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
+    assert not out.exists()  # refused before any work
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (3, int, 3), (3.0, int, 3), (-1, int, -1), (True, bool, True), (False, bool, False),
+    (2, float, 2.0), (0.5, float, 0.5),
+])
+def test_config_value_accepts(value, kind, expected):
+    got = cli.config_value({"key": value}, "key", kind)
+    assert got == expected and type(got) is kind
+
+
+@pytest.mark.parametrize("value, kind", [
+    (1.5, int), ("3", int), (True, int), (None, int), (float("inf"), int),
+    ("false", bool), (0, bool), (1.0, bool), ("0.5", float), (False, float), ([1.0], float),
+])
+def test_config_value_rejects(value, kind):
+    with pytest.raises(cli.ConfigError) as info:
+        cli.config_value({"key": value}, "key", kind)
+    assert info.value.code == "config_invalid"
 
 
 def test_fisher_label_refused(tmp_path, capsys):
@@ -319,9 +368,8 @@ class TestEstimate:
         assert len(recon) == 202
 
     def test_section_map_built_once_per_command(self, tmp_path, data_dir, monkeypatch):
-        """Spatial differences do not grow with the stationarity directions:
-        the fit slopes (solve, stationarity), the data functional's two and
-        the section map of the directions are one call each."""
+        """Spatial differences are taken once per use: the fit slopes (solve,
+        stationarity) and the data functional's two are one call each."""
         calls = []
 
         def counted(diff_space):
@@ -332,18 +380,11 @@ class TestEstimate:
 
         for module in (mesh, estimator):
             monkeypatch.setattr(module, "diff_space", counted(module.diff_space))
-        counts = []
-        for directions in (2, 16):
-            cfg_path = tmp_path / f"est{directions}.json"
-            cfg_path.write_text(json.dumps({"stationarity_directions": directions}))
-            calls.clear()
-            assert run(["estimate", "--config", cfg_path,
-                        "--data", data_dir / "trajectory.csv",
-                        "--kernel1", KERNEL1, "--kernel2", KERNEL2,
-                        "--lambda1", "0.05", "--lambda2", "0.05", "--u", "entropy",
-                        "--out", tmp_path / f"est{directions}"]) == 0
-            counts.append(len(calls))
-        assert counts == [5, 5]
+        assert run(["estimate", "--data", data_dir / "trajectory.csv",
+                    "--kernel1", KERNEL1, "--kernel2", KERNEL2,
+                    "--lambda1", "0.05", "--lambda2", "0.05", "--u", "entropy",
+                    "--out", tmp_path / "est"]) == 0
+        assert len(calls) == 4
 
     def test_missing_sidecar_exit_2(self, tmp_path, data_dir, capsys):
         bogus = tmp_path / "lonely.csv"
@@ -397,6 +438,7 @@ class TestEstimate:
         assert recon[0] == "x,vhat,what,uhat"
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["kept_rank"]["U"][1] == 2 * 24
+        assert diag["stationarity_residual"] <= 1e-6 * max(diag["loss"], 1.0)
 
     def test_readme_quick_start_reports_rank_and_jitter(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
@@ -544,6 +586,10 @@ BAD_W2_CONFIGS = {
     "row_past_last": ({"row": 5}, "base"),
     "row_before_first": ({"row": -6}, "base"),
     "no_quantiles": ({"n_quantiles": 0}, "base"),
+    "quantiles_not_an_integer": ({"n_quantiles": "many"}, "base"),
+    "row_not_integral": ({"row": 1.5}, "base"),
+    "periodic_not_a_boolean": ({"periodic": "false"}, "base"),
+    "seed_not_an_integer": ({"seed": "seven"}, "base"),
     "sigma_on_other_grid": ({}, "other_grid"),
     "sigma_on_other_times": ({}, "other_times"),
 }

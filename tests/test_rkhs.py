@@ -7,13 +7,12 @@ from wgflows.rkhs import (
     CONVOLVED,
     PLAIN,
     RkhsFunction,
-    diff_section,
     rkhs_inner,
     rkhs_norm,
     rkhs_norm_sq,
 )
 
-from conftest import apply_flow_operator
+from conftest import apply_flow_operator, diff_section
 
 
 @pytest.fixture

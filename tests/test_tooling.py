@@ -121,6 +121,51 @@ def test_unused_import_scanner(source, unused):
     assert unused_imports(source) == unused
 
 
+def bare_config_casts(source: str) -> list[int]:
+    """Line numbers of ``int``/``float``/``bool`` calls in ``source`` whose
+    argument is a subscript or a ``.get(...)`` call: a config value
+    converted without a type check."""
+    def read(arg):
+        return isinstance(arg, ast.Subscript) or (
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+            and arg.func.attr == "get")
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("int", "float", "bool") and any(map(read, node.args))]
+
+
+def test_cli_converts_no_config_value_bare():
+    """Every number and boolean the CLI reads from a config passes through
+    ``cli.config_value``, so a wrong type exits 2 and is never truncated."""
+    assert bare_config_casts((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source", [
+    'int(cfg["N"])',
+    'float(cfg.get("alpha", 1.0))',
+    'bool(cfg.get("periodic"))',
+    'float(spec["mesh"]["a"])',
+    'xs = [int(spec["N"]) for spec in specs]',
+    'f(lo=float(grid_cfg.get("min", mesh.a)))',
+])
+def test_cast_scanner_finds_bare_casts(source):
+    assert bare_config_casts(source)
+
+
+@pytest.mark.parametrize("source", [
+    "int(result.C1.size)",
+    "float(np.max(values))",
+    "float(x)",
+    'config_value(cfg, "N", int)',
+    'kind(cfg["N"])',
+    'int(len(cfg["N_list"]))',
+    'str(cfg.get("u"))',
+])
+def test_cast_scanner_ignores_other_calls(source):
+    assert not bare_config_casts(source)
+
+
 def test_cli_import_loads_no_scipy():
     """Importing the CLI (and with it every module of the package) leaves no
     ``scipy`` module in ``sys.modules``."""
