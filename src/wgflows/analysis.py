@@ -202,6 +202,11 @@ class SweepPlan:
             raise AnalysisError("fine_factor must be at least 4")
         if list(self.N_list) != sorted(set(int(n) for n in self.N_list)):
             raise AnalysisError("N_list must be strictly increasing integers")
+        if not self.N_list or self.N_list[0] < 1:
+            raise AnalysisError(f"N_list must be non-empty and positive, got {self.N_list}")
+        if not (self.T > 0 and self.c_lambda > 0 and self.c_L > 0):
+            raise AnalysisError("T, c_lambda and c_L must be positive, got "
+                                f"{self.T}, {self.c_lambda}, {self.c_L}")
 
     def lambda_at(self, N: int) -> float:
         return self.c_lambda * float(N) ** (-self.alpha)

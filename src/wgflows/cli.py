@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DROP_LAST_TIME_ROWS,
+    AnalysisError,
     SweepPlan,
     bump_density,
     run_sweep,
@@ -383,9 +384,12 @@ def cmd_estimate(args) -> int:
     except EstimatorError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
     grid_cfg = cfg.get("eval_grid", {})
+    count = config_value(grid_cfg, "count", int, 201, prefix="eval_grid.")
+    if count < 1:
+        raise ConfigError("config_invalid", f"eval_grid.count must be at least 1, got {count}")
     xs = np.linspace(config_value(grid_cfg, "min", float, traj.mesh.a, prefix="eval_grid."),
                      config_value(grid_cfg, "max", float, traj.mesh.b, prefix="eval_grid."),
-                     config_value(grid_cfg, "count", int, 201, prefix="eval_grid."))
+                     count)
     center = config_value(cfg, "center_interaction", bool, False)
     run = RunDirectory(Path(args.out or require(cfg, "out")))
     try:
@@ -420,6 +424,8 @@ def cmd_estimate(args) -> int:
             "method": result.method,
             "kept_rank": result.kept_rank,
             "jitter": result.jitter,
+            "cg_iterations": result.cg_iterations,
+            "cg_residual": result.cg_residual,
             "seed": seed,
         }
         write_json(run.path("diagnostics.json"), diagnostics)
@@ -436,7 +442,7 @@ def cmd_sweep(args) -> int:
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
     if not isinstance(truth_v, RkhsFunction) or not isinstance(truth_w, RkhsFunction):
         raise ConfigError("config_invalid", "sweep truths must be kernel_sum specs")
-    plan = SweepPlan(
+    fields = dict(
         N_list=tuple(require(cfg, "N_list")),
         alpha=config_value(cfg, "alpha", float),
         beta=config_value(cfg, "beta", float),
@@ -456,6 +462,10 @@ def cmd_sweep(args) -> int:
                                          DROP_LAST_TIME_ROWS),
         seed=seed,
     )
+    try:
+        plan = SweepPlan(**fields)
+    except AnalysisError as exc:
+        raise ConfigError("config_invalid", str(exc)) from None
     run = RunDirectory(Path(require(cfg, "out")))
     try:
         report = run_sweep(plan)

@@ -28,18 +28,19 @@ part of the RKHS norm of the loss gradient.
 G is the density-weighted Gram of the section families.  Every family is
 spanned by few generators (2N for plain sections, 2(2N-1) for convolved
 ones), so G factors exactly as C (sum_i w_i F_i Kt_i F_i') C with
-tall-skinny F factors.  Every problem is solved through that
-factorization (Woodbury identity plus two steps of iterative refinement)
-without materializing G; a dense Cholesky solve of the same system is kept
-in the tests as the reference it is checked against.  The F factors are not
+tall-skinny F factors.  Every problem is solved without materializing G:
+conjugate gradients run on the exact system, applying G through that
+factorization, preconditioned by the Woodbury inverse of its eigen-cut
+low-rank part; a dense Cholesky solve of the same system is kept in the
+tests as the reference it is checked against.  The F factors are not
 materialized either: they are ``rkhs.SectionMap``, the same map that reduces
 sections to generator form, applied from its structure (plain F as a
 broadcast over its two nonzeros per row, convolved F as one sliding-window
 matmul of the reversed densities per grid node, or one Hankel matmul for a
 vector).  Nor is the stacked generator factor P (M x k for generator rank
-k): the Woodbury Grams accumulate from row groups of P streamed through one
-reused buffer of about ``_ROW_BLOCK`` rows, and the Woodbury and refinement
-steps apply P and P' through the section maps.  Nor is any generator Gram
+k): the Woodbury core accumulates from row groups of P streamed through one
+reused buffer of about ``_ROW_BLOCK`` rows, and the preconditioner applies
+P and P' through the section maps.  Nor is any generator Gram
 K~ formed: the generators sit on a uniform grid and the kernels are radial,
 so each K~ is block-Toeplitz and is held as three gap vectors
 (``GapGram``).  A pivoted Cholesky reads each pivot column from them,
@@ -73,8 +74,12 @@ HAMILTONIAN = "hamiltonian"
 # pivoted Cholesky of a generator Gram stops at pivots below this fraction
 # of its largest diagonal entry, a decade under the 1e-14 eigenvalue cut
 _PIVOT_TOL = 1e-15
-# rows of the stacked factor per streamed group when forming the k x k Grams
+# rows of the stacked factor per streamed group when forming the k x k core
 _ROW_BLOCK = 2048
+# conjugate gradients stop at this preconditioned relative residual and give
+# up after this many iterations
+_CG_TOL = 1e-14
+_CG_MAX_ITER = 100
 
 
 class EstimatorError(RuntimeError):
@@ -162,7 +167,9 @@ class EstimatorResult:
     ``Uhat`` and ``rkhs_norms["U"]`` (``None`` and absent otherwise).  All
     are filled by one loop over the problem's learned functions.
     ``method`` names the solve route ("lowrank", the only one) and
-    ``gram_condition`` is an upper bound on the system's condition number.
+    ``gram_condition`` is lambda_max of the Woodbury core I + S'S: the
+    condition number of the Jacobi-scaled system D^-1/2 (P P' + D) D^-1/2,
+    D = c diag(rho), whose smallest eigenvalue is at least 1.
     ``kept_rank`` maps each learned function ("V", "W", "U") to
     [generator directions kept, generator count]: the pivoted Cholesky of
     the generator Gram, read column by column from its gap vectors, stops
@@ -170,6 +177,9 @@ class EstimatorResult:
     compressed directions those with eigenvalue above 1e-14 of the largest
     are kept.  ``jitter`` is the diagonal jitter, relative to the largest
     diagonal entry, that the Woodbury core needed to factor (0.0 when none).
+    ``cg_iterations`` and ``cg_residual`` are the conjugate-gradient
+    iterations the solve took and the relative preconditioned residual of
+    its recurrence at the stop.
     """
 
     C1: np.ndarray
@@ -186,6 +196,8 @@ class EstimatorResult:
     Uhat: RkhsFunction | None = None
     kept_rank: dict = field(default_factory=dict)
     jitter: float = 0.0
+    cg_iterations: int = 0
+    cg_residual: float = 0.0
     operator_image: np.ndarray = field(default=None, repr=False)
     data_vector: np.ndarray = field(default=None, repr=False)
 
@@ -455,50 +467,79 @@ def _row_groups(sections: SectionMap, learned: list[_LearnedFunction],
         yield nodes, group
 
 
-def _woodbury_grams(sections: SectionMap, learned: list[_LearnedFunction],
-                    blocks: list[np.ndarray], c: float) -> tuple[np.ndarray, np.ndarray]:
-    """P' D^-1 P and P'P for D = c diag(rho), accumulated over row groups.
-
-    Both are symmetric rank updates of one group: P_g'P_g, then, after the
-    group is scaled in place to S_g = D^-1/2 P_g, S_g'S_g.
-    """
+def _woodbury_core(sections: SectionMap, learned: list[_LearnedFunction],
+                   blocks: list[np.ndarray], c: float) -> np.ndarray:
+    """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho): one
+    symmetric rank update per row group, scaled in place to S_g."""
     k = sum(Y.shape[1] for Y in blocks)
-    core, gram = np.zeros((k, k)), np.zeros((k, k))
+    core = np.eye(k)
     for nodes, group in _row_groups(sections, learned, blocks):
-        Pg = group.reshape(-1, k)
-        gram += Pg.T @ Pg
-        Pg *= np.sqrt(1.0 / (c * sections.r[:, nodes])).reshape(-1, 1)
-        core += Pg.T @ Pg
-    return core, gram
+        Sg = group.reshape(-1, k)
+        Sg *= np.sqrt(1.0 / (c * sections.r[:, nodes])).reshape(-1, 1)
+        core += Sg.T @ Sg
+    return core
+
+
+def _pcg(system, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Preconditioned conjugate gradients for the SPD system ``system(z) = b``.
+
+    Stops once the preconditioned norm sqrt(r'M^-1 r) of the recurrence's
+    residual r is at most ``_CG_TOL`` times that of b (a true residual
+    stalls at its roundoff floor, the recurrence's keeps falling), and
+    raises ``EstimatorError`` when ``_CG_MAX_ITER`` iterations do not get
+    there.  Returns z, the iteration count and that final relative residual.
+    """
+    z = np.zeros_like(b)
+    r = b.copy()
+    y = precondition(r)
+    ry = r @ y
+    if ry == 0.0:  # b = 0
+        return z, 0, 0.0
+    scale = np.sqrt(ry)
+    p = y
+    for iteration in range(1, _CG_MAX_ITER + 1):
+        Ap = system(p)
+        alpha = ry / (p @ Ap)
+        z += alpha * p
+        r -= alpha * Ap
+        y = precondition(r)
+        ry, ry_old = r @ y, ry
+        residual = float(np.sqrt(max(ry, 0.0)) / scale)
+        if residual <= _CG_TOL:
+            return z, iteration, residual
+        p = y + (ry / ry_old) * p
+    raise EstimatorError(
+        f"conjugate gradients did not reach relative residual {_CG_TOL:g} in "
+        f"{_CG_MAX_ITER} iterations (last {residual:.3g})")
 
 
 def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
-                   learned: list[_LearnedFunction],
-                   f_flat: np.ndarray) -> tuple[np.ndarray, float, dict, float]:
-    """Solve (P P' + c diag(rho)) z = rho f through the k x k Woodbury core.
+                   learned: list[_LearnedFunction], f_flat: np.ndarray
+                   ) -> tuple[np.ndarray, float, dict, float, int, float]:
+    """Solve (G + c diag(rho)) z = rho f by conjugate gradients on the exact G.
 
-    c is the product of every regularizer over the node weight dt dx.  The
-    Woodbury formula cancels two O(1/c) terms, so on its own it loses
-    accuracy as the regularization shrinks.  Two steps of iterative
-    refinement on the same factored core bring the solution back to the
-    roundoff level of a dense Cholesky solve; the core's Cholesky factor is
-    applied through its explicit inverse, whose extra roundoff the same
-    refinement absorbs (numpy, the package's only dependency, has no
-    triangular solve).  P = rho [F_b Y_b]_b is never
-    formed: the core P' D^-1 P and P'P (for the exact top eigenvalue in the
-    condition bound) accumulate over streamed row groups of P, and the
-    Woodbury and refinement steps apply P v = rho sum_b F_b (Y_b v_b) and
-    P'u = [Y_b' F_b' (rho u)]_b through the section maps, O(L N^2 + N k)
-    per product.  Returns z, the condition bound, the kept rank per block
-    and the Cholesky jitter.
+    c is the product of every regularizer over the node weight dt dx.
+    G = rho sum_s w_s F_s K~_s F_s' rho is applied matrix-free, one
+    ``GapGram.matvec`` per learned function.  The preconditioner is
+    (P P' + D)^-1, D = c diag(rho), for the eigen-cut factor G ~ P P',
+    applied by the Woodbury identity through the explicit inverse of the
+    Cholesky factor of the k x k core I + S'S, S = D^-1/2 P (numpy, the
+    package's only dependency, has no triangular solve); CG absorbs that
+    roundoff, the eigen-cut and the O(1/c) cancellation of the Woodbury
+    formula.  P = rho [F_b Y_b]_b is never formed: the core accumulates over
+    streamed row groups of P, and P v = rho sum_b F_b (Y_b v_b) and
+    P'u = [Y_b' F_b' (rho u)]_b go through the section maps, O(L N^2 + N k)
+    per product.  Returns z, lambda_max of the core (the condition number of
+    the Jacobi-scaled D^-1/2 (P P' + D) D^-1/2, whose smallest eigenvalue is
+    at least 1), the kept rank per block, the Cholesky jitter, and the CG
+    iteration count and final relative residual.
     """
     c = math.prod(fn.lam for fn in learned) / problem.node_weight
     blocks = _factor_blocks(learned)
     rho = sections.r.ravel()
     dinv = 1.0 / (c * rho)
-    core, gram = _woodbury_grams(sections, learned, blocks, c)
-    gram_top = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-    core[np.diag_indices_from(core)] += 1.0
+    core = _woodbury_core(sections, learned, blocks, c)
+    cond = float(np.linalg.eigvalsh(core)[-1])
     chol, jitter = _cholesky_with_jitter(core)
     chol_inv = np.linalg.inv(chol)
     splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
@@ -515,29 +556,35 @@ def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
         dr = dinv * r
         return dr - dinv * P_apply(chol_inv.T @ (chol_inv @ Pt_apply(dr)))
 
-    b = rho * f_flat
-    z = woodbury(b)
-    for _ in range(2):
-        z += woodbury(b - P_apply(Pt_apply(z)) - c * rho * z)
-    cond = (gram_top + c * float(rho.max())) / (c * float(rho.min()))
+    def system(v: np.ndarray) -> np.ndarray:
+        u = rho * v
+        return rho * sum(
+            fn.weight * getattr(sections, fn.side)(
+                fn.gram.matvec(getattr(sections, fn.side + "_t")(u)))
+            for fn in learned) + c * u
+
+    z, iterations, residual = _pcg(system, woodbury, rho * f_flat)
     kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
-    return z, cond, kept, jitter
+    return z, cond, kept, jitter, iterations, residual
 
 
 def solve(problem: EstimationProblem) -> EstimatorResult:
     """Solve the regularized regression in closed form.
 
-    The representer system is solved through the exact low-rank
-    factorization of the section Gram (see ``_solve_lowrank``), so no
-    ``M x M`` matrix is formed; ``gram_condition`` is an upper bound on the
-    condition number of the system matrix.  Each learned function then
+    The representer system is solved by conjugate gradients on the exact
+    section Gram, applied through its factorization and preconditioned by
+    the Woodbury inverse of its eigen-cut low-rank part (see
+    ``_solve_lowrank``), so no ``M x M`` matrix is formed;
+    ``gram_condition`` is the condition number of the Jacobi-scaled
+    preconditioner system.  Each learned function then
     takes its coefficients weight * z, its reconstruction from the node
     weights rho * coefficients reduced onto its generators (beta), and, from
     K~ beta, its squared norm beta'K~beta and its operator image F K~ beta.
     """
     sections, learned = build_factors(problem)
     f_flat = _fit_data(problem)
-    z, cond, kept, jitter = _solve_lowrank(problem, sections, learned, f_flat)
+    z, cond, kept, jitter, iterations, cg_residual = _solve_lowrank(
+        problem, sections, learned, f_flat)
     rho = sections.r.ravel()
     coeffs, estimates, norms, images = {}, {}, {}, []
     for fn in learned:
@@ -564,6 +611,8 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         method="lowrank",
         kept_rank=kept,
         jitter=jitter,
+        cg_iterations=iterations,
+        cg_residual=cg_residual,
         operator_image=image,
         data_vector=f_flat,
     )

@@ -27,6 +27,7 @@ thousands of sections are combined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,13 +57,19 @@ class SectionMap:
     matrix of its coefficients, and ``convolved_t`` one matmul over the grid
     nodes that carry weight.  Neither factor is formed.  The ``*_rows``
     applies form the rows of a range of grid nodes only, so a caller can
-    stream F @ Y through one buffer.
+    stream F @ Y through one buffer.  The reversed densities are copied
+    once per map (``r_rev``), not once per apply.
     """
 
     a: np.ndarray   # (L, N) density slopes
     r: np.ndarray   # (L, N) densities; row l is also the convolution weight
     x: np.ndarray   # (N,) grid points
     dx: float
+
+    @cached_property
+    def r_rev(self) -> np.ndarray:
+        """The densities with each time row reversed, C-contiguous."""
+        return np.ascontiguousarray(self.r[:, ::-1])
 
     @classmethod
     def of(cls, traj: DensityTrajectory) -> "SectionMap":
@@ -112,7 +119,7 @@ class SectionMap:
         Yh = Y.reshape(2, 2 * N - 1)
         hankel = np.concatenate([sliding_window_view(Yh[0], N),
                                  sliding_window_view(Yh[1], N)], axis=1)
-        win = np.ascontiguousarray(self.r[:, ::-1]) @ hankel
+        win = self.r_rev @ hankel
         return (self.dx * (self.a * win[:, :N] + self.r * win[:, N:])).ravel()
 
     def convolved_rows(self, Y: np.ndarray, nodes: slice, out: np.ndarray) -> None:
@@ -122,12 +129,11 @@ class SectionMap:
         Yh = Y.reshape(2, 2 * N - 1, -1)
         k = Yh.shape[2]
         Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
-        rho_rev = np.ascontiguousarray(self.r[:, ::-1])
-        wa, wr = self.dx * self.a, self.dx * self.r
+        rho_rev = self.r_rev
         for j, n in enumerate(range(N)[nodes]):
             win = rho_rev @ Y_ab[n:n + N]
-            np.multiply(wa[:, n, None], win[:, :k], out=out[:, j])
-            out[:, j] += wr[:, n, None] * win[:, k:]
+            np.multiply(self.dx * self.a[:, n, None], win[:, :k], out=out[:, j])
+            out[:, j] += self.dx * self.r[:, n, None] * win[:, k:]
 
     def convolved_t(self, u: np.ndarray) -> np.ndarray:
         """F2' @ u for node weights u of shape (L*N,) or (L, N).

@@ -221,6 +221,8 @@ BAD_ESTIMATE_CONFIGS = {
     "drop_rows_not_integral": {"drop_last_time_rows": 1.7},
     "eval_count_not_integral": {"eval_grid": {"count": 20.5}},
     "eval_min_a_string": {"eval_grid": {"min": "0"}},
+    "eval_count_negative": {"eval_grid": {"count": -3}},
+    "eval_count_zero": {"eval_grid": {"count": 0}},
     "center_not_a_boolean": {"center_interaction": "false"},
 }
 BAD_SWEEP_EDITS = {
@@ -228,12 +230,27 @@ BAD_SWEEP_EDITS = {
     "sweep_unknown_scheme": {"scheme": "bogus"},
     "sweep_alpha_a_string": {"alpha": "0.2"},
     "sweep_fine_factor_not_integral": {"fine_factor": 4.5},
+    # the plan's own range checks
+    "sweep_alpha_out_of_range": {"alpha": 0.5},
+    "sweep_beta_not_above_3_alpha": {"beta": 0.5},
+    "sweep_fine_factor_below_4": {"fine_factor": 2},
+    "sweep_N_list_not_increasing": {"N_list": [16, 12]},
+    "sweep_N_list_from_zero": {"N_list": [0, 16]},
+    "sweep_negative_T": {"T": -1.0},
+    "sweep_negative_c_lambda": {"c_lambda": -1.0},
+    "sweep_zero_c_L": {"c_L": 0.0},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
     "stability_dt_solver_not_a_number": {"dt_solver": "fast"},
     "stability_negative_dt_solver": {"dt_solver": -0.01},
 }
+
+
+def edited_key(edit: dict) -> str:
+    """The dotted path of the one key a config edit sets."""
+    (key, value), = edit.items()
+    return key + ("." + edited_key(value) if isinstance(value, dict) else "")
 
 
 @pytest.mark.parametrize("case", [*BAD_ESTIMATE_ARGS, *BAD_ESTIMATE_CONFIGS,
@@ -269,6 +286,9 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] != "runtime_error"
     assert not out.exists()  # refused before any work
+    edit = {**BAD_ESTIMATE_CONFIGS, **BAD_SWEEP_EDITS, **BAD_STABILITY_EDITS}.get(case)
+    if edit is not None:
+        assert edited_key(edit) in err["message"]
 
 
 @pytest.mark.parametrize("value, kind, expected", [
@@ -450,6 +470,7 @@ class TestEstimate:
                     "--u", "entropy", "--out", out]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["jitter"] == 0.0
+        assert diag["cg_iterations"] >= 1 and diag["cg_residual"] <= estimator._CG_TOL
         # the default fit leaves out the last of the 12 time rows, as sweeps do
         assert DROP_LAST_TIME_ROWS == analysis.SweepPlan.drop_last_time_rows == 1
         assert len(diag["residual_row_max"]) == 12 - DROP_LAST_TIME_ROWS

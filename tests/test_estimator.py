@@ -13,7 +13,7 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     _factor_blocks,
-    _woodbury_grams,
+    _woodbury_core,
     assemble_data_functional,
     build_factors,
     loss_at,
@@ -289,7 +289,7 @@ def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
 @given(N=st.integers(1, 20), L=st.integers(1, 5), row_block=st.sampled_from([1, 7, 2048]),
        internal=st.booleans(), seed=st.integers(0, 999))
 def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
-    """The row-group Grams are P' D^-1 P and P'P of the assembled P."""
+    """The row-group Woodbury core is I + P' D^-1 P of the assembled P."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
     p = EstimationProblem(traj, gaussian_kernel(0.1), imq_kernel(0.2, beta=1.5),
                           lambda1=0.05, lambda2=0.08,
@@ -299,17 +299,43 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
     c = 0.05 * 0.08 * (0.3 if internal else 1.0) / p.node_weight
     with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
         P, _ = stacked_factor(p)
-        core, gram = _woodbury_grams(fac, learned, _factor_blocks(learned), c)
-    absP, dinv = np.abs(P), 1.0 / (c * fac.r.ravel())
-    # both sides sum the same M products per entry in different orders
-    assert np.all(np.abs(gram - P.T @ P) <= 1e-13 * (absP.T @ absP))
-    assert np.all(np.abs(core - P.T @ (dinv[:, None] * P))
-                  <= 1e-13 * (absP.T @ (dinv[:, None] * absP)))
+        core = _woodbury_core(fac, learned, _factor_blocks(learned), c)
+    absP, dinv, eye = np.abs(P), 1.0 / (c * fac.r.ravel()), np.eye(P.shape[1])
+    # both sides sum the identity and the same M products per entry in
+    # different orders
+    assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
+                  <= 1e-13 * (eye + absP.T @ (dinv[:, None] * absP)))
 
 
 smooth_kernels = st.builds(
     lambda gaussian, ls: gaussian_kernel(ls) if gaussian else imq_kernel(ls, beta=1.5),
     st.booleans(), st.sampled_from([0.03, 0.05, 0.2]) | st.floats(0.03, 0.6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(1, 16), L=st.integers(1, 4), k1=smooth_kernels, k2=smooth_kernels,
+       internal=st.booleans(), lam=st.sampled_from([0.5, 0.05]),
+       seed=st.integers(0, 999))
+def test_gram_condition_bounds_the_scaled_system(N, L, k1, k2, internal, lam, seed):
+    """``gram_condition`` is at most the bound (lambda_max(P'P) + c rho_max) /
+    (c rho_min) and at least the condition number of the Jacobi-scaled exact
+    system D^-1/2 (G + D) D^-1/2, D = c diag(rho)."""
+    traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
+    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam,
+                          kernel3=gaussian_kernel(0.3) if internal else None,
+                          lambda3=lam if internal else None)
+    cond = solve(p).gram_condition
+    P, _ = stacked_factor(p)
+    d = lam ** (3 if internal else 2) / p.node_weight * traj.values.ravel()
+    bound = (np.linalg.eigvalsh(P.T @ P)[-1] + d.max()) / d.min()
+    # D^-1/2 G D^-1/2 is PSD: the scaled system's spectrum is 1 + its spectrum,
+    # whose smallest eigenvalue the dense eigensolver finds to about eps times
+    # the largest, a relative eps * cond in the ratio
+    spectrum = np.linalg.eigvalsh(assemble_gram(p) / np.sqrt(np.outer(d, d)))
+    dense = (1.0 + spectrum[-1]) / (1.0 + spectrum[0])
+    eps = np.finfo(float).eps
+    assert dense <= cond * (1 + 16 * eps * cond)
+    assert cond <= bound * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -481,6 +507,25 @@ class TestSolve:
                 assert np.max(np.abs(rd.C1 - rl.C1)) < 1e-8 * scale
                 assert rd.rkhs_norms["V"] == pytest.approx(rl.rkhs_norms["V"], rel=1e-8)
                 assert rd.loss_value == pytest.approx(rl.loss_value, rel=1e-8)
+        # short lengthscales: the eigen-cut P P' misses the exact Gram by far
+        # more than the roundoff of a dense Cholesky solve, cond * eps, so
+        # only a solve on the exact Gram meets that bound
+        traj = random_trajectory(N=48, L=8, mode=PERIODIC, seed=7)
+        for ls, lam in itertools.product((0.03, 0.05), (0.05, 1e-4, 1e-6)):
+            p = EstimationProblem(traj, gaussian_kernel(ls), imq_kernel(ls, beta=1.5),
+                                  lambda1=lam, lambda2=lam)
+            rd, rl = dense_reference_solve(p), solve(p)
+            bound = rl.gram_condition * np.finfo(float).eps
+            assert np.max(np.abs(rd.C1 - rl.C1)) <= bound * np.max(np.abs(rd.C1))
+            assert rl.loss_value == pytest.approx(rd.loss_value, rel=bound)
+
+    def test_cg_iteration_cap_raises(self):
+        p = make_problem(seed=2)
+        res = solve(p)
+        assert res.cg_iterations >= 2 and res.cg_residual <= estimator._CG_TOL
+        with mock.patch.object(estimator, "_CG_MAX_ITER", res.cg_iterations - 1):
+            with pytest.raises(EstimatorError, match="conjugate gradients"):
+                solve(p)
 
     def test_coefficient_identity(self):
         p = make_problem(lam1=0.03, lam2=0.4, seed=2)
