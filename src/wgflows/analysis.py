@@ -87,44 +87,164 @@ def wrap_periodic(f: RkhsFunction, period: float, copies: int | None = None) -> 
 # 1-D Wasserstein-2 distance
 # ---------------------------------------------------------------------------
 
-def _cdf_points(rho: np.ndarray, mesh: SpaceTimeMesh) -> tuple[np.ndarray, np.ndarray]:
-    mass = mesh.dx * rho.sum()
-    F = np.concatenate([[0.0], np.cumsum(rho) * mesh.dx / mass])
-    xs = np.concatenate([[mesh.a], mesh.x])
-    return xs, F
+CDF_KINDS = ("linear", "step")
+_OFFSET_STEPS = 64     # cap on the Newton/bisection steps of the torus offset
+_OFFSET_TOL = 1e-15    # the search stops at a Newton step or bracket this short
 
 
-def _quantiles(rho: np.ndarray, mesh: SpaceTimeMesh, levels: np.ndarray,
-               cdf_kind: str) -> np.ndarray:
-    xs, F = _cdf_points(rho, mesh)
-    if cdf_kind == "linear":
-        return np.interp(levels, F, xs)
-    if cdf_kind == "step":
-        idx = np.searchsorted(F[1:], levels, side="left")
-        return mesh.x[np.minimum(idx, mesh.N - 1)]
-    raise AnalysisError(f"unknown cdf interpolation {cdf_kind!r}")
+class _Quantile:
+    """A quantile function as a chain of knots (t_k, x_k), nondecreasing in
+    both: linear between knots at distinct levels, a jump of x_{k+1} - x_k
+    between two knots at one level.
+
+    Piece k runs from knot k to knot k + 1.  ``pieces`` holds the level,
+    value, slope, width and integral int_{t_0}^{t_k} Q of every piece, with
+    one more piece of zero width at the top knot, so that every level in
+    [t_0, t_K] finds a piece.
+    """
+
+    def __init__(self, t: np.ndarray, x: np.ndarray):
+        dt, self.dx = t[1:] - t[:-1], x[1:] - x[:-1]
+        self.slope = np.divide(self.dx, dt, out=np.zeros_like(dt), where=dt > 0)
+        self.inv_dt = np.divide(1.0, dt, out=np.zeros_like(dt), where=dt > 0)
+        self.t, self.x = t, x
+        integral = np.concatenate([[0.0], np.cumsum(dt * (x[:-1] + x[1:]))]) / 2.0
+        self.pieces = np.stack([t, x, np.append(self.slope, 0.0), np.append(dt, 0.0),
+                                integral])
+
+    @classmethod
+    def of(cls, rho: np.ndarray, mesh: SpaceTimeMesh, cdf_kind: str) -> "_Quantile":
+        """``"linear"``: the knots of the piecewise-linear CDF, levels F_j at
+        a + j dx.  ``"step"``: atoms rho_n dx at the cell ends x_n, so a jump
+        of dx at every level F_j, j < N, and flat in between."""
+        F = np.concatenate([[0.0], np.cumsum(rho)])
+        F /= F[-1]
+        xs = np.concatenate([[mesh.a], mesh.x])
+        if cdf_kind == "linear":
+            return cls(F, xs)
+        return cls(np.append(np.repeat(F[:-1], 2), 1.0),
+                   np.insert(np.repeat(xs[1:], 2), 0, xs[0]))
+
+    def lifted(self, length: float) -> "_Quantile":
+        """The lift Q(s) = Q(s - 1) + length, on s in [-1, 2]."""
+        return _Quantile(np.concatenate([self.t - 1.0, self.t, self.t + 1.0]),
+                         np.concatenate([self.x - length, self.x, self.x + length]))
+
+    def piece(self, u, side: str = "right"):
+        """Index of the piece that holds Q(u+) (``side="right"``) or Q(u-)."""
+        return np.searchsorted(self.t, u, side) - 1
+
+    def on_piece(self, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Q on pieces k at u, clamped to each piece."""
+        t, x, slope, width, _ = self.pieces[:, k]
+        return x + slope * np.minimum(np.maximum(u - t, 0.0), width)
+
+
+def _offset_cost(q_rho: _Quantile, q_sig: _Quantile, theta: float) -> float:
+    """int_0^1 (Q_rho(t) - Q_sig(t - theta))^2 dt, exact: between merged knots
+    both are linear, so the gap g is too and a piece of width h adds
+    h (g0^2 + g0 g1 + g1^2) / 3.  The clamp in ``on_piece`` keeps a knot
+    that the shift rounded within its piece."""
+    knots = np.sort(np.concatenate([
+        q_rho.t, np.minimum(np.maximum(q_sig.t + theta, 0.0), 1.0)]))
+    ends = np.stack([knots[:-1], knots[1:]])
+    mid = 0.5 * (ends[0] + ends[1])
+    g0, g1 = (q_rho.on_piece(q_rho.piece(mid), ends)
+              - q_sig.on_piece(q_sig.piece(mid - theta), ends - theta))
+    return float((ends[1] - ends[0]) @ (g0 * g0 + g0 * g1 + g1 * g1)) / 3.0
+
+
+def _offset_slopes(q_rho: _Quantile, q_sig: _Quantile, length: float,
+                   theta: float) -> tuple[float, float]:
+    """C'(theta+) and C''(theta) of C(theta) = ``_offset_cost`` for the lift
+    ``q_sig``, in O(N) after one search.
+
+    C' = 2 sum_k dx_k phi_k mean_k + length^2 - 2 length Q_sig((1 - theta)-),
+    summed over the lift's pieces shifted by theta: phi_k is the share of
+    piece k inside (0, 1) and mean_k the mean of Q_rho over that share, from
+    J(u) = int_0^u Q_rho.  A jump piece (zero width) at level u in [0, 1)
+    takes the limit Q_rho(u+); at level 1 it has left.  Each mean is
+    clamped to the range of Q_rho over its share, which holds it where the
+    difference of J cancels.  C'' is the same sum with Q_rho 1_(0, 1) in
+    place of J, plus 2 length Q_sig'.
+    """
+    s = q_sig.t + theta
+    u = np.minimum(np.maximum(s, 0.0), 1.0)
+    t, x, slope, _, integral = q_rho.pieces[:, q_rho.piece(u)]
+    d = u - t
+    rise = slope * d
+    q_at = x + rise
+    J = integral + d * (x + 0.5 * rise)
+    du = u[1:] - u[:-1]
+    q_lo, q_hi = q_at[:-1], q_at[1:]
+    mean = np.divide(J[1:] - J[:-1], du, out=q_lo.copy(), where=du > 0.0)
+    mean = np.minimum(np.maximum(mean, q_lo), q_hi)
+    lo, hi = s[:-1], s[1:]
+    share = np.where((lo >= 0.0) & (lo < 1.0) & (hi <= 1.0), 1.0, du * q_sig.inv_dt)
+    end = 1.0 - theta
+    t_end, x_end, slope_end, _, _ = q_sig.pieces[:, q_sig.piece(end, "left")]
+    first = (2.0 * (q_sig.dx * share) @ mean
+             + length * (length - 2.0 * (x_end + slope_end * (end - t_end))))
+    q_in = np.where((s > 0.0) & (s < 1.0), q_at, 0.0)
+    second = 2.0 * (q_sig.slope @ (q_in[1:] - q_in[:-1]) + length * slope_end)
+    return float(first), float(second)
+
+
+def _best_offset(q_rho: _Quantile, q_sig: _Quantile, length: float) -> float:
+    """The minimizer of the convex offset cost on [-1, 1]: Newton on C',
+    kept inside the bracket C'(lo+) < 0 <= C'(hi+) and replaced by
+    bisection where it would leave it, where it does not halve the step
+    before last, or where C'' = 0 (the ``"step"`` kind).  A bisection ends
+    at the bracket's upper end, so a kink of the cost that is a float (the
+    minimum of the ``"step"`` kind, theta = 0 for equal inputs) is met
+    exactly."""
+    lo, hi, theta = -1.0, 1.0, 0.0
+    before = last = hi - lo
+    for _ in range(_OFFSET_STEPS):
+        first, second = _offset_slopes(q_rho, q_sig, length, theta)
+        if first == 0.0:
+            return theta
+        if first < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = first / second if second > 0.0 else np.inf
+        if not lo < theta - step < hi or abs(step) > 0.5 * before:
+            if hi - lo <= _OFFSET_TOL:
+                return hi
+            step = theta - 0.5 * (lo + hi)
+        elif abs(step) <= _OFFSET_TOL:
+            return theta - step
+        before, last = last, abs(step)
+        theta -= step
+    return theta
 
 
 def wasserstein2_1d(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeMesh,
-                    n_quantiles: int = 512, periodic: bool = False,
-                    cdf_kind: str = "linear") -> float:
-    """W2 distance of two grid densities via the quantile formula.
+                    periodic: bool = False, cdf_kind: str = "linear") -> float:
+    """Exact W2 distance of two grid densities via the quantile formula.
+
+    Each density's CDF is normalized to unit mass; ``cdf_kind`` selects its
+    inversion: "linear" treats the samples as a piecewise-constant density
+    (a piecewise-linear CDF), "step" as atoms of mass rho_n dx at x_n (which
+    matches discrete optimal transport).  Either way each quantile function
+    is piecewise linear, possibly with jumps, so the squared gap integrates
+    in closed form over the merged knots.
 
     On the line this is the L2 distance of the quantile functions.  On the
-    torus the transport may wind, so the distance minimizes over a grid of
-    level offsets of one quantile function, evaluated through its periodic
-    lift Q(t + 1) = Q(t) + |domain|.  The optimal offset lies in [-1, 1]:
-    past either end every displacement has the same sign, so the cost
-    decreases towards the interval.  The grid is k/N for -N <= k < N; an
-    offset below 0 reuses the quantiles of the offset one higher, lifted by
-    one more period.
+    torus the transport may wind, so the distance minimizes over a
+    continuous level offset theta of the periodic lift Q(s + 1) = Q(s) +
+    |domain| of sigma's quantile function:
 
-    ``cdf_kind`` selects the monotone CDF inversion: "linear" treats the
-    samples as a piecewise-linear CDF (continuous densities), "step" as
-    atoms of mass rho_n dx at x_n (matches discrete optimal transport).
+        W2^2 = min_theta int_0^1 (Q_rho(t) - Q_sigma(t - theta))^2 dt.
+
+    The cost is convex in theta (Delon, Salomon & Sobolevski 2010), and its
+    minimum lies in [-1, 1]: past either end every displacement has the
+    same sign, so the cost decreases towards the interval.  The offset is
+    found by bracketed Newton on the exact derivative, at most 64 steps.
     """
-    if n_quantiles < 1:
-        raise AnalysisError(f"n_quantiles must be at least 1, got {n_quantiles}")
+    if cdf_kind not in CDF_KINDS:
+        raise AnalysisError(f"unknown cdf interpolation {cdf_kind!r}")
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if rho.shape != (mesh.N,) or sigma.shape != (mesh.N,):
@@ -134,22 +254,13 @@ def wasserstein2_1d(rho: np.ndarray, sigma: np.ndarray, mesh: SpaceTimeMesh,
     m1, m2 = mesh.dx * rho.sum(), mesh.dx * sigma.sum()
     if abs(m1 - m2) > 0.02 * max(m1, m2):
         raise AnalysisError(f"masses differ by more than 2%: {m1:.4g} vs {m2:.4g}")
-    levels = (np.arange(n_quantiles) + 0.5) / n_quantiles
-    q_rho = _quantiles(rho, mesh, levels, cdf_kind)
+    q_rho = _Quantile.of(rho, mesh, cdf_kind)
+    q_sig = _Quantile.of(sigma, mesh, cdf_kind)
     if not periodic:
-        q_sigma = _quantiles(sigma, mesh, levels, cdf_kind)
-        return float(np.sqrt(np.mean((q_rho - q_sigma) ** 2)))
-    length = mesh.domain_length
-    offsets = np.arange(mesh.N) / mesh.N
-    shifted = levels[None, :] - offsets[:, None]
-    winding = np.floor(shifted)
-    frac = shifted - winding
-    q_sigma = _quantiles(sigma, mesh, frac.ravel(), cdf_kind).reshape(frac.shape)
-    lifted = q_sigma + winding * length
-    gaps = q_rho[None, :] - lifted
-    costs = np.mean(gaps**2, axis=1)
-    costs_below = np.mean((gaps - length) ** 2, axis=1)
-    return float(np.sqrt(min(costs.min(), costs_below.min())))
+        return float(np.sqrt(_offset_cost(q_rho, q_sig, 0.0)))
+    lift = q_sig.lifted(mesh.domain_length)
+    theta = _best_offset(q_rho, lift, mesh.domain_length)
+    return float(np.sqrt(_offset_cost(q_rho, lift, theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +311,8 @@ class SweepPlan:
             )
         if self.fine_factor < 4:
             raise AnalysisError("fine_factor must be at least 4")
+        if len(self.window) != 2 or not self.window[0] < self.window[1]:
+            raise AnalysisError(f"window must be a pair (a, b) with a < b, got {self.window}")
         if list(self.N_list) != sorted(set(int(n) for n in self.N_list)):
             raise AnalysisError("N_list must be strictly increasing integers")
         if not self.N_list or self.N_list[0] < 1:
@@ -337,10 +450,12 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
 def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
                          estimates: list[tuple[RkhsFunction, RkhsFunction]],
                          mu0: np.ndarray, phi0, mesh: SpaceTimeMesh,
-                         n_quantiles: int = 512,
                          dt_solver: float | None = None) -> list[dict]:
     """Torus W2 gaps between the Hamiltonian flow of the true energies and
     the flow of each estimated pair, one record per estimate.
+
+    Every gap is the exact torus distance ``wasserstein2_1d(periodic=True)``
+    of the two densities at one output time; ``sup_w2`` is their maximum.
 
     All flows start from the same (mu0, phi0), so the initial-distance term
     of the stability bound vanishes; reported alongside is the kernel-norm
@@ -370,8 +485,7 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
         traj_est, _ = hamiltonian_flow_simulate(
             mu0, phi0, spec, mesh, dt_solver, series=est_series)
         w2 = [
-            wasserstein2_1d(traj_true.values[l], traj_est.values[l], mesh,
-                            n_quantiles=n_quantiles, periodic=True)
+            wasserstein2_1d(traj_true.values[l], traj_est.values[l], mesh, periodic=True)
             for l in range(mesh.L)
         ]
         discrepancy = float(np.sqrt(

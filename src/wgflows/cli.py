@@ -269,6 +269,18 @@ def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str
     return kind(value)
 
 
+def config_list(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str = "") -> tuple:
+    """``cfg[key]`` as a tuple of ``kind``: a JSON list whose every entry
+    passes ``config_value``.  An absent key gives ``default`` unchecked."""
+    if key not in cfg and default is not _REQUIRED:
+        return default
+    values = require(cfg, key, prefix)
+    if not isinstance(values, list):
+        raise ConfigError("config_invalid", f"{prefix + key} must be a list, got {values!r}")
+    entries = {f"{key}[{i}]": value for i, value in enumerate(values)}
+    return tuple(config_value(entries, name, kind, prefix=prefix) for name in entries)
+
+
 def scheme_of(cfg: dict) -> str:
     if (scheme := cfg.get("scheme", SCHEMES[0])) not in SCHEMES:
         raise ConfigError("config_invalid", f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -282,11 +294,12 @@ def solver_step(cfg: dict) -> float | None:
     return dt
 
 
-def quantile_count(cfg: dict) -> int:
-    count = config_value(cfg, "n_quantiles", int, 512)
-    if count < 1:
-        raise ConfigError("config_invalid", f"n_quantiles must be at least 1, got {count}")
-    return count
+def refuse_quantile_count(cfg: dict) -> None:
+    """The W2 distance is exact and samples no quantile levels: a config
+    that sets their count exits 2 instead of having the key ignored."""
+    if "n_quantiles" in cfg:
+        raise ConfigError("config_invalid",
+                          "n_quantiles is not a key: the W2 distance is exact")
 
 
 def cmd_simulate(args) -> int:
@@ -443,13 +456,13 @@ def cmd_sweep(args) -> int:
     if not isinstance(truth_v, RkhsFunction) or not isinstance(truth_w, RkhsFunction):
         raise ConfigError("config_invalid", "sweep truths must be kernel_sum specs")
     fields = dict(
-        N_list=tuple(require(cfg, "N_list")),
+        N_list=config_list(cfg, "N_list", int),
         alpha=config_value(cfg, "alpha", float),
         beta=config_value(cfg, "beta", float),
         truth_v=truth_v,
         truth_w=truth_w,
         T=config_value(cfg, "T", float),
-        window=tuple(cfg.get("window", (0.0, 1.0))),
+        window=config_list(cfg, "window", float, (0.0, 1.0)),
         c_lambda=config_value(cfg, "c_lambda", float, 1.0),
         c_L=config_value(cfg, "c_L", float, 1.0),
         fine_factor=config_value(cfg, "fine_factor", int, 4),
@@ -498,7 +511,7 @@ def cmd_stability(args) -> int:
     estimates = require(cfg, "estimates")
     mu0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
-    n_quantiles = quantile_count(cfg)
+    refuse_quantile_count(cfg)
     dt_solver = solver_step(cfg)
     pairs = [(function_from_spec(require(est_cfg, "V"), "estimate V"),
               function_from_spec(require(est_cfg, "W"), "estimate W"))
@@ -508,9 +521,7 @@ def cmd_stability(args) -> int:
         t0 = time.perf_counter()
         try:
             records = stability_experiment(
-                (truth_v, truth_w), pairs, mu0, phi0, mesh,
-                n_quantiles=n_quantiles,
-                dt_solver=dt_solver)
+                (truth_v, truth_w), pairs, mu0, phi0, mesh, dt_solver=dt_solver)
         except PeriodicityError as exc:
             raise ConfigError("w_not_periodic", str(exc)) from None
         seconds = time.perf_counter() - t0
@@ -541,7 +552,7 @@ def cmd_w2(args) -> int:
     sigma_path = args.sigma or cfg.get("sigma")
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
-    n_quantiles = quantile_count(cfg)
+    refuse_quantile_count(cfg)
     try:
         t_rho = read_trajectory(rho_path)
         t_sigma = read_trajectory(sigma_path)
@@ -553,10 +564,8 @@ def cmd_w2(args) -> int:
     if not -L <= row < L:
         raise ConfigError("config_invalid", f"row {row} outside [-{L}, {L})")
     periodic = config_value(cfg, "periodic", bool, False)
-    value = wasserstein2_1d(
-        t_rho.values[row], t_sigma.values[row], t_rho.mesh,
-        n_quantiles=n_quantiles, periodic=periodic,
-    )
+    value = wasserstein2_1d(t_rho.values[row], t_sigma.values[row], t_rho.mesh,
+                            periodic=periodic)
     payload = {"w2": value, "row": row, "periodic": periodic, "seed": seed}
     if args.out or "out" in cfg:
         run = RunDirectory(Path(args.out or cfg["out"]))

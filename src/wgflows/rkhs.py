@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import KernelError, SmoothKernel
-from .mesh import DensityTrajectory, difference_grid
+from .mesh import difference_grid
 
 PLAIN = "plain"
 CONVOLVED = "convolved"
@@ -70,11 +70,6 @@ class SectionMap:
     def r_rev(self) -> np.ndarray:
         """The densities with each time row reversed, C-contiguous."""
         return np.ascontiguousarray(self.r[:, ::-1])
-
-    @classmethod
-    def of(cls, traj: DensityTrajectory) -> "SectionMap":
-        """The map over every node of a trajectory."""
-        return cls(traj.dx_plus(), traj.values, traj.mesh.x, traj.mesh.dx)
 
     def plain_generators(self) -> tuple[np.ndarray, np.ndarray]:
         """Orders and centers of F1's columns."""
@@ -159,8 +154,9 @@ class RkhsFunction:
 
     Generators are the functions d1^order K(center, .); ``orders``,
     ``centers`` and ``coeffs`` are parallel arrays describing the
-    combination.  The raw constructor takes that generator form; the
-    classmethod constructors reduce points and sections onto it.
+    combination.  The raw constructor takes that generator form;
+    ``from_points`` reduces point evaluations onto it, and the estimator
+    builds its sections through ``SectionMap``.
     """
 
     def __init__(self, kernel: SmoothKernel, orders: np.ndarray,
@@ -178,11 +174,6 @@ class RkhsFunction:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, kernel: SmoothKernel) -> "RkhsFunction":
-        e = np.empty(0)
-        return cls(kernel, e.astype(int), e, e)
-
-    @classmethod
     def from_points(cls, kernel: SmoothKernel, centers, weights) -> "RkhsFunction":
         """sum_i w_i K(z_i, .)"""
         centers = np.atleast_1d(np.asarray(centers, dtype=float))
@@ -190,29 +181,6 @@ class RkhsFunction:
         if centers.shape != weights.shape:
             raise ValueError("centers and weights must have equal length")
         return cls(kernel, np.zeros_like(centers, dtype=int), centers, weights)
-
-    @classmethod
-    def from_plain_sections(cls, kernel: SmoothKernel,
-                            traj: DensityTrajectory | SectionMap,
-                            nodes, weights) -> "RkhsFunction":
-        """sum over nodes (l, n) of w * [a d1K(x_n,.) + r d11K(x_n,.)].
-
-        ``nodes`` is a sequence of 0-based (l, n) pairs.  ``traj`` may be the
-        trajectory's ``SectionMap``, which callers building many sections
-        construct once.
-        """
-        sections = _section_map(traj)
-        u = _node_weights(nodes, weights, sections.a.shape)
-        return cls(kernel, *sections.plain_generators(), sections.plain_t(u))
-
-    @classmethod
-    def from_convolved_sections(cls, kernel: SmoothKernel,
-                                traj: DensityTrajectory | SectionMap,
-                                nodes, weights) -> "RkhsFunction":
-        """Convolved analogue; centers live on the difference grid."""
-        sections = _section_map(traj)
-        u = _node_weights(nodes, weights, sections.a.shape)
-        return cls(kernel, *sections.convolved_generators(), sections.convolved_t(u))
 
     # -- evaluation and algebra ----------------------------------------------
 
@@ -265,26 +233,6 @@ class RkhsFunction:
         return self.scaled(alpha)
 
     __rmul__ = __mul__
-
-
-def _section_map(traj: DensityTrajectory | SectionMap) -> SectionMap:
-    return traj if isinstance(traj, SectionMap) else SectionMap.of(traj)
-
-
-def _node_weights(nodes, weights, shape: tuple[int, int]) -> np.ndarray:
-    """Weights of 0-based (l, n) nodes summed onto the (L, N) grid."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
-    if nodes.shape[1] != 2 or nodes.shape[0] != weights.shape[0]:
-        raise ValueError("nodes must be (m, 2) index pairs matching weights")
-    ls, ns = nodes[:, 0], nodes[:, 1]
-    if np.any(ls < 0) or np.any(ls >= shape[0]):
-        raise IndexError("time index outside trajectory")
-    if np.any(ns < 0) or np.any(ns >= shape[1]):
-        raise IndexError("space index outside trajectory")
-    u = np.zeros(shape)
-    np.add.at(u, (ls, ns), weights)
-    return u
 
 
 def _require_same_kernel(k1: SmoothKernel, k2: SmoothKernel) -> None:

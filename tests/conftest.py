@@ -227,13 +227,62 @@ def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
     return a * d1 + r * d2
 
 
-def diff_section(kernel: SmoothKernel, traj: DensityTrajectory | SectionMap,
+# ---------------------------------------------------------------------------
+# Sections and functions built node by node (the estimator reduces its
+# sections through ``SectionMap`` directly)
+# ---------------------------------------------------------------------------
+
+def section_map(traj: DensityTrajectory) -> SectionMap:
+    """The section map over every node of a trajectory."""
+    return SectionMap(traj.dx_plus(), traj.values, traj.mesh.x, traj.mesh.dx)
+
+
+def node_weights(nodes, weights, shape: tuple[int, int]) -> np.ndarray:
+    """Weights of 0-based (l, n) nodes summed onto the (L, N) grid."""
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=int))
+    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    if nodes.shape[1] != 2 or nodes.shape[0] != weights.shape[0]:
+        raise ValueError("nodes must be (m, 2) index pairs matching weights")
+    ls, ns = nodes[:, 0], nodes[:, 1]
+    if np.any(ls < 0) or np.any(ls >= shape[0]):
+        raise IndexError("time index outside trajectory")
+    if np.any(ns < 0) or np.any(ns >= shape[1]):
+        raise IndexError("space index outside trajectory")
+    u = np.zeros(shape)
+    np.add.at(u, (ls, ns), weights)
+    return u
+
+
+def plain_sections(kernel: SmoothKernel, traj: DensityTrajectory,
+                   nodes, weights) -> RkhsFunction:
+    """sum over 0-based nodes (l, n) of w * [a d1K(x_n,.) + r d11K(x_n,.)]."""
+    sections = section_map(traj)
+    u = node_weights(nodes, weights, sections.a.shape)
+    return RkhsFunction(kernel, *sections.plain_generators(), sections.plain_t(u))
+
+
+def convolved_sections(kernel: SmoothKernel, traj: DensityTrajectory,
+                       nodes, weights) -> RkhsFunction:
+    """Convolved analogue of ``plain_sections``; centers live on the
+    difference grid."""
+    sections = section_map(traj)
+    u = node_weights(nodes, weights, sections.a.shape)
+    return RkhsFunction(kernel, *sections.convolved_generators(), sections.convolved_t(u))
+
+
+def zero_function(kernel: SmoothKernel) -> RkhsFunction:
+    """The zero function: no generators."""
+    empty = np.empty(0)
+    return RkhsFunction(kernel, empty.astype(int), empty, empty)
+
+
+def diff_section(kernel: SmoothKernel, traj: DensityTrajectory,
                  l: int, n: int, kind: str = PLAIN) -> RkhsFunction:
     """Single weighted-Laplacian kernel section anchored at node (l, n)."""
     if kind == PLAIN:
-        return RkhsFunction.from_plain_sections(kernel, traj, [(l, n)], [1.0])
+        return plain_sections(kernel, traj, [(l, n)], [1.0])
     if kind == CONVOLVED:
-        return RkhsFunction.from_convolved_sections(kernel, traj, [(l, n)], [1.0])
+        return convolved_sections(kernel, traj, [(l, n)], [1.0])
     raise ValueError(f"unknown section kind {kind!r}")
 
 

@@ -34,7 +34,13 @@ from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, rkhs_inner
 
-from conftest import apply_flow_operator, diff_section, random_trajectory, section_grams
+from conftest import (
+    apply_flow_operator,
+    diff_section,
+    plain_sections,
+    random_trajectory,
+    section_grams,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -246,8 +252,7 @@ def test_criterion_04_discrete_reproducing_properties():
         m = int(rng.integers(1, 4))
         nodes = [(int(rng.integers(0, traj.mesh.L)),
                   int(rng.integers(0, traj.mesh.N))) for _ in range(m)]
-        f = RkhsFunction.from_plain_sections(kernel, traj, nodes,
-                                             rng.standard_normal(m))
+        f = plain_sections(kernel, traj, nodes, rng.standard_normal(m))
         l = int(rng.integers(0, traj.mesh.L))
         n = int(rng.integers(0, traj.mesh.N))
         s_plain = diff_section(kernel, traj, l, n, PLAIN)
@@ -336,7 +341,7 @@ def test_criterion_07_wasserstein_correctness():
         xs = np.repeat(mesh8.x, np.rint(h1 * mesh8.dx * units).astype(int))
         ys = np.repeat(mesh8.x, np.rint(h2 * mesh8.dx * units).astype(int))
         oracle = np.sqrt(np.mean((np.sort(xs) - np.sort(ys)) ** 2))
-        mine = wasserstein2_1d(h1, h2, mesh8, n_quantiles=units, cdf_kind="step")
+        mine = wasserstein2_1d(h1, h2, mesh8, cdf_kind="step")
         worst_oracle = max(worst_oracle, abs(mine - oracle))
     report(7, "Wasserstein-2 correctness",
            worst_shift <= 2 * mesh.dx and worst_oracle <= 1e-8,

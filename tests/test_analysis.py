@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgflows.analysis import (
+    CDF_KINDS,
     AnalysisError,
     SweepPlan,
     bump_density,
@@ -24,6 +27,8 @@ from wgflows.flows import SmoothFunction
 from wgflows.kernels import gaussian_kernel
 from wgflows.mesh import PERIODIC, SpaceTimeMesh, DensityTrajectory
 from wgflows.rkhs import RkhsFunction, rkhs_norm
+
+from conftest import plain_sections, zero_function
 
 
 @pytest.fixture
@@ -59,15 +64,14 @@ class TestRkhsError:
         K1, K2 = gaussian_kernel(0.2), gaussian_kernel(0.25)
         V = RkhsFunction.from_points(K1, [0.3], [3.0 / np.sqrt(K1.eval(0, 0, 0, 0))])
         W = RkhsFunction.from_points(K2, [0.1], [4.0 / np.sqrt(K2.eval(0, 0, 0, 0))])
-        zero = (RkhsFunction.zero(K1), RkhsFunction.zero(K2))
+        zero = (zero_function(K1), zero_function(K2))
         assert rkhs_error((V, W), zero) == pytest.approx(5.0)
         assert pair_norm((V, W)) == pytest.approx(5.0)
 
     def test_dense_gram_oracle(self, traj_periodic):
         # compare against assembling the Gram of all generators entry by entry
         K = gaussian_kernel(0.3)
-        est = RkhsFunction.from_plain_sections(K, traj_periodic,
-                                               [(0, 2), (1, 7)], [0.4, -0.2])
+        est = plain_sections(K, traj_periodic, [(0, 2), (1, 7)], [0.4, -0.2])
         true = RkhsFunction.from_points(K, [0.3, 0.6], [1.0, -0.5])
         diff = est - true
         G = np.array([
@@ -75,8 +79,54 @@ class TestRkhsError:
              for oj, cj in zip(diff.orders, diff.centers)]
             for oi, ci in zip(diff.orders, diff.centers)])
         brute = np.sqrt(max(diff.coeffs @ G @ diff.coeffs, 0.0))
-        zero = RkhsFunction.zero(K)
+        zero = zero_function(K)
         assert rkhs_error((est, zero), (true, zero)) == pytest.approx(brute, rel=1e-9)
+
+
+def lifted_quantile(rho, mesh):
+    """Knots (levels, positions) of the piecewise-linear quantile function
+    of ``rho``, lifted over three periods: Q(s + 1) = Q(s) + |domain| on
+    s in [-1, 2]."""
+    F = np.cumsum(rho)
+    F = np.concatenate([[0.0], F / F[-1]])
+    xs = mesh.a + mesh.dx * np.arange(mesh.N + 1)
+    ell = mesh.domain_length
+    return (np.concatenate([F - 1.0, F[1:], F[1:] + 1.0]),
+            np.concatenate([xs - ell, xs[1:], xs[1:] + ell]))
+
+
+def exact_offset_cost(lift_rho, lift_sigma, theta):
+    """int_0^1 (Q_rho(t) - Q_sigma(t - theta))^2 dt for continuous
+    piecewise-linear quantile functions: the squared gap of two linear
+    functions, integrated between merged knots."""
+    (t_r, x_r), (t_s, x_s) = lift_rho, lift_sigma
+    knots = np.unique(np.clip(np.concatenate([t_r, t_s + theta]), 0.0, 1.0))
+    gap = np.interp(knots, t_r, x_r) - np.interp(knots - theta, t_s, x_s)
+    g0, g1 = gap[:-1], gap[1:]
+    return float(np.sum(np.diff(knots) * (g0 * g0 + g0 * g1 + g1 * g1)) / 3.0)
+
+
+def brute_force_offset(rho, sigma, mesh, zooms=9):
+    """(theta, cost) at the smallest exact offset cost on a grid: 201 offsets
+    on [-1, 1], then ``zooms`` grids of 41 offsets over the two spacings
+    around the best, each 20 times finer.  The cost is convex, so its
+    minimizer stays within one spacing of the best grid offset."""
+    lifts = lifted_quantile(rho, mesh), lifted_quantile(sigma, mesh)
+    grid = np.linspace(-1.0, 1.0, 201)
+    for _ in range(zooms + 1):
+        costs = [exact_offset_cost(*lifts, theta) for theta in grid]
+        best = int(np.argmin(costs))
+        spacing = grid[1] - grid[0]
+        theta, cost = grid[best], costs[best]
+        grid = np.linspace(theta - spacing, theta + spacing, 41)
+    return theta, cost
+
+
+def random_pair(N, contrast, seed):
+    mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
+    rng = np.random.default_rng(seed)
+    rho, sigma = (d / (mesh.dx * d.sum()) for d in contrast ** rng.random((2, N)))
+    return mesh, rho, sigma
 
 
 class TestWasserstein:
@@ -110,36 +160,27 @@ class TestWasserstein:
         assert d02 <= d01 + d12 + 1e-8
 
     @settings(max_examples=100, deadline=None)
-    @given(N=st.integers(4, 96), per_cell=st.integers(1, 8),
-           contrast=st.floats(1.0, 100.0), seed=st.integers(0, 2**32 - 1),
-           periodic=st.booleans())
-    def test_symmetry_property(self, N, per_cell, contrast, seed, periodic):
-        # with N | n_quantiles every level offset maps the level grid onto
-        # itself, so swapping the arguments permutes the same squared gaps
-        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
-        rng = np.random.default_rng(seed)
-        rho, sigma = (d / (mesh.dx * d.sum()) for d in contrast ** rng.random((2, N)))
-        kw = dict(n_quantiles=N * per_cell, periodic=periodic)
-        assert wasserstein2_1d(rho, sigma, mesh, **kw) == pytest.approx(
-            wasserstein2_1d(sigma, rho, mesh, **kw), abs=1e-12)
+    @given(N=st.integers(4, 96), contrast=st.floats(1.0, 100.0),
+           seed=st.integers(0, 2**32 - 1), periodic=st.booleans())
+    def test_symmetry_property(self, N, contrast, seed, periodic):
+        # swapping the arguments mirrors the offset, theta -> -theta, and
+        # leaves the exact cost unchanged
+        mesh, rho, sigma = random_pair(N, contrast, seed)
+        assert wasserstein2_1d(rho, sigma, mesh, periodic=periodic) == pytest.approx(
+            wasserstein2_1d(sigma, rho, mesh, periodic=periodic), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(N=st.integers(4, 96), contrast=st.floats(1.0, 100.0),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_torus_shift_invariance_property(self, N, contrast, seed, data):
-        # a shift by whole cells moves both piecewise-linear CDFs rigidly,
-        # so only the level-offset grid (spacing 1/N) separates the two
-        # values: each is within dx / (2 sqrt(min density)) of the exact
-        # distance, since |Q(t) - Q(t - d)| <= d / min density
+        # a shift by whole cells rotates both densities on the circle, which
+        # leaves the exact distance unchanged up to roundoff
         shift = data.draw(st.integers(1, N - 1))
-        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
-        rng = np.random.default_rng(seed)
-        rho, sigma = (d / (mesh.dx * d.sum()) for d in contrast ** rng.random((2, N)))
+        mesh, rho, sigma = random_pair(N, contrast, seed)
         before = wasserstein2_1d(rho, sigma, mesh, periodic=True)
         after = wasserstein2_1d(np.roll(rho, shift), np.roll(sigma, shift), mesh,
                                 periodic=True)
-        tol = mesh.dx / np.sqrt(min(rho.min(), sigma.min()))
-        assert abs(before - after) <= tol
+        assert abs(before - after) <= 1e-12
 
     def test_discrete_sorting_oracle(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 8, 1)
@@ -152,19 +193,78 @@ class TestWasserstein:
         xs = np.repeat(mesh.x, np.rint(h1 * mesh.dx * units).astype(int))
         ys = np.repeat(mesh.x, np.rint(h2 * mesh.dx * units).astype(int))
         oracle = np.sqrt(np.mean((np.sort(xs) - np.sort(ys)) ** 2))
-        mine = wasserstein2_1d(h1, h2, mesh, n_quantiles=units, cdf_kind="step")
+        mine = wasserstein2_1d(h1, h2, mesh, cdf_kind="step")
         assert mine == pytest.approx(oracle, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(4, 64), contrast=st.floats(1.0, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_torus_matches_brute_force_offset(self, N, contrast, seed):
+        # the offset search finds the minimum of the exact cost; the
+        # absolute floor covers identical pairs (contrast 1), whose
+        # distance is roundoff
+        mesh, rho, sigma = random_pair(N, contrast, seed)
+        _, cost = brute_force_offset(rho, sigma, mesh)
+        mine = wasserstein2_1d(rho, sigma, mesh, periodic=True)
+        assert mine == pytest.approx(np.sqrt(cost), rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_level_sampling_converges_to_exact(self, seed):
+        # midpoint sampling of the squared gap at the optimal offset tends
+        # to the exact torus value as the level count grows
+        mesh, rho, sigma = random_pair(24, 30.0, seed)
+        theta, _ = brute_force_offset(rho, sigma, mesh)
+        (t_r, x_r), (t_s, x_s) = lifted_quantile(rho, mesh), lifted_quantile(sigma, mesh)
+        exact = wasserstein2_1d(rho, sigma, mesh, periodic=True)
+        errors = []
+        for n in (2**8, 2**11, 2**14, 2**17):
+            levels = (np.arange(n) + 0.5) / n
+            gap = np.interp(levels, t_r, x_r) - np.interp(levels - theta, t_s, x_s)
+            errors.append(abs(np.sqrt(np.mean(gap**2)) - exact))
+        assert all(a > b for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= 1e-8 * exact
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_step_matches_circle_transport(self, N, seed):
+        # atoms of equal mass 1/units: the optimal circle transport pairs
+        # the sorted atoms up to a cyclic shift k, and a shift past the end
+        # lifts its partner by one period.  The costs (squared distances)
+        # are compared: near a zero distance the square root would turn a
+        # level rounded by one ulp into a 1e-8 gap
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
+        counts = np.random.default_rng(seed).integers(1, 5, (2, N))
+        units = int(counts[0].sum() * counts[1].sum())
+        xs = np.repeat(mesh.x, counts[0] * counts[1].sum())
+        ys = np.repeat(mesh.x, counts[1] * counts[0].sum())
+        shifted = np.arange(units)[None, :] - np.arange(-units, units + 1)[:, None]
+        partners = ys[shifted % units] + (shifted // units) * mesh.domain_length
+        cost = np.min(np.mean((xs - partners) ** 2, axis=1))
+        h1, h2 = (c / (c.sum() * mesh.dx) for c in counts)
+        mine = wasserstein2_1d(h1, h2, mesh, periodic=True, cdf_kind="step")
+        assert mine**2 == pytest.approx(cost, abs=1e-12)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("cdf_kind", CDF_KINDS)
+    def test_zero_width_cdf_pieces(self, mesh200, cdf_kind, periodic):
+        # the bump's tails underflow their CDF increments, so the CDF
+        # repeats levels and the quantile function jumps there
+        rho = bump_density(mesh200.x, 1.0, 0.2, 0.06, 0.0)
+        sigma = np.roll(rho, -40)
+        cdf = np.cumsum(rho)
+        assert np.any(np.diff(cdf / cdf[-1]) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w2 = wasserstein2_1d(rho, sigma, mesh200, periodic=periodic,
+                                 cdf_kind=cdf_kind)
+        assert np.isfinite(w2)
+        if periodic:
+            assert abs(w2 - 0.2) <= 2 * mesh200.dx
 
     def test_mass_mismatch_rejected(self, mesh200):
         rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
         with pytest.raises(AnalysisError):
             wasserstein2_1d(rho, 1.1 * rho, mesh200)
-
-    @pytest.mark.parametrize("n_quantiles", [0, -3])
-    def test_no_quantiles_rejected(self, mesh200, n_quantiles):
-        rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
-        with pytest.raises(AnalysisError, match="n_quantiles"):
-            wasserstein2_1d(rho, rho, mesh200, n_quantiles=n_quantiles)
 
     def test_nonpositive_rejected(self, mesh200):
         rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
@@ -211,8 +311,8 @@ class TestSweepPlan:
 
     def test_zero_truth_gives_tiny_errors(self):
         K1, K2 = gaussian_kernel(0.2), gaussian_kernel(0.15)
-        plan = self.plan(truth_v=RkhsFunction.zero(K1),
-                         truth_w=RkhsFunction.zero(K2), N_list=(12,))
+        plan = self.plan(truth_v=zero_function(K1),
+                         truth_w=zero_function(K2), N_list=(12,))
         report = run_sweep(plan)
         assert report.errors[0] <= 1e-10
         assert report.slope is None

@@ -239,6 +239,13 @@ BAD_SWEEP_EDITS = {
     "sweep_negative_T": {"T": -1.0},
     "sweep_negative_c_lambda": {"c_lambda": -1.0},
     "sweep_zero_c_L": {"c_L": 0.0},
+    # list keys convert every entry through one type check
+    "sweep_N_list_not_a_list": {"N_list": 16},
+    "sweep_N_list_entry_a_string": {"N_list": ["a", 16]},
+    "sweep_N_list_entry_a_boolean": {"N_list": [True, 16]},
+    "sweep_window_a_string": {"window": "ab"},
+    "sweep_window_not_a_pair": {"window": [0.0, 0.8, 1.6]},
+    "sweep_window_reversed": {"window": [1.6, 0.0]},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
@@ -629,6 +636,22 @@ def test_w2_config_errors_exit_2(tmp_path, capsys, w2_runs, case):
         assert captured.out == ""
         assert json.loads(captured.err.strip())["error"] == "config_invalid"
     assert not (tmp_path / "w2").exists()  # refused before any work
+
+
+@pytest.mark.parametrize("command", ["w2", "stability"])
+def test_n_quantiles_key_refused(tmp_path, capsys, w2_runs, command):
+    """The W2 distance is exact, so ``n_quantiles`` has no meaning left: a
+    config that carries it, even at its former default, exits 2 naming it."""
+    out = tmp_path / "out"
+    data = str(w2_runs / "base" / "trajectory.csv")
+    cfg = ({"rho": data, "sigma": data, "out": str(out)} if command == "w2"
+           else stability_config(out))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**cfg, "n_quantiles": 512}))
+    assert run([command, "--config", cfg_path]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config_invalid" and "n_quantiles" in err["message"]
+    assert not out.exists()  # refused before any work
 
 
 def test_non_finite_output_exits_1(tmp_path, capsys, monkeypatch, w2_runs):

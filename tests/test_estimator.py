@@ -29,13 +29,16 @@ from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, rkhs_inner
 from conftest import (
     apply_flow_operator,
     assemble_gram,
+    convolved_sections,
     dense_factors,
     dense_generator_grams,
     dense_reference_solve,
     diff_section,
+    plain_sections,
     random_trajectory,
     section_grams,
     stacked_factor,
+    zero_function,
 )
 
 ENTROPY = InternalEnergy("entropy")
@@ -543,16 +546,14 @@ class TestSolve:
     def test_loss_dominates_zero_and_random_candidates(self):
         p = make_problem(seed=4)
         res = solve(p)
-        zero1 = RkhsFunction.zero(p.kernel1)
-        zero2 = RkhsFunction.zero(p.kernel2)
+        zero1 = zero_function(p.kernel1)
+        zero2 = zero_function(p.kernel2)
         assert res.loss_value <= loss_at(p, zero1, zero2) + 1e-12
         rng = np.random.default_rng(0)
         for _ in range(10):
             nodes = [(int(rng.integers(0, 3)), int(rng.integers(0, 8)))]
-            phi = RkhsFunction.from_plain_sections(p.kernel1, p.traj, nodes,
-                                                   rng.standard_normal(1))
-            psi = RkhsFunction.from_convolved_sections(p.kernel2, p.traj, nodes,
-                                                       rng.standard_normal(1))
+            phi = plain_sections(p.kernel1, p.traj, nodes, rng.standard_normal(1))
+            psi = convolved_sections(p.kernel2, p.traj, nodes, rng.standard_normal(1))
             assert res.loss_value <= loss_at(p, phi, psi) + 1e-12
 
     def test_representer_system_back_substitution(self):
@@ -583,12 +584,10 @@ class TestSolve:
         res = solve(p)
         nodes = [(l, n) for l in range(2) for n in range(5)]
         rho = p.traj.values.ravel()
-        direct = RkhsFunction.from_plain_sections(
-            p.kernel1, p.traj, nodes, rho * res.C1)
+        direct = plain_sections(p.kernel1, p.traj, nodes, rho * res.C1)
         xs = np.linspace(0, 1, 9)
         assert np.allclose(res.Vhat.value(xs), direct.value(xs), atol=1e-10)
-        direct_w = RkhsFunction.from_convolved_sections(
-            p.kernel2, p.traj, nodes, rho * res.C2)
+        direct_w = convolved_sections(p.kernel2, p.traj, nodes, rho * res.C2)
         assert np.allclose(res.What.value(xs), direct_w.value(xs), atol=1e-10)
 
     def test_drop_last_time_rows(self):
@@ -662,8 +661,8 @@ class TestStationarity:
             return np.sqrt(sum(rkhs_inner(hs, hs) for hs in h))
 
         nodes = [(l, n) for l in range(p.traj.mesh.L) for n in range(p.traj.mesh.N)]
-        build = {PLAIN: RkhsFunction.from_plain_sections,
-                 CONVOLVED: RkhsFunction.from_convolved_sections}
+        build = {PLAIN: plain_sections,
+                 CONVOLVED: convolved_sections}
         gradient = [build[side](k, p.traj, nodes, weights) + 2 * lam * f
                     for side, k, lam, f in zip(sides, kernels, lams, cand)]
         assert certificate > 1e-3
@@ -690,7 +689,7 @@ class TestStationarity:
     def test_estimate_off_its_generators_rejected(self):
         p = make_problem(seed=17, kernel3=gaussian_kernel(0.3), lambda3=0.3)
         res = solve(p)
-        for edit in ({"Vhat": RkhsFunction.zero(p.kernel1)}, {"Uhat": None}):
+        for edit in ({"Vhat": zero_function(p.kernel1)}, {"Uhat": None}):
             with pytest.raises(EstimatorError):
                 stationarity_residual(replace(res, **edit), p)
 

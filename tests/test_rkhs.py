@@ -12,7 +12,7 @@ from wgflows.rkhs import (
     rkhs_norm_sq,
 )
 
-from conftest import apply_flow_operator, diff_section
+from conftest import apply_flow_operator, convolved_sections, diff_section, plain_sections
 
 
 @pytest.fixture
@@ -81,8 +81,7 @@ class TestInnerProducts:
             rkhs_inner(f, g)
 
     def test_bilinear_symmetry(self, kernel, traj_periodic):
-        f = RkhsFunction.from_plain_sections(kernel, traj_periodic,
-                                             [(0, 1), (2, 5)], [0.3, -1.1])
+        f = plain_sections(kernel, traj_periodic, [(0, 1), (2, 5)], [0.3, -1.1])
         g = RkhsFunction.from_points(kernel, [0.2, 0.9], [1.0, 0.4])
         assert rkhs_inner(f, g) == pytest.approx(rkhs_inner(g, f))
 
@@ -127,9 +126,8 @@ class TestInnerProducts:
 class TestReproducingProperty:
     def test_plain_identity(self, kernel, traj_periodic):
         rng = np.random.default_rng(7)
-        f = RkhsFunction.from_plain_sections(
-            kernel, traj_periodic,
-            [(0, 2), (2, 7), (1, 11)], rng.standard_normal(3))
+        f = plain_sections(kernel, traj_periodic, [(0, 2), (2, 7), (1, 11)],
+                           rng.standard_normal(3))
         for l, n in [(2, 5), (0, 0), (2, 11)]:
             s = diff_section(kernel, traj_periodic, l, n, PLAIN)
             lhs = rkhs_inner(f, s)
@@ -149,8 +147,7 @@ class TestReproducingProperty:
 
 class TestEvaluationAndAlgebra:
     def test_derivative_evaluation_fd(self, kernel, traj_periodic):
-        f = RkhsFunction.from_convolved_sections(kernel, traj_periodic,
-                                                 [(0, 3), (1, 8)], [1.0, -0.7])
+        f = convolved_sections(kernel, traj_periodic, [(0, 3), (1, 8)], [1.0, -0.7])
         h = 1e-6
         for x in (0.2, 0.55):
             fd = (f.value(x + h) - f.value(x - h)) / (2 * h)
@@ -159,7 +156,7 @@ class TestEvaluationAndAlgebra:
     def test_magnitude_sums_term_sizes(self, kernel, traj_periodic):
         # a section has generators of orders 1 and 2; f - f keeps both
         # copies of them, which cancel
-        g = RkhsFunction.from_convolved_sections(kernel, traj_periodic, [(0, 3)], [1.0])
+        g = convolved_sections(kernel, traj_periodic, [(0, 3)], [1.0])
         f = g - g
         xs = np.linspace(0, 1, 7)
         terms = np.array([abs(c) * np.abs(kernel.eval(int(o), 1, z, xs))

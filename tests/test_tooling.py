@@ -122,17 +122,20 @@ def test_unused_import_scanner(source, unused):
 
 
 def bare_config_casts(source: str) -> list[int]:
-    """Line numbers of ``int``/``float``/``bool`` calls in ``source`` whose
-    argument is a subscript or a ``.get(...)`` call: a config value
-    converted without a type check."""
+    """Line numbers of ``int``/``float``/``bool``/``tuple``/``list`` calls in
+    ``source`` whose argument is a config lookup (a subscript, a
+    ``.get(...)`` or a ``require(...)`` call): a config value converted
+    without a type check."""
     def read(arg):
         return isinstance(arg, ast.Subscript) or (
-            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
-            and arg.func.attr == "get")
+            isinstance(arg, ast.Call) and (
+                isinstance(arg.func, ast.Attribute) and arg.func.attr == "get"
+                or isinstance(arg.func, ast.Name) and arg.func.id == "require"))
 
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("int", "float", "bool") and any(map(read, node.args))]
+            and node.func.id in ("int", "float", "bool", "tuple", "list")
+            and any(map(read, node.args))]
 
 
 def test_cli_converts_no_config_value_bare():
@@ -148,6 +151,10 @@ def test_cli_converts_no_config_value_bare():
     'float(spec["mesh"]["a"])',
     'xs = [int(spec["N"]) for spec in specs]',
     'f(lo=float(grid_cfg.get("min", mesh.a)))',
+    'N_list = tuple(require(cfg, "N_list"))',
+    'window = tuple(cfg.get("window", (0.0, 1.0)))',
+    'list(spec["centers"])',
+    'int(require(cfg, "N"))',
 ])
 def test_cast_scanner_finds_bare_casts(source):
     assert bare_config_casts(source)
@@ -161,6 +168,8 @@ def test_cast_scanner_finds_bare_casts(source):
     'kind(cfg["N"])',
     'int(len(cfg["N_list"]))',
     'str(cfg.get("u"))',
+    "list(columns)",
+    'tuple(config_list(cfg, "N_list", int))',
 ])
 def test_cast_scanner_ignores_other_calls(source):
     assert not bare_config_casts(source)
