@@ -108,28 +108,36 @@ def function_from_spec(spec: dict | None, what: str):
     """Build an evaluable scalar field from its JSON description.
 
     Supported types: zero, linear, cosine_sum, kernel_sum (with optional
-    periodization via wrap_period).
+    periodization via wrap_period).  Every number and list of numbers the
+    spec holds passes ``config_value`` or ``config_list``.
     """
-    if spec is None or spec.get("type") == "zero":
+    if spec is None:
         return None
+    if not isinstance(spec, dict):
+        raise ConfigError("config_invalid", f"{what} must be a function spec, got {spec!r}")
     kind = spec.get("type")
+    prefix = f"{what}."
+    if kind == "zero":
+        return None
     if kind == "linear":
-        return SmoothFunction.linear(config_value(spec, "slope", float, prefix=f"{what}."))
+        return SmoothFunction.linear(config_value(spec, "slope", float, prefix=prefix))
     if kind == "cosine_sum":
         return SmoothFunction.cosine_sum(
-            config_value(spec, "period", float, prefix=f"{what}."),
-            spec["amplitudes"], spec["modes"], spec.get("phases"),
+            config_value(spec, "period", float, prefix=prefix),
+            config_list(spec, "amplitudes", float, prefix=prefix),
+            config_list(spec, "modes", float, prefix=prefix),
+            config_list(spec, "phases", float, None, prefix=prefix),
         )
     if kind == "kernel_sum":
         try:
-            kernel = SmoothKernel.from_config(spec["kernel"])
+            kernel = SmoothKernel.from_config(require(spec, "kernel", prefix))
         except KernelError as exc:
             raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
-        fn = RkhsFunction.from_points(kernel, require(spec, "centers", f"{what}."),
-                                      require(spec, "weights", f"{what}."))
+        fn = RkhsFunction.from_points(kernel, config_list(spec, "centers", float, prefix=prefix),
+                                      config_list(spec, "weights", float, prefix=prefix))
         if spec.get("wrap_period"):
-            fn = wrap_periodic(fn, config_value(spec, "wrap_period", float, prefix=f"{what}."),
-                               spec.get("wrap_copies"))
+            fn = wrap_periodic(fn, config_value(spec, "wrap_period", float, prefix=prefix),
+                               config_value(spec, "wrap_copies", int, None, prefix=prefix))
         return fn
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
 
@@ -151,14 +159,19 @@ def mesh_from_spec(spec: dict) -> SpaceTimeMesh:
 
 
 def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
+    """The initial density of a bump or uniform spec; a bump's ``center``
+    and ``sigma`` are numbers or lists of numbers, one per bump."""
+    prefix = "initial_density."
+    if not isinstance(spec, dict):
+        raise ConfigError("config_invalid", f"initial_density must be a spec, got {spec!r}")
     kind = spec.get("type", "bump")
     if kind == "bump":
         return bump_density(
             mesh.x, mesh.domain_length,
-            spec.get("center", 0.5 * (mesh.a + mesh.b)),
-            spec.get("sigma", 0.15 * mesh.domain_length),
-            config_value(spec, "uniform_weight", float, 0.2, prefix="initial_density."),
-            spec.get("bump_weights"),
+            config_value_or_list(spec, "center", float, 0.5 * (mesh.a + mesh.b), prefix),
+            config_value_or_list(spec, "sigma", float, 0.15 * mesh.domain_length, prefix),
+            config_value(spec, "uniform_weight", float, 0.2, prefix=prefix),
+            config_list(spec, "bump_weights", float, None, prefix=prefix),
         )
     if kind == "uniform":
         return np.full(mesh.N, 1.0 / mesh.domain_length)
@@ -279,6 +292,15 @@ def config_list(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str 
         raise ConfigError("config_invalid", f"{prefix + key} must be a list, got {values!r}")
     entries = {f"{key}[{i}]": value for i, value in enumerate(values)}
     return tuple(config_value(entries, name, kind, prefix=prefix) for name in entries)
+
+
+def config_value_or_list(cfg: dict, key: str, kind: type, default=_REQUIRED,
+                         prefix: str = ""):
+    """``cfg[key]`` through ``config_list`` when it is a JSON list, else
+    through ``config_value``."""
+    if isinstance(cfg.get(key), list):
+        return config_list(cfg, key, kind, prefix=prefix)
+    return config_value(cfg, key, kind, default, prefix)
 
 
 def scheme_of(cfg: dict) -> str:
@@ -430,6 +452,7 @@ def cmd_estimate(args) -> int:
             "loss": result.loss_value,
             "rkhs_norms": result.rkhs_norms,
             "gram_condition": result.gram_condition,
+            "dropped_share": result.dropped_share,
             "residual_max": float(np.max(np.abs(result.residual_vector))),
             "residual_row_max": np.abs(result.residual_vector).reshape(
                 problem.fit_rows, -1).max(axis=1).tolist(),
@@ -509,6 +532,9 @@ def cmd_stability(args) -> int:
     truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
     estimates = require(cfg, "estimates")
+    if not isinstance(estimates, list) or not all(isinstance(e, dict) for e in estimates):
+        raise ConfigError("config_invalid",
+                          f"estimates must be a list of objects, got {estimates!r}")
     mu0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
     refuse_quantile_count(cfg)

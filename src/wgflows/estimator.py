@@ -30,10 +30,11 @@ spanned by few generators (2N for plain sections, 2(2N-1) for convolved
 ones), so G factors exactly as C (sum_i w_i F_i Kt_i F_i') C with
 tall-skinny F factors.  Every problem is solved without materializing G:
 conjugate gradients run on the exact system, applying G through that
-factorization, preconditioned by the Woodbury inverse of its eigen-cut
-low-rank part; a dense Cholesky solve of the same system is kept in the
-tests as the reference it is checked against.  The F factors are not
-materialized either: they are ``rkhs.SectionMap``, the same map that reduces
+factorization, preconditioned by the Woodbury inverse of a low-rank part
+P P' <= G cut at the regularizer, so that the preconditioned spectrum lies
+in [1, 2] (``_factor_blocks``); a dense Cholesky solve of the same system
+is kept in the tests as the reference it is checked against.  The F
+factors are not materialized either: they are ``rkhs.SectionMap``, the same map that reduces
 sections to generator form, applied from its structure (plain F as a
 broadcast over its two nonzeros per row, convolved F as one sliding-window
 matmul of the reversed densities per grid node, or one Hankel matmul for a
@@ -44,9 +45,10 @@ P and P' through the section maps.  Nor is any generator Gram
 K~ formed: the generators sit on a uniform grid and the kernels are radial,
 so each K~ is block-Toeplitz and is held as three gap vectors
 (``GapGram``).  A pivoted Cholesky reads each pivot column from them,
-stops at pivots below 1e-15 of the largest diagonal entry, and reveals the
-numerical rank r in O(n r^2) time and O(n r) memory; an r x r eigensolve
-keeps the directions above the 1e-14 relative eigenvalue cut
+stops once the remaining trace falls below the block's threshold (or every
+pivot below 1e-15 of the largest diagonal entry), and reveals the rank r
+it needs in O(n r^2) time and O(n r) memory; an r x r eigensolve keeps the
+directions above the threshold (and above 1e-14 of the largest)
 (``_generator_factor``).  K~ beta, for the RKHS norms and the operator
 image, is one convolution per order block.  So the solve holds O(M)
 vectors, O(n r) factors and O((_ROW_BLOCK + k) k) arrays, and it runs every
@@ -72,8 +74,12 @@ GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
 
 # pivoted Cholesky of a generator Gram stops at pivots below this fraction
-# of its largest diagonal entry, a decade under the 1e-14 eigenvalue cut
+# of its largest diagonal entry, a decade under the 1e-14 eigenvalue floor
 _PIVOT_TOL = 1e-15
+# the share of the Jacobi-scaled system the preconditioner's cut may leave
+# out: the preconditioned spectrum lies in [1, 1 + _TAU], so CG converges at
+# the rate of a condition number of at most 2
+_TAU = 1.0
 # rows of the stacked factor per streamed group when forming the k x k core
 _ROW_BLOCK = 2048
 # conjugate gradients stop at this preconditioned relative residual and give
@@ -166,17 +172,22 @@ class EstimatorResult:
     and U, learned only when the problem has a third kernel, ``C3``,
     ``Uhat`` and ``rkhs_norms["U"]`` (``None`` and absent otherwise).  All
     are filled by one loop over the problem's learned functions.
-    ``method`` names the solve route ("lowrank", the only one) and
-    ``gram_condition`` is lambda_max of the Woodbury core I + S'S: the
-    condition number of the Jacobi-scaled system D^-1/2 (P P' + D) D^-1/2,
-    D = c diag(rho), whose smallest eigenvalue is at least 1.
-    ``kept_rank`` maps each learned function ("V", "W", "U") to
-    [generator directions kept, generator count]: the pivoted Cholesky of
-    the generator Gram, read column by column from its gap vectors, stops
-    at pivots below 1e-15 of its largest diagonal entry, and of its
-    compressed directions those with eigenvalue above 1e-14 of the largest
-    are kept.  ``jitter`` is the diagonal jitter, relative to the largest
-    diagonal entry, that the Woodbury core needed to factor (0.0 when none).
+    ``method`` names the solve route ("lowrank", the only one).
+    ``dropped_share`` bounds the largest eigenvalue of the Gram part the
+    preconditioner leaves out, D^-1/2 (G - P P') D^-1/2 with D = c diag(rho)
+    (see ``_factor_blocks``): at most 1 unless the numerical floors stop the
+    cut first.  ``gram_condition`` is lambda_max of the Woodbury core I + S'S
+    plus ``dropped_share``: an upper bound on the condition number of the
+    Jacobi-scaled exact system D^-1/2 (G + D) D^-1/2, whose smallest
+    eigenvalue is at least 1.  ``kept_rank`` maps each learned function
+    ("V", "W", "U") to [generator directions kept, generator count]: the
+    pivoted Cholesky of the generator Gram, read column by column from its
+    gap vectors, stops once its remaining trace is at most half the block's
+    threshold (or every pivot is below 1e-15 of its largest diagonal
+    entry), and of its compressed directions those with eigenvalue above
+    half the threshold (and above 1e-14 of the largest) are kept.
+    ``jitter`` is the diagonal jitter, relative to the largest diagonal
+    entry, that the Woodbury core needed to factor (0.0 when none).
     ``cg_iterations`` and ``cg_residual`` are the conjugate-gradient
     iterations the solve took and the relative preconditioned residual of
     its recurrence at the stop.
@@ -198,6 +209,7 @@ class EstimatorResult:
     jitter: float = 0.0
     cg_iterations: int = 0
     cg_residual: float = 0.0
+    dropped_share: float = 0.0
     operator_image: np.ndarray = field(default=None, repr=False)
     data_vector: np.ndarray = field(default=None, repr=False)
 
@@ -396,28 +408,32 @@ def _cholesky_with_jitter(mat: np.ndarray):
     )
 
 
-def _generator_factor(gram: GapGram) -> np.ndarray:
-    """Factor Y with orthogonal columns and Y Y' = K~ up to two cuts.
+def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, float]:
+    """Factor Y with orthogonal columns and 0 <= K~ - Y Y' <= dropped I.
 
     K~ is factored in O(n r^2) with O(n r) memory rather than eigendecomposed
-    in O(n^3): a pivoted Cholesky K~ = R R' (Harbrecht, Peters & Schneider,
-    Appl. Numer. Math. 2012, Alg. 1) takes each pivot column from the gap
-    vectors, downdates it by one matrix-vector product with the rows of R'
-    found so far, and stops once every remaining pivot is at or below
-    ``_PIVOT_TOL`` times the largest diagonal entry.  R' is held row by row
-    in a buffer that doubles as the rank grows.  The small r x r eigenproblem
-    R'R = V diag(w) V' then compresses R to R V, whose columns are the
-    eigenvectors of R R' scaled by sqrt(w).  Directions with w at or below
-    1e-14 times the largest are cut.
+    in O(n^3): a pivoted Cholesky K~ = R R' + E (Harbrecht, Peters &
+    Schneider, Appl. Numer. Math. 2012, Alg. 1) takes each pivot column from
+    the gap vectors, downdates it by one matrix-vector product with the rows
+    of R' found so far, and stops once the trace of the PSD remainder E, the
+    sum of the remaining pivots, is at most ``threshold / 2``, or once every
+    remaining pivot is at or below ``_PIVOT_TOL`` times the largest diagonal
+    entry, the numerical floor.  R' is held row by row in a buffer that
+    doubles as the rank grows.  The small r x r eigenproblem R'R = V diag(w)
+    V' then compresses R to R V, whose columns are the eigenvectors of R R'
+    scaled by sqrt(w); directions with w at or below ``threshold / 2``, or
+    below the floor 1e-14 times the largest w, are cut.  Returns Y and
+    ``dropped``, the remaining trace plus the largest cut eigenvalue, which
+    bounds the largest eigenvalue of K~ - Y Y'.  Y may have no columns.
     """
     d = gram.diagonal()
     n = d.size
-    stop = _PIVOT_TOL * float(d.max())
+    floor = _PIVOT_TOL * float(d.max())
     Rt = np.empty((min(n, 64), n))
     m = 0
     while m < n:
         p = int(np.argmax(d))
-        if d[p] <= stop:
+        if d[p] <= floor or d.sum() <= threshold / 2:
             break
         if m == Rt.shape[0]:
             Rt = np.concatenate([Rt, np.empty((min(m, n - m), n))])
@@ -425,21 +441,47 @@ def _generator_factor(gram: GapGram) -> np.ndarray:
         row -= Rt[:m, p] @ Rt[:m]
         row /= np.sqrt(d[p])
         d -= row * row
-        d[p] = 0.0  # never pick a factored pivot again on roundoff
+        # a remaining pivot is a Schur complement's diagonal entry, never
+        # negative; a factored one is never picked again on roundoff
+        np.maximum(d, 0.0, out=d)
+        d[p] = 0.0
         Rt[m] = row
         m += 1
     Rt = Rt[:m]
     w, V = np.linalg.eigh(Rt @ Rt.T)
-    return Rt.T @ V[:, w > max(w[-1], 0.0) * 1e-14]
+    keep = w > max(threshold / 2, w[-1] * 1e-14 if m else 0.0)
+    dropped = float(d.sum()) + max(float(w[~keep].max(initial=0.0)), 0.0)
+    return Rt.T @ V[:, keep], dropped
 
 
-def _factor_blocks(learned: list[_LearnedFunction]) -> list[np.ndarray]:
-    """The blocks Y of P with G = P P', one per learned function.
+def _factor_blocks(learned: list[_LearnedFunction], sections: SectionMap,
+                   c: float) -> tuple[list[np.ndarray], float]:
+    """The blocks Y of P with P P' <= G, one per learned function, and the
+    share of the Jacobi-scaled system their cut leaves out.
 
-    P's columns for a function are rho F Y, with F its section side's
-    factor and Y its ``_generator_factor`` scaled by sqrt of its weight.
+    P's columns for a function s are rho F_s Y_s, with F_s its section
+    side's factor and Y_s its ``_generator_factor`` scaled by sqrt(w_s).
+    Scaled by D^-1/2, D = c diag(rho), the Gram part G - P P' that the cut
+    drops is sum_s w_s A_s (K~_s - Y_s Y_s') A_s' with A_s = diag(sqrt(rho /
+    c)) F_s, whose largest eigenvalue is at most dropped_share = sum_s w_s
+    |A_s|_F^2 dropped_s.  Each block's threshold, ``_TAU`` over the
+    function count times w_s |A_s|_F^2, keeps that share at most ``_TAU``
+    unless the numerical floors of ``_generator_factor`` stop it first, and
+    the preconditioned spectrum lies in [1, 1 + dropped_share].  |A_s|_F^2
+    is closed-form in O(L N): a plain row holds a and r, a convolved row dx
+    (a, r) times the density row.
     """
-    return [np.sqrt(fn.weight) * _generator_factor(fn.gram) for fn in learned]
+    rows = sections.r / c * (sections.a**2 + sections.r**2)
+    frobenius = {PLAIN: float(rows.sum()),
+                 CONVOLVED: float(sections.dx**2 * rows.sum(axis=1)
+                                  @ (sections.r**2).sum(axis=1))}
+    blocks, dropped_share = [], 0.0
+    for fn in learned:
+        share = fn.weight * frobenius[fn.side]
+        Y, dropped = _generator_factor(fn.gram, _TAU / (len(learned) * share))
+        blocks.append(np.sqrt(fn.weight) * Y)
+        dropped_share += share * dropped
+    return blocks, dropped_share
 
 
 def _row_groups(sections: SectionMap, learned: list[_LearnedFunction],
@@ -515,33 +557,39 @@ def _pcg(system, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
 
 def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
                    learned: list[_LearnedFunction], f_flat: np.ndarray
-                   ) -> tuple[np.ndarray, float, dict, float, int, float]:
+                   ) -> tuple[np.ndarray, float, float, dict, float, int, float]:
     """Solve (G + c diag(rho)) z = rho f by conjugate gradients on the exact G.
 
     c is the product of every regularizer over the node weight dt dx.
     G = rho sum_s w_s F_s K~_s F_s' rho is applied matrix-free, one
     ``GapGram.matvec`` per learned function.  The preconditioner is
-    (P P' + D)^-1, D = c diag(rho), for the eigen-cut factor G ~ P P',
-    applied by the Woodbury identity through the explicit inverse of the
-    Cholesky factor of the k x k core I + S'S, S = D^-1/2 P (numpy, the
-    package's only dependency, has no triangular solve); CG absorbs that
-    roundoff, the eigen-cut and the O(1/c) cancellation of the Woodbury
-    formula.  P = rho [F_b Y_b]_b is never formed: the core accumulates over
-    streamed row groups of P, and P v = rho sum_b F_b (Y_b v_b) and
-    P'u = [Y_b' F_b' (rho u)]_b go through the section maps, O(L N^2 + N k)
-    per product.  Returns z, lambda_max of the core (the condition number of
-    the Jacobi-scaled D^-1/2 (P P' + D) D^-1/2, whose smallest eigenvalue is
-    at least 1), the kept rank per block, the Cholesky jitter, and the CG
-    iteration count and final relative residual.
+    (P P' + D)^-1, D = c diag(rho), for the factor P P' <= G cut at the
+    regularizer (``_factor_blocks``), applied by the Woodbury identity
+    through the explicit inverse of the Cholesky factor of the k x k core
+    I + S'S, S = D^-1/2 P (numpy, the package's only dependency, has no
+    triangular solve); with no kept direction it is D^-1.  Every eigenvalue
+    of the preconditioned operator lies in [1, 1 + dropped_share], and CG
+    absorbs the cut, the core's roundoff and the O(1/c) cancellation of the
+    Woodbury formula.  P = rho [F_b Y_b]_b is never formed: the core
+    accumulates over streamed row groups of P, and P v = rho sum_b F_b
+    (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through the section maps,
+    O(L N^2 + N k) per product.  Returns z, lambda_max of the core plus
+    dropped_share (a bound on the condition number of the Jacobi-scaled
+    exact system D^-1/2 (G + D) D^-1/2, whose smallest eigenvalue is at
+    least 1), dropped_share, the kept rank per block, the Cholesky jitter,
+    and the CG iteration count and final relative residual.
     """
     c = math.prod(fn.lam for fn in learned) / problem.node_weight
-    blocks = _factor_blocks(learned)
+    blocks, dropped_share = _factor_blocks(learned, sections, c)
     rho = sections.r.ravel()
     dinv = 1.0 / (c * rho)
-    core = _woodbury_core(sections, learned, blocks, c)
-    cond = float(np.linalg.eigvalsh(core)[-1])
-    chol, jitter = _cholesky_with_jitter(core)
-    chol_inv = np.linalg.inv(chol)
+    if any(Y.shape[1] for Y in blocks):
+        core = _woodbury_core(sections, learned, blocks, c)
+        cond = float(np.linalg.eigvalsh(core)[-1])
+        chol, jitter = _cholesky_with_jitter(core)
+        chol_inv = np.linalg.inv(chol)
+    else:  # no direction kept: the core is empty, the preconditioner D^-1
+        cond, jitter, chol_inv = 1.0, 0.0, np.empty((0, 0))
     splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
 
     def P_apply(v: np.ndarray) -> np.ndarray:
@@ -565,7 +613,7 @@ def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
 
     z, iterations, residual = _pcg(system, woodbury, rho * f_flat)
     kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
-    return z, cond, kept, jitter, iterations, residual
+    return z, cond + dropped_share, dropped_share, kept, jitter, iterations, residual
 
 
 def solve(problem: EstimationProblem) -> EstimatorResult:
@@ -573,17 +621,17 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 
     The representer system is solved by conjugate gradients on the exact
     section Gram, applied through its factorization and preconditioned by
-    the Woodbury inverse of its eigen-cut low-rank part (see
+    the Woodbury inverse of its low-rank part cut at the regularizer (see
     ``_solve_lowrank``), so no ``M x M`` matrix is formed;
-    ``gram_condition`` is the condition number of the Jacobi-scaled
-    preconditioner system.  Each learned function then
+    ``gram_condition`` bounds the condition number of the Jacobi-scaled
+    exact system.  Each learned function then
     takes its coefficients weight * z, its reconstruction from the node
     weights rho * coefficients reduced onto its generators (beta), and, from
     K~ beta, its squared norm beta'K~beta and its operator image F K~ beta.
     """
     sections, learned = build_factors(problem)
     f_flat = _fit_data(problem)
-    z, cond, kept, jitter, iterations, cg_residual = _solve_lowrank(
+    z, cond, dropped_share, kept, jitter, iterations, cg_residual = _solve_lowrank(
         problem, sections, learned, f_flat)
     rho = sections.r.ravel()
     coeffs, estimates, norms, images = {}, {}, {}, []
@@ -607,6 +655,7 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         loss_value=loss,
         residual_vector=residual,
         gram_condition=cond,
+        dropped_share=dropped_share,
         lambdas=(problem.lambda1, problem.lambda2, problem.lambda3),
         method="lowrank",
         kept_rank=kept,

@@ -256,9 +256,9 @@ def rkhs_inner(f: RkhsFunction, g: RkhsFunction) -> float:
     return float(total)
 
 
-def rkhs_norm_sq(f: RkhsFunction, g: RkhsFunction | None = None) -> float:
-    """Inner product <f, g>; the squared norm when g is omitted."""
-    return rkhs_inner(f, f if g is None else g)
+def rkhs_norm_sq(f: RkhsFunction) -> float:
+    """Squared RKHS norm <f, f>."""
+    return rkhs_inner(f, f)
 
 
 def rkhs_norm(f: RkhsFunction) -> float:

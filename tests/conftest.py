@@ -142,11 +142,17 @@ def assemble_gram(problem: EstimationProblem,
     return C[:, None] * core * C[None, :]
 
 
+def regularizer(problem: EstimationProblem) -> float:
+    """c = prod_j l_j / (dt dx), the system's diagonal over rho."""
+    lams = (problem.lambda1, problem.lambda2, problem.lambda3 or 1.0)
+    return float(np.prod(lams)) / problem.node_weight
+
+
 def stacked_factor(problem: EstimationProblem) -> tuple[np.ndarray, dict]:
-    """The stacked factor P (M x k) with G = P P', assembled from the row
+    """The stacked factor P (M x k) with P P' <= G, assembled from the row
     groups ``solve`` streams, and the kept rank per block."""
     sections, learned = build_factors(problem)
-    blocks = _factor_blocks(learned)
+    blocks, _ = _factor_blocks(learned, sections, regularizer(problem))
     L, N = sections.r.shape
     P = np.empty((L, N, sum(Y.shape[1] for Y in blocks)))
     for nodes, group in _row_groups(sections, learned, blocks):

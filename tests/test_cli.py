@@ -215,6 +215,10 @@ BAD_SIMULATE_EDITS = {
     "unknown_scheme": lambda cfg: cfg.update(scheme="bogus"),
     "dt_solver_not_a_number": lambda cfg: cfg.update(dt_solver="fast"),
     "zero_dt_solver": lambda cfg: cfg.update(dt_solver=0),
+    # function and density spec values pass the same checks
+    "density_center_a_string": lambda cfg: cfg["initial_density"].update(center="mid"),
+    "kernel_sum_centers_a_string": lambda cfg: cfg["energy"]["V"].update(centers="x"),
+    "wrap_copies_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_copies="two"),
 }
 # estimate config keys, with the arguments of ESTIMATE_ARGS
 BAD_ESTIMATE_CONFIGS = {
@@ -251,6 +255,16 @@ BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
     "stability_dt_solver_not_a_number": {"dt_solver": "fast"},
     "stability_negative_dt_solver": {"dt_solver": -0.01},
+    "stability_phase_without_amplitudes": {"initial_phase": {
+        "type": "cosine_sum", "period": 1.0, "modes": [1]}},
+    "stability_estimates_not_a_list": {"estimates": 3},
+}
+# the key each row's message names, where its edit is no one-key path
+NAMED_KEYS = {
+    "density_center_a_string": "initial_density.center",
+    "kernel_sum_centers_a_string": "V.centers",
+    "wrap_copies_a_string": "V.wrap_copies",
+    "stability_phase_without_amplitudes": "initial_phase.amplitudes",
 }
 
 
@@ -294,7 +308,9 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     assert err["error"] != "runtime_error"
     assert not out.exists()  # refused before any work
     edit = {**BAD_ESTIMATE_CONFIGS, **BAD_SWEEP_EDITS, **BAD_STABILITY_EDITS}.get(case)
-    if edit is not None:
+    if case in NAMED_KEYS:
+        assert NAMED_KEYS[case] in err["message"]
+    elif edit is not None:
         assert edited_key(edit) in err["message"]
 
 

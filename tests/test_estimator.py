@@ -36,6 +36,7 @@ from conftest import (
     diff_section,
     plain_sections,
     random_trajectory,
+    regularizer,
     section_grams,
     stacked_factor,
     zero_function,
@@ -302,7 +303,7 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
     c = 0.05 * 0.08 * (0.3 if internal else 1.0) / p.node_weight
     with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
         P, _ = stacked_factor(p)
-        core = _woodbury_core(fac, learned, _factor_blocks(learned), c)
+        core = _woodbury_core(fac, learned, _factor_blocks(learned, fac, c)[0], c)
     absP, dinv, eye = np.abs(P), 1.0 / (c * fac.r.ravel()), np.eye(P.shape[1])
     # both sides sum the identity and the same M products per entry in
     # different orders
@@ -320,14 +321,16 @@ smooth_kernels = st.builds(
        internal=st.booleans(), lam=st.sampled_from([0.5, 0.05]),
        seed=st.integers(0, 999))
 def test_gram_condition_bounds_the_scaled_system(N, L, k1, k2, internal, lam, seed):
-    """``gram_condition`` is at most the bound (lambda_max(P'P) + c rho_max) /
-    (c rho_min) and at least the condition number of the Jacobi-scaled exact
-    system D^-1/2 (G + D) D^-1/2, D = c diag(rho)."""
+    """``gram_condition`` less ``dropped_share`` is at most the bound
+    (lambda_max(P'P) + c rho_max) / (c rho_min), and ``gram_condition`` is at
+    least the condition number of the Jacobi-scaled exact system
+    D^-1/2 (G + D) D^-1/2, D = c diag(rho)."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
     p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam,
                           kernel3=gaussian_kernel(0.3) if internal else None,
                           lambda3=lam if internal else None)
-    cond = solve(p).gram_condition
+    res = solve(p)
+    cond = res.gram_condition
     P, _ = stacked_factor(p)
     d = lam ** (3 if internal else 2) / p.node_weight * traj.values.ravel()
     bound = (np.linalg.eigvalsh(P.T @ P)[-1] + d.max()) / d.min()
@@ -338,7 +341,7 @@ def test_gram_condition_bounds_the_scaled_system(N, L, k1, k2, internal, lam, se
     dense = (1.0 + spectrum[-1]) / (1.0 + spectrum[0])
     eps = np.finfo(float).eps
     assert dense <= cond * (1 + 16 * eps * cond)
-    assert cond <= bound * (1 + 1e-12)
+    assert cond - res.dropped_share <= bound * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -372,11 +375,15 @@ def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
        k1=smooth_kernels, k2=smooth_kernels, k3=st.none() | smooth_kernels,
        seed=st.integers(0, 999))
 def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
-    """P P' is the weighted Gram and each block keeps the eigh-rule rank."""
+    """P P' <= G, the part it drops is at most ``dropped_share`` of the
+    Jacobi-scaled system, and each block keeps the eigh-rule rank at the
+    regularizer's threshold."""
     traj = random_trajectory(N=N, L=L, mode=mode, seed=seed)
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
                           lambda3=None if k3 is None else 0.3)
-    fac, _ = build_factors(p)
+    fac, learned = build_factors(p)
+    c = regularizer(p)
+    _, dropped_share = _factor_blocks(learned, fac, c)
     P, kept = stacked_factor(p)
     F1, F2 = dense_factors(fac)
     l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
@@ -384,22 +391,76 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     blocks = {"V": (grams["V"], F1, l2 * l3), "W": (grams["W"], F2, l1 * l3)}
     if k3 is not None:
         blocks["U"] = (grams["U"], F1, l1 * l2)
-    # each block drops eigenvalues up to 1e-14 lambda_max of its K~, so entry
-    # (i, j) of P P' - G is bounded on the scale lambda_max |F_i| |F_j| rho_i rho_j
+    # the roundoff of entry (i, j) of G - P P' is bounded on the scale
+    # lambda_max |F_i| |F_j| rho_i rho_j of each block's K~
     scale = np.zeros((P.shape[0],) * 2)
+    rho = fac.r.ravel()
     assert set(kept) == set(blocks)
     for name, (Kt, F, weight) in blocks.items():
         w = np.linalg.eigh(Kt)[0]
-        row = fac.r.ravel() * np.linalg.norm(F, axis=1)
+        row = rho * np.linalg.norm(F, axis=1)
         scale += weight * max(w[-1], 0.0) * np.outer(row, row)
-        # reference rule: eigh eigenvalues above 1e-14 lambda_max; those within
-        # the pivot tolerance 1e-15 lambda_max of that cut are resolved by
-        # neither factorization, so they may fall on either side
-        cut, band = 1e-14 * max(w[-1], 0.0), 1e-15 * max(w[-1], 0.0)
-        assert np.sum(w > cut + band) <= kept[name][0] <= np.sum(w > cut - band)
+        # reference rule: eigh eigenvalues above the threshold t / 2, t =
+        # tau / (functions * weight * |diag(sqrt(rho / c)) F|_F^2), or above
+        # the floor 1e-14 lambda_max; the pivoted Cholesky leaves a remainder
+        # of trace at most max(t / 2, 1e-15 lambda_max) unresolved, so
+        # eigenvalues within that band above the cut may fall on either side
+        t = estimator._TAU / (len(blocks) * weight * np.sum(rho / c * np.sum(F**2, axis=1)))
+        cut = max(t / 2, 1e-14 * max(w[-1], 0.0))
+        band, roundoff = max(t / 2, 1e-15 * max(w[-1], 0.0)), 1e-15 * max(w[-1], 0.0)
+        assert np.sum(w > cut + band) <= kept[name][0] <= np.sum(w > cut - roundoff)
         assert kept[name][1] == Kt.shape[0]
-    G = assemble_gram(p, fac)
-    assert np.all(np.abs(P @ P.T - G) <= 1e-13 * scale)
+    # G - P P' is PSD up to that roundoff: |x| <= s entrywise bounds the
+    # spectral norm of x by that of s, before and after the Jacobi scaling
+    dropped = assemble_gram(p, fac) - P @ P.T
+    assert np.linalg.eigvalsh(dropped)[0] >= -1e-13 * np.linalg.eigvalsh(scale)[-1]
+    jacobi = np.sqrt(c * rho)
+    d = np.outer(jacobi, jacobi)
+    top = np.linalg.eigvalsh(dropped / d)[-1]
+    roundoff = 1e-13 * np.linalg.eigvalsh(scale / d)[-1]
+    assert top - roundoff <= dropped_share * (1 + 1e-12) <= estimator._TAU
+
+
+@settings(max_examples=30, deadline=None)
+@given(N=st.integers(1, 16), L=st.integers(1, 4), k1=smooth_kernels, k2=smooth_kernels,
+       k3=st.none() | smooth_kernels, lam=st.sampled_from([0.05, 1e-4, 1e-6]),
+       seed=st.integers(0, 999))
+def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
+    """Every eigenvalue of M^-1 (G + D) = I + M^-1 (G - P P'), M = P P' + D
+    the preconditioner, lies in [1, 1 + dropped_share], and CG needs no more
+    iterations than a condition number of 2 allows for a 1e-14 residual."""
+    traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
+    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam, kernel3=k3,
+                          lambda3=None if k3 is None else lam)
+    res = solve(p)
+    fac, learned = build_factors(p)
+    c = regularizer(p)
+    blocks, dropped_share = _factor_blocks(learned, fac, c)
+    assert dropped_share == res.dropped_share
+    # Jacobi-scaled, A_s = D^-1/2 rho F_s, S = D^-1/2 P = [A_s Y_s]_s and
+    # D^-1/2 (G - P P') D^-1/2 = sum_s A_s E_s A_s', E_s = w_s K~_s - Y_s Y_s'
+    # from the dense generator Gram: no M x M cancellation of G against P P'
+    # rounds at eps times the system's condition number
+    scaled = np.sqrt(fac.r.ravel() / c)[:, None]
+    A = dict(zip((PLAIN, CONVOLVED), (scaled * F for F in dense_factors(fac))))
+    grams = dense_generator_grams(p, fac)
+    S = np.hstack([A[fn.side] @ Y for fn, Y in zip(learned, blocks)])
+    dropped = 0.0
+    for fn, Y in zip(learned, blocks):
+        e, U = np.linalg.eigh(fn.weight * grams[fn.name] - Y @ Y.T)
+        # E_s >= 0 up to the 1e-14 eigenvalue floor; A_s scales its roundoff
+        # by up to |A_s|^2, about 1 / t_s, past 1e-10 once the regularizer is
+        # below the precision of K~, so the spectrum below takes E_s's PSD part
+        top = fn.weight * np.linalg.eigvalsh(grams[fn.name])[-1]
+        assert e[0] >= -1e-14 * top
+        AU = A[fn.side] @ U
+        dropped = dropped + (AU * np.maximum(e, 0.0)) @ AU.T
+    chol = np.linalg.cholesky(np.eye(S.shape[0]) + S @ S.T)
+    half = np.linalg.solve(chol, dropped)
+    spectrum = 1.0 + np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+    assert 1 - 1e-10 <= spectrum[0] and spectrum[-1] <= 1 + dropped_share + 1e-10
+    # (sqrt(2) - 1) / (sqrt(2) + 1) per iteration: 2 (0.172)^20 < 1e-14
+    assert res.cg_iterations <= 20
 
 
 def test_solve_eigensolves_only_compressed_factors(monkeypatch):
@@ -458,7 +519,7 @@ def test_solve_peak_memory_below_half_a_dense_generator_gram():
 
 
 def test_solve_peak_memory_below_one_stacked_factor():
-    """At M = 16384, k = 342 the solve never holds an M x k array: the
+    """At M = 16384, k = 333 the solve never holds an M x k array: the
     stacked factor P is streamed in row groups and applied matrix-free."""
     N, L = 64, 257
     rng = np.random.default_rng(0)
@@ -472,7 +533,7 @@ def test_solve_peak_memory_below_one_stacked_factor():
     finally:
         tracemalloc.stop()
     k = sum(kept for kept, _ in res.kept_rank.values())
-    assert (p.node_count, k) == (16384, 342)
+    assert (p.node_count, k) == (16384, 333)
     assert peak < p.node_count * k * 8
 
 

@@ -121,26 +121,57 @@ def test_unused_import_scanner(source, unused):
     assert unused_imports(source) == unused
 
 
+# calls that check the spec values they are given; ``SmoothKernel.from_config``
+# checks a kernel spec and raises ``KernelError``, which the CLI maps to exit 2
+SPEC_CHECKERS = ("config_value", "config_list", "config_value_or_list", "from_config")
+
+
 def bare_config_casts(source: str) -> list[int]:
     """Line numbers of ``int``/``float``/``bool``/``tuple``/``list`` calls in
     ``source`` whose argument is a config lookup (a subscript, a
     ``.get(...)`` or a ``require(...)`` call): a config value converted
-    without a type check."""
+    without a type check.  Also of any call but a ``SPEC_CHECKERS`` one
+    that takes a value of a function or density spec (``spec.get(...)`` or
+    ``require(spec, ...)``) as an argument, and of any call at all that
+    takes a ``spec[...]`` (a missing key raises ``KeyError``): a spec value
+    handed to a constructor, and on to numpy, unchecked."""
     def read(arg):
         return isinstance(arg, ast.Subscript) or (
             isinstance(arg, ast.Call) and (
                 isinstance(arg.func, ast.Attribute) and arg.func.attr == "get"
                 or isinstance(arg.func, ast.Name) and arg.func.id == "require"))
 
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("int", "float", "bool", "tuple", "list")
-            and any(map(read, node.args))]
+    def is_spec(node):
+        return isinstance(node, ast.Name) and node.id == "spec"
+
+    def spec_read(arg):
+        if isinstance(arg, ast.Subscript):
+            return is_spec(arg.value)
+        return isinstance(arg, ast.Call) and (
+            isinstance(arg.func, ast.Attribute) and arg.func.attr == "get"
+            and is_spec(arg.func.value)
+            or isinstance(arg.func, ast.Name) and arg.func.id == "require"
+            and bool(arg.args) and is_spec(arg.args[0]))
+
+    def name(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return sorted(
+        [node.lineno for node in calls
+         if isinstance(node.func, ast.Name)
+         and node.func.id in ("int", "float", "bool", "tuple", "list")
+         and any(map(read, node.args))]
+        + [node.lineno for node in calls
+           if any(spec_read(arg) and (isinstance(arg, ast.Subscript)
+                                      or name(node) not in SPEC_CHECKERS)
+                  for arg in node.args + [kw.value for kw in node.keywords])])
 
 
 def test_cli_converts_no_config_value_bare():
-    """Every number and boolean the CLI reads from a config passes through
-    ``cli.config_value``, so a wrong type exits 2 and is never truncated."""
+    """Every number and boolean the CLI reads from a config, and every value
+    of a function or density spec, passes through ``cli.config_value`` (or
+    ``config_list``), so a wrong type exits 2 and is never truncated."""
     assert bare_config_casts((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")) == []
 
 
@@ -155,6 +186,8 @@ def test_cli_converts_no_config_value_bare():
     'window = tuple(cfg.get("window", (0.0, 1.0)))',
     'list(spec["centers"])',
     'int(require(cfg, "N"))',
+    'bump_density(x, spec.get("center", 0.5), sigma=spec["sigma"])',
+    'SmoothKernel.from_config(spec["kernel"])',
 ])
 def test_cast_scanner_finds_bare_casts(source):
     assert bare_config_casts(source)
@@ -170,6 +203,8 @@ def test_cast_scanner_finds_bare_casts(source):
     'str(cfg.get("u"))',
     "list(columns)",
     'tuple(config_list(cfg, "N_list", int))',
+    'wrap_periodic(fn, config_value(spec, "wrap_period", float), '
+    'SmoothKernel.from_config(require(spec, "kernel")), rows=cfg.get("rows"))',
 ])
 def test_cast_scanner_ignores_other_calls(source):
     assert not bare_config_casts(source)
