@@ -500,37 +500,3 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
             "wall_s": time.perf_counter() - t0,
         })
     return records
-
-
-# ---------------------------------------------------------------------------
-# Exact-derivative diagnostics (error decomposition)
-# ---------------------------------------------------------------------------
-
-def spectral_slopes(traj: DensityTrajectory) -> np.ndarray:
-    """Spectral d/dx of every slice; periodic data only."""
-    if traj.boundary_mode != PERIODIC:
-        raise AnalysisError("spectral slopes need periodic data")
-    N = traj.mesh.N
-    k = 2j * np.pi * np.fft.rfftfreq(N, d=traj.mesh.dx)
-    return np.fft.irfft(k * np.fft.rfft(traj.values, axis=1), n=N, axis=1)
-
-
-def exact_data_functional(traj: DensityTrajectory,
-                          known_u: InternalEnergy = NO_INTERNAL_ENERGY) -> np.ndarray:
-    """Gradient-flow data functional with spectral x- and central t-derivatives.
-
-    Diagnostic companion of the forward-difference functional: substituting
-    it (with the spectral slopes) isolates the scheme-dependent part of the
-    reconstruction error.
-    """
-    dt_rho = np.gradient(traj.values, traj.mesh.dt, axis=0, edge_order=2)
-    f = dt_rho
-    if known_u.kind != "none":
-        dx_rho = spectral_slopes(traj)
-        du2 = known_u.d2u(traj.values)
-        g1 = du2 * dx_rho
-        N = traj.mesh.N
-        k = 2j * np.pi * np.fft.rfftfreq(N, d=traj.mesh.dx)
-        g2 = np.fft.irfft(k * np.fft.rfft(g1, axis=1), n=N, axis=1)
-        f = f - dx_rho * g1 - traj.values * g2
-    return f

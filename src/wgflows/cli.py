@@ -122,22 +122,28 @@ def function_from_spec(spec: dict | None, what: str):
     if kind == "linear":
         return SmoothFunction.linear(config_value(spec, "slope", float, prefix=prefix))
     if kind == "cosine_sum":
-        return SmoothFunction.cosine_sum(
-            config_value(spec, "period", float, prefix=prefix),
-            config_list(spec, "amplitudes", float, prefix=prefix),
-            config_list(spec, "modes", float, prefix=prefix),
-            config_list(spec, "phases", float, None, prefix=prefix),
-        )
+        period = config_value(spec, "period", float, prefix=prefix)
+        amplitudes = config_list(spec, "amplitudes", float, prefix=prefix)
+        modes = config_list(spec, "modes", float, prefix=prefix)
+        phases = config_list(spec, "phases", float, None, prefix=prefix)
+        require_lengths(modes, "modes", {"amplitudes": amplitudes, "phases": phases}, prefix)
+        return SmoothFunction.cosine_sum(period, amplitudes, modes, phases)
     if kind == "kernel_sum":
         try:
             kernel = SmoothKernel.from_config(require(spec, "kernel", prefix))
         except KernelError as exc:
             raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
-        fn = RkhsFunction.from_points(kernel, config_list(spec, "centers", float, prefix=prefix),
-                                      config_list(spec, "weights", float, prefix=prefix))
+        centers = config_list(spec, "centers", float, prefix=prefix)
+        weights = config_list(spec, "weights", float, prefix=prefix)
+        require_lengths(centers, "centers", {"weights": weights}, prefix)
+        fn = RkhsFunction.from_points(kernel, centers, weights)
         if spec.get("wrap_period"):
-            fn = wrap_periodic(fn, config_value(spec, "wrap_period", float, prefix=prefix),
-                               config_value(spec, "wrap_copies", int, None, prefix=prefix))
+            period = config_value(spec, "wrap_period", float, prefix=prefix)
+            copies = config_value(spec, "wrap_copies", int, None, prefix=prefix)
+            if copies is not None and copies < 0:
+                raise ConfigError("config_invalid",
+                                  f"{prefix}wrap_copies must be at least 0, got {copies}")
+            fn = wrap_periodic(fn, period, copies)
         return fn
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
 
@@ -166,13 +172,14 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
         raise ConfigError("config_invalid", f"initial_density must be a spec, got {spec!r}")
     kind = spec.get("type", "bump")
     if kind == "bump":
-        return bump_density(
-            mesh.x, mesh.domain_length,
-            config_value_or_list(spec, "center", float, 0.5 * (mesh.a + mesh.b), prefix),
-            config_value_or_list(spec, "sigma", float, 0.15 * mesh.domain_length, prefix),
-            config_value(spec, "uniform_weight", float, 0.2, prefix=prefix),
-            config_list(spec, "bump_weights", float, None, prefix=prefix),
-        )
+        center = config_value_or_list(spec, "center", float, 0.5 * (mesh.a + mesh.b), prefix)
+        sigma = config_value_or_list(spec, "sigma", float, 0.15 * mesh.domain_length, prefix)
+        uniform_weight = config_value(spec, "uniform_weight", float, 0.2, prefix=prefix)
+        bump_weights = config_list(spec, "bump_weights", float, None, prefix=prefix)
+        require_lengths(center, "center", {"sigma": sigma, "bump_weights": bump_weights},
+                        prefix)
+        return bump_density(mesh.x, mesh.domain_length, center, sigma, uniform_weight,
+                            bump_weights)
     if kind == "uniform":
         return np.full(mesh.N, 1.0 / mesh.domain_length)
     raise ConfigError("bad_density", f"unknown density spec type {kind!r}")
@@ -301,6 +308,18 @@ def config_value_or_list(cfg: dict, key: str, kind: type, default=_REQUIRED,
     if isinstance(cfg.get(key), list):
         return config_list(cfg, key, kind, prefix=prefix)
     return config_value(cfg, key, kind, default, prefix)
+
+
+def require_lengths(lead, lead_key: str, parallel: dict, prefix: str = "") -> None:
+    """Exit 2 naming the first key of ``parallel`` whose list (a tuple from
+    ``config_list``) is not as long as ``lead``, a list or a single number,
+    which counts as one entry.  Numbers and absent (None) values pass."""
+    count = len(lead) if isinstance(lead, tuple) else 1
+    for key, values in parallel.items():
+        if isinstance(values, tuple) and len(values) != count:
+            raise ConfigError(
+                "config_invalid", f"{prefix + key} must have one entry per "
+                f"{prefix + lead_key} entry ({count}), got {len(values)}")
 
 
 def scheme_of(cfg: dict) -> str:

@@ -34,26 +34,32 @@ factorization, preconditioned by the Woodbury inverse of a low-rank part
 P P' <= G cut at the regularizer, so that the preconditioned spectrum lies
 in [1, 2] (``_factor_blocks``); a dense Cholesky solve of the same system
 is kept in the tests as the reference it is checked against.  The F
-factors are not materialized either: they are ``rkhs.SectionMap``, the same map that reduces
-sections to generator form, applied from its structure (plain F as a
-broadcast over its two nonzeros per row, convolved F as one sliding-window
-matmul of the reversed densities per grid node, or one Hankel matmul for a
-vector).  Nor is the stacked generator factor P (M x k for generator rank
-k): the Woodbury core accumulates from row groups of P streamed through one
-reused buffer of about ``_ROW_BLOCK`` rows, and the preconditioner applies
-P and P' through the section maps.  Nor is any generator Gram
-K~ formed: the generators sit on a uniform grid and the kernels are radial,
-so each K~ is block-Toeplitz and is held as three gap vectors
-(``GapGram``).  A pivoted Cholesky reads each pivot column from them,
-stops once the remaining trace falls below the block's threshold (or every
-pivot below 1e-15 of the largest diagonal entry), and reveals the rank r
-it needs in O(n r^2) time and O(n r) memory; an r x r eigensolve keeps the
-directions above the threshold (and above 1e-14 of the largest)
-(``_generator_factor``).  K~ beta, for the RKHS norms and the operator
-image, is one convolution per order block.  So the solve holds O(M)
-vectors, O(n r) factors and O((_ROW_BLOCK + k) k) arrays, and it runs every
-dense product and factorization through numpy, the package's only
-dependency, so one BLAS thread pool serves the solve.
+factors are not materialized either: they are ``rkhs.SectionMap``, the same
+map that reduces sections to generator form, applied from its structure
+(plain F as a broadcast over its two nonzeros per row, convolved F of a
+vector as one Hankel matmul of the reversed densities).  Nor is the stacked
+generator factor P (M x k for generator rank k).  The Woodbury core
+I + S'S, S = D^-1/2 P, writes each of W's rows of S once and reads it once:
+they come a block of ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz
+matmuls, whose window products one pass combines with the row scalings
+into one reused buffer, read by one symmetric rank update and a per-node
+reduction.  The plain blocks (V, U) and their cross block with W come from
+2 x 2 per-node moments of the density weights and that reduction, so no
+plain row is formed (``_woodbury_core``).  The preconditioner applies P and
+P' through the section maps.  Nor is any generator Gram K~ formed: the
+generators sit on a uniform grid and the kernels are radial, so each K~ is
+block-Toeplitz and is held as three gap vectors (``GapGram``).  A pivoted
+Cholesky reads each pivot column from them, stops once the remaining trace
+falls below the block's threshold (or every pivot below 1e-15 of the
+largest diagonal entry), and reveals the rank r it needs in O(n r^2) time
+and O(n r) memory; an r x r eigensolve keeps the directions above the
+threshold (and above 1e-14 of the largest) (``_generator_factor``).  K~
+beta, for the RKHS norms and the operator image, is one convolution per
+order block.  So the solve holds O(M) vectors, O(n r) factors,
+O((N + _ROW_BLOCK) k + k^2) arrays and one band operand of b L (N + b - 1)
+entries for b = max(1, _ROW_BLOCK // L) grid nodes, and it runs every dense
+product and factorization through numpy, the package's only dependency, so
+one BLAS thread pool serves the solve.
 """
 
 from __future__ import annotations
@@ -80,8 +86,12 @@ _PIVOT_TOL = 1e-15
 # out: the preconditioned spectrum lies in [1, 1 + _TAU], so CG converges at
 # the rate of a condition number of at most 2
 _TAU = 1.0
-# rows of the stacked factor per streamed group when forming the k x k core
-_ROW_BLOCK = 2048
+# rows of W's part of S per streamed block when forming the k x k core: a
+# block holds _ROW_BLOCK // L grid nodes (at least one).  On the benchmark's
+# estimate-large problems (2-core box) the core took within about 5% of the
+# same time from 512 to 1024 rows; 512 keeps the solve's traced peak below
+# that of the row-group stream it replaced
+_ROW_BLOCK = 512
 # conjugate gradients stop at this preconditioned relative residual and give
 # up after this many iterations
 _CG_TOL = 1e-14
@@ -316,8 +326,8 @@ class _LearnedFunction(NamedTuple):
     norm is penalised by its own ``lam``.  ``side`` is ``rkhs.PLAIN`` or
     ``rkhs.CONVOLVED``: the section family it spans, which also names that
     family's methods of ``rkhs.SectionMap`` (``plain``, ``plain_t``,
-    ``plain_rows``, ``plain_generators`` and their convolved twins), i.e.
-    its factor F onto the generators d1^i K(c, .), F' and F's rows.  ``gram``
+    ``plain_generators`` and their convolved twins), i.e. its factor F onto
+    the generators d1^i K(c, .), F' and the generators.  ``gram``
     is the generator Gram K~ of mixed partials, so that the function's
     section Gram is F K~ F'.
     """
@@ -484,41 +494,45 @@ def _factor_blocks(learned: list[_LearnedFunction], sections: SectionMap,
     return blocks, dropped_share
 
 
-def _row_groups(sections: SectionMap, learned: list[_LearnedFunction],
-                blocks: list[np.ndarray]):
-    """Stream P in groups of grid nodes, every time row of each node.
-
-    Yields (nodes, group) with ``nodes`` a slice of grid nodes and ``group``
-    the rows of P at those nodes, shaped (L, nodes, k).  Every group is
-    written into the same buffer of about ``_ROW_BLOCK`` rows, so P is never
-    held whole; a consumer may overwrite the group before the next one.
-    """
-    L, N = sections.r.shape
-    k = sum(Y.shape[1] for Y in blocks)
-    width = min(N, max(1, _ROW_BLOCK // L))
-    buffer = np.empty(L * width * k)
-    for n0 in range(0, N, width):
-        nodes = slice(n0, min(n0 + width, N))
-        group = buffer[:L * (nodes.stop - n0) * k].reshape(L, -1, k)
-        c0 = 0
-        for fn, Y in zip(learned, blocks):
-            c1 = c0 + Y.shape[1]
-            getattr(sections, fn.side + "_rows")(Y, nodes, group[:, :, c0:c1])
-            c0 = c1
-        group *= sections.r[:, nodes, None]
-        yield nodes, group
-
-
 def _woodbury_core(sections: SectionMap, learned: list[_LearnedFunction],
                    blocks: list[np.ndarray], c: float) -> np.ndarray:
-    """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho): one
-    symmetric rank update per row group, scaled in place to S_g."""
-    k = sum(Y.shape[1] for Y in blocks)
-    core = np.eye(k)
-    for nodes, group in _row_groups(sections, learned, blocks):
-        Sg = group.reshape(-1, k)
-        Sg *= np.sqrt(1.0 / (c * sections.r[:, nodes])).reshape(-1, 1)
-        core += Sg.T @ Sg
+    """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho).
+
+    S's columns for function s are diag(sqrt(rho / c)) F_s Y_s, so with the
+    row factors (p, q) = sqrt(rho / c) (a, r), a plain block's row (l, n) is
+    p Y1[n] + q Y2[n] for its order halves Y1, Y2.  The plain blocks (V, and
+    U when learned) are therefore not streamed: their Gram is
+    sum_n [Y1[n]; Y2[n]]' M_n [Y1[n]; Y2[n]], M_n the 2 x 2 time sums of the
+    products of (p, q) at node n, and their cross Gram with the convolved
+    block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] = sum_l p S_W[l, n] (likewise Q_q).
+    Only S_W's rows are formed: ``SectionMap.convolved_blocks`` writes them
+    with the row scalings applied, a block of ``_ROW_BLOCK // L`` grid nodes
+    at a time, and each block is read once, by one symmetric rank update
+    into the core and the reduction into Q.
+    """
+    L, N = sections.r.shape
+    starts = np.cumsum([0] + [Y.shape[1] for Y in blocks])
+    (w,) = [i for i, fn in enumerate(learned) if fn.side == CONVOLVED]
+    plain = [i for i, fn in enumerate(learned) if fn.side == PLAIN]
+    cw = slice(starts[w], starts[w + 1])
+    cp = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in plain])
+    Yp, Yw = np.hstack([blocks[i] for i in plain]), blocks[w]
+    scale = np.sqrt(sections.r / c)
+    factors = np.stack([scale * sections.a, scale * sections.r])       # (2, L, N)
+    moments = np.einsum("hln,gln->hgn", factors, factors)
+    gram = Yp.T @ np.einsum("hgn,gnk->hnk", moments, Yp.reshape(2, N, -1)).reshape(2 * N, -1)
+    core = np.eye(starts[-1])
+    core[np.ix_(cp, cp)] += 0.5 * (gram + gram.T)  # Yp'(M Yp) is symmetric to rounding only
+    Q = np.zeros((N, 2, Yw.shape[1]))
+    if Yw.shape[1]:  # W keeps at least one direction
+        width = min(N, max(1, _ROW_BLOCK // L))
+        for nodes, rows in sections.convolved_blocks(Yw, scale, width):
+            group = rows.reshape(-1, rows.shape[2])
+            core[cw, cw] += group.T @ group
+            np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows, out=Q[nodes])
+    cross = Yp.T @ Q.transpose(1, 0, 2).reshape(2 * N, -1)
+    core[cp, cw] += cross
+    core[cw, cp] += cross.T
     return core
 
 
@@ -570,14 +584,14 @@ def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
     triangular solve); with no kept direction it is D^-1.  Every eigenvalue
     of the preconditioned operator lies in [1, 1 + dropped_share], and CG
     absorbs the cut, the core's roundoff and the O(1/c) cancellation of the
-    Woodbury formula.  P = rho [F_b Y_b]_b is never formed: the core
-    accumulates over streamed row groups of P, and P v = rho sum_b F_b
-    (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through the section maps,
-    O(L N^2 + N k) per product.  Returns z, lambda_max of the core plus
-    dropped_share (a bound on the condition number of the Jacobi-scaled
-    exact system D^-1/2 (G + D) D^-1/2, whose smallest eigenvalue is at
-    least 1), dropped_share, the kept rank per block, the Cholesky jitter,
-    and the CG iteration count and final relative residual.
+    Woodbury formula.  P = rho [F_b Y_b]_b is never formed: the core comes
+    from per-node moments and W's streamed rows (``_woodbury_core``), and
+    P v = rho sum_b F_b (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through
+    the section maps, O(L N^2 + N k) per product.  Returns z, lambda_max of
+    the core plus dropped_share (a bound on the condition number of the
+    Jacobi-scaled exact system D^-1/2 (G + D) D^-1/2, whose smallest
+    eigenvalue is at least 1), dropped_share, the kept rank per block, the
+    Cholesky jitter, and the CG iteration count and final relative residual.
     """
     c = math.prod(fn.lam for fn in learned) / problem.node_weight
     blocks, dropped_share = _factor_blocks(learned, sections, c)

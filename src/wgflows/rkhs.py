@@ -52,13 +52,13 @@ class SectionMap:
     two column sums.  Its convolved section reduces over the difference grid:
     row (l, n) of F2 (nodes x (4N-2)) is dx (a, r) times the density row r_l
     read backwards from difference-grid offset n, so ``convolved`` of a
-    matrix takes one matmul of the reversed densities per grid node against
-    a window of N generator rows, of a vector one matmul against the Hankel
+    vector takes one matmul of the reversed densities against the Hankel
     matrix of its coefficients, and ``convolved_t`` one matmul over the grid
-    nodes that carry weight.  Neither factor is formed.  The ``*_rows``
-    applies form the rows of a range of grid nodes only, so a caller can
-    stream F @ Y through one buffer.  The reversed densities are copied
-    once per map (``r_rev``), not once per apply.
+    nodes that carry weight.  Neither factor is formed.  ``convolved_blocks``
+    streams the rows of diag(scale) F2 @ Y for a matrix Y, a block of grid
+    nodes per pair of matmuls, so a caller can consume them through one
+    buffer.  The reversed densities are copied once per map (``r_rev``), not
+    once per apply.
     """
 
     a: np.ndarray   # (L, N) density slopes
@@ -80,19 +80,10 @@ class SectionMap:
         N = self.x.size
         return np.repeat(_ORDER_AXIS, 2 * N - 1), np.tile(difference_grid(N, self.dx), 2)
 
-    def plain(self, Y: np.ndarray) -> np.ndarray:
-        """F1 @ Y for Y of shape (2N,) or (2N, k); flattened time-major."""
-        L, N = self.a.shape
-        out = np.empty((L, N, Y.size // (2 * N)))
-        self.plain_rows(Y, slice(None), out)
-        return out.reshape((L * N,) + Y.shape[1:])
-
-    def plain_rows(self, Y: np.ndarray, nodes: slice, out: np.ndarray) -> None:
-        """Rows of F1 @ Y at the grid nodes ``nodes``, every time row, into
-        ``out`` of shape (L, nodes, k)."""
-        Yh = Y.reshape(2, self.x.size, -1)
-        np.multiply(self.a[:, nodes, None], Yh[0, nodes], out=out)
-        out += self.r[:, nodes, None] * Yh[1, nodes]
+    def plain(self, y: np.ndarray) -> np.ndarray:
+        """F1 @ y for y of shape (2N,); flattened time-major."""
+        y1, y2 = np.split(y, 2)
+        return (self.a * y1 + self.r * y2).ravel()
 
     def plain_t(self, u: np.ndarray) -> np.ndarray:
         """F1' @ u for node weights u of shape (L*N,) or (L, N)."""
@@ -100,35 +91,53 @@ class SectionMap:
         return np.concatenate([np.einsum("ln,ln->n", self.a, u2),
                                np.einsum("ln,ln->n", self.r, u2)])
 
-    def convolved(self, Y: np.ndarray) -> np.ndarray:
-        """F2 @ Y for Y of shape (4N-2,) or (4N-2, k); flattened time-major.
+    def convolved(self, y: np.ndarray) -> np.ndarray:
+        """F2 @ y for y of shape (4N-2,); flattened time-major.
 
-        A vector Y takes one matmul of the reversed densities against the
-        N x N Hankel matrices H[m, n] = Y[n + m] of its two halves.
+        One matmul of the reversed densities against the N x N Hankel
+        matrices H[m, n] = y[n + m] of its two halves.
         """
-        L, N = self.a.shape
-        if Y.ndim == 2:
-            out = np.empty((L, N, Y.shape[1]))
-            self.convolved_rows(Y, slice(None), out)
-            return out.reshape(L * N, -1)
-        Yh = Y.reshape(2, 2 * N - 1)
-        hankel = np.concatenate([sliding_window_view(Yh[0], N),
-                                 sliding_window_view(Yh[1], N)], axis=1)
+        N = self.x.size
+        yh = y.reshape(2, 2 * N - 1)
+        hankel = np.concatenate([sliding_window_view(yh[0], N),
+                                 sliding_window_view(yh[1], N)], axis=1)
         win = self.r_rev @ hankel
         return (self.dx * (self.a * win[:, :N] + self.r * win[:, N:])).ravel()
 
-    def convolved_rows(self, Y: np.ndarray, nodes: slice, out: np.ndarray) -> None:
-        """Rows of F2 @ Y at the grid nodes ``nodes``, every time row, into
-        ``out`` of shape (L, nodes, k): one window matmul per grid node."""
-        L, N = self.a.shape
-        Yh = Y.reshape(2, 2 * N - 1, -1)
-        k = Yh.shape[2]
-        Y_ab = np.concatenate([Yh[0], Yh[1]], axis=1)
-        rho_rev = self.r_rev
-        for j, n in enumerate(range(N)[nodes]):
-            win = rho_rev @ Y_ab[n:n + N]
-            np.multiply(self.dx * self.a[:, n, None], win[:, :k], out=out[:, j])
-            out[:, j] += self.dx * self.r[:, n, None] * win[:, k:]
+    def convolved_blocks(self, Y: np.ndarray, scale: np.ndarray, width: int):
+        """Rows of diag(scale) F2 @ Y for Y of shape (4N-2, k) and row scales
+        of shape (L, N), one block of ``width`` grid nodes at a time.
+
+        Row (l, n) is dx scale (a r_l^rev @ Y1[n:n+N] + r r_l^rev @ Y2[n:n+N])
+        at (l, n), Y1 and Y2 the order halves of Y.  For a block of nodes
+        n0 .. n0+b-1 one band operand, whose row (j, l) holds r_l^rev at
+        column offset j and which is laid out once per call since it does
+        not depend on n0, multiplies the rows of Y1 and of Y2 from n0 on;
+        one pass then combines each row's two window products with its
+        factors dx scale (a, r).  Yields (nodes, rows) with ``nodes`` a slice
+        of grid nodes and ``rows`` of shape (nodes, L, k), node-major,
+        written into one reused buffer that the consumer may overwrite
+        before the next block.
+        """
+        L, N = self.r.shape
+        k = Y.shape[1]
+        Y1, Y2 = np.split(Y, 2)
+        band = np.zeros((width * L, N + width - 1))
+        for j in range(width):
+            band[j * L:(j + 1) * L, j:j + N] = self.r_rev
+        factors = np.stack([self.a.T, self.r.T], axis=2) * (self.dx * scale.T)[:, :, None]
+        windows = np.empty((width * L, 2, k))
+        buffer = np.empty((width * L, k))
+        for n0 in range(0, N, width):
+            b = min(width, N - n0)
+            # the last block's band ends at row 2N - 2 of the halves
+            left = band[:b * L, :2 * N - 1 - n0]
+            np.matmul(left, Y1[n0:n0 + left.shape[1]], out=windows[:b * L, 0])
+            np.matmul(left, Y2[n0:n0 + left.shape[1]], out=windows[:b * L, 1])
+            rows = buffer[:b * L]
+            np.einsum("rh,rhk->rk", factors[n0:n0 + b].reshape(b * L, 2), windows[:b * L],
+                      out=rows)
+            yield slice(n0, n0 + b), rows.reshape(b, L, k)
 
     def convolved_t(self, u: np.ndarray) -> np.ndarray:
         """F2' @ u for node weights u of shape (L*N,) or (L, N).

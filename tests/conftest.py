@@ -10,10 +10,10 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     _factor_blocks,
-    _row_groups,
     assemble_data_functional,
     build_factors,
 )
+from wgflows.flows import NO_INTERNAL_ENERGY, InternalEnergy
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap
@@ -149,16 +149,15 @@ def regularizer(problem: EstimationProblem) -> float:
 
 
 def stacked_factor(problem: EstimationProblem) -> tuple[np.ndarray, dict]:
-    """The stacked factor P (M x k) with P P' <= G, assembled from the row
-    groups ``solve`` streams, and the kept rank per block."""
+    """The stacked factor P (M x k) with P P' <= G, assembled as rho times the
+    dense section factors applied to the blocks Y that ``solve`` keeps, and
+    the kept rank per block."""
     sections, learned = build_factors(problem)
     blocks, _ = _factor_blocks(learned, sections, regularizer(problem))
-    L, N = sections.r.shape
-    P = np.empty((L, N, sum(Y.shape[1] for Y in blocks)))
-    for nodes, group in _row_groups(sections, learned, blocks):
-        P[:, nodes] = group
+    F = dict(zip((PLAIN, CONVOLVED), dense_factors(sections)))
+    P = sections.r.reshape(-1, 1) * np.hstack([F[fn.side] @ Y for fn, Y in zip(learned, blocks)])
     kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
-    return P.reshape(L * N, -1), kept
+    return P, kept
 
 
 def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
@@ -342,3 +341,38 @@ def dense_interaction_matrix(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarr
         return None
     x = mesh.x
     return np.asarray(W.value(x[:, None] - x[None, :], order=order), dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Exact-derivative diagnostics (error decomposition), the references the
+# forward-difference data functional is checked against
+# ---------------------------------------------------------------------------
+
+def spectral_slopes(traj: DensityTrajectory) -> np.ndarray:
+    """Spectral d/dx of every slice; periodic data only."""
+    if traj.boundary_mode != PERIODIC:
+        raise ValueError("spectral slopes need periodic data")
+    N = traj.mesh.N
+    k = 2j * np.pi * np.fft.rfftfreq(N, d=traj.mesh.dx)
+    return np.fft.irfft(k * np.fft.rfft(traj.values, axis=1), n=N, axis=1)
+
+
+def exact_data_functional(traj: DensityTrajectory,
+                          known_u: InternalEnergy = NO_INTERNAL_ENERGY) -> np.ndarray:
+    """Gradient-flow data functional with spectral x- and central t-derivatives.
+
+    Diagnostic companion of the forward-difference functional: substituting
+    it (with the spectral slopes) isolates the scheme-dependent part of the
+    reconstruction error.
+    """
+    dt_rho = np.gradient(traj.values, traj.mesh.dt, axis=0, edge_order=2)
+    f = dt_rho
+    if known_u.kind != "none":
+        dx_rho = spectral_slopes(traj)
+        du2 = known_u.d2u(traj.values)
+        g1 = du2 * dx_rho
+        N = traj.mesh.N
+        k = 2j * np.pi * np.fft.rfftfreq(N, d=traj.mesh.dx)
+        g2 = np.fft.irfft(k * np.fft.rfft(g1, axis=1), n=N, axis=1)
+        f = f - dx_rho * g1 - traj.values * g2
+    return f

@@ -10,14 +10,12 @@ from wgflows.analysis import (
     AnalysisError,
     SweepPlan,
     bump_density,
-    exact_data_functional,
     fit_loglog_slope,
     generate_gradient_data,
     pair_norm,
     predicted_exponents,
     rkhs_error,
     run_sweep,
-    spectral_slopes,
     stability_experiment,
     wasserstein2_1d,
     wrap_periodic,
@@ -28,7 +26,7 @@ from wgflows.kernels import gaussian_kernel
 from wgflows.mesh import PERIODIC, SpaceTimeMesh, DensityTrajectory
 from wgflows.rkhs import RkhsFunction, rkhs_norm
 
-from conftest import plain_sections, zero_function
+from conftest import exact_data_functional, plain_sections, spectral_slopes, zero_function
 
 
 @pytest.fixture

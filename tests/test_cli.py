@@ -219,6 +219,15 @@ BAD_SIMULATE_EDITS = {
     "density_center_a_string": lambda cfg: cfg["initial_density"].update(center="mid"),
     "kernel_sum_centers_a_string": lambda cfg: cfg["energy"]["V"].update(centers="x"),
     "wrap_copies_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_copies="two"),
+    # parallel lists match in length, and a wrap keeps at least the base copy
+    "kernel_sum_weights_short": lambda cfg: cfg["energy"]["V"].update(weights=[0.05]),
+    "kernel_sum_weights_long": lambda cfg: cfg["energy"]["V"].update(
+        weights=[0.05, -0.05, 0.01]),
+    "density_sigma_list_for_one_center": lambda cfg: cfg["initial_density"].update(
+        sigma=[0.1, 0.2]),
+    "density_bump_weights_short": lambda cfg: cfg["initial_density"].update(
+        center=[0.3, 0.7], sigma=0.1, bump_weights=[1.0]),
+    "negative_wrap_copies": lambda cfg: cfg["energy"]["V"].update(wrap_copies=-1),
 }
 # estimate config keys, with the arguments of ESTIMATE_ARGS
 BAD_ESTIMATE_CONFIGS = {
@@ -258,6 +267,11 @@ BAD_STABILITY_EDITS = {
     "stability_phase_without_amplitudes": {"initial_phase": {
         "type": "cosine_sum", "period": 1.0, "modes": [1]}},
     "stability_estimates_not_a_list": {"estimates": 3},
+    "stability_amplitudes_not_one_per_mode": {"initial_phase": {
+        "type": "cosine_sum", "period": 1.0, "amplitudes": [0.03, 0.01], "modes": [1]}},
+    "stability_phases_not_one_per_mode": {"initial_phase": {
+        "type": "cosine_sum", "period": 1.0, "amplitudes": [0.03], "modes": [1],
+        "phases": [0.0, 0.5]}},
 }
 # the key each row's message names, where its edit is no one-key path
 NAMED_KEYS = {
@@ -265,6 +279,13 @@ NAMED_KEYS = {
     "kernel_sum_centers_a_string": "V.centers",
     "wrap_copies_a_string": "V.wrap_copies",
     "stability_phase_without_amplitudes": "initial_phase.amplitudes",
+    "kernel_sum_weights_short": "V.weights",
+    "kernel_sum_weights_long": "V.weights",
+    "density_sigma_list_for_one_center": "initial_density.sigma",
+    "density_bump_weights_short": "initial_density.bump_weights",
+    "negative_wrap_copies": "V.wrap_copies",
+    "stability_amplitudes_not_one_per_mode": "initial_phase.amplitudes",
+    "stability_phases_not_one_per_mode": "initial_phase.phases",
 }
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgflows import estimator
@@ -248,65 +248,85 @@ class TestGram:
 
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 40), L=st.integers(1, 6),
-       mode=st.sampled_from([PERIODIC, TRUNCATED]),
-       k=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
-def test_factor_applies_match_dense_factors(N, L, mode, k, seed):
+       mode=st.sampled_from([PERIODIC, TRUNCATED]), seed=st.integers(0, 2**32 - 1))
+def test_factor_applies_match_dense_factors(N, L, mode, seed):
     """The matrix-free F1/F2 applies equal the dense factors and are adjoint."""
     fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     M = L * N
-    cols = () if k is None else (k,)
     for F, apply, apply_t in zip(dense_factors(fac),
                                  (fac.plain, fac.convolved),
                                  (fac.plain_t, fac.convolved_t)):
-        Y = rng.standard_normal((F.shape[1],) + cols)
+        y = rng.standard_normal(F.shape[1])
         u = rng.standard_normal(M)
-        FY, Ftu = apply(Y), apply_t(u)
-        assert FY.shape == (M,) + cols and Ftu.shape == (F.shape[1],)
-        # roundoff of a reordered dot product is bounded by |F| |Y|
-        assert np.all(np.abs(FY - F @ Y) <= 1e-13 * (np.abs(F) @ np.abs(Y)))
+        Fy, Ftu = apply(y), apply_t(u)
+        assert Fy.shape == (M,) and Ftu.shape == (F.shape[1],)
+        # roundoff of a reordered dot product is bounded by |F| |y|
+        assert np.all(np.abs(Fy - F @ y) <= 1e-13 * (np.abs(F) @ np.abs(y)))
         assert np.all(np.abs(Ftu - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
-        pairing = np.abs(u) @ (np.abs(F) @ np.abs(Y))
-        assert np.all(np.abs(u @ FY - Ftu @ Y) <= 1e-13 * pairing)
+        pairing = np.abs(u) @ (np.abs(F) @ np.abs(y))
+        assert abs(u @ Fy - Ftu @ y) <= 1e-13 * pairing
 
 
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 40), L=st.integers(1, 6),
-       mode=st.sampled_from([PERIODIC, TRUNCATED]),
+       mode=st.sampled_from([PERIODIC, TRUNCATED]), width=st.integers(1, 9),
        single=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
-    """The one-matmul vector F2 and F2' equal the per-node window product."""
+def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, seed):
+    """The block-streamed rows of diag(scale) F2 Y, for any block width, and
+    the one-matmul vector F2 and F2' equal the dense F2."""
     fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
-    F = fac.convolved(np.eye(4 * N - 2))
+    F = dense_factors(fac)[1]
+    Y = rng.standard_normal((4 * N - 2, 3))
+    scale = rng.uniform(0.5, 2.0, (L, N))
+    streamed = np.full((L, N, 3), np.nan)
+    for nodes, rows in fac.convolved_blocks(Y, scale, width):
+        assert rows.shape == (nodes.stop - nodes.start, L, 3)
+        streamed[:, nodes] = rows.transpose(1, 0, 2)
+    scale = scale.reshape(-1, 1)
+    assert np.all(np.abs(streamed.reshape(L * N, 3) - scale * (F @ Y))
+                  <= 1e-13 * scale * (np.abs(F) @ np.abs(Y)))
     y = rng.standard_normal(4 * N - 2)
     u = rng.standard_normal((L, N))
     if single:
         u[:, np.arange(N) != rng.integers(N)] = 0.0
     u = u.ravel()
-    assert np.all(np.abs(fac.convolved(y) - fac.convolved(y[:, None])[:, 0])
-                  <= 1e-13 * (np.abs(F) @ np.abs(y)))
+    assert np.all(np.abs(fac.convolved(y) - F @ y) <= 1e-13 * (np.abs(F) @ np.abs(y)))
     assert np.all(np.abs(fac.convolved_t(u) - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
 
 
 @settings(max_examples=30, deadline=None)
+# 13 nodes in blocks of 7 // 3 = 2: the last block holds one node, and the
+# 7-row budget ends inside a node's 3 time rows
+@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=False, seed=1)
+# U learned: two plain blocks, V before and U after the convolved W
+@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=True, seed=2)
+# a regularizer so large that V, or W, keeps no direction
+@example(N=9, L=4, row_block=7, lams=(1e10, 0.08), internal=True, seed=3)
+@example(N=9, L=4, row_block=7, lams=(0.05, 1e10), internal=True, seed=4)
 @given(N=st.integers(1, 20), L=st.integers(1, 5), row_block=st.sampled_from([1, 7, 2048]),
+       lams=st.sampled_from([(0.05, 0.08), (1e10, 0.08), (0.05, 1e10)]),
        internal=st.booleans(), seed=st.integers(0, 999))
-def test_streamed_grams_match_assembled_factor(N, L, row_block, internal, seed):
-    """The row-group Woodbury core is I + P' D^-1 P of the assembled P."""
+def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, seed):
+    """The Woodbury core is I + P' D^-1 P of the P assembled from the dense
+    section factors, for any block width, with one or two plain blocks, and
+    when a block keeps no direction."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
     p = EstimationProblem(traj, gaussian_kernel(0.1), imq_kernel(0.2, beta=1.5),
-                          lambda1=0.05, lambda2=0.08,
+                          lambda1=lams[0], lambda2=lams[1],
                           kernel3=gaussian_kernel(0.3) if internal else None,
                           lambda3=0.3 if internal else None)
     fac, learned = build_factors(p)
-    c = 0.05 * 0.08 * (0.3 if internal else 1.0) / p.node_weight
+    c = regularizer(p)
+    P, kept = stacked_factor(p)
+    for name, lam in zip("VW", lams):
+        assert lam < 1.0 or kept[name][0] == 0
     with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
-        P, _ = stacked_factor(p)
         core = _woodbury_core(fac, learned, _factor_blocks(learned, fac, c)[0], c)
     absP, dinv, eye = np.abs(P), 1.0 / (c * fac.r.ravel()), np.eye(P.shape[1])
-    # both sides sum the identity and the same M products per entry in
-    # different orders
+    # both sides sum the identity and the same M products per entry, the
+    # plain blocks' grouped by grid node, in different orders
     assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
                   <= 1e-13 * (eye + absP.T @ (dinv[:, None] * absP)))
 

@@ -121,6 +121,50 @@ def test_unused_import_scanner(source, unused):
     assert unused_imports(source) == unused
 
 
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Private (``_``-prefixed, non-dunder) functions, methods and classes
+    that ``sources`` define but never name: no ``Name`` or ``Attribute`` in
+    any of them reads the name, so nothing in those sources reaches it."""
+    defined, named = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not (node.name.startswith("__")
+                                                      and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(defined - named)
+
+
+def test_package_reaches_every_private_helper():
+    """Every private function, method and class of the package is named
+    somewhere in the package: a helper that only tests call, or that a
+    rewrite left behind, is caught here."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    assert modules
+    assert unreferenced_private_names(
+        [path.read_text(encoding="utf-8") for path in modules]) == []
+
+
+@pytest.mark.parametrize("sources, unreferenced", [
+    (["def _helper(): pass"], ["_helper"]),
+    (["def _helper(): pass\n_helper()"], []),
+    (["def _helper(): pass", "from .a import _helper\n_helper()"], []),
+    (["def _helper(): pass", "from .a import _helper"], ["_helper"]),
+    (["class _Record: pass"], ["_Record"]),
+    (["class A:\n    def _rows(self): pass"], ["_rows"]),
+    (["class A:\n    def _rows(self): pass\n    def f(self): return self._rows()"], []),
+    (["class A:\n    def __init__(self): pass"], []),
+    (["def _f(): pass\nTABLE = {'f': _f}"], []),
+    (["def public(): pass"], []),
+])
+def test_private_name_scanner(sources, unreferenced):
+    assert unreferenced_private_names(sources) == unreferenced
+
+
 # calls that check the spec values they are given; ``SmoothKernel.from_config``
 # checks a kernel spec and raises ``KernelError``, which the CLI maps to exit 2
 SPEC_CHECKERS = ("config_value", "config_list", "config_value_or_list", "from_config")
