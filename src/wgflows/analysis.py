@@ -296,8 +296,8 @@ class SweepPlan:
     fine_factor: int = 4
     internal: InternalEnergy = NO_INTERNAL_ENERGY
     scheme: str = "divergence"
-    initial_center: float = 0.5
-    initial_sigma: float = 0.14
+    initial_center: float | tuple = 0.5
+    initial_sigma: float | tuple = 0.14
     initial_uniform_weight: float = 0.35
     drop_last_time_rows: int = DROP_LAST_TIME_ROWS
     seed: int = 0
@@ -320,6 +320,7 @@ class SweepPlan:
         if not (self.T > 0 and self.c_lambda > 0 and self.c_L > 0):
             raise AnalysisError("T, c_lambda and c_L must be positive, got "
                                 f"{self.T}, {self.c_lambda}, {self.c_L}")
+        check_bump(self.initial_sigma, self.initial_uniform_weight, prefix="initial_")
 
     def lambda_at(self, N: int) -> float:
         return self.c_lambda * float(N) ** (-self.alpha)
@@ -341,6 +342,20 @@ class SweepReport:
     truth_norm: float
     wall_s: list                      # seconds per N, for timings.json
     seed: int
+
+
+def check_bump(sigma, uniform_weight: float, bump_weights=None, prefix: str = "") -> None:
+    """Range check of ``bump_density``'s parameters: every sigma positive,
+    0 <= uniform_weight <= 1, and bump weights (when given) non-negative
+    with a positive sum.  Messages name the keys with ``prefix``."""
+    if not np.all(np.asarray(sigma, dtype=float) > 0):
+        raise AnalysisError(f"{prefix}sigma must be positive, got {sigma!r}")
+    if not 0 <= uniform_weight <= 1:
+        raise AnalysisError(f"{prefix}uniform_weight must lie in [0, 1], got {uniform_weight!r}")
+    weights = np.asarray(bump_weights if bump_weights is not None else 1.0, dtype=float)
+    if not (np.all(weights >= 0) and weights.sum() > 0):
+        raise AnalysisError(f"{prefix}bump_weights must be non-negative with a positive "
+                            f"sum, got {bump_weights!r}")
 
 
 def bump_density(x: np.ndarray, length: float, center, sigma,

@@ -7,7 +7,8 @@ Timings go to a separate timings.json so that reruns of the same seeded
 config produce byte-identical data artifacts and manifests.
 
 Failures print a single-line JSON error object; exit code 2 flags config
-validation problems, 1 anything else, a non-finite JSON value included.
+validation problems, a non-finite number among them, and 1 anything else,
+a non-finite output value included.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -28,6 +30,7 @@ from .analysis import (
     AnalysisError,
     SweepPlan,
     bump_density,
+    check_bump,
     run_sweep,
     stability_experiment,
     wasserstein2_1d,
@@ -166,10 +169,9 @@ def mesh_from_spec(spec: dict) -> SpaceTimeMesh:
 
 def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
     """The initial density of a bump or uniform spec; a bump's ``center``
-    and ``sigma`` are numbers or lists of numbers, one per bump."""
+    and ``sigma`` are numbers or lists of numbers, one per bump, range-checked
+    by ``analysis.check_bump``."""
     prefix = "initial_density."
-    if not isinstance(spec, dict):
-        raise ConfigError("config_invalid", f"initial_density must be a spec, got {spec!r}")
     kind = spec.get("type", "bump")
     if kind == "bump":
         center = config_value_or_list(spec, "center", float, 0.5 * (mesh.a + mesh.b), prefix)
@@ -178,6 +180,10 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
         bump_weights = config_list(spec, "bump_weights", float, None, prefix=prefix)
         require_lengths(center, "center", {"sigma": sigma, "bump_weights": bump_weights},
                         prefix)
+        try:
+            check_bump(sigma, uniform_weight, bump_weights, prefix)
+        except AnalysisError as exc:
+            raise ConfigError("config_invalid", str(exc)) from None
         return bump_density(mesh.x, mesh.domain_length, center, sigma, uniform_weight,
                             bump_weights)
     if kind == "uniform":
@@ -259,6 +265,8 @@ def load_config(args) -> dict:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError("config_invalid", f"config is not JSON: {exc}")
+        if not isinstance(cfg, dict):
+            raise ConfigError("config_invalid", f"config must be a JSON object, got {cfg!r}")
     for key in ("seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
@@ -276,16 +284,19 @@ _REQUIRED = object()
 
 
 def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""):
-    """``cfg[key]`` as ``kind``, the one check of every config bool, int and
-    float: only JSON true/false is a bool, an int or integral float an int,
-    any non-bool number a float.  An absent key gives ``default`` unchecked."""
+    """``cfg[key]`` as ``kind``, the one check of every config section, bool,
+    int and float: only a JSON object is a dict (a section), only JSON
+    true/false a bool, an int or integral float an int, any finite non-bool
+    number a float (Python's ``json`` reads ``NaN`` and ``Infinity``, which
+    are no JSON numbers).  An absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
-    if not (isinstance(value, bool) if kind is bool else not isinstance(value, bool)
-            and isinstance(value, (int, float)) and (kind is float or value % 1 == 0)):
-        raise ConfigError("config_invalid",
-                          f"{prefix + key} must be of type {kind.__name__}, got {value!r}")
+    if not (isinstance(value, kind) if kind in (bool, dict) else not isinstance(value, bool)
+            and isinstance(value, (int, float))
+            and (math.isfinite(value) if kind is float else value % 1 == 0)):
+        raise ConfigError("config_invalid", f"{prefix + key} must be of type "
+                          f"{'finite float' if kind is float else kind.__name__}, got {value!r}")
     return kind(value)
 
 
@@ -329,9 +340,9 @@ def scheme_of(cfg: dict) -> str:
 
 
 def solver_step(cfg: dict) -> float | None:
-    """``dt_solver``: absent (the simulator picks the step) or positive and finite."""
-    if (dt := config_value(cfg, "dt_solver", float, None)) is not None and not 0 < dt < np.inf:
-        raise ConfigError("config_invalid", f"dt_solver must be positive and finite, got {dt!r}")
+    """``dt_solver``: absent (the simulator picks the step) or positive."""
+    if (dt := config_value(cfg, "dt_solver", float, None)) is not None and not dt > 0:
+        raise ConfigError("config_invalid", f"dt_solver must be positive, got {dt!r}")
     return dt
 
 
@@ -346,15 +357,15 @@ def refuse_quantile_count(cfg: dict) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
-    mesh = mesh_from_spec(require(cfg, "mesh"))
+    mesh = mesh_from_spec(config_value(cfg, "mesh", dict))
     kind = cfg.get("kind", "gradient")
-    energy = cfg.get("energy", {})
+    energy = config_value(cfg, "energy", dict, {})
     spec = EnergySpec(
         V=function_from_spec(energy.get("V"), "V"),
         W=function_from_spec(energy.get("W"), "W"),
         U=energy_from_label(energy.get("U", "none"), "energy.U"),
     )
-    rho0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
+    rho0 = density_from_spec(config_value(cfg, "initial_density", dict, {"type": "bump"}), mesh)
     if kind not in ("gradient", "hamiltonian"):
         raise ConfigError("config_invalid", f"unknown flow kind {kind!r}")
     if kind == "hamiltonian" and spec.U.kind != NONE:
@@ -437,7 +448,7 @@ def cmd_estimate(args) -> int:
         )
     except EstimatorError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
-    grid_cfg = cfg.get("eval_grid", {})
+    grid_cfg = config_value(cfg, "eval_grid", dict, {})
     count = config_value(grid_cfg, "count", int, 201, prefix="eval_grid.")
     if count < 1:
         raise ConfigError("config_invalid", f"eval_grid.count must be at least 1, got {count}")
@@ -510,13 +521,15 @@ def cmd_sweep(args) -> int:
         fine_factor=config_value(cfg, "fine_factor", int, 4),
         internal=energy_from_label(cfg.get("u", "none"), "u"),
         scheme=scheme_of(cfg),
-        initial_center=cfg.get("initial_center", 0.5),
-        initial_sigma=cfg.get("initial_sigma", 0.14),
+        initial_center=config_value_or_list(cfg, "initial_center", float, 0.5),
+        initial_sigma=config_value_or_list(cfg, "initial_sigma", float, 0.14),
         initial_uniform_weight=config_value(cfg, "initial_uniform_weight", float, 0.35),
         drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
                                          DROP_LAST_TIME_ROWS),
         seed=seed,
     )
+    require_lengths(fields["initial_center"], "initial_center",
+                    {"initial_sigma": fields["initial_sigma"]})
     try:
         plan = SweepPlan(**fields)
     except AnalysisError as exc:
@@ -547,14 +560,14 @@ def cmd_sweep(args) -> int:
 def cmd_stability(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
-    mesh = mesh_from_spec(require(cfg, "mesh"))
+    mesh = mesh_from_spec(config_value(cfg, "mesh", dict))
     truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
     estimates = require(cfg, "estimates")
     if not isinstance(estimates, list) or not all(isinstance(e, dict) for e in estimates):
         raise ConfigError("config_invalid",
                           f"estimates must be a list of objects, got {estimates!r}")
-    mu0 = density_from_spec(cfg.get("initial_density", {"type": "bump"}), mesh)
+    mu0 = density_from_spec(config_value(cfg, "initial_density", dict, {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
     refuse_quantile_count(cfg)
     dt_solver = solver_step(cfg)

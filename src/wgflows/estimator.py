@@ -18,7 +18,7 @@ the same rule for every learned function i: V (plain sections, l1), W
 (convolved sections, l2) and, when a third kernel is given, U (plain
 sections, l3), which learns the internal-energy term inside the operator.
 ``build_factors`` declares them once, as a list of records holding each
-function's name, kernel, regularizer l_i, weight w_i, section side and
+function's name, kernel, regularizer l_i, weight w_i, section family and
 generator Gram, and every later step iterates over that list: the
 regularizer c, one block of the stacked factor per function, and in
 ``solve`` the coefficients, reconstruction, RKHS norm, operator image and
@@ -34,10 +34,11 @@ factorization, preconditioned by the Woodbury inverse of a low-rank part
 P P' <= G cut at the regularizer, so that the preconditioned spectrum lies
 in [1, 2] (``_factor_blocks``); a dense Cholesky solve of the same system
 is kept in the tests as the reference it is checked against.  The F
-factors are not materialized either: they are ``rkhs.SectionMap``, the same
-map that reduces sections to generator form, applied from its structure
-(plain F as a broadcast over its two nonzeros per row, convolved F of a
-vector as one Hankel matmul of the reversed densities).  Nor is the stacked
+factors are not materialized either: each is its ``rkhs`` section family
+(``PlainSections``, ``ConvolvedSections``), the same object that reduces
+sections to generator form, applied from its structure (plain F as a
+broadcast over its two nonzeros per row, convolved F of a vector as one
+Hankel matmul of the reversed densities).  Nor is the stacked
 generator factor P (M x k for generator rank k).  The Woodbury core
 I + S'S, S = D^-1/2 P, writes each of W's rows of S once and reads it once:
 they come a block of ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz
@@ -46,7 +47,7 @@ into one reused buffer, read by one symmetric rank update and a per-node
 reduction.  The plain blocks (V, U) and their cross block with W come from
 2 x 2 per-node moments of the density weights and that reduction, so no
 plain row is formed (``_woodbury_core``).  The preconditioner applies P and
-P' through the section maps.  Nor is any generator Gram K~ formed: the
+P' through the section families.  Nor is any generator Gram K~ formed: the
 generators sit on a uniform grid and the kernels are radial, so each K~ is
 block-Toeplitz and is held as three gap vectors (``GapGram``).  A pivoted
 Cholesky reads each pivot column from them, stops once the remaining trace
@@ -74,7 +75,7 @@ import numpy as np
 from .flows import InternalEnergy, NO_INTERNAL_ENERGY, christoffel_term
 from .kernels import SmoothKernel
 from .mesh import PERIODIC, DensityTrajectory, diff_space, difference_grid
-from .rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap, rkhs_inner
+from .rkhs import ConvolvedSections, PlainSections, RkhsFunction, rkhs_inner
 
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
@@ -115,7 +116,8 @@ class EstimationProblem:
     ``spatial_slope_override`` replaces the forward-differenced density
     slopes by caller-supplied values (e.g. spectral derivatives) and
     ``f_override`` replaces the assembled data functional; both exist for
-    error-decomposition diagnostics and must be finite.
+    error-decomposition diagnostics and must be finite, of the trajectory's
+    shape.  The regularizers must be positive and finite.
     """
 
     traj: DensityTrajectory
@@ -132,12 +134,12 @@ class EstimationProblem:
     f_override: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise EstimatorError("regularization parameters must be positive")
+        if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
+            raise EstimatorError("regularization parameters must be positive and finite")
         if (self.kernel3 is None) != (self.lambda3 is None):
             raise EstimatorError("kernel3 and lambda3 must be supplied together")
-        if self.lambda3 is not None and self.lambda3 <= 0:
-            raise EstimatorError("lambda3 must be positive")
+        if self.lambda3 is not None and not 0 < self.lambda3 < np.inf:
+            raise EstimatorError("lambda3 must be positive and finite")
         if self.flow_kind not in (GRADIENT, HAMILTONIAN):
             raise EstimatorError(f"unknown flow kind {self.flow_kind!r}")
         if self.flow_kind == HAMILTONIAN:
@@ -152,7 +154,11 @@ class EstimationProblem:
             raise EstimatorError("drop_last_time_rows must leave at least one row")
         for name in ("spatial_slope_override", "f_override"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            if value is None:
+                continue
+            if np.shape(value) != self.traj.values.shape:
+                raise EstimatorError(f"{name} shape mismatch")
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise EstimatorError(f"{name} has non-finite entries")
 
     @property
@@ -323,33 +329,29 @@ class _LearnedFunction(NamedTuple):
 
     Its coefficients are ``weight * z`` for the shared representer vector z,
     ``weight`` the product of the other functions' regularizers, and its
-    norm is penalised by its own ``lam``.  ``side`` is ``rkhs.PLAIN`` or
-    ``rkhs.CONVOLVED``: the section family it spans, which also names that
-    family's methods of ``rkhs.SectionMap`` (``plain``, ``plain_t``,
-    ``plain_generators`` and their convolved twins), i.e. its factor F onto
-    the generators d1^i K(c, .), F' and the generators.  ``gram``
-    is the generator Gram K~ of mixed partials, so that the function's
-    section Gram is F K~ F'.
+    norm is penalised by its own ``lam``.  ``family`` is the section family
+    it spans, an ``rkhs.PlainSections`` or ``rkhs.ConvolvedSections``: its
+    factor F onto the generators d1^i K(c, .), F' and the generators.
+    ``gram`` is the generator Gram K~ of mixed partials, so that the
+    function's section Gram is F K~ F'.
     """
 
     name: str
     kernel: SmoothKernel
     lam: float
     weight: float
-    side: str
+    family: PlainSections | ConvolvedSections
     gram: GapGram
 
 
-def _fit_sections(problem: EstimationProblem) -> SectionMap:
-    """The section map over the fit nodes, slopes from ``spatial_slope_override``."""
+def _fit_sections(problem: EstimationProblem) -> tuple[PlainSections, ConvolvedSections]:
+    """The plain and convolved section families over the fit nodes, slopes
+    from ``spatial_slope_override`` when given."""
     traj, rows = problem.traj, problem.fit_rows
-    if problem.spatial_slope_override is None:
-        a = traj.dx_plus()
-    else:
-        a = np.asarray(problem.spatial_slope_override, dtype=float)
-        if a.shape != traj.values.shape:
-            raise EstimatorError("spatial_slope_override shape mismatch")
-    return SectionMap(a[:rows], traj.values[:rows], traj.mesh.x, traj.mesh.dx)
+    a = (traj.dx_plus() if problem.spatial_slope_override is None
+         else np.asarray(problem.spatial_slope_override, dtype=float))
+    nodes = (a[:rows], traj.values[:rows], traj.mesh.x, traj.mesh.dx)
+    return PlainSections(*nodes), ConvolvedSections(*nodes)
 
 
 def _fit_data(problem: EstimationProblem) -> np.ndarray:
@@ -362,14 +364,11 @@ def _fit_data(problem: EstimationProblem) -> np.ndarray:
         )
     else:
         f_full = np.asarray(problem.f_override, dtype=float)
-        if f_full.shape != problem.traj.values.shape:
-            raise EstimatorError("f_override shape mismatch")
     return f_full[:problem.fit_rows].ravel()
 
 
-def build_factors(problem: EstimationProblem
-                  ) -> tuple[SectionMap, list[_LearnedFunction]]:
-    """The section map over the fit nodes and the learned functions.
+def build_factors(problem: EstimationProblem) -> list[_LearnedFunction]:
+    """The learned functions over the fit nodes.
 
     V spans plain sections of ``kernel1``, W convolved sections of
     ``kernel2`` and, when the problem has a third kernel, U plain sections
@@ -377,18 +376,17 @@ def build_factors(problem: EstimationProblem
     ones on the 2N-1 difference-grid centers; each K~ is a ``GapGram``,
     three gap vectors of O(N) values.
     """
-    mesh = problem.traj.mesh
-    sections = _fit_sections(problem)
-    spec = [("V", problem.kernel1, problem.lambda1, PLAIN),
-            ("W", problem.kernel2, problem.lambda2, CONVOLVED)]
+    plain, convolved = _fit_sections(problem)
+    spec = [("V", problem.kernel1, problem.lambda1, plain),
+            ("W", problem.kernel2, problem.lambda2, convolved)]
     if problem.learn_internal:
-        spec.append(("U", problem.kernel3, problem.lambda3, PLAIN))
+        spec.append(("U", problem.kernel3, problem.lambda3, plain))
     lams = [lam for _, _, lam, _ in spec]
-    centers = {PLAIN: mesh.N, CONVOLVED: 2 * mesh.N - 1}
-    return sections, [
-        _LearnedFunction(name, kernel, lam, math.prod(lams[:i] + lams[i + 1:]), side,
-                         GapGram.of(kernel, centers[side], mesh.dx))
-        for i, (name, kernel, lam, side) in enumerate(spec)]
+    return [
+        _LearnedFunction(name, kernel, lam, math.prod(lams[:i] + lams[i + 1:]), family,
+                         GapGram.of(kernel, family.generators()[1].size // 2,
+                                    problem.traj.mesh.dx))
+        for i, (name, kernel, lam, family) in enumerate(spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +462,13 @@ def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, floa
     return Rt.T @ V[:, keep], dropped
 
 
-def _factor_blocks(learned: list[_LearnedFunction], sections: SectionMap,
-                   c: float) -> tuple[list[np.ndarray], float]:
+def _factor_blocks(learned: list[_LearnedFunction], c: float
+                   ) -> tuple[list[np.ndarray], float]:
     """The blocks Y of P with P P' <= G, one per learned function, and the
     share of the Jacobi-scaled system their cut leaves out.
 
     P's columns for a function s are rho F_s Y_s, with F_s its section
-    side's factor and Y_s its ``_generator_factor`` scaled by sqrt(w_s).
+    family's factor and Y_s its ``_generator_factor`` scaled by sqrt(w_s).
     Scaled by D^-1/2, D = c diag(rho), the Gram part G - P P' that the cut
     drops is sum_s w_s A_s (K~_s - Y_s Y_s') A_s' with A_s = diag(sqrt(rho /
     c)) F_s, whose largest eigenvalue is at most dropped_share = sum_s w_s
@@ -478,24 +476,19 @@ def _factor_blocks(learned: list[_LearnedFunction], sections: SectionMap,
     function count times w_s |A_s|_F^2, keeps that share at most ``_TAU``
     unless the numerical floors of ``_generator_factor`` stop it first, and
     the preconditioned spectrum lies in [1, 1 + dropped_share].  |A_s|_F^2
-    is closed-form in O(L N): a plain row holds a and r, a convolved row dx
-    (a, r) times the density row.
+    is the family's closed-form ``frobenius_sq`` at the row weights rho / c.
     """
-    rows = sections.r / c * (sections.a**2 + sections.r**2)
-    frobenius = {PLAIN: float(rows.sum()),
-                 CONVOLVED: float(sections.dx**2 * rows.sum(axis=1)
-                                  @ (sections.r**2).sum(axis=1))}
     blocks, dropped_share = [], 0.0
     for fn in learned:
-        share = fn.weight * frobenius[fn.side]
+        share = fn.weight * fn.family.frobenius_sq(fn.family.r / c)
         Y, dropped = _generator_factor(fn.gram, _TAU / (len(learned) * share))
         blocks.append(np.sqrt(fn.weight) * Y)
         dropped_share += share * dropped
     return blocks, dropped_share
 
 
-def _woodbury_core(sections: SectionMap, learned: list[_LearnedFunction],
-                   blocks: list[np.ndarray], c: float) -> np.ndarray:
+def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
+                   c: float) -> np.ndarray:
     """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho).
 
     S's columns for function s are diag(sqrt(rho / c)) F_s Y_s, so with the
@@ -505,15 +498,16 @@ def _woodbury_core(sections: SectionMap, learned: list[_LearnedFunction],
     sum_n [Y1[n]; Y2[n]]' M_n [Y1[n]; Y2[n]], M_n the 2 x 2 time sums of the
     products of (p, q) at node n, and their cross Gram with the convolved
     block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] = sum_l p S_W[l, n] (likewise Q_q).
-    Only S_W's rows are formed: ``SectionMap.convolved_blocks`` writes them
+    Only S_W's rows are formed: ``ConvolvedSections.blocks`` writes them
     with the row scalings applied, a block of ``_ROW_BLOCK // L`` grid nodes
     at a time, and each block is read once, by one symmetric rank update
     into the core and the reduction into Q.
     """
+    (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
+    plain = [i for i in range(len(learned)) if i != w]
+    sections = learned[w].family
     L, N = sections.r.shape
     starts = np.cumsum([0] + [Y.shape[1] for Y in blocks])
-    (w,) = [i for i, fn in enumerate(learned) if fn.side == CONVOLVED]
-    plain = [i for i, fn in enumerate(learned) if fn.side == PLAIN]
     cw = slice(starts[w], starts[w + 1])
     cp = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in plain])
     Yp, Yw = np.hstack([blocks[i] for i in plain]), blocks[w]
@@ -526,7 +520,7 @@ def _woodbury_core(sections: SectionMap, learned: list[_LearnedFunction],
     Q = np.zeros((N, 2, Yw.shape[1]))
     if Yw.shape[1]:  # W keeps at least one direction
         width = min(N, max(1, _ROW_BLOCK // L))
-        for nodes, rows in sections.convolved_blocks(Yw, scale, width):
+        for nodes, rows in sections.blocks(Yw, scale, width):
             group = rows.reshape(-1, rows.shape[2])
             core[cw, cw] += group.T @ group
             np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows, out=Q[nodes])
@@ -569,94 +563,80 @@ def _pcg(system, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         f"{_CG_MAX_ITER} iterations (last {residual:.3g})")
 
 
-def _solve_lowrank(problem: EstimationProblem, sections: SectionMap,
-                   learned: list[_LearnedFunction], f_flat: np.ndarray
-                   ) -> tuple[np.ndarray, float, float, dict, float, int, float]:
-    """Solve (G + c diag(rho)) z = rho f by conjugate gradients on the exact G.
+def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
+                    rho: np.ndarray, c: float):
+    """(P P' + D)^-1, D = c diag(rho), for the factor P P' <= G of
+    ``_factor_blocks``, applied by the Woodbury identity.
 
-    c is the product of every regularizer over the node weight dt dx.
-    G = rho sum_s w_s F_s K~_s F_s' rho is applied matrix-free, one
-    ``GapGram.matvec`` per learned function.  The preconditioner is
-    (P P' + D)^-1, D = c diag(rho), for the factor P P' <= G cut at the
-    regularizer (``_factor_blocks``), applied by the Woodbury identity
-    through the explicit inverse of the Cholesky factor of the k x k core
-    I + S'S, S = D^-1/2 P (numpy, the package's only dependency, has no
-    triangular solve); with no kept direction it is D^-1.  Every eigenvalue
-    of the preconditioned operator lies in [1, 1 + dropped_share], and CG
-    absorbs the cut, the core's roundoff and the O(1/c) cancellation of the
-    Woodbury formula.  P = rho [F_b Y_b]_b is never formed: the core comes
-    from per-node moments and W's streamed rows (``_woodbury_core``), and
-    P v = rho sum_b F_b (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through
-    the section maps, O(L N^2 + N k) per product.  Returns z, lambda_max of
-    the core plus dropped_share (a bound on the condition number of the
-    Jacobi-scaled exact system D^-1/2 (G + D) D^-1/2, whose smallest
-    eigenvalue is at least 1), dropped_share, the kept rank per block, the
-    Cholesky jitter, and the CG iteration count and final relative residual.
+    It goes through the explicit inverse of the Cholesky factor of the
+    k x k core I + S'S, S = D^-1/2 P (numpy, the package's only dependency,
+    has no triangular solve); with no kept direction it is D^-1.  P = rho
+    [F_b Y_b]_b is never formed: the core comes from per-node moments and
+    W's streamed rows (``_woodbury_core``), and P v = rho sum_b F_b (Y_b v_b)
+    and P'u = [Y_b' F_b' (rho u)]_b go through the section families,
+    O(L N^2 + N k) per product.  Returns the apply, lambda_max of the core
+    and the Cholesky jitter.
     """
-    c = math.prod(fn.lam for fn in learned) / problem.node_weight
-    blocks, dropped_share = _factor_blocks(learned, sections, c)
-    rho = sections.r.ravel()
     dinv = 1.0 / (c * rho)
     if any(Y.shape[1] for Y in blocks):
-        core = _woodbury_core(sections, learned, blocks, c)
-        cond = float(np.linalg.eigvalsh(core)[-1])
+        core = _woodbury_core(learned, blocks, c)
+        top = float(np.linalg.eigvalsh(core)[-1])
         chol, jitter = _cholesky_with_jitter(core)
         chol_inv = np.linalg.inv(chol)
     else:  # no direction kept: the core is empty, the preconditioner D^-1
-        cond, jitter, chol_inv = 1.0, 0.0, np.empty((0, 0))
+        top, jitter, chol_inv = 1.0, 0.0, np.empty((0, 0))
     splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
-
-    def P_apply(v: np.ndarray) -> np.ndarray:
-        return rho * sum(getattr(sections, fn.side)(Y @ part)
-                         for fn, Y, part in zip(learned, blocks, np.split(v, splits)))
-
-    def Pt_apply(u: np.ndarray) -> np.ndarray:
-        return np.concatenate([Y.T @ getattr(sections, fn.side + "_t")(rho * u)
-                               for fn, Y in zip(learned, blocks)])
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
-        return dr - dinv * P_apply(chol_inv.T @ (chol_inv @ Pt_apply(dr)))
+        v = chol_inv.T @ (chol_inv @ np.concatenate(
+            [Y.T @ fn.family.apply_t(rho * dr) for fn, Y in zip(learned, blocks)]))
+        return dr - dinv * (rho * sum(fn.family.apply(Y @ part) for fn, Y, part
+                                      in zip(learned, blocks, np.split(v, splits))))
 
-    def system(v: np.ndarray) -> np.ndarray:
-        u = rho * v
-        return rho * sum(
-            fn.weight * getattr(sections, fn.side)(
-                fn.gram.matvec(getattr(sections, fn.side + "_t")(u)))
-            for fn in learned) + c * u
-
-    z, iterations, residual = _pcg(system, woodbury, rho * f_flat)
-    kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
-    return z, cond + dropped_share, dropped_share, kept, jitter, iterations, residual
+    return woodbury, top, jitter
 
 
 def solve(problem: EstimationProblem) -> EstimatorResult:
     """Solve the regularized regression in closed form.
 
-    The representer system is solved by conjugate gradients on the exact
-    section Gram, applied through its factorization and preconditioned by
-    the Woodbury inverse of its low-rank part cut at the regularizer (see
-    ``_solve_lowrank``), so no ``M x M`` matrix is formed;
-    ``gram_condition`` bounds the condition number of the Jacobi-scaled
-    exact system.  Each learned function then
-    takes its coefficients weight * z, its reconstruction from the node
-    weights rho * coefficients reduced onto its generators (beta), and, from
-    K~ beta, its squared norm beta'K~beta and its operator image F K~ beta.
+    (G + c diag(rho)) z = rho f, c the product of every regularizer over the
+    node weight dt dx, is solved by conjugate gradients on the exact G =
+    rho sum_s w_s F_s K~_s F_s' rho, applied matrix-free (one
+    ``GapGram.matvec`` per learned function), so no ``M x M`` matrix is
+    formed.  The preconditioner is the Woodbury inverse of its low-rank part
+    cut at the regularizer (``_preconditioner``).  Every eigenvalue of the
+    preconditioned operator lies in [1, 1 + dropped_share], and CG absorbs
+    the cut, the core's roundoff and the O(1/c) cancellation of the Woodbury
+    formula.  ``gram_condition``, lambda_max of the core plus dropped_share,
+    bounds the condition number of the Jacobi-scaled exact system
+    D^-1/2 (G + D) D^-1/2, whose smallest eigenvalue is at least 1.  Each
+    learned function then takes its coefficients weight * z, its
+    reconstruction from the node weights rho * coefficients reduced onto its
+    generators (beta), and, from K~ beta, its squared norm beta'K~beta and
+    its operator image F K~ beta.
     """
-    sections, learned = build_factors(problem)
+    learned = build_factors(problem)
     f_flat = _fit_data(problem)
-    z, cond, dropped_share, kept, jitter, iterations, cg_residual = _solve_lowrank(
-        problem, sections, learned, f_flat)
-    rho = sections.r.ravel()
+    rho = learned[0].family.r.ravel()
+    c = math.prod(fn.lam for fn in learned) / problem.node_weight
+    blocks, dropped_share = _factor_blocks(learned, c)
+    woodbury, top, jitter = _preconditioner(learned, blocks, rho, c)
+
+    def system(v: np.ndarray) -> np.ndarray:
+        u = rho * v
+        return rho * sum(fn.weight * fn.family.apply(fn.gram.matvec(fn.family.apply_t(u)))
+                         for fn in learned) + c * u
+
+    z, iterations, cg_residual = _pcg(system, woodbury, rho * f_flat)
     coeffs, estimates, norms, images = {}, {}, {}, []
     for fn in learned:
         coeffs[fn.name] = fn.weight * z
-        beta = getattr(sections, fn.side + "_t")(rho * coeffs[fn.name])
-        estimates[fn.name] = RkhsFunction(
-            fn.kernel, *getattr(sections, fn.side + "_generators")(), beta)
+        beta = fn.family.apply_t(rho * coeffs[fn.name])
+        estimates[fn.name] = RkhsFunction(fn.kernel, *fn.family.generators(), beta)
         Kb = fn.gram.matvec(beta)
         norms[fn.name] = float(np.sqrt(max(beta @ Kb, 0.0)))
-        images.append(getattr(sections, fn.side)(Kb))
+        images.append(fn.family.apply(Kb))
     image = reduce(np.add, images)
     residual = image - f_flat
     loss = problem.node_weight * float(residual**2 @ rho)
@@ -668,11 +648,11 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         rkhs_norms=norms,
         loss_value=loss,
         residual_vector=residual,
-        gram_condition=cond,
+        gram_condition=top + dropped_share,
         dropped_share=dropped_share,
         lambdas=(problem.lambda1, problem.lambda2, problem.lambda3),
         method="lowrank",
-        kept_rank=kept,
+        kept_rank={fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)},
         jitter=jitter,
         cg_iterations=iterations,
         cg_residual=cg_residual,
@@ -688,30 +668,24 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 def operator_image(problem: EstimationProblem, phi, psi,
                    upsilon=None) -> np.ndarray:
     """Forward operator applied at every fit node, flattened (time-major): each
-    candidate's section factor F applied to its f' and f'' at its side's
+    candidate's section factor F applied to its f' and f'' at its family's
     generator centers, grid points for phi and upsilon, pair differences for psi."""
-    sections = _fit_sections(problem)
-    image = np.zeros(sections.r.size)
-    for fn, side in ((phi, PLAIN), (psi, CONVOLVED), (upsilon, PLAIN)):
+    plain, convolved = _fit_sections(problem)
+    image = np.zeros(plain.r.size)
+    for fn, family in ((phi, plain), (psi, convolved), (upsilon, plain)):
         if fn is not None:
-            orders, centers = getattr(sections, side + "_generators")()
-            image += getattr(sections, side)(np.concatenate(
+            orders, centers = family.generators()
+            image += family.apply(np.concatenate(
                 [fn.value(centers[orders == k], order=k) for k in (1, 2)]))
     return image
 
 
 def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
-            upsilon: RkhsFunction | None = None,
-            f_flat: np.ndarray | None = None) -> float:
-    """Regularized empirical loss at an explicit candidate tuple.
-
-    The data functional is the one ``solve`` fits (the problem's
-    ``f_override`` when given) unless ``f_flat`` is passed.
-    """
-    if f_flat is None:
-        f_flat = _fit_data(problem)
+            upsilon: RkhsFunction | None = None) -> float:
+    """Regularized empirical loss at an explicit candidate tuple, on the data
+    functional ``solve`` fits (the problem's ``f_override`` when given)."""
     rho_flat = problem.traj.values[:problem.fit_rows].ravel()
-    resid = operator_image(problem, phi, psi, upsilon) - f_flat
+    resid = operator_image(problem, phi, psi, upsilon) - _fit_data(problem)
     loss = problem.node_weight * float(resid**2 @ rho_flat)
     loss += problem.lambda1 * rkhs_inner(phi, phi)
     loss += problem.lambda2 * rkhs_inner(psi, psi)
@@ -728,14 +702,14 @@ def stationarity_residual(result: EstimatorResult, problem: EstimationProblem) -
     g_s = F_s'(2 dt dx rho residual) + 2 l_s beta_s (beta_s the estimate's),
     so the norm is sqrt(sum_s g_s' K~_s g_s); no kernel is evaluated on pairs.
     """
-    sections, learned = build_factors(problem)
+    learned = build_factors(problem)
     estimates = {"V": result.Vhat, "W": result.What, "U": result.Uhat}
-    weights = 2.0 * problem.node_weight * sections.r.ravel() * result.residual_vector
+    weights = 2.0 * problem.node_weight * learned[0].family.r.ravel() * result.residual_vector
     total = 0.0
     for fn in learned:
         beta = getattr(estimates[fn.name], "coeffs", None)
         if beta is None or beta.shape != (fn.gram.size,):
             raise EstimatorError(f"{fn.name} estimate is not on its {fn.gram.size} generators")
-        g = getattr(sections, fn.side + "_t")(weights) + 2.0 * fn.lam * beta
+        g = fn.family.apply_t(weights) + 2.0 * fn.lam * beta
         total += g @ fn.gram.matvec(g)
     return float(np.sqrt(max(total, 0.0)))

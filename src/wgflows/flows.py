@@ -177,10 +177,6 @@ class SmoothFunction:
         return self.value(x, order=order)
 
     @classmethod
-    def zero(cls) -> "SmoothFunction":
-        return cls([np.zeros_like] * 4, "zero")
-
-    @classmethod
     def linear(cls, slope: float) -> "SmoothFunction":
         return cls(
             [lambda x: slope * x,

@@ -151,12 +151,6 @@ class SmoothKernel:
 
     # -- serialization ------------------------------------------------------
 
-    def to_config(self) -> dict:
-        cfg = {"family": self.family, "lengthscale": self.lengthscale}
-        if self.beta is not None:
-            cfg["beta"] = self.beta
-        return cfg
-
     @classmethod
     def from_config(cls, cfg: dict) -> "SmoothKernel":
         try:

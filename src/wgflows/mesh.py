@@ -1,4 +1,4 @@
-"""Uniform space-time meshes, forward differences, and Riemann quadrature.
+"""Uniform space-time meshes, forward differences, and trajectory file I/O.
 
 The sampling grid on [0, T] x [a, b] is
 
@@ -130,15 +130,6 @@ def diff_time(values: np.ndarray, dt: float) -> np.ndarray:
 def diff_time2(values: np.ndarray, dt: float) -> np.ndarray:
     """Double forward difference in time (composition of diff_time)."""
     return diff_time(diff_time(values, dt), dt)
-
-
-def space_integral(values: np.ndarray, mesh: SpaceTimeMesh) -> float | np.ndarray:
-    """Riemann sum dx * sum(values) along the last axis."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[-1] != mesh.N:
-        raise MeshError(f"expected {mesh.N} spatial values, got {v.shape[-1]}")
-    out = mesh.dx * v.sum(axis=-1)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Kernel sections, the section map onto generators, and RKHS inner products.
+"""Kernel section families, their factors onto generators, and RKHS inner products.
 
 The estimator works with two kinds of weighted-Laplacian kernel sections
 anchored at a space-time node (l, n):
@@ -16,12 +16,15 @@ with the same left Riemann rule as the loss functional.
 
 Every finite combination of such sections collapses onto a small set of
 *generators* d1^i K(c, .): plain sections use the N grid points as centers,
-convolved sections the 2N-1 difference-grid points x_n - x_m.  The linear
-map from node weights to generator coefficients, and its transpose, is
-``SectionMap``; the estimator factors its Gram matrices through the same
-map.  RkhsFunction stores that reduced form, which makes evaluation and
-inner products cheap (pairwise mixed partials between generators) even when
-thousands of sections are combined.
+convolved sections the 2N-1 difference-grid points x_n - x_m.  Each family
+is one class, ``PlainSections`` or ``ConvolvedSections``, built from the
+same node weights and holding its factor F from node weights to generator
+coefficients: ``apply`` and ``apply_t`` give F and F', ``generators`` the
+orders and centers of its columns, and ``frobenius_sq`` the closed-form
+norm of its row-scaled factor.  The estimator factors its Gram matrices
+through the same families.  RkhsFunction stores that reduced form, which
+makes evaluation and inner products cheap (pairwise mixed partials between
+generators) even when thousands of sections are combined.
 """
 
 from __future__ import annotations
@@ -35,63 +38,71 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .kernels import KernelError, SmoothKernel
 from .mesh import difference_grid
 
-PLAIN = "plain"
-CONVOLVED = "convolved"
-
 _ORDER_AXIS = (1, 2)  # slot orders carried by a weighted-Laplacian section
 
 
 @dataclass
-class SectionMap:
-    """Linear map from node weights to the generator coefficients of sections.
-
-    Node (l, n) carries the density slope a[l, n] and density r[l, n].  Its
-    plain section has coefficients a and r on the generators d1K(x_n, .) and
-    d11K(x_n, .), so row (l, n) of the plain factor F1 (nodes x 2N) holds a
-    and r in columns n and N + n: ``plain`` is a broadcast and ``plain_t``
-    two column sums.  Its convolved section reduces over the difference grid:
-    row (l, n) of F2 (nodes x (4N-2)) is dx (a, r) times the density row r_l
-    read backwards from difference-grid offset n, so ``convolved`` of a
-    vector takes one matmul of the reversed densities against the Hankel
-    matrix of its coefficients, and ``convolved_t`` one matmul over the grid
-    nodes that carry weight.  Neither factor is formed.  ``convolved_blocks``
-    streams the rows of diag(scale) F2 @ Y for a matrix Y, a block of grid
-    nodes per pair of matmuls, so a caller can consume them through one
-    buffer.  The reversed densities are copied once per map (``r_rev``), not
-    once per apply.
-    """
+class _SectionFamily:
+    """Node weights of one section family: node (l, n) carries the density
+    slope a[l, n] and the density r[l, n]."""
 
     a: np.ndarray   # (L, N) density slopes
     r: np.ndarray   # (L, N) densities; row l is also the convolution weight
     x: np.ndarray   # (N,) grid points
     dx: float
 
-    @cached_property
-    def r_rev(self) -> np.ndarray:
-        """The densities with each time row reversed, C-contiguous."""
-        return np.ascontiguousarray(self.r[:, ::-1])
 
-    def plain_generators(self) -> tuple[np.ndarray, np.ndarray]:
+class PlainSections(_SectionFamily):
+    """The plain sections and their factor F1 (nodes x 2N) onto the
+    generators d1K(x_n, .) and d11K(x_n, .): row (l, n) holds a and r in
+    columns n and N + n, so ``apply`` is a broadcast and ``apply_t`` two
+    column sums.  F1 is not formed.
+    """
+
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
         """Orders and centers of F1's columns."""
         return np.repeat(_ORDER_AXIS, self.x.size), np.tile(self.x, 2)
 
-    def convolved_generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orders and centers of F2's columns."""
-        N = self.x.size
-        return np.repeat(_ORDER_AXIS, 2 * N - 1), np.tile(difference_grid(N, self.dx), 2)
-
-    def plain(self, y: np.ndarray) -> np.ndarray:
+    def apply(self, y: np.ndarray) -> np.ndarray:
         """F1 @ y for y of shape (2N,); flattened time-major."""
         y1, y2 = np.split(y, 2)
         return (self.a * y1 + self.r * y2).ravel()
 
-    def plain_t(self, u: np.ndarray) -> np.ndarray:
+    def apply_t(self, u: np.ndarray) -> np.ndarray:
         """F1' @ u for node weights u of shape (L*N,) or (L, N)."""
         u2 = u.reshape(self.a.shape)
         return np.concatenate([np.einsum("ln,ln->n", self.a, u2),
                                np.einsum("ln,ln->n", self.r, u2)])
 
-    def convolved(self, y: np.ndarray) -> np.ndarray:
+    def frobenius_sq(self, w: np.ndarray) -> float:
+        """|diag(sqrt(w)) F1|_F^2 for row weights w of shape (L, N)."""
+        return float((w * (self.a**2 + self.r**2)).sum())
+
+
+class ConvolvedSections(_SectionFamily):
+    """The convolved sections and their factor F2 (nodes x (4N-2)) onto the
+    generators d1^i K(c, .) at the 2N-1 difference-grid centers: row (l, n)
+    is dx (a, r) times the density row r_l read backwards from
+    difference-grid offset n.  So ``apply`` of a vector takes one matmul of
+    the reversed densities against the Hankel matrix of its coefficients,
+    and ``apply_t`` one matmul over the grid nodes.  F2 is not formed.
+    ``blocks`` streams the rows of diag(scale) F2 @ Y for a matrix Y, a
+    block of grid nodes per pair of matmuls, so a caller can consume them
+    through one buffer.  The reversed densities are copied once per family
+    (``r_rev``), not once per apply.
+    """
+
+    @cached_property
+    def r_rev(self) -> np.ndarray:
+        """The densities with each time row reversed, C-contiguous."""
+        return np.ascontiguousarray(self.r[:, ::-1])
+
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orders and centers of F2's columns."""
+        N = self.x.size
+        return np.repeat(_ORDER_AXIS, 2 * N - 1), np.tile(difference_grid(N, self.dx), 2)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
         """F2 @ y for y of shape (4N-2,); flattened time-major.
 
         One matmul of the reversed densities against the N x N Hankel
@@ -104,7 +115,28 @@ class SectionMap:
         win = self.r_rev @ hankel
         return (self.dx * (self.a * win[:, :N] + self.r * win[:, N:])).ravel()
 
-    def convolved_blocks(self, Y: np.ndarray, scale: np.ndarray, width: int):
+    def apply_t(self, u: np.ndarray) -> np.ndarray:
+        """F2' @ u for node weights u of shape (L*N,) or (L, N).
+
+        One matmul over the grid nodes, then a sum along the anti-diagonals:
+        node n's window lands reversed on difference-grid offsets
+        n .. n + N - 1.
+        """
+        L, N = self.a.shape
+        du = self.dx * u.reshape(L, N)
+        windows = np.concatenate([self.a * du, self.r * du], axis=1).T @ self.r
+        offsets = (np.arange(N)[:, None] + np.arange(N - 1, -1, -1)).ravel()
+        return np.concatenate([
+            np.bincount(offsets, weights=half.ravel(), minlength=2 * N - 1)
+            for half in np.split(windows, 2)])
+
+    def frobenius_sq(self, w: np.ndarray) -> float:
+        """|diag(sqrt(w)) F2|_F^2 for row weights w of shape (L, N): row
+        (l, n) has squared norm dx^2 (a^2 + r^2) |r_l|^2."""
+        rows = w * (self.a**2 + self.r**2)
+        return float(self.dx**2 * rows.sum(axis=1) @ (self.r**2).sum(axis=1))
+
+    def blocks(self, Y: np.ndarray, scale: np.ndarray, width: int):
         """Rows of diag(scale) F2 @ Y for Y of shape (4N-2, k) and row scales
         of shape (L, N), one block of ``width`` grid nodes at a time.
 
@@ -139,24 +171,6 @@ class SectionMap:
                       out=rows)
             yield slice(n0, n0 + b), rows.reshape(b, L, k)
 
-    def convolved_t(self, u: np.ndarray) -> np.ndarray:
-        """F2' @ u for node weights u of shape (L*N,) or (L, N).
-
-        One matmul over the grid nodes that carry weight, then a sum along
-        the anti-diagonals: node n's window lands reversed on difference-grid
-        offsets n .. n + N - 1.  A single section costs O(L N), not O(L N^2).
-        """
-        L, N = self.a.shape
-        u2 = u.reshape(L, N)
-        cols = np.flatnonzero(np.any(u2, axis=0))
-        du = self.dx * u2[:, cols]
-        windows = np.concatenate([self.a[:, cols] * du, self.r[:, cols] * du],
-                                 axis=1).T @ self.r
-        offsets = (cols[:, None] + np.arange(N - 1, -1, -1)).ravel()
-        return np.concatenate([
-            np.bincount(offsets, weights=half.ravel(), minlength=2 * N - 1)
-            for half in np.split(windows, 2)])
-
 
 class RkhsFunction:
     """Weighted combination of kernel sections, stored in generator form.
@@ -165,7 +179,7 @@ class RkhsFunction:
     ``centers`` and ``coeffs`` are parallel arrays describing the
     combination.  The raw constructor takes that generator form;
     ``from_points`` reduces point evaluations onto it, and the estimator
-    builds its sections through ``SectionMap``.
+    builds its sections through the section families.
     """
 
     def __init__(self, kernel: SmoothKernel, orders: np.ndarray,

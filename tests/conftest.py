@@ -10,13 +10,14 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     _factor_blocks,
+    _fit_sections,
     assemble_data_functional,
     build_factors,
 )
-from wgflows.flows import NO_INTERNAL_ENERGY, InternalEnergy
+from wgflows.flows import NO_INTERNAL_ENERGY, InternalEnergy, SmoothFunction
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
-from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, SectionMap
+from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +25,25 @@ def _quiet_mass_warnings():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="per-slice mass deviates")
         yield
+
+
+def space_integral(values, mesh: SpaceTimeMesh) -> float | np.ndarray:
+    """Riemann sum dx * sum(values) along the last axis."""
+    out = mesh.dx * np.sum(values, axis=-1)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def kernel_config(kernel: SmoothKernel) -> dict:
+    """The JSON kernel spec ``SmoothKernel.from_config`` reads back."""
+    cfg = {"family": kernel.family, "lengthscale": kernel.lengthscale}
+    if kernel.beta is not None:
+        cfg["beta"] = kernel.beta
+    return cfg
+
+
+def zero_phase() -> SmoothFunction:
+    """The zero initial phase of a Hamiltonian flow."""
+    return SmoothFunction([np.zeros_like] * 4, "zero")
 
 
 def random_trajectory(N=12, L=3, mode=TRUNCATED, seed=0, a=0.0, b=1.0, T=0.3,
@@ -79,9 +99,17 @@ def _convolved_factor(a: np.ndarray, r: np.ndarray, rho: np.ndarray, dx: float) 
     return F
 
 
-def dense_factors(fac: SectionMap) -> tuple[np.ndarray, np.ndarray]:
-    """The plain and convolved section factors F1, F2 as dense matrices."""
+def dense_factors(fac) -> tuple[np.ndarray, np.ndarray]:
+    """The plain and convolved section factors F1, F2 as dense matrices,
+    from the node weights of either section family."""
     return _plain_factor(fac.a, fac.r), _convolved_factor(fac.a, fac.r, fac.r, fac.dx)
+
+
+def dense_factor(family: PlainSections | ConvolvedSections) -> np.ndarray:
+    """The factor F of one section family as a dense matrix."""
+    if isinstance(family, ConvolvedSections):
+        return _convolved_factor(family.a, family.r, family.r, family.dx)
+    return _plain_factor(family.a, family.r)
 
 
 def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
@@ -97,45 +125,43 @@ def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
     return out
 
 
-def dense_generator_grams(problem: EstimationProblem,
-                          fac: SectionMap) -> dict[str, np.ndarray]:
+def dense_generator_grams(problem: EstimationProblem) -> dict[str, np.ndarray]:
     """Dense generator Grams K~ by learned function ("V", "W", and "U")."""
-    grams = {"V": dense_generator_gram(problem.kernel1, *fac.plain_generators()),
-             "W": dense_generator_gram(problem.kernel2, *fac.convolved_generators())}
+    plain, convolved = _fit_sections(problem)
+    grams = {"V": dense_generator_gram(problem.kernel1, *plain.generators()),
+             "W": dense_generator_gram(problem.kernel2, *convolved.generators())}
     if problem.learn_internal:
-        grams["U"] = dense_generator_gram(problem.kernel3, *fac.plain_generators())
+        grams["U"] = dense_generator_gram(problem.kernel3, *plain.generators())
     return grams
 
 
-def section_grams(problem: EstimationProblem,
-                  factors: SectionMap | None = None) -> tuple[np.ndarray, np.ndarray]:
+def section_grams(problem: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Dense unweighted section Grams (plain, convolved); small problems only."""
     if problem.node_count > DENSE_CEILING:
         raise EstimatorError(
             f"dense section Grams limited to {DENSE_CEILING} nodes, "
             f"got {problem.node_count}"
         )
-    fac = factors or build_factors(problem)[0]
-    F1, F2 = dense_factors(fac)
-    grams = dense_generator_grams(problem, fac)
+    F1, F2 = dense_factors(_fit_sections(problem)[0])
+    grams = dense_generator_grams(problem)
     return F1 @ grams["V"] @ F1.T, F2 @ grams["W"] @ F2.T
 
 
-def internal_section_gram(problem: EstimationProblem, fac: SectionMap) -> np.ndarray:
+def internal_section_gram(problem: EstimationProblem) -> np.ndarray:
     """Dense section Gram of the three-function variant's internal term."""
-    F3 = _plain_factor(fac.a, fac.r)
-    return F3 @ dense_generator_gram(problem.kernel3, *fac.plain_generators()) @ F3.T
+    plain = _fit_sections(problem)[0]
+    F3 = dense_factor(plain)
+    return F3 @ dense_generator_gram(problem.kernel3, *plain.generators()) @ F3.T
 
 
-def assemble_gram(problem: EstimationProblem,
-                  factors: SectionMap | None = None) -> np.ndarray:
+def assemble_gram(problem: EstimationProblem) -> np.ndarray:
     """Density-weighted Gram C (l2 G_plain + l1 G_conv [+ ...]) C, dense."""
-    fac = factors or build_factors(problem)[0]
-    G1, G2 = section_grams(problem, fac)
+    fac = _fit_sections(problem)[0]
+    G1, G2 = section_grams(problem)
     C = fac.r.ravel()
     if problem.learn_internal:
         l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        G3 = internal_section_gram(problem, fac)
+        G3 = internal_section_gram(problem)
         core = l2 * l3 * G1 + l1 * l3 * G2 + l1 * l2 * G3
     else:
         core = problem.lambda2 * G1 + problem.lambda1 * G2
@@ -152,10 +178,10 @@ def stacked_factor(problem: EstimationProblem) -> tuple[np.ndarray, dict]:
     """The stacked factor P (M x k) with P P' <= G, assembled as rho times the
     dense section factors applied to the blocks Y that ``solve`` keeps, and
     the kept rank per block."""
-    sections, learned = build_factors(problem)
-    blocks, _ = _factor_blocks(learned, sections, regularizer(problem))
-    F = dict(zip((PLAIN, CONVOLVED), dense_factors(sections)))
-    P = sections.r.reshape(-1, 1) * np.hstack([F[fn.side] @ Y for fn, Y in zip(learned, blocks)])
+    learned = build_factors(problem)
+    blocks, _ = _factor_blocks(learned, regularizer(problem))
+    rho = learned[0].family.r.reshape(-1, 1)
+    P = rho * np.hstack([dense_factor(fn.family) @ Y for fn, Y in zip(learned, blocks)])
     kept = {fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)}
     return P, kept
 
@@ -168,9 +194,8 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     loss from the dense section Grams alone.  Returns them under the
     attribute names of ``EstimatorResult``.
     """
-    fac, _ = build_factors(problem)
-    G1, G2 = section_grams(problem, fac)
-    rho = fac.r.ravel()
+    G1, G2 = section_grams(problem)
+    rho = problem.traj.values[:problem.fit_rows].ravel()
     if problem.f_override is not None:
         f_full = np.asarray(problem.f_override, dtype=float)
     else:
@@ -184,11 +209,11 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
         c = l1 * l2 * l3 / problem.node_weight
     else:
         c = l1 * l2 / problem.node_weight
-    system = assemble_gram(problem, fac) + c * np.diag(rho)
+    system = assemble_gram(problem) + c * np.diag(rho)
     z = sla.cho_solve(sla.cho_factor(system, lower=True), rho * f)
     # name: (section Gram, coefficients, regularizer)
     if problem.learn_internal:
-        G3 = internal_section_gram(problem, fac)
+        G3 = internal_section_gram(problem)
         blocks = {"V": (G1, l2 * l3 * z, l1), "W": (G2, l1 * l3 * z, l2),
                   "U": (G3, l1 * l2 * z, l3)}
     else:
@@ -234,13 +259,8 @@ def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
 
 # ---------------------------------------------------------------------------
 # Sections and functions built node by node (the estimator reduces its
-# sections through ``SectionMap`` directly)
+# sections through the section families directly)
 # ---------------------------------------------------------------------------
-
-def section_map(traj: DensityTrajectory) -> SectionMap:
-    """The section map over every node of a trajectory."""
-    return SectionMap(traj.dx_plus(), traj.values, traj.mesh.x, traj.mesh.dx)
-
 
 def node_weights(nodes, weights, shape: tuple[int, int]) -> np.ndarray:
     """Weights of 0-based (l, n) nodes summed onto the (L, N) grid."""
@@ -258,21 +278,29 @@ def node_weights(nodes, weights, shape: tuple[int, int]) -> np.ndarray:
     return u
 
 
+def family_sections(family: type, kernel: SmoothKernel, traj: DensityTrajectory,
+                    nodes, weights) -> RkhsFunction:
+    """sum over 0-based nodes (l, n) of w times the section anchored at
+    (l, n) of ``family``, ``PlainSections`` or ``ConvolvedSections`` over
+    every node of the trajectory."""
+    if family not in (PlainSections, ConvolvedSections):
+        raise ValueError(f"unknown section family {family!r}")
+    sections = family(traj.dx_plus(), traj.values, traj.mesh.x, traj.mesh.dx)
+    u = node_weights(nodes, weights, sections.a.shape)
+    return RkhsFunction(kernel, *sections.generators(), sections.apply_t(u))
+
+
 def plain_sections(kernel: SmoothKernel, traj: DensityTrajectory,
                    nodes, weights) -> RkhsFunction:
     """sum over 0-based nodes (l, n) of w * [a d1K(x_n,.) + r d11K(x_n,.)]."""
-    sections = section_map(traj)
-    u = node_weights(nodes, weights, sections.a.shape)
-    return RkhsFunction(kernel, *sections.plain_generators(), sections.plain_t(u))
+    return family_sections(PlainSections, kernel, traj, nodes, weights)
 
 
 def convolved_sections(kernel: SmoothKernel, traj: DensityTrajectory,
                        nodes, weights) -> RkhsFunction:
     """Convolved analogue of ``plain_sections``; centers live on the
     difference grid."""
-    sections = section_map(traj)
-    u = node_weights(nodes, weights, sections.a.shape)
-    return RkhsFunction(kernel, *sections.convolved_generators(), sections.convolved_t(u))
+    return family_sections(ConvolvedSections, kernel, traj, nodes, weights)
 
 
 def zero_function(kernel: SmoothKernel) -> RkhsFunction:
@@ -281,14 +309,11 @@ def zero_function(kernel: SmoothKernel) -> RkhsFunction:
     return RkhsFunction(kernel, empty.astype(int), empty, empty)
 
 
-def diff_section(kernel: SmoothKernel, traj: DensityTrajectory,
-                 l: int, n: int, kind: str = PLAIN) -> RkhsFunction:
-    """Single weighted-Laplacian kernel section anchored at node (l, n)."""
-    if kind == PLAIN:
-        return plain_sections(kernel, traj, [(l, n)], [1.0])
-    if kind == CONVOLVED:
-        return convolved_sections(kernel, traj, [(l, n)], [1.0])
-    raise ValueError(f"unknown section kind {kind!r}")
+def diff_section(kernel: SmoothKernel, traj: DensityTrajectory, l: int, n: int,
+                 family: type = PlainSections) -> RkhsFunction:
+    """Single weighted-Laplacian kernel section of ``family`` anchored at
+    node (l, n)."""
+    return family_sections(family, kernel, traj, [(l, n)], [1.0])
 
 
 # ---------------------------------------------------------------------------

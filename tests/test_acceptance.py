@@ -32,7 +32,7 @@ from wgflows.estimator import (
 from wgflows.flows import EnergySpec, InternalEnergy, SmoothFunction, gradient_flow_simulate
 from wgflows.kernels import gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
-from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, rkhs_inner
+from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction, rkhs_inner
 
 from conftest import (
     apply_flow_operator,
@@ -213,8 +213,8 @@ def test_criterion_03_stationarity():
     for _ in range(5):
         l = int(rng.integers(0, traj.mesh.L))
         n = int(rng.integers(0, traj.mesh.N))
-        directions.append((diff_section(problem.kernel1, traj, l, n, PLAIN),
-                           diff_section(problem.kernel2, traj, l, n, CONVOLVED)))
+        directions.append((diff_section(problem.kernel1, traj, l, n, PlainSections),
+                           diff_section(problem.kernel2, traj, l, n, ConvolvedSections)))
     worst = stationarity_residual(result, problem)
     ok_stationary = worst <= 1e-6 * max(result.loss_value, 1.0)
 
@@ -255,10 +255,10 @@ def test_criterion_04_discrete_reproducing_properties():
         f = plain_sections(kernel, traj, nodes, rng.standard_normal(m))
         l = int(rng.integers(0, traj.mesh.L))
         n = int(rng.integers(0, traj.mesh.N))
-        s_plain = diff_section(kernel, traj, l, n, PLAIN)
+        s_plain = diff_section(kernel, traj, l, n, PlainSections)
         gap1 = abs(rkhs_inner(f, s_plain)
                    - apply_flow_operator(traj, f, None, l, n))
-        s_conv = diff_section(kernel, traj, l, n, CONVOLVED)
+        s_conv = diff_section(kernel, traj, l, n, ConvolvedSections)
         gap2 = abs(rkhs_inner(f, s_conv)
                    - apply_flow_operator(traj, None, f, l, n))
         scale = max(1.0, abs(rkhs_inner(f, s_plain)))

@@ -193,6 +193,9 @@ BAD_ESTIMATE_ARGS = {
     "unknown_kernel_family": {"--kernel1": '{"family":"matern","lengthscale":0.2}'},
     "negative_lambda": {"--lambda1": "-1"},
     "unknown_internal_energy": {"--u": "bogus"},
+    # argparse reads any float, non-finite ones too
+    "nan_lambda": {"--lambda1": "nan"},
+    "infinite_lambda": {"--lambda2": "inf"},
 }
 BAD_SIMULATE_EDITS = {
     "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
@@ -228,6 +231,20 @@ BAD_SIMULATE_EDITS = {
     "density_bump_weights_short": lambda cfg: cfg["initial_density"].update(
         center=[0.3, 0.7], sigma=0.1, bump_weights=[1.0]),
     "negative_wrap_copies": lambda cfg: cfg["energy"]["V"].update(wrap_copies=-1),
+    # Python's json reads NaN and Infinity, which are no JSON numbers
+    "mesh_T_infinite": lambda cfg: cfg["mesh"].update(T=float("inf")),
+    "density_sigma_nan": lambda cfg: cfg["initial_density"].update(sigma=float("nan")),
+    # a bump density's parameters are range-checked
+    "density_sigma_zero": lambda cfg: cfg["initial_density"].update(sigma=0),
+    "density_sigma_negative": lambda cfg: cfg["initial_density"].update(sigma=-0.1),
+    "density_uniform_weight_negative": lambda cfg: cfg["initial_density"].update(
+        uniform_weight=-2),
+    "density_bump_weights_zero": lambda cfg: cfg["initial_density"].update(
+        center=[0.3, 0.7], sigma=0.1, bump_weights=[0, 0]),
+    # every config section is a JSON object, and so is the config
+    "mesh_not_an_object": lambda cfg: cfg.update(mesh="abc"),
+    "energy_not_an_object": lambda cfg: cfg.update(energy="x"),
+    "density_not_an_object": lambda cfg: cfg.update(initial_density=[0.5]),
 }
 # estimate config keys, with the arguments of ESTIMATE_ARGS
 BAD_ESTIMATE_CONFIGS = {
@@ -237,6 +254,9 @@ BAD_ESTIMATE_CONFIGS = {
     "eval_count_negative": {"eval_grid": {"count": -3}},
     "eval_count_zero": {"eval_grid": {"count": 0}},
     "center_not_a_boolean": {"center_interaction": "false"},
+    "lambda3_nan": {"kernel3": json.loads(KERNEL1), "lambda3": float("nan")},
+    "lambda3_infinite": {"kernel3": json.loads(KERNEL1), "lambda3": float("inf")},
+    "eval_grid_not_an_object": {"eval_grid": 5},
 }
 BAD_SWEEP_EDITS = {
     "sweep_unknown_u": {"u": "bogus"},
@@ -259,6 +279,12 @@ BAD_SWEEP_EDITS = {
     "sweep_window_a_string": {"window": "ab"},
     "sweep_window_not_a_pair": {"window": [0.0, 0.8, 1.6]},
     "sweep_window_reversed": {"window": [1.6, 0.0]},
+    # the initial bump passes the same checks as a density spec
+    "sweep_initial_sigma_a_string": {"initial_sigma": "wide"},
+    "sweep_initial_center_entry_a_string": {"initial_center": [0.3, "x"]},
+    "sweep_initial_sigma_negative": {"initial_sigma": -0.1},
+    "sweep_initial_sigma_not_one_per_center": {"initial_sigma": [0.1, 0.2, 0.3]},
+    "sweep_initial_uniform_weight_above_1": {"initial_uniform_weight": 1.5},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
@@ -286,6 +312,17 @@ NAMED_KEYS = {
     "negative_wrap_copies": "V.wrap_copies",
     "stability_amplitudes_not_one_per_mode": "initial_phase.amplitudes",
     "stability_phases_not_one_per_mode": "initial_phase.phases",
+    "mesh_T_infinite": "mesh.T",
+    "density_sigma_nan": "initial_density.sigma",
+    "density_sigma_zero": "initial_density.sigma",
+    "density_sigma_negative": "initial_density.sigma",
+    "density_uniform_weight_negative": "initial_density.uniform_weight",
+    "density_bump_weights_zero": "initial_density.bump_weights",
+    "mesh_not_an_object": "mesh",
+    "energy_not_an_object": "energy",
+    "density_not_an_object": "initial_density",
+    "lambda3_nan": "lambda3",
+    "lambda3_infinite": "lambda3",
 }
 
 
@@ -335,6 +372,17 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
         assert edited_key(edit) in err["message"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "stability", "w2"])
+def test_config_not_an_object_exits_2(tmp_path, capsys, command):
+    """A config file holding a JSON list, not an object, exits 2 before any
+    output directory is made."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([simulate_config(tmp_path / "run")]))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config_invalid"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value, kind, expected", [
     (3, int, 3), (3.0, int, 3), (-1, int, -1), (True, bool, True), (False, bool, False),
     (2, float, 2.0), (0.5, float, 0.5),
@@ -347,6 +395,7 @@ def test_config_value_accepts(value, kind, expected):
 @pytest.mark.parametrize("value, kind", [
     (1.5, int), ("3", int), (True, int), (None, int), (float("inf"), int),
     ("false", bool), (0, bool), (1.0, bool), ("0.5", float), (False, float), ([1.0], float),
+    (float("nan"), float), (float("inf"), float), (float("-inf"), float), (float("nan"), int),
 ])
 def test_config_value_rejects(value, kind):
     with pytest.raises(cli.ConfigError) as info:

@@ -13,6 +13,7 @@ from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
     _factor_blocks,
+    _fit_sections,
     _woodbury_core,
     assemble_data_functional,
     build_factors,
@@ -24,16 +25,18 @@ from wgflows.estimator import (
 from wgflows.flows import InternalEnergy, SmoothFunction
 from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
-from wgflows.rkhs import CONVOLVED, PLAIN, RkhsFunction, rkhs_inner
+from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction, rkhs_inner
 
 from conftest import (
     apply_flow_operator,
     assemble_gram,
     convolved_sections,
+    dense_factor,
     dense_factors,
     dense_generator_grams,
     dense_reference_solve,
     diff_section,
+    family_sections,
     plain_sections,
     random_trajectory,
     regularizer,
@@ -212,12 +215,12 @@ class TestGram:
             l1, n1, l2, n2 = rng.integers(0, 3), rng.integers(0, N), \
                 rng.integers(0, 3), rng.integers(0, N)
             i, j = l1 * N + n1, l2 * N + n2
-            s1p = diff_section(p.kernel1, traj_periodic, int(l1), int(n1), PLAIN)
-            s2p = diff_section(p.kernel1, traj_periodic, int(l2), int(n2), PLAIN)
+            s1p = diff_section(p.kernel1, traj_periodic, int(l1), int(n1), PlainSections)
+            s2p = diff_section(p.kernel1, traj_periodic, int(l2), int(n2), PlainSections)
             assert G1[i, j] == pytest.approx(rkhs_inner(s1p, s2p),
                                              rel=1e-10, abs=1e-10)
-            s1c = diff_section(p.kernel2, traj_periodic, int(l1), int(n1), CONVOLVED)
-            s2c = diff_section(p.kernel2, traj_periodic, int(l2), int(n2), CONVOLVED)
+            s1c = diff_section(p.kernel2, traj_periodic, int(l1), int(n1), ConvolvedSections)
+            s2c = diff_section(p.kernel2, traj_periodic, int(l2), int(n2), ConvolvedSections)
             assert G2[i, j] == pytest.approx(rkhs_inner(s1c, s2c),
                                              rel=1e-10, abs=1e-10)
 
@@ -251,15 +254,13 @@ class TestGram:
        mode=st.sampled_from([PERIODIC, TRUNCATED]), seed=st.integers(0, 2**32 - 1))
 def test_factor_applies_match_dense_factors(N, L, mode, seed):
     """The matrix-free F1/F2 applies equal the dense factors and are adjoint."""
-    fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    families = _fit_sections(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     M = L * N
-    for F, apply, apply_t in zip(dense_factors(fac),
-                                 (fac.plain, fac.convolved),
-                                 (fac.plain_t, fac.convolved_t)):
+    for F, family in zip(dense_factors(families[0]), families):
         y = rng.standard_normal(F.shape[1])
         u = rng.standard_normal(M)
-        Fy, Ftu = apply(y), apply_t(u)
+        Fy, Ftu = family.apply(y), family.apply_t(u)
         assert Fy.shape == (M,) and Ftu.shape == (F.shape[1],)
         # roundoff of a reordered dot product is bounded by |F| |y|
         assert np.all(np.abs(Fy - F @ y) <= 1e-13 * (np.abs(F) @ np.abs(y)))
@@ -275,13 +276,13 @@ def test_factor_applies_match_dense_factors(N, L, mode, seed):
 def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, seed):
     """The block-streamed rows of diag(scale) F2 Y, for any block width, and
     the one-matmul vector F2 and F2' equal the dense F2."""
-    fac, _ = build_factors(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
+    _, fac = _fit_sections(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     F = dense_factors(fac)[1]
     Y = rng.standard_normal((4 * N - 2, 3))
     scale = rng.uniform(0.5, 2.0, (L, N))
     streamed = np.full((L, N, 3), np.nan)
-    for nodes, rows in fac.convolved_blocks(Y, scale, width):
+    for nodes, rows in fac.blocks(Y, scale, width):
         assert rows.shape == (nodes.stop - nodes.start, L, 3)
         streamed[:, nodes] = rows.transpose(1, 0, 2)
     scale = scale.reshape(-1, 1)
@@ -292,8 +293,8 @@ def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, s
     if single:
         u[:, np.arange(N) != rng.integers(N)] = 0.0
     u = u.ravel()
-    assert np.all(np.abs(fac.convolved(y) - F @ y) <= 1e-13 * (np.abs(F) @ np.abs(y)))
-    assert np.all(np.abs(fac.convolved_t(u) - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
+    assert np.all(np.abs(fac.apply(y) - F @ y) <= 1e-13 * (np.abs(F) @ np.abs(y)))
+    assert np.all(np.abs(fac.apply_t(u) - F.T @ u) <= 1e-13 * (np.abs(F).T @ np.abs(u)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,14 +318,14 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, 
                           lambda1=lams[0], lambda2=lams[1],
                           kernel3=gaussian_kernel(0.3) if internal else None,
                           lambda3=0.3 if internal else None)
-    fac, learned = build_factors(p)
+    learned = build_factors(p)
     c = regularizer(p)
     P, kept = stacked_factor(p)
     for name, lam in zip("VW", lams):
         assert lam < 1.0 or kept[name][0] == 0
     with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
-        core = _woodbury_core(fac, learned, _factor_blocks(learned, fac, c)[0], c)
-    absP, dinv, eye = np.abs(P), 1.0 / (c * fac.r.ravel()), np.eye(P.shape[1])
+        core = _woodbury_core(learned, _factor_blocks(learned, c)[0], c)
+    absP, dinv, eye = np.abs(P), 1.0 / (c * traj.values.ravel()), np.eye(P.shape[1])
     # both sides sum the identity and the same M products per entry, the
     # plain blocks' grouped by grid node, in different orders
     assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
@@ -372,9 +373,9 @@ def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
     equal the dense generator Grams of mixed partials."""
     traj = random_trajectory(N=N, L=1, seed=seed, a=a, b=a + 1.0)
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08)
-    fac, learned = build_factors(p)
+    learned = build_factors(p)
     rng = np.random.default_rng(seed)
-    for fn, K, kernel in zip(learned, dense_generator_grams(p, fac).values(), (k1, k2)):
+    for fn, K, kernel in zip(learned, dense_generator_grams(p).values(), (k1, k2)):
         gram = fn.gram
         assert gram.size == K.shape[0]
         # the dense Gram rounds each center difference c_q - c_p (|c| <= 1)
@@ -401,20 +402,20 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
     traj = random_trajectory(N=N, L=L, mode=mode, seed=seed)
     p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
                           lambda3=None if k3 is None else 0.3)
-    fac, learned = build_factors(p)
+    learned = build_factors(p)
     c = regularizer(p)
-    _, dropped_share = _factor_blocks(learned, fac, c)
+    _, dropped_share = _factor_blocks(learned, c)
     P, kept = stacked_factor(p)
-    F1, F2 = dense_factors(fac)
+    F1, F2 = dense_factors(learned[0].family)
     l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
-    grams = dense_generator_grams(p, fac)
+    grams = dense_generator_grams(p)
     blocks = {"V": (grams["V"], F1, l2 * l3), "W": (grams["W"], F2, l1 * l3)}
     if k3 is not None:
         blocks["U"] = (grams["U"], F1, l1 * l2)
     # the roundoff of entry (i, j) of G - P P' is bounded on the scale
     # lambda_max |F_i| |F_j| rho_i rho_j of each block's K~
     scale = np.zeros((P.shape[0],) * 2)
-    rho = fac.r.ravel()
+    rho = traj.values.ravel()
     assert set(kept) == set(blocks)
     for name, (Kt, F, weight) in blocks.items():
         w = np.linalg.eigh(Kt)[0]
@@ -432,7 +433,7 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
         assert kept[name][1] == Kt.shape[0]
     # G - P P' is PSD up to that roundoff: |x| <= s entrywise bounds the
     # spectral norm of x by that of s, before and after the Jacobi scaling
-    dropped = assemble_gram(p, fac) - P @ P.T
+    dropped = assemble_gram(p) - P @ P.T
     assert np.linalg.eigvalsh(dropped)[0] >= -1e-13 * np.linalg.eigvalsh(scale)[-1]
     jacobi = np.sqrt(c * rho)
     d = np.outer(jacobi, jacobi)
@@ -453,18 +454,18 @@ def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
     p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam, kernel3=k3,
                           lambda3=None if k3 is None else lam)
     res = solve(p)
-    fac, learned = build_factors(p)
+    learned = build_factors(p)
     c = regularizer(p)
-    blocks, dropped_share = _factor_blocks(learned, fac, c)
+    blocks, dropped_share = _factor_blocks(learned, c)
     assert dropped_share == res.dropped_share
     # Jacobi-scaled, A_s = D^-1/2 rho F_s, S = D^-1/2 P = [A_s Y_s]_s and
     # D^-1/2 (G - P P') D^-1/2 = sum_s A_s E_s A_s', E_s = w_s K~_s - Y_s Y_s'
     # from the dense generator Gram: no M x M cancellation of G against P P'
     # rounds at eps times the system's condition number
-    scaled = np.sqrt(fac.r.ravel() / c)[:, None]
-    A = dict(zip((PLAIN, CONVOLVED), (scaled * F for F in dense_factors(fac))))
-    grams = dense_generator_grams(p, fac)
-    S = np.hstack([A[fn.side] @ Y for fn, Y in zip(learned, blocks)])
+    scaled = np.sqrt(traj.values.ravel() / c)[:, None]
+    A = {fn.name: scaled * dense_factor(fn.family) for fn in learned}
+    grams = dense_generator_grams(p)
+    S = np.hstack([A[fn.name] @ Y for fn, Y in zip(learned, blocks)])
     dropped = 0.0
     for fn, Y in zip(learned, blocks):
         e, U = np.linalg.eigh(fn.weight * grams[fn.name] - Y @ Y.T)
@@ -473,7 +474,7 @@ def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
         # below the precision of K~, so the spectrum below takes E_s's PSD part
         top = fn.weight * np.linalg.eigvalsh(grams[fn.name])[-1]
         assert e[0] >= -1e-14 * top
-        AU = A[fn.side] @ U
+        AU = A[fn.name] @ U
         dropped = dropped + (AU * np.maximum(e, 0.0)) @ AU.T
     chol = np.linalg.cholesky(np.eye(S.shape[0]) + S @ S.T)
     half = np.linalg.solve(chol, dropped)
@@ -687,8 +688,8 @@ class TestStationarity:
         for _ in range(count):
             l = int(rng.integers(0, p.traj.mesh.L))
             n = int(rng.integers(0, p.traj.mesh.N))
-            out.append((diff_section(p.kernel1, p.traj, l, n, PLAIN),
-                        diff_section(p.kernel2, p.traj, l, n, CONVOLVED)))
+            out.append((diff_section(p.kernel1, p.traj, l, n, PlainSections),
+                        diff_section(p.kernel2, p.traj, l, n, ConvolvedSections)))
         return out
 
     def test_small_at_minimizer(self):
@@ -722,7 +723,7 @@ class TestStationarity:
         count = 3 if internal else 2
         kernels = [p.kernel1, p.kernel2, p.kernel3][:count]
         lams = [p.lambda1, p.lambda2, p.lambda3][:count]
-        sides = [PLAIN, CONVOLVED, PLAIN][:count]
+        families = [PlainSections, ConvolvedSections, PlainSections][:count]
         rng = np.random.default_rng(15)
         cand = [RkhsFunction(f.kernel, f.orders, f.centers,
                              f.coeffs + 0.3 * np.abs(f.coeffs).max()
@@ -742,17 +743,15 @@ class TestStationarity:
             return np.sqrt(sum(rkhs_inner(hs, hs) for hs in h))
 
         nodes = [(l, n) for l in range(p.traj.mesh.L) for n in range(p.traj.mesh.N)]
-        build = {PLAIN: plain_sections,
-                 CONVOLVED: convolved_sections}
-        gradient = [build[side](k, p.traj, nodes, weights) + 2 * lam * f
-                    for side, k, lam, f in zip(sides, kernels, lams, cand)]
+        gradient = [family_sections(family, k, p.traj, nodes, weights) + 2 * lam * f
+                    for family, k, lam, f in zip(families, kernels, lams, cand)]
         assert certificate > 1e-3
         assert deriv(gradient) / norm(gradient) == pytest.approx(certificate, rel=1e-10)
         worst = 0.0
         for _ in range(24):
             h = [diff_section(k, p.traj, int(rng.integers(p.traj.mesh.L)),
-                              int(rng.integers(p.traj.mesh.N)), side) * rng.standard_normal()
-                 for k, side in zip(kernels, sides)]
+                              int(rng.integers(p.traj.mesh.N)), family) * rng.standard_normal()
+                 for k, family in zip(kernels, families)]
             worst = max(worst, abs(deriv(h)) / norm(h))
         assert 0.0 < worst <= certificate * (1 + 1e-10)
 
@@ -900,8 +899,8 @@ class TestExactDerivativeOverride:
         p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
                               imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.1,
                               spatial_slope_override=override)
-        fac, _ = build_factors(p)
-        assert np.allclose(fac.a, 0.0)
+        plain, convolved = _fit_sections(p)
+        assert np.allclose(plain.a, 0.0) and np.allclose(convolved.a, 0.0)
         image = operator_image(p, RkhsFunction.from_points(p.kernel1, [0.5], [1.0]),
                                None)
         # with zero slopes only second-derivative terms survive

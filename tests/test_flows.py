@@ -27,10 +27,10 @@ from wgflows.flows import (
     weighted_laplacian_pinv,
 )
 from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
-from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh, space_integral
+from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh
 from wgflows.rkhs import RkhsFunction
 
-from conftest import dense_interaction_matrix, dense_pair_sums
+from conftest import dense_interaction_matrix, dense_pair_sums, space_integral, zero_phase
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -418,7 +418,7 @@ class TestHamiltonianFlow:
     def test_zero_phase_is_static(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 32, 4)
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.05)
-        traj, _ = hamiltonian_flow_simulate(mu0, SmoothFunction.zero(),
+        traj, _ = hamiltonian_flow_simulate(mu0, zero_phase(),
                                             EnergySpec(), mesh)
         for l in range(4):
             assert np.max(np.abs(traj.values[l] - traj.values[0])) < 1e-10
@@ -496,14 +496,14 @@ class TestHamiltonianFlow:
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]),
                           1.0)
-        _, diag = hamiltonian_flow_simulate(np.ones(16), SmoothFunction.zero(),
+        _, diag = hamiltonian_flow_simulate(np.ones(16), zero_phase(),
                                             EnergySpec(W=W), mesh)
         assert 0 < diag["interaction_modes"] <= 512
 
     def test_internal_energy_rejected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         with pytest.raises(FlowError):
-            hamiltonian_flow_simulate(np.ones(16), SmoothFunction.zero(),
+            hamiltonian_flow_simulate(np.ones(16), zero_phase(),
                                       EnergySpec(U=ENTROPY), mesh)
 
     def test_particle_crossing_detected(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_eval, reference_profile
+from conftest import kernel_config, reference_eval, reference_profile
 from wgflows.kernels import KernelError, SmoothKernel, gaussian_kernel, imq_kernel
 
 KERNELS = [
@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_config_round_trip(self):
         for k in KERNELS:
-            back = SmoothKernel.from_config(k.to_config())
+            back = SmoothKernel.from_config(kernel_config(k))
             assert back.same_kernel(k)
 
     def test_json_round_trip(self, tmp_path):

@@ -4,8 +4,8 @@ import pytest
 from wgflows.kernels import KernelError, gaussian_kernel, imq_kernel
 from wgflows.mesh import PERIODIC, SpaceTimeMesh, DensityTrajectory
 from wgflows.rkhs import (
-    CONVOLVED,
-    PLAIN,
+    ConvolvedSections,
+    PlainSections,
     RkhsFunction,
     rkhs_inner,
     rkhs_norm,
@@ -40,14 +40,14 @@ class TestSections:
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 12, 1)
         c = 1.0
         traj = DensityTrajectory(mesh, np.full((1, 12), c), boundary_mode=PERIODIC)
-        s = diff_section(kernel, traj, 0, 4, PLAIN)
+        s = diff_section(kernel, traj, 0, 4, PlainSections)
         xn = mesh.x[4]
         ys = np.linspace(0, 1, 7)
         assert np.allclose(s.value(ys), c * kernel.eval(2, 0, xn, ys), atol=1e-13)
 
     def test_section_value_composition(self, kernel, traj_truncated):
         l, n = 1, 3
-        s = diff_section(kernel, traj_truncated, l, n, PLAIN)
+        s = diff_section(kernel, traj_truncated, l, n, PlainSections)
         a = traj_truncated.dx_plus()[l, n]
         r = traj_truncated.values[l, n]
         xn = traj_truncated.mesh.x[n]
@@ -56,7 +56,7 @@ class TestSections:
         assert s.value(y) == pytest.approx(expected, abs=1e-12)
 
     def test_weights_scale_linearly(self, kernel, traj_truncated):
-        s = diff_section(kernel, traj_truncated, 0, 2, PLAIN)
+        s = diff_section(kernel, traj_truncated, 0, 2, PlainSections)
         ys = np.linspace(0, 1, 9)
         assert np.allclose((2.5 * s).value(ys), 2.5 * s.value(ys))
 
@@ -90,7 +90,7 @@ class TestInnerProducts:
         sections = [diff_section(kernel, traj_periodic, int(l), int(n), kind)
                     for l, n, kind in zip(rng.integers(0, 3, 8),
                                           rng.integers(0, 8, 8),
-                                          [PLAIN, CONVOLVED] * 4)]
+                                          [PlainSections, ConvolvedSections] * 4)]
         G = np.array([[rkhs_inner(a, b) for b in sections] for a in sections])
         eig = np.linalg.eigvalsh(G)
         assert eig[0] >= -1e-8 * max(eig[-1], 1.0)
@@ -99,8 +99,8 @@ class TestInnerProducts:
         # inner product of two plain sections vs a finite-difference oracle:
         # mixed tensor stencils on plain kernel values, Richardson-refined
         l1, n1, l2, n2 = 0, 2, 2, 6
-        s1 = diff_section(kernel, traj_periodic, l1, n1, PLAIN)
-        s2 = diff_section(kernel, traj_periodic, l2, n2, PLAIN)
+        s1 = diff_section(kernel, traj_periodic, l1, n1, PlainSections)
+        s2 = diff_section(kernel, traj_periodic, l2, n2, PlainSections)
         mesh = traj_periodic.mesh
         a1 = traj_periodic.dx_plus()[l1, n1]
         r1 = traj_periodic.values[l1, n1]
@@ -129,7 +129,7 @@ class TestReproducingProperty:
         f = plain_sections(kernel, traj_periodic, [(0, 2), (2, 7), (1, 11)],
                            rng.standard_normal(3))
         for l, n in [(2, 5), (0, 0), (2, 11)]:
-            s = diff_section(kernel, traj_periodic, l, n, PLAIN)
+            s = diff_section(kernel, traj_periodic, l, n, PlainSections)
             lhs = rkhs_inner(f, s)
             rhs = apply_flow_operator(traj_periodic, f, None, l, n)
             assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -139,7 +139,7 @@ class TestReproducingProperty:
         f = RkhsFunction.from_points(kernel, rng.uniform(0, 1, 4),
                                      rng.standard_normal(4))
         for l, n in [(1, 3), (2, 9), (0, 6)]:
-            s = diff_section(kernel, traj_periodic, l, n, CONVOLVED)
+            s = diff_section(kernel, traj_periodic, l, n, ConvolvedSections)
             lhs = rkhs_inner(f, s)
             rhs = apply_flow_operator(traj_periodic, None, f, l, n)
             assert lhs == pytest.approx(rhs, abs=1e-8)

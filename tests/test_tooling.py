@@ -11,6 +11,7 @@ import wgflows
 
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
 PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
+BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
 
 
 def scipy_uses(source: str) -> list[int]:
@@ -121,22 +122,29 @@ def test_unused_import_scanner(source, unused):
     assert unused_imports(source) == unused
 
 
-def unreferenced_private_names(sources: list[str]) -> list[str]:
-    """Private (``_``-prefixed, non-dunder) functions, methods and classes
-    that ``sources`` define but never name: no ``Name`` or ``Attribute`` in
-    any of them reads the name, so nothing in those sources reaches it."""
+def definitions_and_names(sources: list[str]) -> tuple[set, set]:
+    """The functions, methods and classes that ``sources`` define, and the
+    names that a ``Name`` or ``Attribute`` in them reads."""
     defined, named = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not (node.name.startswith("__")
-                                                      and node.name.endswith("__")):
-                    defined.add(node.name)
+                defined.add(node.name)
             elif isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    return sorted(defined - named)
+    return defined, named
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Private (``_``-prefixed, non-dunder) functions, methods and classes
+    that ``sources`` define but never name: no ``Name`` or ``Attribute`` in
+    any of them reads the name, so nothing in those sources reaches it."""
+    defined, named = definitions_and_names(sources)
+    return sorted(name for name in defined - named
+                  if name.startswith("_") and not (name.startswith("__")
+                                                   and name.endswith("__")))
 
 
 def test_package_reaches_every_private_helper():
@@ -163,6 +171,46 @@ def test_package_reaches_every_private_helper():
 ])
 def test_private_name_scanner(sources, unreferenced):
     assert unreferenced_private_names(sources) == unreferenced
+
+
+def unreached_public_names(sources: list[str], readers: list[str],
+                           exported: list[str]) -> list[str]:
+    """Public functions, methods and classes that ``sources`` define but
+    that no ``Name`` or ``Attribute`` in ``sources`` or ``readers`` reads and
+    ``exported`` does not list."""
+    defined, named = definitions_and_names(sources)
+    named |= definitions_and_names(readers)[1] | set(exported)
+    return sorted(name for name in defined - named if not name.startswith("_"))
+
+
+def test_package_reaches_every_public_name():
+    """Every public function, method and class of the package is named in
+    the package or in the benchmark's modules, or exported in
+    ``wgflows.__all__``: a public name that only tests reach is a test-only
+    helper in the package, and one that nothing reaches is dead code."""
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    bench = sorted(BENCH_DIR.glob("*.py"))
+    assert modules and bench
+    assert unreached_public_names([path.read_text(encoding="utf-8") for path in modules],
+                                  [path.read_text(encoding="utf-8") for path in bench],
+                                  wgflows.__all__) == []
+
+
+@pytest.mark.parametrize("sources, readers, exported, unreached", [
+    (["def helper(): pass"], [], [], ["helper"]),
+    (["def helper(): pass\nhelper()"], [], [], []),
+    (["def helper(): pass", "from .a import helper\nhelper()"], [], [], []),
+    (["def helper(): pass"], ["from wgflows.a import helper\nhelper()"], [], []),
+    (["def helper(): pass"], ["import wgflows.a\nwgflows.a.helper()"], [], []),
+    (["def helper(): pass"], ["PATCH = 'a.helper'"], [], ["helper"]),
+    (["class Kernel: pass"], [], ["Kernel"], []),
+    (["class A:\n    def rows(self): pass\nA()"], [], [], ["rows"]),
+    (["class A:\n    def rows(self): pass\nA().rows()"], [], [], []),
+    (["class A:\n    def __init__(self): pass\nA()"], [], [], []),
+    (["def _helper(): pass"], [], [], []),
+])
+def test_public_name_scanner(sources, readers, exported, unreached):
+    assert unreached_public_names(sources, readers, exported) == unreached
 
 
 # calls that check the spec values they are given; ``SmoothKernel.from_config``
