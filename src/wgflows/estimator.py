@@ -32,14 +32,15 @@ tall-skinny F factors.  Every problem is solved without materializing G:
 conjugate gradients run on the exact system, applying G through that
 factorization, preconditioned by the Woodbury inverse of a low-rank part
 P P' <= G cut at the regularizer, so that the preconditioned spectrum lies
-in [1, 2] (``_factor_blocks``); a dense Cholesky solve of the same system
-is kept in the tests as the reference it is checked against.  The F
-factors are not materialized either: each is its ``rkhs`` section family
-(``PlainSections``, ``ConvolvedSections``), the same object that reduces
-sections to generator form, applied from its structure (plain F as a
-broadcast over its two nonzeros per row, convolved F of a vector as one
-Hankel matmul of the reversed densities).  Nor is the stacked
-generator factor P (M x k for generator rank k).  The Woodbury core
+in [1, 2] (``_factor_blocks``), its k x k core inverted through one
+eigendecomposition (``_inverse_factor``); a dense Cholesky solve of the
+same system is kept in the tests as the reference it is checked against.
+The F factors are not materialized either: each is its ``rkhs`` section
+family (``PlainSections``, ``ConvolvedSections``), the same object that
+reduces sections to generator form, applied from its structure (plain F as
+a broadcast over its two nonzeros per row, convolved F of a vector as one
+Hankel matmul of the reversed densities).  Nor is the stacked generator
+factor P (M x k for generator rank k).  The Woodbury core
 I + S'S, S = D^-1/2 P, writes each of W's rows of S once and reads it once:
 they come a block of ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz
 matmuls, whose window products one pass combines with the row scalings
@@ -49,18 +50,22 @@ reduction.  The plain blocks (V, U) and their cross block with W come from
 plain row is formed (``_woodbury_core``).  The preconditioner applies P and
 P' through the section families.  Nor is any generator Gram K~ formed: the
 generators sit on a uniform grid and the kernels are radial, so each K~ is
-block-Toeplitz and is held as three gap vectors (``GapGram``).  A pivoted
-Cholesky reads each pivot column from them, stops once the remaining trace
-falls below the block's threshold (or every pivot below 1e-15 of the
+block-Toeplitz and is held as three gap vectors (``GapGram``).  Reversing
+the n centers, with a sign flip on the order-2 block, leaves each K~
+unchanged, so in the parity basis of that reflection K~ splits into two
+halves of n generators, each read from the same vectors as Toeplitz plus
+Hankel slices (``_ParityHalf``).  A pivoted Cholesky of each half reads
+each pivot column from them, stops once the half's remaining trace falls
+below half the block's threshold (or every pivot below 1e-15 of K~'s
 largest diagonal entry), and reveals the rank r it needs in O(n r^2) time
-and O(n r) memory; an r x r eigensolve keeps the directions above the
-threshold (and above 1e-14 of the largest) (``_generator_factor``).  K~
-beta, for the RKHS norms and the operator image, is one convolution per
-order block.  So the solve holds O(M) vectors, O(n r) factors,
-O((N + _ROW_BLOCK) k + k^2) arrays and one band operand of b L (N + b - 1)
-entries for b = max(1, _ROW_BLOCK // L) grid nodes, and it runs every dense
-product and factorization through numpy, the package's only dependency, so
-one BLAS thread pool serves the solve.
+and O(n r) memory; an r x r eigensolve per half keeps the directions above
+the threshold (and above 1e-14 of the largest over both halves)
+(``_generator_factor``).  K~ beta, for the RKHS norms and the operator
+image, is one convolution per order block.  So the solve holds O(M)
+vectors, O(n r) factors, O((N + _ROW_BLOCK) k + k^2) arrays and one band
+operand of b L (N + b - 1) entries for b = max(1, _ROW_BLOCK // L) grid
+nodes, and it runs every dense product and factorization through numpy,
+the package's only dependency, so one BLAS thread pool serves the solve.
 """
 
 from __future__ import annotations
@@ -80,8 +85,9 @@ from .rkhs import ConvolvedSections, PlainSections, RkhsFunction, rkhs_inner
 GRADIENT = "gradient"
 HAMILTONIAN = "hamiltonian"
 
-# pivoted Cholesky of a generator Gram stops at pivots below this fraction
-# of its largest diagonal entry, a decade under the 1e-14 eigenvalue floor
+# the pivoted Cholesky of a generator Gram's parity half stops at pivots
+# below this fraction of the Gram's largest diagonal entry, a decade under
+# the 1e-14 eigenvalue floor
 _PIVOT_TOL = 1e-15
 # the share of the Jacobi-scaled system the preconditioner's cut may leave
 # out: the preconditioned spectrum lies in [1, 1 + _TAU], so CG converges at
@@ -97,6 +103,7 @@ _ROW_BLOCK = 512
 # up after this many iterations
 _CG_TOL = 1e-14
 _CG_MAX_ITER = 100
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class EstimatorError(RuntimeError):
@@ -192,18 +199,22 @@ class EstimatorResult:
     ``dropped_share`` bounds the largest eigenvalue of the Gram part the
     preconditioner leaves out, D^-1/2 (G - P P') D^-1/2 with D = c diag(rho)
     (see ``_factor_blocks``): at most 1 unless the numerical floors stop the
-    cut first.  ``gram_condition`` is lambda_max of the Woodbury core I + S'S
+    cut first; each block's part of it is the larger, over the two
+    reflection-parity halves of its generator Gram, of the remaining trace
+    plus the largest cut eigenvalue.  ``gram_condition`` is lambda_max of
+    the Woodbury core I + S'S
     plus ``dropped_share``: an upper bound on the condition number of the
     Jacobi-scaled exact system D^-1/2 (G + D) D^-1/2, whose smallest
     eigenvalue is at least 1.  ``kept_rank`` maps each learned function
     ("V", "W", "U") to [generator directions kept, generator count]: the
-    pivoted Cholesky of the generator Gram, read column by column from its
-    gap vectors, stops once its remaining trace is at most half the block's
-    threshold (or every pivot is below 1e-15 of its largest diagonal
-    entry), and of its compressed directions those with eigenvalue above
-    half the threshold (and above 1e-14 of the largest) are kept.
-    ``jitter`` is the diagonal jitter, relative to the largest diagonal
-    entry, that the Woodbury core needed to factor (0.0 when none).
+    pivoted Cholesky of each parity half of the generator Gram, read column
+    by column from its gap vectors, stops once that half's remaining trace
+    is at most half the block's threshold (or every pivot is below 1e-15 of
+    the Gram's largest diagonal entry), and of the compressed directions of
+    both halves those with eigenvalue above half the threshold (and above
+    1e-14 of the largest) are kept.  ``jitter`` is the shift, relative to
+    the Woodbury core's largest diagonal entry, added to the core's
+    eigenvalues to make them all positive (0.0 when none).
     ``cg_iterations`` and ``cg_residual`` are the conjugate-gradient
     iterations the solve took and the relative preconditioned residual of
     its recurrence at the stop.
@@ -324,6 +335,83 @@ class GapGram(NamedTuple):
             np.convolve(g4, b2, "valid") - np.convolve(g3, b1, "valid")])
 
 
+class _ParityHalf(NamedTuple):
+    """One reflection-parity half of a generator Gram, read from its gap vectors.
+
+    Let R reverse the n centers of an order block and S = diag(R, -R).  The
+    order blocks of K~ on the diagonal are even Toeplitz and the cross blocks
+    odd, so S K~ S = K~ and K~ splits into its restrictions to the two
+    eigenspaces of S (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  The
+    half of parity sigma spans order 1 vectors of R-parity sigma and order 2
+    vectors of R-parity -sigma, n generators in all.  Its orthonormal basis
+    is ordered R-parity +1 block first (order 1 when sigma = +1, order 2
+    otherwise), then the R-parity -1 block; vector q of a block of R-parity
+    s is u_q (e_q + s e_(n-1-q)) / sqrt(2) in its order block, for q = 0 ..
+    ceil(n/2) - 1 (s = +1) or floor(n/2) - 1 (s = -1), with u_q = 1 except
+    at the middle center of an odd n, where u = 1 / sqrt(2) makes the vector
+    e_q.  Entry (i, q; j, p) of the half-Gram is then u_q u_p (K~[iq, jp] +
+    s_j K~[iq, j(n-1-p)]): a Toeplitz plus a Hankel slice of the same gap
+    vector, and its diagonal is u_q^2 (K~[iq, iq] + s_i K~[iq, i(n-1-q)]),
+    from g(0) and g((2q - n + 1) dx).
+    """
+
+    gaps: np.ndarray      # (3, 2n-1), of the full Gram
+    # per block, R-parity +1 first: (order, R-parity, first index, length,
+    # the two gap rows its columns read, rows of the +1 block's order first)
+    blocks: tuple
+
+    @classmethod
+    def of(cls, gram: GapGram, sigma: int) -> "_ParityHalf":
+        n = gram.size // 2
+        h = (n + 1) // 2
+        first, second = (1, 2) if sigma == 1 else (2, 1)
+        return cls(gram.gaps, tuple(
+            (j, s, start, length, gram.gaps[j - 1:j + 1][::sigma])
+            for j, s, start, length in ((first, 1, 0, h), (second, -1, h, n - h))))
+
+    def diagonal(self) -> np.ndarray:
+        n = self.gaps.shape[1] // 2 + 1
+        d = np.concatenate([
+            (2 * i - 3) * (self.gaps[2 * i - 2, n - 1] + s * self.gaps[2 * i - 2, :2 * h:2])
+            for i, s, _, h, _ in self.blocks])
+        if n % 2:  # the middle center: u^2 (g(0) + g(0)) = g(0)
+            d[n // 2] /= 2
+        return d
+
+    def column(self, p: int) -> np.ndarray:
+        """Column p of the half-Gram, in the basis order above."""
+        n = self.gaps.shape[1] // 2 + 1
+        h = self.blocks[0][3]
+        j, s, start, _, rows = self.blocks[p >= h]
+        q = p - start
+        # both blocks are read h long and the -1 block's extra entry dropped
+        col = (np.add if s > 0 else np.subtract)(
+            rows[:, n - 1 - q:n - 1 - q + h], rows[:, q:q + h]).ravel()[:n]
+        col *= 2 * j - 3
+        if n % 2:  # the middle center's u on its row and on its column
+            col[h - 1] *= _SQRT_HALF
+            if p == h - 1:
+                col *= _SQRT_HALF
+        return col
+
+    def lift(self, Z: np.ndarray) -> np.ndarray:
+        """Q Z for the half's orthonormal basis Q (2n x n): half coordinates
+        to generator coordinates, order blocks stacked."""
+        n = Z.shape[0]
+        out = np.zeros((2, n, Z.shape[1]))
+        # row q and its mirror n-1-q each take Z's row q over sqrt(2); a
+        # middle center is its own mirror and takes it whole (its vector is
+        # e_q), written twice with the same value
+        scaled = Z * _SQRT_HALF
+        if n % 2:
+            scaled[n // 2] = Z[n // 2]
+        for i, s, start, h, _ in self.blocks:
+            part = scaled[start:start + h]
+            out[i - 1, :h] = part
+            np.multiply(part[::-1], s, out=out[i - 1, n - h:])
+        return out.reshape(2 * n, -1)
+
+
 class _LearnedFunction(NamedTuple):
     """One learned function of the representer: V, W or U.
 
@@ -393,50 +481,20 @@ def build_factors(problem: EstimationProblem) -> list[_LearnedFunction]:
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _cholesky_with_jitter(mat: np.ndarray):
-    """Cholesky factor with escalating relative diagonal jitter.
+def _pivoted_cholesky(half: _ParityHalf, threshold: float,
+                      floor: float) -> tuple[np.ndarray, float]:
+    """R' with half-Gram = R R' + E, E >= 0, and the trace of E.
 
-    Returns the lower factor and the jitter applied, relative to the largest
-    diagonal entry (0.0 when the matrix factors as given).  A non-finite
-    matrix is rejected before any factorization is tried.
+    Alg. 1 of Harbrecht, Peters & Schneider (Appl. Numer. Math. 2012): each
+    pivot column comes from the gap vectors and is downdated by one
+    matrix-vector product with the rows of R' found so far; the loop stops
+    once the trace of E, the sum of the remaining pivots, is at most
+    ``threshold / 2``, or once every remaining pivot is at or below
+    ``floor``.  R' is held row by row in a buffer that doubles as the rank
+    grows.
     """
-    if not np.all(np.isfinite(mat)):
-        raise EstimatorError("Woodbury core has non-finite entries")
-    scale = float(np.max(np.diag(mat)))
-    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
-        try:
-            return np.linalg.cholesky(
-                mat + jitter * scale * np.eye(mat.shape[0]) if jitter else mat
-            ), jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise EstimatorError(
-        "system matrix not positive definite even after jitter escalation; "
-        f"diagonal scale {scale:.3g}"
-    )
-
-
-def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, float]:
-    """Factor Y with orthogonal columns and 0 <= K~ - Y Y' <= dropped I.
-
-    K~ is factored in O(n r^2) with O(n r) memory rather than eigendecomposed
-    in O(n^3): a pivoted Cholesky K~ = R R' + E (Harbrecht, Peters &
-    Schneider, Appl. Numer. Math. 2012, Alg. 1) takes each pivot column from
-    the gap vectors, downdates it by one matrix-vector product with the rows
-    of R' found so far, and stops once the trace of the PSD remainder E, the
-    sum of the remaining pivots, is at most ``threshold / 2``, or once every
-    remaining pivot is at or below ``_PIVOT_TOL`` times the largest diagonal
-    entry, the numerical floor.  R' is held row by row in a buffer that
-    doubles as the rank grows.  The small r x r eigenproblem R'R = V diag(w)
-    V' then compresses R to R V, whose columns are the eigenvectors of R R'
-    scaled by sqrt(w); directions with w at or below ``threshold / 2``, or
-    below the floor 1e-14 times the largest w, are cut.  Returns Y and
-    ``dropped``, the remaining trace plus the largest cut eigenvalue, which
-    bounds the largest eigenvalue of K~ - Y Y'.  Y may have no columns.
-    """
-    d = gram.diagonal()
+    d = half.diagonal()
     n = d.size
-    floor = _PIVOT_TOL * float(d.max())
     Rt = np.empty((min(n, 64), n))
     m = 0
     while m < n:
@@ -445,7 +503,7 @@ def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, floa
             break
         if m == Rt.shape[0]:
             Rt = np.concatenate([Rt, np.empty((min(m, n - m), n))])
-        row = gram.column(p)
+        row = half.column(p)
         row -= Rt[:m, p] @ Rt[:m]
         row /= np.sqrt(d[p])
         d -= row * row
@@ -455,11 +513,39 @@ def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, floa
         d[p] = 0.0
         Rt[m] = row
         m += 1
-    Rt = Rt[:m]
-    w, V = np.linalg.eigh(Rt @ Rt.T)
-    keep = w > max(threshold / 2, w[-1] * 1e-14 if m else 0.0)
-    dropped = float(d.sum()) + max(float(w[~keep].max(initial=0.0)), 0.0)
-    return Rt.T @ V[:, keep], dropped
+    return Rt[:m], float(d.sum())
+
+
+def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, float]:
+    """Factor Y with orthogonal columns and 0 <= K~ - Y Y' <= dropped I.
+
+    K~ is factored in O(n r^2) with O(n r) memory rather than eigendecomposed
+    in O(n^3), and one reflection-parity half at a time (``_ParityHalf``):
+    in the parity basis K~ is block-diagonal, so each half of n of the 2n
+    generators takes its own ``_pivoted_cholesky`` at a quarter of the flops
+    of one over K~.  Its pivots stop at ``_PIVOT_TOL`` times K~'s largest
+    diagonal entry, the numerical floor.  Each half's small r x r
+    eigenproblem R'R = V diag(w) V' then compresses R to R V, whose columns
+    are the eigenvectors of R R' scaled by sqrt(w); directions with w at or
+    below ``threshold / 2``, or below the floor 1e-14 times the largest w
+    over both halves, are cut, and the kept ones are mapped back to the
+    generators.  K~ - Y Y' is block-diagonal in the parity basis too, so
+    ``dropped``, the larger over the two halves of the remaining trace plus
+    the largest cut eigenvalue, bounds its largest eigenvalue.  Y may have
+    no columns.
+    """
+    floor = _PIVOT_TOL * float(gram.diagonal().max())
+    halves = [(half, *_pivoted_cholesky(half, threshold, floor))
+              for half in (_ParityHalf.of(gram, 1), _ParityHalf.of(gram, -1))]
+    spectra = [np.linalg.eigh(Rt @ Rt.T) for _, Rt, _ in halves]
+    top = max((w[-1] for w, _ in spectra if w.size), default=0.0)
+    cut = max(threshold / 2, 1e-14 * top)
+    Y, dropped = [], 0.0
+    for (half, Rt, rest), (w, V) in zip(halves, spectra):
+        keep = w > cut
+        Y.append(half.lift(Rt.T @ V[:, keep]))
+        dropped = max(dropped, rest + max(float(w[~keep].max(initial=0.0)), 0.0))
+    return np.hstack(Y), dropped
 
 
 def _factor_blocks(learned: list[_LearnedFunction], c: float
@@ -563,33 +649,53 @@ def _pcg(system, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         f"{_CG_MAX_ITER} iterations (last {residual:.3g})")
 
 
+def _inverse_factor(core: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """X with X'X = core^-1, from one eigendecomposition core = V diag(w) V'.
+
+    X = (V diag(w)^-1/2)'.  A non-finite core is rejected before it is
+    decomposed.  When the smallest eigenvalue is not positive, w is shifted
+    by the first of 1e-12, 1e-10 and 1e-8 times the core's largest diagonal
+    entry that makes it so.  Returns X, the largest eigenvalue of the core
+    and the relative shift applied (0.0 when none).
+    """
+    if not np.all(np.isfinite(core)):
+        raise EstimatorError("Woodbury core has non-finite entries")
+    w, V = np.linalg.eigh(core)
+    scale = float(np.max(np.diag(core)))
+    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        shifted = w + jitter * scale
+        if shifted[0] > 0.0:
+            return (V / np.sqrt(shifted)).T, float(w[-1]), jitter
+    raise EstimatorError(
+        "system matrix not positive definite even after jitter escalation; "
+        f"diagonal scale {scale:.3g}"
+    )
+
+
 def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
                     rho: np.ndarray, c: float):
     """(P P' + D)^-1, D = c diag(rho), for the factor P P' <= G of
     ``_factor_blocks``, applied by the Woodbury identity.
 
-    It goes through the explicit inverse of the Cholesky factor of the
-    k x k core I + S'S, S = D^-1/2 P (numpy, the package's only dependency,
-    has no triangular solve); with no kept direction it is D^-1.  P = rho
-    [F_b Y_b]_b is never formed: the core comes from per-node moments and
-    W's streamed rows (``_woodbury_core``), and P v = rho sum_b F_b (Y_b v_b)
-    and P'u = [Y_b' F_b' (rho u)]_b go through the section families,
-    O(L N^2 + N k) per product.  Returns the apply, lambda_max of the core
-    and the Cholesky jitter.
+    The inverse of the k x k core I + S'S, S = D^-1/2 P, is applied as X'X
+    from the core's one eigendecomposition (``_inverse_factor``); with no
+    kept direction the preconditioner is D^-1.  P = rho [F_b Y_b]_b is never
+    formed: the core comes from per-node moments and W's streamed rows
+    (``_woodbury_core``), and P v = rho sum_b F_b (Y_b v_b) and P'u =
+    [Y_b' F_b' (rho u)]_b go through the section families, O(L N^2 + N k)
+    per product.  Returns the apply, lambda_max of the core and the jitter
+    added to its eigenvalues.
     """
     dinv = 1.0 / (c * rho)
     if any(Y.shape[1] for Y in blocks):
-        core = _woodbury_core(learned, blocks, c)
-        top = float(np.linalg.eigvalsh(core)[-1])
-        chol, jitter = _cholesky_with_jitter(core)
-        chol_inv = np.linalg.inv(chol)
+        inv_factor, top, jitter = _inverse_factor(_woodbury_core(learned, blocks, c))
     else:  # no direction kept: the core is empty, the preconditioner D^-1
-        top, jitter, chol_inv = 1.0, 0.0, np.empty((0, 0))
+        top, jitter, inv_factor = 1.0, 0.0, np.empty((0, 0))
     splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
-        v = chol_inv.T @ (chol_inv @ np.concatenate(
+        v = inv_factor.T @ (inv_factor @ np.concatenate(
             [Y.T @ fn.family.apply_t(rho * dr) for fn, Y in zip(learned, blocks)]))
         return dr - dinv * (rho * sum(fn.family.apply(Y @ part) for fn, Y, part
                                       in zip(learned, blocks, np.split(v, splits))))

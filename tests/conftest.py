@@ -135,6 +135,30 @@ def dense_generator_grams(problem: EstimationProblem) -> dict[str, np.ndarray]:
     return grams
 
 
+def reflection(n: int) -> np.ndarray:
+    """S = diag(R, -R), R reversing the n centers of an order block: the
+    reflection under which every generator Gram of a radial kernel is even."""
+    R = np.eye(n)[::-1]
+    Z = np.zeros((n, n))
+    return np.block([[R, Z], [Z, -R]])
+
+
+def parity_basis(n: int, sigma: int) -> np.ndarray:
+    """Orthonormal basis Q (2n x n) of the eigenspace of ``reflection(n)``
+    for the eigenvalue sigma, in the column order of ``estimator._ParityHalf``:
+    the order block of R-parity +1 first (order 1 when sigma = +1), then
+    that of R-parity -1; column q of a block of R-parity s is e_q + s
+    e_(n-1-q) in its order block, normalized."""
+    columns = []
+    for order, s in (((1, 1), (2, -1)) if sigma == 1 else ((2, 1), (1, -1))):
+        for q in range((n + 1) // 2 if s == 1 else n // 2):
+            v = np.zeros(2 * n)
+            v[(order - 1) * n + q] += 1.0
+            v[(order - 1) * n + n - 1 - q] += s
+            columns.append(v / np.linalg.norm(v))
+    return np.array(columns).reshape(-1, 2 * n).T
+
+
 def section_grams(problem: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Dense unweighted section Grams (plain, convolved); small problems only."""
     if problem.node_count > DENSE_CEILING:

@@ -37,8 +37,10 @@ from conftest import (
     dense_reference_solve,
     diff_section,
     family_sections,
+    parity_basis,
     plain_sections,
     random_trajectory,
+    reflection,
     regularizer,
     section_grams,
     stacked_factor,
@@ -94,7 +96,7 @@ class TestProblemValidation:
         core = np.eye(3)
         core[0, 1] = core[1, 0] = np.inf
         with pytest.raises(EstimatorError, match="non-finite"):
-            estimator._cholesky_with_jitter(core)
+            estimator._inverse_factor(core)
 
 
 class TestFlowOperator:
@@ -391,6 +393,74 @@ def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 16), k1=smooth_kernels, k2=smooth_kernels,
+       a=st.sampled_from([0.0, -0.7]), cut=st.sampled_from([0.0, 1e-10, 1e-4, 0.1]),
+       seed=st.integers(0, 999))
+@example(N=256, k1=imq_kernel(0.03, beta=1.5), k2=imq_kernel(0.03, beta=1.5), a=0.0,
+         cut=1e-10, seed=0)
+def test_parity_halves_split_the_generator_gram(N, k1, k2, a, cut, seed):
+    """Each generator Gram is even under the reflection S = diag(R, -R), plain
+    (n = N centers) and convolved (n = 2N - 1, with a middle center) alike;
+    every half-Gram column and diagonal read from the gap vectors is
+    Q' K~ Q for the parity basis Q, the two halves do not couple, ``lift``
+    applies Q, and the parity-split factor leaves 0 <= K~ - Y Y' <= dropped."""
+    traj = random_trajectory(N=N, L=1, seed=seed, a=a, b=a + 1.0)
+    p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08)
+    rng = np.random.default_rng(seed)
+    eps = np.finfo(float).eps
+    for fn, K, kernel in zip(build_factors(p), dense_generator_grams(p).values(), (k1, k2)):
+        n = fn.gram.size // 2
+        S = reflection(n)
+        # each dense entry is within test_gap_gram_matches_dense_reference's
+        # tolerance of the gap Gram's, which is exactly even
+        tol = 8 * eps * np.max(np.abs(K)) / kernel.lengthscale
+        assert np.all(np.abs(S @ K @ S - K) <= 2 * tol)
+        Kt = np.stack([fn.gram.column(q) for q in range(2 * n)], axis=1)
+        assert np.array_equal(S @ Kt @ S, Kt)
+        # an entry of either side sums at most four products of K~'s entries
+        # with weights 1/sqrt(2) or 1/2, so each rounds at a few eps of |K~|
+        roundoff = 8 * eps * np.max(np.abs(Kt))
+        halves = [estimator._ParityHalf.of(fn.gram, sigma) for sigma in (1, -1)]
+        Q = [parity_basis(n, sigma) for sigma in (1, -1)]
+        assert np.all(np.abs(Q[0].T @ Kt @ Q[1]) <= roundoff)
+        for half, Qs in zip(halves, Q):
+            dense = Qs.T @ Kt @ Qs
+            columns = np.stack([half.column(q) for q in range(n)], axis=1)
+            assert np.all(np.abs(columns - dense) <= roundoff)
+            assert np.all(np.abs(half.diagonal() - np.diag(dense)) <= roundoff)
+            Z = rng.standard_normal((n, 3))
+            assert np.all(np.abs(half.lift(Z) - Qs @ Z) <= 4 * eps * np.abs(Z).max())
+        Y, dropped = estimator._generator_factor(fn.gram, cut * np.max(np.diag(Kt)))
+        e = np.linalg.eigvalsh(Kt - Y @ Y.T)
+        top = np.linalg.eigvalsh(Kt)[-1]
+        assert e[0] >= -1e-14 * top
+        assert e[-1] <= dropped + 1e-14 * top
+
+
+def test_parity_halves_at_one_center():
+    """With one center (N = 1) each half holds one generator: the order-1
+    middle for sigma = +1, whose order-2 block (R-parity -1) is empty, and
+    the order-2 middle for sigma = -1, whose order-1 block is empty."""
+    p = make_problem(N=1, L=1)
+    for fn in build_factors(p):
+        assert fn.gram.size == 2
+        K = np.stack([fn.gram.column(q) for q in range(2)], axis=1)
+        plus, minus = (estimator._ParityHalf.of(fn.gram, sigma) for sigma in (1, -1))
+        assert [block[::3] for block in plus.blocks] == [(1, 1), (2, 0)]
+        assert [block[::3] for block in minus.blocks] == [(2, 1), (1, 0)]
+        # a column applies the middle center's weight 1/sqrt(2) twice, which
+        # rounds at 1 ulp; the diagonal halves g(0) + g(0) exactly
+        rel = 4 * np.finfo(float).eps
+        for half, q in ((plus, 0), (minus, 1)):
+            assert half.diagonal().tolist() == [K[q, q]]
+            assert half.column(0) == pytest.approx([K[q, q]], rel=rel, abs=0.0)
+            assert half.lift(np.ones((1, 1))).ravel().tolist() == np.eye(2)[q].tolist()
+        Y, dropped = estimator._generator_factor(fn.gram, 0.0)
+        assert Y.shape == (2, 2) and dropped == 0.0
+        assert np.allclose(Y @ Y.T, K, rtol=rel, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 24), L=st.integers(1, 4),
        mode=st.sampled_from([PERIODIC, TRUNCATED]),
        k1=smooth_kernels, k2=smooth_kernels, k3=st.none() | smooth_kernels,
@@ -485,7 +555,10 @@ def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
 
 
 def test_solve_eigensolves_only_compressed_factors(monkeypatch):
-    """At N=128 no eigensolve sees a full generator Gram (O(n^3) per block)."""
+    """At N=128 no eigensolve sees a full generator Gram (O(n^3) per block):
+    each block takes one compression per parity half, each below a quarter
+    of its generators, and the Woodbury core one eigensolve of the kept
+    rank."""
     N, L = 128, 8
     sizes = []
     eigh = np.linalg.eigh
@@ -501,8 +574,10 @@ def test_solve_eigensolves_only_compressed_factors(monkeypatch):
                           lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
     res = solve(p)
     generators = [total for _, total in res.kept_rank.values()]
-    assert generators == [2 * N, 4 * N - 2] and len(sizes) == 2
-    assert all(size < total / 2 for size, total in zip(sizes, generators))
+    assert generators == [2 * N, 4 * N - 2] and len(sizes) == 5
+    assert all(size < total / 4 for size, total
+               in zip(sizes, np.repeat(generators, 2)))
+    assert sizes[4] == sum(kept for kept, _ in res.kept_rank.values())
 
 
 def test_solve_peak_memory_below_one_dense_convolved_factor():
@@ -877,6 +952,21 @@ class TestThreeFunction:
         assert r3.rkhs_norms["U"] < 1e-6
         xs = np.linspace(0, 1, 7)
         assert np.allclose(r2.Vhat.value(xs), r3.Vhat.value(xs), atol=1e-6)
+
+    def test_loss_at_scores_the_three_function_estimate(self):
+        """On gradient data with a third kernel, ``loss_at`` at the returned
+        V, W and U, from the functions alone, gives ``solve``'s loss within
+        10 gram_condition eps."""
+        traj = random_trajectory(N=24, L=6, mode=PERIODIC, seed=18)
+        p = EstimationProblem(traj, gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5),
+                              lambda1=0.05, lambda2=0.08,
+                              kernel3=gaussian_kernel(0.4), lambda3=0.1)
+        res = solve(p)
+        independent = loss_at(p, res.Vhat, res.What, res.Uhat)
+        tol = 10 * res.gram_condition * np.finfo(float).eps
+        assert abs(res.loss_value - independent) <= tol * abs(independent)
+        # without U's image and penalty the loss is another number
+        assert abs(loss_at(p, res.Vhat, res.What) - independent) > tol * abs(independent)
 
     def test_solve_matches_dense_reference_three_function(self):
         traj = random_trajectory(N=5, L=2, seed=17)
