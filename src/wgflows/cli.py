@@ -490,6 +490,7 @@ def cmd_estimate(args) -> int:
             "method": result.method,
             "kept_rank": result.kept_rank,
             "jitter": result.jitter,
+            "core_route": result.core_route,
             "cg_iterations": result.cg_iterations,
             "cg_residual": result.cg_residual,
             "seed": seed,

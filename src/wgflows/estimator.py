@@ -40,14 +40,23 @@ family (``PlainSections``, ``ConvolvedSections``), the same object that
 reduces sections to generator form, applied from its structure (plain F as
 a broadcast over its two nonzeros per row, convolved F of a vector as one
 Hankel matmul of the reversed densities).  Nor is the stacked generator
-factor P (M x k for generator rank k).  The Woodbury core
-I + S'S, S = D^-1/2 P, writes each of W's rows of S once and reads it once:
-they come a block of ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz
-matmuls, whose window products one pass combines with the row scalings
-into one reused buffer, read by one symmetric rank update and a per-node
-reduction.  The plain blocks (V, U) and their cross block with W come from
-2 x 2 per-node moments of the density weights and that reduction, so no
-plain row is formed (``_woodbury_core``).  The preconditioner applies P and
+factor P (M x k for generator rank k).  In the Woodbury core
+I + S'S, S = D^-1/2 P, the plain blocks (V, U) and their cross block with W
+come from 2 x 2 per-node moments of the density weights and a per-node
+reduction Q of W's part, so no plain row is formed, and W's block
+Y_W' (F2' H F2) Y_W, H = diag(rho / c), is evaluated in whichever of two
+associations takes fewer multiply-adds (``_core_route``).  The rows route
+writes each of W's rows of S once and reads it once: they come a block of
+b = ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz matmuls, whose
+window products one pass combines with the row scalings into one reused
+buffer, read by one symmetric rank update and the reduction, at
+L N (2 (N+b) k_W + k_W^2 / 2) multiply-adds.  The moment route forms no
+row: it accumulates F2' H F2 as three (2N-1)^2 order blocks, one product of
+the row-scaled band operand with itself per node block (2 L N (N+b)^2),
+reads Q from the same operand, and multiplies Y_W into the blocks in column
+chunks (4 (2N-1)^2 k_W), so it wins once W keeps more directions than its
+window is wide; it is taken only when its blocks fit in the bytes the rows
+route would hold (``_woodbury_core``).  The preconditioner applies P and
 P' through the section families.  Nor is any generator Gram K~ formed: the
 generators sit on a uniform grid and the kernels are radial, so each K~ is
 block-Toeplitz and is held as three gap vectors (``GapGram``).  Reversing
@@ -64,8 +73,11 @@ the threshold (and above 1e-14 of the largest over both halves)
 image, is one convolution per order block.  So the solve holds O(M)
 vectors, O(n r) factors, O((N + _ROW_BLOCK) k + k^2) arrays and one band
 operand of b L (N + b - 1) entries for b = max(1, _ROW_BLOCK // L) grid
-nodes, and it runs every dense product and factorization through numpy,
-the package's only dependency, so one BLAS thread pool serves the solve.
+nodes, plus, on the moment route, three (2N-1)^2 moment blocks (taken only
+when they fit in the bytes of the rows route's buffers and the core) and
+the band scaled once per order, and it runs every dense product and
+factorization through numpy, the package's only dependency, so one BLAS
+thread pool serves the solve.
 """
 
 from __future__ import annotations
@@ -99,6 +111,11 @@ _TAU = 1.0
 # same time from 512 to 1024 rows; 512 keeps the solve's traced peak below
 # that of the row-group stream it replaced
 _ROW_BLOCK = 512
+# columns of Y_W per chunk when the moment route forms Y_W' A Y_W: on the
+# benchmark's short-lengthscale case (N = 256, k_W = 603, 2-core box) 64,
+# 128 and 256 columns took 35, 32 and 29 ms; 128 keeps each chunk product
+# near 0.5 MB there
+_MOMENT_CHUNK = 128
 # conjugate gradients stop at this preconditioned relative residual and give
 # up after this many iterations
 _CG_TOL = 1e-14
@@ -214,7 +231,10 @@ class EstimatorResult:
     both halves those with eigenvalue above half the threshold (and above
     1e-14 of the largest) are kept.  ``jitter`` is the shift, relative to
     the Woodbury core's largest diagonal entry, added to the core's
-    eigenvalues to make them all positive (0.0 when none).
+    eigenvalues to make them all positive (0.0 when none).  ``core_route``
+    names the association that assembled W's block of the Woodbury core:
+    "rows" (W's rows streamed) or "moments" (its generator moments), the
+    one of fewer multiply-adds whose memory fits (``_core_route``).
     ``cg_iterations`` and ``cg_residual`` are the conjugate-gradient
     iterations the solve took and the relative preconditioned residual of
     its recurrence at the stop.
@@ -234,6 +254,7 @@ class EstimatorResult:
     Uhat: RkhsFunction | None = None
     kept_rank: dict = field(default_factory=dict)
     jitter: float = 0.0
+    core_route: str = "rows"
     cg_iterations: int = 0
     cg_residual: float = 0.0
     dropped_share: float = 0.0
@@ -298,8 +319,9 @@ class GapGram(NamedTuple):
     the kernels are radial, so entry (i, q; j, p) of the Gram K~ is
     (-1)^j g^(i+j)((q - p) dx): each of the four order blocks is Toeplitz.
     ``gaps[s - 2]`` holds the profile derivative g^(s), s = 2, 3, 4, at the
-    2n-1 offsets d dx, d = -(n-1)..n-1.  Columns, the diagonal and K~ beta
-    are read from these vectors; the 2n x 2n matrix is never formed.
+    2n-1 offsets d dx, d = -(n-1)..n-1.  The diagonal and K~ beta are read
+    from these vectors, and so are the columns of its parity halves
+    (``_ParityHalf``); the 2n x 2n matrix is never formed.
     """
 
     gaps: np.ndarray    # (3, 2n-1)
@@ -318,13 +340,6 @@ class GapGram(NamedTuple):
         n = self.size // 2
         g2, _, g4 = self.gaps[:, n - 1]
         return np.repeat([-g2, g4], n)
-
-    def column(self, p: int) -> np.ndarray:
-        """Column p of K~: generator p has order j = 1 + p // n."""
-        n = self.size // 2
-        j, q = divmod(p, n)
-        sign = -1.0 if j == 0 else 1.0
-        return sign * self.gaps[j:j + 2, n - 1 - q:2 * n - 1 - q].ravel()
 
     def matvec(self, beta: np.ndarray) -> np.ndarray:
         """K~ beta, one ``valid`` convolution per order block."""
@@ -573,8 +588,91 @@ def _factor_blocks(learned: list[_LearnedFunction], c: float
     return blocks, dropped_share
 
 
+def _node_width(L: int, N: int) -> int:
+    """Grid nodes per streamed block of W's rows: ``_ROW_BLOCK // L``, at
+    least one and at most N."""
+    return min(N, max(1, _ROW_BLOCK // L))
+
+
+def _core_route(L: int, N: int, kw: int, k: int) -> str:
+    """The association of W's block Y_W' (F2' H F2) Y_W of the Woodbury core,
+    H = diag(rho / c), with fewer multiply-adds: "rows" or "moments".
+
+    With b = ``_node_width(L, N)`` nodes per block and w = N + b, the rows
+    route (``_rows_gram``) costs L N (2 w k_W + k_W^2 / 2 + 4 k_W) and the
+    moment route (``_moment_gram``) 2 L N w^2 + 4 L N w + 4 N w k_W +
+    4 (2N-1)^2 k_W + (2N-1) k_W^2, so moments win once W keeps more
+    directions than its window is wide.  They are taken only when their
+    three (2N-1)^2 blocks fit in the bytes the rows route would hold: its
+    windows and row buffer (3 b L k_W), Q (2 N k_W) and the k x k core, so
+    the solve's peak does not rise.
+    """
+    b = _node_width(L, N)
+    w, n2 = N + b, 2 * N - 1
+    rows = L * N * (2 * w * kw + kw * kw / 2 + 4 * kw)
+    moments = (2 * L * N * w * w + 4 * L * N * w + 4 * N * w * kw
+               + 4 * n2 * n2 * kw + n2 * kw * kw)
+    fits = 3 * n2 * n2 <= 3 * b * L * kw + 2 * N * kw + k * k
+    return "moments" if moments < rows and fits else "rows"
+
+
+def _rows_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
+               factors: np.ndarray, ww: np.ndarray, Q: np.ndarray) -> None:
+    """Add S_W'S_W to ``ww`` and write Q from W's rows S_W = diag(scale) F2 Y_W.
+
+    ``ConvolvedSections.blocks`` writes the rows with the row scalings
+    applied, a block of ``_node_width`` grid nodes at a time, and each block
+    is read once, by one symmetric rank update into ``ww`` and the
+    reduction Q[n] = sum_l factors[:, l, n] S_W[l, n].
+    """
+    L, N = sections.r.shape
+    for nodes, rows in sections.blocks(Yw, scale, _node_width(L, N)):
+        group = rows.reshape(-1, rows.shape[2])
+        ww += group.T @ group
+        np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows, out=Q[nodes])
+
+
+def _moment_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
+                 factors: np.ndarray, ww: np.ndarray, Q: np.ndarray) -> None:
+    """Add Y_W' A Y_W to ``ww`` and write Q, never forming a row of S_W.
+
+    A = F2' diag(scale^2) F2 is accumulated as its three (2N-1)^2 order
+    blocks A11, A12 = A21 and A22 (each symmetric), one product of
+    ``ConvolvedSections.moment_blocks``' operand [X1; X2] with itself per
+    node block: X_g' X_h lands on the block's window.  The same operand
+    gives Q: with C_g[n] = sum_l factors[:, l, n] X_g[(n, l)], Q[n] =
+    C_1[n] Y1[window] + C_2[n] Y2[window].  Y_W' A Y_W is then formed in
+    column chunks J, Z = A Y_W[:, J], of which only the part above the
+    diagonal chunk and the diagonal chunk itself are multiplied out.
+    """
+    L, N = sections.r.shape
+    n2, kw = 2 * N - 1, Yw.shape[1]
+    Y1, Y2 = np.split(Yw, 2)
+    A11, A12, A22 = np.zeros((3, n2, n2))
+    for nodes, window, (X1, X2) in sections.moment_blocks(scale, _node_width(L, N)):
+        A11[window, window] += X1.T @ X1
+        A12[window, window] += X1.T @ X2
+        A22[window, window] += X2.T @ X2
+        pq = factors[:, :, nodes].transpose(2, 0, 1)                  # (b, 2, L)
+        b, w = pq.shape[0], X1.shape[1]
+        Q[nodes] = sum(np.matmul(pq, X.reshape(b, L, w)).reshape(2 * b, w) @ Y[window]
+                       for X, Y in ((X1, Y1), (X2, Y2))).reshape(b, 2, kw)
+    for j0 in range(0, kw, _MOMENT_CHUNK):
+        J = slice(j0, j0 + _MOMENT_CHUNK)
+        Z1 = A11 @ Y1[:, J] + A12 @ Y2[:, J]
+        Z2 = A12 @ Y1[:, J] + A22 @ Y2[:, J]
+        above = Y1[:, :j0].T @ Z1 + Y2[:, :j0].T @ Z2
+        ww[:j0, J] += above
+        ww[J, :j0] += above.T
+        diagonal = Y1[:, J].T @ Z1 + Y2[:, J].T @ Z2
+        ww[J, J] += 0.5 * (diagonal + diagonal.T)
+
+
+_W_GRAMS = {"rows": _rows_gram, "moments": _moment_gram}
+
+
 def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
-                   c: float) -> np.ndarray:
+                   c: float, route: str) -> np.ndarray:
     """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho).
 
     S's columns for function s are diag(sqrt(rho / c)) F_s Y_s, so with the
@@ -584,10 +682,11 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     sum_n [Y1[n]; Y2[n]]' M_n [Y1[n]; Y2[n]], M_n the 2 x 2 time sums of the
     products of (p, q) at node n, and their cross Gram with the convolved
     block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] = sum_l p S_W[l, n] (likewise Q_q).
-    Only S_W's rows are formed: ``ConvolvedSections.blocks`` writes them
-    with the row scalings applied, a block of ``_ROW_BLOCK // L`` grid nodes
-    at a time, and each block is read once, by one symmetric rank update
-    into the core and the reduction into Q.
+    W's own block S_W'S_W = Y_W' (F2' H F2) Y_W, H = diag(rho / c), and Q
+    come from the ``route`` that ``_core_route`` picks: "rows" streams S_W's
+    rows and reads each once (``_rows_gram``), "moments" accumulates the
+    generator moment blocks F2' H F2 in O(N^2) memory and multiplies Y_W
+    into them (``_moment_gram``); both give the same core to rounding.
     """
     (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
     plain = [i for i in range(len(learned)) if i != w]
@@ -605,11 +704,7 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     core[np.ix_(cp, cp)] += 0.5 * (gram + gram.T)  # Yp'(M Yp) is symmetric to rounding only
     Q = np.zeros((N, 2, Yw.shape[1]))
     if Yw.shape[1]:  # W keeps at least one direction
-        width = min(N, max(1, _ROW_BLOCK // L))
-        for nodes, rows in sections.blocks(Yw, scale, width):
-            group = rows.reshape(-1, rows.shape[2])
-            core[cw, cw] += group.T @ group
-            np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows, out=Q[nodes])
+        _W_GRAMS[route](sections, Yw, scale, factors, core[cw, cw], Q)
     cross = Yp.T @ Q.transpose(1, 0, 2).reshape(2 * N, -1)
     core[cp, cw] += cross
     core[cw, cp] += cross.T
@@ -680,18 +775,22 @@ def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     The inverse of the k x k core I + S'S, S = D^-1/2 P, is applied as X'X
     from the core's one eigendecomposition (``_inverse_factor``); with no
     kept direction the preconditioner is D^-1.  P = rho [F_b Y_b]_b is never
-    formed: the core comes from per-node moments and W's streamed rows
-    (``_woodbury_core``), and P v = rho sum_b F_b (Y_b v_b) and P'u =
-    [Y_b' F_b' (rho u)]_b go through the section families, O(L N^2 + N k)
-    per product.  Returns the apply, lambda_max of the core and the jitter
-    added to its eigenvalues.
+    formed: the core comes from per-node moments and W's block on the
+    route ``_core_route`` picks (``_woodbury_core``), and P v =
+    rho sum_b F_b (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through the
+    section families, O(L N^2 + N k) per product.  Returns the apply,
+    lambda_max of the core, the jitter added to its eigenvalues and the
+    core's route.
     """
     dinv = 1.0 / (c * rho)
-    if any(Y.shape[1] for Y in blocks):
-        inv_factor, top, jitter = _inverse_factor(_woodbury_core(learned, blocks, c))
+    kept = [Y.shape[1] for Y in blocks]
+    (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
+    route = _core_route(*learned[w].family.r.shape, kept[w], sum(kept))
+    if sum(kept):
+        inv_factor, top, jitter = _inverse_factor(_woodbury_core(learned, blocks, c, route))
     else:  # no direction kept: the core is empty, the preconditioner D^-1
         top, jitter, inv_factor = 1.0, 0.0, np.empty((0, 0))
-    splits = np.cumsum([Y.shape[1] for Y in blocks])[:-1]
+    splits = np.cumsum(kept)[:-1]
 
     def woodbury(r: np.ndarray) -> np.ndarray:
         dr = dinv * r
@@ -700,7 +799,7 @@ def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
         return dr - dinv * (rho * sum(fn.family.apply(Y @ part) for fn, Y, part
                                       in zip(learned, blocks, np.split(v, splits))))
 
-    return woodbury, top, jitter
+    return woodbury, top, jitter, route
 
 
 def solve(problem: EstimationProblem) -> EstimatorResult:
@@ -727,7 +826,7 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
     rho = learned[0].family.r.ravel()
     c = math.prod(fn.lam for fn in learned) / problem.node_weight
     blocks, dropped_share = _factor_blocks(learned, c)
-    woodbury, top, jitter = _preconditioner(learned, blocks, rho, c)
+    woodbury, top, jitter, route = _preconditioner(learned, blocks, rho, c)
 
     def system(v: np.ndarray) -> np.ndarray:
         u = rho * v
@@ -760,6 +859,7 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         method="lowrank",
         kept_rank={fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)},
         jitter=jitter,
+        core_route=route,
         cg_iterations=iterations,
         cg_residual=cg_residual,
         operator_image=image,

@@ -9,6 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from wgflows.estimator import (
     EstimationProblem,
     EstimatorError,
+    GapGram,
     _factor_blocks,
     _fit_sections,
     assemble_data_functional,
@@ -133,6 +134,16 @@ def dense_generator_grams(problem: EstimationProblem) -> dict[str, np.ndarray]:
     if problem.learn_internal:
         grams["U"] = dense_generator_gram(problem.kernel3, *plain.generators())
     return grams
+
+
+def gap_gram_column(gram: GapGram, p: int) -> np.ndarray:
+    """Column p of the generator Gram K~ that ``gram`` holds as gap vectors:
+    generator p has order j = 1 + p // n, and its column reads the two gap
+    rows of its order, signed -1 for order 1, at offsets n-1-q .. 2n-2-q."""
+    n = gram.size // 2
+    j, q = divmod(p, n)
+    sign = -1.0 if j == 0 else 1.0
+    return sign * gram.gaps[j:j + 2, n - 1 - q:2 * n - 1 - q].ravel()
 
 
 def reflection(n: int) -> np.ndarray:

@@ -476,6 +476,7 @@ class TestEstimate:
         assert c1.size == header["length"] == 24 * 5
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["loss"] >= 0
+        assert diag["core_route"] in ("rows", "moments")
         recon = (out / "reconstruction.csv").read_text().splitlines()
         assert recon[0] == "x,vhat,what"
         assert len(recon) == 202

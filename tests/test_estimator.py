@@ -37,6 +37,7 @@ from conftest import (
     dense_reference_solve,
     diff_section,
     family_sections,
+    gap_gram_column,
     parity_basis,
     plain_sections,
     random_trajectory,
@@ -300,9 +301,14 @@ def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, s
 
 
 @settings(max_examples=30, deadline=None)
-# 13 nodes in blocks of 7 // 3 = 2: the last block holds one node, and the
-# 7-row budget ends inside a node's 3 time rows
+# every example keeps more W directions than N (all 4N - 2 of them at these
+# sizes), where the moment route pays.  13 nodes in blocks of 7 // 3 = 2:
+# the last block holds one node, and the 7-row budget ends inside a node's 3
+# time rows
 @example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=False, seed=1)
+# 14 nodes in blocks of 10 // 2 = 5: the last block's 4 nodes span a window
+# one column narrower than the band, clipped at offset 2N - 2
+@example(N=14, L=2, row_block=10, lams=(0.05, 0.08), internal=False, seed=5)
 # U learned: two plain blocks, V before and U after the convolved W
 @example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=True, seed=2)
 # a regularizer so large that V, or W, keeps no direction
@@ -313,8 +319,9 @@ def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, s
        internal=st.booleans(), seed=st.integers(0, 999))
 def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, seed):
     """The Woodbury core is I + P' D^-1 P of the P assembled from the dense
-    section factors, for any block width, with one or two plain blocks, and
-    when a block keeps no direction."""
+    section factors by either route, W's rows or its generator moments, for
+    any block width, with one or two plain blocks, and when a block keeps no
+    direction."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
     p = EstimationProblem(traj, gaussian_kernel(0.1), imq_kernel(0.2, beta=1.5),
                           lambda1=lams[0], lambda2=lams[1],
@@ -325,13 +332,20 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, 
     P, kept = stacked_factor(p)
     for name, lam in zip("VW", lams):
         assert lam < 1.0 or kept[name][0] == 0
-    with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
-        core = _woodbury_core(learned, _factor_blocks(learned, c)[0], c)
-    absP, dinv, eye = np.abs(P), 1.0 / (c * traj.values.ravel()), np.eye(P.shape[1])
-    # both sides sum the identity and the same M products per entry, the
-    # plain blocks' grouped by grid node, in different orders
-    assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
-                  <= 1e-13 * (eye + absP.T @ (dinv[:, None] * absP)))
+    blocks = _factor_blocks(learned, c)[0]
+    rho = traj.values.reshape(-1, 1)
+    # the rounding scale of each association: the rows route sums the same
+    # products as P'D^-1 P grouped by grid node, so |P|'D^-1 |P| bounds it;
+    # the moment route multiplies Y' (F' D^-1 F) Y, whose sums cancel
+    # differently, so it is bounded by the same chain in absolute values
+    chain = rho * np.hstack([np.abs(dense_factor(fn.family)) @ np.abs(Y)
+                             for fn, Y in zip(learned, blocks)])
+    dinv, eye = 1.0 / (c * traj.values.ravel()), np.eye(P.shape[1])
+    for route, scale in (("rows", np.abs(P)), ("moments", chain)):
+        with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
+            core = _woodbury_core(learned, blocks, c, route)
+        assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
+                      <= 1e-13 * (eye + scale.T @ (dinv[:, None] * scale)))
 
 
 smooth_kernels = st.builds(
@@ -385,7 +399,7 @@ def test_gap_gram_matches_dense_reference(N, k1, k2, a, seed):
         # whose slope is O(max |K~| / lengthscale)
         tol = 8 * np.finfo(float).eps * np.max(np.abs(K)) / kernel.lengthscale
         assert np.all(np.abs(gram.diagonal() - np.diag(K)) <= tol)
-        columns = np.stack([gram.column(q) for q in range(gram.size)], axis=1)
+        columns = np.stack([gap_gram_column(gram, q) for q in range(gram.size)], axis=1)
         assert np.all(np.abs(columns - K) <= tol)
         beta = rng.standard_normal(gram.size)
         assert np.all(np.abs(gram.matvec(beta) - K @ beta)
@@ -415,7 +429,7 @@ def test_parity_halves_split_the_generator_gram(N, k1, k2, a, cut, seed):
         # tolerance of the gap Gram's, which is exactly even
         tol = 8 * eps * np.max(np.abs(K)) / kernel.lengthscale
         assert np.all(np.abs(S @ K @ S - K) <= 2 * tol)
-        Kt = np.stack([fn.gram.column(q) for q in range(2 * n)], axis=1)
+        Kt = np.stack([gap_gram_column(fn.gram, q) for q in range(2 * n)], axis=1)
         assert np.array_equal(S @ Kt @ S, Kt)
         # an entry of either side sums at most four products of K~'s entries
         # with weights 1/sqrt(2) or 1/2, so each rounds at a few eps of |K~|
@@ -444,7 +458,7 @@ def test_parity_halves_at_one_center():
     p = make_problem(N=1, L=1)
     for fn in build_factors(p):
         assert fn.gram.size == 2
-        K = np.stack([fn.gram.column(q) for q in range(2)], axis=1)
+        K = np.stack([gap_gram_column(fn.gram, q) for q in range(2)], axis=1)
         plus, minus = (estimator._ParityHalf.of(fn.gram, sigma) for sigma in (1, -1))
         assert [block[::3] for block in plus.blocks] == [(1, 1), (2, 0)]
         assert [block[::3] for block in minus.blocks] == [(2, 1), (1, 0)]
@@ -599,7 +613,9 @@ def test_solve_peak_memory_below_one_dense_convolved_factor():
 
 def test_solve_peak_memory_below_half_a_dense_generator_gram():
     """At N=1024, L=4 the solve never forms a (4N-2) x (4N-2) generator Gram:
-    K~2 is held as gap vectors and factored column by column."""
+    K~2 is held as gap vectors and factored column by column, and the
+    Woodbury core streams W's rows: its generator moments would take more
+    multiply-adds and would not fit in the rows route's buffers."""
     N, L = 1024, 4
     rng = np.random.default_rng(0)
     traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
@@ -607,16 +623,19 @@ def test_solve_peak_memory_below_half_a_dense_generator_gram():
                           lambda1=0.05, lambda2=0.05, drop_last_time_rows=1)
     tracemalloc.start()
     try:
-        solve(p)
+        res = solve(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert res.core_route == "rows"
     assert peak < (4 * N - 2) ** 2 * 8 / 2
 
 
 def test_solve_peak_memory_below_one_stacked_factor():
     """At M = 16384, k = 333 the solve never holds an M x k array: the
-    stacked factor P is streamed in row groups and applied matrix-free."""
+    stacked factor P is applied matrix-free, and W, which keeps more
+    directions than its window is wide, enters the Woodbury core through its
+    generator moments."""
     N, L = 64, 257
     rng = np.random.default_rng(0)
     traj = DensityTrajectory(SpaceTimeMesh(0.0, 1.0, 1.0, N, L), 0.5 + rng.random((L, N)))
@@ -630,6 +649,7 @@ def test_solve_peak_memory_below_one_stacked_factor():
         tracemalloc.stop()
     k = sum(kept for kept, _ in res.kept_rank.values())
     assert (p.node_count, k) == (16384, 333)
+    assert res.core_route == "moments"
     assert peak < p.node_count * k * 8
 
 
