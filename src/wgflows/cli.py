@@ -284,15 +284,16 @@ _REQUIRED = object()
 
 
 def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str = ""):
-    """``cfg[key]`` as ``kind``, the one check of every config section, bool,
-    int and float: only a JSON object is a dict (a section), only JSON
-    true/false a bool, an int or integral float an int, any finite non-bool
-    number a float (Python's ``json`` reads ``NaN`` and ``Infinity``, which
-    are no JSON numbers).  An absent key gives ``default`` unchecked."""
+    """``cfg[key]`` as ``kind``, the one check of every config section, path,
+    bool, int and float: only a JSON object is a dict (a section), only a
+    JSON string a str (a path), only JSON true/false a bool, an int or
+    integral float an int, any finite non-bool number a float (Python's
+    ``json`` reads ``NaN`` and ``Infinity``, which are no JSON numbers).  An
+    absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
-    if not (isinstance(value, kind) if kind in (bool, dict) else not isinstance(value, bool)
+    if not (isinstance(value, kind) if kind in (bool, dict, str) else not isinstance(value, bool)
             and isinstance(value, (int, float))
             and (math.isfinite(value) if kind is float else value % 1 == 0)):
         raise ConfigError("config_invalid", f"{prefix + key} must be of type "
@@ -346,6 +347,15 @@ def solver_step(cfg: dict) -> float | None:
     return dt
 
 
+def kernel_sum_from_spec(spec, what: str) -> RkhsFunction:
+    """A function spec that must be a ``kernel_sum``: the truths and
+    estimates whose RKHS errors ``sweep`` and ``stability`` report."""
+    fn = function_from_spec(spec, what)
+    if not isinstance(fn, RkhsFunction):
+        raise ConfigError("config_invalid", f"{what} must be a kernel_sum spec")
+    return fn
+
+
 def refuse_quantile_count(cfg: dict) -> None:
     """The W2 distance is exact and samples no quantile levels: a config
     that sets their count exits 2 instead of having the key ignored."""
@@ -373,7 +383,7 @@ def cmd_simulate(args) -> int:
                           "energy.U: Hamiltonian flows run on characteristics, which "
                           f"need U = none, not {spec.U.label()!r}")
     scheme, dt_solver = scheme_of(cfg), solver_step(cfg)
-    run = RunDirectory(Path(require(cfg, "out")))
+    run = RunDirectory(Path(config_value(cfg, "out", str)))
     try:
         if kind == "gradient":
             traj, diag = gradient_flow_simulate(
@@ -419,7 +429,7 @@ def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None
 def cmd_estimate(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
-    data = args.data or cfg.get("data")
+    data = args.data or config_value(cfg, "data", str, None)
     if not data:
         raise ConfigError("config_invalid", "estimate needs --data <csv>")
     try:
@@ -456,7 +466,7 @@ def cmd_estimate(args) -> int:
                      config_value(grid_cfg, "max", float, traj.mesh.b, prefix="eval_grid."),
                      count)
     center = config_value(cfg, "center_interaction", bool, False)
-    run = RunDirectory(Path(args.out or require(cfg, "out")))
+    run = RunDirectory(Path(config_value(cfg, "out", str)))
     try:
         result = solve(problem)
         run.mark("solve")
@@ -505,10 +515,8 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
-    truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
-    truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
-    if not isinstance(truth_v, RkhsFunction) or not isinstance(truth_w, RkhsFunction):
-        raise ConfigError("config_invalid", "sweep truths must be kernel_sum specs")
+    truth_v = kernel_sum_from_spec(require(cfg, "truth_v"), "truth_v")
+    truth_w = kernel_sum_from_spec(require(cfg, "truth_w"), "truth_w")
     fields = dict(
         N_list=config_list(cfg, "N_list", int),
         alpha=config_value(cfg, "alpha", float),
@@ -535,7 +543,7 @@ def cmd_sweep(args) -> int:
         plan = SweepPlan(**fields)
     except AnalysisError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
-    run = RunDirectory(Path(require(cfg, "out")))
+    run = RunDirectory(Path(config_value(cfg, "out", str)))
     try:
         report = run_sweep(plan)
         run.mark("sweep")
@@ -562,8 +570,8 @@ def cmd_stability(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
     mesh = mesh_from_spec(config_value(cfg, "mesh", dict))
-    truth_v = function_from_spec(require(cfg, "truth_v"), "truth_v")
-    truth_w = function_from_spec(require(cfg, "truth_w"), "truth_w")
+    truth_v = kernel_sum_from_spec(require(cfg, "truth_v"), "truth_v")
+    truth_w = kernel_sum_from_spec(require(cfg, "truth_w"), "truth_w")
     estimates = require(cfg, "estimates")
     if not isinstance(estimates, list) or not all(isinstance(e, dict) for e in estimates):
         raise ConfigError("config_invalid",
@@ -572,10 +580,10 @@ def cmd_stability(args) -> int:
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
     refuse_quantile_count(cfg)
     dt_solver = solver_step(cfg)
-    pairs = [(function_from_spec(require(est_cfg, "V"), "estimate V"),
-              function_from_spec(require(est_cfg, "W"), "estimate W"))
-             for est_cfg in estimates]
-    run = RunDirectory(Path(require(cfg, "out")))
+    pairs = [(kernel_sum_from_spec(require(est_cfg, "V"), f"estimate {i} V"),
+              kernel_sum_from_spec(require(est_cfg, "W"), f"estimate {i} W"))
+             for i, est_cfg in enumerate(estimates)]
+    run = RunDirectory(Path(config_value(cfg, "out", str)))
     try:
         t0 = time.perf_counter()
         try:
@@ -607,8 +615,9 @@ def cmd_stability(args) -> int:
 def cmd_w2(args) -> int:
     cfg = load_config(args)
     seed = config_value(cfg, "seed", int, 0)
-    rho_path = args.rho or cfg.get("rho")
-    sigma_path = args.sigma or cfg.get("sigma")
+    rho_path = args.rho or config_value(cfg, "rho", str, None)
+    sigma_path = args.sigma or config_value(cfg, "sigma", str, None)
+    out = config_value(cfg, "out", str, None)
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
     refuse_quantile_count(cfg)
@@ -626,8 +635,8 @@ def cmd_w2(args) -> int:
     value = wasserstein2_1d(t_rho.values[row], t_sigma.values[row], t_rho.mesh,
                             periodic=periodic)
     payload = {"w2": value, "row": row, "periodic": periodic, "seed": seed}
-    if args.out or "out" in cfg:
-        run = RunDirectory(Path(args.out or cfg["out"]))
+    if out is not None:
+        run = RunDirectory(Path(out))
         try:
             write_json(run.path("w2.json"), payload)
             run.finish("w2", cfg, seed)

@@ -137,11 +137,9 @@ class EstimationProblem:
     differences of the remaining rows.  Default 0 keeps every row; sweeps
     and ``cli estimate`` default to ``analysis.DROP_LAST_TIME_ROWS``.
 
-    ``spatial_slope_override`` replaces the forward-differenced density
-    slopes by caller-supplied values (e.g. spectral derivatives) and
-    ``f_override`` replaces the assembled data functional; both exist for
-    error-decomposition diagnostics and must be finite, of the trajectory's
-    shape.  The regularizers must be positive and finite.
+    The section slopes are the trajectory's ``dx_plus`` and the data
+    functional is assembled from it (``assemble_data_functional``).  The
+    regularizers must be positive and finite.
     """
 
     traj: DensityTrajectory
@@ -154,8 +152,6 @@ class EstimationProblem:
     kernel3: SmoothKernel | None = None
     lambda3: float | None = None
     drop_last_time_rows: int = 0
-    spatial_slope_override: np.ndarray | None = None
-    f_override: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
@@ -176,14 +172,6 @@ class EstimationProblem:
                 )
         if not 0 <= self.drop_last_time_rows < self.traj.mesh.L:
             raise EstimatorError("drop_last_time_rows must leave at least one row")
-        for name in ("spatial_slope_override", "f_override"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if np.shape(value) != self.traj.values.shape:
-                raise EstimatorError(f"{name} shape mismatch")
-            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                raise EstimatorError(f"{name} has non-finite entries")
 
     @property
     def learn_internal(self) -> bool:
@@ -212,6 +200,8 @@ class EstimatorResult:
     and U, learned only when the problem has a third kernel, ``C3``,
     ``Uhat`` and ``rkhs_norms["U"]`` (``None`` and absent otherwise).  All
     are filled by one loop over the problem's learned functions.
+    ``residual_vector`` is the estimate's operator image at the fit nodes
+    minus ``data_vector``, the data functional f there (both time-major).
     ``method`` names the solve route ("lowrank", the only one).
     ``dropped_share`` bounds the largest eigenvalue of the Gram part the
     preconditioner leaves out, D^-1/2 (G - P P') D^-1/2 with D = c diag(rho)
@@ -248,7 +238,6 @@ class EstimatorResult:
     loss_value: float
     residual_vector: np.ndarray
     gram_condition: float
-    lambdas: tuple
     method: str
     C3: np.ndarray | None = None
     Uhat: RkhsFunction | None = None
@@ -258,7 +247,6 @@ class EstimatorResult:
     cg_iterations: int = 0
     cg_residual: float = 0.0
     dropped_share: float = 0.0
-    operator_image: np.ndarray = field(default=None, repr=False)
     data_vector: np.ndarray = field(default=None, repr=False)
 
 
@@ -448,25 +436,16 @@ class _LearnedFunction(NamedTuple):
 
 
 def _fit_sections(problem: EstimationProblem) -> tuple[PlainSections, ConvolvedSections]:
-    """The plain and convolved section families over the fit nodes, slopes
-    from ``spatial_slope_override`` when given."""
+    """The plain and convolved section families over the fit nodes."""
     traj, rows = problem.traj, problem.fit_rows
-    a = (traj.dx_plus() if problem.spatial_slope_override is None
-         else np.asarray(problem.spatial_slope_override, dtype=float))
-    nodes = (a[:rows], traj.values[:rows], traj.mesh.x, traj.mesh.dx)
+    nodes = (traj.dx_plus()[:rows], traj.values[:rows], traj.mesh.x, traj.mesh.dx)
     return PlainSections(*nodes), ConvolvedSections(*nodes)
 
 
 def _fit_data(problem: EstimationProblem) -> np.ndarray:
-    """Data functional f at the fit nodes, flattened time-major: the
-    problem's ``f_override`` when given, else assembled from the trajectory."""
-    if problem.f_override is None:
-        f_full = assemble_data_functional(
-            problem.traj, problem.flow_kind, problem.known_u,
-            include_internal=not problem.learn_internal,
-        )
-    else:
-        f_full = np.asarray(problem.f_override, dtype=float)
+    """Data functional f at the fit nodes, flattened time-major."""
+    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u,
+                                      include_internal=not problem.learn_internal)
     return f_full[:problem.fit_rows].ravel()
 
 
@@ -855,14 +834,12 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
         residual_vector=residual,
         gram_condition=top + dropped_share,
         dropped_share=dropped_share,
-        lambdas=(problem.lambda1, problem.lambda2, problem.lambda3),
         method="lowrank",
         kept_rank={fn.name: [Y.shape[1], fn.gram.size] for fn, Y in zip(learned, blocks)},
         jitter=jitter,
         core_route=route,
         cg_iterations=iterations,
         cg_residual=cg_residual,
-        operator_image=image,
         data_vector=f_flat,
     )
 
@@ -889,7 +866,7 @@ def operator_image(problem: EstimationProblem, phi, psi,
 def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
             upsilon: RkhsFunction | None = None) -> float:
     """Regularized empirical loss at an explicit candidate tuple, on the data
-    functional ``solve`` fits (the problem's ``f_override`` when given)."""
+    functional ``solve`` fits."""
     rho_flat = problem.traj.values[:problem.fit_rows].ravel()
     resid = operator_image(problem, phi, psi, upsilon) - _fit_data(problem)
     loss = problem.node_weight * float(resid**2 @ rho_flat)

@@ -134,12 +134,6 @@ class SmoothKernel:
     def __call__(self, x, y):
         return self.eval(0, 0, x, y)
 
-    def gram(self, za, zb=None, i: int = 0, j: int = 0) -> np.ndarray:
-        """Matrix of mixed partials over two point sets."""
-        za = np.atleast_1d(np.asarray(za, dtype=float))
-        zb = za if zb is None else np.atleast_1d(np.asarray(zb, dtype=float))
-        return self.eval(i, j, za[:, None], zb[None, :])
-
     def sup_norm_c4(self, lo: float, hi: float, samples: int = 2001) -> float:
         """Grid estimate of max |d^i d^j K| over i+j <= 4 on [lo, hi]^2.
 

@@ -15,7 +15,7 @@ from wgflows.estimator import (
     assemble_data_functional,
     build_factors,
 )
-from wgflows.flows import NO_INTERNAL_ENERGY, InternalEnergy, SmoothFunction
+from wgflows.flows import SmoothFunction
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction
@@ -53,6 +53,25 @@ def random_trajectory(N=12, L=3, mode=TRUNCATED, seed=0, a=0.0, b=1.0, T=0.3,
     mesh = SpaceTimeMesh(a, b, T, N, L)
     values = lo + (hi - lo) * rng.random((L, N))
     return DensityTrajectory(mesh, values, boundary_mode=mode)
+
+
+class GivenDerivatives(DensityTrajectory):
+    """``traj`` with given forward differences: ``dx_plus`` returns
+    ``slopes`` and ``dt_plus`` returns ``rate`` where given, and the
+    trajectory's own differences otherwise.  The estimator reads its section
+    slopes through ``dx_plus`` and, for gradient data with U = none, its
+    whole data functional through ``dt_plus``, so a solve on this trajectory
+    runs on exact or chosen derivatives along the production path."""
+
+    def __init__(self, traj: DensityTrajectory, slopes=None, rate=None):
+        super().__init__(traj.mesh, traj.values, traj.boundary_mode)
+        self.slopes, self.rate = slopes, rate
+
+    def dx_plus(self) -> np.ndarray:
+        return super().dx_plus() if self.slopes is None else self.slopes
+
+    def dt_plus(self) -> np.ndarray:
+        return super().dt_plus() if self.rate is None else self.rate
 
 
 @pytest.fixture
@@ -113,6 +132,14 @@ def dense_factor(family: PlainSections | ConvolvedSections) -> np.ndarray:
     return _plain_factor(family.a, family.r)
 
 
+def kernel_gram(kernel: SmoothKernel, za, zb=None, i: int = 0, j: int = 0) -> np.ndarray:
+    """Matrix of mixed partials d1^i d2^j K(za_p, zb_q) over two point sets
+    (``zb`` defaults to ``za``)."""
+    za = np.atleast_1d(np.asarray(za, dtype=float))
+    zb = za if zb is None else np.atleast_1d(np.asarray(zb, dtype=float))
+    return kernel.eval(i, j, za[:, None], zb[None, :])
+
+
 def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
                          centers: np.ndarray) -> np.ndarray:
     """Mixed partials d1^i d2^j K(c_p, c_q) between generators (i, c), the
@@ -121,7 +148,7 @@ def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
     for oi in np.unique(orders):
         for oj in np.unique(orders):
             mi, mj = orders == oi, orders == oj
-            out[np.ix_(mi, mj)] = kernel.gram(centers[mi], centers[mj],
+            out[np.ix_(mi, mj)] = kernel_gram(kernel, centers[mi], centers[mj],
                                               i=int(oi), j=int(oj))
     return out
 
@@ -231,13 +258,8 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     """
     G1, G2 = section_grams(problem)
     rho = problem.traj.values[:problem.fit_rows].ravel()
-    if problem.f_override is not None:
-        f_full = np.asarray(problem.f_override, dtype=float)
-    else:
-        f_full = assemble_data_functional(
-            problem.traj, problem.flow_kind, problem.known_u,
-            include_internal=not problem.learn_internal,
-        )
+    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u,
+                                      include_internal=not problem.learn_internal)
     f = f_full[:problem.fit_rows].ravel()
     l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
     if problem.learn_internal:
@@ -272,11 +294,11 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
 # ---------------------------------------------------------------------------
 
 def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
-                        spatial_slope: float | None = None, upsilon=None) -> float:
+                        upsilon=None) -> float:
     """Pointwise forward operator at node (l, n) for evaluable (phi, psi)
     and, when given, the plain internal-energy term upsilon."""
     mesh = traj.mesh
-    a = traj.dx_plus()[l, n] if spatial_slope is None else spatial_slope
+    a = traj.dx_plus()[l, n]
     r = traj.values[l, n]
     x = mesh.x[n]
     d1 = d2 = 0.0
@@ -417,22 +439,12 @@ def spectral_slopes(traj: DensityTrajectory) -> np.ndarray:
     return np.fft.irfft(k * np.fft.rfft(traj.values, axis=1), n=N, axis=1)
 
 
-def exact_data_functional(traj: DensityTrajectory,
-                          known_u: InternalEnergy = NO_INTERNAL_ENERGY) -> np.ndarray:
-    """Gradient-flow data functional with spectral x- and central t-derivatives.
+def exact_data_functional(traj: DensityTrajectory) -> np.ndarray:
+    """Gradient-flow data functional with U = none from central t-derivatives
+    (second order at the ends), for ``GivenDerivatives(rate=...)``.
 
     Diagnostic companion of the forward-difference functional: substituting
     it (with the spectral slopes) isolates the scheme-dependent part of the
     reconstruction error.
     """
-    dt_rho = np.gradient(traj.values, traj.mesh.dt, axis=0, edge_order=2)
-    f = dt_rho
-    if known_u.kind != "none":
-        dx_rho = spectral_slopes(traj)
-        du2 = known_u.d2u(traj.values)
-        g1 = du2 * dx_rho
-        N = traj.mesh.N
-        k = 2j * np.pi * np.fft.rfftfreq(N, d=traj.mesh.dx)
-        g2 = np.fft.irfft(k * np.fft.rfft(g1, axis=1), n=N, axis=1)
-        f = f - dx_rho * g1 - traj.values * g2
-    return f
+    return np.gradient(traj.values, traj.mesh.dt, axis=0, edge_order=2)

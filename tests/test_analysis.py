@@ -26,7 +26,13 @@ from wgflows.kernels import gaussian_kernel
 from wgflows.mesh import PERIODIC, SpaceTimeMesh, DensityTrajectory
 from wgflows.rkhs import RkhsFunction, rkhs_norm
 
-from conftest import exact_data_functional, plain_sections, spectral_slopes, zero_function
+from conftest import (
+    GivenDerivatives,
+    exact_data_functional,
+    plain_sections,
+    spectral_slopes,
+    zero_function,
+)
 
 
 @pytest.fixture
@@ -373,9 +379,9 @@ class TestSpectralDiagnostics:
         full = solve(EstimationProblem(traj, K1, K2, lambda1=lam, lambda2=lam,
                                        drop_last_time_rows=1))
         exact = solve(EstimationProblem(
-            traj, K1, K2, lambda1=lam, lambda2=lam, drop_last_time_rows=1,
-            spatial_slope_override=spectral_slopes(traj),
-            f_override=exact_data_functional(traj)))
+            GivenDerivatives(traj, slopes=spectral_slopes(traj),
+                             rate=exact_data_functional(traj)),
+            K1, K2, lambda1=lam, lambda2=lam, drop_last_time_rows=1))
         err_full = rkhs_error((full.Vhat, full.What), (V, W))
         err_exact = rkhs_error((exact.Vhat, exact.What), (V, W))
         assert err_exact <= 1.1 * err_full

@@ -46,6 +46,7 @@ WRAPPED_W = {"type": "kernel_sum",
              "kernel": {"family": "gaussian", "lengthscale": 0.25},
              "centers": [-0.2, 0.2], "weights": [0.02, -0.02],
              "wrap_period": 1.0}
+COSINE = {"type": "cosine_sum", "period": 1.0, "amplitudes": [0.03], "modes": [1]}
 
 
 def run(argv):
@@ -245,6 +246,8 @@ BAD_SIMULATE_EDITS = {
     "mesh_not_an_object": lambda cfg: cfg.update(mesh="abc"),
     "energy_not_an_object": lambda cfg: cfg.update(energy="x"),
     "density_not_an_object": lambda cfg: cfg.update(initial_density=[0.5]),
+    # a path is a JSON string
+    "out_not_a_string": lambda cfg: cfg.update(out=5),
 }
 # estimate config keys, with the arguments of ESTIMATE_ARGS
 BAD_ESTIMATE_CONFIGS = {
@@ -257,6 +260,10 @@ BAD_ESTIMATE_CONFIGS = {
     "lambda3_nan": {"kernel3": json.loads(KERNEL1), "lambda3": float("nan")},
     "lambda3_infinite": {"kernel3": json.loads(KERNEL1), "lambda3": float("inf")},
     "eval_grid_not_an_object": {"eval_grid": 5},
+    # a path is a JSON string (these rows leave out the --data or --out flag)
+    "estimate_data_not_a_string": {"data": 5},
+    "estimate_data_a_list": {"data": ["t.csv"]},
+    "estimate_out_not_a_string": {"out": 5},
 }
 BAD_SWEEP_EDITS = {
     "sweep_unknown_u": {"u": "bogus"},
@@ -285,6 +292,10 @@ BAD_SWEEP_EDITS = {
     "sweep_initial_sigma_negative": {"initial_sigma": -0.1},
     "sweep_initial_sigma_not_one_per_center": {"initial_sigma": [0.1, 0.2, 0.3]},
     "sweep_initial_uniform_weight_above_1": {"initial_uniform_weight": 1.5},
+    "sweep_out_not_a_string": {"out": 5},
+    # the truths' RKHS errors need kernel expansions
+    "sweep_truth_v_zero": {"truth_v": {"type": "zero"}},
+    "sweep_truth_w_cosine_sum": {"truth_w": COSINE},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
@@ -298,6 +309,13 @@ BAD_STABILITY_EDITS = {
     "stability_phases_not_one_per_mode": {"initial_phase": {
         "type": "cosine_sum", "period": 1.0, "amplitudes": [0.03], "modes": [1],
         "phases": [0.0, 0.5]}},
+    "stability_out_not_a_string": {"out": 5},
+    # truths and estimates are kernel expansions, whose RKHS errors it reports
+    "stability_truth_v_zero": {"truth_v": {"type": "zero"}},
+    "stability_truth_w_cosine_sum": {"truth_w": COSINE},
+    "stability_estimate_v_zero": {"estimates": [{"V": {"type": "zero"}, "W": WRAPPED_W}]},
+    "stability_estimate_w_cosine_sum": {"estimates": [{"V": WRAPPED_W, "W": WRAPPED_W},
+                                                      {"V": WRAPPED_W, "W": COSINE}]},
 }
 # the key each row's message names, where its edit is no one-key path
 NAMED_KEYS = {
@@ -323,6 +341,13 @@ NAMED_KEYS = {
     "density_not_an_object": "initial_density",
     "lambda3_nan": "lambda3",
     "lambda3_infinite": "lambda3",
+    "out_not_a_string": "out",
+    "sweep_truth_v_zero": "truth_v",
+    "sweep_truth_w_cosine_sum": "truth_w",
+    "stability_truth_v_zero": "truth_v",
+    "stability_truth_w_cosine_sum": "truth_w",
+    "stability_estimate_v_zero": "estimate 0 V",
+    "stability_estimate_w_cosine_sum": "estimate 1 W",
 }
 
 
@@ -345,13 +370,16 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
     out = tmp_path / "run"
     if case in BAD_ESTIMATE_ARGS or case in BAD_ESTIMATE_CONFIGS:
         assert rc == 0
-        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS.get(case, {})}
-        est_path = tmp_path / "est.json"
-        est_path.write_text(json.dumps(BAD_ESTIMATE_CONFIGS.get(case, {})))
         out = tmp_path / "est"
-        rc = run(["estimate", "--config", est_path,
-                  "--data", tmp_path / "run" / "trajectory.csv",
-                  "--out", out, *[v for kv in args.items() for v in kv]])
+        est_cfg = BAD_ESTIMATE_CONFIGS.get(case, {})
+        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS.get(case, {})}
+        # flags override file keys, so a config that sets a path gets no flag
+        args.update({f"--{key}": path for key, path in
+                     (("data", tmp_path / "run" / "trajectory.csv"), ("out", out))
+                     if key not in est_cfg})
+        est_path = tmp_path / "est.json"
+        est_path.write_text(json.dumps(est_cfg))
+        rc = run(["estimate", "--config", est_path, *[v for kv in args.items() for v in kv]])
     for command, edits, make_config in (("sweep", BAD_SWEEP_EDITS, sweep_config),
                                         ("stability", BAD_STABILITY_EDITS,
                                          stability_config)):
@@ -385,7 +413,7 @@ def test_config_not_an_object_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("value, kind, expected", [
     (3, int, 3), (3.0, int, 3), (-1, int, -1), (True, bool, True), (False, bool, False),
-    (2, float, 2.0), (0.5, float, 0.5),
+    (2, float, 2.0), (0.5, float, 0.5), ("t.csv", str, "t.csv"),
 ])
 def test_config_value_accepts(value, kind, expected):
     got = cli.config_value({"key": value}, "key", kind)
@@ -396,6 +424,7 @@ def test_config_value_accepts(value, kind, expected):
     (1.5, int), ("3", int), (True, int), (None, int), (float("inf"), int),
     ("false", bool), (0, bool), (1.0, bool), ("0.5", float), (False, float), ([1.0], float),
     (float("nan"), float), (float("inf"), float), (float("-inf"), float), (float("nan"), int),
+    (5, str), (["t.csv"], str), (None, str), ({"path": "t.csv"}, str),
 ])
 def test_config_value_rejects(value, kind):
     with pytest.raises(cli.ConfigError) as info:
@@ -707,6 +736,10 @@ BAD_W2_CONFIGS = {
     "seed_not_an_integer": ({"seed": "seven"}, "base"),
     "sigma_on_other_grid": ({}, "other_grid"),
     "sigma_on_other_times": ({}, "other_times"),
+    # a path is a JSON string
+    "rho_not_a_string": ({"rho": 5}, "base"),
+    "sigma_a_list": ({"sigma": ["t.csv"]}, "base"),
+    "out_not_a_string": ({"out": 5}, "base"),
 }
 
 
@@ -717,7 +750,8 @@ def test_w2_config_errors_exit_2(tmp_path, capsys, w2_runs, case):
     cfg_path.write_text(json.dumps({"rho": str(w2_runs / "base" / "trajectory.csv"),
                                     "sigma": str(w2_runs / sigma / "trajectory.csv"),
                                     **edits}))
-    for out in ([], ["--out", tmp_path / "w2"]):
+    # an --out flag would override the config's out key
+    for out in ([], ["--out", tmp_path / "w2"])[:1 if "out" in edits else 2]:
         assert run(["w2", "--config", cfg_path, *out]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -28,6 +28,7 @@ from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction, rkhs_inner
 
 from conftest import (
+    GivenDerivatives,
     apply_flow_operator,
     assemble_gram,
     convolved_sections,
@@ -84,15 +85,6 @@ class TestProblemValidation:
                               lambda1=1.0, lambda2=1.0,
                               kernel3=gaussian_kernel(0.2))
 
-    @pytest.mark.parametrize("override", ["f_override", "spatial_slope_override"])
-    def test_non_finite_override_rejected(self, override):
-        traj = random_trajectory()
-        values = np.ones_like(traj.values)
-        values[1, 2] = np.nan
-        with pytest.raises(EstimatorError, match=override):
-            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
-                              lambda1=1.0, lambda2=1.0, **{override: values})
-
     def test_non_finite_woodbury_core_rejected(self):
         core = np.eye(3)
         core[0, 1] = core[1, 0] = np.inf
@@ -119,24 +111,22 @@ class TestFlowOperator:
 
     def test_operator_image_matches_pointwise(self):
         """At every node, for both boundary modes, forward-differenced and
-        overridden slopes, and with and without a plain upsilon term."""
+        given slopes, and with and without a plain upsilon term."""
         K1 = gaussian_kernel(0.25)
         K2 = imq_kernel(0.3, beta=1.5)
         phi = RkhsFunction.from_points(K1, [0.2, 0.7], [1.0, -0.4])
         psi = RkhsFunction.from_points(K2, [-0.1, 0.3], [0.6, 0.2])
         upsilon = RkhsFunction.from_points(gaussian_kernel(0.15), [0.45], [0.7])
-        for mode, override, ups in itertools.product((PERIODIC, TRUNCATED), (False, True),
-                                                     (None, upsilon)):
+        for mode, given, ups in itertools.product((PERIODIC, TRUNCATED), (False, True),
+                                                  (None, upsilon)):
             traj = random_trajectory(mode=mode, seed=4)
-            slopes = (np.random.default_rng(5).standard_normal(traj.values.shape)
-                      if override else None)
-            p = EstimationProblem(traj, K1, K2, lambda1=1.0, lambda2=1.0,
-                                  spatial_slope_override=slopes)
+            if given:
+                traj = GivenDerivatives(
+                    traj, slopes=np.random.default_rng(5).standard_normal(traj.values.shape))
+            p = EstimationProblem(traj, K1, K2, lambda1=1.0, lambda2=1.0)
             image = operator_image(p, phi, psi, ups).reshape(traj.mesh.L, -1)
             for l, n in np.ndindex(image.shape):
-                direct = apply_flow_operator(
-                    traj, phi, psi, l, n, upsilon=ups,
-                    spatial_slope=None if slopes is None else slopes[l, n])
+                direct = apply_flow_operator(traj, phi, psi, l, n, upsilon=ups)
                 assert image[l, n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -655,24 +645,24 @@ def test_solve_peak_memory_below_one_stacked_factor():
 
 class TestSolve:
     def test_zero_data_gives_zero_estimate(self, traj_periodic):
-        p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
-                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.2,
-                              f_override=np.zeros_like(traj_periodic.values))
+        traj = GivenDerivatives(traj_periodic, rate=np.zeros_like(traj_periodic.values))
+        p = EstimationProblem(traj, gaussian_kernel(0.25),
+                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.2)
         res = solve(p)
         assert np.allclose(res.C1, 0.0) and np.allclose(res.C2, 0.0)
         assert res.rkhs_norms["V"] == 0.0 and res.rkhs_norms["W"] == 0.0
         assert res.loss_value == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("override", ["zero", "random"])
-    def test_loss_at_reads_the_fitted_override(self, traj_periodic, override):
-        """``loss_at`` scores the data functional ``solve`` fits, which is
-        ``f_override`` when the problem has one."""
+    @pytest.mark.parametrize("rate", ["zero", "random"])
+    def test_loss_at_reads_the_fitted_override(self, traj_periodic, rate):
+        """``loss_at`` scores the data functional ``solve`` fits, here a
+        given time derivative that overrides the trajectory's own (the data
+        functional of gradient data with U = none)."""
         f = np.zeros_like(traj_periodic.values)
-        if override == "random":
+        if rate == "random":
             f = np.random.default_rng(8).standard_normal(f.shape)
-        p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
-                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.2,
-                              f_override=f)
+        p = EstimationProblem(GivenDerivatives(traj_periodic, rate=f), gaussian_kernel(0.25),
+                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.2)
         res = solve(p)
         assert loss_at(p, res.Vhat, res.What) == pytest.approx(res.loss_value,
                                                                rel=1e-10, abs=0.0)
@@ -753,7 +743,7 @@ class TestSolve:
         p = make_problem(seed=7)
         res = solve(p)
         f = assemble_data_functional(p.traj, "gradient").ravel()
-        assert np.allclose(res.residual_vector, res.operator_image - f)
+        assert np.allclose(res.residual_vector, operator_image(p, res.Vhat, res.What) - f)
 
     def test_reconstruction_matches_weighted_sections(self):
         # Vhat equals the C_rho-weighted combination of plain sections
@@ -801,7 +791,7 @@ class TestStationarity:
             Vhat=res.Vhat.scaled(0.0), What=res.What.scaled(0.0),
             rkhs_norms={"V": 0.0, "W": 0.0}, loss_value=0.0,
             residual_vector=-assemble_data_functional(p.traj, "gradient").ravel(),
-            gram_condition=1.0, lambdas=res.lambdas, method="lowrank",
+            gram_condition=1.0, method="lowrank",
         )
         worst = stationarity_residual(zeroed, p)
         assert worst > 1e-4
@@ -1003,12 +993,11 @@ class TestThreeFunction:
         assert rl.loss_value == pytest.approx(rd.loss_value, rel=1e-8)
 
 
-class TestExactDerivativeOverride:
-    def test_spatial_slope_override_enters_factors(self, traj_periodic):
-        override = np.zeros_like(traj_periodic.values)
-        p = EstimationProblem(traj_periodic, gaussian_kernel(0.25),
-                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.1,
-                              spatial_slope_override=override)
+class TestGivenDerivatives:
+    def test_given_slopes_enter_factors(self, traj_periodic):
+        traj = GivenDerivatives(traj_periodic, slopes=np.zeros_like(traj_periodic.values))
+        p = EstimationProblem(traj, gaussian_kernel(0.25),
+                              imq_kernel(0.3, beta=1.5), lambda1=0.1, lambda2=0.1)
         plain, convolved = _fit_sections(p)
         assert np.allclose(plain.a, 0.0) and np.allclose(convolved.a, 0.0)
         image = operator_image(p, RkhsFunction.from_points(p.kernel1, [0.5], [1.0]),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wgflows
+from wgflows.estimator import EstimationProblem
 
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
 PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
@@ -211,6 +213,41 @@ def test_package_reaches_every_public_name():
 ])
 def test_public_name_scanner(sources, readers, exported, unreached):
     assert unreached_public_names(sources, readers, exported) == unreached
+
+
+def unset_fields(sources: list[str], name: str, fields: list[str]) -> list[str]:
+    """The ``fields`` (in order) that no call of ``name`` in ``sources``, as
+    a bare name or an attribute, sets by position or by keyword."""
+    set_by_calls = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == name):
+                set_by_calls |= set(fields[:len(node.args)])
+                set_by_calls |= {kw.arg for kw in node.keywords}
+    return [field for field in fields if field not in set_by_calls]
+
+
+def test_every_problem_field_has_a_caller():
+    """Every field of ``estimator.EstimationProblem`` is set by some call in
+    the package or in the benchmark's modules: an option that only tests
+    set is a test-only branch in the solver."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py"))]
+    fields = [f.name for f in dataclasses.fields(EstimationProblem)]
+    assert unset_fields(sources, "EstimationProblem", fields) == []
+
+
+@pytest.mark.parametrize("sources, unset", [
+    (["EstimationProblem(t, k1, k2)"], ["lam"]),
+    (["EstimationProblem(t, k1, k2, lam=1.0)"], []),
+    (["EstimationProblem(t, k1)", "estimator.EstimationProblem(t, k2=k, lam=0.1)"], []),
+    (["EstimationProblem(traj=t, k1=k)"], ["k2", "lam"]),
+    (["Other(t, k1, k2, lam=1.0)"], ["traj", "k1", "k2", "lam"]),
+    (["EstimationProblem"], ["traj", "k1", "k2", "lam"]),
+])
+def test_unset_field_scanner(sources, unset):
+    assert unset_fields(sources, "EstimationProblem", ["traj", "k1", "k2", "lam"]) == unset
 
 
 # calls that check the spec values they are given; ``SmoothKernel.from_config``
