@@ -21,8 +21,8 @@ import numpy as np
 
 from .estimator import EstimationProblem, solve
 from .flows import (
+    EnergySeries,
     EnergySpec,
-    InteractionSeries,
     InternalEnergy,
     NO_INTERNAL_ENERGY,
     PeriodicityError,
@@ -475,30 +475,29 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
     All flows start from the same (mu0, phi0), so the initial-distance term
     of the stability bound vanishes; reported alongside is the kernel-norm
     discrepancy weighted by the C^2-embedding constants of the two kernels.
-    The true flow is simulated once and shared by every comparison; each
-    record's ``wall_s`` is the time of that estimate's flow and comparison.
-    The pair-sum series of every W is built before any flow starts, so a W
-    that is not periodic on the torus raises ``PeriodicityError`` naming
-    it ("truth W" or "estimate i W") without simulating anything.
+    The truth and every estimate are integrated in one lockstep call of
+    ``hamiltonian_flow_simulate``, the truth as flow 0 and estimate i as
+    flow i + 1, which is how a particle crossing names its flow; each
+    record's ``wall_s`` is the time of that estimate's W2 comparison.  The
+    series tables of every energy are built before any flow starts, so a V
+    or W that is not periodic on the torus raises ``PeriodicityError``
+    naming it ("truth V", "estimate i W", ...) without simulating anything.
     """
     specs = [EnergySpec(V=v, W=w) for v, w in [truth, *estimates]]
     names = ["truth"] + [f"estimate {i}" for i in range(len(estimates))]
     series = []
     for name, spec in zip(names, specs):
         try:
-            series.append(None if spec.W is None
-                          else InteractionSeries(spec.W, mesh.domain_length))
+            series.append(EnergySeries(spec, mesh.a, mesh.domain_length))
         except PeriodicityError as exc:
-            raise PeriodicityError(f"{name} W: {exc}") from None
-    traj_true, _ = hamiltonian_flow_simulate(
-        mu0, phi0, specs[0], mesh, dt_solver, series=series[0])
+            raise PeriodicityError(exc.function, f"{name} {exc.function}: {exc}") from None
+    (traj_true, *trajs), _ = hamiltonian_flow_simulate(
+        mu0, phi0, specs, mesh, dt_solver, series=series)
     kappa1 = np.sqrt(2.0 * truth[0].kernel.sup_norm_c4(mesh.a, mesh.b))
     kappa2 = np.sqrt(2.0 * truth[1].kernel.sup_norm_c4(mesh.a, mesh.b))
     records = []
-    for estimate, spec, est_series in zip(estimates, specs[1:], series[1:]):
+    for estimate, traj_est in zip(estimates, trajs):
         t0 = time.perf_counter()
-        traj_est, _ = hamiltonian_flow_simulate(
-            mu0, phi0, spec, mesh, dt_solver, series=est_series)
         w2 = [
             wasserstein2_1d(traj_true.values[l], traj_est.values[l], mesh, periodic=True)
             for l in range(mesh.L)

@@ -396,7 +396,8 @@ def cmd_simulate(args) -> int:
                     rho0, phi0, spec, mesh, dt_solver=dt_solver,
                 )
             except PeriodicityError as exc:
-                raise ConfigError("w_not_periodic", f"energy.W: {exc}") from None
+                raise ConfigError(f"{exc.function.lower()}_not_periodic",
+                                  f"energy.{exc.function}: {exc}") from None
         run.mark("simulate")
         write_trajectory(traj, run.path("trajectory.csv"))
         write_json(run.path("run_info.json"), {
@@ -590,9 +591,9 @@ def cmd_stability(args) -> int:
             records = stability_experiment(
                 (truth_v, truth_w), pairs, mu0, phi0, mesh, dt_solver=dt_solver)
         except PeriodicityError as exc:
-            raise ConfigError("w_not_periodic", str(exc)) from None
+            raise ConfigError(f"{exc.function.lower()}_not_periodic", str(exc)) from None
         seconds = time.perf_counter() - t0
-        run.timings["true flow"] = seconds - sum(r["wall_s"] for r in records)
+        run.timings["flows"] = seconds - sum(r["wall_s"] for r in records)
         rows = []
         for i, out in enumerate(records):
             run.timings[f"estimate {i}"] = out["wall_s"]

@@ -29,28 +29,35 @@ particle masses, stepped by velocity Verlet; the density is recovered from
 the 1-D push-forward rule rho_t(q_i) * dq_i/dx = mu0(x_i) and resampled onto
 the grid through monotone interpolation of the transport map.
 
-On the torus of length L every particle pair sum, the force's over W' and
-the energy's over W, goes through a Fourier series.  For G = W (order 0)
-or W' (order 1), write G(d) = f(d) + J1 d/L + J2 d^2/(2L) on [-L/2, L/2],
-with J1 and J2 the jumps of G and G' across the period boundary (a
-truncated wrap of a heavy-tailed kernel leaves small ones), so that f and
-f' are continuous on the torus.  f(d) = Re sum_k w_k c_k exp(i omega_k d)
-with omega_k = 2 pi k / L and weights w = (1, 2, 2, ...), so
+On the torus [a, a + L) the potential and every particle pair sum, V' and
+the sums over W' for the force, V and the sums over W for the energy, go
+through Fourier series.  For G = W or W', write G(d) = f(d) + J1 d/L +
+J2 d^2/(2L) on [-L/2, L/2], with J1 and J2 the jumps of G and G' across
+the period boundary (a truncated wrap of a heavy-tailed kernel leaves
+small ones), so that f and f' are continuous on the torus; for G = V or
+V' the same holds with d the minimal-image offset y = wrap(x) - a - L/2
+from the middle of the torus, whose boundary is at a.
+f(d) = Re sum_k w_k c_k exp(i omega_k d) with omega_k = 2 pi k / L and
+weights w = (1, 2, 2, ...), so
 
     sum_j m_j f(q_i - q_j)
-        = Re sum_k w_k c_k exp(i omega_k q_i) sum_j m_j exp(-i omega_k q_j),
+        = Re sum_k w_k c_k exp(i omega_k y_i) sum_j m_j exp(-i omega_k y_j),
 
-and the two polynomial terms are sums of the first two powers of the
-minimal-image differences, which one sort and prefix sums give.  A Verlet
-step or an energy then costs O(n K + n log n) for n particles and K modes
-instead of n^2 kernel sums, which pays while K is small against n times
-the kernel terms of W (K = 8 against 96 x 18 on the benchmark's flow).
+since the pair differences are those of the offsets y, and the two
+polynomial terms are sums of the first two powers of the minimal-image
+differences, which one sort and prefix sums give.  V's series is read off
+the same phases exp(i omega_k y_i), so a Verlet step forms one phase
+matrix for both and costs O(n K + n log n) for n particles and K modes
+instead of n kernel sums for V and n^2 for W, which pays while K is small
+against n times the kernel terms of W (K = 8 against 96 x 18 on the
+benchmark's flow).  Flows that share a start, mesh and step are stepped
+in lockstep: B of them form one B x n phase matrix per step.
 
 Each order's coefficients are built once per simulation from P samples of
 f at the minimal images of p L / P, P = 32, 64, ..., until the modes
 k < P/4 reproduce the samples to 32 eps times the size of the terms of G
-(the scale of the roundoff of the samples); those modes are kept.  A W
-that is not smooth on the torus beyond those jumps (not wrapped with its
+(the scale of the roundoff of the samples); those modes are kept.  A V or
+W that is not smooth on the torus beyond those jumps (not wrapped with its
 domain length as period, or with too few copies) has not converged at
 P = 2^16 and is rejected with ``PeriodicityError`` before the first step.
 A smooth periodic f has exponentially decaying coefficients (Trefethen &
@@ -89,9 +96,14 @@ class FlowError(RuntimeError):
 
 
 class PeriodicityError(FlowError):
-    """The Fourier series of an interaction kernel W or its W' did not
-    converge on the torus: it is not periodic and smooth there, or is lost
-    in roundoff."""
+    """The Fourier series of a potential V or an interaction kernel W, or
+    of its derivative, did not converge on the torus: it is not periodic
+    and smooth there, or is lost in roundoff.  ``function`` is "V" or
+    "W"."""
+
+    def __init__(self, function: str, message: str):
+        super().__init__(message)
+        self.function = function
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,7 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
 
 
 _SERIES_START = 32       # first sample count of a series
-_SERIES_LIMIT = 2**16    # last sample count tried before W is rejected
+_SERIES_LIMIT = 2**16    # last sample count tried before V or W is rejected
 _JUMP_TOL = 1e-2         # largest jump of G or G' across the period boundary,
                          # relative to the size of its terms, taken for the
                          # truncation of a periodic wrap
@@ -470,159 +482,225 @@ def _seam_sums(q: np.ndarray, masses: np.ndarray,
     return linear, quadratic
 
 
-def _phase(q: np.ndarray, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of omega_k q_i, (particles x modes)."""
-    angle = np.multiply.outer(q, omega)
-    return np.cos(angle), np.sin(angle)
+def _phase(y: np.ndarray, modes: int, length: float) -> np.ndarray:
+    """exp(i omega_k y), omega_k = 2 pi k / L, for the modes k < ``modes``
+    as the last axis.
+
+    Only exp(i omega_1 y) comes from cos and sin; the other columns come
+    by doubling: columns w .. 2w - 1 are columns 0 .. w - 1 times
+    exp(i omega_w y), the square of column w / 2.  Column k is then a
+    product of at most 2 log2 k factors, and its phase carries an error of
+    order k eps, as cos(omega_k y) does through the rounding of omega_k y.
+    """
+    phase = np.empty(y.shape + (modes,), dtype=complex)
+    phase[..., 0] = 1.0
+    if modes > 1:
+        angle = 2.0 * np.pi / length * y
+        phase[..., 1].real = np.cos(angle)
+        phase[..., 1].imag = np.sin(angle)
+    w = 2
+    while w < modes:
+        top = min(2 * w, modes)
+        phase[..., w:top] = phase[..., :top - w] * (phase[..., w // 2] ** 2)[..., None]
+        w *= 2
+    return phase
 
 
-class InteractionSeries:
-    """W (order 0) and W' (order 1) on a torus of length ``length``: per
-    order, a truncated Fourier series plus the polynomials that carry its
-    jumps across the period boundary.
+def _sample(G, centre: float, d: np.ndarray, order: int) -> np.ndarray:
+    """G^(order)(centre + d), corrected to first order for the rounding of
+    centre + d: x = fl(centre + d) misses centre + d by the exact error
+    ``err`` of the two-sum (Knuth, TAOCP vol. 2, 4.2.2), and G^(order)(x)
+    misses by err G^(order+1)(x), which would otherwise exceed the
+    roundoff of the values for a G narrow against |centre|.  At centre 0,
+    as for W, err is 0 and the values are G's own."""
+    x = centre + d
+    b = x - centre
+    err = (centre - (x - b)) + (d - b)
+    values = np.asarray(G.value(x, order=order), dtype=float)
+    if np.any(err):
+        values = values + err * np.asarray(G.value(x, order=order + 1), dtype=float)
+    return values
 
-    For G = W^(order), on [-L/2, L/2] G(d) = f(d) + J1 d / L + J2 d^2 / (2 L)
-    with J1 = G(L/2) - G(-L/2) and J2 = G'(L/2) - G'(-L/2), so f and f'
-    are continuous on the torus even where G and G' are not (the truncated
+
+def _torus_series(G, name: str, centre: float, length: float,
+                  order: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """Fourier coefficients and seam jumps of G^(order)(centre + d) for d
+    on [-L/2, L/2], the seam of the torus of length L at d = +-L/2.
+
+    With J1 = G(centre + L/2) - G(centre - L/2) and J2 the same for G',
+    G(centre + d) = f(d) + J1 d / L + J2 d^2 / (2 L), so f and f' are
+    continuous on the torus even where G and G' are not (the truncated
     wrap of a heavy-tailed kernel leaves them jumps of up to about 1e-4 of
-    the size of their terms).  f is sampled at the minimal images of
-    p L / P for P = 32, 64, ..., and the first P whose modes k < P/4
-    reproduce the samples to _SERIES_TOL eps times the size of the terms of
-    G (``W.magnitude``, the scale of the samples' roundoff) stops the
-    search; those modes are kept, already multiplied by their weights
-    (1, 2, 2, ...) of the real series, in ``coeffs[order]``.
-    ``PeriodicityError`` when no P up to 2^16 qualifies, or when a jump
-    exceeds _JUMP_TOL of the size of its terms: W is then not wrapped with
-    the domain length as its period, or with too few copies.
+    the size of their terms).  f is sampled (``_sample``) at the minimal
+    images d of p L / P for P = 32, 64, ..., and the first P whose modes
+    k < P/4 reproduce the samples to _SERIES_TOL eps times the size of the
+    terms of G (``G.magnitude``, the scale of the samples' roundoff) stops
+    the search.  Those modes are kept, multiplied by their weights (1, 2,
+    2, ...) of the real series, so that f(d) = Re sum_k c_k exp(i omega_k d)
+    at any d, wrapped or not.  A jump within the roundoff of its terms is
+    returned as 0: dropped with its seam term, it moves G by at most 2 eps
+    times the size of its terms.  ``PeriodicityError`` naming ``name`` when
+    no P up to 2^16 qualifies, or when a jump exceeds _JUMP_TOL of the size
+    of its terms: G is then not periodic with the torus's length as its
+    period, or is a periodic wrap with too few copies.
+    """
+    names = (name, name + "'", name + "''")[order:order + 2]
+    ends = np.array([0.5, -0.5]) * length
+    jumps = tuple(float(g[0] - g[1]) for g in (
+        _sample(G, centre, ends, k) for k in (order, order + 1)))
+    P = _SERIES_START
+    while True:
+        d = _minimal_image(length * np.arange(P) / P, length)
+        f = (_sample(G, centre, d, order)
+             - jumps[0] / length * d - jumps[1] / (2.0 * length) * d**2)
+        c = np.fft.rfft(f) / P
+        c[P // 4:] = 0.0
+        scale = float(np.max(G.magnitude(centre + d, order=order)))
+        miss = float(np.max(np.abs(np.fft.irfft(c, n=P) * P - f)))
+        if miss <= _SERIES_TOL * np.finfo(float).eps * scale:
+            break
+        if P == _SERIES_LIMIT:
+            raise PeriodicityError(
+                name,
+                f"the Fourier series of {names[0]} on the torus of length "
+                f"{length:g} has not converged at {P} samples: its first "
+                f"{P // 4} modes miss the samples by {miss / scale:.2g} of the "
+                f"size of its terms; it is not smooth across the period "
+                f"boundary (wrap {name} with the domain length as its period)"
+            )
+        P *= 2
+    sizes = (scale, float(np.max(G.magnitude(centre + d, order=order + 1))))
+    for part, jump, size in zip(names, jumps, sizes):
+        if abs(jump) > _JUMP_TOL * size:
+            raise PeriodicityError(
+                name,
+                f"{part} jumps by {abs(jump) / size:.2g} of the size of "
+                f"its terms across the period boundary of the torus of "
+                f"length {length:g}, more than the {_JUMP_TOL:g} a "
+                f"truncated periodic wrap leaves; {name} is not periodic there "
+                f"(wrap {name} with the domain length as its period and enough "
+                f"copies)"
+            )
+    c[1:] *= 2.0
+    return c[:P // 4], tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size else j
+                             for j, size in zip(jumps, sizes))
+
+
+class EnergySeries:
+    """V and W of one energy as Fourier series tables on the torus
+    [a, a + L): ``potential[order]`` and ``interaction[order]``, order 0
+    and 1, hold the coefficients and seam jumps (``_torus_series``) of
+    V^(order) and W^(order), None for an absent function.
+
+    W^(order) is tabled in the minimal-image pair difference, so its seam
+    is at +-L/2; V^(order) in the minimal-image offset from the middle
+    ``centre`` = a + L/2 of the torus, so its seam is at a, where a wrap
+    into [a, a + L) puts it.  A V or W that is not periodic on the torus
+    raises ``PeriodicityError`` naming it.
     """
 
-    def __init__(self, W, length: float):
-        ends = np.array([0.5, -0.5]) * length
-        self.length = length
-        self.coeffs, self.omega, self.jumps = [], [], []
-        for order in (0, 1):
-            names = ("W", "W'", "W''")[order:order + 2]
-            jumps = tuple(float(w[0] - w[1]) for w in (np.asarray(
-                W.value(ends, order=k), dtype=float) for k in (order, order + 1)))
-            P = _SERIES_START
-            while True:
-                d = _minimal_image(length * np.arange(P) / P, length)
-                f = (np.asarray(W.value(d, order=order), dtype=float)
-                     - jumps[0] / length * d - jumps[1] / (2.0 * length) * d**2)
-                c = np.fft.rfft(f) / P
-                c[P // 4:] = 0.0
-                scale = float(np.max(W.magnitude(d, order=order)))
-                miss = float(np.max(np.abs(np.fft.irfft(c, n=P) * P - f)))
-                if miss <= _SERIES_TOL * np.finfo(float).eps * scale:
-                    break
-                if P == _SERIES_LIMIT:
-                    raise PeriodicityError(
-                        f"the Fourier series of {names[0]} on the torus of length "
-                        f"{length:g} has not converged at {P} samples: its first "
-                        f"{P // 4} modes miss the samples by {miss / scale:.2g} of the "
-                        f"size of its terms; it is not smooth across the period "
-                        f"boundary (wrap W with the domain length as its period)"
-                    )
-                P *= 2
-            sizes = (scale, float(np.max(W.magnitude(d, order=order + 1))))
-            for name, jump, size in zip(names, jumps, sizes):
-                if abs(jump) > _JUMP_TOL * size:
-                    raise PeriodicityError(
-                        f"{name} jumps by {abs(jump) / size:.2g} of the size of "
-                        f"its terms across the period boundary of the torus of "
-                        f"length {length:g}, more than the {_JUMP_TOL:g} a "
-                        f"truncated periodic wrap leaves; W is not periodic there "
-                        f"(wrap W with the domain length as its period and enough "
-                        f"copies)"
-                    )
-            # a jump within the roundoff of its terms is dropped with its seam
-            # sum, which moves G by at most 2 eps times the size of its terms
-            self.jumps.append(tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size
-                                    else j for j, size in zip(jumps, sizes)))
-            c[1:] *= 2.0
-            self.coeffs.append(c[:P // 4])
-            self.omega.append(2.0 * np.pi / length * np.arange(P // 4))
+    def __init__(self, spec: EnergySpec, a: float, length: float):
+        self.centre, self.length = a + 0.5 * length, length
+        self.potential = None if spec.V is None else [
+            _torus_series(spec.V, "V", self.centre, length, order) for order in (0, 1)]
+        self.interaction = None if spec.W is None else [
+            _torus_series(spec.W, "W", 0.0, length, order) for order in (0, 1)]
 
-    def pair_sums(self, q: np.ndarray, masses: np.ndarray, order: int) -> np.ndarray:
-        """sum_j m_j W^(order)(mi(q_i - q_j)) for every particle i; q need
-        not be wrapped.
+    def modes(self) -> dict:
+        """The kept mode counts of V' and W', 0 for an absent function."""
+        return {f"{key}_modes": 0 if table is None else table[1][0].size
+                for key, table in (("potential", self.potential),
+                                   ("interaction", self.interaction))}
 
-        With M_k = sum_j m_j exp(i omega_k q_j) = Mc_k + i Ms_k, the series
-        part is Re sum_k c_k exp(i omega_k q_i) conj(M_k), done in real
-        arithmetic on the cos and sin matrices.  These are formed over row
-        blocks of about _PHASE_BLOCK entries, each block twice (once for
-        M, once for the sums) when there is more than one.
+
+class _Lockstep:
+    """One order of the tables of B energies on one torus, stacked by flow:
+    coefficient rows of V and of W over the modes k < K, K the most any of
+    the tables keeps (zero beyond a table's own), and the flows whose V or
+    W has seam jumps."""
+
+    def __init__(self, tables: list[EnergySeries], order: int):
+        self.centre, self.length = tables[0].centre, tables[0].length
+        parts = [(table.potential, table.interaction) for table in tables]
+        self.modes = max([part[order][0].size for row in parts for part in row
+                          if part is not None], default=0)
+        coeffs = np.zeros((2, len(tables), self.modes), dtype=complex)
+        self.seams = ([], [])      # (flow, jumps) of V, of W
+        for b, row in enumerate(parts):
+            for i, part in enumerate(row):
+                if part is not None:
+                    c, jumps = part[order]
+                    coeffs[i, b, :c.size] = c
+                    if any(jumps):
+                        self.seams[i].append((b, jumps))
+        self.potential = coeffs[0]
+        self.interaction = coeffs[1] if any(row[1] is not None for row in parts) else None
+
+    def __call__(self, q: np.ndarray, masses: np.ndarray,
+                 pair_weight: float = 1.0) -> np.ndarray:
+        """V^(order)(q_bi) + pair_weight sum_j m_j W^(order)(mi(q_bi - q_bj))
+        for every flow b and particle i of the positions q (B x n), which
+        need not be wrapped.
+
+        Both series are read at y, the minimal-image offsets of q from the
+        middle of the torus: V's is tabled in y, and W's pair sums do not
+        change when every particle moves by the same amount.  With
+        E_bik = exp(i omega_k y_bi), M_bk = sum_j m_j E_bjk and c_k, w_k the
+        coefficients of V and W, the series part is
+        Re sum_k (c_k + pair_weight w_k conj(M_bk)) E_bik: one phase matrix
+        E (``_phase``) for both functions.  It is formed over blocks of
+        about _PHASE_BLOCK entries, each block twice (once for M, once for
+        the sums) when there is more than one and some flow has a W.
         """
-        coeffs, omega, jumps = self.coeffs[order], self.omega[order], self.jumps[order]
-        rows = max(1, _PHASE_BLOCK // omega.size)
-        blocks = [slice(lo, lo + rows) for lo in range(0, q.size, rows)]
-        first = _phase(q[blocks[0]], omega)
-        mass_cos = masses[blocks[0]] @ first[0]
-        mass_sin = masses[blocks[0]] @ first[1]
-        for blk in blocks[1:]:
-            cos, sin = _phase(q[blk], omega)
-            mass_cos += masses[blk] @ cos
-            mass_sin += masses[blk] @ sin
-        # c_k conj(M_k) = u_k + i v_k
-        u = coeffs.real * mass_cos + coeffs.imag * mass_sin
-        v = coeffs.imag * mass_cos - coeffs.real * mass_sin
-        sums = np.empty(q.size)
-        sums[blocks[0]] = first[0] @ u - first[1] @ v
-        for blk in blocks[1:]:
-            cos, sin = _phase(q[blk], omega)
-            sums[blk] = cos @ u - sin @ v
-        if any(jumps):
-            linear, quadratic = _seam_sums(q, masses, self.length)
-            sums += (jumps[0] / self.length * linear
-                     + jumps[1] / (2.0 * self.length) * quadratic)
-        return sums
+        B, n = q.shape
+        L = self.length
+        y = _minimal_image(q - self.centre, L)
+        fields = np.zeros((B, n))
+        if self.modes:
+            rows = max(1, _PHASE_BLOCK // (B * self.modes))
+            blocks = [slice(lo, lo + rows) for lo in range(0, n, rows)]
+            first = _phase(y[:, blocks[0]], self.modes, L)
+            coeffs = self.potential
+            if self.interaction is not None:
+                moments = masses[blocks[0]] @ first
+                for blk in blocks[1:]:
+                    moments += masses[blk] @ _phase(y[:, blk], self.modes, L)
+                coeffs = coeffs + pair_weight * self.interaction * moments.conj()
+            coeffs = coeffs[..., None]
+            fields[:, blocks[0]] = (first @ coeffs)[..., 0].real
+            for blk in blocks[1:]:
+                fields[:, blk] = (_phase(y[:, blk], self.modes, L) @ coeffs)[..., 0].real
+        for b, (j1, j2) in self.seams[0]:
+            fields[b] += j1 / L * y[b] + j2 / (2.0 * L) * y[b]**2
+        for b, (j1, j2) in self.seams[1]:
+            linear, quadratic = _seam_sums(y[b], masses, L)
+            fields[b] += pair_weight * (j1 / L * linear + j2 / (2.0 * L) * quadratic)
+        return fields
 
 
-def _particle_force(q: np.ndarray, masses: np.ndarray, V,
-                    series: InteractionSeries | None, a: float,
-                    length: float) -> np.ndarray:
-    """Acceleration -(V + W conv rho)'(q) with mean-field particle masses.
-
-    V is evaluated at the wrapped positions, which is exact for periodic V;
-    the interaction comes from the Fourier series of W'.
-    """
-    force = np.zeros_like(q)
-    if V is not None:
-        force -= np.asarray(V.value(_wrap(q, a, length), order=1), dtype=float)
-    if series is not None:
-        force -= series.pair_sums(q, masses, 1)
-    return force
+def _particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray,
+                     tables: _Lockstep) -> np.ndarray:
+    """Total discrete energy 1/2 sum m v^2 + sum m V(q) + 1/2 sum m m' W(q - q')
+    of every flow of the positions and velocities q, v (B x n), from the
+    order-0 ``tables``."""
+    return (0.5 * v**2 + tables(q, masses, pair_weight=0.5)) @ masses
 
 
-def _particle_energy(q: np.ndarray, v: np.ndarray, masses: np.ndarray, V,
-                     series: InteractionSeries | None, a: float,
-                     length: float) -> float:
-    """Total discrete energy 1/2 sum m v^2 + sum m V(q) + 1/2 sum m m' W(q - q'),
-    V at the wrapped positions and W from its Fourier series."""
-    total = 0.5 * float(masses @ v**2)
-    if V is not None:
-        total += float(masses @ np.asarray(V.value(_wrap(q, a, length)), dtype=float))
-    if series is not None:
-        total += 0.5 * float(masses @ series.pair_sums(q, masses, 0))
-    return total
-
-
-def _pchip_edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+def _pchip_edge_slope(h0: np.ndarray, h1: np.ndarray, m0: np.ndarray,
+                      m1: np.ndarray) -> np.ndarray:
     """One-sided three-point end slope, reset to 0 where its sign differs
     from the end secant m0 and clamped to 3 m0 where the first two secants
     differ in sign (Moler, Numerical Computing with MATLAB, sec. 3.6)."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    clamp = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0, np.where(clamp, 3.0 * m0, d))
 
 
 def _pchip(knots: np.ndarray, values: np.ndarray,
            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and slope at x of the monotone piecewise-cubic Hermite (PCHIP)
-    interpolant through at least 3 strictly increasing knots.
+    interpolant through at least 3 strictly increasing knots, for each row
+    of ``knots`` and ``values`` (B x knots), at the same x.
 
     Interior slopes are the weighted harmonic mean of the neighbouring
     secants with weights w1 = 2 h_k + h_{k-1}, w2 = h_k + 2 h_{k-1}, and 0
@@ -636,50 +714,54 @@ def _pchip(knots: np.ndarray, values: np.ndarray,
     if not np.all(h > 0):
         raise FlowError("push-forward knots are not strictly increasing")
     m = np.diff(values) / h
-    d = np.zeros_like(values)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    inner = np.sign(m[1:]) * np.sign(m[:-1]) > 0
-    d[1:-1][inner] = 1.0 / ((w1[inner] / m[:-1][inner] + w2[inner] / m[1:][inner])
-                            / (w1[inner] + w2[inner]))
-    d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    w1 = 2.0 * h[:, 1:] + h[:, :-1]
+    w2 = h[:, 1:] + 2.0 * h[:, :-1]
+    inner = np.sign(m[:, 1:]) * np.sign(m[:, :-1]) > 0
+    left, right = np.where(inner, m[:, :-1], 1.0), np.where(inner, m[:, 1:], 1.0)
+    d = np.empty_like(values)
+    d[:, 1:-1] = np.where(inner, 1.0 / ((w1 / left + w2 / right) / (w1 + w2)), 0.0)
+    ends, inward = [0, -1], [1, -2]
+    d[:, ends] = _pchip_edge_slope(h[:, ends], h[:, inward], m[:, ends], m[:, inward])
+    t = (d[:, :-1] + d[:, 1:] - 2.0 * m) / h
     c3 = t / h
-    c2 = (m - d[:-1]) / h - t
-    k = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, h.size - 1)
-    u = x - knots[k]
+    c2 = (m - d[:, :-1]) / h - t
+    k = np.stack([np.searchsorted(row, x, side="right") for row in knots])
+    at = (np.arange(knots.shape[0])[:, None], np.clip(k - 1, 0, h.shape[1] - 1))
+    u = x - knots[at]
     u2 = u * u
-    value = values[k] + d[k] * u + c2[k] * u2 + c3[k] * (u2 * u)
-    slope = d[k] + (2.0 * c2[k]) * u + (3.0 * c3[k]) * u2
+    c2k, c3k, dk = c2[at], c3[at], d[at]
+    value = values[at] + dk * u + c2k * u2 + c3k * (u2 * u)
+    slope = dk + (2.0 * c2k) * u + (3.0 * c3k) * u2
     return value, slope
 
 
 def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
-                          mesh: SpaceTimeMesh) -> tuple[np.ndarray, int]:
-    """Resample the transported density onto the grid.
+                          mesh: SpaceTimeMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Resample the transported densities onto the grid, one per row of the
+    positions q (B flows x N particles).
 
     Uses the monotone (PCHIP) interpolant of the inverse transport map s with
     rho(x) = mu0(s(x)) s'(x), evaluated from one periodic unrolling of the
     particle positions (``_pchip``: harmonic-mean interior slopes and
     three-point end slopes, Fritsch-Butland/Moler; grid points beyond the
     outermost knots extrapolate with the end cubics).  Values below
-    DENSITY_FLOOR are raised to it; the number of such grid nodes is
-    returned with the density.
+    DENSITY_FLOOR are raised to it; the number of such grid nodes per flow
+    is returned with the densities.
     """
     length = mesh.domain_length
-    N = mesh.N
     x = mesh.x
     qw = _wrap(q, mesh.a, length)
     order = np.argsort(qw, kind="stable")
-    q_sorted = qw[order]
+    q_sorted = qw[np.arange(q.shape[0])[:, None], order]
     x_pre = x[order]
     # unroll preimages so the map x -> q stays monotone on one period
-    lift = np.cumsum(np.append(0.0, np.diff(x_pre) < 0)) * length
-    x_lift = x_pre + lift
+    x_lift = x_pre.copy()
+    x_lift[:, 1:] += np.cumsum(np.diff(x_pre) < 0, axis=1) * length
     # extend by one particle on each side for full coverage of [a, b]
-    q_ext = np.concatenate([[q_sorted[-1] - length], q_sorted, [q_sorted[0] + length]])
-    x_ext = np.concatenate([[x_lift[-1] - length], x_lift, [x_lift[0] + length]])
+    q_ext = np.concatenate([q_sorted[:, -1:] - length, q_sorted,
+                            q_sorted[:, :1] + length], axis=1)
+    x_ext = np.concatenate([x_lift[:, -1:] - length, x_lift,
+                            x_lift[:, :1] + length], axis=1)
     s, ds = _pchip(q_ext, x_ext, x)
     # mu0 is a grid function; interpolate it periodically at the preimages
     x_grid_ext = np.concatenate([[x[0] - mesh.dx], x])
@@ -689,76 +771,96 @@ def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
     rho = mu_at_s * np.maximum(ds, 0.0)
     floored = rho < DENSITY_FLOOR
     rho[floored] = DENSITY_FLOOR
-    return rho, int(floored.sum())
+    return rho, floored.sum(axis=1)
 
 
-def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, spec: EnergySpec,
+def hamiltonian_flow_simulate(mu0: np.ndarray, phi0,
+                              spec: EnergySpec | list[EnergySpec],
                               mesh: SpaceTimeMesh, dt_solver: float | None = None,
-                              series: InteractionSeries | None = None,
-                              ) -> tuple[DensityTrajectory, dict]:
+                              series: list[EnergySeries] | None = None):
     """Integrate the Hamiltonian flow on the torus by velocity Verlet.
 
-    Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
-    fixed quadrature masses mu0(x_i) dx.  The interaction force and energy
-    come from the Fourier series of W' and W (``InteractionSeries``), built
-    once before the first step (or passed in as ``series``, built from
-    ``spec.W`` on this mesh's torus), so each step costs O(n K + n log n)
-    for n particles and K modes; W must be smooth on the torus apart from
-    jumps of W, W' and W'' across the period boundary, else
-    ``PeriodicityError``.  Neighbours that meet by a data time, N - 1 and 0
-    across the period boundary included, raise ``FlowError``.  The density
-    at the data times comes from the 1-D push-forward rule; the diagnostics
-    count, per data time, the grid nodes raised to DENSITY_FLOOR, and record
-    the initial and final energies (conserved only for an even W) and the
-    kept mode count of W' (0 without W).  Requires U = none.
+    ``spec`` is one energy, or a list of B energies that share (mu0, phi0,
+    mesh, dt_solver) and are integrated in lockstep as the flows b = 0 ..
+    B - 1: their positions are one B x n array, and each step forms one
+    phase matrix for all B n particles.  One energy is the case B = 1 of
+    the same loop.  Particles start on the grid with q_i = x_i, velocity
+    phi0'(x_i), and fixed quadrature masses mu0(x_i) dx.  The force and
+    energy come from the Fourier series tables of V, V', W and W'
+    (``EnergySeries``), built once per energy before the first step (or
+    passed in as ``series``, one per energy, built on this mesh's torus).
+    A step reads V' and the pair sums of W' of every flow off one phase
+    matrix exp(i omega_k y), y the particles' offsets from the middle of
+    the torus and k below the most modes any V' or W' keeps, so it costs
+    O(B n K + B n log n) for n particles and K modes, and no kernel is
+    evaluated in it; V and W must be smooth on the torus apart from
+    jumps of the function and its first two derivatives across the period
+    boundary, else ``PeriodicityError``.  Neighbours that meet by a data
+    time, N - 1 and 0 across the period boundary included, raise
+    ``FlowError``, prefixed "flow b: " when B > 1, b the first flow with a
+    crossing.  The density at the data times comes from the 1-D
+    push-forward rule; each flow's diagnostics count, per data time, the
+    grid nodes raised to DENSITY_FLOOR, and record the initial and final
+    energies (conserved only for an even W) and the kept mode counts of V'
+    and W' (``EnergySeries.modes``).  Requires U = none.  Returns the
+    trajectory and diagnostics of one energy, or for a list the list of
+    each, in the order of the energies.
     """
-    if spec.U.kind != NONE:
+    specs = [spec] if isinstance(spec, EnergySpec) else list(spec)
+    if any(s.U.kind != NONE for s in specs):
         raise FlowError("Hamiltonian characteristics require U = none")
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (mesh.N,):
         raise FlowError(f"initial density must have {mesh.N} values")
     length = mesh.domain_length
-    if series is None and spec.W is not None:
-        series = InteractionSeries(spec.W, length)
-    q = mesh.x.astype(float).copy()
-    v = field_on_grid(phi0, q, order=1)
+    if series is None:
+        series = [EnergySeries(s, mesh.a, length) for s in specs]
+    forces, energies = _Lockstep(series, 1), _Lockstep(series, 0)
+    B = len(specs)
+    q = np.tile(mesh.x.astype(float), (B, 1))
+    v = np.tile(field_on_grid(phi0, mesh.x, order=1), (B, 1))
     masses = mu0 * mesh.dx
     if dt_solver is None:
         vmax = max(float(np.max(np.abs(v))), 1e-12)
         dt_solver = min(mesh.dt, 0.2 * mesh.dx / vmax, 5e-3)
-    samples = np.empty((mesh.L, mesh.N))
-    floor_hits = []
+    samples = np.empty((B, mesh.L, mesh.N))
+    floor_hits = np.empty((B, mesh.L), dtype=int)
     time = 0.0
-    force = _particle_force(q, masses, spec.V, series, mesh.a, length)
-    kinetic0 = 0.5 * float(masses @ v**2)
-    energy0 = _particle_energy(q, v, masses, spec.V, series, mesh.a, length)
+    force = -forces(q, masses)
+    kinetic0 = 0.5 * v**2 @ masses
+    energy0 = _particle_energy(q, v, masses, energies)
     for l in range(mesh.L):
         target = mesh.t[l]
         n_sub = max(1, math.ceil((target - time) / dt_solver - 1e-12))
         dt = (target - time) / n_sub
         for _ in range(n_sub):
             q = q + dt * v + 0.5 * dt**2 * force
-            new_force = _particle_force(q, masses, spec.V, series, mesh.a, length)
+            new_force = -forces(q, masses)
             v = v + 0.5 * dt * (force + new_force)
             force = new_force
             time += dt
-        crossed = np.diff(q, append=q[0] + length) <= 0
+        crossed = np.diff(q, axis=1, append=q[:, :1] + length) <= 0
         if np.any(crossed):
-            first = int(np.argmax(crossed))
+            b, first = divmod(int(np.argmax(crossed)), mesh.N)
             raise FlowError(
-                f"particle crossing at t={time:.6g} between particles "
-                f"{first} and {(first + 1) % q.size}"
+                f"{f'flow {b}: ' if B > 1 else ''}particle crossing at t={time:.6g} "
+                f"between particles {first} and {(first + 1) % mesh.N}"
             )
-        samples[l], hits = _push_forward_density(q, mu0, mesh)
-        floor_hits.append(hits)
-    traj = DensityTrajectory(mesh, samples, boundary_mode=PERIODIC)
-    diagnostics = {
-        "dt_solver": dt_solver,
-        "kinetic_initial": kinetic0,
-        "kinetic_final": 0.5 * float(masses @ v**2),
-        "energy_initial": energy0,
-        "energy_final": _particle_energy(q, v, masses, spec.V, series, mesh.a, length),
-        "floor_hits": floor_hits,
-        "interaction_modes": 0 if series is None else series.omega[1].size,
-    }
-    return traj, diagnostics
+        samples[:, l], floor_hits[:, l] = _push_forward_density(q, mu0, mesh)
+    kinetic = 0.5 * v**2 @ masses
+    energy = _particle_energy(q, v, masses, energies)
+    trajs, diagnostics = [], []
+    for b, table in enumerate(series):
+        trajs.append(DensityTrajectory(mesh, samples[b], boundary_mode=PERIODIC))
+        diagnostics.append({
+            "dt_solver": dt_solver,
+            "kinetic_initial": float(kinetic0[b]),
+            "kinetic_final": float(kinetic[b]),
+            "energy_initial": float(energy0[b]),
+            "energy_final": float(energy[b]),
+            "floor_hits": floor_hits[b].tolist(),
+            **table.modes(),
+        })
+    if isinstance(spec, EnergySpec):
+        return trajs[0], diagnostics[0]
+    return trajs, diagnostics

@@ -397,7 +397,7 @@ def reference_eval(kernel: SmoothKernel, i: int, j: int, x, y) -> np.ndarray | f
 
 
 # ---------------------------------------------------------------------------
-# Direct particle interaction sum, the reference for ``InteractionSeries``
+# Direct particle interaction sum, the reference for the pair sums of ``EnergySeries``
 # ---------------------------------------------------------------------------
 
 def dense_pair_sums(q: np.ndarray, masses: np.ndarray, W, length: float,

@@ -9,7 +9,6 @@ import shutil
 import time
 
 import numpy as np
-import pytest
 from mpmath import mp
 
 from wgflows.analysis import (

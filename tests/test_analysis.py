@@ -24,7 +24,7 @@ from wgflows.estimator import EstimationProblem, solve
 from wgflows.flows import SmoothFunction
 from wgflows.kernels import gaussian_kernel
 from wgflows.mesh import PERIODIC, SpaceTimeMesh, DensityTrajectory
-from wgflows.rkhs import RkhsFunction, rkhs_norm
+from wgflows.rkhs import RkhsFunction
 
 from conftest import (
     GivenDerivatives,

@@ -483,6 +483,50 @@ def test_nonperiodic_w_exits_2(tmp_path, capsys, monkeypatch, command, case):
     assert simulated == []
 
 
+
+# V must be periodic on the torus for the Hamiltonian potential series
+NONPERIODIC_V = {
+    "kernel_sum_without_wrap_period": {
+        "type": "kernel_sum", "kernel": {"family": "gaussian", "lengthscale": 0.25},
+        "centers": [0.3, 0.7], "weights": [0.04, -0.04]},
+    "one_copy_of_wide_gaussian": {
+        "type": "kernel_sum", "kernel": {"family": "gaussian", "lengthscale": 0.5},
+        "centers": [0.3], "weights": [0.04], "wrap_period": 1.0, "wrap_copies": 1},
+}
+
+
+@pytest.mark.parametrize("case", NONPERIODIC_V)
+@pytest.mark.parametrize("command, name", [("simulate", "energy.V"),
+                                           ("stability", "truth V"),
+                                           ("stability", "estimate 1 V")])
+def test_nonperiodic_v_exits_2(tmp_path, capsys, monkeypatch, command, name, case):
+    simulated = []
+    simulate = analysis.hamiltonian_flow_simulate
+
+    def counting(*args, **kwargs):
+        simulated.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
+    if command == "simulate":
+        cfg = simulate_config(tmp_path / "run", kind="hamiltonian")
+        cfg["energy"]["V"] = NONPERIODIC_V[case]
+    else:
+        cfg = stability_config(tmp_path / "run")
+        if name == "truth V":
+            cfg["truth_v"] = NONPERIODIC_V[case]
+        else:
+            cfg["estimates"][1]["V"] = NONPERIODIC_V[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run([command, "--config", cfg_path]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "v_not_periodic"
+    # stability names the failing V before it simulates any flow
+    assert err["message"].startswith(f"{name}: ")
+    assert simulated == []
+
+
 class TestEstimate:
     @pytest.fixture
     def data_dir(self, tmp_path):
@@ -671,6 +715,8 @@ class TestStabilityCommand:
         assert run(["stability", "--config", cfg_path]) == 2
 
     def test_true_flow_simulated_once(self, tmp_path, monkeypatch):
+        # one lockstep integration covers the truth once and each estimate
+        # once, in that order, even the last estimate, which is the truth
         calls = []
         simulate = analysis.hamiltonian_flow_simulate
 
@@ -679,12 +725,21 @@ class TestStabilityCommand:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
+        cfg = stability_config(tmp_path / "stab")
         cfg_path = tmp_path / "stab.json"
-        cfg_path.write_text(json.dumps(stability_config(tmp_path / "stab")))
+        cfg_path.write_text(json.dumps(cfg))
         assert run(["stability", "--config", cfg_path]) == 0
-        assert len(calls) == 4  # the true flow once, then one per estimate
+        (_, _, specs, *_), = calls
+        pairs = [(cfg["truth_v"], cfg["truth_w"])] + [(e["V"], e["W"])
+                                                      for e in cfg["estimates"]]
+        assert len(specs) == len(pairs) == 4
+        x = np.linspace(0.0, 1.0, 17)
+        for spec, (v, w) in zip(specs, pairs):
+            assert np.array_equal(spec.V.value(x), cli.function_from_spec(v, "V").value(x))
+            assert np.array_equal(spec.W.value(x), cli.function_from_spec(w, "W").value(x))
         timings = json.loads((tmp_path / "stab" / "timings.json").read_text())["seconds"]
-        assert {"true flow", "estimate 0", "estimate 1", "estimate 2"} <= set(timings)
+        assert {"flows", "estimate 0", "estimate 1", "estimate 2"} <= set(timings)
+        assert "true flow" not in timings
         assert all(timings[key] >= 0 for key in timings)
 
 

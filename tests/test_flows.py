@@ -10,10 +10,9 @@ from wgflows.flows import (
     DENSITY_FLOOR,
     EnergySpec,
     FlowError,
+    EnergySeries,
     FlowState,
-    InteractionSeries,
     InternalEnergy,
-    NO_INTERNAL_ENERGY,
     PeriodicityError,
     SmoothFunction,
     christoffel_term,
@@ -463,13 +462,13 @@ class TestHamiltonianFlow:
         v = rng.standard_normal(100)
         masses = (0.5 + rng.random(100)) / 100
         dense = 0.5 * masses @ v**2 + 0.5 * masses @ dense_pair_sums(q, masses, W, 1.0, 0)
-        got = flows._particle_energy(q, v, masses, None, InteractionSeries(W, 1.0),
-                                     0.0, 1.0)
+        tables = flows._Lockstep([EnergySeries(EnergySpec(W=W), 0.0, 1.0)], 0)
+        got, = flows._particle_energy(q[None], v[None], masses, tables)
         assert got == pytest.approx(dense, rel=1e-13)
 
     def test_kernel_evaluations_independent_of_step_count(self, monkeypatch):
-        # W and W' are evaluated once, for their Fourier series, not at
-        # every step or for every particle pair
+        # V, V', W and W' are evaluated once, for their Fourier series, not
+        # at every step, for every particle or for every particle pair
         calls = []
         evaluate = SmoothKernel.eval
 
@@ -478,9 +477,8 @@ class TestHamiltonianFlow:
             return evaluate(kernel, *args, **kwargs)
 
         monkeypatch.setattr(SmoothKernel, "eval", counting)
-        spec = EnergySpec(W=ana_wrapped_potential())
 
-        def count(dt, n):
+        def count(spec, dt, n):
             mesh = SpaceTimeMesh(0.0, 1.0, 0.2, n, 4)
             mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
             calls.clear()
@@ -488,7 +486,9 @@ class TestHamiltonianFlow:
                                       spec, mesh, dt_solver=dt)
             return len(calls)
 
-        assert count(2e-3, 32) == count(1e-3, 32) == count(2e-3, 256) > 0
+        for spec in (EnergySpec(W=ana_wrapped_potential()),
+                     EnergySpec(V=ana_wrapped_potential(0.25), W=ana_wrapped_potential())):
+            assert count(spec, 2e-3, 32) == count(spec, 1e-3, 32) == count(spec, 2e-3, 256) > 0
 
     def test_heavy_tailed_interaction_simulated(self):
         # 64 wrapped copies of an IMQ with beta = 0.6 leave W' a jump of
@@ -526,6 +526,54 @@ class TestHamiltonianFlow:
         assert messages[0].endswith("between particles 15 and 16")
         assert messages[1] == messages[0].replace("15 and 16", "31 and 0")
 
+    def test_lockstep_flows_match_their_own_runs(self):
+        # W's of 8 and 32 modes and a flow without W, integrated together
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.3, 48, 4)
+        mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
+        phase = SmoothFunction.cosine_sum(1.0, [0.05], [1])
+        specs = [
+            EnergySpec(V=ana_wrapped_potential(), W=wrap_periodic(
+                RkhsFunction.from_points(gaussian_kernel(0.25), [0.1], [0.01]), 1.0)),
+            EnergySpec(V=ana_wrapped_potential(0.25), W=wrap_periodic(
+                RkhsFunction.from_points(imq_kernel(0.25, 1.5), [-0.1], [0.01]), 1.0)),
+            EnergySpec(V=ana_wrapped_potential(0.3)),
+        ]
+        trajs, diags = hamiltonian_flow_simulate(mu0, phase, specs, mesh)
+        assert [d["interaction_modes"] for d in diags] == [8, 32, 0]
+        for spec, traj, diag in zip(specs, trajs, diags):
+            alone, alone_diag = hamiltonian_flow_simulate(mu0, phase, spec, mesh)
+            assert np.max(np.abs(traj.values - alone.values)) <= (
+                1e-12 * np.max(alone.values))
+            assert diag["floor_hits"] == alone_diag["floor_hits"]
+            assert diag["potential_modes"] == alone_diag["potential_modes"] > 0
+            assert diag["interaction_modes"] == alone_diag["interaction_modes"]
+            assert diag["energy_final"] == pytest.approx(alone_diag["energy_final"],
+                                                         rel=1e-12)
+
+    def test_lockstep_crossing_names_its_flow(self):
+        # only the middle flow's potential well is deep enough to cross
+        # particles by the last data time
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.5, 32, 4)
+        shallow, deep = (EnergySpec(V=SmoothFunction.cosine_sum(1.0, [amp], [2]))
+                         for amp in (0.01, 0.1))
+        with pytest.raises(FlowError) as alone:
+            hamiltonian_flow_simulate(np.ones(32), zero_phase(), deep, mesh)
+        with pytest.raises(FlowError) as lockstep:
+            hamiltonian_flow_simulate(np.ones(32), zero_phase(),
+                                      [shallow, deep, EnergySpec()], mesh)
+        assert str(alone.value).startswith("particle crossing at t=")
+        assert str(lockstep.value) == f"flow 1: {alone.value}"
+
+    @pytest.mark.parametrize("V", [
+        RkhsFunction.from_points(gaussian_kernel(0.2), [0.3, 0.7], [0.1, -0.1]),
+        SmoothFunction.linear(0.3),
+    ], ids=["unwrapped-gaussian", "linear"])
+    def test_nonperiodic_potential_rejected(self, V):
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
+        with pytest.raises(PeriodicityError, match="wrap V with the domain length") as err:
+            hamiltonian_flow_simulate(np.ones(16), zero_phase(), EnergySpec(V=V), mesh)
+        assert err.value.function == "V"
+
 
 @st.composite
 def pchip_cases(draw):
@@ -559,7 +607,7 @@ def test_pchip_matches_scipy_reference(case):
     knots, values, x = case
     reference = PchipInterpolator(knots, values)
     ref_value, ref_slope = reference(x), reference.derivative()(x)
-    value, slope = flows._pchip(knots, values, x)
+    (value,), (slope,) = flows._pchip(knots[None], values[None], x)
     eps = np.finfo(float).eps
     assert np.max(np.abs(value - ref_value)) <= 16 * eps * np.max(np.abs(values))
     assert np.max(np.abs(slope - ref_slope)) <= 16 * eps * np.max(np.abs(ref_slope))
@@ -567,7 +615,15 @@ def test_pchip_matches_scipy_reference(case):
 
 def test_pchip_rejects_repeated_knots():
     with pytest.raises(FlowError, match="strictly increasing"):
-        flows._pchip(np.array([0.0, 1.0, 1.0, 2.0]), np.arange(4.0), np.array([0.5]))
+        flows._pchip(np.array([[0.0, 1.0, 1.0, 2.0]]), np.arange(4.0)[None],
+                     np.array([0.5]))
+
+
+def series_fields(spec, a, length, order, q, masses):
+    """V^(order)(q_i) + sum_j m_j W^(order)(q_i - q_j) from the series
+    tables of ``spec`` on the torus [a, a + length), as one flow."""
+    tables = flows._Lockstep([EnergySeries(spec, a, length)], order)
+    return tables(q[None], masses)[0]
 
 
 def assert_series_matches_dense(W, q, masses, length, order):
@@ -577,7 +633,7 @@ def assert_series_matches_dense(W, q, masses, length, order):
     S is max|W^(order)| unless the terms cancel."""
     grid = length * (np.arange(4096) / 4096 - 0.5)
     scale = float(np.max(W.magnitude(grid, order=order)))
-    got = InteractionSeries(W, length).pair_sums(q, masses, order)
+    got = series_fields(EnergySpec(W=W), 0.0, length, order, q, masses)
     err = np.max(np.abs(got - dense_pair_sums(q, masses, W, length, order)))
     assert err <= 64 * np.finfo(float).eps * masses.sum() * scale
 
@@ -603,16 +659,18 @@ def test_series_matches_dense_pairs_near_period_boundary(kernel, centers, weight
 
 def test_series_pair_sums_independent_of_phase_blocks(monkeypatch):
     W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]), 1.0)
-    series = InteractionSeries(W, 1.0)
+    table = EnergySeries(EnergySpec(W=W), 0.0, 1.0)
     rng = np.random.default_rng(7)
-    q, masses = rng.random(100), rng.random(100)
-    wholes = [series.pair_sums(q, masses, order) for order in (0, 1)]
-    for order, whole in enumerate(wholes):
+    q, masses = rng.random((1, 100)), rng.random(100)
+    for order in (0, 1):
+        fields = flows._Lockstep([table], order)
+        whole = fields(q, masses)
         # three particle rows per block, the last block partial
-        monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * series.omega[order].size)
+        monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * fields.modes)
         scale = float(np.max(W.magnitude(np.linspace(-0.5, 0.5, 4097), order=order)))
-        assert np.max(np.abs(series.pair_sums(q, masses, order) - whole)) <= (
+        assert np.max(np.abs(fields(q, masses) - whole)) <= (
             4 * np.finfo(float).eps * masses.sum() * scale)
+        monkeypatch.undo()
 
 
 def test_series_of_closed_form_interaction_matches_dense_pairs():
@@ -649,6 +707,59 @@ def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, 
                                 order)
 
 
-def ana_wrapped_potential():
-    base = RkhsFunction.from_points(gaussian_kernel(0.2), [0.3, 0.7], [0.1, -0.1])
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "imq"]),
+       lengthscale=st.floats(0.03, 0.7), beta=st.floats(0.5, 3.0, exclude_min=True),
+       centers=st.integers(1, 3), n=st.integers(1, 256),
+       a=st.floats(-1.0, 1.0), length=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1), order=st.integers(0, 1))
+def test_series_potential_matches_wrapped_values(family, lengthscale, beta, centers,
+                                                 n, a, length, seed, order):
+    """The table's V^(order) equals V.value(wrap(q), order) at wrap(q), for
+    q up to a period outside the torus [a, a + length), to 64 eps times the
+    size of the terms of V^(order) (``magnitude``) over the torus; for tori
+    of any offset and length, and V wrapped from 1-3 centres with any
+    weights: the wrapped Gaussians and IMQs of
+    ``test_series_pair_sums_match_dense_pairs``.  Both sides read the same
+    float wrap(q): q itself lies up to eps |q| from wrap(q) plus a whole
+    number of periods, which can move a V' of lengthscale 0.03 by more than
+    64 eps of its size."""
+    if family == "imq":
+        lengthscale = min(lengthscale, 0.5)
+    rng = np.random.default_rng(seed)
+    kernel = (gaussian_kernel(lengthscale * length) if family == "gaussian"
+              else imq_kernel(lengthscale * length, beta))
+    c = a + length * rng.random(centers)
+    V = wrap_periodic(RkhsFunction.from_points(kernel, c, rng.standard_normal(centers)),
+                      length)
+    grid = a + length * np.arange(4096) / 4096
+    scale = float(np.max(V.magnitude(grid, order=order)))
+    x = flows._wrap(a + length * (3.0 * rng.random(n) - 1.0), a, length)
+    got = series_fields(EnergySpec(V=V), a, length, order, x, rng.random(n))
+    want = V.value(x, order=order)
+    assert np.max(np.abs(got - want)) <= 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("lengthscale", [0.03, 0.1])
+def test_series_potential_independent_of_torus_offset(lengthscale):
+    """Far from the origin the sample points a + L/2 + d round by up to
+    eps |a|, which moves a narrow V' by far more than the roundoff of its
+    values; the samples are corrected for it, so the table keeps the modes
+    it has near the origin and meets the 64 eps bound."""
+    modes = set()
+    for a in (0.1, 10.1, 100.1):
+        V = wrap_periodic(RkhsFunction.from_points(
+            gaussian_kernel(lengthscale), [a + 0.3], [1.0]), 0.7)
+        modes.add(EnergySeries(EnergySpec(V=V), a, 0.7).modes()["potential_modes"])
+        x = flows._wrap(a + 0.7 * np.linspace(-1.0, 2.0, 301), a, 0.7)
+        for order in (0, 1):
+            scale = float(np.max(V.magnitude(a + 0.7 * np.arange(4096) / 4096, order=order)))
+            got = series_fields(EnergySpec(V=V), a, 0.7, order, x, np.ones(x.size))
+            assert np.max(np.abs(got - V.value(x, order=order))) <= (
+                64 * np.finfo(float).eps * scale)
+    assert len(modes) == 1
+
+
+def ana_wrapped_potential(lengthscale=0.2):
+    base = RkhsFunction.from_points(gaussian_kernel(lengthscale), [0.3, 0.7], [0.1, -0.1])
     return wrap_periodic(base, 1.0)

@@ -14,6 +14,7 @@ from wgflows.estimator import EstimationProblem
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
 PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
 BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def scipy_uses(source: str) -> list[int]:
@@ -100,10 +101,11 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_package_has_no_unused_imports():
-    """Every name a module of the package imports is used or re-exported."""
-    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    """Every name a module of the package or of the tests imports is used
+    or re-exported."""
+    modules = sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
     assert modules
-    found = {path.name: names for path in modules
+    found = {f"{path.parent.name}/{path.name}": names for path in modules
              if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert found == {}
 
