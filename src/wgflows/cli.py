@@ -111,8 +111,9 @@ def function_from_spec(spec: dict | None, what: str):
     """Build an evaluable scalar field from its JSON description.
 
     Supported types: zero, linear, cosine_sum, kernel_sum (with optional
-    periodization via wrap_period).  Every number and list of numbers the
-    spec holds passes ``config_value`` or ``config_list``.
+    periodization via wrap_period; absent, no wrap).  Every number and list
+    of numbers the spec holds passes ``config_value`` or ``config_list``,
+    and a period must be positive.
     """
     if spec is None:
         return None
@@ -125,7 +126,7 @@ def function_from_spec(spec: dict | None, what: str):
     if kind == "linear":
         return SmoothFunction.linear(config_value(spec, "slope", float, prefix=prefix))
     if kind == "cosine_sum":
-        period = config_value(spec, "period", float, prefix=prefix)
+        period = config_positive(spec, "period", prefix=prefix)
         amplitudes = config_list(spec, "amplitudes", float, prefix=prefix)
         modes = config_list(spec, "modes", float, prefix=prefix)
         phases = config_list(spec, "phases", float, None, prefix=prefix)
@@ -140,8 +141,8 @@ def function_from_spec(spec: dict | None, what: str):
         weights = config_list(spec, "weights", float, prefix=prefix)
         require_lengths(centers, "centers", {"weights": weights}, prefix)
         fn = RkhsFunction.from_points(kernel, centers, weights)
-        if spec.get("wrap_period"):
-            period = config_value(spec, "wrap_period", float, prefix=prefix)
+        if "wrap_period" in spec:
+            period = config_positive(spec, "wrap_period", prefix=prefix)
             copies = config_value(spec, "wrap_copies", int, None, prefix=prefix)
             if copies is not None and copies < 0:
                 raise ConfigError("config_invalid",
@@ -196,7 +197,9 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class RunDirectory:
-    """Locked output directory collecting artifacts and their checksums.
+    """Locked output directory collecting artifacts and their checksums; a
+    context manager whose exit releases the lock, whether the run succeeded
+    or not.
 
     Wall-clock seconds go only to ``timings`` (written to timings.json):
     ``mark`` records the time since the run started, and commands add the
@@ -243,11 +246,11 @@ class RunDirectory:
         self.mark("total")
         write_json(self.out / "timings.json", {"seconds": self.timings})
 
-    def release(self) -> None:
-        try:
-            self.lock.unlink()
-        except FileNotFoundError:
-            pass
+    def __enter__(self) -> "RunDirectory":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.lock.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +343,13 @@ def scheme_of(cfg: dict) -> str:
     return scheme
 
 
-def solver_step(cfg: dict) -> float | None:
-    """``dt_solver``: absent (the simulator picks the step) or positive."""
-    if (dt := config_value(cfg, "dt_solver", float, None)) is not None and not dt > 0:
-        raise ConfigError("config_invalid", f"dt_solver must be positive, got {dt!r}")
-    return dt
+def config_positive(cfg: dict, key: str, default=_REQUIRED, prefix: str = ""):
+    """``cfg[key]`` through ``config_value`` as a float that must be
+    positive.  An absent key gives ``default`` unchecked."""
+    value = config_value(cfg, key, float, default, prefix)
+    if key in cfg and not value > 0:
+        raise ConfigError("config_invalid", f"{prefix + key} must be positive, got {value!r}")
+    return value
 
 
 def kernel_sum_from_spec(spec, what: str) -> RkhsFunction:
@@ -382,9 +387,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError("config_invalid",
                           "energy.U: Hamiltonian flows run on characteristics, which "
                           f"need U = none, not {spec.U.label()!r}")
-    scheme, dt_solver = scheme_of(cfg), solver_step(cfg)
-    run = RunDirectory(Path(config_value(cfg, "out", str)))
-    try:
+    # dt_solver absent: the simulator picks the step
+    scheme, dt_solver = scheme_of(cfg), config_positive(cfg, "dt_solver", None)
+    with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         if kind == "gradient":
             traj, diag = gradient_flow_simulate(
                 rho0, spec, mesh, dt_solver=dt_solver, scheme=scheme,
@@ -408,8 +413,6 @@ def cmd_simulate(args) -> int:
         })
         run.finish("simulate", cfg, seed)
         return 0
-    finally:
-        run.release()
 
 
 def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None:
@@ -467,8 +470,7 @@ def cmd_estimate(args) -> int:
                      config_value(grid_cfg, "max", float, traj.mesh.b, prefix="eval_grid."),
                      count)
     center = config_value(cfg, "center_interaction", bool, False)
-    run = RunDirectory(Path(config_value(cfg, "out", str)))
-    try:
+    with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         result = solve(problem)
         run.mark("solve")
         coeffs = {"C1": result.C1, "C2": result.C2, "C3": result.C3}
@@ -509,8 +511,6 @@ def cmd_estimate(args) -> int:
         write_json(run.path("diagnostics.json"), diagnostics)
         run.finish("estimate", cfg, seed)
         return 0
-    finally:
-        run.release()
 
 
 def cmd_sweep(args) -> int:
@@ -544,8 +544,7 @@ def cmd_sweep(args) -> int:
         plan = SweepPlan(**fields)
     except AnalysisError as exc:
         raise ConfigError("config_invalid", str(exc)) from None
-    run = RunDirectory(Path(config_value(cfg, "out", str)))
-    try:
+    with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         report = run_sweep(plan)
         run.mark("sweep")
         rows = zip(report.N_list, report.lambdas, report.L_list, report.errors,
@@ -563,8 +562,6 @@ def cmd_sweep(args) -> int:
         })
         run.finish("sweep", cfg, seed)
         return 0
-    finally:
-        run.release()
 
 
 def cmd_stability(args) -> int:
@@ -580,12 +577,11 @@ def cmd_stability(args) -> int:
     mu0 = density_from_spec(config_value(cfg, "initial_density", dict, {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
     refuse_quantile_count(cfg)
-    dt_solver = solver_step(cfg)
+    dt_solver = config_positive(cfg, "dt_solver", None)
     pairs = [(kernel_sum_from_spec(require(est_cfg, "V"), f"estimate {i} V"),
               kernel_sum_from_spec(require(est_cfg, "W"), f"estimate {i} W"))
              for i, est_cfg in enumerate(estimates)]
-    run = RunDirectory(Path(config_value(cfg, "out", str)))
-    try:
+    with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         t0 = time.perf_counter()
         try:
             records = stability_experiment(
@@ -609,8 +605,6 @@ def cmd_stability(args) -> int:
         })
         run.finish("stability", cfg, seed)
         return 0
-    finally:
-        run.release()
 
 
 def cmd_w2(args) -> int:
@@ -637,12 +631,9 @@ def cmd_w2(args) -> int:
                             periodic=periodic)
     payload = {"w2": value, "row": row, "periodic": periodic, "seed": seed}
     if out is not None:
-        run = RunDirectory(Path(out))
-        try:
+        with RunDirectory(Path(out)) as run:
             write_json(run.path("w2.json"), payload)
             run.finish("w2", cfg, seed)
-        finally:
-            run.release()
     else:
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0

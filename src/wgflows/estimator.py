@@ -45,19 +45,21 @@ I + S'S, S = D^-1/2 P, the plain blocks (V, U) and their cross block with W
 come from 2 x 2 per-node moments of the density weights and a per-node
 reduction Q of W's part, so no plain row is formed, and W's block
 Y_W' (F2' H F2) Y_W, H = diag(rho / c), is evaluated in whichever of two
-associations takes fewer multiply-adds (``_core_route``).  The rows route
-writes each of W's rows of S once and reads it once: they come a block of
-b = ``_ROW_BLOCK // L`` grid nodes per pair of Toeplitz matmuls, whose
-window products one pass combines with the row scalings into one reused
-buffer, read by one symmetric rank update and the reduction, at
+associations takes fewer multiply-adds (``_core_route``), picked by
+``_woodbury_core`` itself.  Both routes stream W's rows a block of
+b = ``_ROW_BLOCK // L`` grid nodes at a time over one band operand of the
+reversed densities (``_band``).  The rows route writes each of W's rows of
+S once and reads it once: they come from one pair of Toeplitz matmuls per
+block, whose window products one pass combines with the row scalings into
+one reused buffer, read by one symmetric rank update and the reduction, at
 L N (2 (N+b) k_W + k_W^2 / 2) multiply-adds.  The moment route forms no
 row: it accumulates F2' H F2 as three (2N-1)^2 order blocks, one product of
 the row-scaled band operand with itself per node block (2 L N (N+b)^2),
 reads Q from the same operand, and multiplies Y_W into the blocks in column
 chunks (4 (2N-1)^2 k_W), so it wins once W keeps more directions than its
 window is wide; it is taken only when its blocks fit in the bytes the rows
-route would hold (``_woodbury_core``).  The preconditioner applies P and
-P' through the section families.  Nor is any generator Gram K~ formed: the
+route would hold.  The preconditioner applies P and P' through the section
+families.  Nor is any generator Gram K~ formed: the
 generators sit on a uniform grid and the kernels are radial, so each K~ is
 block-Toeplitz and is held as three gap vectors (``GapGram``).  Reversing
 the n centers, with a sign flip on the order-2 block, leaves each K~
@@ -595,20 +597,50 @@ def _core_route(L: int, N: int, kw: int, k: int) -> str:
     return "moments" if moments < rows and fits else "rows"
 
 
+def _band(sections: ConvolvedSections, width: int) -> np.ndarray:
+    """The band operand of a block of ``width`` grid nodes: row (j, l)
+    holds r_l^rev at column offset j, shape (width L, N + width - 1).  It
+    does not depend on the block's first node, so it is laid out once per
+    core."""
+    L, N = sections.r.shape
+    band = np.zeros((width * L, N + width - 1))
+    for j in range(width):
+        band[j * L:(j + 1) * L, j:j + N] = sections.r_rev
+    return band
+
+
 def _rows_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
                factors: np.ndarray, ww: np.ndarray, Q: np.ndarray) -> None:
     """Add S_W'S_W to ``ww`` and write Q from W's rows S_W = diag(scale) F2 Y_W.
 
-    ``ConvolvedSections.blocks`` writes the rows with the row scalings
-    applied, a block of ``_node_width`` grid nodes at a time, and each block
-    is read once, by one symmetric rank update into ``ww`` and the
-    reduction Q[n] = sum_l factors[:, l, n] S_W[l, n].
+    Row (l, n) is dx scale (a r_l^rev @ Y1[n:n+N] + r r_l^rev @ Y2[n:n+N]),
+    Y1 and Y2 the order halves of Y_W.  For a block of ``_node_width`` grid
+    nodes from n0 the ``_band`` multiplies the rows of Y1 and of Y2 from n0
+    on, and one pass combines each row's two window products with its
+    factors dx scale (a, r) into one reused buffer, read once by one
+    symmetric rank update into ``ww`` and the reduction
+    Q[n] = sum_l factors[:, l, n] S_W[l, n].
     """
     L, N = sections.r.shape
-    for nodes, rows in sections.blocks(Yw, scale, _node_width(L, N)):
-        group = rows.reshape(-1, rows.shape[2])
-        ww += group.T @ group
-        np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows, out=Q[nodes])
+    k, width = Yw.shape[1], _node_width(L, N)
+    Y1, Y2 = np.split(Yw, 2)
+    band = _band(sections, width)
+    rows_of = (np.stack([sections.a.T, sections.r.T], axis=2)
+               * (sections.dx * scale.T)[:, :, None])                   # (N, L, 2)
+    windows = np.empty((width * L, 2, k))
+    buffer = np.empty((width * L, k))
+    for n0 in range(0, N, width):
+        b = min(width, N - n0)
+        nodes = slice(n0, n0 + b)
+        # the last block's band ends at row 2N - 2 of the halves
+        left = band[:b * L, :2 * N - 1 - n0]
+        np.matmul(left, Y1[n0:n0 + left.shape[1]], out=windows[:b * L, 0])
+        np.matmul(left, Y2[n0:n0 + left.shape[1]], out=windows[:b * L, 1])
+        rows = buffer[:b * L]
+        np.einsum("rh,rhk->rk", rows_of[nodes].reshape(b * L, 2), windows[:b * L], out=rows)
+        ww += rows.T @ rows
+        np.matmul(factors[:, :, nodes].transpose(2, 0, 1), rows.reshape(b, L, k),
+                  out=Q[nodes])
 
 
 def _moment_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
@@ -616,26 +648,39 @@ def _moment_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
     """Add Y_W' A Y_W to ``ww`` and write Q, never forming a row of S_W.
 
     A = F2' diag(scale^2) F2 is accumulated as its three (2N-1)^2 order
-    blocks A11, A12 = A21 and A22 (each symmetric), one product of
-    ``ConvolvedSections.moment_blocks``' operand [X1; X2] with itself per
-    node block: X_g' X_h lands on the block's window.  The same operand
+    blocks A11, A12 = A21 and A22 (each symmetric), one product per block of
+    ``_node_width`` grid nodes of the operand [X1; X2] with itself: the
+    block's rows of diag(scale) F2 on its window of N+b-1 columns per order
+    half, the ``_band`` scaled row by row by dx scale a and by dx scale r
+    into one reused buffer, so X_g' X_h lands on the window.  The same operand
     gives Q: with C_g[n] = sum_l factors[:, l, n] X_g[(n, l)], Q[n] =
     C_1[n] Y1[window] + C_2[n] Y2[window].  Y_W' A Y_W is then formed in
     column chunks J, Z = A Y_W[:, J], of which only the part above the
     diagonal chunk and the diagonal chunk itself are multiplied out.
     """
     L, N = sections.r.shape
-    n2, kw = 2 * N - 1, Yw.shape[1]
+    n2, kw, width = 2 * N - 1, Yw.shape[1], _node_width(L, N)
     Y1, Y2 = np.split(Yw, 2)
     A11, A12, A22 = np.zeros((3, n2, n2))
-    for nodes, window, (X1, X2) in sections.moment_blocks(scale, _node_width(L, N)):
+    band = _band(sections, width)
+    rows_of = (sections.dx * scale * np.stack([sections.a, sections.r])).transpose(0, 2, 1)
+    rows_of = rows_of.reshape(2, N * L, 1)
+    buffer = np.empty(band.size * 2)
+    for n0 in range(0, N, width):
+        b = min(width, N - n0)
+        w = N + b - 1
+        nodes, window = slice(n0, n0 + b), slice(n0, n0 + w)
+        X1, X2 = operand = buffer[:2 * b * L * w].reshape(2, b * L, w)
+        np.multiply(band[:b * L, :w], rows_of[:, n0 * L:(n0 + b) * L], out=operand)
         A11[window, window] += X1.T @ X1
         A12[window, window] += X1.T @ X2
         A22[window, window] += X2.T @ X2
         pq = factors[:, :, nodes].transpose(2, 0, 1)                  # (b, 2, L)
-        b, w = pq.shape[0], X1.shape[1]
         Q[nodes] = sum(np.matmul(pq, X.reshape(b, L, w)).reshape(2 * b, w) @ Y[window]
                        for X, Y in ((X1, Y1), (X2, Y2))).reshape(b, 2, kw)
+    # the band, row factors and buffer go before the chunk products, so that
+    # they do not add to the route's peak
+    del band, rows_of, buffer, operand, X1, X2
     for j0 in range(0, kw, _MOMENT_CHUNK):
         J = slice(j0, j0 + _MOMENT_CHUNK)
         Z1 = A11 @ Y1[:, J] + A12 @ Y2[:, J]
@@ -647,12 +692,10 @@ def _moment_gram(sections: ConvolvedSections, Yw: np.ndarray, scale: np.ndarray,
         ww[J, J] += 0.5 * (diagonal + diagonal.T)
 
 
-_W_GRAMS = {"rows": _rows_gram, "moments": _moment_gram}
-
-
 def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
-                   c: float, route: str) -> np.ndarray:
-    """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho).
+                   c: float) -> tuple[np.ndarray, str]:
+    """The Woodbury core I + S'S for S = D^-1/2 P and D = c diag(rho), and
+    the route that assembled W's block of it.
 
     S's columns for function s are diag(sqrt(rho / c)) F_s Y_s, so with the
     row factors (p, q) = sqrt(rho / c) (a, r), a plain block's row (l, n) is
@@ -662,10 +705,12 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     products of (p, q) at node n, and their cross Gram with the convolved
     block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] = sum_l p S_W[l, n] (likewise Q_q).
     W's own block S_W'S_W = Y_W' (F2' H F2) Y_W, H = diag(rho / c), and Q
-    come from the ``route`` that ``_core_route`` picks: "rows" streams S_W's
-    rows and reads each once (``_rows_gram``), "moments" accumulates the
-    generator moment blocks F2' H F2 in O(N^2) memory and multiplies Y_W
-    into them (``_moment_gram``); both give the same core to rounding.
+    come from the route that ``_core_route`` picks for W's kept rank and
+    the core's size: "rows" streams S_W's rows and reads each once
+    (``_rows_gram``), "moments" accumulates the generator moment blocks
+    F2' H F2 in O(N^2) memory and multiplies Y_W into them
+    (``_moment_gram``); both give the same core to rounding.  A W that keeps
+    no direction takes neither, and its route reads "rows".
     """
     (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
     plain = [i for i in range(len(learned)) if i != w]
@@ -682,12 +727,14 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     core = np.eye(starts[-1])
     core[np.ix_(cp, cp)] += 0.5 * (gram + gram.T)  # Yp'(M Yp) is symmetric to rounding only
     Q = np.zeros((N, 2, Yw.shape[1]))
+    route = _core_route(L, N, Yw.shape[1], starts[-1])
     if Yw.shape[1]:  # W keeps at least one direction
-        _W_GRAMS[route](sections, Yw, scale, factors, core[cw, cw], Q)
+        stream = _rows_gram if route == "rows" else _moment_gram
+        stream(sections, Yw, scale, factors, core[cw, cw], Q)
     cross = Yp.T @ Q.transpose(1, 0, 2).reshape(2 * N, -1)
     core[cp, cw] += cross
     core[cw, cp] += cross.T
-    return core
+    return core, route
 
 
 def _pcg(system, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -755,7 +802,7 @@ def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     from the core's one eigendecomposition (``_inverse_factor``); with no
     kept direction the preconditioner is D^-1.  P = rho [F_b Y_b]_b is never
     formed: the core comes from per-node moments and W's block on the
-    route ``_core_route`` picks (``_woodbury_core``), and P v =
+    route it picks (``_woodbury_core``), and P v =
     rho sum_b F_b (Y_b v_b) and P'u = [Y_b' F_b' (rho u)]_b go through the
     section families, O(L N^2 + N k) per product.  Returns the apply,
     lambda_max of the core, the jitter added to its eigenvalues and the
@@ -763,12 +810,11 @@ def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     """
     dinv = 1.0 / (c * rho)
     kept = [Y.shape[1] for Y in blocks]
-    (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
-    route = _core_route(*learned[w].family.r.shape, kept[w], sum(kept))
     if sum(kept):
-        inv_factor, top, jitter = _inverse_factor(_woodbury_core(learned, blocks, c, route))
+        core, route = _woodbury_core(learned, blocks, c)
+        inv_factor, top, jitter = _inverse_factor(core)
     else:  # no direction kept: the core is empty, the preconditioner D^-1
-        top, jitter, inv_factor = 1.0, 0.0, np.empty((0, 0))
+        top, jitter, inv_factor, route = 1.0, 0.0, np.empty((0, 0)), "rows"
     splits = np.cumsum(kept)[:-1]
 
     def woodbury(r: np.ndarray) -> np.ndarray:

@@ -125,8 +125,8 @@ class InternalEnergy:
     def __post_init__(self):
         if self.kind not in (ENTROPY, POWER, NONE):
             raise ValueError(f"unknown internal energy {self.kind!r}")
-        if self.kind == POWER and (self.exponent is None or self.exponent <= 1):
-            raise ValueError("power internal energy requires exponent m > 1")
+        if self.kind == POWER and (self.exponent is None or not 1 < self.exponent < np.inf):
+            raise ValueError("power internal energy requires a finite exponent m > 1")
 
     def u(self, rho: np.ndarray) -> np.ndarray:
         if self.kind == ENTROPY:

@@ -22,9 +22,11 @@ same node weights and holding its factor F from node weights to generator
 coefficients: ``apply`` and ``apply_t`` give F and F', ``generators`` the
 orders and centers of its columns, and ``frobenius_sq`` the closed-form
 norm of its row-scaled factor.  The estimator factors its Gram matrices
-through the same families.  RkhsFunction stores that reduced form, which
-makes evaluation and inner products cheap (pairwise mixed partials between
-generators) even when thousands of sections are combined.
+through the same families; the band that streams F2's rows into its
+Woodbury core is its own, laid out from ``r_rev``.  RkhsFunction stores
+that reduced form, which makes evaluation and inner products cheap
+(pairwise mixed partials between generators) even when thousands of
+sections are combined.
 """
 
 from __future__ import annotations
@@ -86,17 +88,8 @@ class ConvolvedSections(_SectionFamily):
     difference-grid offset n.  So ``apply`` of a vector takes one matmul of
     the reversed densities against the Hankel matrix of its coefficients,
     and ``apply_t`` one matmul over the grid nodes.  F2 is not formed.
-    Two streams share one band layout, whose row (j, l) holds the reversed
-    densities of time l at column offset j for a block of grid nodes:
-    ``blocks`` streams the rows of diag(scale) F2 @ Y for a matrix Y, a
-    block of grid nodes per pair of matmuls of the band against Y's
-    windows, so a caller can consume them through one buffer, in
-    O(width L (N + k)) memory; ``moment_blocks`` streams the rows of
-    diag(scale) F2 itself, restricted to each block's window of 2 (N +
-    width - 1) generator columns (the band scaled row by row), from which a
-    caller accumulates the generator moments F2' diag(scale^2) F2 in
-    O(N^2) memory without forming a row of F2 @ Y.  The reversed densities
-    are copied once per family (``r_rev``), not once per apply.
+    The reversed densities are copied once per family (``r_rev``), not
+    once per apply.
     """
 
     @cached_property
@@ -142,75 +135,6 @@ class ConvolvedSections(_SectionFamily):
         (l, n) has squared norm dx^2 (a^2 + r^2) |r_l|^2."""
         rows = w * (self.a**2 + self.r**2)
         return float(self.dx**2 * rows.sum(axis=1) @ (self.r**2).sum(axis=1))
-
-    def blocks(self, Y: np.ndarray, scale: np.ndarray, width: int):
-        """Rows of diag(scale) F2 @ Y for Y of shape (4N-2, k) and row scales
-        of shape (L, N), one block of ``width`` grid nodes at a time.
-
-        Row (l, n) is dx scale (a r_l^rev @ Y1[n:n+N] + r r_l^rev @ Y2[n:n+N])
-        at (l, n), Y1 and Y2 the order halves of Y.  For a block of nodes
-        n0 .. n0+b-1 one band operand, whose row (j, l) holds r_l^rev at
-        column offset j and which is laid out once per call since it does
-        not depend on n0, multiplies the rows of Y1 and of Y2 from n0 on;
-        one pass then combines each row's two window products with its
-        factors dx scale (a, r).  Yields (nodes, rows) with ``nodes`` a slice
-        of grid nodes and ``rows`` of shape (nodes, L, k), node-major,
-        written into one reused buffer that the consumer may overwrite
-        before the next block.
-        """
-        L, N = self.r.shape
-        k = Y.shape[1]
-        Y1, Y2 = np.split(Y, 2)
-        band = self._band(width)
-        factors = np.stack([self.a.T, self.r.T], axis=2) * (self.dx * scale.T)[:, :, None]
-        windows = np.empty((width * L, 2, k))
-        buffer = np.empty((width * L, k))
-        for n0 in range(0, N, width):
-            b = min(width, N - n0)
-            # the last block's band ends at row 2N - 2 of the halves
-            left = band[:b * L, :2 * N - 1 - n0]
-            np.matmul(left, Y1[n0:n0 + left.shape[1]], out=windows[:b * L, 0])
-            np.matmul(left, Y2[n0:n0 + left.shape[1]], out=windows[:b * L, 1])
-            rows = buffer[:b * L]
-            np.einsum("rh,rhk->rk", factors[n0:n0 + b].reshape(b * L, 2), windows[:b * L],
-                      out=rows)
-            yield slice(n0, n0 + b), rows.reshape(b, L, k)
-
-    def moment_blocks(self, scale: np.ndarray, width: int):
-        """The nonzero part of diag(scale) F2's rows, one block of ``width``
-        grid nodes at a time, for row scales of shape (L, N).
-
-        Row (l, n) holds dx scale (a, r) times r_l^rev at column offset n of
-        each order half, so a block of nodes n0 .. n0+b-1 is zero outside the
-        window of columns n0 .. n0+N+b-2 of each half, the columns the band
-        operand of ``blocks`` spans.  Yields (nodes, window, operand) with
-        ``nodes`` and ``window`` slices of grid nodes and of order-half
-        columns (w = N+b-1 wide) and ``operand`` of shape (2, b L, w): the
-        block's rows restricted to the window, order-1 half first, row (j, l)
-        for node n0+j at time l, i.e. the band scaled row by row by dx scale
-        a and by dx scale r.  Written into one reused buffer that the consumer
-        may overwrite before the next block.
-        """
-        L, N = self.r.shape
-        band = self._band(width)
-        factors = (self.dx * scale * np.stack([self.a, self.r])).transpose(0, 2, 1)
-        factors = factors.reshape(2, N * L, 1)
-        buffer = np.empty(band.size * 2)
-        for n0 in range(0, N, width):
-            b = min(width, N - n0)
-            w = N + b - 1
-            operand = buffer[:2 * b * L * w].reshape(2, b * L, w)
-            np.multiply(band[:b * L, :w], factors[:, n0 * L:(n0 + b) * L], out=operand)
-            yield slice(n0, n0 + b), slice(n0, n0 + w), operand
-
-    def _band(self, width: int) -> np.ndarray:
-        """The band operand of a block of ``width`` grid nodes: row (j, l)
-        holds r_l^rev at column offset j, shape (width L, N + width - 1)."""
-        L, N = self.r.shape
-        band = np.zeros((width * L, N + width - 1))
-        for j in range(width):
-            band[j * L:(j + 1) * L, j:j + N] = self.r_rev
-        return band
 
 
 class RkhsFunction:

@@ -131,6 +131,21 @@ class TestSimulate:
         cfg_path.write_text("{not json")
         assert run(["simulate", "--config", cfg_path]) == 2
 
+    def test_failed_run_releases_its_lock(self, tmp_path, capsys):
+        # a strong compression crosses particles after the run directory is made
+        out = tmp_path / "ham"
+        cfg = simulate_config(out, kind="hamiltonian")
+        cfg["mesh"]["T"] = 0.5
+        cfg["initial_phase"].update(amplitudes=[0.8], modes=[2])
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 1
+        assert "crossing" in json.loads(capsys.readouterr().err)["message"]
+        assert out.is_dir() and not (out / ".lock").exists()
+        with cli.RunDirectory(out) as directory:
+            assert directory.lock.exists()
+        assert not directory.lock.exists()
+
 
 def stability_config(out):
     truth_v = {"type": "kernel_sum",
@@ -197,6 +212,9 @@ BAD_ESTIMATE_ARGS = {
     # argparse reads any float, non-finite ones too
     "nan_lambda": {"--lambda1": "nan"},
     "infinite_lambda": {"--lambda2": "inf"},
+    # a power exponent is finite: NaN fails no "m <= 1" test, and 1e400 reads as inf
+    "u_power_nan": {"--u": "power:nan"},
+    "u_power_overflow": {"--u": "power:1e400"},
 }
 BAD_SIMULATE_EDITS = {
     "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
@@ -210,6 +228,9 @@ BAD_SIMULATE_EDITS = {
     "hamiltonian_with_fisher": lambda cfg: cfg.update(
         kind="hamiltonian", energy={**cfg["energy"], "U": "fisher"}),
     "gradient_with_fisher": lambda cfg: cfg["energy"].update(U="fisher"),
+    "energy_U_power_nan": lambda cfg: cfg["energy"].update(U="power:nan"),
+    "energy_U_power_inf": lambda cfg: cfg["energy"].update(U="power:inf"),
+    "energy_U_power_overflow": lambda cfg: cfg["energy"].update(U="power:1e400"),
     # numbers and booleans pass one type check: no string, no truncation
     "seed_not_an_integer": lambda cfg: cfg.update(seed="seven"),
     "mesh_N_not_integral": lambda cfg: cfg["mesh"].update(N=32.5),
@@ -232,6 +253,12 @@ BAD_SIMULATE_EDITS = {
     "density_bump_weights_short": lambda cfg: cfg["initial_density"].update(
         center=[0.3, 0.7], sigma=0.1, bump_weights=[1.0]),
     "negative_wrap_copies": lambda cfg: cfg["energy"]["V"].update(wrap_copies=-1),
+    # a period, of a cosine sum or of a wrap, is positive
+    "cosine_sum_period_zero": lambda cfg: cfg["energy"].update(V={**COSINE, "period": 0}),
+    "cosine_sum_period_negative": lambda cfg: cfg["energy"].update(
+        V={**COSINE, "period": -1.0}),
+    "wrap_period_zero": lambda cfg: cfg["energy"]["V"].update(wrap_period=0),
+    "wrap_period_negative": lambda cfg: cfg["energy"]["V"].update(wrap_period=-1.0),
     # Python's json reads NaN and Infinity, which are no JSON numbers
     "mesh_T_infinite": lambda cfg: cfg["mesh"].update(T=float("inf")),
     "density_sigma_nan": lambda cfg: cfg["initial_density"].update(sigma=float("nan")),
@@ -267,6 +294,7 @@ BAD_ESTIMATE_CONFIGS = {
 }
 BAD_SWEEP_EDITS = {
     "sweep_unknown_u": {"u": "bogus"},
+    "sweep_u_power_inf": {"u": "power:inf"},
     "sweep_unknown_scheme": {"scheme": "bogus"},
     "sweep_alpha_a_string": {"alpha": "0.2"},
     "sweep_fine_factor_not_integral": {"fine_factor": 4.5},
@@ -328,6 +356,13 @@ NAMED_KEYS = {
     "density_sigma_list_for_one_center": "initial_density.sigma",
     "density_bump_weights_short": "initial_density.bump_weights",
     "negative_wrap_copies": "V.wrap_copies",
+    "energy_U_power_nan": "energy.U",
+    "energy_U_power_inf": "energy.U",
+    "energy_U_power_overflow": "energy.U",
+    "cosine_sum_period_zero": "V.period",
+    "cosine_sum_period_negative": "V.period",
+    "wrap_period_zero": "V.wrap_period",
+    "wrap_period_negative": "V.wrap_period",
     "stability_amplitudes_not_one_per_mode": "initial_phase.amplitudes",
     "stability_phases_not_one_per_mode": "initial_phase.phases",
     "mesh_T_infinite": "mesh.T",

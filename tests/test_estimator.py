@@ -264,23 +264,13 @@ def test_factor_applies_match_dense_factors(N, L, mode, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 40), L=st.integers(1, 6),
-       mode=st.sampled_from([PERIODIC, TRUNCATED]), width=st.integers(1, 9),
-       single=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_convolved_vector_applies_match_matrix_path(N, L, mode, width, single, seed):
-    """The block-streamed rows of diag(scale) F2 Y, for any block width, and
-    the one-matmul vector F2 and F2' equal the dense F2."""
+       mode=st.sampled_from([PERIODIC, TRUNCATED]), single=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
+    """The one-matmul vector F2 and F2' equal the dense F2."""
     _, fac = _fit_sections(make_problem(N=N, L=L, mode=mode, seed=seed % 1000))
     rng = np.random.default_rng(seed)
     F = dense_factors(fac)[1]
-    Y = rng.standard_normal((4 * N - 2, 3))
-    scale = rng.uniform(0.5, 2.0, (L, N))
-    streamed = np.full((L, N, 3), np.nan)
-    for nodes, rows in fac.blocks(Y, scale, width):
-        assert rows.shape == (nodes.stop - nodes.start, L, 3)
-        streamed[:, nodes] = rows.transpose(1, 0, 2)
-    scale = scale.reshape(-1, 1)
-    assert np.all(np.abs(streamed.reshape(L * N, 3) - scale * (F @ Y))
-                  <= 1e-13 * scale * (np.abs(F) @ np.abs(Y)))
     y = rng.standard_normal(4 * N - 2)
     u = rng.standard_normal((L, N))
     if single:
@@ -332,10 +322,28 @@ def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, 
                              for fn, Y in zip(learned, blocks)])
     dinv, eye = 1.0 / (c * traj.values.ravel()), np.eye(P.shape[1])
     for route, scale in (("rows", np.abs(P)), ("moments", chain)):
-        with mock.patch.object(estimator, "_ROW_BLOCK", row_block):
-            core = _woodbury_core(learned, blocks, c, route)
+        with mock.patch.object(estimator, "_ROW_BLOCK", row_block), \
+                mock.patch.object(estimator, "_core_route", return_value=route):
+            core, taken = _woodbury_core(learned, blocks, c)
+        assert taken == route
         assert np.all(np.abs(core - (eye + P.T @ (dinv[:, None] * P)))
                       <= 1e-13 * (eye + scale.T @ (dinv[:, None] * scale)))
+
+
+# (fit rows L, N, W's kept rank, core size k) of the perfbench problems at
+# their recorded kept ranks: estimate-large's n128, n256, n512 and short
+# cases and cli-hamiltonian's estimate.  The moment route costs 1.3-6.1x the
+# rows route's multiply-adds on all but short, and 0.4x on short
+@pytest.mark.parametrize("shape, route", [
+    ((127, 128, 89, 108), "rows"),
+    ((63, 256, 93, 113), "rows"),
+    ((31, 512, 98, 119), "rows"),
+    ((63, 256, 603, 705), "moments"),
+    ((22, 96, 20, 36), "rows"),
+], ids=["n128", "n256", "n512", "short", "cli-hamiltonian"])
+def test_core_route_on_benchmark_shapes(shape, route):
+    """Each route is taken on a benchmark problem, so both stay exercised."""
+    assert estimator._core_route(*shape) == route
 
 
 smooth_kernels = st.builds(

@@ -50,6 +50,12 @@ class TestInternalEnergy:
         with pytest.raises(ValueError):
             InternalEnergy("power", exponent=1.0)
 
+    @pytest.mark.parametrize("label", ["power:nan", "power:inf", "power:1e400"])
+    def test_power_requires_finite_m(self, label):
+        # NaN compares False with 1, and 1e400 reads as inf
+        with pytest.raises(ValueError):
+            internal_energy_from_label(label)
+
     def test_entropy_derivatives(self):
         rho = np.array([0.5, 1.0, 2.0])
         assert np.allclose(ENTROPY.du(rho), np.log(rho) + 1)
