@@ -21,7 +21,6 @@ import numpy as np
 
 from .estimator import EstimationProblem, solve
 from .flows import (
-    EnergySeries,
     EnergySpec,
     InternalEnergy,
     NO_INTERNAL_ENERGY,
@@ -479,20 +478,17 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
     ``hamiltonian_flow_simulate``, the truth as flow 0 and estimate i as
     flow i + 1, which is how a particle crossing names its flow; each
     record's ``wall_s`` is the time of that estimate's W2 comparison.  The
-    series tables of every energy are built before any flow starts, so a V
-    or W that is not periodic on the torus raises ``PeriodicityError``
-    naming it ("truth V", "estimate i W", ...) without simulating anything.
+    simulator builds the series tables of every energy before any flow
+    starts, so a V or W that is not periodic on the torus raises its
+    ``PeriodicityError`` before any step, here prefixed with the name of
+    the flow ("truth V", "estimate i W", ...).
     """
     specs = [EnergySpec(V=v, W=w) for v, w in [truth, *estimates]]
-    names = ["truth"] + [f"estimate {i}" for i in range(len(estimates))]
-    series = []
-    for name, spec in zip(names, specs):
-        try:
-            series.append(EnergySeries(spec, mesh.a, mesh.domain_length))
-        except PeriodicityError as exc:
-            raise PeriodicityError(exc.function, f"{name} {exc.function}: {exc}") from None
-    (traj_true, *trajs), _ = hamiltonian_flow_simulate(
-        mu0, phi0, specs, mesh, dt_solver, series=series)
+    try:
+        (traj_true, *trajs), _ = hamiltonian_flow_simulate(mu0, phi0, specs, mesh, dt_solver)
+    except PeriodicityError as exc:
+        name = "truth" if exc.flow == 0 else f"estimate {exc.flow - 1}"
+        raise PeriodicityError(exc.function, f"{name} {exc.function}: {exc}") from None
     kappa1 = np.sqrt(2.0 * truth[0].kernel.sup_norm_c4(mesh.a, mesh.b))
     kappa2 = np.sqrt(2.0 * truth[1].kernel.sup_norm_c4(mesh.a, mesh.b))
     records = []

@@ -52,6 +52,7 @@ from .mesh import (
     MeshError,
     SpaceTimeMesh,
     TrajectoryFormatError,
+    meta_path_for,
     read_trajectory,
     write_trajectory,
 )
@@ -232,7 +233,7 @@ class RunDirectory:
 
     def finish(self, command: str, config: dict, seed: int) -> None:
         # sidecars written through write_trajectory are artifacts too
-        sidecars = [p.with_name(p.stem + ".meta.json") for p in self.artifacts]
+        sidecars = [meta_path_for(p) for p in self.artifacts]
         self.artifacts += [meta for meta in sidecars if meta.exists()]
         manifest = {
             "command": command,
@@ -397,8 +398,8 @@ def cmd_simulate(args) -> int:
         else:
             phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
             try:
-                traj, diag = hamiltonian_flow_simulate(
-                    rho0, phi0, spec, mesh, dt_solver=dt_solver,
+                (traj,), (diag,) = hamiltonian_flow_simulate(
+                    rho0, phi0, [spec], mesh, dt_solver=dt_solver,
                 )
             except PeriodicityError as exc:
                 raise ConfigError(f"{exc.function.lower()}_not_periodic",

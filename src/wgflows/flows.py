@@ -59,7 +59,8 @@ k < P/4 reproduce the samples to 32 eps times the size of the terms of G
 (the scale of the roundoff of the samples); those modes are kept.  A V or
 W that is not smooth on the torus beyond those jumps (not wrapped with its
 domain length as period, or with too few copies) has not converged at
-P = 2^16 and is rejected with ``PeriodicityError`` before the first step.
+P = 2^16 and is rejected with ``PeriodicityError``, naming its flow,
+before any flow takes a step.
 A smooth periodic f has exponentially decaying coefficients (Trefethen &
 Weideman, SIAM Review 2014), so a few modes reach roundoff: K = 8 for a
 wrapped Gaussian of lengthscale 0.25 on the unit torus.
@@ -99,11 +100,13 @@ class PeriodicityError(FlowError):
     """The Fourier series of a potential V or an interaction kernel W, or
     of its derivative, did not converge on the torus: it is not periodic
     and smooth there, or is lost in roundoff.  ``function`` is "V" or
-    "W"."""
+    "W", and ``flow`` the index of its energy in the list given to
+    ``hamiltonian_flow_simulate``."""
 
     def __init__(self, function: str, message: str):
         super().__init__(message)
         self.function = function
+        self.flow: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +256,14 @@ class FlowState:
 # ---------------------------------------------------------------------------
 
 def weighted_laplacian_apply(rho: np.ndarray, phi: np.ndarray, mesh: SpaceTimeMesh,
-                             mode: str = PERIODIC, allow_signed: bool = False) -> np.ndarray:
-    """Divergence-form discrete div(rho grad phi) on the spatial grid."""
+                             allow_signed: bool = False) -> np.ndarray:
+    """Divergence-form discrete div(rho grad phi) on the periodic grid."""
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if not allow_signed and not np.all(rho > 0):
         raise FlowError("weighted Laplacian needs a strictly positive weight")
-    flux = rho * diff_space(phi, mesh.dx, mode)
-    return diff_space_backward(flux, mesh.dx, mode)
+    flux = rho * diff_space(phi, mesh.dx, PERIODIC)
+    return diff_space_backward(flux, mesh.dx, PERIODIC)
 
 
 def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray,
@@ -302,9 +305,9 @@ def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) 
     """Quadratic geodesic correction Gamma(rho_dot, rho_dot) on the torus."""
     rho_dot = np.asarray(rho_dot, dtype=float)
     eta = weighted_laplacian_pinv(rho, rho_dot, mesh)
-    term1 = weighted_laplacian_apply(rho_dot, eta, mesh, PERIODIC, allow_signed=True)
+    term1 = weighted_laplacian_apply(rho_dot, eta, mesh, allow_signed=True)
     grad_eta = diff_space(eta, mesh.dx, PERIODIC)
-    term2 = weighted_laplacian_apply(rho, grad_eta**2, mesh, PERIODIC)
+    term2 = weighted_laplacian_apply(rho, grad_eta**2, mesh)
     return -(term1 + 0.5 * term2)
 
 
@@ -355,7 +358,7 @@ def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
     if wconv is not None:
         drive = drive + np.convolve(wconv, rho, "valid")
     if scheme == "divergence":
-        update = weighted_laplacian_apply(rho, drive, mesh, PERIODIC)
+        update = weighted_laplacian_apply(rho, drive, mesh)
     elif scheme == "upwind":
         slope = diff_space(drive, mesh.dx, PERIODIC)
         donor = np.where(slope < 0, rho, np.roll(rho, -1))
@@ -586,45 +589,45 @@ def _torus_series(G, name: str, centre: float, length: float,
                              for j, size in zip(jumps, sizes))
 
 
-class EnergySeries:
-    """V and W of one energy as Fourier series tables on the torus
-    [a, a + L): ``potential[order]`` and ``interaction[order]``, order 0
-    and 1, hold the coefficients and seam jumps (``_torus_series``) of
-    V^(order) and W^(order), None for an absent function.
+def _energy_tables(specs: list[EnergySpec], a: float,
+                   length: float) -> tuple[_Lockstep, _Lockstep]:
+    """The order-0 and order-1 tables of V and W of the energies ``specs``
+    on the torus [a, a + L), stacked by flow (``_Lockstep``).
 
     W^(order) is tabled in the minimal-image pair difference, so its seam
     is at +-L/2; V^(order) in the minimal-image offset from the middle
-    ``centre`` = a + L/2 of the torus, so its seam is at a, where a wrap
-    into [a, a + L) puts it.  A V or W that is not periodic on the torus
-    raises ``PeriodicityError`` naming it.
+    a + L/2 of the torus, so its seam is at a, where a wrap into
+    [a, a + L) puts it.  The series (``_torus_series``) are built flow by
+    flow, V before W and order 0 before order 1, and the first V or W in
+    that order that is not periodic on the torus raises its
+    ``PeriodicityError``, with ``flow`` set to its index in ``specs``.
     """
-
-    def __init__(self, spec: EnergySpec, a: float, length: float):
-        self.centre, self.length = a + 0.5 * length, length
-        self.potential = None if spec.V is None else [
-            _torus_series(spec.V, "V", self.centre, length, order) for order in (0, 1)]
-        self.interaction = None if spec.W is None else [
-            _torus_series(spec.W, "W", 0.0, length, order) for order in (0, 1)]
-
-    def modes(self) -> dict:
-        """The kept mode counts of V' and W', 0 for an absent function."""
-        return {f"{key}_modes": 0 if table is None else table[1][0].size
-                for key, table in (("potential", self.potential),
-                                   ("interaction", self.interaction))}
+    centre = a + 0.5 * length
+    parts = []      # per flow, V and W: their (coefficients, jumps) by order
+    for b, spec in enumerate(specs):
+        try:
+            parts.append([None if G is None else [
+                _torus_series(G, name, at, length, order) for order in (0, 1)]
+                for name, G, at in (("V", spec.V, centre), ("W", spec.W, 0.0))])
+        except PeriodicityError as exc:
+            exc.flow = b
+            raise
+    return _Lockstep(parts, 0, centre, length), _Lockstep(parts, 1, centre, length)
 
 
 class _Lockstep:
     """One order of the tables of B energies on one torus, stacked by flow:
     coefficient rows of V and of W over the modes k < K, K the most any of
-    the tables keeps (zero beyond a table's own), and the flows whose V or
-    W has seam jumps."""
+    the tables keeps (zero beyond a table's own), the kept mode counts of
+    each flow's V and W (0 for an absent function), and the flows whose V
+    or W has seam jumps."""
 
-    def __init__(self, tables: list[EnergySeries], order: int):
-        self.centre, self.length = tables[0].centre, tables[0].length
-        parts = [(table.potential, table.interaction) for table in tables]
-        self.modes = max([part[order][0].size for row in parts for part in row
-                          if part is not None], default=0)
-        coeffs = np.zeros((2, len(tables), self.modes), dtype=complex)
+    def __init__(self, parts: list, order: int, centre: float, length: float):
+        self.centre, self.length = centre, length
+        self.kept = [tuple(0 if part is None else part[order][0].size for part in row)
+                     for row in parts]
+        self.modes = max((k for row in self.kept for k in row), default=0)
+        coeffs = np.zeros((2, len(parts), self.modes), dtype=complex)
         self.seams = ([], [])      # (flow, jumps) of V, of W
         for b, row in enumerate(parts):
             for i, part in enumerate(row):
@@ -774,48 +777,41 @@ def _push_forward_density(q: np.ndarray, mu0: np.ndarray,
     return rho, floored.sum(axis=1)
 
 
-def hamiltonian_flow_simulate(mu0: np.ndarray, phi0,
-                              spec: EnergySpec | list[EnergySpec],
-                              mesh: SpaceTimeMesh, dt_solver: float | None = None,
-                              series: list[EnergySeries] | None = None):
-    """Integrate the Hamiltonian flow on the torus by velocity Verlet.
+def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, specs: list[EnergySpec],
+                              mesh: SpaceTimeMesh, dt_solver: float | None = None):
+    """Integrate the Hamiltonian flows of the B energies ``specs`` on the
+    torus by velocity Verlet.
 
-    ``spec`` is one energy, or a list of B energies that share (mu0, phi0,
-    mesh, dt_solver) and are integrated in lockstep as the flows b = 0 ..
-    B - 1: their positions are one B x n array, and each step forms one
-    phase matrix for all B n particles.  One energy is the case B = 1 of
-    the same loop.  Particles start on the grid with q_i = x_i, velocity
-    phi0'(x_i), and fixed quadrature masses mu0(x_i) dx.  The force and
-    energy come from the Fourier series tables of V, V', W and W'
-    (``EnergySeries``), built once per energy before the first step (or
-    passed in as ``series``, one per energy, built on this mesh's torus).
-    A step reads V' and the pair sums of W' of every flow off one phase
-    matrix exp(i omega_k y), y the particles' offsets from the middle of
-    the torus and k below the most modes any V' or W' keeps, so it costs
+    The energies share (mu0, phi0, mesh, dt_solver) and are integrated in
+    lockstep as the flows b = 0 .. B - 1: their positions are one B x n
+    array, and each step forms one phase matrix for all B n particles.
+    Particles start on the grid with q_i = x_i, velocity phi0'(x_i), and
+    fixed quadrature masses mu0(x_i) dx.  The force and energy come from
+    the Fourier series tables of V, V', W and W' of every energy
+    (``_energy_tables``), all built before the first step.  A step reads V'
+    and the pair sums of W' of every flow off one phase matrix
+    exp(i omega_k y), y the particles' offsets from the middle of the torus
+    and k below the most modes any V' or W' keeps, so it costs
     O(B n K + B n log n) for n particles and K modes, and no kernel is
-    evaluated in it; V and W must be smooth on the torus apart from
-    jumps of the function and its first two derivatives across the period
-    boundary, else ``PeriodicityError``.  Neighbours that meet by a data
-    time, N - 1 and 0 across the period boundary included, raise
-    ``FlowError``, prefixed "flow b: " when B > 1, b the first flow with a
-    crossing.  The density at the data times comes from the 1-D
+    evaluated in it; V and W must be smooth on the torus apart from jumps
+    of the function and its first two derivatives across the period
+    boundary, else ``PeriodicityError`` with ``flow`` = b.  Neighbours that
+    meet by a data time, N - 1 and 0 across the period boundary included,
+    raise ``FlowError``, prefixed "flow b: " when B > 1, b the first flow
+    with a crossing.  The density at the data times comes from the 1-D
     push-forward rule; each flow's diagnostics count, per data time, the
     grid nodes raised to DENSITY_FLOOR, and record the initial and final
     energies (conserved only for an even W) and the kept mode counts of V'
-    and W' (``EnergySeries.modes``).  Requires U = none.  Returns the
-    trajectory and diagnostics of one energy, or for a list the list of
-    each, in the order of the energies.
+    and W'.  Requires U = none.  Returns the list of trajectories and the
+    list of diagnostics, in the order of the energies.
     """
-    specs = [spec] if isinstance(spec, EnergySpec) else list(spec)
     if any(s.U.kind != NONE for s in specs):
         raise FlowError("Hamiltonian characteristics require U = none")
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (mesh.N,):
         raise FlowError(f"initial density must have {mesh.N} values")
     length = mesh.domain_length
-    if series is None:
-        series = [EnergySeries(s, mesh.a, length) for s in specs]
-    forces, energies = _Lockstep(series, 1), _Lockstep(series, 0)
+    energies, forces = _energy_tables(specs, mesh.a, length)
     B = len(specs)
     q = np.tile(mesh.x.astype(float), (B, 1))
     v = np.tile(field_on_grid(phi0, mesh.x, order=1), (B, 1))
@@ -850,7 +846,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0,
     kinetic = 0.5 * v**2 @ masses
     energy = _particle_energy(q, v, masses, energies)
     trajs, diagnostics = [], []
-    for b, table in enumerate(series):
+    for b, (v_modes, w_modes) in enumerate(forces.kept):
         trajs.append(DensityTrajectory(mesh, samples[b], boundary_mode=PERIODIC))
         diagnostics.append({
             "dt_solver": dt_solver,
@@ -859,8 +855,7 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0,
             "energy_initial": float(energy0[b]),
             "energy_final": float(energy[b]),
             "floor_hits": floor_hits[b].tolist(),
-            **table.modes(),
+            "potential_modes": v_modes,
+            "interaction_modes": w_modes,
         })
-    if isinstance(spec, EnergySpec):
-        return trajs[0], diagnostics[0]
     return trajs, diagnostics

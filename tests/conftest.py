@@ -15,7 +15,7 @@ from wgflows.estimator import (
     assemble_data_functional,
     build_factors,
 )
-from wgflows.flows import SmoothFunction
+from wgflows.flows import SmoothFunction, _Lockstep
 from wgflows.kernels import GAUSSIAN, SmoothKernel
 from wgflows.mesh import PERIODIC, TRUNCATED, DensityTrajectory, SpaceTimeMesh
 from wgflows.rkhs import ConvolvedSections, PlainSections, RkhsFunction
@@ -45,6 +45,20 @@ def kernel_config(kernel: SmoothKernel) -> dict:
 def zero_phase() -> SmoothFunction:
     """The zero initial phase of a Hamiltonian flow."""
     return SmoothFunction([np.zeros_like] * 4, "zero")
+
+
+def count_lockstep_calls(monkeypatch) -> list:
+    """Record every call of the Hamiltonian simulator's series tables,
+    which only its Verlet steps and its energy diagnostic make."""
+    calls = []
+    call = _Lockstep.__call__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Lockstep, "__call__", counting)
+    return calls
 
 
 def random_trajectory(N=12, L=3, mode=TRUNCATED, seed=0, a=0.0, b=1.0, T=0.3,
@@ -397,7 +411,8 @@ def reference_eval(kernel: SmoothKernel, i: int, j: int, x, y) -> np.ndarray | f
 
 
 # ---------------------------------------------------------------------------
-# Direct particle interaction sum, the reference for the pair sums of ``EnergySeries``
+# Direct particle interaction sum, the reference for the series pair sums
+# of the Hamiltonian simulator's tables (``flows._energy_tables``)
 # ---------------------------------------------------------------------------
 
 def dense_pair_sums(q: np.ndarray, masses: np.ndarray, W, length: float,

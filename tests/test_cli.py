@@ -13,7 +13,7 @@ from wgflows.flows import DENSITY_FLOOR, InternalEnergy
 from wgflows.kernels import SmoothKernel
 from wgflows.mesh import read_trajectory
 
-from conftest import stacked_factor
+from conftest import count_lockstep_calls, stacked_factor
 
 KERNEL1 = '{"family":"gaussian","lengthscale":0.2}'
 KERNEL2 = '{"family":"imq","lengthscale":0.25,"beta":1.5}'
@@ -494,14 +494,7 @@ NONPERIODIC_W = {
 @pytest.mark.parametrize("case", NONPERIODIC_W)
 @pytest.mark.parametrize("command", ["simulate", "stability"])
 def test_nonperiodic_w_exits_2(tmp_path, capsys, monkeypatch, command, case):
-    simulated = []
-    simulate = analysis.hamiltonian_flow_simulate
-
-    def counting(*args, **kwargs):
-        simulated.append(args)
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
+    steps = count_lockstep_calls(monkeypatch)
     if command == "simulate":
         cfg = simulate_config(tmp_path / "run", kind="hamiltonian")
         cfg["energy"]["W"] = NONPERIODIC_W[case]
@@ -513,9 +506,9 @@ def test_nonperiodic_w_exits_2(tmp_path, capsys, monkeypatch, command, case):
     assert run([command, "--config", cfg_path]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "w_not_periodic"
-    # stability names the failing W before it simulates any flow
+    # the failing W is named before any flow takes a step
     assert err["message"].startswith("energy.W" if command == "simulate" else "estimate 1 W")
-    assert simulated == []
+    assert steps == []
 
 
 
@@ -535,14 +528,7 @@ NONPERIODIC_V = {
                                            ("stability", "truth V"),
                                            ("stability", "estimate 1 V")])
 def test_nonperiodic_v_exits_2(tmp_path, capsys, monkeypatch, command, name, case):
-    simulated = []
-    simulate = analysis.hamiltonian_flow_simulate
-
-    def counting(*args, **kwargs):
-        simulated.append(args)
-        return simulate(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "hamiltonian_flow_simulate", counting)
+    steps = count_lockstep_calls(monkeypatch)
     if command == "simulate":
         cfg = simulate_config(tmp_path / "run", kind="hamiltonian")
         cfg["energy"]["V"] = NONPERIODIC_V[case]
@@ -557,9 +543,9 @@ def test_nonperiodic_v_exits_2(tmp_path, capsys, monkeypatch, command, name, cas
     assert run([command, "--config", cfg_path]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "v_not_periodic"
-    # stability names the failing V before it simulates any flow
+    # the failing V is named before any flow takes a step
     assert err["message"].startswith(f"{name}: ")
-    assert simulated == []
+    assert steps == []
 
 
 class TestEstimate:

@@ -10,7 +10,6 @@ from wgflows.flows import (
     DENSITY_FLOOR,
     EnergySpec,
     FlowError,
-    EnergySeries,
     FlowState,
     InternalEnergy,
     PeriodicityError,
@@ -26,10 +25,16 @@ from wgflows.flows import (
     weighted_laplacian_pinv,
 )
 from wgflows.kernels import SmoothKernel, gaussian_kernel, imq_kernel
-from wgflows.mesh import PERIODIC, TRUNCATED, SpaceTimeMesh
+from wgflows.mesh import SpaceTimeMesh
 from wgflows.rkhs import RkhsFunction
 
-from conftest import dense_interaction_matrix, dense_pair_sums, space_integral, zero_phase
+from conftest import (
+    count_lockstep_calls,
+    dense_interaction_matrix,
+    dense_pair_sums,
+    space_integral,
+    zero_phase,
+)
 
 ENTROPY = InternalEnergy("entropy")
 
@@ -73,37 +78,26 @@ class TestWeightedLaplacian:
     def test_eigenfunction(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 128, 1)
         phi = np.sin(2 * np.pi * mesh.x)
-        out = weighted_laplacian_apply(np.ones(128), phi, mesh, PERIODIC)
+        out = weighted_laplacian_apply(np.ones(128), phi, mesh)
         assert np.max(np.abs(out + (2 * np.pi) ** 2 * phi)) < 4 * np.pi**3 * mesh.dx
 
     def test_constant_gives_zero(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 16, 1)
         rho = 1.0 + 0.3 * np.sin(2 * np.pi * mesh.x)
-        assert np.allclose(weighted_laplacian_apply(rho, np.full(16, 2.3), mesh,
-                                                    PERIODIC), 0.0)
-
-    def test_truncated_mode_symbolic_oracle(self):
-        # rho = 1 + 0.5 cos(2 pi x), phi = x^2: d/dx(rho * 2x) by symbols
-        mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 256, 1)
-        x = mesh.x
-        rho = 1.0 + 0.5 * np.cos(2 * np.pi * x)
-        out = weighted_laplacian_apply(rho, x**2, mesh, TRUNCATED)
-        exact = -np.pi * np.sin(2 * np.pi * x) * 2 * x + rho * 2.0
-        interior = slice(2, -3)
-        assert np.max(np.abs(out[interior] - exact[interior])) < 60 * mesh.dx
+        assert np.allclose(weighted_laplacian_apply(rho, np.full(16, 2.3), mesh), 0.0)
 
     def test_zero_mean_image_periodic(self):
         rng = np.random.default_rng(0)
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 32, 1)
         rho = 0.5 + rng.random(32)
         phi = rng.standard_normal(32)
-        out = weighted_laplacian_apply(rho, phi, mesh, PERIODIC)
+        out = weighted_laplacian_apply(rho, phi, mesh)
         assert abs(space_integral(out, mesh)) < 1e-10
 
     def test_rejects_nonpositive_weight(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 1.0, 8, 1)
         with pytest.raises(FlowError):
-            weighted_laplacian_apply(np.zeros(8), np.ones(8), mesh, PERIODIC)
+            weighted_laplacian_apply(np.zeros(8), np.ones(8), mesh)
 
 
 class TestPseudoInverse:
@@ -124,7 +118,7 @@ class TestPseudoInverse:
         sigma = rng.standard_normal(48)
         sigma -= sigma.mean()
         phi = weighted_laplacian_pinv(rho, sigma, mesh)
-        back = weighted_laplacian_apply(rho, phi, mesh, PERIODIC)
+        back = weighted_laplacian_apply(rho, phi, mesh)
         assert np.max(np.abs(back - sigma)) <= 1e-8 * np.max(np.abs(sigma))
         assert abs(phi.mean()) < 1e-12
         # independent dense solve on the stencil matrix
@@ -133,7 +127,7 @@ class TestPseudoInverse:
         for n in range(N):
             e = np.zeros(N)
             e[n] = 1.0
-            A[:, n] = weighted_laplacian_apply(rho, e, mesh, PERIODIC)
+            A[:, n] = weighted_laplacian_apply(rho, e, mesh)
         dense = np.linalg.lstsq(A, sigma, rcond=None)[0]
         dense -= dense.mean()
         assert np.max(np.abs(dense - phi)) < 1e-7
@@ -176,10 +170,10 @@ def test_pseudo_inverse_is_exact_inverse_on_zero_mean(N, contrast, shape, seed):
     sigma -= sigma.mean()
     phi = weighted_laplacian_pinv(rho, sigma, mesh)
     # the rounding-level mean left in sigma is projected out, not inverted
-    residual = weighted_laplacian_apply(rho, phi, mesh, PERIODIC) - (sigma - sigma.mean())
+    residual = weighted_laplacian_apply(rho, phi, mesh) - (sigma - sigma.mean())
     assert np.max(np.abs(residual)) <= tol * np.abs(sigma).sum()
     psi = rng.standard_normal(N)
-    back = weighted_laplacian_pinv(rho, weighted_laplacian_apply(rho, psi, mesh, PERIODIC), mesh)
+    back = weighted_laplacian_pinv(rho, weighted_laplacian_apply(rho, psi, mesh), mesh)
     assert np.max(np.abs(back - (psi - psi.mean()))) <= tol * np.abs(psi).sum()
 
 
@@ -414,8 +408,8 @@ class TestHamiltonianFlow:
     def test_free_transport(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.25, 64, 5)
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
-        traj, _ = hamiltonian_flow_simulate(mu0, SmoothFunction.linear(0.3),
-                                            EnergySpec(), mesh)
+        (traj,), _ = hamiltonian_flow_simulate(mu0, SmoothFunction.linear(0.3),
+                                               [EnergySpec()], mesh)
         c = 0.3 * mesh.t[-1]
         exact = wrapped_gaussian(mesh.x - c, 0.5, 0.04)
         assert np.max(np.abs(traj.values[-1] - exact)) < 2 * mesh.dx
@@ -423,16 +417,15 @@ class TestHamiltonianFlow:
     def test_zero_phase_is_static(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 32, 4)
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.05)
-        traj, _ = hamiltonian_flow_simulate(mu0, zero_phase(),
-                                            EnergySpec(), mesh)
+        (traj,), _ = hamiltonian_flow_simulate(mu0, zero_phase(), [EnergySpec()], mesh)
         for l in range(4):
             assert np.max(np.abs(traj.values[l] - traj.values[0])) < 1e-10
 
     def test_velocities_preserved_without_forces(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.2, 32, 4)
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.05)
-        _, diag = hamiltonian_flow_simulate(mu0, SmoothFunction.linear(0.7),
-                                            EnergySpec(), mesh)
+        _, (diag,) = hamiltonian_flow_simulate(mu0, SmoothFunction.linear(0.7),
+                                               [EnergySpec()], mesh)
         assert diag["kinetic_final"] == pytest.approx(diag["kinetic_initial"],
                                                       rel=1e-12)
 
@@ -452,9 +445,9 @@ class TestHamiltonianFlow:
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
 
         def drift(dt):
-            _, diag = hamiltonian_flow_simulate(
+            _, (diag,) = hamiltonian_flow_simulate(
                 mu0, SmoothFunction.cosine_sum(1.0, [0.05], [1]),
-                EnergySpec(V=V, W=W), mesh, dt_solver=dt)
+                [EnergySpec(V=V, W=W)], mesh, dt_solver=dt)
             return abs(diag["energy_final"] - diag["energy_initial"])
 
         d1, d2 = drift(2e-3), drift(1e-3)
@@ -468,7 +461,7 @@ class TestHamiltonianFlow:
         v = rng.standard_normal(100)
         masses = (0.5 + rng.random(100)) / 100
         dense = 0.5 * masses @ v**2 + 0.5 * masses @ dense_pair_sums(q, masses, W, 1.0, 0)
-        tables = flows._Lockstep([EnergySeries(EnergySpec(W=W), 0.0, 1.0)], 0)
+        tables, _ = flows._energy_tables([EnergySpec(W=W)], 0.0, 1.0)
         got, = flows._particle_energy(q[None], v[None], masses, tables)
         assert got == pytest.approx(dense, rel=1e-13)
 
@@ -489,7 +482,7 @@ class TestHamiltonianFlow:
             mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
             calls.clear()
             hamiltonian_flow_simulate(mu0, SmoothFunction.cosine_sum(1.0, [0.05], [1]),
-                                      spec, mesh, dt_solver=dt)
+                                      [spec], mesh, dt_solver=dt)
             return len(calls)
 
         for spec in (EnergySpec(W=ana_wrapped_potential()),
@@ -502,22 +495,22 @@ class TestHamiltonianFlow:
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]),
                           1.0)
-        _, diag = hamiltonian_flow_simulate(np.ones(16), zero_phase(),
-                                            EnergySpec(W=W), mesh)
+        _, (diag,) = hamiltonian_flow_simulate(np.ones(16), zero_phase(),
+                                               [EnergySpec(W=W)], mesh)
         assert 0 < diag["interaction_modes"] <= 512
 
     def test_internal_energy_rejected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         with pytest.raises(FlowError):
             hamiltonian_flow_simulate(np.ones(16), zero_phase(),
-                                      EnergySpec(U=ENTROPY), mesh)
+                                      [EnergySpec(U=ENTROPY)], mesh)
 
     def test_particle_crossing_detected(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.5, 32, 4)
         mu0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
         phase = SmoothFunction.cosine_sum(1.0, [0.8], [2])  # strong compression
         with pytest.raises(FlowError, match="crossing"):
-            hamiltonian_flow_simulate(mu0, phase, EnergySpec(), mesh)
+            hamiltonian_flow_simulate(mu0, phase, [EnergySpec()], mesh)
 
     def test_particle_crossing_detected_across_period_boundary(self):
         # the same compression half a period on crosses particles N - 1 and
@@ -527,7 +520,7 @@ class TestHamiltonianFlow:
         for centre in (0.5, 1.0):
             phase = SmoothFunction.cosine_sum(1.0, [0.05], [1], [centre + 0.5 * mesh.dx])
             with pytest.raises(FlowError, match="crossing") as err:
-                hamiltonian_flow_simulate(np.ones(32), phase, EnergySpec(), mesh)
+                hamiltonian_flow_simulate(np.ones(32), phase, [EnergySpec()], mesh)
             messages.append(str(err.value))
         assert messages[0].endswith("between particles 15 and 16")
         assert messages[1] == messages[0].replace("15 and 16", "31 and 0")
@@ -547,7 +540,7 @@ class TestHamiltonianFlow:
         trajs, diags = hamiltonian_flow_simulate(mu0, phase, specs, mesh)
         assert [d["interaction_modes"] for d in diags] == [8, 32, 0]
         for spec, traj, diag in zip(specs, trajs, diags):
-            alone, alone_diag = hamiltonian_flow_simulate(mu0, phase, spec, mesh)
+            (alone,), (alone_diag,) = hamiltonian_flow_simulate(mu0, phase, [spec], mesh)
             assert np.max(np.abs(traj.values - alone.values)) <= (
                 1e-12 * np.max(alone.values))
             assert diag["floor_hits"] == alone_diag["floor_hits"]
@@ -563,7 +556,7 @@ class TestHamiltonianFlow:
         shallow, deep = (EnergySpec(V=SmoothFunction.cosine_sum(1.0, [amp], [2]))
                          for amp in (0.01, 0.1))
         with pytest.raises(FlowError) as alone:
-            hamiltonian_flow_simulate(np.ones(32), zero_phase(), deep, mesh)
+            hamiltonian_flow_simulate(np.ones(32), zero_phase(), [deep], mesh)
         with pytest.raises(FlowError) as lockstep:
             hamiltonian_flow_simulate(np.ones(32), zero_phase(),
                                       [shallow, deep, EnergySpec()], mesh)
@@ -577,8 +570,22 @@ class TestHamiltonianFlow:
     def test_nonperiodic_potential_rejected(self, V):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         with pytest.raises(PeriodicityError, match="wrap V with the domain length") as err:
-            hamiltonian_flow_simulate(np.ones(16), zero_phase(), EnergySpec(V=V), mesh)
+            hamiltonian_flow_simulate(np.ones(16), zero_phase(), [EnergySpec(V=V)], mesh)
         assert err.value.function == "V"
+
+    def test_nonperiodic_interaction_names_its_flow(self, monkeypatch):
+        # flows 0 and 1 are periodic, and so is flow 2's V; its W is an
+        # unwrapped odd Gaussian pair
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
+        W = RkhsFunction.from_points(gaussian_kernel(0.2), [-0.2, 0.2], [0.02, -0.02])
+        specs = [EnergySpec(V=ana_wrapped_potential()),
+                 EnergySpec(W=wrap_periodic(W, 1.0)),
+                 EnergySpec(V=ana_wrapped_potential(0.25), W=W)]
+        steps = count_lockstep_calls(monkeypatch)
+        with pytest.raises(PeriodicityError) as err:
+            hamiltonian_flow_simulate(np.ones(16), zero_phase(), specs, mesh)
+        assert (err.value.flow, err.value.function) == (2, "W")
+        assert steps == []
 
 
 @st.composite
@@ -628,7 +635,7 @@ def test_pchip_rejects_repeated_knots():
 def series_fields(spec, a, length, order, q, masses):
     """V^(order)(q_i) + sum_j m_j W^(order)(q_i - q_j) from the series
     tables of ``spec`` on the torus [a, a + length), as one flow."""
-    tables = flows._Lockstep([EnergySeries(spec, a, length)], order)
+    tables = flows._energy_tables([spec], a, length)[order]
     return tables(q[None], masses)[0]
 
 
@@ -665,11 +672,11 @@ def test_series_matches_dense_pairs_near_period_boundary(kernel, centers, weight
 
 def test_series_pair_sums_independent_of_phase_blocks(monkeypatch):
     W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]), 1.0)
-    table = EnergySeries(EnergySpec(W=W), 0.0, 1.0)
+    tables = flows._energy_tables([EnergySpec(W=W)], 0.0, 1.0)
     rng = np.random.default_rng(7)
     q, masses = rng.random((1, 100)), rng.random(100)
     for order in (0, 1):
-        fields = flows._Lockstep([table], order)
+        fields = tables[order]
         whole = fields(q, masses)
         # three particle rows per block, the last block partial
         monkeypatch.setattr(flows, "_PHASE_BLOCK", 3 * fields.modes)
@@ -756,7 +763,8 @@ def test_series_potential_independent_of_torus_offset(lengthscale):
     for a in (0.1, 10.1, 100.1):
         V = wrap_periodic(RkhsFunction.from_points(
             gaussian_kernel(lengthscale), [a + 0.3], [1.0]), 0.7)
-        modes.add(EnergySeries(EnergySpec(V=V), a, 0.7).modes()["potential_modes"])
+        (v_modes, _), = flows._energy_tables([EnergySpec(V=V)], a, 0.7)[1].kept
+        modes.add(v_modes)
         x = flows._wrap(a + 0.7 * np.linspace(-1.0, 2.0, 301), a, 0.7)
         for order in (0, 1):
             scale = float(np.max(V.magnitude(a + 0.7 * np.arange(4096) / 4096, order=order)))
