@@ -25,6 +25,7 @@ from .flows import (
     InternalEnergy,
     NO_INTERNAL_ENERGY,
     PeriodicityError,
+    SCHEMES,
     gradient_flow_simulate,
     hamiltonian_flow_simulate,
 )
@@ -310,6 +311,8 @@ class SweepPlan:
             )
         if self.fine_factor < 4:
             raise AnalysisError("fine_factor must be at least 4")
+        if self.scheme not in SCHEMES:
+            raise AnalysisError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if len(self.window) != 2 or not self.window[0] < self.window[1]:
             raise AnalysisError(f"window must be a pair (a, b) with a < b, got {self.window}")
         if list(self.N_list) != sorted(set(int(n) for n in self.N_list)):

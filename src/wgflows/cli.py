@@ -86,10 +86,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def write_csv(path: Path, rows, header: list[str] | None = None) -> None:
+def write_csv(path: Path, rows, header: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(header) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(v) if isinstance(v, float) or isinstance(v, np.floating)
                               else str(v) for v in row))
@@ -134,10 +133,8 @@ def function_from_spec(spec: dict | None, what: str):
         require_lengths(modes, "modes", {"amplitudes": amplitudes, "phases": phases}, prefix)
         return SmoothFunction.cosine_sum(period, amplitudes, modes, phases)
     if kind == "kernel_sum":
-        try:
-            kernel = SmoothKernel.from_config(require(spec, "kernel", prefix))
-        except KernelError as exc:
-            raise ConfigError("bad_kernel", f"{what} kernel: {exc}") from None
+        kernel = kernel_from_config(config_value(spec, "kernel", dict, prefix=prefix),
+                                    prefix + "kernel")
         centers = config_list(spec, "centers", float, prefix=prefix)
         weights = config_list(spec, "weights", float, prefix=prefix)
         require_lengths(centers, "centers", {"weights": weights}, prefix)
@@ -416,19 +413,31 @@ def cmd_simulate(args) -> int:
         return 0
 
 
-def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None:
-    """Kernel from a CLI argument (JSON file path or inline JSON) or config."""
+def kernel_from_config(spec: dict, what: str) -> SmoothKernel:
+    """The kernel of a JSON kernel spec: ``family``, ``lengthscale`` and an
+    imq kernel's ``beta`` pass ``config_value``, and parameters
+    ``SmoothKernel`` rejects exit 2 as ``bad_kernel``, both naming ``what``."""
+    prefix = f"{what}."
+    family = config_value(spec, "family", str, prefix=prefix)
+    lengthscale = config_value(spec, "lengthscale", float, prefix=prefix)
+    beta = config_value(spec, "beta", float, None, prefix=prefix)
     try:
-        if arg:
-            text = arg.strip()
-            if text.startswith("{"):
-                return SmoothKernel.from_config(json.loads(text))
-            return SmoothKernel.from_json(text)
-        if key in cfg:
-            return SmoothKernel.from_config(cfg[key])
-    except (OSError, json.JSONDecodeError, KernelError) as exc:
-        raise ConfigError("bad_kernel", f"{key}: {exc}") from None
-    return None
+        return SmoothKernel(family, lengthscale, beta)
+    except KernelError as exc:
+        raise ConfigError("bad_kernel", f"{what}: {exc}") from None
+
+
+def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None:
+    """Kernel from a CLI argument (JSON file path or inline JSON), which
+    overrides the config's ``key``, or from that key; None without either."""
+    if arg:
+        text = arg.strip()
+        try:
+            cfg = {key: json.loads(text if text.startswith("{")
+                                   else Path(text).read_text(encoding="utf-8"))}
+        except (OSError, ValueError) as exc:
+            raise ConfigError("bad_kernel", f"{key}: {exc}") from None
+    return kernel_from_config(config_value(cfg, key, dict), key) if key in cfg else None
 
 
 def cmd_estimate(args) -> int:

@@ -19,9 +19,10 @@ backward difference of the forward-difference flux,
 which telescopes (exact mass conservation on the torus) and is symmetric
 negative semidefinite, so the pseudo-inverse is a well-posed zero-mean solve.
 In 1-D it integrates in closed form: the flux J = rho d+ phi is a running
-sum of sigma up to a constant, which periodicity of phi fixes.  The grid
-convolution dx sum_m W(x_n - x_m) rho_m reads W once, on the 2N-1 pair
-differences of ``mesh.difference_grid``, as np.convolve(dx W, rho, "valid").
+sum of sigma up to a constant, which periodicity of phi fixes.  The
+gradient simulator reads W once, on the 2N-1 pair differences of
+``mesh.difference_grid``, and one function forms every grid convolution
+dx sum_m W(x_n - x_m) rho_m, or of W', as np.convolve(dx W, rho, "valid").
 
 The Hamiltonian flow is integrated on characteristics: particles obey
 q'' = -(V + W conv rho)'(q) with the mean-field convolution carried by fixed
@@ -86,7 +87,7 @@ from .mesh import (
 )
 
 DENSITY_FLOOR = 1e-10
-SCHEMES = ("divergence", "upwind")  # spatial fluxes of ``gradient_flow_step``
+SCHEMES = ("divergence", "upwind")  # spatial fluxes of ``_GridEnergy.step``
 # pseudo-inverse inputs whose Riemann mean exceeds this fraction of their
 # scale are rejected; smaller means are projected out
 _MEAN_TOL = 1e-8
@@ -242,15 +243,6 @@ class EnergySpec:
                 raise TypeError(f"{name} must expose .value(x, order=...)")
 
 
-@dataclass
-class FlowState:
-    """State of the grid solver: time, density and nodes floored so far."""
-
-    time: float
-    density: np.ndarray | None = None
-    floor_hits: int = 0
-
-
 # ---------------------------------------------------------------------------
 # Weighted Laplacian, pseudo-inverse, geodesic correction
 # ---------------------------------------------------------------------------
@@ -263,7 +255,7 @@ def weighted_laplacian_apply(rho: np.ndarray, phi: np.ndarray, mesh: SpaceTimeMe
     if not allow_signed and not np.all(rho > 0):
         raise FlowError("weighted Laplacian needs a strictly positive weight")
     flux = rho * diff_space(phi, mesh.dx, PERIODIC)
-    return diff_space_backward(flux, mesh.dx, PERIODIC)
+    return diff_space_backward(flux, mesh.dx)
 
 
 def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray,
@@ -315,67 +307,83 @@ def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) 
 # Gradient flow solver
 # ---------------------------------------------------------------------------
 
-def _offset_kernel(W, mesh: SpaceTimeMesh, order: int = 0) -> np.ndarray:
-    """dx W^(order) on the 2N-1 pair differences of ``difference_grid``, whose
-    valid convolution with rho is dx sum_m W^(order)(x_n - x_m) rho_m."""
-    offsets = difference_grid(mesh.N, mesh.dx)
-    return mesh.dx * np.asarray(W.value(offsets, order=order), dtype=float)
+def _convolve(kernel: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The grid convolution of a ``_GridEnergy.kernel`` with rho: every
+    W conv rho and W' conv rho of the gradient flow."""
+    return np.convolve(kernel, rho, "valid")
 
 
-def default_gradient_dt(mesh: SpaceTimeMesh, spec: EnergySpec, rho0: np.ndarray) -> float:
-    """Stability-motivated default step: min(dt, 0.2 dx^2 / max rho) with a
-    diffusive term, otherwise an advective bound from the drift slope."""
-    if spec.U.kind in (ENTROPY, POWER):
-        return min(mesh.dt, 0.2 * mesh.dx**2 / float(np.max(rho0)))
-    drift = field_on_grid(spec.V, mesh.x, order=1)
-    if spec.W is not None:
-        drift = drift + np.convolve(_offset_kernel(spec.W, mesh, order=1), rho0, "valid")
-    vmax = float(np.max(np.abs(drift)))
-    if vmax == 0.0:
-        return mesh.dt
-    return min(mesh.dt, 0.2 * mesh.dx / vmax)
+class _GridEnergy:
+    """An energy read onto the grid once per simulation: U, V at the grid
+    points and dx W on the pair differences (``kernel``, or None)."""
 
+    def __init__(self, spec: EnergySpec, mesh: SpaceTimeMesh):
+        self.spec, self.mesh = spec, mesh
+        self.v = field_on_grid(spec.V, mesh.x)
+        self.w = None if spec.W is None else self.kernel(0)
 
-def gradient_flow_step(state: FlowState, spec: EnergySpec, mesh: SpaceTimeMesh,
-                       dt_solver: float, wconv: np.ndarray | None = None,
-                       v_grid: np.ndarray | None = None,
-                       scheme: str = "divergence") -> FlowState:
-    """One explicit-Euler step of the gradient flow on the periodic grid.
+    def kernel(self, order: int) -> np.ndarray:
+        """dx W^(order) on the 2N-1 pair differences of ``difference_grid``,
+        whose ``_convolve`` with rho is dx sum_m W^(order)(x_n - x_m) rho_m."""
+        offsets = difference_grid(self.mesh.N, self.mesh.dx)
+        return self.mesh.dx * np.asarray(self.spec.W.value(offsets, order=order), dtype=float)
 
-    ``scheme`` picks the spatial flux: "divergence" is the weighted-Laplacian
-    stencil shared with the estimator (needs a diffusive internal energy for
-    stability); "upwind" selects the donor cell by the face velocity, which
-    keeps pure-drift flows positive under the advective CFL condition.
-    ``wconv`` is dx W on the 2N-1 pair differences (``_offset_kernel``),
-    built from spec.W when not given; a simulation builds it once.
-    """
-    rho = state.density
-    if v_grid is None:
-        v_grid = field_on_grid(spec.V, mesh.x)
-    if wconv is None and spec.W is not None:
-        wconv = _offset_kernel(spec.W, mesh)
-    drive = spec.U.du(rho) + v_grid
-    if wconv is not None:
-        drive = drive + np.convolve(wconv, rho, "valid")
-    if scheme == "divergence":
-        update = weighted_laplacian_apply(rho, drive, mesh)
-    elif scheme == "upwind":
-        slope = diff_space(drive, mesh.dx, PERIODIC)
-        donor = np.where(slope < 0, rho, np.roll(rho, -1))
-        update = diff_space_backward(donor * slope, mesh.dx, PERIODIC)
-    else:
-        raise FlowError(f"unknown scheme {scheme!r}")
-    rho_new = rho + dt_solver * update
-    negative = rho_new < DENSITY_FLOOR
-    n_neg = int(negative.sum())
-    if n_neg > 0.01 * rho.size and np.any(rho_new < -DENSITY_FLOOR):
-        raise FlowError(
-            f"density went negative at {n_neg}/{rho.size} nodes at t={state.time:.4g}; "
-            f"reduce dt_solver (currently {dt_solver:g})"
-        )
-    rho_new = np.maximum(rho_new, DENSITY_FLOOR)
-    return FlowState(time=state.time + dt_solver, density=rho_new,
-                     floor_hits=state.floor_hits + n_neg)
+    def drive(self, rho: np.ndarray) -> np.ndarray:
+        """U'(rho) + V + W conv rho, whose gradient drives the flux."""
+        drive = self.spec.U.du(rho) + self.v
+        if self.w is not None:
+            drive = drive + _convolve(self.w, rho)
+        return drive
+
+    def free(self, rho: np.ndarray) -> float:
+        """Discrete free energy: internal + potential + 1/2 interaction terms."""
+        total = self.mesh.dx * float(np.sum(self.spec.U.u(rho)))
+        total += self.mesh.dx * float(np.sum(self.v * rho))
+        if self.w is not None:
+            total += 0.5 * self.mesh.dx * float(rho @ _convolve(self.w, rho))
+        return total
+
+    def default_dt(self, rho0: np.ndarray, scheme: str) -> float:
+        """Stability-motivated default step: min(dt, 0.2 dx^2 / max rho0) with
+        a diffusive U, otherwise an advective bound from the drift slope, 2.5
+        times wider for the upwind flux, which keeps a pure drift positive."""
+        mesh = self.mesh
+        if self.spec.U.kind != NONE:
+            return min(mesh.dt, 0.2 * mesh.dx**2 / float(np.max(rho0)))
+        drift = field_on_grid(self.spec.V, mesh.x, order=1)
+        if self.w is not None:
+            drift = drift + _convolve(self.kernel(1), rho0)
+        vmax = float(np.max(np.abs(drift)))
+        if vmax == 0.0:
+            return mesh.dt
+        return min(mesh.dt, (2.5 if scheme == "upwind" else 1.0) * (0.2 * mesh.dx / vmax))
+
+    def step(self, rho: np.ndarray, dt_solver: float, scheme: str,
+             time: float) -> tuple[np.ndarray, int]:
+        """One explicit-Euler step of the gradient flow on the periodic grid
+        from the density rho at ``time``: the new density and the number of
+        its nodes raised to DENSITY_FLOOR.
+
+        ``scheme`` picks the spatial flux: "divergence" is the weighted-Laplacian
+        stencil shared with the estimator (needs a diffusive internal energy for
+        stability); "upwind" selects the donor cell by the face velocity, which
+        keeps pure-drift flows positive under the advective CFL condition.
+        """
+        drive = self.drive(rho)
+        if scheme == "divergence":
+            update = weighted_laplacian_apply(rho, drive, self.mesh)
+        else:
+            slope = diff_space(drive, self.mesh.dx, PERIODIC)
+            donor = np.where(slope < 0, rho, np.roll(rho, -1))
+            update = diff_space_backward(donor * slope, self.mesh.dx)
+        rho_new = rho + dt_solver * update
+        n_neg = int((rho_new < DENSITY_FLOOR).sum())
+        if n_neg > 0.01 * rho.size and np.any(rho_new < -DENSITY_FLOOR):
+            raise FlowError(
+                f"density went negative at {n_neg}/{rho.size} nodes at t={time:.4g}; "
+                f"reduce dt_solver (currently {dt_solver:g})"
+            )
+        return np.maximum(rho_new, DENSITY_FLOOR), n_neg
 
 
 def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMesh,
@@ -383,36 +391,37 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
                            scheme: str = "divergence") -> tuple[DensityTrajectory, dict]:
     """Integrate the gradient flow and sample at the data times t_1..t_L.
 
-    W is read on the 2N-1 pair differences once per derivative order.
-    Returns the trajectory (periodic boundary mode) and a diagnostics dict
-    with, per output time, the floor hits (nodes raised to DENSITY_FLOOR,
-    summed over the solver steps since the previous output time) and the
-    discrete free energy.
+    The energy is read onto the grid once (``_GridEnergy``), W once per
+    derivative order; ``scheme``, one of SCHEMES, picks the flux.  Returns
+    the trajectory (periodic boundary mode) and a diagnostics dict with, per
+    output time, the floor hits (nodes raised to DENSITY_FLOOR, summed over
+    the solver steps since the previous output time) and the discrete free
+    energy.
     """
-    rho0 = np.asarray(rho0, dtype=float)
-    if rho0.shape != (mesh.N,):
+    rho = np.asarray(rho0, dtype=float)
+    if rho.shape != (mesh.N,):
         raise FlowError(f"initial density must have {mesh.N} values")
+    if scheme not in SCHEMES:
+        raise FlowError(f"unknown scheme {scheme!r}")
+    energy = _GridEnergy(spec, mesh)
     if dt_solver is None:
-        dt_solver = default_gradient_dt(mesh, spec, rho0)
-        if scheme == "upwind" and spec.U.kind == NONE:
-            dt_solver = min(mesh.dt, 2.5 * dt_solver)  # advective bound suffices
-    v_grid = field_on_grid(spec.V, mesh.x)
-    wconv = None if spec.W is None else _offset_kernel(spec.W, mesh)
-    state = FlowState(time=0.0, density=rho0.copy())
+        dt_solver = energy.default_dt(rho, scheme)
+    time = 0.0
     samples = np.empty((mesh.L, mesh.N))
     energies = []
     floor_hits = []
     for l in range(mesh.L):
         target = mesh.t[l]
-        n_sub = max(1, math.ceil((target - state.time) / dt_solver - 1e-12))
-        dt = (target - state.time) / n_sub
-        hits_before = state.floor_hits
+        n_sub = max(1, math.ceil((target - time) / dt_solver - 1e-12))
+        dt = (target - time) / n_sub
+        hits = 0
         for _ in range(n_sub):
-            state = gradient_flow_step(state, spec, mesh, dt, wconv=wconv,
-                                       v_grid=v_grid, scheme=scheme)
-        samples[l] = state.density
-        floor_hits.append(state.floor_hits - hits_before)
-        energies.append(free_energy(state.density, spec, mesh, wconv=wconv, v_grid=v_grid))
+            rho, floored = energy.step(rho, dt, scheme, time)
+            hits += floored
+            time += dt
+        samples[l] = rho
+        floor_hits.append(hits)
+        energies.append(energy.free(rho))
     traj = DensityTrajectory(mesh, samples, boundary_mode=PERIODIC)
     diagnostics = {
         "dt_solver": dt_solver,
@@ -420,20 +429,6 @@ def gradient_flow_simulate(rho0: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMe
         "free_energy": energies,
     }
     return traj, diagnostics
-
-
-def free_energy(rho: np.ndarray, spec: EnergySpec, mesh: SpaceTimeMesh,
-                wconv: np.ndarray | None = None, v_grid: np.ndarray | None = None) -> float:
-    """Discrete energy: internal + potential + 1/2 interaction (through ``wconv``) terms."""
-    if v_grid is None:
-        v_grid = field_on_grid(spec.V, mesh.x)
-    total = mesh.dx * float(np.sum(spec.U.u(rho)))
-    total += mesh.dx * float(np.sum(v_grid * rho))
-    if spec.W is not None:
-        if wconv is None:
-            wconv = _offset_kernel(spec.W, mesh)
-        total += 0.5 * mesh.dx * float(rho @ np.convolve(wconv, rho, "valid"))
-    return total
 
 
 # ---------------------------------------------------------------------------

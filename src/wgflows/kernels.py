@@ -23,14 +23,11 @@ A profile is evaluated in place: Horner's rule for the polynomial runs in
 one output array, the base factor exp(-u^2 / (2 l^2)) or s(u)^(-beta-n)
 in one scratch array, and the sign of an odd y-order is a negation of the
 output.  ``eval`` reuses its difference array as the scratch, so a kernel
-sum over a (pairs x generators) block, as in the particle simulator,
-allocates two block-sized arrays per call.
+sum over a (points x generators) block, as ``rkhs.RkhsFunction.value``
+forms, allocates two block-sized arrays per call.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -49,14 +46,14 @@ class SmoothKernel:
     """Evaluable symmetric kernel K(x, y) with mixed partials up to (3, 3)."""
 
     def __init__(self, family: str, lengthscale: float, beta: float | None = None):
-        if lengthscale <= 0:
-            raise KernelError(f"lengthscale must be positive, got {lengthscale}")
+        if not 0 < lengthscale < np.inf:
+            raise KernelError(f"lengthscale must be positive and finite, got {lengthscale}")
         if family == GAUSSIAN:
             if beta is not None:
                 raise KernelError("gaussian kernel takes no beta exponent")
         elif family == IMQ:
-            if beta is None or beta <= 0.5:
-                raise KernelError(f"imq kernel needs beta > 1/2, got {beta}")
+            if beta is None or not 0.5 < beta < np.inf:
+                raise KernelError(f"imq kernel needs a finite beta > 1/2, got {beta}")
         else:
             raise KernelError(f"unknown kernel family {family!r}")
         self.family = family
@@ -142,23 +139,6 @@ class SmoothKernel:
         """
         u = np.linspace(lo - hi, hi - lo, samples)
         return max(float(np.max(np.abs(self.profile(s, u)))) for s in range(5))
-
-    # -- serialization ------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SmoothKernel":
-        try:
-            family = cfg["family"]
-            lengthscale = float(cfg["lengthscale"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise KernelError(f"malformed kernel config {cfg!r}") from exc
-        beta = cfg.get("beta")
-        return cls(family, lengthscale, beta=None if beta is None else float(beta))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SmoothKernel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_config(json.load(fh))
 
     def same_kernel(self, other: "SmoothKernel") -> bool:
         return (

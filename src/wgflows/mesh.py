@@ -100,21 +100,13 @@ def diff_space(values: np.ndarray, dx: float, mode: str) -> np.ndarray:
     return out
 
 
-def diff_space_backward(values: np.ndarray, dx: float, mode: str) -> np.ndarray:
-    """Backward difference along the last axis; adjoint companion of diff_space.
-
-    In truncated mode the first entry keeps the mirrored branch v_1/dx so the
-    operator stays the negative transpose of the forward difference.
-    """
-    if mode not in BOUNDARY_MODES:
-        raise MeshError(f"unknown boundary mode {mode!r}")
+def diff_space_backward(values: np.ndarray, dx: float) -> np.ndarray:
+    """Periodic backward difference along the last axis, the negative
+    adjoint of the periodic ``diff_space``."""
     v = np.asarray(values, dtype=float)
     out = np.empty_like(v)
     out[..., 1:] = (v[..., 1:] - v[..., :-1]) / dx
-    if mode == PERIODIC:
-        out[..., 0] = (v[..., 0] - v[..., -1]) / dx
-    else:
-        out[..., 0] = v[..., 0] / dx
+    out[..., 0] = (v[..., 0] - v[..., -1]) / dx
     return out
 
 
@@ -229,24 +221,44 @@ def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
         raise TrajectoryFormatError(
             "meta_missing", f"sidecar {meta_path} not found for {csv_path}"
         )
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except ValueError as exc:
+        raise TrajectoryFormatError(
+            "meta_invalid", f"sidecar {meta_path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise TrajectoryFormatError(
+            "meta_invalid", f"sidecar {meta_path} must be a JSON object, got {meta!r}")
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise TrajectoryFormatError(
             "meta_invalid", f"sidecar {meta_path} missing keys {missing}"
         )
+    numbers = []
+    for key in "abTNL":
+        kind, value = int if key in "NL" else float, meta[key]
+        try:
+            valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                     and np.isfinite(value) and (kind is float or value % 1 == 0))
+        except TypeError:  # an integer too large for a float
+            valid = False
+        if not valid:
+            raise TrajectoryFormatError(
+                "meta_invalid", f"sidecar {meta_path}: {key} must be a finite "
+                f"{'integer' if kind is int else 'number'}, got {value!r}")
+        numbers.append(kind(value))
+    try:
+        mesh = SpaceTimeMesh(*numbers)
+    except MeshError as exc:
+        raise TrajectoryFormatError("meta_invalid", f"sidecar {meta_path}: {exc}") from None
     values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    if values.shape != (int(meta["L"]), int(meta["N"])):
+    if values.shape != (mesh.L, mesh.N):
         raise TrajectoryFormatError(
             "shape_mismatch",
             f"CSV shape {values.shape} disagrees with sidecar "
-            f"(L={meta['L']}, N={meta['N']})",
+            f"(L={mesh.L}, N={mesh.N})",
         )
-    mesh = SpaceTimeMesh(
-        float(meta["a"]), float(meta["b"]), float(meta["T"]),
-        int(meta["N"]), int(meta["L"]),
-    )
     try:
         return DensityTrajectory(mesh, values, boundary_mode=meta["boundary_mode"])
     except MeshError as exc:

@@ -35,7 +35,7 @@ def space_integral(values, mesh: SpaceTimeMesh) -> float | np.ndarray:
 
 
 def kernel_config(kernel: SmoothKernel) -> dict:
-    """The JSON kernel spec ``SmoothKernel.from_config`` reads back."""
+    """The JSON kernel spec ``cli.kernel_from_config`` reads back."""
     cfg = {"family": kernel.family, "lengthscale": kernel.lengthscale}
     if kernel.beta is not None:
         cfg["beta"] = kernel.beta

@@ -303,7 +303,7 @@ class TestSweepPlan:
         with pytest.raises(AnalysisError):
             SweepPlan(N_list=(8, 8), alpha=0.2, beta=1.2, truth_v=V, truth_w=W, T=1.0)
         for edit in ({"N_list": ()}, {"N_list": (0, 8)}, {"T": 0.0}, {"c_lambda": -1.0},
-                     {"c_L": 0.0}):
+                     {"c_L": 0.0}, {"scheme": "bogus"}):
             with pytest.raises(AnalysisError):
                 SweepPlan(**{**dict(N_list=(8,), alpha=0.2, beta=1.2, truth_v=V,
                                     truth_w=W, T=1.0), **edit})

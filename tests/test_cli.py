@@ -10,7 +10,6 @@ from wgflows.analysis import DROP_LAST_TIME_ROWS
 from wgflows.cli import main
 from wgflows.estimator import EstimationProblem
 from wgflows.flows import DENSITY_FLOOR, InternalEnergy
-from wgflows.kernels import SmoothKernel
 from wgflows.mesh import read_trajectory
 
 from conftest import count_lockstep_calls, stacked_factor
@@ -215,6 +214,12 @@ BAD_ESTIMATE_ARGS = {
     # a power exponent is finite: NaN fails no "m <= 1" test, and 1e400 reads as inf
     "u_power_nan": {"--u": "power:nan"},
     "u_power_overflow": {"--u": "power:1e400"},
+    # a kernel's parameters pass the same type check as config values
+    "kernel1_lengthscale_nan": {"--kernel1": '{"family":"gaussian","lengthscale":NaN}'},
+    "kernel1_lengthscale_infinite": {
+        "--kernel1": '{"family":"gaussian","lengthscale":Infinity}'},
+    "kernel1_lengthscale_a_string": {"--kernel1": '{"family":"gaussian","lengthscale":"0.2"}'},
+    "kernel1_beta_a_boolean": {"--kernel1": '{"family":"imq","lengthscale":0.2,"beta":true}'},
 }
 BAD_SIMULATE_EDITS = {
     "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
@@ -244,6 +249,14 @@ BAD_SIMULATE_EDITS = {
     "density_center_a_string": lambda cfg: cfg["initial_density"].update(center="mid"),
     "kernel_sum_centers_a_string": lambda cfg: cfg["energy"]["V"].update(centers="x"),
     "wrap_copies_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_copies="two"),
+    "kernel_lengthscale_nan": lambda cfg: cfg["energy"]["V"]["kernel"].update(
+        lengthscale=float("nan")),
+    "kernel_lengthscale_infinite": lambda cfg: cfg["energy"]["V"]["kernel"].update(
+        lengthscale=float("inf")),
+    "kernel_lengthscale_a_string": lambda cfg: cfg["energy"]["V"]["kernel"].update(
+        lengthscale="0.2"),
+    "kernel_beta_a_boolean": lambda cfg: cfg["energy"]["V"].update(
+        kernel={"family": "imq", "lengthscale": 0.2, "beta": True}),
     # parallel lists match in length, and a wrap keeps at least the base copy
     "kernel_sum_weights_short": lambda cfg: cfg["energy"]["V"].update(weights=[0.05]),
     "kernel_sum_weights_long": lambda cfg: cfg["energy"]["V"].update(
@@ -287,6 +300,11 @@ BAD_ESTIMATE_CONFIGS = {
     "lambda3_nan": {"kernel3": json.loads(KERNEL1), "lambda3": float("nan")},
     "lambda3_infinite": {"kernel3": json.loads(KERNEL1), "lambda3": float("inf")},
     "eval_grid_not_an_object": {"eval_grid": 5},
+    # a config kernel, read in place of its flag, passes the same checks
+    "kernel2_lengthscale_nan": {"kernel2": {"family": "imq", "lengthscale": float("nan"),
+                                            "beta": 1.5}},
+    "kernel2_beta_infinite": {"kernel2": {"family": "imq", "lengthscale": 0.25,
+                                          "beta": float("inf")}},
     # a path is a JSON string (these rows leave out the --data or --out flag)
     "estimate_data_not_a_string": {"data": 5},
     "estimate_data_a_list": {"data": ["t.csv"]},
@@ -383,6 +401,16 @@ NAMED_KEYS = {
     "stability_truth_w_cosine_sum": "truth_w",
     "stability_estimate_v_zero": "estimate 0 V",
     "stability_estimate_w_cosine_sum": "estimate 1 W",
+    "kernel1_lengthscale_nan": "kernel1.lengthscale",
+    "kernel1_lengthscale_infinite": "kernel1.lengthscale",
+    "kernel1_lengthscale_a_string": "kernel1.lengthscale",
+    "kernel1_beta_a_boolean": "kernel1.beta",
+    "kernel_lengthscale_nan": "V.kernel.lengthscale",
+    "kernel_lengthscale_infinite": "V.kernel.lengthscale",
+    "kernel_lengthscale_a_string": "V.kernel.lengthscale",
+    "kernel_beta_a_boolean": "V.kernel.beta",
+    "kernel2_lengthscale_nan": "kernel2.lengthscale",
+    "kernel2_beta_infinite": "kernel2.beta",
 }
 
 
@@ -407,11 +435,11 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
         assert rc == 0
         out = tmp_path / "est"
         est_cfg = BAD_ESTIMATE_CONFIGS.get(case, {})
-        args = {**ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS.get(case, {})}
-        # flags override file keys, so a config that sets a path gets no flag
-        args.update({f"--{key}": path for key, path in
-                     (("data", tmp_path / "run" / "trajectory.csv"), ("out", out))
-                     if key not in est_cfg})
+        # flags override file keys, so a config that sets a key gets no flag
+        args = {flag: value for flag, value in {
+            **ESTIMATE_ARGS, **BAD_ESTIMATE_ARGS.get(case, {}),
+            "--data": tmp_path / "run" / "trajectory.csv", "--out": out}.items()
+            if flag[2:] not in est_cfg}
         est_path = tmp_path / "est.json"
         est_path.write_text(json.dumps(est_cfg))
         rc = run(["estimate", "--config", est_path, *[v for kv in args.items() for v in kv]])
@@ -666,8 +694,8 @@ class TestEstimate:
         assert {name: total for name, (_, total) in diag["kept_rank"].items()} \
             == {"V": 2 * 64, "W": 2 * (2 * 64 - 1)}
         problem = EstimationProblem(
-            read_trajectory(data), SmoothKernel.from_config(json.loads(KERNEL1)),
-            SmoothKernel.from_config(json.loads(KERNEL2)), lambda1=0.05,
+            read_trajectory(data), cli.kernel_from_arg(KERNEL1, {}, "kernel1"),
+            cli.kernel_from_arg(KERNEL2, {}, "kernel2"), lambda1=0.05,
             lambda2=0.05, known_u=InternalEnergy("entropy"),
             drop_last_time_rows=DROP_LAST_TIME_ROWS)
         P, _ = stacked_factor(problem)
@@ -833,6 +861,36 @@ def test_w2_config_errors_exit_2(tmp_path, capsys, w2_runs, case):
         assert captured.out == ""
         assert json.loads(captured.err.strip())["error"] == "config_invalid"
     assert not (tmp_path / "w2").exists()  # refused before any work
+
+
+# sidecar edits ``read_trajectory`` refuses as meta_invalid; the base run
+# has N = 24 and L = 5
+BAD_SIDECARS = {
+    "not_json": lambda meta: "{",
+    "not_an_object": lambda meta: 5,
+    "T_a_string": lambda meta: {**meta, "T": "x"},
+    "T_zero": lambda meta: {**meta, "T": 0},
+    "T_infinite": lambda meta: {**meta, "T": float("inf")},
+    "a_after_b": lambda meta: {**meta, "a": 2},
+    "N_not_integral": lambda meta: {**meta, "N": 24.7},
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIDECARS)
+@pytest.mark.parametrize("command", ["estimate", "w2"])
+def test_invalid_sidecar_exits_2(tmp_path, capsys, w2_runs, command, case):
+    data = tmp_path / "trajectory.csv"
+    shutil.copy(w2_runs / "base" / "trajectory.csv", data)
+    meta = json.loads(mesh.meta_path_for(w2_runs / "base" / "trajectory.csv").read_text())
+    edited = BAD_SIDECARS[case](meta)
+    mesh.meta_path_for(data).write_text(edited if isinstance(edited, str)
+                                        else json.dumps(edited))
+    args = {"estimate": ["--data", data, "--kernel1", KERNEL1, "--kernel2", KERNEL2,
+                         "--lambda1", "0.05", "--lambda2", "0.05"],
+            "w2": ["--rho", data, "--sigma", data]}[command]
+    assert run([command, *args, "--out", tmp_path / "out"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "meta_invalid"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["w2", "stability"])

@@ -10,15 +10,11 @@ from wgflows.flows import (
     DENSITY_FLOOR,
     EnergySpec,
     FlowError,
-    FlowState,
     InternalEnergy,
     PeriodicityError,
     SmoothFunction,
     christoffel_term,
-    default_gradient_dt,
-    free_energy,
     gradient_flow_simulate,
-    gradient_flow_step,
     hamiltonian_flow_simulate,
     internal_energy_from_label,
     weighted_laplacian_apply,
@@ -219,9 +215,8 @@ class TestGradientFlow:
     def test_zero_energy_keeps_state(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 32, 2)
         rho0 = wrapped_gaussian(mesh.x, 0.5, 0.04)
-        state = FlowState(time=0.0, density=rho0.copy())
-        out = gradient_flow_step(state, EnergySpec(), mesh, 1e-3)
-        assert np.array_equal(out.density, rho0)
+        out, _ = flows._GridEnergy(EnergySpec(), mesh).step(rho0, 1e-3, "divergence", 0.0)
+        assert np.array_equal(out, rho0)
 
     def test_heat_flow_matches_exact_kernel(self):
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 128, 8)
@@ -239,11 +234,10 @@ class TestGradientFlow:
         rho = 0.5 + rng.random(64)
         rho /= space_integral(rho, mesh)
         V = RkhsFunction.from_points(gaussian_kernel(0.2), [0.4], [0.5])
+        energy = flows._GridEnergy(EnergySpec(V=V, U=ENTROPY), mesh)
         for scheme in ("divergence", "upwind"):
-            state = FlowState(time=0.0, density=rho.copy())
-            out = gradient_flow_step(state, EnergySpec(V=V, U=ENTROPY), mesh,
-                                     1e-5, scheme=scheme)
-            assert space_integral(out.density, mesh) == pytest.approx(
+            out, _ = energy.step(rho, 1e-5, scheme, 0.0)
+            assert space_integral(out, mesh) == pytest.approx(
                 space_integral(rho, mesh), abs=1e-10)
 
     @settings(max_examples=100, deadline=None)
@@ -262,11 +256,10 @@ class TestGradientFlow:
         centers = rng.random(3)
         V = RkhsFunction.from_points(gaussian_kernel(0.2), centers,
                                      amplitude * rng.standard_normal(3))
-        state = FlowState(time=0.0, density=rho.copy())
-        out = gradient_flow_step(state, EnergySpec(V=V, U=ENTROPY), mesh,
-                                 1e-3 * mesh.dx**2 / contrast, scheme=scheme)
-        assert out.floor_hits == 0
-        assert space_integral(out.density, mesh) == pytest.approx(
+        out, floored = flows._GridEnergy(EnergySpec(V=V, U=ENTROPY), mesh).step(
+            rho, 1e-3 * mesh.dx**2 / contrast, scheme, 0.0)
+        assert floored == 0
+        assert space_integral(out, mesh) == pytest.approx(
             space_integral(rho, mesh), abs=1e-10)
 
     def test_gibbs_state_is_stationary(self):
@@ -276,9 +269,9 @@ class TestGradientFlow:
         v_grid = V.value(mesh.x)
         gibbs = np.exp(-v_grid)
         gibbs /= space_integral(gibbs, mesh)
-        state = FlowState(time=0.0, density=gibbs.copy())
-        out = gradient_flow_step(state, EnergySpec(V=V, U=ENTROPY), mesh, 1e-6)
-        rate = np.max(np.abs(out.density - gibbs)) / 1e-6
+        out, _ = flows._GridEnergy(EnergySpec(V=V, U=ENTROPY), mesh).step(
+            gibbs, 1e-6, "divergence", 0.0)
+        rate = np.max(np.abs(out - gibbs)) / 1e-6
         assert rate < 100 * mesh.dx  # update magnitude O(dx) at the fixed point
 
     def test_free_energy_decreases(self):
@@ -287,7 +280,7 @@ class TestGradientFlow:
         spec = EnergySpec(V=V, U=ENTROPY)
         rho0 = wrapped_gaussian(mesh.x, 0.4, 0.03)
         traj, diag = gradient_flow_simulate(rho0, spec, mesh)
-        energies = [free_energy(rho0, spec, mesh)] + diag["free_energy"]
+        energies = [flows._GridEnergy(spec, mesh).free(rho0)] + diag["free_energy"]
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_floor_hits_per_output_time(self):
@@ -359,30 +352,24 @@ class TestGridConvolution:
         rho /= space_integral(rho, mesh)
         dense = [mesh.dx * dense_interaction_matrix(W, mesh, order) for order in (0, 1)]
         bound = [64.0 * convolution_roundoff(W, mesh, rho, order) for order in (0, 1)]
+        energy = flows._GridEnergy(spec, mesh)
 
-        # the drive U'(rho) + V + W conv rho of one step, here W conv rho alone
-        drives = []
+        # the drive U'(rho) + V + W conv rho of a step, here W conv rho alone
+        assert np.all(np.abs(energy.drive(rho) - dense[0] @ rho) <= bound[0])
 
-        def recording(rho_w, phi, *args, **kwargs):
-            drives.append(phi)
-            return weighted_laplacian_apply(rho_w, phi, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flows, "weighted_laplacian_apply", recording)
-            gradient_flow_step(FlowState(time=0.0, density=rho.copy()), spec, mesh, 1e-12)
-        assert np.all(np.abs(drives[0] - dense[0] @ rho) <= bound[0])
-
-        energy = 0.5 * mesh.dx * float(rho @ dense[0] @ rho)
-        assert abs(free_energy(rho, spec, mesh) - energy) <= 0.5 * mesh.dx * rho @ bound[0]
+        free = 0.5 * mesh.dx * float(rho @ dense[0] @ rho)
+        assert abs(energy.free(rho) - free) <= 0.5 * mesh.dx * rho @ bound[0]
 
         # no diffusion: the step is 0.2 dx over the largest drift slope, which
-        # lies within the largest bound of the dense one
-        def step(vmax):
-            return mesh.dt if vmax == 0.0 else min(mesh.dt, 0.2 * mesh.dx / vmax)
+        # lies within the largest bound of the dense one; the upwind flux
+        # takes a 2.5 times wider step
+        def step(vmax, widen):
+            return mesh.dt if vmax == 0.0 else min(mesh.dt, widen * 0.2 * mesh.dx / vmax)
 
         vmax, slack = float(np.max(np.abs(dense[1] @ rho))), float(np.max(bound[1]))
-        lo, hi = step(vmax + slack), step(max(vmax - slack, 0.0))
-        assert lo * (1 - 1e-15) <= default_gradient_dt(mesh, spec, rho) <= hi * (1 + 1e-15)
+        for scheme, widen in (("divergence", 1.0), ("upwind", 2.5)):
+            lo, hi = step(vmax + slack, widen), step(max(vmax - slack, 0.0), widen)
+            assert lo * (1 - 1e-15) <= energy.default_dt(rho, scheme) <= hi * (1 + 1e-15)
 
     def test_simulation_reads_w_on_the_pair_differences(self):
         """A whole simulation evaluates W on at most 2N-1 points per

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_config, kernel_gram, reference_eval, reference_profile
+from wgflows.cli import ConfigError, kernel_from_arg, kernel_from_config
 from wgflows.kernels import KernelError, SmoothKernel, gaussian_kernel, imq_kernel
 
 KERNELS = [
@@ -28,21 +29,25 @@ class TestConstruction:
             SmoothKernel("matern", 0.5)
         with pytest.raises(KernelError):
             SmoothKernel("gaussian", 0.5, beta=1.0)
+        # a lengthscale and a beta are finite, and NaN fails no "<= 0" test
+        for lengthscale, beta in ((np.nan, None), (np.inf, None), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(KernelError):
+                SmoothKernel("gaussian" if beta is None else "imq", lengthscale, beta=beta)
 
     def test_config_round_trip(self):
         for k in KERNELS:
-            back = SmoothKernel.from_config(kernel_config(k))
+            back = kernel_from_config(kernel_config(k), "kernel")
             assert back.same_kernel(k)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"family": "imq", "lengthscale": 0.4, "beta": 1.5}))
-        k = SmoothKernel.from_json(path)
+        k = kernel_from_arg(str(path), {}, "kernel1")
         assert k.family == "imq" and k.beta == 1.5
 
     def test_malformed_config(self):
-        with pytest.raises(KernelError):
-            SmoothKernel.from_config({"family": "gaussian"})
+        with pytest.raises(ConfigError, match="kernel.lengthscale"):
+            kernel_from_config({"family": "gaussian"}, "kernel")
 
 
 class TestPointwiseValues:

@@ -173,13 +173,12 @@ def test_difference_and_quadrature_linearity(alpha, beta, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 64), mode=st.sampled_from([PERIODIC, TRUNCATED]),
-       dx=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_backward_difference_is_negative_adjoint(N, mode, dx, seed):
-    """<d+ u, v> = -<u, d- v> in both boundary modes (summation by parts)."""
+@given(N=st.integers(1, 64), dx=st.floats(1e-3, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_backward_difference_is_negative_adjoint(N, dx, seed):
+    """<d+ u, v> = -<u, d- v> on the torus (summation by parts)."""
     rng = np.random.default_rng(seed)
     u, v = rng.standard_normal(N), rng.standard_normal(N)
-    du, dv = diff_space(u, dx, mode), diff_space_backward(v, dx, mode)
+    du, dv = diff_space(u, dx, PERIODIC), diff_space_backward(v, dx)
     pairing = np.abs(du) @ np.abs(v) + np.abs(u) @ np.abs(dv)
     assert abs(du @ v + u @ dv) <= 1e-13 * pairing
 

@@ -252,9 +252,8 @@ def test_unset_field_scanner(sources, unset):
     assert unset_fields(sources, "EstimationProblem", ["traj", "k1", "k2", "lam"]) == unset
 
 
-# calls that check the spec values they are given; ``SmoothKernel.from_config``
-# checks a kernel spec and raises ``KernelError``, which the CLI maps to exit 2
-SPEC_CHECKERS = ("config_value", "config_list", "config_value_or_list", "from_config")
+# calls that check the spec values they are given
+SPEC_CHECKERS = ("config_value", "config_list", "config_value_or_list")
 
 
 def bare_config_casts(source: str) -> list[int]:
@@ -319,6 +318,7 @@ def test_cli_converts_no_config_value_bare():
     'int(require(cfg, "N"))',
     'bump_density(x, spec.get("center", 0.5), sigma=spec["sigma"])',
     'SmoothKernel.from_config(spec["kernel"])',
+    'SmoothKernel.from_config(require(spec, "kernel"))',
 ])
 def test_cast_scanner_finds_bare_casts(source):
     assert bare_config_casts(source)
@@ -335,7 +335,7 @@ def test_cast_scanner_finds_bare_casts(source):
     "list(columns)",
     'tuple(config_list(cfg, "N_list", int))',
     'wrap_periodic(fn, config_value(spec, "wrap_period", float), '
-    'SmoothKernel.from_config(require(spec, "kernel")), rows=cfg.get("rows"))',
+    'kernel_from_config(config_value(spec, "kernel", dict)), rows=cfg.get("rows"))',
 ])
 def test_cast_scanner_ignores_other_calls(source):
     assert not bare_config_casts(source)
