@@ -300,7 +300,6 @@ class SweepPlan:
     initial_sigma: float | tuple = 0.14
     initial_uniform_weight: float = 0.35
     drop_last_time_rows: int = DROP_LAST_TIME_ROWS
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.alpha < 1.0 / 3.0:
@@ -343,7 +342,6 @@ class SweepReport:
     predicted_bands: dict
     truth_norm: float
     wall_s: list                      # seconds per N, for timings.json
-    seed: int
 
 
 def check_bump(sigma, uniform_weight: float, bump_weights=None, prefix: str = "") -> None:
@@ -427,7 +425,7 @@ def run_sweep(plan: SweepPlan) -> SweepReport:
         N_list=[], lambdas=[], L_list=[], errors=[], relative_errors=[],
         sup_errors=[], slope=None,
         predicted_bands=predicted_exponents(plan.alpha, plan.beta),
-        truth_norm=truth_norm, wall_s=[], seed=plan.seed,
+        truth_norm=truth_norm, wall_s=[],
     )
     a, b = plan.window
     sample_x = np.linspace(a, b, 201)

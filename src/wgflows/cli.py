@@ -1,8 +1,11 @@
 """Command-line entry point: simulate | estimate | sweep | stability | w2.
 
-Every command reads a JSON config (flags override file keys), writes its
-artifacts into --out, and finishes with a manifest recording the effective
-config, package version, seed, and SHA-256 checksums of the outputs.
+Every command reads a JSON config, writes its artifacts into --out, and
+finishes with a manifest recording the effective config, package version,
+seed, and SHA-256 checksums of the outputs.  Every flag is a config key of
+its own name: ``load_config`` merges the flags given over the file's keys,
+so the commands read their inputs from the merged config alone and the
+manifest echoes the run that was made.
 Timings go to a separate timings.json so that reruns of the same seeded
 config produce byte-identical data artifacts and manifests.
 
@@ -256,6 +259,9 @@ class RunDirectory:
 # ---------------------------------------------------------------------------
 
 def load_config(args) -> dict:
+    """The config file's keys, each flag given overriding the key of its
+    name.  A ``--kernelN`` value, a JSON file path or inline JSON, is parsed
+    here, so the merged config holds the kernel spec itself."""
     cfg = {}
     if args.config:
         path = Path(args.config)
@@ -268,11 +274,17 @@ def load_config(args) -> dict:
                 raise ConfigError("config_invalid", f"config is not JSON: {exc}")
         if not isinstance(cfg, dict):
             raise ConfigError("config_invalid", f"config must be a JSON object, got {cfg!r}")
-    for key in ("seed", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("config", "command", "func") and value is not None}
+    for key in ("kernel1", "kernel2", "kernel3"):
+        if key in flags:
+            text = flags[key].strip()
+            try:
+                flags[key] = json.loads(text if text.startswith("{")
+                                        else Path(text).read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise ConfigError("bad_kernel", f"{key}: {exc}") from None
+    return {**cfg, **flags}
 
 
 def require(cfg: dict, key: str, prefix: str = ""):
@@ -367,9 +379,7 @@ def refuse_quantile_count(cfg: dict) -> None:
                           "n_quantiles is not a key: the W2 distance is exact")
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args)
-    seed = config_value(cfg, "seed", int, 0)
+def cmd_simulate(cfg: dict, seed: int) -> int:
     mesh = mesh_from_spec(config_value(cfg, "mesh", dict))
     kind = cfg.get("kind", "gradient")
     energy = config_value(cfg, "energy", dict, {})
@@ -387,13 +397,14 @@ def cmd_simulate(args) -> int:
                           f"need U = none, not {spec.U.label()!r}")
     # dt_solver absent: the simulator picks the step
     scheme, dt_solver = scheme_of(cfg), config_positive(cfg, "dt_solver", None)
+    phi0 = (function_from_spec(cfg.get("initial_phase"), "initial_phase")
+            if kind == "hamiltonian" else None)
     with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         if kind == "gradient":
             traj, diag = gradient_flow_simulate(
                 rho0, spec, mesh, dt_solver=dt_solver, scheme=scheme,
             )
         else:
-            phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
             try:
                 (traj,), (diag,) = hamiltonian_flow_simulate(
                     rho0, phi0, [spec], mesh, dt_solver=dt_solver,
@@ -427,44 +438,24 @@ def kernel_from_config(spec: dict, what: str) -> SmoothKernel:
         raise ConfigError("bad_kernel", f"{what}: {exc}") from None
 
 
-def kernel_from_arg(arg: str | None, cfg: dict, key: str) -> SmoothKernel | None:
-    """Kernel from a CLI argument (JSON file path or inline JSON), which
-    overrides the config's ``key``, or from that key; None without either."""
-    if arg:
-        text = arg.strip()
-        try:
-            cfg = {key: json.loads(text if text.startswith("{")
-                                   else Path(text).read_text(encoding="utf-8"))}
-        except (OSError, ValueError) as exc:
-            raise ConfigError("bad_kernel", f"{key}: {exc}") from None
-    return kernel_from_config(config_value(cfg, key, dict), key) if key in cfg else None
-
-
-def cmd_estimate(args) -> int:
-    cfg = load_config(args)
-    seed = config_value(cfg, "seed", int, 0)
-    data = args.data or config_value(cfg, "data", str, None)
+def cmd_estimate(cfg: dict, seed: int) -> int:
+    data = config_value(cfg, "data", str, None)
     if not data:
         raise ConfigError("config_invalid", "estimate needs --data <csv>")
-    try:
-        traj = read_trajectory(data)
-    except TrajectoryFormatError as exc:
-        raise ConfigError(exc.code, str(exc))
-    k1 = kernel_from_arg(args.kernel1, cfg, "kernel1")
-    k2 = kernel_from_arg(args.kernel2, cfg, "kernel2")
+    traj = read_trajectory(data)
+    k1, k2, k3 = (kernel_from_config(config_value(cfg, key, dict), key) if key in cfg else None
+                  for key in ("kernel1", "kernel2", "kernel3"))
     if k1 is None or k2 is None:
         raise ConfigError("config_invalid", "estimate needs --kernel1 and --kernel2")
-    k3 = kernel_from_arg(args.kernel3, cfg, "kernel3")
-    lam1, lam2, lam3 = (config_value(cfg, f"lambda{i}", float, None) if arg is None else arg
-                        for i, arg in enumerate((args.lambda1, args.lambda2, args.lambda3), 1))
+    lam1, lam2, lam3 = (config_value(cfg, f"lambda{i}", float, None) for i in (1, 2, 3))
     if lam1 is None or lam2 is None:
         raise ConfigError("config_invalid", "estimate needs --lambda1 and --lambda2")
     try:
         problem = EstimationProblem(
             traj, k1, k2,
             lambda1=lam1, lambda2=lam2,
-            flow_kind=args.flow or cfg.get("flow", "gradient"),
-            known_u=energy_from_label(args.u or cfg.get("u", "none"), "u"),
+            flow_kind=cfg.get("flow", "gradient"),
+            known_u=energy_from_label(cfg.get("u", "none"), "u"),
             kernel3=k3,
             lambda3=lam3,
             drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
@@ -523,9 +514,7 @@ def cmd_estimate(args) -> int:
         return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    seed = config_value(cfg, "seed", int, 0)
+def cmd_sweep(cfg: dict, seed: int) -> int:
     truth_v = kernel_sum_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = kernel_sum_from_spec(require(cfg, "truth_w"), "truth_w")
     fields = dict(
@@ -535,18 +524,20 @@ def cmd_sweep(args) -> int:
         truth_v=truth_v,
         truth_w=truth_w,
         T=config_value(cfg, "T", float),
-        window=config_list(cfg, "window", float, (0.0, 1.0)),
-        c_lambda=config_value(cfg, "c_lambda", float, 1.0),
-        c_L=config_value(cfg, "c_L", float, 1.0),
-        fine_factor=config_value(cfg, "fine_factor", int, 4),
+        window=config_list(cfg, "window", float, SweepPlan.window),
+        c_lambda=config_value(cfg, "c_lambda", float, SweepPlan.c_lambda),
+        c_L=config_value(cfg, "c_L", float, SweepPlan.c_L),
+        fine_factor=config_value(cfg, "fine_factor", int, SweepPlan.fine_factor),
         internal=energy_from_label(cfg.get("u", "none"), "u"),
         scheme=scheme_of(cfg),
-        initial_center=config_value_or_list(cfg, "initial_center", float, 0.5),
-        initial_sigma=config_value_or_list(cfg, "initial_sigma", float, 0.14),
-        initial_uniform_weight=config_value(cfg, "initial_uniform_weight", float, 0.35),
+        initial_center=config_value_or_list(cfg, "initial_center", float,
+                                            SweepPlan.initial_center),
+        initial_sigma=config_value_or_list(cfg, "initial_sigma", float,
+                                           SweepPlan.initial_sigma),
+        initial_uniform_weight=config_value(cfg, "initial_uniform_weight", float,
+                                            SweepPlan.initial_uniform_weight),
         drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
-                                         DROP_LAST_TIME_ROWS),
-        seed=seed,
+                                         SweepPlan.drop_last_time_rows),
     )
     require_lengths(fields["initial_center"], "initial_center",
                     {"initial_sigma": fields["initial_sigma"]})
@@ -574,9 +565,7 @@ def cmd_sweep(args) -> int:
         return 0
 
 
-def cmd_stability(args) -> int:
-    cfg = load_config(args)
-    seed = config_value(cfg, "seed", int, 0)
+def cmd_stability(cfg: dict, seed: int) -> int:
     mesh = mesh_from_spec(config_value(cfg, "mesh", dict))
     truth_v = kernel_sum_from_spec(require(cfg, "truth_v"), "truth_v")
     truth_w = kernel_sum_from_spec(require(cfg, "truth_w"), "truth_w")
@@ -617,20 +606,14 @@ def cmd_stability(args) -> int:
         return 0
 
 
-def cmd_w2(args) -> int:
-    cfg = load_config(args)
-    seed = config_value(cfg, "seed", int, 0)
-    rho_path = args.rho or config_value(cfg, "rho", str, None)
-    sigma_path = args.sigma or config_value(cfg, "sigma", str, None)
+def cmd_w2(cfg: dict, seed: int) -> int:
+    rho_path = config_value(cfg, "rho", str, None)
+    sigma_path = config_value(cfg, "sigma", str, None)
     out = config_value(cfg, "out", str, None)
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
     refuse_quantile_count(cfg)
-    try:
-        t_rho = read_trajectory(rho_path)
-        t_sigma = read_trajectory(sigma_path)
-    except TrajectoryFormatError as exc:
-        raise ConfigError(exc.code, str(exc))
+    t_rho, t_sigma = read_trajectory(rho_path), read_trajectory(sigma_path)
     if t_rho.mesh != t_sigma.mesh:
         raise ConfigError("config_invalid", "--rho and --sigma lie on different meshes")
     row, L = config_value(cfg, "row", int, -1), t_rho.mesh.L
@@ -701,11 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        cfg = load_config(args)
+        return args.func(cfg, config_value(cfg, "seed", int, 0))
+    except (ConfigError, TrajectoryFormatError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:  # single-line machine-parsable failure report

@@ -141,7 +141,8 @@ class EstimationProblem:
 
     The section slopes are the trajectory's ``dx_plus`` and the data
     functional is assembled from it (``assemble_data_functional``).  The
-    regularizers must be positive and finite.
+    regularizers must be positive and finite.  U is either known
+    (``known_u``) or learned (``kernel3``), never both.
     """
 
     traj: DensityTrajectory
@@ -162,6 +163,9 @@ class EstimationProblem:
             raise EstimatorError("kernel3 and lambda3 must be supplied together")
         if self.lambda3 is not None and not 0 < self.lambda3 < np.inf:
             raise EstimatorError("lambda3 must be positive and finite")
+        if self.kernel3 is not None and self.known_u.kind != "none":
+            raise EstimatorError(
+                f"U is learned (kernel3) or known (u = {self.known_u.label()!r}), not both")
         if self.flow_kind not in (GRADIENT, HAMILTONIAN):
             raise EstimatorError(f"unknown flow kind {self.flow_kind!r}")
         if self.flow_kind == HAMILTONIAN:
@@ -257,8 +261,7 @@ class EstimatorResult:
 # ---------------------------------------------------------------------------
 
 def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
-                             known_u: InternalEnergy = NO_INTERNAL_ENERGY,
-                             include_internal: bool = True) -> np.ndarray:
+                             known_u: InternalEnergy = NO_INTERNAL_ENERGY) -> np.ndarray:
     """Data side f of the regression, shape (L, N).
 
     gradient:     f = d+_t rho - a d/dx U'(rho) - rho d2/dx2 U'(rho)
@@ -267,9 +270,8 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
 
     Spatial derivatives of U'(rho) use the chain rule with the same forward
     differences as the operator: d/dx U'(rho) ~ U''(rho) (d+ rho), second
-    derivative by differencing that product again.  For the three-function
-    estimator (``include_internal=False``) the internal-energy terms are
-    omitted because that contribution is learned.
+    derivative by differencing that product again.  The three-function
+    estimator learns U, so its ``known_u`` is none and these terms vanish.
     """
     mesh = traj.mesh
     if flow_kind == GRADIENT:
@@ -288,7 +290,7 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
             f[l] += christoffel_term(traj.values[l], sdot - sdot.mean(), mesh)
     else:
         raise EstimatorError(f"unknown flow kind {flow_kind!r}")
-    if include_internal and known_u.kind != "none":
+    if known_u.kind != "none":
         a = traj.dx_plus()
         g1 = known_u.d2u(traj.values) * a
         g2 = diff_space(g1, mesh.dx, traj.boundary_mode)
@@ -446,8 +448,7 @@ def _fit_sections(problem: EstimationProblem) -> tuple[PlainSections, ConvolvedS
 
 def _fit_data(problem: EstimationProblem) -> np.ndarray:
     """Data functional f at the fit nodes, flattened time-major."""
-    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u,
-                                      include_internal=not problem.learn_internal)
+    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u)
     return f_full[:problem.fit_rows].ravel()
 
 

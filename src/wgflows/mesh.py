@@ -248,11 +248,18 @@ def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
                 "meta_invalid", f"sidecar {meta_path}: {key} must be a finite "
                 f"{'integer' if kind is int else 'number'}, got {value!r}")
         numbers.append(kind(value))
+    if meta["boundary_mode"] not in BOUNDARY_MODES:
+        raise TrajectoryFormatError(
+            "meta_invalid", f"sidecar {meta_path}: boundary_mode must be one of "
+            f"{BOUNDARY_MODES}, got {meta['boundary_mode']!r}")
     try:
         mesh = SpaceTimeMesh(*numbers)
     except MeshError as exc:
         raise TrajectoryFormatError("meta_invalid", f"sidecar {meta_path}: {exc}") from None
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    try:
+        values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise TrajectoryFormatError("data_invalid", f"{csv_path}: {exc}") from None
     if values.shape != (mesh.L, mesh.N):
         raise TrajectoryFormatError(
             "shape_mismatch",

@@ -272,8 +272,7 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     """
     G1, G2 = section_grams(problem)
     rho = problem.traj.values[:problem.fit_rows].ravel()
-    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u,
-                                      include_internal=not problem.learn_internal)
+    f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u)
     f = f_full[:problem.fit_rows].ravel()
     l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
     if problem.learn_internal:

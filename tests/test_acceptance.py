@@ -302,7 +302,7 @@ def _desk_scale_plan():
         truth_v=truth_v, truth_w=truth_w, T=12.5, window=(0.0, 1.6),
         scheme="upwind", initial_center=[0.55, 1.0],
         initial_sigma=[0.16, 0.2], initial_uniform_weight=0.2,
-        drop_last_time_rows=1, seed=1,
+        drop_last_time_rows=1,
     )
 
 

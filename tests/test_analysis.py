@@ -290,7 +290,7 @@ class TestSweepPlan:
         base = dict(N_list=(16, 24), alpha=0.2, beta=1.2, truth_v=V, truth_w=W,
                     T=12.5, window=(0.0, 1.6), scheme="upwind",
                     initial_center=[0.55, 1.0], initial_sigma=[0.16, 0.2],
-                    initial_uniform_weight=0.2, drop_last_time_rows=1, seed=1)
+                    initial_uniform_weight=0.2, drop_last_time_rows=1)
         base.update(kw)
         return SweepPlan(**base)
 
@@ -373,7 +373,7 @@ class TestSpectralDiagnostics:
         plan = SweepPlan(N_list=(24,), alpha=0.2, beta=1.2, truth_v=V, truth_w=W,
                          T=12.5, window=(0.0, 1.6), scheme="upwind",
                          initial_center=[0.55, 1.0], initial_sigma=[0.16, 0.2],
-                         initial_uniform_weight=0.2, drop_last_time_rows=1, seed=1)
+                         initial_uniform_weight=0.2, drop_last_time_rows=1)
         traj = generate_gradient_data(plan, 24, plan.L_at(24))
         lam = plan.lambda_at(24)
         full = solve(EstimationProblem(traj, K1, K2, lambda1=lam, lambda2=lam,

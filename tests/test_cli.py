@@ -220,6 +220,8 @@ BAD_ESTIMATE_ARGS = {
         "--kernel1": '{"family":"gaussian","lengthscale":Infinity}'},
     "kernel1_lengthscale_a_string": {"--kernel1": '{"family":"gaussian","lengthscale":"0.2"}'},
     "kernel1_beta_a_boolean": {"--kernel1": '{"family":"imq","lengthscale":0.2,"beta":true}'},
+    # U is known or learned, not both
+    "u_with_kernel3": {"--u": "entropy", "--kernel3": KERNEL1, "--lambda3": "0.1"},
 }
 BAD_SIMULATE_EDITS = {
     "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
@@ -232,6 +234,12 @@ BAD_SIMULATE_EDITS = {
     "hamiltonian_with_entropy": lambda cfg: cfg.update(kind="hamiltonian"),
     "hamiltonian_with_fisher": lambda cfg: cfg.update(
         kind="hamiltonian", energy={**cfg["energy"], "U": "fisher"}),
+    # a Hamiltonian run's initial phase is read before its directory is made
+    "hamiltonian_phase_not_an_object": lambda cfg: cfg.update(
+        kind="hamiltonian", energy={**cfg["energy"], "U": "none"}, initial_phase="cos"),
+    "hamiltonian_phase_period_negative": lambda cfg: cfg.update(
+        kind="hamiltonian", energy={**cfg["energy"], "U": "none"},
+        initial_phase={**COSINE, "period": -1}),
     "gradient_with_fisher": lambda cfg: cfg["energy"].update(U="fisher"),
     "energy_U_power_nan": lambda cfg: cfg["energy"].update(U="power:nan"),
     "energy_U_power_inf": lambda cfg: cfg["energy"].update(U="power:inf"),
@@ -411,6 +419,9 @@ NAMED_KEYS = {
     "kernel_beta_a_boolean": "V.kernel.beta",
     "kernel2_lengthscale_nan": "kernel2.lengthscale",
     "kernel2_beta_infinite": "kernel2.beta",
+    "u_with_kernel3": "kernel3",
+    "hamiltonian_phase_not_an_object": "initial_phase",
+    "hamiltonian_phase_period_negative": "initial_phase.period",
 }
 
 
@@ -676,6 +687,34 @@ class TestEstimate:
         assert diag["kept_rank"]["U"][1] == 2 * 24
         assert diag["stationarity_residual"] <= 1e-6 * max(diag["loss"], 1.0)
 
+    def test_flags_are_config_keys(self, tmp_path, data_dir):
+        """A run from flags and the same run from a config file holding those
+        keys write the same artifacts: the manifest records every flag, a
+        kernel file's spec included, as the config key of its name."""
+        kernel2 = tmp_path / "k2.json"
+        kernel2.write_text(KERNEL2)
+        data, out = data_dir / "trajectory.csv", tmp_path / "est"
+        cfg_path = tmp_path / "est.json"
+        cfg_path.write_text(json.dumps({
+            "data": str(data), "kernel1": json.loads(KERNEL1),
+            "kernel2": json.loads(KERNEL2), "lambda1": 0.05, "lambda2": 0.05,
+            "flow": "gradient", "u": "entropy", "seed": 7, "out": str(out)}))
+
+        def artifacts(argv):
+            assert run(["estimate", *argv]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+            shutil.rmtree(out)
+            return files
+
+        from_flags = artifacts(["--data", data, "--kernel1", KERNEL1, "--kernel2", kernel2,
+                                "--lambda1", "0.05", "--lambda2", "0.05",
+                                "--flow", "gradient", "--u", "entropy", "--seed", "7",
+                                "--out", out])
+        from_config = artifacts(["--config", cfg_path])
+        assert json.loads(from_flags["manifest.json"])["config"] \
+            == json.loads(cfg_path.read_text())
+        assert from_flags == from_config
+
     def test_readme_quick_start_reports_rank_and_jitter(self, tmp_path):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(simulate_config(tmp_path / "run", N=64, L=12)))
@@ -693,9 +732,11 @@ class TestEstimate:
         assert max(diag["residual_row_max"]) == diag["residual_max"]
         assert {name: total for name, (_, total) in diag["kept_rank"].items()} \
             == {"V": 2 * 64, "W": 2 * (2 * 64 - 1)}
+        # the manifest echoes the kernels the flags gave
+        config = json.loads((out / "manifest.json").read_text())["config"]
         problem = EstimationProblem(
-            read_trajectory(data), cli.kernel_from_arg(KERNEL1, {}, "kernel1"),
-            cli.kernel_from_arg(KERNEL2, {}, "kernel2"), lambda1=0.05,
+            read_trajectory(data), cli.kernel_from_config(config["kernel1"], "kernel1"),
+            cli.kernel_from_config(config["kernel2"], "kernel2"), lambda1=0.05,
             lambda2=0.05, known_u=InternalEnergy("entropy"),
             drop_last_time_rows=DROP_LAST_TIME_ROWS)
         P, _ = stacked_factor(problem)
@@ -873,7 +914,20 @@ BAD_SIDECARS = {
     "T_infinite": lambda meta: {**meta, "T": float("inf")},
     "a_after_b": lambda meta: {**meta, "a": 2},
     "N_not_integral": lambda meta: {**meta, "N": 24.7},
+    "boundary_mode_unknown": lambda meta: {**meta, "boundary_mode": "bogus"},
+    "boundary_mode_a_number": lambda meta: {**meta, "boundary_mode": 3},
 }
+
+
+def trajectory_error(tmp_path, capsys, command, data) -> dict:
+    """The error object of ``command`` reading the trajectory ``data``, which
+    must exit 2 before any output directory is made."""
+    args = {"estimate": ["--data", data, "--kernel1", KERNEL1, "--kernel2", KERNEL2,
+                         "--lambda1", "0.05", "--lambda2", "0.05"],
+            "w2": ["--rho", data, "--sigma", data]}[command]
+    assert run([command, *args, "--out", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
+    return json.loads(capsys.readouterr().err.strip())
 
 
 @pytest.mark.parametrize("case", BAD_SIDECARS)
@@ -885,12 +939,28 @@ def test_invalid_sidecar_exits_2(tmp_path, capsys, w2_runs, command, case):
     edited = BAD_SIDECARS[case](meta)
     mesh.meta_path_for(data).write_text(edited if isinstance(edited, str)
                                         else json.dumps(edited))
-    args = {"estimate": ["--data", data, "--kernel1", KERNEL1, "--kernel2", KERNEL2,
-                         "--lambda1", "0.05", "--lambda2", "0.05"],
-            "w2": ["--rho", data, "--sigma", data]}[command]
-    assert run([command, *args, "--out", tmp_path / "out"]) == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "meta_invalid"
-    assert not (tmp_path / "out").exists()
+    assert trajectory_error(tmp_path, capsys, command, data)["error"] == "meta_invalid"
+
+
+# CSV edits ``read_trajectory`` refuses as data_invalid: a sample that is no
+# number, and a row one sample short
+BAD_CSVS = {
+    "sample_not_a_number": lambda rows: [",".join(["abc"] + rows[0].split(",")[1:])]
+    + rows[1:],
+    "ragged_row": lambda rows: [rows[0], ",".join(rows[1].split(",")[:-1])] + rows[2:],
+}
+
+
+@pytest.mark.parametrize("case", BAD_CSVS)
+@pytest.mark.parametrize("command", ["estimate", "w2"])
+def test_invalid_csv_exits_2(tmp_path, capsys, w2_runs, command, case):
+    data = tmp_path / "trajectory.csv"
+    shutil.copy(mesh.meta_path_for(w2_runs / "base" / "trajectory.csv"),
+                mesh.meta_path_for(data))
+    rows = (w2_runs / "base" / "trajectory.csv").read_text().splitlines()
+    data.write_text("\n".join(BAD_CSVS[case](rows)) + "\n")
+    err = trajectory_error(tmp_path, capsys, command, data)
+    assert err["error"] == "data_invalid" and str(data) in err["message"]
 
 
 @pytest.mark.parametrize("command", ["w2", "stability"])

@@ -85,6 +85,15 @@ class TestProblemValidation:
                               lambda1=1.0, lambda2=1.0,
                               kernel3=gaussian_kernel(0.2))
 
+    def test_known_u_excludes_kernel3(self):
+        """U is known or learned: a known U beside a third kernel would be
+        dropped from the data functional without a word."""
+        traj = random_trajectory()
+        with pytest.raises(EstimatorError, match="not both"):
+            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
+                              lambda1=1.0, lambda2=1.0, known_u=ENTROPY,
+                              kernel3=gaussian_kernel(0.2), lambda3=1.0)
+
     def test_non_finite_woodbury_core_rejected(self):
         core = np.eye(3)
         core[0, 1] = core[1, 0] = np.inf
@@ -172,9 +181,6 @@ class TestDataFunctional:
         f_plain = assemble_data_functional(traj_periodic, "gradient")
         f_ent = assemble_data_functional(traj_periodic, "gradient", ENTROPY)
         assert not np.allclose(f_plain, f_ent)
-        f_skip = assemble_data_functional(traj_periodic, "gradient", ENTROPY,
-                                          include_internal=False)
-        assert np.allclose(f_plain, f_skip)
 
 
 class TestGram:

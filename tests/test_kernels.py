@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_config, kernel_gram, reference_eval, reference_profile
-from wgflows.cli import ConfigError, kernel_from_arg, kernel_from_config
+from wgflows.cli import ConfigError, build_parser, kernel_from_config, load_config
 from wgflows.kernels import KernelError, SmoothKernel, gaussian_kernel, imq_kernel
 
 KERNELS = [
@@ -42,7 +42,8 @@ class TestConstruction:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"family": "imq", "lengthscale": 0.4, "beta": 1.5}))
-        k = kernel_from_arg(str(path), {}, "kernel1")
+        cfg = load_config(build_parser().parse_args(["estimate", "--kernel1", str(path)]))
+        k = kernel_from_config(cfg["kernel1"], "kernel1")
         assert k.family == "imq" and k.beta == 1.5
 
     def test_malformed_config(self):

@@ -341,6 +341,43 @@ def test_cast_scanner_ignores_other_calls(source):
     assert not bare_config_casts(source)
 
 
+# the CLI functions that may see the parsed flags
+ARGS_READERS = ("load_config", "main", "build_parser")
+
+
+def args_readers(source: str) -> list[str]:
+    """Functions in ``source`` other than ``ARGS_READERS`` that read the
+    name ``args`` or take a parameter of that name: a second path from a
+    flag to a command, past the merged config."""
+    return sorted(
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in ARGS_READERS
+        and any(isinstance(inner, ast.Name) and inner.id == "args"
+                or isinstance(inner, ast.arg) and inner.arg == "args"
+                for inner in ast.walk(node)))
+
+
+def test_cli_reads_flags_once():
+    """Only ``load_config`` (which merges the flags into the config),
+    ``main`` and ``build_parser`` see the parsed flags; every command reads
+    its inputs from the merged config, which its manifest records."""
+    assert args_readers((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, readers", [
+    ("def cmd_w2(args):\n    return args.rho", ["cmd_w2"]),
+    ("def cmd_w2(cfg, seed):\n    return args.rho or cfg['rho']", ["cmd_w2"]),
+    ("def helper(*args):\n    pass", ["helper"]),
+    ("def main(argv):\n    def run(cfg):\n        return args.func(cfg)", ["run"]),
+    ("def main(argv):\n    args = parse(argv)\n    return args.func(load_config(args))", []),
+    ("def load_config(args):\n    return vars(args)", []),
+    ("def cmd_w2(cfg, seed):\n    return cfg['args'], exc.args", []),
+])
+def test_args_scanner(source, readers):
+    assert args_readers(source) == readers
+
+
 def test_cli_import_loads_no_scipy():
     """Importing the CLI (and with it every module of the package) leaves no
     ``scipy`` module in ``sys.modules``."""
