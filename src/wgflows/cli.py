@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -200,7 +199,8 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
 class RunDirectory:
     """Locked output directory collecting artifacts and their checksums; a
     context manager whose exit releases the lock, whether the run succeeded
-    or not.
+    or not; one refused for a ``ConfigError`` also removes the directory it
+    made, if that is empty.
 
     Wall-clock seconds go only to ``timings`` (written to timings.json):
     ``mark`` records the time since the run started, and commands add the
@@ -209,6 +209,7 @@ class RunDirectory:
 
     def __init__(self, out: Path):
         self.out = out
+        self.created = not out.exists()
         self.out.mkdir(parents=True, exist_ok=True)
         self.lock = self.out / ".lock"
         try:
@@ -250,8 +251,11 @@ class RunDirectory:
     def __enter__(self) -> "RunDirectory":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, *exc_info) -> None:
         self.lock.unlink(missing_ok=True)
+        if (self.created and exc_type is not None and issubclass(exc_type, ConfigError)
+                and not any(self.out.iterdir())):
+            self.out.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +304,16 @@ def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str
     """``cfg[key]`` as ``kind``, the one check of every config section, path,
     bool, int and float: only a JSON object is a dict (a section), only a
     JSON string a str (a path), only JSON true/false a bool, an int or
-    integral float an int, any finite non-bool number a float (Python's
-    ``json`` reads ``NaN`` and ``Infinity``, which are no JSON numbers).  An
-    absent key gives ``default`` unchecked."""
+    integral float an int, any non-bool number a float; a number of either
+    kind must be finite as a float (Python's ``json`` reads ``NaN``,
+    ``Infinity`` and integers beyond the float range, which are no usable
+    numbers).  An absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
     if not (isinstance(value, kind) if kind in (bool, dict, str) else not isinstance(value, bool)
-            and isinstance(value, (int, float))
-            and (math.isfinite(value) if kind is float else value % 1 == 0)):
+            and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            and (kind is float or value % 1 == 0)):
         raise ConfigError("config_invalid", f"{prefix + key} must be of type "
                           f"{'finite float' if kind is float else kind.__name__}, got {value!r}")
     return kind(value)

@@ -214,11 +214,12 @@ class EstimatorResult:
     (see ``_factor_blocks``): at most 1 unless the numerical floors stop the
     cut first; each block's part of it is the larger, over the two
     reflection-parity halves of its generator Gram, of the remaining trace
-    plus the largest cut eigenvalue.  ``gram_condition`` is lambda_max of
-    the Woodbury core I + S'S
-    plus ``dropped_share``: an upper bound on the condition number of the
-    Jacobi-scaled exact system D^-1/2 (G + D) D^-1/2, whose smallest
-    eigenvalue is at least 1.  ``kept_rank`` maps each learned function
+    plus the largest cut eigenvalue plus the factor's rounding (n times the
+    pivot floor for the n generators of a half).  ``gram_condition`` is
+    lambda_max of the Woodbury core I + S'S plus ``dropped_share``: an upper
+    bound on the condition number of the Jacobi-scaled exact system
+    D^-1/2 (G + D) D^-1/2, whose smallest eigenvalue is at least 1.
+    ``kept_rank`` maps each learned function
     ("V", "W", "U") to [generator directions kept, generator count]: the
     pivoted Cholesky of each parity half of the generator Gram, read column
     by column from its gap vectors, stops once that half's remaining trace
@@ -283,11 +284,9 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
             raise EstimatorError("Hamiltonian data functional needs periodic data")
         f = traj.dtt_plus().copy()
         slopes = traj.dt_plus()
-        for l in range(mesh.L):
-            sdot = slopes[l]
-            # geodesic correction is defined on zero-mean tangent slices;
-            # project out the (discretization-induced) mean component
-            f[l] += christoffel_term(traj.values[l], sdot - sdot.mean(), mesh)
+        # geodesic correction is defined on zero-mean tangent slices;
+        # project out the (discretization-induced) mean component
+        f += christoffel_term(traj.values, slopes - slopes.mean(axis=1, keepdims=True), mesh)
     else:
         raise EstimatorError(f"unknown flow kind {flow_kind!r}")
     if known_u.kind != "none":
@@ -528,8 +527,10 @@ def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, floa
     over both halves, are cut, and the kept ones are mapped back to the
     generators.  K~ - Y Y' is block-diagonal in the parity basis too, so
     ``dropped``, the larger over the two halves of the remaining trace plus
-    the largest cut eigenvalue, bounds its largest eigenvalue.  Y may have
-    no columns.
+    the largest cut eigenvalue plus the factor's rounding, bounds its
+    largest eigenvalue.  The rounding is counted as n pivot floors for n
+    generators per half (measured below 0.4 of that for n < 80).  Y may
+    have no columns.
     """
     floor = _PIVOT_TOL * float(gram.diagonal().max())
     halves = [(half, *_pivoted_cholesky(half, threshold, floor))
@@ -537,11 +538,12 @@ def _generator_factor(gram: GapGram, threshold: float) -> tuple[np.ndarray, floa
     spectra = [np.linalg.eigh(Rt @ Rt.T) for _, Rt, _ in halves]
     top = max((w[-1] for w, _ in spectra if w.size), default=0.0)
     cut = max(threshold / 2, 1e-14 * top)
+    rounding = gram.size // 2 * floor
     Y, dropped = [], 0.0
     for (half, Rt, rest), (w, V) in zip(halves, spectra):
         keep = w > cut
         Y.append(half.lift(Rt.T @ V[:, keep]))
-        dropped = max(dropped, rest + max(float(w[~keep].max(initial=0.0)), 0.0))
+        dropped = max(dropped, rest + max(float(w[~keep].max(initial=0.0)), 0.0) + rounding)
     return np.hstack(Y), dropped
 
 

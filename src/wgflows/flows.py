@@ -1,5 +1,5 @@
 """Forward models: gradient-flow PDE stepping, Hamiltonian particle flow,
-weighted Laplacian and its pseudo-inverse, and the geodesic correction term.
+weighted Laplacian, and the geodesic correction term.
 
 The 1-D density evolutions generated here are
 
@@ -9,7 +9,7 @@ The 1-D density evolutions generated here are
 
 with Gamma the quadratic correction of the Otto geometry,
 
-    Gamma(s, s) = -( Lap_s eta + 1/2 Lap_rho |grad eta|^2 ),  eta = pinv(Lap_rho) s.
+    Gamma(s, s) = -( Lap_s eta + 1/2 Lap_rho |grad eta|^2 ),  Lap_rho eta = s.
 
 On the grid, div(rho grad phi) is discretized in conservation form as a
 backward difference of the forward-difference flux,
@@ -17,9 +17,14 @@ backward difference of the forward-difference flux,
     (Lap_rho phi)_n = d-( rho * d+ phi )_n,
 
 which telescopes (exact mass conservation on the torus) and is symmetric
-negative semidefinite, so the pseudo-inverse is a well-posed zero-mean solve.
-In 1-D it integrates in closed form: the flux J = rho d+ phi is a running
-sum of sigma up to a constant, which periodicity of phi fixes.  The
+negative semidefinite, so Lap_rho eta = s has a solution for every
+zero-mean s.  Gamma needs only its flux velocity v = d+ eta = J / rho, and
+in 1-D J integrates in closed form: J = rho d+ eta is a running sum of s up
+to a constant, which periodicity of eta fixes, so
+
+    Gamma(s, s) = -d-( s v + 1/2 rho d+(v^2) )
+
+with no potential formed, row by row over a whole trajectory.  The
 gradient simulator reads W once, on the 2N-1 pair differences of
 ``mesh.difference_grid``, and one function forms every grid convolution
 dx sum_m W(x_n - x_m) rho_m, or of W', as np.convolve(dx W, rho, "valid").
@@ -88,8 +93,8 @@ from .mesh import (
 
 DENSITY_FLOOR = 1e-10
 SCHEMES = ("divergence", "upwind")  # spatial fluxes of ``_GridEnergy.step``
-# pseudo-inverse inputs whose Riemann mean exceeds this fraction of their
-# scale are rejected; smaller means are projected out
+# geodesic-correction inputs whose Riemann mean exceeds this fraction of
+# their scale are rejected; smaller means are projected out of the flux
 _MEAN_TOL = 1e-8
 
 
@@ -244,63 +249,45 @@ class EnergySpec:
 
 
 # ---------------------------------------------------------------------------
-# Weighted Laplacian, pseudo-inverse, geodesic correction
+# Weighted Laplacian, geodesic correction
 # ---------------------------------------------------------------------------
 
-def weighted_laplacian_apply(rho: np.ndarray, phi: np.ndarray, mesh: SpaceTimeMesh,
-                             allow_signed: bool = False) -> np.ndarray:
+def weighted_laplacian_apply(rho: np.ndarray, phi: np.ndarray, mesh: SpaceTimeMesh) -> np.ndarray:
     """Divergence-form discrete div(rho grad phi) on the periodic grid."""
     rho = np.asarray(rho, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if not allow_signed and not np.all(rho > 0):
+    if not np.all(rho > 0):
         raise FlowError("weighted Laplacian needs a strictly positive weight")
     flux = rho * diff_space(phi, mesh.dx, PERIODIC)
     return diff_space_backward(flux, mesh.dx)
 
 
-def weighted_laplacian_pinv(rho: np.ndarray, sigma: np.ndarray,
-                            mesh: SpaceTimeMesh) -> np.ndarray:
-    """Zero-mean phi with div(rho grad phi) = sigma on the periodic grid.
+def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) -> np.ndarray:
+    """Quadratic geodesic correction Gamma(rho_dot, rho_dot) on the torus,
+    row by row along the last axis of (..., N) arrays.
 
-    sigma must have (near-)zero Riemann mean: deviations within
-    ``_MEAN_TOL`` of zero (relative to the sigma scale) are projected
-    out, larger ones are rejected.  The backward difference of the flux
-    J = rho d+ phi is sigma, so J = dx cumsum(sigma) + J0; phi is periodic
-    exactly when sum(J / rho) = 0, which fixes J0, and phi is the running
-    sum of its forward differences dx J / rho.
+    Gamma = -d-( rho_dot v + 1/2 rho d+(v^2) ) with v = J / rho the flux
+    velocity of rho_dot: J = dx cumsum(rho_dot - mean) + J0, whose backward
+    difference is rho_dot - mean, and J0 = -sum(J / rho) / sum(1 / rho), so
+    that v is the forward difference of a periodic potential.  Each row
+    must have positive rho and a Riemann mean of rho_dot within
+    ``_MEAN_TOL`` of its scale; that mean is projected out of J.
     """
     rho = np.asarray(rho, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(rho > 0):
-        raise FlowError("pseudo-inverse needs a strictly positive density")
-    scale = float(np.max(np.abs(sigma)))
-    if scale == 0.0:
-        return np.zeros_like(sigma)
-    mean = float(sigma.mean())
-    if abs(mean) * mesh.dx * rho.size > _MEAN_TOL * scale * mesh.domain_length:
-        raise FlowError(
-            f"pseudo-inverse input has non-zero mean {mean * mesh.domain_length:.3g}"
-        )
-    sigma = sigma - mean
-    flux = mesh.dx * np.cumsum(sigma)
-    flux -= np.sum(flux / rho) / np.sum(1.0 / rho)
-    phi = np.zeros_like(sigma)
-    phi[1:] = np.cumsum(mesh.dx * flux[:-1] / rho[:-1])
-    phi -= phi.mean()
-    residual = float(np.max(np.abs(weighted_laplacian_apply(rho, phi, mesh) - sigma)))
-    if residual > 1e-8 * scale:
-        raise FlowError(f"pseudo-inverse residual {residual:.3g} exceeds tolerance")
-    return phi
-
-
-def christoffel_term(rho: np.ndarray, rho_dot: np.ndarray, mesh: SpaceTimeMesh) -> np.ndarray:
-    """Quadratic geodesic correction Gamma(rho_dot, rho_dot) on the torus."""
     rho_dot = np.asarray(rho_dot, dtype=float)
-    eta = weighted_laplacian_pinv(rho, rho_dot, mesh)
-    term1 = weighted_laplacian_apply(rho_dot, eta, mesh, allow_signed=True)
-    grad_eta = diff_space(eta, mesh.dx, PERIODIC)
-    term2 = weighted_laplacian_apply(rho, grad_eta**2, mesh)
-    return -(term1 + 0.5 * term2)
+    if not np.all(rho > 0):
+        raise FlowError("geodesic correction needs a strictly positive density")
+    scale = np.max(np.abs(rho_dot), axis=-1)
+    mean = rho_dot.mean(axis=-1)
+    biased = np.abs(mean) * mesh.dx * rho.shape[-1] > _MEAN_TOL * scale * mesh.domain_length
+    if np.any(biased):
+        raise FlowError("geodesic correction input has non-zero mean "
+                        f"{np.max(np.abs(mean[biased])) * mesh.domain_length:.3g}")
+    flux = mesh.dx * np.cumsum(rho_dot - mean[..., None], axis=-1)
+    flux -= (np.sum(flux / rho, axis=-1) / np.sum(1.0 / rho, axis=-1))[..., None]
+    v = flux / rho
+    return -diff_space_backward(rho_dot * v + 0.5 * rho * diff_space(v**2, mesh.dx, PERIODIC),
+                                mesh.dx)
 
 
 # ---------------------------------------------------------------------------

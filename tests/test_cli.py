@@ -117,6 +117,15 @@ class TestSimulate:
         assert len(hits) == 5 and all(h > 0 for h in hits)
         assert hits == [int(np.sum(row == DENSITY_FLOOR)) for row in traj.values]
 
+    def test_uniform_initial_density(self, tmp_path):
+        cfg = simulate_config(tmp_path / "run")
+        cfg["initial_density"] = {"type": "uniform"}
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", cfg_path]) == 0
+        traj = read_trajectory(tmp_path / "run" / "trajectory.csv")
+        assert np.allclose(traj.values.sum(axis=1) * traj.mesh.dx, 1.0, rtol=0, atol=1e-12)
+
     def test_locked_directory_rejected(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -282,6 +291,9 @@ BAD_SIMULATE_EDITS = {
     "wrap_period_negative": lambda cfg: cfg["energy"]["V"].update(wrap_period=-1.0),
     # Python's json reads NaN and Infinity, which are no JSON numbers
     "mesh_T_infinite": lambda cfg: cfg["mesh"].update(T=float("inf")),
+    # and so does an integer beyond the float range, of a float or an int key
+    "mesh_T_beyond_float_range": lambda cfg: cfg["mesh"].update(T=10**400),
+    "mesh_N_beyond_float_range": lambda cfg: cfg["mesh"].update(N=10**400),
     "density_sigma_nan": lambda cfg: cfg["initial_density"].update(sigma=float("nan")),
     # a bump density's parameters are range-checked
     "density_sigma_zero": lambda cfg: cfg["initial_density"].update(sigma=0),
@@ -307,6 +319,7 @@ BAD_ESTIMATE_CONFIGS = {
     "center_not_a_boolean": {"center_interaction": "false"},
     "lambda3_nan": {"kernel3": json.loads(KERNEL1), "lambda3": float("nan")},
     "lambda3_infinite": {"kernel3": json.loads(KERNEL1), "lambda3": float("inf")},
+    "lambda1_beyond_float_range": {"lambda1": 10**400},
     "eval_grid_not_an_object": {"eval_grid": 5},
     # a config kernel, read in place of its flag, passes the same checks
     "kernel2_lengthscale_nan": {"kernel2": {"family": "imq", "lengthscale": float("nan"),
@@ -392,6 +405,8 @@ NAMED_KEYS = {
     "stability_amplitudes_not_one_per_mode": "initial_phase.amplitudes",
     "stability_phases_not_one_per_mode": "initial_phase.phases",
     "mesh_T_infinite": "mesh.T",
+    "mesh_T_beyond_float_range": "mesh.T",
+    "mesh_N_beyond_float_range": "mesh.N",
     "density_sigma_nan": "initial_density.sigma",
     "density_sigma_zero": "initial_density.sigma",
     "density_sigma_negative": "initial_density.sigma",
@@ -548,7 +563,7 @@ def test_nonperiodic_w_exits_2(tmp_path, capsys, monkeypatch, command, case):
     # the failing W is named before any flow takes a step
     assert err["message"].startswith("energy.W" if command == "simulate" else "estimate 1 W")
     assert steps == []
-
+    assert not (tmp_path / "run").exists()
 
 
 # V must be periodic on the torus for the Hamiltonian potential series
@@ -559,13 +574,16 @@ NONPERIODIC_V = {
     "one_copy_of_wide_gaussian": {
         "type": "kernel_sum", "kernel": {"family": "gaussian", "lengthscale": 0.5},
         "centers": [0.3], "weights": [0.04], "wrap_period": 1.0, "wrap_copies": 1},
+    # stability takes kernel_sum specs only
+    "linear": {"type": "linear", "slope": 0.1},
 }
 
 
-@pytest.mark.parametrize("case", NONPERIODIC_V)
-@pytest.mark.parametrize("command, name", [("simulate", "energy.V"),
-                                           ("stability", "truth V"),
-                                           ("stability", "estimate 1 V")])
+@pytest.mark.parametrize("command, name, case", [
+    (command, name, case) for command, name in (("simulate", "energy.V"),
+                                                ("stability", "truth V"),
+                                                ("stability", "estimate 1 V"))
+    for case in NONPERIODIC_V if command == "simulate" or case != "linear"])
 def test_nonperiodic_v_exits_2(tmp_path, capsys, monkeypatch, command, name, case):
     steps = count_lockstep_calls(monkeypatch)
     if command == "simulate":
@@ -585,6 +603,19 @@ def test_nonperiodic_v_exits_2(tmp_path, capsys, monkeypatch, command, name, cas
     # the failing V is named before any flow takes a step
     assert err["message"].startswith(f"{name}: ")
     assert steps == []
+    assert not (tmp_path / "run").exists()
+
+
+def test_failed_run_keeps_a_directory_it_did_not_make(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    cfg = simulate_config(out, kind="hamiltonian")
+    cfg["energy"]["V"] = NONPERIODIC_V["linear"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", cfg_path]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "v_not_periodic"
+    assert out.is_dir() and not any(out.iterdir())
 
 
 class TestEstimate:
@@ -661,6 +692,23 @@ class TestEstimate:
         rc = run(["estimate", "--data", data_dir / "trajectory.csv",
                   "--lambda1", "1", "--lambda2", "1", "--out", tmp_path / "x"])
         assert rc == 2
+
+    def test_center_interaction_shifts_what_by_a_constant(self, tmp_path, data_dir):
+        columns = {}
+        for center in (False, True):
+            out = tmp_path / f"est_{center}"
+            cfg_path = tmp_path / f"est_{center}.json"
+            cfg_path.write_text(json.dumps({"center_interaction": True} if center else {}))
+            assert run(["estimate", "--config", cfg_path,
+                        "--data", data_dir / "trajectory.csv", "--out", out,
+                        *[v for kv in ESTIMATE_ARGS.items() for v in kv]]) == 0
+            lines = (out / "reconstruction.csv").read_text().splitlines()
+            columns[center] = dict(zip(lines[0].split(","),
+                                       np.loadtxt(lines[1:], delimiter=",", ndmin=2).T))
+        assert list(columns[True]) == ["x", "vhat", "what_centered"]
+        assert np.array_equal(columns[True]["vhat"], columns[False]["vhat"])
+        shift = columns[False]["what"] - columns[True]["what_centered"]
+        assert np.ptp(shift) <= 1e-12 * np.max(np.abs(columns[False]["what"]))
 
     def test_diagnostics_reports_stationarity(self, tmp_path, data_dir):
         out = tmp_path / "est2"

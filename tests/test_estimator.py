@@ -474,7 +474,8 @@ def test_parity_halves_at_one_center():
             assert half.column(0) == pytest.approx([K[q, q]], rel=rel, abs=0.0)
             assert half.lift(np.ones((1, 1))).ravel().tolist() == np.eye(2)[q].tolist()
         Y, dropped = estimator._generator_factor(fn.gram, 0.0)
-        assert Y.shape == (2, 2) and dropped == 0.0
+        # nothing is cut: only the factor's rounding, one pivot floor, is dropped
+        assert Y.shape == (2, 2) and dropped == estimator._PIVOT_TOL * K.diagonal().max()
         assert np.allclose(Y @ Y.T, K, rtol=rel, atol=0.0)
 
 
@@ -534,6 +535,11 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
 @given(N=st.integers(1, 16), L=st.integers(1, 4), k1=smooth_kernels, k2=smooth_kernels,
        k3=st.none() | smooth_kernels, lam=st.sampled_from([0.05, 1e-4, 1e-6]),
        seed=st.integers(0, 999))
+# every direction kept (c = 1.2e-10): the factor's rounding alone is dropped
+@example(N=9, L=4, k1=imq_kernel(0.59375, beta=1.5), k2=imq_kernel(0.5625, beta=1.5),
+         k3=None, lam=1e-6, seed=0)
+@example(N=9, L=4, k1=imq_kernel(0.59375, beta=1.5), k2=imq_kernel(0.5625, beta=1.5),
+         k3=None, lam=1e-6, seed=2)
 def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
     """Every eigenvalue of M^-1 (G + D) = I + M^-1 (G - P P'), M = P P' + D
     the preconditioner, lies in [1, 1 + dropped_share], and CG needs no more

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import wgflows
+from wgflows import flows, mesh
 from wgflows.estimator import EstimationProblem
 
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
 PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
+README = PACKAGE_DIR.parents[1] / "README.md"
 BENCH_DIR = PACKAGE_DIR.parents[1] / "perfbench"
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -397,3 +399,25 @@ def test_runtime_dependencies_are_numpy_only():
     text = PYPROJECT.read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.MULTILINE | re.DOTALL)
     assert re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)) == ["numpy"]
+
+
+def unnamed_values(text: str, values) -> list[str]:
+    """The ``values`` (in order) that ``text`` never writes in backquotes."""
+    return [value for value in values if f"`{value}`" not in text]
+
+
+def test_readme_names_every_accepted_value():
+    """README names, in backquotes, every value the readers accept for a
+    sidecar's ``boundary_mode`` (``mesh.BOUNDARY_MODES``) and for a
+    ``scheme`` (``flows.SCHEMES``), so its exit-2 rules quote values that run."""
+    text = README.read_text(encoding="utf-8")
+    assert unnamed_values(text, mesh.BOUNDARY_MODES + flows.SCHEMES) == []
+
+
+@pytest.mark.parametrize("text, unnamed", [
+    ("`periodic` or `paper-truncated`", []),
+    ("`periodic` or `truncated`", ["paper-truncated"]),
+    ("periodic or paper-truncated", ["periodic", "paper-truncated"]),
+])
+def test_unnamed_value_scanner(text, unnamed):
+    assert unnamed_values(text, ("periodic", "paper-truncated")) == unnamed
