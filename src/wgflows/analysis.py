@@ -29,6 +29,7 @@ from .flows import (
     gradient_flow_simulate,
     hamiltonian_flow_simulate,
 )
+from .kernels import gaussian_kernel
 from .mesh import PERIODIC, DensityTrajectory, SpaceTimeMesh
 from .rkhs import RkhsFunction, rkhs_inner
 
@@ -63,24 +64,10 @@ def pair_norm(pair: tuple[RkhsFunction, RkhsFunction]) -> float:
         rkhs_inner(pair[0], pair[0]) + rkhs_inner(pair[1], pair[1]), 0.0)))
 
 
-def wrap_periodic(f: RkhsFunction, period: float, copies: int | None = None) -> RkhsFunction:
-    """Periodize a kernel expansion by replicating generators over shifts.
-
-    The number of copies defaults to however many the kernel tail needs to
-    be below 1e-15 of its peak across one period.
-    """
-    if copies is None:
-        copies = 1
-        while copies < 64:
-            tail = abs(f.kernel.profile(0, copies * period - period))
-            if tail < 1e-15 * abs(f.kernel.profile(0, 0.0)):
-                break
-            copies += 1
-    shifts = period * np.arange(-copies, copies + 1)
-    centers = (f.centers[:, None] + shifts[None, :]).ravel()
-    orders = np.repeat(f.orders, shifts.size)
-    coeffs = np.repeat(f.coeffs, shifts.size)
-    return RkhsFunction(f.kernel, orders, centers, coeffs)
+def wrap_periodic(f: RkhsFunction, period: float) -> RkhsFunction:
+    """sum_j f(x + j period), exactly: f's generators under its kernel
+    periodized over ``period``, an expansion in that kernel's RKHS."""
+    return RkhsFunction(f.kernel.periodized(period), f.orders, f.centers, f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +309,8 @@ class SweepPlan:
             raise AnalysisError("T, c_lambda and c_L must be positive, got "
                                 f"{self.T}, {self.c_lambda}, {self.c_L}")
         check_bump(self.initial_sigma, self.initial_uniform_weight, prefix="initial_")
+        if any(f.kernel.period is not None for f in (self.truth_v, self.truth_w)):
+            raise AnalysisError("truth_v and truth_w must not be wrapped: the sweep wraps them")
 
     def lambda_at(self, N: int) -> float:
         return self.c_lambda * float(N) ** (-self.alpha)
@@ -360,7 +349,8 @@ def check_bump(sigma, uniform_weight: float, bump_weights=None, prefix: str = ""
 
 def bump_density(x: np.ndarray, length: float, center, sigma,
                  uniform_weight: float, bump_weights=None) -> np.ndarray:
-    """Strictly positive unit-mass blend of uniform and periodized Gaussians.
+    """Strictly positive unit-mass blend of uniform and Gaussians periodized
+    over ``length`` (``SmoothKernel.periodized``).
 
     ``center`` and ``sigma`` may be sequences for multi-bump profiles;
     ``bump_weights`` sets the relative masses (defaults to equal).
@@ -374,10 +364,7 @@ def bump_density(x: np.ndarray, length: float, center, sigma,
     bump_weights = bump_weights / bump_weights.sum()
     bump = np.zeros_like(x)
     for c, s, w in zip(centers, sigmas, bump_weights):
-        copies = max(2, int(np.ceil(6 * s / length)) + 1)
-        part = np.zeros_like(x)
-        for k in range(-copies, copies + 1):
-            part += np.exp(-((x - c + k * length) ** 2) / (2 * s**2))
+        part = gaussian_kernel(s).periodized(length)(x, c)
         bump += w * part / (part.sum() * (x[1] - x[0]))
     uniform = 1.0 / length
     return uniform_weight * uniform + (1.0 - uniform_weight) * bump
@@ -499,15 +486,12 @@ def stability_experiment(truth: tuple[RkhsFunction, RkhsFunction],
             wasserstein2_1d(traj_true.values[l], traj_est.values[l], mesh, periodic=True)
             for l in range(mesh.L)
         ]
-        discrepancy = float(np.sqrt(
-            kappa1**2 * _distance_sq(truth[0], estimate[0])
-            + kappa2**2 * _distance_sq(truth[1], estimate[1])
-        ))
+        d_v, d_w = (_distance_sq(e, t) for e, t in zip(estimate, truth))
         records.append({
             "sup_w2": float(max(w2)),
             "w2_per_time": w2,
-            "rkhs_error": rkhs_error(estimate, truth),
-            "weighted_rkhs_discrepancy": discrepancy,
+            "rkhs_error": float(np.sqrt(d_v + d_w)),
+            "weighted_rkhs_discrepancy": float(np.sqrt(kappa1**2 * d_v + kappa2**2 * d_w)),
             "wall_s": time.perf_counter() - t0,
         })
     return records

@@ -36,7 +36,6 @@ from .analysis import (
     run_sweep,
     stability_experiment,
     wasserstein2_1d,
-    wrap_periodic,
 )
 from .estimator import EstimationProblem, EstimatorError, solve, stationarity_residual
 from .flows import (
@@ -112,10 +111,10 @@ def sha256_of(path: Path) -> str:
 def function_from_spec(spec: dict | None, what: str):
     """Build an evaluable scalar field from its JSON description.
 
-    Supported types: zero, linear, cosine_sum, kernel_sum (with optional
-    periodization via wrap_period; absent, no wrap).  Every number and list
-    of numbers the spec holds passes ``config_value`` or ``config_list``,
-    and a period must be positive.
+    Supported types: zero, linear, cosine_sum, kernel_sum (its kernel
+    periodized over wrap_period; absent, no wrap).  Every number and list
+    of numbers the spec holds passes ``config_value`` or ``config_list``, a
+    period must be positive, and a retired key exits 2.
     """
     if spec is None:
         return None
@@ -123,6 +122,7 @@ def function_from_spec(spec: dict | None, what: str):
         raise ConfigError("config_invalid", f"{what} must be a function spec, got {spec!r}")
     kind = spec.get("type")
     prefix = f"{what}."
+    refuse_retired_keys(spec, prefix)
     if kind == "zero":
         return None
     if kind == "linear":
@@ -140,15 +140,9 @@ def function_from_spec(spec: dict | None, what: str):
         centers = config_list(spec, "centers", float, prefix=prefix)
         weights = config_list(spec, "weights", float, prefix=prefix)
         require_lengths(centers, "centers", {"weights": weights}, prefix)
-        fn = RkhsFunction.from_points(kernel, centers, weights)
         if "wrap_period" in spec:
-            period = config_positive(spec, "wrap_period", prefix=prefix)
-            copies = config_value(spec, "wrap_copies", int, None, prefix=prefix)
-            if copies is not None and copies < 0:
-                raise ConfigError("config_invalid",
-                                  f"{prefix}wrap_copies must be at least 0, got {copies}")
-            fn = wrap_periodic(fn, period, copies)
-        return fn
+            kernel = kernel.periodized(config_positive(spec, "wrap_period", prefix=prefix))
+        return RkhsFunction.from_points(kernel, centers, weights)
     raise ConfigError("bad_function", f"unknown {what} spec type {kind!r}")
 
 
@@ -307,15 +301,19 @@ def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str
     integral float an int, any non-bool number a float; a number of either
     kind must be finite as a float (Python's ``json`` reads ``NaN``,
     ``Infinity`` and integers beyond the float range, which are no usable
-    numbers).  An absent key gives ``default`` unchecked."""
+    numbers), and the message cuts an integer to 20 characters and its
+    digit count.  An absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
     if not (isinstance(value, kind) if kind in (bool, dict, str) else not isinstance(value, bool)
             and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
             and (kind is float or value % 1 == 0)):
+        shown = repr(value)
+        if isinstance(value, int) and len(shown) > 20:
+            shown = f"{shown[:20]}... ({len(shown.lstrip('-'))} digits)"
         raise ConfigError("config_invalid", f"{prefix + key} must be of type "
-                          f"{'finite float' if kind is float else kind.__name__}, got {value!r}")
+                          f"{'finite float' if kind is float else kind.__name__}, got {shown}")
     return kind(value)
 
 
@@ -376,12 +374,18 @@ def kernel_sum_from_spec(spec, what: str) -> RkhsFunction:
     return fn
 
 
-def refuse_quantile_count(cfg: dict) -> None:
-    """The W2 distance is exact and samples no quantile levels: a config
-    that sets their count exits 2 instead of having the key ignored."""
-    if "n_quantiles" in cfg:
-        raise ConfigError("config_invalid",
-                          "n_quantiles is not a key: the W2 distance is exact")
+RETIRED_KEYS = {   # keys the commands read no more, and why
+    "n_quantiles": "the W2 distance is exact",
+    "wrap_copies": "a wrap_period periodizes the kernel itself, exactly",
+}
+
+
+def refuse_retired_keys(cfg: dict, prefix: str = "") -> None:
+    """A config (or spec) that sets a retired key exits 2 naming it,
+    instead of having the key ignored."""
+    for key, reason in RETIRED_KEYS.items():
+        if key in cfg:
+            raise ConfigError("config_invalid", f"{prefix + key} is not a key: {reason}")
 
 
 def cmd_simulate(cfg: dict, seed: int) -> int:
@@ -580,7 +584,7 @@ def cmd_stability(cfg: dict, seed: int) -> int:
                           f"estimates must be a list of objects, got {estimates!r}")
     mu0 = density_from_spec(config_value(cfg, "initial_density", dict, {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
-    refuse_quantile_count(cfg)
+    refuse_retired_keys(cfg)
     dt_solver = config_positive(cfg, "dt_solver", None)
     pairs = [(kernel_sum_from_spec(require(est_cfg, "V"), f"estimate {i} V"),
               kernel_sum_from_spec(require(est_cfg, "W"), f"estimate {i} W"))
@@ -617,7 +621,7 @@ def cmd_w2(cfg: dict, seed: int) -> int:
     out = config_value(cfg, "out", str, None)
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
-    refuse_quantile_count(cfg)
+    refuse_retired_keys(cfg)
     t_rho, t_sigma = read_trajectory(rho_path), read_trajectory(sigma_path)
     if t_rho.mesh != t_sigma.mesh:
         raise ConfigError("config_invalid", "--rho and --sigma lie on different meshes")

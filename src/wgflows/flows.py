@@ -37,37 +37,28 @@ the grid through monotone interpolation of the transport map.
 
 On the torus [a, a + L) the potential and every particle pair sum, V' and
 the sums over W' for the force, V and the sums over W for the energy, go
-through Fourier series.  For G = W or W', write G(d) = f(d) + J1 d/L +
-J2 d^2/(2L) on [-L/2, L/2], with J1 and J2 the jumps of G and G' across
-the period boundary (a truncated wrap of a heavy-tailed kernel leaves
-small ones), so that f and f' are continuous on the torus; for G = V or
-V' the same holds with d the minimal-image offset y = wrap(x) - a - L/2
-from the middle of the torus, whose boundary is at a.
-f(d) = Re sum_k w_k c_k exp(i omega_k d) with omega_k = 2 pi k / L and
-weights w = (1, 2, 2, ...), so
+through Fourier series.  G = W or W' is read at the minimal-image pair
+difference d in [-L/2, L/2], G = V or V' at the minimal-image offset
+y = wrap(x) - a - L/2 from the middle of the torus, whose boundary is at
+a; with omega_k = 2 pi k / L and weights w = (1, 2, 2, ...),
+G(d) = Re sum_k w_k c_k exp(i omega_k d), so
 
-    sum_j m_j f(q_i - q_j)
+    sum_j m_j G(q_i - q_j)
         = Re sum_k w_k c_k exp(i omega_k y_i) sum_j m_j exp(-i omega_k y_j),
 
-since the pair differences are those of the offsets y, and the two
-polynomial terms are sums of the first two powers of the minimal-image
-differences, which one sort and prefix sums give.  V's series is read off
-the same phases exp(i omega_k y_i), so a Verlet step forms one phase
-matrix for both and costs O(n K + n log n) for n particles and K modes
+since the pair differences are those of the offsets y.  V's series is
+read off the same phases exp(i omega_k y_i), so a Verlet step forms one
+phase matrix for both and costs O(n K) for n particles and K modes
 instead of n kernel sums for V and n^2 for W, which pays while K is small
 against n times the kernel terms of W (K = 8 against 96 x 18 on the
 benchmark's flow).  Flows that share a start, mesh and step are stepped
 in lockstep: B of them form one B x n phase matrix per step.
 
-Each order's coefficients are built once per simulation from P samples of
-f at the minimal images of p L / P, P = 32, 64, ..., until the modes
-k < P/4 reproduce the samples to 32 eps times the size of the terms of G
-(the scale of the roundoff of the samples); those modes are kept.  A V or
-W that is not smooth on the torus beyond those jumps (not wrapped with its
-domain length as period, or with too few copies) has not converged at
-P = 2^16 and is rejected with ``PeriodicityError``, naming its flow,
-before any flow takes a step.
-A smooth periodic f has exponentially decaying coefficients (Trefethen &
+Each order's coefficients are built once per simulation (``_torus_series``),
+and a V or W that is not smooth and periodic on the torus (a kernel sum
+not wrapped with the domain length as its period) is rejected with
+``PeriodicityError``, naming its flow, before any flow takes a step.  A
+smooth periodic G has exponentially decaying coefficients (Trefethen &
 Weideman, SIAM Review 2014), so a few modes reach roundoff: K = 8 for a
 wrapped Gaussian of lengthscale 0.25 on the unit torus.
 
@@ -432,39 +423,9 @@ def _minimal_image(diff: np.ndarray, length: float) -> np.ndarray:
 
 _SERIES_START = 32       # first sample count of a series
 _SERIES_LIMIT = 2**16    # last sample count tried before V or W is rejected
-_JUMP_TOL = 1e-2         # largest jump of G or G' across the period boundary,
-                         # relative to the size of its terms, taken for the
-                         # truncation of a periodic wrap
 _SERIES_TOL = 32.0       # allowed miss of a series at its samples, in eps
                          # times the size of the terms of G
 _PHASE_BLOCK = 2**19     # particle x mode entries per block of the phase matrix
-
-
-def _seam_sums(q: np.ndarray, masses: np.ndarray,
-               length: float) -> tuple[np.ndarray, np.ndarray]:
-    """sum_j m_j mi(q_i - q_j) and sum_j m_j mi(q_i - q_j)^2 for every
-    particle i, mi the minimal image, in O(n log n).
-
-    With x the positions wrapped into [-L/2, L/2), mi(x_i - x_j) is
-    x_i - x_j, less L where x_j < x_i - L/2 and plus L where
-    x_j > x_i + L/2; the mass and first moment on either side come from
-    one sort and prefix sums.
-    """
-    x = np.mod(q, length) - 0.5 * length
-    order = np.argsort(x)
-    xs = x[order]
-    cum_m = np.concatenate([[0.0], np.cumsum(masses[order])])
-    cum_mx = np.concatenate([[0.0], np.cumsum(masses[order] * xs)])
-    lo = np.searchsorted(xs, x - 0.5 * length, side="left")
-    hi = np.searchsorted(xs, x + 0.5 * length, side="right")
-    m_below, mx_below = cum_m[lo], cum_mx[lo]
-    m_above, mx_above = cum_m[-1] - cum_m[hi], cum_mx[-1] - cum_mx[hi]
-    total, first, second = cum_m[-1], cum_mx[-1], float(masses @ x**2)
-    linear = total * x - first - length * (m_below - m_above)
-    quadratic = (total * x**2 - 2.0 * x * first + second
-                 + 2.0 * length * ((x * m_above - mx_above) - (x * m_below - mx_below))
-                 + length**2 * (m_above + m_below))
-    return linear, quadratic
 
 
 def _phase(y: np.ndarray, modes: int, length: float) -> np.ndarray:
@@ -507,37 +468,24 @@ def _sample(G, centre: float, d: np.ndarray, order: int) -> np.ndarray:
     return values
 
 
-def _torus_series(G, name: str, centre: float, length: float,
-                  order: int) -> tuple[np.ndarray, tuple[float, float]]:
-    """Fourier coefficients and seam jumps of G^(order)(centre + d) for d
-    on [-L/2, L/2], the seam of the torus of length L at d = +-L/2.
+def _torus_series(G, name: str, centre: float, length: float, order: int) -> np.ndarray:
+    """Fourier coefficients of G^(order)(centre + d) for d on [-L/2, L/2],
+    on the torus of length L.
 
-    With J1 = G(centre + L/2) - G(centre - L/2) and J2 the same for G',
-    G(centre + d) = f(d) + J1 d / L + J2 d^2 / (2 L), so f and f' are
-    continuous on the torus even where G and G' are not (the truncated
-    wrap of a heavy-tailed kernel leaves them jumps of up to about 1e-4 of
-    the size of their terms).  f is sampled (``_sample``) at the minimal
-    images d of p L / P for P = 32, 64, ..., and the first P whose modes
-    k < P/4 reproduce the samples to _SERIES_TOL eps times the size of the
-    terms of G (``G.magnitude``, the scale of the samples' roundoff) stops
-    the search.  Those modes are kept, multiplied by their weights (1, 2,
-    2, ...) of the real series, so that f(d) = Re sum_k c_k exp(i omega_k d)
-    at any d, wrapped or not.  A jump within the roundoff of its terms is
-    returned as 0: dropped with its seam term, it moves G by at most 2 eps
-    times the size of its terms.  ``PeriodicityError`` naming ``name`` when
-    no P up to 2^16 qualifies, or when a jump exceeds _JUMP_TOL of the size
-    of its terms: G is then not periodic with the torus's length as its
-    period, or is a periodic wrap with too few copies.
+    G is sampled (``_sample``) at the minimal images d of p L / P for
+    P = 32, 64, ..., and the first P whose modes k < P/4 reproduce the
+    samples to _SERIES_TOL eps times the size of the terms of G
+    (``G.magnitude``, the scale of the samples' roundoff) stops the search.
+    Those modes are kept, multiplied by their weights (1, 2, 2, ...) of the
+    real series, so that G(centre + d) = Re sum_k c_k exp(i omega_k d) at
+    any d, wrapped or not.  ``PeriodicityError`` naming ``name`` when no P
+    up to 2^16 qualifies: G is then not smooth and periodic with the
+    torus's length as a period.
     """
-    names = (name, name + "'", name + "''")[order:order + 2]
-    ends = np.array([0.5, -0.5]) * length
-    jumps = tuple(float(g[0] - g[1]) for g in (
-        _sample(G, centre, ends, k) for k in (order, order + 1)))
-    P = _SERIES_START
+    P, part = _SERIES_START, name + "'" * order
     while True:
         d = _minimal_image(length * np.arange(P) / P, length)
-        f = (_sample(G, centre, d, order)
-             - jumps[0] / length * d - jumps[1] / (2.0 * length) * d**2)
+        f = _sample(G, centre, d, order)
         c = np.fft.rfft(f) / P
         c[P // 4:] = 0.0
         scale = float(np.max(G.magnitude(centre + d, order=order)))
@@ -547,28 +495,15 @@ def _torus_series(G, name: str, centre: float, length: float,
         if P == _SERIES_LIMIT:
             raise PeriodicityError(
                 name,
-                f"the Fourier series of {names[0]} on the torus of length "
-                f"{length:g} has not converged at {P} samples: its first "
+                f"the Fourier series of {part} on the torus of "
+                f"length {length:g} has not converged at {P} samples: its first "
                 f"{P // 4} modes miss the samples by {miss / scale:.2g} of the "
                 f"size of its terms; it is not smooth across the period "
                 f"boundary (wrap {name} with the domain length as its period)"
             )
         P *= 2
-    sizes = (scale, float(np.max(G.magnitude(centre + d, order=order + 1))))
-    for part, jump, size in zip(names, jumps, sizes):
-        if abs(jump) > _JUMP_TOL * size:
-            raise PeriodicityError(
-                name,
-                f"{part} jumps by {abs(jump) / size:.2g} of the size of "
-                f"its terms across the period boundary of the torus of "
-                f"length {length:g}, more than the {_JUMP_TOL:g} a "
-                f"truncated periodic wrap leaves; {name} is not periodic there "
-                f"(wrap {name} with the domain length as its period and enough "
-                f"copies)"
-            )
     c[1:] *= 2.0
-    return c[:P // 4], tuple(0.0 if abs(j) <= 4.0 * np.finfo(float).eps * size else j
-                             for j, size in zip(jumps, sizes))
+    return c[:P // 4]
 
 
 def _energy_tables(specs: list[EnergySpec], a: float,
@@ -576,16 +511,15 @@ def _energy_tables(specs: list[EnergySpec], a: float,
     """The order-0 and order-1 tables of V and W of the energies ``specs``
     on the torus [a, a + L), stacked by flow (``_Lockstep``).
 
-    W^(order) is tabled in the minimal-image pair difference, so its seam
-    is at +-L/2; V^(order) in the minimal-image offset from the middle
-    a + L/2 of the torus, so its seam is at a, where a wrap into
-    [a, a + L) puts it.  The series (``_torus_series``) are built flow by
-    flow, V before W and order 0 before order 1, and the first V or W in
-    that order that is not periodic on the torus raises its
-    ``PeriodicityError``, with ``flow`` set to its index in ``specs``.
+    W^(order) is tabled in the minimal-image pair difference, V^(order) in
+    the minimal-image offset from the middle a + L/2 of the torus.  The
+    series (``_torus_series``) are built flow by flow, V before W and order
+    0 before order 1, and the first V or W in that order that is not
+    periodic on the torus raises its ``PeriodicityError``, with ``flow``
+    set to its index in ``specs``.
     """
     centre = a + 0.5 * length
-    parts = []      # per flow, V and W: their (coefficients, jumps) by order
+    parts = []      # per flow, V and W: their coefficients by order
     for b, spec in enumerate(specs):
         try:
             parts.append([None if G is None else [
@@ -600,24 +534,19 @@ def _energy_tables(specs: list[EnergySpec], a: float,
 class _Lockstep:
     """One order of the tables of B energies on one torus, stacked by flow:
     coefficient rows of V and of W over the modes k < K, K the most any of
-    the tables keeps (zero beyond a table's own), the kept mode counts of
-    each flow's V and W (0 for an absent function), and the flows whose V
-    or W has seam jumps."""
+    the tables keeps (zero beyond a table's own), and the kept mode counts
+    of each flow's V and W (0 for an absent function)."""
 
     def __init__(self, parts: list, order: int, centre: float, length: float):
         self.centre, self.length = centre, length
-        self.kept = [tuple(0 if part is None else part[order][0].size for part in row)
+        self.kept = [tuple(0 if part is None else part[order].size for part in row)
                      for row in parts]
         self.modes = max((k for row in self.kept for k in row), default=0)
         coeffs = np.zeros((2, len(parts), self.modes), dtype=complex)
-        self.seams = ([], [])      # (flow, jumps) of V, of W
         for b, row in enumerate(parts):
             for i, part in enumerate(row):
                 if part is not None:
-                    c, jumps = part[order]
-                    coeffs[i, b, :c.size] = c
-                    if any(jumps):
-                        self.seams[i].append((b, jumps))
+                    coeffs[i, b, :part[order].size] = part[order]
         self.potential = coeffs[0]
         self.interaction = coeffs[1] if any(row[1] is not None for row in parts) else None
 
@@ -631,7 +560,7 @@ class _Lockstep:
         middle of the torus: V's is tabled in y, and W's pair sums do not
         change when every particle moves by the same amount.  With
         E_bik = exp(i omega_k y_bi), M_bk = sum_j m_j E_bjk and c_k, w_k the
-        coefficients of V and W, the series part is
+        coefficients of V and W, the fields are
         Re sum_k (c_k + pair_weight w_k conj(M_bk)) E_bik: one phase matrix
         E (``_phase``) for both functions.  It is formed over blocks of
         about _PHASE_BLOCK entries, each block twice (once for M, once for
@@ -655,11 +584,6 @@ class _Lockstep:
             fields[:, blocks[0]] = (first @ coeffs)[..., 0].real
             for blk in blocks[1:]:
                 fields[:, blk] = (_phase(y[:, blk], self.modes, L) @ coeffs)[..., 0].real
-        for b, (j1, j2) in self.seams[0]:
-            fields[b] += j1 / L * y[b] + j2 / (2.0 * L) * y[b]**2
-        for b, (j1, j2) in self.seams[1]:
-            linear, quadratic = _seam_sums(y[b], masses, L)
-            fields[b] += pair_weight * (j1 / L * linear + j2 / (2.0 * L) * quadratic)
         return fields
 
 
@@ -774,10 +698,9 @@ def hamiltonian_flow_simulate(mu0: np.ndarray, phi0, specs: list[EnergySpec],
     and the pair sums of W' of every flow off one phase matrix
     exp(i omega_k y), y the particles' offsets from the middle of the torus
     and k below the most modes any V' or W' keeps, so it costs
-    O(B n K + B n log n) for n particles and K modes, and no kernel is
-    evaluated in it; V and W must be smooth on the torus apart from jumps
-    of the function and its first two derivatives across the period
-    boundary, else ``PeriodicityError`` with ``flow`` = b.  Neighbours that
+    O(B n K) for n particles and K modes, and no kernel is evaluated in
+    it; V and W must be smooth and periodic on the torus, else
+    ``PeriodicityError`` with ``flow`` = b.  Neighbours that
     meet by a data time, N - 1 and 0 across the period boundary included,
     raise ``FlowError``, prefixed "flow b: " when B > 1, b the first flow
     with a crossing.  The density at the data times comes from the 1-D

@@ -177,8 +177,9 @@ class RkhsFunction:
         return self._generator_sum(x, order, absolute=False)
 
     def magnitude(self, x, order: int = 0):
-        """sum_g |c_g d^order g(x)| over the generators g: the size of the
-        terms ``value`` sums, which sets the scale of its roundoff."""
+        """sum_g |c_g| S_g(x), S_g the size of the terms of the generator
+        d^order g(x) (``SmoothKernel.eval(..., absolute=True)``): the size of
+        the terms ``value`` sums, which sets the scale of its roundoff."""
         return self._generator_sum(x, order, absolute=True)
 
     def _generator_sum(self, x, order: int, absolute: bool):
@@ -186,11 +187,9 @@ class RkhsFunction:
         out = np.zeros(np.broadcast_shapes(x.shape, ()), dtype=float)
         for slot in np.unique(self.orders):
             mask = self.orders == slot
-            vals = self.kernel.eval(int(slot), order,
-                                    self.centers[mask], x[..., None])
-            coeffs = self.coeffs[mask]
-            if absolute:
-                vals, coeffs = np.abs(vals), np.abs(coeffs)
+            vals = self.kernel.eval(int(slot), order, self.centers[mask], x[..., None],
+                                    absolute=absolute)
+            coeffs = np.abs(self.coeffs[mask]) if absolute else self.coeffs[mask]
             out = out + vals @ coeffs
         return float(out) if np.ndim(out) == 0 else out
 

@@ -133,6 +133,26 @@ def random_pair(N, contrast, seed):
     return mesh, rho, sigma
 
 
+@pytest.mark.parametrize("center, sigma", [(0.3, 0.08), (0.95, 0.2), (-0.7, 0.5)])
+def test_bump_density_is_periodic_in_its_center(center, sigma):
+    """A bump centred a period on, or back, is the same density to 1e-15,
+    also from a centre outside the window [0, 1) and for a bump wider
+    than a third of it."""
+    x = np.linspace(0.0, 1.0, 64, endpoint=False)
+    rho = bump_density(x, 1.0, center, sigma, 0.1)
+    for shifted in (center + 1.0, center - 1.0):
+        assert np.max(np.abs(bump_density(x, 1.0, shifted, sigma, 0.1) - rho)) <= (
+            1e-15 * np.max(rho))
+
+
+def test_wrap_periodic_keeps_the_generators():
+    f = RkhsFunction(gaussian_kernel(0.2), [0, 1], [0.3, -0.4], [1.0, 2.0])
+    wrapped = wrap_periodic(f, 0.9)
+    assert wrapped.kernel.same_kernel(gaussian_kernel(0.2).periodized(0.9))
+    for name in ("orders", "centers", "coeffs"):
+        assert np.array_equal(getattr(wrapped, name), getattr(f, name))
+
+
 class TestWasserstein:
     def test_identical_zero(self, mesh200):
         rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
@@ -293,6 +313,13 @@ class TestSweepPlan:
                     initial_uniform_weight=0.2, drop_last_time_rows=1)
         base.update(kw)
         return SweepPlan(**base)
+
+    def test_wrapped_truth_refused(self):
+        # the sweep wraps its truths over the window itself
+        V, W = self.truth()
+        for wrapped in ({"truth_v": wrap_periodic(V, 1.6)}, {"truth_w": wrap_periodic(W, 1.6)}):
+            with pytest.raises(AnalysisError, match="must not be wrapped"):
+                self.plan(**wrapped)
 
     def test_parameter_regime_enforced(self):
         V, W = self.truth()

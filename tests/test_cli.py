@@ -91,8 +91,7 @@ class TestSimulate:
         assert info["diagnostics"]["interaction_modes"] == 8
 
     def test_hamiltonian_heavy_tailed_w(self, tmp_path):
-        # 64 wrapped IMQ copies leave W' a jump of 2e-9 of its peak across
-        # the period boundary; the force series carries it
+        # an IMQ's algebraic tail is summed by the periodic kernel itself
         cfg = simulate_config(tmp_path / "ham", kind="hamiltonian")
         cfg["energy"]["W"] = {**WRAPPED_W, "centers": [0.1], "weights": [0.02],
                               "kernel": {"family": "imq", "lengthscale": 0.25,
@@ -265,7 +264,6 @@ BAD_SIMULATE_EDITS = {
     # function and density spec values pass the same checks
     "density_center_a_string": lambda cfg: cfg["initial_density"].update(center="mid"),
     "kernel_sum_centers_a_string": lambda cfg: cfg["energy"]["V"].update(centers="x"),
-    "wrap_copies_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_copies="two"),
     "kernel_lengthscale_nan": lambda cfg: cfg["energy"]["V"]["kernel"].update(
         lengthscale=float("nan")),
     "kernel_lengthscale_infinite": lambda cfg: cfg["energy"]["V"]["kernel"].update(
@@ -274,7 +272,7 @@ BAD_SIMULATE_EDITS = {
         lengthscale="0.2"),
     "kernel_beta_a_boolean": lambda cfg: cfg["energy"]["V"].update(
         kernel={"family": "imq", "lengthscale": 0.2, "beta": True}),
-    # parallel lists match in length, and a wrap keeps at least the base copy
+    # parallel lists match in length
     "kernel_sum_weights_short": lambda cfg: cfg["energy"]["V"].update(weights=[0.05]),
     "kernel_sum_weights_long": lambda cfg: cfg["energy"]["V"].update(
         weights=[0.05, -0.05, 0.01]),
@@ -282,6 +280,10 @@ BAD_SIMULATE_EDITS = {
         sigma=[0.1, 0.2]),
     "density_bump_weights_short": lambda cfg: cfg["initial_density"].update(
         center=[0.3, 0.7], sigma=0.1, bump_weights=[1.0]),
+    # wrap_copies is retired, since a wrap periodizes the kernel itself:
+    # any value of it exits 2 naming it
+    "wrap_copies_retired": lambda cfg: cfg["energy"]["V"].update(wrap_copies=4),
+    "wrap_copies_a_string": lambda cfg: cfg["energy"]["V"].update(wrap_copies="two"),
     "negative_wrap_copies": lambda cfg: cfg["energy"]["V"].update(wrap_copies=-1),
     # a period, of a cosine sum or of a wrap, is positive
     "cosine_sum_period_zero": lambda cfg: cfg["energy"].update(V={**COSINE, "period": 0}),
@@ -360,9 +362,10 @@ BAD_SWEEP_EDITS = {
     "sweep_initial_sigma_not_one_per_center": {"initial_sigma": [0.1, 0.2, 0.3]},
     "sweep_initial_uniform_weight_above_1": {"initial_uniform_weight": 1.5},
     "sweep_out_not_a_string": {"out": 5},
-    # the truths' RKHS errors need kernel expansions
+    # the truths' RKHS errors need kernel expansions, which the sweep wraps
     "sweep_truth_v_zero": {"truth_v": {"type": "zero"}},
     "sweep_truth_w_cosine_sum": {"truth_w": COSINE},
+    "sweep_truth_v_wrapped": {"truth_v": {**WRAPPED_W, "wrap_period": 1.6}},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
@@ -383,12 +386,16 @@ BAD_STABILITY_EDITS = {
     "stability_estimate_v_zero": {"estimates": [{"V": {"type": "zero"}, "W": WRAPPED_W}]},
     "stability_estimate_w_cosine_sum": {"estimates": [{"V": WRAPPED_W, "W": WRAPPED_W},
                                                       {"V": WRAPPED_W, "W": COSINE}]},
+    "stability_wrap_copies_retired": {"truth_v": {**WRAPPED_W, "wrap_copies": 4}},
 }
 # the key each row's message names, where its edit is no one-key path
 NAMED_KEYS = {
     "density_center_a_string": "initial_density.center",
     "kernel_sum_centers_a_string": "V.centers",
+    "wrap_copies_retired": "V.wrap_copies",
     "wrap_copies_a_string": "V.wrap_copies",
+    "stability_wrap_copies_retired": "truth_v.wrap_copies",
+    "sweep_truth_v_wrapped": "truth_v",
     "stability_phase_without_amplitudes": "initial_phase.amplitudes",
     "kernel_sum_weights_short": "V.weights",
     "kernel_sum_weights_long": "V.weights",
@@ -487,6 +494,8 @@ def test_config_errors_exit_2(tmp_path, capsys, case):
         assert NAMED_KEYS[case] in err["message"]
     elif edit is not None:
         assert edited_key(edit) in err["message"]
+    if case.endswith("beyond_float_range"):
+        assert len(err["message"]) < 200   # not the 401 digits of 10**400
 
 
 @pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "stability", "w2"])
@@ -521,6 +530,20 @@ def test_config_value_rejects(value, kind):
     assert info.value.code == "config_invalid"
 
 
+@pytest.mark.parametrize("value, shown", [
+    (10**400, "got 10000000000000000000... (401 digits)"),
+    (-(10**400), "got -1000000000000000000... (401 digits)"),
+    (10**19, "got 10000000000000000000"),
+])
+def test_config_value_message_cuts_long_integers(value, shown):
+    """An integer beyond the float range is shown by its first 20
+    characters and its digit count; one of 20 digits is shown whole (here
+    in the message of a wrong kind)."""
+    with pytest.raises(cli.ConfigError) as info:
+        cli.config_value({"key": value}, "key", str if value == 10**19 else float)
+    assert str(info.value).endswith(shown)
+
+
 def test_fisher_label_refused(tmp_path, capsys):
     """``fisher`` is no internal energy: it has no pointwise U', so no
     simulator or estimator could use it.  It is refused when the energy is
@@ -536,11 +559,12 @@ def test_fisher_label_refused(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config_invalid"
 
 
-# W must be periodic on the torus for the Hamiltonian pair-sum series
+# W must be periodic on the torus for the Hamiltonian pair-sum series; a
+# wide Gaussian wrapped over 0.7 has one copy every 0.7, not every 1
 NONPERIODIC_W = {
     "kernel_sum_without_wrap_period": {k: v for k, v in WRAPPED_W.items()
                                        if k != "wrap_period"},
-    "one_copy_of_wide_gaussian": {**WRAPPED_W, "wrap_copies": 1,
+    "one_copy_of_wide_gaussian": {**WRAPPED_W, "wrap_period": 0.7,
                                   "kernel": {"family": "gaussian", "lengthscale": 0.5}},
 }
 
@@ -573,7 +597,7 @@ NONPERIODIC_V = {
         "centers": [0.3, 0.7], "weights": [0.04, -0.04]},
     "one_copy_of_wide_gaussian": {
         "type": "kernel_sum", "kernel": {"family": "gaussian", "lengthscale": 0.5},
-        "centers": [0.3], "weights": [0.04], "wrap_period": 1.0, "wrap_copies": 1},
+        "centers": [0.3], "weights": [0.04], "wrap_period": 0.7},
     # stability takes kernel_sum specs only
     "linear": {"type": "linear", "slope": 0.1},
 }

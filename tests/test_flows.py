@@ -406,7 +406,7 @@ class TestHamiltonianFlow:
         None,
         wrap_periodic(RkhsFunction.from_points(gaussian_kernel(0.25), [0.0], [0.005]),
                       1.0),
-        # 64 wrapped copies leave W and W' jumps across the period boundary
+        # a heavy-tailed IMQ: its periodic kernel sums the algebraic tail
         wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.0], [0.005]),
                       1.0),
     ], ids=["no-W", "even-gaussian", "even-imq"])
@@ -427,7 +427,7 @@ class TestHamiltonianFlow:
         assert d2 < 0.4 * d1
 
     def test_particle_energy_matches_dense_pairs(self):
-        # an odd W has no pair energy; this one has W and W' seam jumps
+        # an odd W has no pair energy; this one is a heavy-tailed IMQ
         rng = np.random.default_rng(2)
         W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]), 1.0)
         q = (np.arange(100) + 0.3 * rng.random(100)) / 100
@@ -463,8 +463,8 @@ class TestHamiltonianFlow:
             assert count(spec, 2e-3, 32) == count(spec, 1e-3, 32) == count(spec, 2e-3, 256) > 0
 
     def test_heavy_tailed_interaction_simulated(self):
-        # 64 wrapped copies of an IMQ with beta = 0.6 leave W' a jump of
-        # 3e-5 of its peak across the period boundary; the series carries it
+        # an IMQ with beta = 0.6 has an algebraic tail, which its periodic
+        # kernel sums in closed form
         mesh = SpaceTimeMesh(0.0, 1.0, 0.1, 16, 2)
         W = wrap_periodic(RkhsFunction.from_points(imq_kernel(0.25, 0.6), [0.1], [1.0]),
                           1.0)
@@ -625,9 +625,9 @@ def assert_series_matches_dense(W, q, masses, length, order):
 
 
 @pytest.mark.parametrize("kernel, centers, weights", [
-    (imq_kernel(0.25, 0.6), [0.1], [1.0]),             # W' jump 3e-5 of its peak
+    (imq_kernel(0.25, 0.6), [0.1], [1.0]),             # tail 1.2 x the IMQ peak
     (imq_kernel(0.25, 1.5), [0.35, 0.7], [0.05, -0.05]),
-    (imq_kernel(0.5, 0.51), [-0.3], [2.0]),            # W' jump 6e-4, W'' jump 1e-7
+    (imq_kernel(0.5, 0.51), [-0.3], [2.0]),            # tail 47 x the IMQ peak
     (gaussian_kernel(0.7), [0.1], [1.0]),              # terms 1600 x max|W'|
     (gaussian_kernel(0.5), [0.25, -0.25], [1.0, 1.0]),  # terms 2.5e7 x max|W'|
 ])
@@ -679,8 +679,8 @@ def test_series_pair_sums_match_dense_pairs(family, lengthscale, beta, centers, 
     positions anywhere in one period, and for W wrapped from 1-3 centres
     with any weights:
     Gaussian lengthscales up to 0.7 of the length (whose wrapped terms
-    cancel to 1e-3 of themselves), IMQ lengthscales up to 0.5 (whose 64
-    wrapped copies leave W, W' and W'' jumps across the period boundary)."""
+    cancel to 1e-3 of themselves), IMQ lengthscales up to 0.5 (whose
+    algebraic tails the periodic kernel sums in closed form)."""
     if family == "imq":
         lengthscale = min(lengthscale, 0.5)
     rng = np.random.default_rng(seed)

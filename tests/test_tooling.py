@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import dataclasses
+import importlib.util
 import os
 import re
 import subprocess
@@ -421,3 +423,25 @@ def test_readme_names_every_accepted_value():
 ])
 def test_unnamed_value_scanner(text, unnamed):
     assert unnamed_values(text, ("periodic", "paper-truncated")) == unnamed
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    """One iteration of each benchmark workload (``perfbench/workloads.py``,
+    imported, not changed) passes the workload's own checks, so a change to
+    the package that breaks them fails here and not only at benchmark
+    time."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # nothing lands in perfbench/
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name, workload_class in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = workload_class(1, workdir)
+        workload.make_inputs()
+        workload.prepare()
+        outcome = workload.check(workload.run(lambda *args, **kwargs: contextlib.nullcontext()))
+        assert outcome.attempted > 0
+        assert outcome.failed == 0, (name, outcome.problems)
