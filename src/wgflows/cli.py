@@ -53,6 +53,7 @@ from .mesh import (
     MeshError,
     SpaceTimeMesh,
     TrajectoryFormatError,
+    is_number,
     meta_path_for,
     read_trajectory,
     write_trajectory,
@@ -193,8 +194,8 @@ def density_from_spec(spec: dict, mesh: SpaceTimeMesh) -> np.ndarray:
 class RunDirectory:
     """Locked output directory collecting artifacts and their checksums; a
     context manager whose exit releases the lock, whether the run succeeded
-    or not; one refused for a ``ConfigError`` also removes the directory it
-    made, if that is empty.
+    or not; a failed run also removes the directory it made, if that is
+    empty.
 
     Wall-clock seconds go only to ``timings`` (written to timings.json):
     ``mark`` records the time since the run started, and commands add the
@@ -247,8 +248,7 @@ class RunDirectory:
 
     def __exit__(self, exc_type, *exc_info) -> None:
         self.lock.unlink(missing_ok=True)
-        if (self.created and exc_type is not None and issubclass(exc_type, ConfigError)
-                and not any(self.out.iterdir())):
+        if self.created and exc_type is not None and not any(self.out.iterdir()):
             self.out.rmdir()
 
 
@@ -274,7 +274,7 @@ def load_config(args) -> dict:
             raise ConfigError("config_invalid", f"config must be a JSON object, got {cfg!r}")
     flags = {key: value for key, value in vars(args).items()
              if key not in ("config", "command", "func") and value is not None}
-    for key in ("kernel1", "kernel2", "kernel3"):
+    for key in ("kernel1", "kernel2"):
         if key in flags:
             text = flags[key].strip()
             try:
@@ -298,17 +298,15 @@ def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str
     """``cfg[key]`` as ``kind``, the one check of every config section, path,
     bool, int and float: only a JSON object is a dict (a section), only a
     JSON string a str (a path), only JSON true/false a bool, an int or
-    integral float an int, any non-bool number a float; a number of either
-    kind must be finite as a float (Python's ``json`` reads ``NaN``,
-    ``Infinity`` and integers beyond the float range, which are no usable
-    numbers), and the message cuts an integer to 20 characters and its
+    integral float an int, any non-bool number a float, both by
+    ``mesh.is_number``, so finite as a float (Python's ``json`` reads
+    ``NaN``, ``Infinity`` and integers beyond the float range, which are no
+    usable numbers); the message cuts an integer to 20 characters and its
     digit count.  An absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
-    if not (isinstance(value, kind) if kind in (bool, dict, str) else not isinstance(value, bool)
-            and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            and (kind is float or value % 1 == 0)):
+    if not (isinstance(value, kind) if kind in (bool, dict, str) else is_number(value, kind)):
         shown = repr(value)
         if isinstance(value, int) and len(shown) > 20:
             shown = f"{shown[:20]}... ({len(shown.lstrip('-'))} digits)"
@@ -377,6 +375,8 @@ def kernel_sum_from_spec(spec, what: str) -> RkhsFunction:
 RETIRED_KEYS = {   # keys the commands read no more, and why
     "n_quantiles": "the W2 distance is exact",
     "wrap_copies": "a wrap_period periodizes the kernel itself, exactly",
+    "kernel3": "U is known (the key u), not learned: a learned U only splits V in two",
+    "lambda3": "U is known (the key u), not learned: a learned U only splits V in two",
 }
 
 
@@ -452,11 +452,11 @@ def cmd_estimate(cfg: dict, seed: int) -> int:
     if not data:
         raise ConfigError("config_invalid", "estimate needs --data <csv>")
     traj = read_trajectory(data)
-    k1, k2, k3 = (kernel_from_config(config_value(cfg, key, dict), key) if key in cfg else None
-                  for key in ("kernel1", "kernel2", "kernel3"))
+    k1, k2 = (kernel_from_config(config_value(cfg, key, dict), key) if key in cfg else None
+              for key in ("kernel1", "kernel2"))
     if k1 is None or k2 is None:
         raise ConfigError("config_invalid", "estimate needs --kernel1 and --kernel2")
-    lam1, lam2, lam3 = (config_value(cfg, f"lambda{i}", float, None) for i in (1, 2, 3))
+    lam1, lam2 = (config_value(cfg, f"lambda{i}", float, None) for i in (1, 2))
     if lam1 is None or lam2 is None:
         raise ConfigError("config_invalid", "estimate needs --lambda1 and --lambda2")
     try:
@@ -465,8 +465,6 @@ def cmd_estimate(cfg: dict, seed: int) -> int:
             lambda1=lam1, lambda2=lam2,
             flow_kind=cfg.get("flow", "gradient"),
             known_u=energy_from_label(cfg.get("u", "none"), "u"),
-            kernel3=k3,
-            lambda3=lam3,
             drop_last_time_rows=config_value(cfg, "drop_last_time_rows", int,
                                              DROP_LAST_TIME_ROWS),
         )
@@ -483,9 +481,8 @@ def cmd_estimate(cfg: dict, seed: int) -> int:
     with RunDirectory(Path(config_value(cfg, "out", str))) as run:
         result = solve(problem)
         run.mark("solve")
-        coeffs = {"C1": result.C1, "C2": result.C2, "C3": result.C3}
-        coeff_files = {key: f"coeff_{key.lower()}.bin"
-                       for key, c in coeffs.items() if c is not None}
+        coeffs = {"C1": result.C1, "C2": result.C2}
+        coeff_files = {key: f"coeff_{key.lower()}.bin" for key in coeffs}
         for key, name in coeff_files.items():
             run.path(name).write_bytes(coeffs[key].astype("<f8").tobytes())
         write_json(run.path("coeff_header.json"), {
@@ -493,13 +490,11 @@ def cmd_estimate(cfg: dict, seed: int) -> int:
             "dtype": "<f8",
             "layout": "time-major flattened (l, n)",
             "files": coeff_files,
-            "lambda": [problem.lambda1, problem.lambda2, problem.lambda3],
+            "lambda": [problem.lambda1, problem.lambda2],
         })
         columns = {"x": xs, "vhat": result.Vhat.value(xs),
                    "what_centered" if center else "what":
                    result.What.value(xs) - (result.What.value(0.0) if center else 0.0)}
-        if result.Uhat is not None:
-            columns["uhat"] = result.Uhat.value(xs)
         write_csv(run.path("reconstruction.csv"), zip(*columns.values()), list(columns))
         diagnostics = {
             "loss": result.loss_value,
@@ -584,7 +579,6 @@ def cmd_stability(cfg: dict, seed: int) -> int:
                           f"estimates must be a list of objects, got {estimates!r}")
     mu0 = density_from_spec(config_value(cfg, "initial_density", dict, {"type": "bump"}), mesh)
     phi0 = function_from_spec(cfg.get("initial_phase"), "initial_phase")
-    refuse_retired_keys(cfg)
     dt_solver = config_positive(cfg, "dt_solver", None)
     pairs = [(kernel_sum_from_spec(require(est_cfg, "V"), f"estimate {i} V"),
               kernel_sum_from_spec(require(est_cfg, "W"), f"estimate {i} W"))
@@ -621,7 +615,6 @@ def cmd_w2(cfg: dict, seed: int) -> int:
     out = config_value(cfg, "out", str, None)
     if not rho_path or not sigma_path:
         raise ConfigError("config_invalid", "w2 needs --rho and --sigma trajectories")
-    refuse_retired_keys(cfg)
     t_rho, t_sigma = read_trajectory(rho_path), read_trajectory(sigma_path)
     if t_rho.mesh != t_sigma.mesh:
         raise ConfigError("config_invalid", "--rho and --sigma lie on different meshes")
@@ -668,10 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="trajectory CSV (with .meta.json sidecar)")
     p.add_argument("--kernel1", help="kernel JSON file or inline JSON")
     p.add_argument("--kernel2", help="kernel JSON file or inline JSON")
-    p.add_argument("--kernel3", help="optional third kernel for internal energy")
     p.add_argument("--lambda1", type=float)
     p.add_argument("--lambda2", type=float)
-    p.add_argument("--lambda3", type=float)
     p.add_argument("--flow", choices=("gradient", "hamiltonian"))
     p.add_argument("--u", help="internal energy: none | entropy | power:<m>")
     p.set_defaults(func=cmd_estimate)
@@ -696,6 +687,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
+        refuse_retired_keys(cfg)
         return args.func(cfg, config_value(cfg, "seed", int, 0))
     except (ConfigError, TrajectoryFormatError) as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -11,19 +11,20 @@ and the data side f collects the forward-differenced time derivatives plus,
 for Hamiltonian data, the geodesic correction term.  The regularized least
 squares over the product RKHS has the closed-form solution
 
-    (G + prod_j l_j / (dt dx) C) z = C f,      C = diag(rho),
-    coef_i = w_i z,                            w_i = prod_{j != i} l_j,
+    (G + l1 l2 / (dt dx) C) z = C f,      C = diag(rho),
+    coef_i = w_i z,                       w_V = l2,  w_W = l1,
 
-the same rule for every learned function i: V (plain sections, l1), W
-(convolved sections, l2) and, when a third kernel is given, U (plain
-sections, l3), which learns the internal-energy term inside the operator.
-``build_factors`` declares them once, as a list of records holding each
-function's name, kernel, regularizer l_i, weight w_i, section family and
-generator Gram, and every later step iterates over that list: the
-regularizer c, one block of the stacked factor per function, and in
-``solve`` the coefficients, reconstruction, RKHS norm, operator image and
-penalty l_i |f_i|^2 of each, and in ``stationarity_residual`` each one's
-part of the RKHS norm of the loss gradient.
+for the two learned functions, V (plain sections, l1) and W (convolved
+sections, l2).  A known internal energy enters the data side f
+(``known_u``); it is not learned, since a third potential on plain sections
+would only split V in two.  ``build_factors`` declares V and W once, as a
+list of records holding each function's name, kernel, regularizer l_i,
+weight w_i, section family and generator Gram, and every later step
+iterates over that list: the regularizer c, one block of the stacked
+factor per function, and in ``solve`` the coefficients, reconstruction,
+RKHS norm, operator image and penalty l_i |f_i|^2 of each, and in
+``stationarity_residual`` each one's part of the RKHS norm of the loss
+gradient.
 
 G is the density-weighted Gram of the section families.  Every family is
 spanned by few generators (2N for plain sections, 2(2N-1) for convolved
@@ -41,7 +42,7 @@ reduces sections to generator form, applied from its structure (plain F as
 a broadcast over its two nonzeros per row, convolved F of a vector as one
 Hankel matmul of the reversed densities).  Nor is the stacked generator
 factor P (M x k for generator rank k).  In the Woodbury core
-I + S'S, S = D^-1/2 P, the plain blocks (V, U) and their cross block with W
+I + S'S, S = D^-1/2 P, V's plain block and its cross block with W
 come from 2 x 2 per-node moments of the density weights and a per-node
 reduction Q of W's part, so no plain row is formed, and W's block
 Y_W' (F2' H F2) Y_W, H = diag(rho / c), is evaluated in whichever of two
@@ -141,8 +142,8 @@ class EstimationProblem:
 
     The section slopes are the trajectory's ``dx_plus`` and the data
     functional is assembled from it (``assemble_data_functional``).  The
-    regularizers must be positive and finite.  U is either known
-    (``known_u``) or learned (``kernel3``), never both.
+    regularizers must be positive and finite.  A known internal energy U
+    (``known_u``) is subtracted on the data side.
     """
 
     traj: DensityTrajectory
@@ -152,20 +153,11 @@ class EstimationProblem:
     lambda2: float
     flow_kind: str = GRADIENT
     known_u: InternalEnergy = NO_INTERNAL_ENERGY
-    kernel3: SmoothKernel | None = None
-    lambda3: float | None = None
     drop_last_time_rows: int = 0
 
     def __post_init__(self):
         if not (0 < self.lambda1 < np.inf and 0 < self.lambda2 < np.inf):
             raise EstimatorError("regularization parameters must be positive and finite")
-        if (self.kernel3 is None) != (self.lambda3 is None):
-            raise EstimatorError("kernel3 and lambda3 must be supplied together")
-        if self.lambda3 is not None and not 0 < self.lambda3 < np.inf:
-            raise EstimatorError("lambda3 must be positive and finite")
-        if self.kernel3 is not None and self.known_u.kind != "none":
-            raise EstimatorError(
-                f"U is learned (kernel3) or known (u = {self.known_u.label()!r}), not both")
         if self.flow_kind not in (GRADIENT, HAMILTONIAN):
             raise EstimatorError(f"unknown flow kind {self.flow_kind!r}")
         if self.flow_kind == HAMILTONIAN:
@@ -178,10 +170,6 @@ class EstimationProblem:
                 )
         if not 0 <= self.drop_last_time_rows < self.traj.mesh.L:
             raise EstimatorError("drop_last_time_rows must leave at least one row")
-
-    @property
-    def learn_internal(self) -> bool:
-        return self.kernel3 is not None
 
     @property
     def fit_rows(self) -> int:
@@ -203,9 +191,7 @@ class EstimatorResult:
 
     Each learned function has one entry per field: V fills ``C1``, ``Vhat``
     and ``rkhs_norms["V"]``, W ``C2``, ``What`` and ``rkhs_norms["W"]``,
-    and U, learned only when the problem has a third kernel, ``C3``,
-    ``Uhat`` and ``rkhs_norms["U"]`` (``None`` and absent otherwise).  All
-    are filled by one loop over the problem's learned functions.
+    both filled by one loop over the problem's learned functions.
     ``residual_vector`` is the estimate's operator image at the fit nodes
     minus ``data_vector``, the data functional f there (both time-major).
     ``method`` names the solve route ("lowrank", the only one).
@@ -219,14 +205,13 @@ class EstimatorResult:
     lambda_max of the Woodbury core I + S'S plus ``dropped_share``: an upper
     bound on the condition number of the Jacobi-scaled exact system
     D^-1/2 (G + D) D^-1/2, whose smallest eigenvalue is at least 1.
-    ``kept_rank`` maps each learned function
-    ("V", "W", "U") to [generator directions kept, generator count]: the
-    pivoted Cholesky of each parity half of the generator Gram, read column
-    by column from its gap vectors, stops once that half's remaining trace
-    is at most half the block's threshold (or every pivot is below 1e-15 of
-    the Gram's largest diagonal entry), and of the compressed directions of
-    both halves those with eigenvalue above half the threshold (and above
-    1e-14 of the largest) are kept.  ``jitter`` is the shift, relative to
+    ``kept_rank`` maps "V" and "W" to [generator directions kept, generator
+    count]: the pivoted Cholesky of each parity half of the generator Gram,
+    read column by column from its gap vectors, stops once that half's
+    remaining trace is at most half the block's threshold (or every pivot
+    is below 1e-15 of the Gram's largest diagonal entry), and of the
+    compressed directions of both halves those with eigenvalue above half
+    the threshold (and above 1e-14 of the largest) are kept.  ``jitter`` is the shift, relative to
     the Woodbury core's largest diagonal entry, added to the core's
     eigenvalues to make them all positive (0.0 when none).  ``core_route``
     names the association that assembled W's block of the Woodbury core:
@@ -246,8 +231,6 @@ class EstimatorResult:
     residual_vector: np.ndarray
     gram_condition: float
     method: str
-    C3: np.ndarray | None = None
-    Uhat: RkhsFunction | None = None
     kept_rank: dict = field(default_factory=dict)
     jitter: float = 0.0
     core_route: str = "rows"
@@ -271,8 +254,8 @@ def assemble_data_functional(traj: DensityTrajectory, flow_kind: str,
 
     Spatial derivatives of U'(rho) use the chain rule with the same forward
     differences as the operator: d/dx U'(rho) ~ U''(rho) (d+ rho), second
-    derivative by differencing that product again.  The three-function
-    estimator learns U, so its ``known_u`` is none and these terms vanish.
+    derivative by differencing that product again.  With ``known_u`` none
+    these terms vanish.
     """
     mesh = traj.mesh
     if flow_kind == GRADIENT:
@@ -419,15 +402,14 @@ class _ParityHalf(NamedTuple):
 
 
 class _LearnedFunction(NamedTuple):
-    """One learned function of the representer: V, W or U.
+    """One learned function of the representer: V or W.
 
     Its coefficients are ``weight * z`` for the shared representer vector z,
-    ``weight`` the product of the other functions' regularizers, and its
-    norm is penalised by its own ``lam``.  ``family`` is the section family
-    it spans, an ``rkhs.PlainSections`` or ``rkhs.ConvolvedSections``: its
-    factor F onto the generators d1^i K(c, .), F' and the generators.
-    ``gram`` is the generator Gram K~ of mixed partials, so that the
-    function's section Gram is F K~ F'.
+    ``weight`` the other function's regularizer, and its norm is penalised
+    by its own ``lam``.  ``family`` is the section family it spans, an
+    ``rkhs.PlainSections`` or ``rkhs.ConvolvedSections``: its factor F onto
+    the generators d1^i K(c, .), F' and the generators.  ``gram`` is the
+    generator Gram K~ of mixed partials, so that its section Gram is F K~ F'.
     """
 
     name: str
@@ -454,23 +436,19 @@ def _fit_data(problem: EstimationProblem) -> np.ndarray:
 def build_factors(problem: EstimationProblem) -> list[_LearnedFunction]:
     """The learned functions over the fit nodes.
 
-    V spans plain sections of ``kernel1``, W convolved sections of
-    ``kernel2`` and, when the problem has a third kernel, U plain sections
-    of ``kernel3``.  Plain generators sit on the N grid points, convolved
-    ones on the 2N-1 difference-grid centers; each K~ is a ``GapGram``,
-    three gap vectors of O(N) values.
+    V spans plain sections of ``kernel1`` and W convolved sections of
+    ``kernel2``, each weighted by the other's regularizer.  Plain generators
+    sit on the N grid points, convolved ones on the 2N-1 difference-grid
+    centers; each K~ is a ``GapGram``, three gap vectors of O(N) values.
     """
     plain, convolved = _fit_sections(problem)
-    spec = [("V", problem.kernel1, problem.lambda1, plain),
-            ("W", problem.kernel2, problem.lambda2, convolved)]
-    if problem.learn_internal:
-        spec.append(("U", problem.kernel3, problem.lambda3, plain))
-    lams = [lam for _, _, lam, _ in spec]
+    spec = [("V", problem.kernel1, problem.lambda1, problem.lambda2, plain),
+            ("W", problem.kernel2, problem.lambda2, problem.lambda1, convolved)]
     return [
-        _LearnedFunction(name, kernel, lam, math.prod(lams[:i] + lams[i + 1:]), family,
+        _LearnedFunction(name, kernel, lam, weight, family,
                          GapGram.of(kernel, family.generators()[1].size // 2,
                                     problem.traj.mesh.dx))
-        for i, (name, kernel, lam, family) in enumerate(spec)]
+        for name, kernel, lam, weight, family in spec]
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +679,12 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     the route that assembled W's block of it.
 
     S's columns for function s are diag(sqrt(rho / c)) F_s Y_s, so with the
-    row factors (p, q) = sqrt(rho / c) (a, r), a plain block's row (l, n) is
-    p Y1[n] + q Y2[n] for its order halves Y1, Y2.  The plain blocks (V, and
-    U when learned) are therefore not streamed: their Gram is
-    sum_n [Y1[n]; Y2[n]]' M_n [Y1[n]; Y2[n]], M_n the 2 x 2 time sums of the
-    products of (p, q) at node n, and their cross Gram with the convolved
-    block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] = sum_l p S_W[l, n] (likewise Q_q).
+    row factors (p, q) = sqrt(rho / c) (a, r), a row (l, n) of V's plain
+    block is p Y1[n] + q Y2[n] for its order halves Y1, Y2.  V's block is
+    therefore not streamed: its Gram is sum_n [Y1[n]; Y2[n]]' M_n [Y1[n];
+    Y2[n]], M_n the 2 x 2 time sums of the products of (p, q) at node n, and
+    its cross Gram with the convolved block S_W is Y1'Q_p + Y2'Q_q, Q_p[n] =
+    sum_l p S_W[l, n] (likewise Q_q).
     W's own block S_W'S_W = Y_W' (F2' H F2) Y_W, H = diag(rho / c), and Q
     come from the route that ``_core_route`` picks for W's kept rank and
     the core's size: "rows" streams S_W's rows and reads each once
@@ -715,22 +693,19 @@ def _woodbury_core(learned: list[_LearnedFunction], blocks: list[np.ndarray],
     (``_moment_gram``); both give the same core to rounding.  A W that keeps
     no direction takes neither, and its route reads "rows".
     """
-    (w,) = [i for i, fn in enumerate(learned) if isinstance(fn.family, ConvolvedSections)]
-    plain = [i for i in range(len(learned)) if i != w]
-    sections = learned[w].family
+    Yp, Yw = blocks
+    sections = learned[1].family    # W's, after V's
     L, N = sections.r.shape
-    starts = np.cumsum([0] + [Y.shape[1] for Y in blocks])
-    cw = slice(starts[w], starts[w + 1])
-    cp = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in plain])
-    Yp, Yw = np.hstack([blocks[i] for i in plain]), blocks[w]
+    k = Yp.shape[1] + Yw.shape[1]
+    cp, cw = slice(0, Yp.shape[1]), slice(Yp.shape[1], k)
     scale = np.sqrt(sections.r / c)
     factors = np.stack([scale * sections.a, scale * sections.r])       # (2, L, N)
     moments = np.einsum("hln,gln->hgn", factors, factors)
     gram = Yp.T @ np.einsum("hgn,gnk->hnk", moments, Yp.reshape(2, N, -1)).reshape(2 * N, -1)
-    core = np.eye(starts[-1])
-    core[np.ix_(cp, cp)] += 0.5 * (gram + gram.T)  # Yp'(M Yp) is symmetric to rounding only
+    core = np.eye(k)
+    core[cp, cp] += 0.5 * (gram + gram.T)  # Yp'(M Yp) is symmetric to rounding only
     Q = np.zeros((N, 2, Yw.shape[1]))
-    route = _core_route(L, N, Yw.shape[1], starts[-1])
+    route = _core_route(L, N, Yw.shape[1], k)
     if Yw.shape[1]:  # W keeps at least one direction
         stream = _rows_gram if route == "rows" else _moment_gram
         stream(sections, Yw, scale, factors, core[cw, cw], Q)
@@ -833,8 +808,8 @@ def _preconditioner(learned: list[_LearnedFunction], blocks: list[np.ndarray],
 def solve(problem: EstimationProblem) -> EstimatorResult:
     """Solve the regularized regression in closed form.
 
-    (G + c diag(rho)) z = rho f, c the product of every regularizer over the
-    node weight dt dx, is solved by conjugate gradients on the exact G =
+    (G + c diag(rho)) z = rho f, c the product l1 l2 of the regularizers over
+    the node weight dt dx, is solved by conjugate gradients on the exact G =
     rho sum_s w_s F_s K~_s F_s' rho, applied matrix-free (one
     ``GapGram.matvec`` per learned function), so no ``M x M`` matrix is
     formed.  The preconditioner is the Woodbury inverse of its low-rank part
@@ -876,8 +851,7 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
     loss += sum(fn.lam * norms[fn.name]**2 for fn in learned)
 
     return EstimatorResult(
-        C1=coeffs["V"], C2=coeffs["W"], C3=coeffs.get("U"),
-        Vhat=estimates["V"], What=estimates["W"], Uhat=estimates.get("U"),
+        C1=coeffs["V"], C2=coeffs["W"], Vhat=estimates["V"], What=estimates["W"],
         rkhs_norms=norms,
         loss_value=loss,
         residual_vector=residual,
@@ -897,14 +871,13 @@ def solve(problem: EstimationProblem) -> EstimatorResult:
 # Forward operator on arbitrary candidate pairs
 # ---------------------------------------------------------------------------
 
-def operator_image(problem: EstimationProblem, phi, psi,
-                   upsilon=None) -> np.ndarray:
+def operator_image(problem: EstimationProblem, phi, psi) -> np.ndarray:
     """Forward operator applied at every fit node, flattened (time-major): each
     candidate's section factor F applied to its f' and f'' at its family's
-    generator centers, grid points for phi and upsilon, pair differences for psi."""
+    generator centers, grid points for phi and pair differences for psi."""
     plain, convolved = _fit_sections(problem)
     image = np.zeros(plain.r.size)
-    for fn, family in ((phi, plain), (psi, convolved), (upsilon, plain)):
+    for fn, family in ((phi, plain), (psi, convolved)):
         if fn is not None:
             orders, centers = family.generators()
             image += family.apply(np.concatenate(
@@ -912,17 +885,14 @@ def operator_image(problem: EstimationProblem, phi, psi,
     return image
 
 
-def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction,
-            upsilon: RkhsFunction | None = None) -> float:
-    """Regularized empirical loss at an explicit candidate tuple, on the data
+def loss_at(problem: EstimationProblem, phi: RkhsFunction, psi: RkhsFunction) -> float:
+    """Regularized empirical loss at an explicit candidate pair, on the data
     functional ``solve`` fits."""
     rho_flat = problem.traj.values[:problem.fit_rows].ravel()
-    resid = operator_image(problem, phi, psi, upsilon) - _fit_data(problem)
+    resid = operator_image(problem, phi, psi) - _fit_data(problem)
     loss = problem.node_weight * float(resid**2 @ rho_flat)
     loss += problem.lambda1 * rkhs_inner(phi, phi)
     loss += problem.lambda2 * rkhs_inner(psi, psi)
-    if upsilon is not None:
-        loss += problem.lambda3 * rkhs_inner(upsilon, upsilon)
     return loss
 
 
@@ -935,7 +905,7 @@ def stationarity_residual(result: EstimatorResult, problem: EstimationProblem) -
     so the norm is sqrt(sum_s g_s' K~_s g_s); no kernel is evaluated on pairs.
     """
     learned = build_factors(problem)
-    estimates = {"V": result.Vhat, "W": result.What, "U": result.Uhat}
+    estimates = {"V": result.Vhat, "W": result.What}
     weights = 2.0 * problem.node_weight * learned[0].family.r.ravel() * result.residual_vector
     total = 0.0
     for fn in learned:

@@ -184,6 +184,18 @@ class TrajectoryFormatError(ValueError):
         self.code = code
 
 
+# the largest float, which an integer of any size compares with exactly
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def is_number(value, kind: type) -> bool:
+    """The one rule for a number read from JSON: an int or a float but no
+    bool, finite as a float (``NaN``, ``Infinity`` and an integer beyond the
+    float range are not), and integral when ``kind`` is int."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= _FLOAT_MAX and (kind is float or value % 1 == 0))
+
+
 def meta_path_for(csv_path: str | Path) -> Path:
     p = Path(csv_path)
     return p.with_name(p.stem + ".meta.json")
@@ -238,12 +250,7 @@ def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
     numbers = []
     for key in "abTNL":
         kind, value = int if key in "NL" else float, meta[key]
-        try:
-            valid = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                     and np.isfinite(value) and (kind is float or value % 1 == 0))
-        except TypeError:  # an integer too large for a float
-            valid = False
-        if not valid:
+        if not is_number(value, kind):
             raise TrajectoryFormatError(
                 "meta_invalid", f"sidecar {meta_path}: {key} must be a finite "
                 f"{'integer' if kind is int else 'number'}, got {value!r}")

@@ -168,13 +168,10 @@ def dense_generator_gram(kernel: SmoothKernel, orders: np.ndarray,
 
 
 def dense_generator_grams(problem: EstimationProblem) -> dict[str, np.ndarray]:
-    """Dense generator Grams K~ by learned function ("V", "W", and "U")."""
+    """Dense generator Grams K~ by learned function ("V" and "W")."""
     plain, convolved = _fit_sections(problem)
-    grams = {"V": dense_generator_gram(problem.kernel1, *plain.generators()),
-             "W": dense_generator_gram(problem.kernel2, *convolved.generators())}
-    if problem.learn_internal:
-        grams["U"] = dense_generator_gram(problem.kernel3, *plain.generators())
-    return grams
+    return {"V": dense_generator_gram(problem.kernel1, *plain.generators()),
+            "W": dense_generator_gram(problem.kernel2, *convolved.generators())}
 
 
 def gap_gram_column(gram: GapGram, p: int) -> np.ndarray:
@@ -223,31 +220,18 @@ def section_grams(problem: EstimationProblem) -> tuple[np.ndarray, np.ndarray]:
     return F1 @ grams["V"] @ F1.T, F2 @ grams["W"] @ F2.T
 
 
-def internal_section_gram(problem: EstimationProblem) -> np.ndarray:
-    """Dense section Gram of the three-function variant's internal term."""
-    plain = _fit_sections(problem)[0]
-    F3 = dense_factor(plain)
-    return F3 @ dense_generator_gram(problem.kernel3, *plain.generators()) @ F3.T
-
-
 def assemble_gram(problem: EstimationProblem) -> np.ndarray:
-    """Density-weighted Gram C (l2 G_plain + l1 G_conv [+ ...]) C, dense."""
+    """Density-weighted Gram C (l2 G_plain + l1 G_conv) C, dense."""
     fac = _fit_sections(problem)[0]
     G1, G2 = section_grams(problem)
     C = fac.r.ravel()
-    if problem.learn_internal:
-        l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-        G3 = internal_section_gram(problem)
-        core = l2 * l3 * G1 + l1 * l3 * G2 + l1 * l2 * G3
-    else:
-        core = problem.lambda2 * G1 + problem.lambda1 * G2
+    core = problem.lambda2 * G1 + problem.lambda1 * G2
     return C[:, None] * core * C[None, :]
 
 
 def regularizer(problem: EstimationProblem) -> float:
-    """c = prod_j l_j / (dt dx), the system's diagonal over rho."""
-    lams = (problem.lambda1, problem.lambda2, problem.lambda3 or 1.0)
-    return float(np.prod(lams)) / problem.node_weight
+    """c = l1 l2 / (dt dx), the system's diagonal over rho."""
+    return problem.lambda1 * problem.lambda2 / problem.node_weight
 
 
 def stacked_factor(problem: EstimationProblem) -> tuple[np.ndarray, dict]:
@@ -274,20 +258,11 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     rho = problem.traj.values[:problem.fit_rows].ravel()
     f_full = assemble_data_functional(problem.traj, problem.flow_kind, problem.known_u)
     f = f_full[:problem.fit_rows].ravel()
-    l1, l2, l3 = problem.lambda1, problem.lambda2, problem.lambda3
-    if problem.learn_internal:
-        c = l1 * l2 * l3 / problem.node_weight
-    else:
-        c = l1 * l2 / problem.node_weight
-    system = assemble_gram(problem) + c * np.diag(rho)
+    l1, l2 = problem.lambda1, problem.lambda2
+    system = assemble_gram(problem) + regularizer(problem) * np.diag(rho)
     z = sla.cho_solve(sla.cho_factor(system, lower=True), rho * f)
     # name: (section Gram, coefficients, regularizer)
-    if problem.learn_internal:
-        G3 = internal_section_gram(problem)
-        blocks = {"V": (G1, l2 * l3 * z, l1), "W": (G2, l1 * l3 * z, l2),
-                  "U": (G3, l1 * l2 * z, l3)}
-    else:
-        blocks = {"V": (G1, l2 * z, l1), "W": (G2, l1 * z, l2)}
+    blocks = {"V": (G1, l2 * z, l1), "W": (G2, l1 * z, l2)}
     # the section combination with weights rho * C has operator image
     # G (rho C) and squared RKHS norm (rho C)' G (rho C)
     norms = {name: float(np.sqrt(max((rho * C) @ G @ (rho * C), 0.0)))
@@ -296,9 +271,7 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
     loss = problem.node_weight * float((image - f) ** 2 @ rho)
     loss += sum(lam * norms[name] ** 2 for name, (_, _, lam) in blocks.items())
     return SimpleNamespace(
-        C1=blocks["V"][1], C2=blocks["W"][1],
-        C3=blocks["U"][1] if problem.learn_internal else None,
-        rkhs_norms=norms, loss_value=loss,
+        C1=blocks["V"][1], C2=blocks["W"][1], rkhs_norms=norms, loss_value=loss,
     )
 
 
@@ -306,19 +279,16 @@ def dense_reference_solve(problem: EstimationProblem) -> SimpleNamespace:
 # Pointwise forward operator, the reference for ``operator_image``
 # ---------------------------------------------------------------------------
 
-def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int,
-                        upsilon=None) -> float:
-    """Pointwise forward operator at node (l, n) for evaluable (phi, psi)
-    and, when given, the plain internal-energy term upsilon."""
+def apply_flow_operator(traj: DensityTrajectory, phi, psi, l: int, n: int) -> float:
+    """Pointwise forward operator at node (l, n) for evaluable (phi, psi)."""
     mesh = traj.mesh
     a = traj.dx_plus()[l, n]
     r = traj.values[l, n]
     x = mesh.x[n]
     d1 = d2 = 0.0
-    for fn in (phi, upsilon):
-        if fn is not None:
-            d1 += float(fn.value(x, order=1))
-            d2 += float(fn.value(x, order=2))
+    if phi is not None:
+        d1 += float(phi.value(x, order=1))
+        d2 += float(phi.value(x, order=2))
     if psi is not None:
         rho = traj.values[l]
         diffs = x - mesh.x

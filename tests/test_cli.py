@@ -139,6 +139,9 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg_path]) == 2
 
     def test_failed_run_releases_its_lock(self, tmp_path, capsys):
+        """A run that fails after making its directory, before writing to
+        it, releases the lock and removes the empty directory, so a fresh
+        run can be made there."""
         # a strong compression crosses particles after the run directory is made
         out = tmp_path / "ham"
         cfg = simulate_config(out, kind="hamiltonian")
@@ -148,7 +151,7 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(cfg))
         assert run(["simulate", "--config", cfg_path]) == 1
         assert "crossing" in json.loads(capsys.readouterr().err)["message"]
-        assert out.is_dir() and not (out / ".lock").exists()
+        assert not out.exists()
         with cli.RunDirectory(out) as directory:
             assert directory.lock.exists()
         assert not directory.lock.exists()
@@ -228,8 +231,6 @@ BAD_ESTIMATE_ARGS = {
         "--kernel1": '{"family":"gaussian","lengthscale":Infinity}'},
     "kernel1_lengthscale_a_string": {"--kernel1": '{"family":"gaussian","lengthscale":"0.2"}'},
     "kernel1_beta_a_boolean": {"--kernel1": '{"family":"imq","lengthscale":0.2,"beta":true}'},
-    # U is known or learned, not both
-    "u_with_kernel3": {"--u": "entropy", "--kernel3": KERNEL1, "--lambda3": "0.1"},
 }
 BAD_SIMULATE_EDITS = {
     "mesh_without_N": lambda cfg: cfg["mesh"].pop("N"),
@@ -310,6 +311,8 @@ BAD_SIMULATE_EDITS = {
     "density_not_an_object": lambda cfg: cfg.update(initial_density=[0.5]),
     # a path is a JSON string
     "out_not_a_string": lambda cfg: cfg.update(out=5),
+    # a retired key exits 2 in any command, not only in the one that read it
+    "simulate_lambda3_retired": lambda cfg: cfg.update(lambda3=0.1),
 }
 # estimate config keys, with the arguments of ESTIMATE_ARGS
 BAD_ESTIMATE_CONFIGS = {
@@ -319,8 +322,9 @@ BAD_ESTIMATE_CONFIGS = {
     "eval_count_negative": {"eval_grid": {"count": -3}},
     "eval_count_zero": {"eval_grid": {"count": 0}},
     "center_not_a_boolean": {"center_interaction": "false"},
-    "lambda3_nan": {"kernel3": json.loads(KERNEL1), "lambda3": float("nan")},
-    "lambda3_infinite": {"kernel3": json.loads(KERNEL1), "lambda3": float("inf")},
+    # U is known (u), not learned: a third kernel and its regularizer are retired
+    "kernel3_retired": {"kernel3": json.loads(KERNEL1)},
+    "lambda3_retired": {"lambda3": 0.1},
     "lambda1_beyond_float_range": {"lambda1": 10**400},
     "eval_grid_not_an_object": {"eval_grid": 5},
     # a config kernel, read in place of its flag, passes the same checks
@@ -366,6 +370,7 @@ BAD_SWEEP_EDITS = {
     "sweep_truth_v_zero": {"truth_v": {"type": "zero"}},
     "sweep_truth_w_cosine_sum": {"truth_w": COSINE},
     "sweep_truth_v_wrapped": {"truth_v": {**WRAPPED_W, "wrap_period": 1.6}},
+    "sweep_kernel3_retired": {"kernel3": json.loads(KERNEL1)},
 }
 BAD_STABILITY_EDITS = {
     "stability_no_quantiles": {"n_quantiles": 0},
@@ -387,6 +392,7 @@ BAD_STABILITY_EDITS = {
     "stability_estimate_w_cosine_sum": {"estimates": [{"V": WRAPPED_W, "W": WRAPPED_W},
                                                       {"V": WRAPPED_W, "W": COSINE}]},
     "stability_wrap_copies_retired": {"truth_v": {**WRAPPED_W, "wrap_copies": 4}},
+    "stability_lambda3_retired": {"lambda3": 0.1},
 }
 # the key each row's message names, where its edit is no one-key path
 NAMED_KEYS = {
@@ -422,8 +428,9 @@ NAMED_KEYS = {
     "mesh_not_an_object": "mesh",
     "energy_not_an_object": "energy",
     "density_not_an_object": "initial_density",
-    "lambda3_nan": "lambda3",
-    "lambda3_infinite": "lambda3",
+    "kernel3_retired": "kernel3",
+    "sweep_kernel3_retired": "kernel3",
+    "simulate_lambda3_retired": "lambda3",
     "out_not_a_string": "out",
     "sweep_truth_v_zero": "truth_v",
     "sweep_truth_w_cosine_sum": "truth_w",
@@ -441,7 +448,6 @@ NAMED_KEYS = {
     "kernel_beta_a_boolean": "V.kernel.beta",
     "kernel2_lengthscale_nan": "kernel2.lengthscale",
     "kernel2_beta_infinite": "kernel2.beta",
-    "u_with_kernel3": "kernel3",
     "hamiltonian_phase_not_an_object": "initial_phase",
     "hamiltonian_phase_period_negative": "initial_phase.period",
 }
@@ -512,6 +518,8 @@ def test_config_not_an_object_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("value, kind, expected", [
     (3, int, 3), (3.0, int, 3), (-1, int, -1), (True, bool, True), (False, bool, False),
     (2, float, 2.0), (0.5, float, 0.5), ("t.csv", str, "t.csv"),
+    # an integer is finite as a float up to the float range, past int64
+    (2**64, int, 2**64), (10**308, float, 1e308),
 ])
 def test_config_value_accepts(value, kind, expected):
     got = cli.config_value({"key": value}, "key", kind)
@@ -542,6 +550,17 @@ def test_config_value_message_cuts_long_integers(value, shown):
     with pytest.raises(cli.ConfigError) as info:
         cli.config_value({"key": value}, "key", str if value == 10**19 else float)
     assert str(info.value).endswith(shown)
+
+
+@pytest.mark.parametrize("flag, value", [("--kernel3", KERNEL1), ("--lambda3", "0.1")])
+def test_retired_flags_exit_2(tmp_path, capsys, flag, value):
+    """``estimate`` has no third kernel: argparse refuses its flags, exit 2."""
+    with pytest.raises(SystemExit) as info:
+        run(["estimate", "--data", tmp_path / "t.csv", "--out", tmp_path / "est",
+             flag, value, *[v for kv in ESTIMATE_ARGS.items() for v in kv]])
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
 
 
 def test_fisher_label_refused(tmp_path, capsys):
@@ -744,21 +763,6 @@ class TestEstimate:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["stationarity_residual"] <= 1e-6 * max(diag["loss"], 1.0)
 
-    def test_three_function_estimate(self, tmp_path, data_dir):
-        out = tmp_path / "est3"
-        rc = run(["estimate", "--data", data_dir / "trajectory.csv",
-                  "--kernel1", KERNEL1, "--kernel2", KERNEL2,
-                  "--kernel3", '{"family":"gaussian","lengthscale":0.3}',
-                  "--lambda1", "0.05", "--lambda2", "0.05", "--lambda3", "0.1",
-                  "--out", out])
-        assert rc == 0
-        assert (out / "coeff_c3.bin").exists()
-        recon = (out / "reconstruction.csv").read_text().splitlines()
-        assert recon[0] == "x,vhat,what,uhat"
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["kept_rank"]["U"][1] == 2 * 24
-        assert diag["stationarity_residual"] <= 1e-6 * max(diag["loss"], 1.0)
-
     def test_flags_are_config_keys(self, tmp_path, data_dir):
         """A run from flags and the same run from a config file holding those
         keys write the same artifacts: the manifest records every flag, a
@@ -947,6 +951,7 @@ BAD_W2_CONFIGS = {
     "row_past_last": ({"row": 5}, "base"),
     "row_before_first": ({"row": -6}, "base"),
     "no_quantiles": ({"n_quantiles": 0}, "base"),
+    "lambda3_retired": ({"lambda3": 0.1}, "base"),
     "quantiles_not_an_integer": ({"n_quantiles": "many"}, "base"),
     "row_not_integral": ({"row": 1.5}, "base"),
     "periodic_not_a_boolean": ({"periodic": "false"}, "base"),
@@ -986,6 +991,7 @@ BAD_SIDECARS = {
     "T_infinite": lambda meta: {**meta, "T": float("inf")},
     "a_after_b": lambda meta: {**meta, "a": 2},
     "N_not_integral": lambda meta: {**meta, "N": 24.7},
+    "N_beyond_float_range": lambda meta: {**meta, "N": 10**400},
     "boundary_mode_unknown": lambda meta: {**meta, "boundary_mode": "bogus"},
     "boundary_mode_a_number": lambda meta: {**meta, "boundary_mode": 3},
 }

@@ -78,22 +78,6 @@ class TestProblemValidation:
             EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
                               lambda1=1.0, lambda2=1.0, flow_kind="hamiltonian")
 
-    def test_kernel3_requires_lambda3(self):
-        traj = random_trajectory()
-        with pytest.raises(EstimatorError):
-            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
-                              lambda1=1.0, lambda2=1.0,
-                              kernel3=gaussian_kernel(0.2))
-
-    def test_known_u_excludes_kernel3(self):
-        """U is known or learned: a known U beside a third kernel would be
-        dropped from the data functional without a word."""
-        traj = random_trajectory()
-        with pytest.raises(EstimatorError, match="not both"):
-            EstimationProblem(traj, gaussian_kernel(0.2), gaussian_kernel(0.2),
-                              lambda1=1.0, lambda2=1.0, known_u=ENTROPY,
-                              kernel3=gaussian_kernel(0.2), lambda3=1.0)
-
     def test_non_finite_woodbury_core_rejected(self):
         core = np.eye(3)
         core[0, 1] = core[1, 0] = np.inf
@@ -119,23 +103,21 @@ class TestFlowOperator:
         assert apply_flow_operator(traj, quad, None, 0, 3) == pytest.approx(2 * c)
 
     def test_operator_image_matches_pointwise(self):
-        """At every node, for both boundary modes, forward-differenced and
-        given slopes, and with and without a plain upsilon term."""
+        """At every node, for both boundary modes and for forward-differenced
+        and given slopes."""
         K1 = gaussian_kernel(0.25)
         K2 = imq_kernel(0.3, beta=1.5)
         phi = RkhsFunction.from_points(K1, [0.2, 0.7], [1.0, -0.4])
         psi = RkhsFunction.from_points(K2, [-0.1, 0.3], [0.6, 0.2])
-        upsilon = RkhsFunction.from_points(gaussian_kernel(0.15), [0.45], [0.7])
-        for mode, given, ups in itertools.product((PERIODIC, TRUNCATED), (False, True),
-                                                  (None, upsilon)):
+        for mode, given in itertools.product((PERIODIC, TRUNCATED), (False, True)):
             traj = random_trajectory(mode=mode, seed=4)
             if given:
                 traj = GivenDerivatives(
                     traj, slopes=np.random.default_rng(5).standard_normal(traj.values.shape))
             p = EstimationProblem(traj, K1, K2, lambda1=1.0, lambda2=1.0)
-            image = operator_image(p, phi, psi, ups).reshape(traj.mesh.L, -1)
+            image = operator_image(p, phi, psi).reshape(traj.mesh.L, -1)
             for l, n in np.ndindex(image.shape):
-                direct = apply_flow_operator(traj, phi, psi, l, n, upsilon=ups)
+                direct = apply_flow_operator(traj, phi, psi, l, n)
                 assert image[l, n] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -291,28 +273,25 @@ def test_convolved_vector_applies_match_matrix_path(N, L, mode, single, seed):
 # sizes), where the moment route pays.  13 nodes in blocks of 7 // 3 = 2:
 # the last block holds one node, and the 7-row budget ends inside a node's 3
 # time rows
-@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=False, seed=1)
+@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), seed=1)
 # 14 nodes in blocks of 10 // 2 = 5: the last block's 4 nodes span a window
 # one column narrower than the band, clipped at offset 2N - 2
-@example(N=14, L=2, row_block=10, lams=(0.05, 0.08), internal=False, seed=5)
-# U learned: two plain blocks, V before and U after the convolved W
-@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), internal=True, seed=2)
+@example(N=14, L=2, row_block=10, lams=(0.05, 0.08), seed=5)
+# the first example's shape on another draw
+@example(N=13, L=3, row_block=7, lams=(0.05, 0.08), seed=2)
 # a regularizer so large that V, or W, keeps no direction
-@example(N=9, L=4, row_block=7, lams=(1e10, 0.08), internal=True, seed=3)
-@example(N=9, L=4, row_block=7, lams=(0.05, 1e10), internal=True, seed=4)
+@example(N=9, L=4, row_block=7, lams=(1e10, 0.08), seed=3)
+@example(N=9, L=4, row_block=7, lams=(0.05, 1e10), seed=4)
 @given(N=st.integers(1, 20), L=st.integers(1, 5), row_block=st.sampled_from([1, 7, 2048]),
        lams=st.sampled_from([(0.05, 0.08), (1e10, 0.08), (0.05, 1e10)]),
-       internal=st.booleans(), seed=st.integers(0, 999))
-def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, internal, seed):
+       seed=st.integers(0, 999))
+def test_streamed_grams_match_assembled_factor(N, L, row_block, lams, seed):
     """The Woodbury core is I + P' D^-1 P of the P assembled from the dense
     section factors by either route, W's rows or its generator moments, for
-    any block width, with one or two plain blocks, and when a block keeps no
-    direction."""
+    any block width, and when a block keeps no direction."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
     p = EstimationProblem(traj, gaussian_kernel(0.1), imq_kernel(0.2, beta=1.5),
-                          lambda1=lams[0], lambda2=lams[1],
-                          kernel3=gaussian_kernel(0.3) if internal else None,
-                          lambda3=0.3 if internal else None)
+                          lambda1=lams[0], lambda2=lams[1])
     learned = build_factors(p)
     c = regularizer(p)
     P, kept = stacked_factor(p)
@@ -359,21 +338,18 @@ smooth_kernels = st.builds(
 
 @settings(max_examples=30, deadline=None)
 @given(N=st.integers(1, 16), L=st.integers(1, 4), k1=smooth_kernels, k2=smooth_kernels,
-       internal=st.booleans(), lam=st.sampled_from([0.5, 0.05]),
-       seed=st.integers(0, 999))
-def test_gram_condition_bounds_the_scaled_system(N, L, k1, k2, internal, lam, seed):
+       lam=st.sampled_from([0.5, 0.05]), seed=st.integers(0, 999))
+def test_gram_condition_bounds_the_scaled_system(N, L, k1, k2, lam, seed):
     """``gram_condition`` less ``dropped_share`` is at most the bound
     (lambda_max(P'P) + c rho_max) / (c rho_min), and ``gram_condition`` is at
     least the condition number of the Jacobi-scaled exact system
     D^-1/2 (G + D) D^-1/2, D = c diag(rho)."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
-    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam,
-                          kernel3=gaussian_kernel(0.3) if internal else None,
-                          lambda3=lam if internal else None)
+    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam)
     res = solve(p)
     cond = res.gram_condition
     P, _ = stacked_factor(p)
-    d = lam ** (3 if internal else 2) / p.node_weight * traj.values.ravel()
+    d = lam ** 2 / p.node_weight * traj.values.ravel()
     bound = (np.linalg.eigvalsh(P.T @ P)[-1] + d.max()) / d.min()
     # D^-1/2 G D^-1/2 is PSD: the scaled system's spectrum is 1 + its spectrum,
     # whose smallest eigenvalue the dense eigensolver finds to about eps times
@@ -482,25 +458,20 @@ def test_parity_halves_at_one_center():
 @settings(max_examples=40, deadline=None)
 @given(N=st.integers(1, 24), L=st.integers(1, 4),
        mode=st.sampled_from([PERIODIC, TRUNCATED]),
-       k1=smooth_kernels, k2=smooth_kernels, k3=st.none() | smooth_kernels,
-       seed=st.integers(0, 999))
-def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
+       k1=smooth_kernels, k2=smooth_kernels, seed=st.integers(0, 999))
+def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, seed):
     """P P' <= G, the part it drops is at most ``dropped_share`` of the
     Jacobi-scaled system, and each block keeps the eigh-rule rank at the
     regularizer's threshold."""
     traj = random_trajectory(N=N, L=L, mode=mode, seed=seed)
-    p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08, kernel3=k3,
-                          lambda3=None if k3 is None else 0.3)
+    p = EstimationProblem(traj, k1, k2, lambda1=0.05, lambda2=0.08)
     learned = build_factors(p)
     c = regularizer(p)
     _, dropped_share = _factor_blocks(learned, c)
     P, kept = stacked_factor(p)
     F1, F2 = dense_factors(learned[0].family)
-    l1, l2, l3 = p.lambda1, p.lambda2, p.lambda3 or 1.0
     grams = dense_generator_grams(p)
-    blocks = {"V": (grams["V"], F1, l2 * l3), "W": (grams["W"], F2, l1 * l3)}
-    if k3 is not None:
-        blocks["U"] = (grams["U"], F1, l1 * l2)
+    blocks = {"V": (grams["V"], F1, p.lambda2), "W": (grams["W"], F2, p.lambda1)}
     # the roundoff of entry (i, j) of G - P P' is bounded on the scale
     # lambda_max |F_i| |F_j| rho_i rho_j of each block's K~
     scale = np.zeros((P.shape[0],) * 2)
@@ -533,20 +504,18 @@ def test_stacked_factor_matches_dense_gram(N, L, mode, k1, k2, k3, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(N=st.integers(1, 16), L=st.integers(1, 4), k1=smooth_kernels, k2=smooth_kernels,
-       k3=st.none() | smooth_kernels, lam=st.sampled_from([0.05, 1e-4, 1e-6]),
-       seed=st.integers(0, 999))
+       lam=st.sampled_from([0.05, 1e-4, 1e-6]), seed=st.integers(0, 999))
 # every direction kept (c = 1.2e-10): the factor's rounding alone is dropped
 @example(N=9, L=4, k1=imq_kernel(0.59375, beta=1.5), k2=imq_kernel(0.5625, beta=1.5),
-         k3=None, lam=1e-6, seed=0)
+         lam=1e-6, seed=0)
 @example(N=9, L=4, k1=imq_kernel(0.59375, beta=1.5), k2=imq_kernel(0.5625, beta=1.5),
-         k3=None, lam=1e-6, seed=2)
-def test_preconditioned_spectrum_is_certified(N, L, k1, k2, k3, lam, seed):
+         lam=1e-6, seed=2)
+def test_preconditioned_spectrum_is_certified(N, L, k1, k2, lam, seed):
     """Every eigenvalue of M^-1 (G + D) = I + M^-1 (G - P P'), M = P P' + D
     the preconditioner, lies in [1, 1 + dropped_share], and CG needs no more
     iterations than a condition number of 2 allows for a 1e-14 residual."""
     traj = random_trajectory(N=N, L=L, mode=PERIODIC, seed=seed)
-    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam, kernel3=k3,
-                          lambda3=None if k3 is None else lam)
+    p = EstimationProblem(traj, k1, k2, lambda1=lam, lambda2=lam)
     res = solve(p)
     learned = build_factors(p)
     c = regularizer(p)
@@ -816,27 +785,23 @@ class TestStationarity:
         worst = stationarity_residual(zeroed, p)
         assert worst > 1e-4
 
-    @pytest.mark.parametrize("internal", [False, True])
-    def test_dual_norm_of_the_loss_gradient(self, internal):
+    def test_dual_norm_of_the_loss_gradient(self):
         """At a perturbed candidate the certificate is the derivative along
         the normalized gradient, built from section sums and differentiated
         through ``operator_image`` and ``rkhs_inner``, and it bounds the
         derivative along every sampled unit section direction."""
-        p = make_problem(N=7, L=3, seed=14, kernel3=gaussian_kernel(0.3) if internal else None,
-                         lambda3=0.3 if internal else None)
+        p = make_problem(N=7, L=3, seed=14)
         res = solve(p)
-        count = 3 if internal else 2
-        kernels = [p.kernel1, p.kernel2, p.kernel3][:count]
-        lams = [p.lambda1, p.lambda2, p.lambda3][:count]
-        families = [PlainSections, ConvolvedSections, PlainSections][:count]
+        kernels = [p.kernel1, p.kernel2]
+        lams = [p.lambda1, p.lambda2]
+        families = [PlainSections, ConvolvedSections]
         rng = np.random.default_rng(15)
         cand = [RkhsFunction(f.kernel, f.orders, f.centers,
                              f.coeffs + 0.3 * np.abs(f.coeffs).max()
                              * rng.standard_normal(f.coeffs.size))
-                for f in [res.Vhat, res.What, res.Uhat][:count]]
+                for f in [res.Vhat, res.What]]
         residual = operator_image(p, *cand) - res.data_vector
-        perturbed = replace(res, Vhat=cand[0], What=cand[1],
-                            Uhat=cand[2] if internal else None, residual_vector=residual)
+        perturbed = replace(res, Vhat=cand[0], What=cand[1], residual_vector=residual)
         certificate = stationarity_residual(perturbed, p)
         weights = 2 * p.node_weight * residual * p.traj.values.ravel()
 
@@ -862,7 +827,7 @@ class TestStationarity:
 
     def test_evaluates_no_kernel(self, monkeypatch):
         """The certificate reads the generator Grams' gap vectors only."""
-        p = make_problem(seed=16, kernel3=gaussian_kernel(0.3), lambda3=0.3)
+        p = make_problem(seed=16)
         res = solve(p)
 
         def refuse(*args, **kwargs):
@@ -872,9 +837,9 @@ class TestStationarity:
         assert 0.0 <= stationarity_residual(res, p) <= 1e-6 * max(res.loss_value, 1.0)
 
     def test_estimate_off_its_generators_rejected(self):
-        p = make_problem(seed=17, kernel3=gaussian_kernel(0.3), lambda3=0.3)
+        p = make_problem(seed=17)
         res = solve(p)
-        for edit in ({"Vhat": zero_function(p.kernel1)}, {"Uhat": None}):
+        for edit in ({"Vhat": zero_function(p.kernel1)}, {"What": None}):
             with pytest.raises(EstimatorError):
                 stationarity_residual(replace(res, **edit), p)
 
@@ -955,62 +920,6 @@ class TestTraceBound:
                     + np.max(np.abs(dxp)) + np.max(np.abs(dxx)))
         bound = 4.0 * mesh.T * c_t * (kappa1_sq + kappa2_sq)
         assert trace <= bound
-
-
-class TestThreeFunction:
-    def test_coefficient_products(self):
-        traj = random_trajectory(N=6, L=2, seed=15)
-        p = EstimationProblem(traj, gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5),
-                              lambda1=0.2, lambda2=0.3,
-                              kernel3=gaussian_kernel(0.4), lambda3=0.15)
-        res = solve(p)
-        assert res.C3 is not None and res.Uhat is not None
-        l1, l2, l3 = 0.2, 0.3, 0.15
-        scale = np.max(np.abs(res.C1)) * l1
-        assert np.max(np.abs(l1 * res.C1 - l2 * res.C2)) < 1e-10 * max(scale, 1e-30)
-        assert np.max(np.abs(l1 * res.C1 - l3 * res.C3)) < 1e-10 * max(scale, 1e-30)
-
-    def test_large_lambda3_recovers_two_function_solution(self):
-        traj = random_trajectory(N=6, L=2, seed=16)
-        k1, k2 = gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5)
-        p2 = EstimationProblem(traj, k1, k2, lambda1=0.2, lambda2=0.3)
-        p3 = EstimationProblem(traj, k1, k2, lambda1=0.2, lambda2=0.3,
-                               kernel3=gaussian_kernel(0.4), lambda3=1e12)
-        r2, r3 = solve(p2), solve(p3)
-        scale = max(np.max(np.abs(r2.C1)), 1e-30)
-        assert np.max(np.abs(r2.C1 - r3.C1)) < 1e-6 * scale
-        assert r3.rkhs_norms["U"] < 1e-6
-        xs = np.linspace(0, 1, 7)
-        assert np.allclose(r2.Vhat.value(xs), r3.Vhat.value(xs), atol=1e-6)
-
-    def test_loss_at_scores_the_three_function_estimate(self):
-        """On gradient data with a third kernel, ``loss_at`` at the returned
-        V, W and U, from the functions alone, gives ``solve``'s loss within
-        10 gram_condition eps."""
-        traj = random_trajectory(N=24, L=6, mode=PERIODIC, seed=18)
-        p = EstimationProblem(traj, gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5),
-                              lambda1=0.05, lambda2=0.08,
-                              kernel3=gaussian_kernel(0.4), lambda3=0.1)
-        res = solve(p)
-        independent = loss_at(p, res.Vhat, res.What, res.Uhat)
-        tol = 10 * res.gram_condition * np.finfo(float).eps
-        assert abs(res.loss_value - independent) <= tol * abs(independent)
-        # without U's image and penalty the loss is another number
-        assert abs(loss_at(p, res.Vhat, res.What) - independent) > tol * abs(independent)
-
-    def test_solve_matches_dense_reference_three_function(self):
-        traj = random_trajectory(N=5, L=2, seed=17)
-        p = EstimationProblem(traj, gaussian_kernel(0.25), imq_kernel(0.3, beta=1.5),
-                              lambda1=0.2, lambda2=0.3,
-                              kernel3=gaussian_kernel(0.4), lambda3=0.25)
-        rd, rl = dense_reference_solve(p), solve(p)
-        for name in ("C1", "C2", "C3"):
-            ref, got = getattr(rd, name), getattr(rl, name)
-            assert np.max(np.abs(ref - got)) < 1e-8 * max(np.max(np.abs(ref)), 1e-30)
-        assert set(rl.rkhs_norms) == {"V", "W", "U"}
-        for name, norm in rd.rkhs_norms.items():
-            assert rl.rkhs_norms[name] == pytest.approx(norm, rel=1e-8)
-        assert rl.loss_value == pytest.approx(rd.loss_value, rel=1e-8)
 
 
 class TestGivenDerivatives:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wgflows
-from wgflows import flows, mesh
+from wgflows import cli, flows, mesh
 from wgflows.estimator import EstimationProblem
 
 PACKAGE_DIR = Path(wgflows.__file__).resolve().parent
@@ -411,9 +411,12 @@ def unnamed_values(text: str, values) -> list[str]:
 def test_readme_names_every_accepted_value():
     """README names, in backquotes, every value the readers accept for a
     sidecar's ``boundary_mode`` (``mesh.BOUNDARY_MODES``) and for a
-    ``scheme`` (``flows.SCHEMES``), so its exit-2 rules quote values that run."""
+    ``scheme`` (``flows.SCHEMES``), so its exit-2 rules quote values that
+    run, and every retired config key (``cli.RETIRED_KEYS``), so a key is
+    not retired without telling its users."""
     text = README.read_text(encoding="utf-8")
-    assert unnamed_values(text, mesh.BOUNDARY_MODES + flows.SCHEMES) == []
+    assert unnamed_values(text, mesh.BOUNDARY_MODES + flows.SCHEMES
+                          + tuple(cli.RETIRED_KEYS)) == []
 
 
 @pytest.mark.parametrize("text, unnamed", [
