@@ -56,6 +56,7 @@ from .mesh import (
     is_number,
     meta_path_for,
     read_trajectory,
+    short_repr,
     write_trajectory,
 )
 from .rkhs import RkhsFunction
@@ -301,17 +302,15 @@ def config_value(cfg: dict, key: str, kind: type, default=_REQUIRED, prefix: str
     integral float an int, any non-bool number a float, both by
     ``mesh.is_number``, so finite as a float (Python's ``json`` reads
     ``NaN``, ``Infinity`` and integers beyond the float range, which are no
-    usable numbers); the message cuts an integer to 20 characters and its
-    digit count.  An absent key gives ``default`` unchecked."""
+    usable numbers); the message shows the value by ``mesh.short_repr``.
+    An absent key gives ``default`` unchecked."""
     if key not in cfg and default is not _REQUIRED:
         return default
     value = require(cfg, key, prefix)
     if not (isinstance(value, kind) if kind in (bool, dict, str) else is_number(value, kind)):
-        shown = repr(value)
-        if isinstance(value, int) and len(shown) > 20:
-            shown = f"{shown[:20]}... ({len(shown.lstrip('-'))} digits)"
         raise ConfigError("config_invalid", f"{prefix + key} must be of type "
-                          f"{'finite float' if kind is float else kind.__name__}, got {shown}")
+                          f"{'finite float' if kind is float else kind.__name__}, "
+                          f"got {short_repr(value)}")
     return kind(value)
 
 
@@ -584,19 +583,13 @@ def cmd_stability(cfg: dict, seed: int) -> int:
               kernel_sum_from_spec(require(est_cfg, "W"), f"estimate {i} W"))
              for i, est_cfg in enumerate(estimates)]
     with RunDirectory(Path(config_value(cfg, "out", str))) as run:
-        t0 = time.perf_counter()
         try:
-            records = stability_experiment(
-                (truth_v, truth_w), pairs, mu0, phi0, mesh, dt_solver=dt_solver)
+            records = stability_experiment((truth_v, truth_w), pairs, mu0, phi0, mesh,
+                                           dt_solver=dt_solver, timings=run.timings)
         except PeriodicityError as exc:
             raise ConfigError(f"{exc.function.lower()}_not_periodic", str(exc)) from None
-        seconds = time.perf_counter() - t0
-        run.timings["flows"] = seconds - sum(r["wall_s"] for r in records)
-        rows = []
-        for i, out in enumerate(records):
-            run.timings[f"estimate {i}"] = out["wall_s"]
-            rows.append([i, out["rkhs_error"], out["sup_w2"],
-                         out["weighted_rkhs_discrepancy"]])
+        rows = [[i, out["rkhs_error"], out["sup_w2"], out["weighted_rkhs_discrepancy"]]
+                for i, out in enumerate(records)]
         write_csv(run.path("stability.csv"), rows,
                   ["estimate", "rkhs_error", "sup_w2",
                    "weighted_rkhs_discrepancy"])

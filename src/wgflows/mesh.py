@@ -196,6 +196,16 @@ def is_number(value, kind: type) -> bool:
             and abs(value) <= _FLOAT_MAX and (kind is float or value % 1 == 0))
 
 
+def short_repr(value) -> str:
+    """``repr(value)`` for a message, with an integer of more than 20
+    characters cut to its first 20 and its digit count: JSON reads integers
+    of any size, and 10**400 would print 401 digits."""
+    shown = repr(value)
+    if isinstance(value, int) and len(shown) > 20:
+        shown = f"{shown[:20]}... ({len(shown.lstrip('-'))} digits)"
+    return shown
+
+
 def meta_path_for(csv_path: str | Path) -> Path:
     p = Path(csv_path)
     return p.with_name(p.stem + ".meta.json")
@@ -253,7 +263,7 @@ def read_trajectory(csv_path: str | Path) -> DensityTrajectory:
         if not is_number(value, kind):
             raise TrajectoryFormatError(
                 "meta_invalid", f"sidecar {meta_path}: {key} must be a finite "
-                f"{'integer' if kind is int else 'number'}, got {value!r}")
+                f"{'integer' if kind is int else 'number'}, got {short_repr(value)}")
         numbers.append(kind(value))
     if meta["boundary_mode"] not in BOUNDARY_MODES:
         raise TrajectoryFormatError(

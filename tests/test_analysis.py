@@ -285,6 +285,72 @@ class TestWasserstein:
         if periodic:
             assert abs(w2 - 0.2) <= 2 * mesh200.dx
 
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(4, 96), seed=st.integers(0, 2**32 - 1), periodic=st.booleans(),
+           cdf_kind=st.sampled_from(CDF_KINDS),
+           rows=st.lists(st.tuples(st.floats(0.0, 30.0), st.booleans()),
+                         min_size=1, max_size=8))
+    def test_stack_matches_each_row_property(self, N, seed, periodic, cdf_kind, rows):
+        # every entry of a stacked call is the call on its row alone, bit
+        # for bit.  A row's samples span up to 30 decades, so a sample below
+        # the roundoff of the CDF's running sum repeats a level (a piece of
+        # zero width); a row flagged True compares a density with itself
+        mesh = SpaceTimeMesh(0.0, 1.0, 0.1, N, 1)
+        decades = np.array([d for d, _ in rows])[:, None]
+        rho, sigma = (d / (mesh.dx * d.sum(axis=1, keepdims=True)) for d in
+                      10.0 ** (decades * np.random.default_rng(seed).random((2, len(rows), N))))
+        same = np.array([s for _, s in rows])
+        sigma[same] = rho[same]
+        stacked = wasserstein2_1d(rho, sigma, mesh, periodic=periodic, cdf_kind=cdf_kind)
+        assert stacked.shape == (len(rows),)
+        for p in range(len(rows)):
+            assert stacked[p] == wasserstein2_1d(rho[p], sigma[p], mesh, periodic=periodic,
+                                                 cdf_kind=cdf_kind)
+
+    @pytest.mark.parametrize("cdf_kind", CDF_KINDS)
+    def test_trajectory_broadcast_against_stacked_estimates(self, mesh200, cdf_kind):
+        # a true trajectory (L, N) against estimates (E, L, N), as in the
+        # stability comparison: one distance per (estimate, time), each the
+        # single-pair call; the bump's tails give the truth zero-width pieces
+        truth = np.array([bump_density(mesh200.x, 1.0, c, 0.06, 0.0) for c in (0.2, 0.5)])
+        cdf = np.cumsum(truth[0])
+        assert np.any(np.diff(cdf / cdf[-1]) == 0.0)
+        estimates = np.array([np.roll(truth, shift, axis=1) for shift in (0, 7, -40)])
+        gaps = wasserstein2_1d(truth, estimates, mesh200, periodic=True, cdf_kind=cdf_kind)
+        assert gaps.shape == (3, 2)
+        assert np.array_equal(gaps, wasserstein2_1d(np.broadcast_to(truth, estimates.shape),
+                                                    estimates, mesh200, periodic=True,
+                                                    cdf_kind=cdf_kind))
+        for e, l in np.ndindex(gaps.shape):
+            assert gaps[e, l] == wasserstein2_1d(truth[l], estimates[e, l], mesh200,
+                                                 periodic=True, cdf_kind=cdf_kind)
+        # equal pairs: the offset's roundoff times the steep tails' quantile
+        # slope leaves 3e-10 with the linear kind, as each pair did alone
+        assert np.all(gaps[0] <= 1e-9)
+        assert np.all(np.abs(gaps[2] - 0.2) <= 2 * mesh200.dx)
+
+    def test_single_densities_give_a_float(self, mesh200):
+        rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
+        assert type(wasserstein2_1d(rho, np.roll(rho, 3), mesh200, periodic=True)) is float
+        assert wasserstein2_1d(rho[None], rho[None], mesh200).shape == (1,)
+
+    def test_bad_row_of_a_stack_named(self, mesh200):
+        rho = np.array([bump_density(mesh200.x, 1.0, c, 0.08, 0.1) for c in (0.2, 0.4, 0.6)])
+        bad = rho.copy()
+        bad[2, 5] = 0.0
+        with pytest.raises(AnalysisError, match=r"strictly positive: sigma row 2 "):
+            wasserstein2_1d(rho, bad, mesh200, periodic=True)
+        with pytest.raises(AnalysisError, match=r"strictly positive: rho row \(1, 2\) "):
+            wasserstein2_1d(np.stack([rho, bad]), rho, mesh200)
+        heavy = rho.copy()
+        heavy[1] *= 1.03
+        with pytest.raises(AnalysisError, match=r"masses differ by more than 2% row 1: "):
+            wasserstein2_1d(rho, heavy, mesh200)
+        with pytest.raises(AnalysisError, match=r"more than 2% row \(0, 1\): "):
+            wasserstein2_1d(rho[0], heavy[None], mesh200, periodic=True)
+        with pytest.raises(AnalysisError, match="do not broadcast"):
+            wasserstein2_1d(rho, rho[:2], mesh200)
+
     def test_mass_mismatch_rejected(self, mesh200):
         rho = bump_density(mesh200.x, 1.0, 0.4, 0.08, 0.1)
         with pytest.raises(AnalysisError):
